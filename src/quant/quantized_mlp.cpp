@@ -5,13 +5,19 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace lf::quant {
 namespace {
 
 /// Arena-based LUT evaluation.  Must match lookup_table::eval bit-for-bit —
 /// infer_into routes through this so the hot path touches only the arena.
-inline s64 lut_eval_arena(const s64* values, s64 n, s64 lo_q, s64 step_num,
-                          s64 x) noexcept {
+/// Out of line: no quantizer table needs this tier, and inlined into the
+/// neuron loop it would crowd the 64-bit tier's values out of registers.
+[[gnu::noinline]] s64 lut_eval_arena(const s64* values, s64 n, s64 lo_q,
+                                     s64 step_num, s64 x) noexcept {
   if (x <= lo_q) return values[0];
   if (x >= lo_q + step_num) return values[n - 1];
   const __int128 scaled = static_cast<__int128>(x - lo_q) * (n - 1);
@@ -28,17 +34,27 @@ inline s64 lut_eval_arena(const s64* values, s64 n, s64 lo_q, s64 step_num,
 /// intermediate equals the 128-bit version's exactly (div_round and mul_div
 /// share the round-to-nearest-ties-away rule), just without the __int128
 /// division — which is a libgcc call on x86-64 and dominates tanh layers.
+/// Both divisions by step_num go through `div`, a multiply-high divider
+/// exact for every u64 numerator, so no hardware divide remains.
 inline s64 lut_eval_small(const s64* values, s64 n, s64 lo_q, s64 step_num,
-                          s64 x) noexcept {
+                          const fp::u64_divider& div, s64 x) noexcept {
+  using u64 = std::uint64_t;
   if (x <= lo_q) return values[0];
   if (x >= lo_q + step_num) return values[n - 1];
-  const s64 scaled = (x - lo_q) * (n - 1);
-  const s64 idx = scaled / step_num;
+  const s64 scaled = (x - lo_q) * (n - 1);  // in (0, (n-1)*step_num)
+  const auto idx = static_cast<s64>(div.divide(static_cast<u64>(scaled)));
   if (idx >= n - 1) return values[n - 1];
-  const s64 rem = scaled % step_num;
+  const s64 rem = scaled - idx * step_num;
   const s64 y0 = values[idx];
-  const s64 y1 = values[idx + 1];
-  return y0 + fp::div_round((y1 - y0) * rem, step_num);
+  const s64 num = (values[idx + 1] - y0) * rem;
+  // div_round(num, step_num) on the magnitude: for m >= 0, rounding half
+  // away from zero is floor((m + step_num/2) / step_num).  |num| < 2^63 by
+  // the fit proof, so the biased numerator stays below 2^64.
+  const s64 sign = num >> 63;  // 0 or -1
+  const auto mag = static_cast<u64>((num ^ sign) - sign);
+  const auto q = static_cast<s64>(
+      div.divide(mag + static_cast<u64>(step_num / 2)));
+  return y0 + ((q ^ sign) - sign);
 }
 
 inline __int128 abs128(s64 v) noexcept {
@@ -58,7 +74,104 @@ bool lut_fits_64bit(const std::vector<s64>& values, s64 step_num) {
   return max_dy * (step_num - 1) <= lim;
 }
 
+constexpr bool fits_i32(s64 v) noexcept {
+  return v >= INT32_MIN && v <= INT32_MAX;
+}
+
+/// True when every v[j] lies in [lo, hi].  Branch-free, so the scan costs
+/// the same whichever element (if any) falls outside.
+bool all_in_range(const s64* v, std::size_t n, s64 lo, s64 hi) noexcept {
+  bool ok = true;
+  for (std::size_t j = 0; j < n; ++j) ok &= (v[j] >= lo) & (v[j] <= hi);
+  return ok;
+}
+
+#if defined(__x86_64__)
+/// acc[0..4G) = b[0..4G) + sum_j w[j*stride + 0..4G) * x[j], four 64-bit
+/// lanes per group.  _mm256_mul_epi32 multiplies the sign-extended low 32
+/// bits of each lane, which is the exact product when both operands fit
+/// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
+/// any summation order.  With shift >= 0 the lanes are then requantized as
+/// the scalar epilogue does it (round half away on the magnitude, restore
+/// the sign); |acc| + half < 2^63 by the proof, so the logical shift is
+/// exact.  `out` receives the requantized values, or the raw accumulators
+/// when shift < 0.
+template <int G>
+__attribute__((target("avx2"))) void mac_i32_groups(
+    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    std::size_t n, int shift, s64 half, s64* out) noexcept {
+  // Fully unrolled over the groups so the accumulators live in registers.
+  __m256i a[G];
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    a[g] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 4 * g));
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const __m256i xj = _mm256_set1_epi64x(x[j]);
+    const s64* row = w + j * stride;
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const __m256i wj =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4 * g));
+      a[g] = _mm256_add_epi64(a[g], _mm256_mul_epi32(wj, xj));
+    }
+  }
+  if (shift >= 0) {
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i h = _mm256_set1_epi64x(half);
+    const __m128i count = _mm_cvtsi32_si128(shift);
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const __m256i sign = _mm256_cmpgt_epi64(zero, a[g]);  // 0 or -1
+      const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(a[g], sign), sign);
+      const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, h), count);
+      a[g] = _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign);
+    }
+  }
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(out + 4 * g), a[g]);
+  }
+}
+
+/// Up to 16 outputs (`groups` of 4 lanes) per call, so the accumulators stay
+/// in registers and each broadcast input is reused across the groups.
+constexpr std::size_t k_block = 16;
+
+__attribute__((target("avx2"))) void mac_i32_block(
+    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    std::size_t n, std::size_t groups, int shift, s64 half,
+    s64* out) noexcept {
+  switch (groups) {
+    case 4:
+      mac_i32_groups<4>(w, stride, b, x, n, shift, half, out);
+      break;
+    case 3:
+      mac_i32_groups<3>(w, stride, b, x, n, shift, half, out);
+      break;
+    case 2:
+      mac_i32_groups<2>(w, stride, b, x, n, shift, half, out);
+      break;
+    default:
+      mac_i32_groups<1>(w, stride, b, x, n, shift, half, out);
+      break;
+  }
+}
+#endif
+
 }  // namespace
+
+bool quantized_mlp::simd_dispatch() noexcept {
+#if defined(__x86_64__)
+  static const bool has_avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has_avx2;
+#else
+  return false;
+#endif
+}
 
 void inference_scratch::reserve(const quantized_mlp& program) {
   buf_.resize(2 * program.max_width_);
@@ -93,10 +206,22 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
 }
 
 void quantized_mlp::build_arena() {
+  const auto padded = [](std::size_t n) { return (n + 3) & ~std::size_t{3}; };
+  // Layers whose tables hold the same values (Aurora's two tanh layers)
+  // share one arena copy; each keeps its own domain in its layer_desc.
+  // Returns the first such layer's index, or the layer's own.
+  const auto lut_owner = [&](std::size_t li) {
+    for (std::size_t p = 0; p < li; ++p) {
+      const auto& other = layers_[p].lut;
+      if (other && other->values() == layers_[li].lut->values()) return p;
+    }
+    return li;
+  };
   std::size_t total = 0;
-  for (const auto& l : layers_) {
-    total += l.weights.size() + l.biases.size();
-    if (l.lut) total += l.lut->values().size();
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const auto& l = layers_[li];
+    total += (l.input_size + 1) * padded(l.output_size);
+    if (l.lut && lut_owner(li) == li) total += l.lut->values().size();
   }
   arena_.reserve(total);
   descs_.reserve(layers_.size());
@@ -110,7 +235,8 @@ void quantized_mlp::build_arena() {
 
   constexpr __int128 lim = fp::s64_max;
   __int128 in_bound = fastpath_input_bound_;
-  for (const auto& l : layers_) {
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const auto& l = layers_[li];
     layer_desc d;
     d.input_size = l.input_size;
     d.output_size = l.output_size;
@@ -124,18 +250,36 @@ void quantized_mlp::build_arena() {
           std::countr_zero(static_cast<std::uint64_t>(l.weight_scale));
       d.half = l.weight_scale >> 1;
     }
+    // Input-major weights, each input's row padded to whole 4-lane groups
+    // (zero weights and biases in the padding lanes): the int32 kernel
+    // loads w[j][o..o+3] directly, and the scalar loops walk neuron i's
+    // column w[j*stride + i] in the same j order as infer().
+    d.stride = padded(l.output_size);
     d.weights_off = arena_.size();
-    arena_.insert(arena_.end(), l.weights.begin(), l.weights.end());
+    arena_.resize(arena_.size() + l.input_size * d.stride, 0);
+    for (std::size_t i = 0; i < l.output_size; ++i) {
+      for (std::size_t j = 0; j < l.input_size; ++j) {
+        arena_[d.weights_off + j * d.stride + i] =
+            l.weights[i * l.input_size + j];
+      }
+    }
     d.biases_off = arena_.size();
     arena_.insert(arena_.end(), l.biases.begin(), l.biases.end());
+    arena_.resize(d.biases_off + d.stride, 0);
     if (l.lut) {
       const auto& vals = l.lut->values();
-      d.lut_off = arena_.size();
-      arena_.insert(arena_.end(), vals.begin(), vals.end());
+      const std::size_t owner = lut_owner(li);
+      if (owner == li) {
+        d.lut_off = arena_.size();
+        arena_.insert(arena_.end(), vals.begin(), vals.end());
+      } else {
+        d.lut_off = descs_[owner].lut_off;
+      }
       d.lut_entries = static_cast<s64>(vals.size());
       d.lut_lo_q = l.lut->domain_low_q();
       d.lut_step_num = l.lut->domain_span_q();
       d.lut_small = lut_fits_64bit(vals, d.lut_step_num);
+      d.lut_div = fp::u64_divider{static_cast<std::uint64_t>(d.lut_step_num)};
     }
 
     // Worst-case accumulator: |bias_i| + sum_j |w_ij| * in_bound.  If the
@@ -161,6 +305,16 @@ void quantized_mlp::build_arena() {
       sat_free = false;
     }
     d.saturation_free = sat_free;
+
+    // int32 operands: every weight always, the inputs statically when the
+    // propagated bound proves it and otherwise by a per-call scan.
+    const bool weights_i32 =
+        std::all_of(l.weights.begin(), l.weights.end(), fits_i32);
+    if (sat_free && weights_i32) {
+      d.operands = in_bound <= INT32_MAX ? operand_proof::proven
+                                         : operand_proof::per_call;
+    }
+    d.simd = d.operands != operand_proof::none && simd_dispatch();
 
     // Propagate this layer's output bound as the next layer's input bound.
     if (l.lut) {
@@ -221,20 +375,55 @@ std::vector<s64> quantized_mlp::infer(std::span<const s64> input_q) const {
   return cur;
 }
 
+template <bool Saturating>
+inline __attribute__((always_inline)) s64 quantized_mlp::requantize(
+    const layer_desc& d, s64 acc) noexcept {
+  if constexpr (!Saturating) {
+    // Power-of-two requantization without the hardware divide: round to
+    // nearest, ties away from zero, on the magnitude.  Exact vs div_round
+    // for all in-bound accumulators (the +half headroom is proven).  The
+    // sign is applied without a branch: accumulator signs are data-
+    // dependent, and |acc| cannot be s64_min under the proof.
+    if (d.shift >= 0) {
+      const s64 sign = acc >> 63;  // 0 or -1
+      const s64 mag = (acc ^ sign) - sign;
+      return (((mag + d.half) >> d.shift) ^ sign) - sign;
+    }
+  }
+  return fp::div_round(acc, d.weight_scale);
+}
+
+template <nn::activation Act>
+inline __attribute__((always_inline)) s64 quantized_mlp::activate(
+    const layer_desc& d, const s64* lut, s64 pre) noexcept {
+  if constexpr (Act == nn::activation::linear) {
+    return pre;
+  } else if constexpr (Act == nn::activation::relu) {
+    return pre > 0 ? pre : 0;
+  } else {
+    return d.lut_small ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
+                                        d.lut_step_num, d.lut_div, pre)
+                       : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
+                                        d.lut_step_num, pre);
+  }
+}
+
 template <bool Saturating, nn::activation Act>
-void quantized_mlp::run_layer(const layer_desc& d, const s64* in,
+void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
                               s64* out) const {
+  const layer_desc d = desc;  // a local copy: stores to out cannot alias it
   const s64* __restrict w = arena_.data() + d.weights_off;
   const s64* __restrict b = arena_.data() + d.biases_off;
   const s64* lut = d.lut_entries != 0 ? arena_.data() + d.lut_off : nullptr;
   const std::size_t n = d.input_size;
+  const std::size_t s = d.stride;
   for (std::size_t i = 0; i < d.output_size; ++i) {
-    const s64* __restrict row = w + i * n;
+    const s64* __restrict col = w + i;  // neuron i's weight j is col[j * s]
     s64 acc;
     if constexpr (Saturating) {
       acc = b[i];
       for (std::size_t j = 0; j < n; ++j) {
-        acc = fp::sat_add(acc, fp::sat_mul(row[j], in[j]));
+        acc = fp::sat_add(acc, fp::sat_mul(col[j * s], in[j]));
       }
     } else {
       // The bound proof guarantees every partial sum is in range, so the
@@ -243,38 +432,71 @@ void quantized_mlp::run_layer(const layer_desc& d, const s64* in,
       s64 a0 = 0, a1 = 0, a2 = 0, a3 = 0;
       std::size_t j = 0;
       for (; j + 4 <= n; j += 4) {
-        a0 += row[j] * in[j];
-        a1 += row[j + 1] * in[j + 1];
-        a2 += row[j + 2] * in[j + 2];
-        a3 += row[j + 3] * in[j + 3];
+        a0 += col[j * s] * in[j];
+        a1 += col[(j + 1) * s] * in[j + 1];
+        a2 += col[(j + 2) * s] * in[j + 2];
+        a3 += col[(j + 3) * s] * in[j + 3];
       }
       acc = b[i] + ((a0 + a1) + (a2 + a3));
-      for (; j < n; ++j) acc += row[j] * in[j];
+      for (; j < n; ++j) acc += col[j * s] * in[j];
     }
-    s64 pre;
-    if constexpr (!Saturating) {
-      // Power-of-two requantization without the hardware divide: round to
-      // nearest, ties away from zero, on the magnitude.  Exact vs div_round
-      // for all in-bound accumulators (the +half headroom is proven).
-      if (d.shift >= 0) {
-        pre = acc >= 0 ? (acc + d.half) >> d.shift
-                       : -((-acc + d.half) >> d.shift);
-      } else {
-        pre = fp::div_round(acc, d.weight_scale);
-      }
-    } else {
-      pre = fp::div_round(acc, d.weight_scale);
+    out[i] = activate<Act>(d, lut, requantize<Saturating>(d, acc));
+  }
+}
+
+#if defined(__x86_64__)
+template <nn::activation Act>
+void quantized_mlp::run_layer_i32(const layer_desc& desc, const s64* in,
+                                  s64* out) const {
+  const layer_desc d = desc;  // a local copy: stores to out cannot alias it
+  const s64* w = arena_.data() + d.weights_off;
+  const s64* b = arena_.data() + d.biases_off;
+  const s64* lut = d.lut_entries != 0 ? arena_.data() + d.lut_off : nullptr;
+  alignas(32) s64 lanes[k_block];
+  for (std::size_t o = 0; o < d.output_size; o += k_block) {
+    const std::size_t m = std::min(k_block, d.output_size - o);
+    mac_i32_block(w + o, d.stride, b + o, in, d.input_size, (m + 3) / 4,
+                  d.shift, d.half, lanes);
+    for (std::size_t i = 0; i < m; ++i) {
+      const s64 pre = d.shift >= 0 ? lanes[i] : requantize<false>(d, lanes[i]);
+      out[o + i] = activate<Act>(d, lut, pre);
     }
-    if constexpr (Act == nn::activation::linear) {
-      out[i] = pre;
-    } else if constexpr (Act == nn::activation::relu) {
-      out[i] = pre > 0 ? pre : 0;
-    } else {
-      out[i] = d.lut_small ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
-                                            d.lut_step_num, pre)
-                           : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
-                                            d.lut_step_num, pre);
+  }
+}
+#endif
+
+void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
+                        s64* out) const {
+  using nn::activation;
+  const bool fast = in_bounds && d.saturation_free;
+#if defined(__x86_64__)
+  if (fast && d.simd &&
+      (d.operands == operand_proof::proven ||
+       all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
+    switch (d.act) {
+      case activation::linear:
+        return run_layer_i32<activation::linear>(d, in, out);
+      case activation::relu:
+        return run_layer_i32<activation::relu>(d, in, out);
+      case activation::tanh_act:
+      case activation::sigmoid:
+        return run_layer_i32<activation::tanh_act>(d, in, out);
     }
+  }
+#endif
+  // Activation dispatch hoisted out of the neuron loop: one switch per
+  // layer selects a fully specialized inner loop.
+  switch (d.act) {
+    case activation::linear:
+      return fast ? run_layer<false, activation::linear>(d, in, out)
+                  : run_layer<true, activation::linear>(d, in, out);
+    case activation::relu:
+      return fast ? run_layer<false, activation::relu>(d, in, out)
+                  : run_layer<true, activation::relu>(d, in, out);
+    case activation::tanh_act:
+    case activation::sigmoid:
+      return fast ? run_layer<false, activation::tanh_act>(d, in, out)
+                  : run_layer<true, activation::tanh_act>(d, in, out);
   }
 }
 
@@ -292,13 +514,9 @@ void quantized_mlp::infer_into(std::span<const s64> input_q, std::span<s64> out,
   // One pass over the inputs picks the mode for the whole call: within the
   // precomputed bound the per-layer proofs apply; beyond it everything runs
   // saturating (bit-identical to infer() either way).
-  bool in_bounds = true;
-  for (const s64 x : input_q) {
-    if (x > fastpath_input_bound_ || x < -fastpath_input_bound_) {
-      in_bounds = false;
-      break;
-    }
-  }
+  const bool in_bounds =
+      all_in_range(input_q.data(), input_size_, -fastpath_input_bound_,
+                   fastpath_input_bound_);
 
   s64* const half_a = scratch.buf_.data();
   s64* const half_b = scratch.buf_.data() + max_width_;
@@ -308,24 +526,7 @@ void quantized_mlp::infer_into(std::span<const s64> input_q, std::span<s64> out,
     s64* const dst = (li + 1 == descs_.size())
                          ? out.data()
                          : (li % 2 == 0 ? half_a : half_b);
-    // Activation dispatch hoisted out of the neuron loop: one switch per
-    // layer selects a fully specialized inner loop.
-    const bool fast = in_bounds && d.saturation_free;
-    switch (d.act) {
-      case nn::activation::linear:
-        fast ? run_layer<false, nn::activation::linear>(d, cur, dst)
-             : run_layer<true, nn::activation::linear>(d, cur, dst);
-        break;
-      case nn::activation::relu:
-        fast ? run_layer<false, nn::activation::relu>(d, cur, dst)
-             : run_layer<true, nn::activation::relu>(d, cur, dst);
-        break;
-      case nn::activation::tanh_act:
-      case nn::activation::sigmoid:
-        fast ? run_layer<false, nn::activation::tanh_act>(d, cur, dst)
-             : run_layer<true, nn::activation::tanh_act>(d, cur, dst);
-        break;
-    }
+    run(d, in_bounds, cur, dst);
     cur = dst;
   }
 }
@@ -358,15 +559,9 @@ void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
     // apply, beyond it that sample runs fully saturating.
     bool fast_mode[k_chunk];
     for (std::size_t s = 0; s < c; ++s) {
-      const s64* in = inputs.data() + (base + s) * input_size_;
-      bool in_bounds = true;
-      for (std::size_t j = 0; j < input_size_; ++j) {
-        if (in[j] > fastpath_input_bound_ || in[j] < -fastpath_input_bound_) {
-          in_bounds = false;
-          break;
-        }
-      }
-      fast_mode[s] = in_bounds;
+      fast_mode[s] = all_in_range(inputs.data() + (base + s) * input_size_,
+                                  input_size_, -fastpath_input_bound_,
+                                  fastpath_input_bound_);
     }
 
     s64* const half_a = scratch.buf_.data();
@@ -383,22 +578,7 @@ void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
                                       s * max_width_;
         s64* const dst = last ? outs.data() + (base + s) * out_sz
                               : dst_base + s * max_width_;
-        const bool fast = fast_mode[s] && d.saturation_free;
-        switch (d.act) {
-          case nn::activation::linear:
-            fast ? run_layer<false, nn::activation::linear>(d, in, dst)
-                 : run_layer<true, nn::activation::linear>(d, in, dst);
-            break;
-          case nn::activation::relu:
-            fast ? run_layer<false, nn::activation::relu>(d, in, dst)
-                 : run_layer<true, nn::activation::relu>(d, in, dst);
-            break;
-          case nn::activation::tanh_act:
-          case nn::activation::sigmoid:
-            fast ? run_layer<false, nn::activation::tanh_act>(d, in, dst)
-                 : run_layer<true, nn::activation::tanh_act>(d, in, dst);
-            break;
-        }
+        run(d, fast_mode[s], in, dst);
       }
     }
   }

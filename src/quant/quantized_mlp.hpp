@@ -8,6 +8,7 @@
 // against).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -22,6 +23,15 @@ namespace lf::quant {
 using fp::s64;
 
 class quantized_mlp;
+
+/// What proves that a layer's MAC operands, its weights and its input
+/// vector, all fit int32: the precondition of the int32-operand (AVX2)
+/// kernel.  Only saturation-free layers qualify.
+enum class operand_proof : std::uint8_t {
+  none,      ///< always scalar: a weight exceeds int32 or the MAC may saturate
+  per_call,  ///< weights fit; each call scans the layer's input vector
+  proven,    ///< weights fit and the propagated input bound is below 2^31
+};
 
 /// Caller-owned scratch for the zero-allocation fast path.  Holds the two
 /// ping-pong activation buffers `infer_into` works in; reusing one scratch
@@ -75,6 +85,8 @@ class quantized_mlp {
   /// (no heap traffic once warm), and — for layers whose precomputed
   /// accumulator bound proves saturation can never trigger — runs a plain
   /// +/* MAC loop with the activation dispatch hoisted out of the loop.
+  /// Where the operands also fit int32 (layer_operand_proof) and the CPU
+  /// has AVX2, that loop runs four output lanes per instruction.
   /// `out.size()` must equal output_size().
   void infer_into(std::span<const s64> input_q, std::span<s64> out,
                   inference_scratch& scratch) const;
@@ -101,6 +113,16 @@ class quantized_mlp {
     return descs_.at(i).saturation_free;
   }
 
+  /// How layer i's int32-operand precondition is established (see
+  /// operand_proof).  Independent of the CPU this process runs on.
+  operand_proof layer_operand_proof(std::size_t i) const {
+    return descs_.at(i).operands;
+  }
+
+  /// True when this process runs int32-operand layers on AVX2 (x86-64 with
+  /// AVX2, detected once per process); otherwise every layer runs scalar.
+  static bool simd_dispatch() noexcept;
+
   /// Float convenience wrapper: quantize inputs, run the integer program,
   /// dequantize outputs.  Used for fidelity evaluation against the FP model.
   std::vector<double> infer_float(std::span<const double> input) const;
@@ -119,8 +141,9 @@ class quantized_mlp {
   struct layer_desc {
     std::size_t input_size = 0;
     std::size_t output_size = 0;
-    std::size_t weights_off = 0;  ///< arena offset, output-major rows
-    std::size_t biases_off = 0;   ///< arena offset
+    std::size_t stride = 0;       ///< output_size rounded up to 4 lanes
+    std::size_t weights_off = 0;  ///< arena offset, input-major: j*stride + i
+    std::size_t biases_off = 0;   ///< arena offset, `stride` zero-padded
     s64 weight_scale = 1;
     int shift = -1;   ///< log2(weight_scale) if it is a power of two, else -1
     s64 half = 0;     ///< weight_scale / 2, the round-to-nearest bias
@@ -130,14 +153,30 @@ class quantized_mlp {
     s64 lut_entries = 0;
     s64 lut_lo_q = 0;
     s64 lut_step_num = 0;
+    fp::u64_divider lut_div;  ///< divides by lut_step_num (64-bit tier)
     bool lut_small = false;  ///< interpolation fits 64-bit arithmetic
     bool saturation_free = false;
+    operand_proof operands = operand_proof::none;
+    bool simd = false;  ///< operands != none and this process has AVX2
   };
 
   void build_arena();
 
+  /// Runs one layer on the kernel its proofs allow for this call.
+  void run(const layer_desc& d, bool in_bounds, const s64* in,
+           s64* out) const;
+
   template <bool Saturating, nn::activation Act>
   void run_layer(const layer_desc& d, const s64* in, s64* out) const;
+
+  template <nn::activation Act>
+  void run_layer_i32(const layer_desc& d, const s64* in, s64* out) const;
+
+  /// Per-neuron epilogue: accumulator -> io_scale, then the activation.
+  template <bool Saturating>
+  static s64 requantize(const layer_desc& d, s64 acc) noexcept;
+  template <nn::activation Act>
+  static s64 activate(const layer_desc& d, const s64* lut, s64 pre) noexcept;
 
   std::size_t input_size_;
   s64 io_scale_;

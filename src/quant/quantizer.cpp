@@ -42,15 +42,17 @@ quantized_mlp quantize(const nn::mlp& model, const quantizer_config& config) {
     ql.weight_scale =
         choose_weight_scale(fl.weights(), config.max_weight_scale);
     const auto w_scale = static_cast<double>(ql.weight_scale);
+    // sat_quantize, not llround: NaN becomes 0 and out-of-range values
+    // saturate, where llround returns an arbitrary (on x86-64, negative)
+    // value for them.
     ql.weights.reserve(fl.weights().size());
     for (const double w : fl.weights()) {
-      ql.weights.push_back(static_cast<s64>(std::llround(w * w_scale)));
+      ql.weights.push_back(fp::sat_quantize(w * w_scale));
     }
     ql.biases.reserve(fl.biases().size());
     for (const double b : fl.biases()) {
       // Bias participates in the MAC whose scale is weight_scale * io_scale.
-      ql.biases.push_back(
-          static_cast<s64>(std::llround(b * w_scale * io_scale)));
+      ql.biases.push_back(fp::sat_quantize(b * w_scale * io_scale));
     }
     if (ql.act == nn::activation::tanh_act ||
         ql.act == nn::activation::sigmoid) {

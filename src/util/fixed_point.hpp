@@ -6,6 +6,7 @@
 // all agree bit-for-bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -87,6 +88,51 @@ constexpr s64 mul_div(s64 a, s64 b, s64 den) noexcept {
   if (q < s64_min) return s64_min;
   return static_cast<s64>(q);
 }
+
+/// Unsigned division by a divisor fixed ahead of time, done with a multiply-
+/// high and shifts instead of a hardware divide (Granlund & Montgomery 1994,
+/// in libdivide's u64 form).  Exact for every u64 numerator and every divisor
+/// >= 1; powers of two reduce to a shift.
+class u64_divider {
+ public:
+  constexpr u64_divider() noexcept = default;  ///< divides by 1
+
+  explicit constexpr u64_divider(std::uint64_t d) noexcept {
+    const int log2_d = d == 0 ? 0 : std::bit_width(d) - 1;
+    shift_ = log2_d;
+    if ((d & (d - 1)) == 0) return;  // 2^k (or 0, which callers never pass)
+    // m = floor(2^(64+log2_d) / d); d is not a power of two, so m < 2^64.
+    using u128 = unsigned __int128;
+    const u128 num = u128{1} << (64 + log2_d);
+    auto m = static_cast<std::uint64_t>(num / d);
+    const auto rem = static_cast<std::uint64_t>(num % d);
+    // magic = m + 1 overshoots 2^(64+log2_d)/d by e/d, e = d - rem.  While
+    // e < 2^log2_d that error never carries into the quotient of a 64-bit
+    // numerator.  Otherwise take one more bit: the 65-bit magic
+    // floor(2^(65+log2_d)/d) + 1 = 2m + [2*rem >= d] + 1, stored without its
+    // top bit, which the add step in divide() supplies.
+    if (d - rem >= (std::uint64_t{1} << log2_d)) {
+      m += m;
+      const u128 twice_rem = u128{rem} * 2;
+      if (twice_rem >= d) ++m;
+      add_ = true;
+    }
+    magic_ = m + 1;
+  }
+
+  constexpr std::uint64_t divide(std::uint64_t n) const noexcept {
+    if (magic_ == 0) return n >> shift_;
+    const auto hi = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(magic_) * n) >> 64);
+    if (!add_) return hi >> shift_;
+    return (((n - hi) >> 1) + hi) >> shift_;
+  }
+
+ private:
+  std::uint64_t magic_ = 0;  ///< 0 means "power of two: shift only"
+  int shift_ = 0;
+  bool add_ = false;
+};
 
 /// Quantize a double to s64, saturating at the representable range instead of
 /// hitting the UB of llround on out-of-range values.  NaN maps to 0.

@@ -3,7 +3,10 @@
 // scaling factors -> smaller accuracy loss) and the fidelity-loss machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "nn/mlp.hpp"
 #include "quant/fidelity.hpp"
@@ -117,19 +120,31 @@ TEST(QuantizedMlp, ReluClampsNegativePreactivation) {
 
 // ------------------------------------------------- fast path (infer_into) --
 
+constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
+constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
+
 /// Build a random quantized MLP directly (not via the quantizer) so the
 /// property test also covers shapes/scales the quantizer never produces:
 /// non-power-of-two weight scales, huge weights that defeat the
-/// no-saturation proof, every activation kind.
-quantized_mlp random_qmlp(rng& g, bool extreme) {
+/// no-saturation proof, every activation kind.  Widths reach 44, so the
+/// int32 kernel runs several 16-output blocks, partial 4-lane groups and
+/// padding lanes.  With `edges`, some layers carry weights at the int32
+/// limits or one step past them, and some linear/relu hidden layers get
+/// biases that put their outputs near +-2^31, where the next layer's
+/// per-call operand scan flips between the int32 and the scalar kernel.
+quantized_mlp random_qmlp(rng& g, bool extreme, bool edges = false) {
+  const auto width = [&] {
+    return static_cast<std::size_t>(g.bernoulli(0.5) ? g.uniform_int(1, 9)
+                                                     : g.uniform_int(10, 44));
+  };
   const auto n_layers = static_cast<std::size_t>(g.uniform_int(1, 4));
-  std::size_t in = static_cast<std::size_t>(g.uniform_int(1, 9));
+  std::size_t in = width();
   const std::size_t input_size = in;
   std::vector<qdense_layer> layers;
   for (std::size_t li = 0; li < n_layers; ++li) {
     qdense_layer l;
     l.input_size = in;
-    l.output_size = static_cast<std::size_t>(g.uniform_int(1, 9));
+    l.output_size = width();
     l.weight_scale = g.bernoulli(0.7)
                          ? fp::s64{1} << g.uniform_int(0, 12)  // pow2 (typical)
                          : g.uniform_int(1, 5000);             // odd scales
@@ -141,6 +156,19 @@ quantized_mlp random_qmlp(rng& g, bool extreme) {
     }
     for (std::size_t i = 0; i < l.output_size; ++i) {
       l.biases.push_back(g.uniform_int(-wmax, wmax));
+    }
+    if (edges && g.bernoulli(0.5)) {
+      // 1-3 weights at the int32 limits; in half of these layers, one of
+      // them one step past (which rules the int32 kernel out).
+      const bool past = g.bernoulli(0.5);
+      const fp::s64 at[] = {i32_min, i32_max};
+      const fp::s64 beyond[] = {i32_min - 1, i32_max + 1};
+      for (int k = 0, planted = static_cast<int>(g.uniform_int(1, 3));
+           k < planted; ++k) {
+        const auto idx = static_cast<std::size_t>(g.uniform_int(
+            0, static_cast<fp::s64>(l.weights.size()) - 1));
+        l.weights[idx] = (past && k == 0 ? beyond : at)[g.uniform_int(0, 1)];
+      }
     }
     switch (g.uniform_int(0, 3)) {
       case 0:
@@ -156,9 +184,30 @@ quantized_mlp random_qmlp(rng& g, bool extreme) {
         break;
       default:
         l.act = nn::activation::sigmoid;
-        l.lut = lookup_table::for_activation(nn::activation::sigmoid, 64,
+        // As many entries as the tanh table, so tables of equal size but
+        // different values meet in one program.
+        l.lut = lookup_table::for_activation(nn::activation::sigmoid, 128,
                                              1000);
         break;
+    }
+    if (edges && !l.lut && li + 1 < n_layers && g.bernoulli(0.6)) {
+      if (g.bernoulli(0.5)) {
+        // Every output ~ +-2^31 + noise: within a few 10^5 of the limits.
+        for (auto& b : l.biases) {
+          const fp::s64 target = g.bernoulli(0.5) ? i32_max : i32_min;
+          b = (target + g.uniform_int(-3000, 3000)) * l.weight_scale;
+        }
+      } else {
+        // One output exactly at an int32 limit or one step past it (zero
+        // weights, bias = limit * scale); the others stay small.
+        const fp::s64 exact[] = {i32_min - 1, i32_min, i32_max, i32_max + 1};
+        const auto o = static_cast<std::size_t>(
+            g.uniform_int(0, static_cast<fp::s64>(l.output_size) - 1));
+        for (std::size_t j = 0; j < l.input_size; ++j) {
+          l.weights[o * l.input_size + j] = 0;
+        }
+        l.biases[o] = exact[g.uniform_int(0, 3)] * l.weight_scale;
+      }
     }
     in = l.output_size;
     layers.push_back(std::move(l));
@@ -254,6 +303,14 @@ TEST(QuantizedMlpFastPath, PaperNetsUseFastModeAndMatch) {
     for (std::size_t i = 0; i < q.layer_count(); ++i) {
       EXPECT_TRUE(q.layer_saturation_free(i)) << "net " << which << " layer "
                                               << i;
+      // The quantizer keeps |w_q| < 2^31, so every layer qualifies for the
+      // int32 kernel; Aurora's inputs (bound 1000 * 2^20) and tanh outputs
+      // (<= 1000) prove its operands statically.
+      EXPECT_NE(q.layer_operand_proof(i), operand_proof::none)
+          << "net " << which << " layer " << i;
+      if (which == 0) {
+        EXPECT_EQ(q.layer_operand_proof(i), operand_proof::proven) << i;
+      }
     }
     EXPECT_GE(q.fastpath_input_bound(), 1000 * 1000);
     inference_scratch scratch;
@@ -266,6 +323,139 @@ TEST(QuantizedMlpFastPath, PaperNetsUseFastModeAndMatch) {
       EXPECT_EQ(q.infer(x), out);
     }
   }
+}
+
+TEST(QuantizedMlpFastPath, Int32OperandEdgesAgreeAcrossKernels) {
+  // infer (the saturating oracle), infer_into and infer_batch_into must
+  // agree bit-for-bit on programs whose weights sit at or just past the
+  // int32 limits and whose hidden outputs straddle +-2^31.  Layers without
+  // an operand proof run the same scalar code a CPU without AVX2 runs, so
+  // these trials cover that branch too.  The tallies show that every proof
+  // kind occurred and that the per-call scan both passed and failed.
+  rng g{0x1e32};
+  inference_scratch scratch;
+  inference_scratch batch_scratch;
+  std::size_t proofs[3] = {};
+  std::size_t scan_pass = 0;
+  std::size_t scan_fail = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto q = random_qmlp(g, false, true);
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      ++proofs[static_cast<int>(q.layer_operand_proof(i))];
+    }
+    const auto k = static_cast<std::size_t>(g.uniform_int(1, 40));
+    std::vector<fp::s64> inputs(k * q.input_size());
+    for (auto& v : inputs) {
+      const fp::s64 edge[] = {i32_min - 1, i32_min, i32_max, i32_max + 1};
+      v = g.bernoulli(0.9) ? g.uniform_int(-2000, 2000)
+                           : edge[g.uniform_int(0, 3)];
+    }
+    const std::size_t in_sz = q.input_size();
+    const std::size_t out_sz = q.output_size();
+    std::vector<fp::s64> got(k * out_sz);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::span<const fp::s64> x{inputs.data() + s * in_sz, in_sz};
+      const std::span<fp::s64> y{got.data() + s * out_sz, out_sz};
+      q.infer_into(x, y, scratch);
+      ASSERT_TRUE(std::equal(y.begin(), y.end(), q.infer(x).begin()))
+          << "trial " << trial << " sample " << s;
+      // Replay the prefix to see what each per-call layer's scan sees on
+      // in-bound calls (out-of-bound calls run saturating throughout).
+      const bool in_bounds = std::all_of(x.begin(), x.end(), [&](fp::s64 v) {
+        return v >= -q.fastpath_input_bound() && v <= q.fastpath_input_bound();
+      });
+      for (std::size_t li = 1; in_bounds && li < q.layer_count(); ++li) {
+        if (q.layer_operand_proof(li) != operand_proof::per_call) continue;
+        std::vector<qdense_layer> prefix;
+        for (std::size_t p = 0; p < li; ++p) prefix.push_back(q.layer(p));
+        const auto hidden =
+            quantized_mlp{in_sz, 1000, std::move(prefix)}.infer(x);
+        const bool fits = std::all_of(
+            hidden.begin(), hidden.end(),
+            [](fp::s64 v) { return v >= i32_min && v <= i32_max; });
+        ++(fits ? scan_pass : scan_fail);
+      }
+    }
+    std::vector<fp::s64> batch(k * out_sz);
+    q.infer_batch_into(inputs, k, batch, batch_scratch);
+    ASSERT_EQ(got, batch) << "trial " << trial << " k " << k;
+  }
+  EXPECT_GT(proofs[static_cast<int>(operand_proof::none)], 0u);
+  EXPECT_GT(proofs[static_cast<int>(operand_proof::per_call)], 0u);
+  EXPECT_GT(proofs[static_cast<int>(operand_proof::proven)], 0u);
+  EXPECT_GT(scan_pass, 0u);
+  EXPECT_GT(scan_fail, 0u);
+}
+
+TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
+  // The quantizer's default tanh and sigmoid tables at two io scales: every
+  // x_q from just below the domain to just above it, through a one-layer
+  // program's infer_into (multiply-high divider), against the table's own
+  // 128-bit eval.
+  const std::size_t entries = quantizer_config{}.lut_entries;
+  for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
+    for (const fp::s64 scale : {fp::s64{1000}, fp::s64{10000}}) {
+      const auto lut = lookup_table::for_activation(act, entries, scale);
+      qdense_layer l;
+      l.input_size = 1;
+      l.output_size = 1;
+      l.weight_scale = 1;
+      l.weights = {1};
+      l.biases = {0};
+      l.act = act;
+      l.lut = lut;
+      const quantized_mlp one{1, scale, {std::move(l)}};
+      inference_scratch scratch;
+      fp::s64 out = 0;
+      std::size_t checked = 0;
+      const fp::s64 lo = lut.domain_low_q() - 2;
+      const fp::s64 hi = lut.domain_low_q() + lut.domain_span_q() + 2;
+      for (fp::s64 x = lo; x <= hi; ++x) {
+        one.infer_into({&x, 1}, {&out, 1}, scratch);
+        ASSERT_EQ(out, lut.eval(x)) << "x_q " << x << " scale " << scale;
+        ++checked;
+      }
+      EXPECT_EQ(checked, static_cast<std::size_t>(hi - lo + 1));
+    }
+  }
+}
+
+TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
+  // Tables with large, irregular adjacent deltas and every kind of step
+  // (odd, even, power of two), so the rounding division meets remainders
+  // just below, at and above half the step, which the smooth default
+  // tables never produce.  Every x_q across the domain, plus a margin.
+  rng g{0x1a7};
+  std::size_t checked = 0;
+  for (int t = 0; t < 60; ++t) {
+    const fp::s64 scale = t < 4 ? 1 : g.uniform_int(1, 4000);
+    const double lo = t < 4 ? -512.0 * (t + 1) : g.uniform(-5.0, -0.01);
+    const double hi = t < 4 ? 512.0 * (t + 1) : g.uniform(0.01, 5.0);
+    const auto entries = static_cast<std::size_t>(g.uniform_int(2, 64));
+    const double amp = g.uniform(1.0, 1e6);
+    const double freq = g.uniform(0.5, 40.0);
+    const lookup_table lut{[&](double x) { return amp * std::sin(freq * x); },
+                           lo, hi, entries, scale};
+    qdense_layer l;
+    l.input_size = 1;
+    l.output_size = 1;
+    l.weight_scale = 1;
+    l.weights = {1};
+    l.biases = {0};
+    l.act = nn::activation::tanh_act;  // any LUT activation runs the table
+    l.lut = lut;
+    const quantized_mlp one{1, scale, {std::move(l)}};
+    inference_scratch scratch;
+    fp::s64 out = 0;
+    const fp::s64 first = lut.domain_low_q() - 2;
+    const fp::s64 last = lut.domain_low_q() + lut.domain_span_q() + 2;
+    for (fp::s64 x = first; x <= last; ++x) {
+      one.infer_into({&x, 1}, {&out, 1}, scratch);
+      ASSERT_EQ(out, lut.eval(x)) << "table " << t << " x_q " << x;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 TEST(QuantizedMlpFastPath, ValidatesSpanSizes) {
@@ -390,6 +580,64 @@ TEST(Quantizer, Figure7ShapeCoarseScalesLoseMoreAccuracy) {
   EXPECT_GT(e1, e10);
   EXPECT_GT(e10, e1000);
   EXPECT_LT(e1000, 0.02);  // paper: ~2% at C=1000
+}
+
+TEST(Quantizer, NonFiniteAndHugeParametersKeepTheirSign) {
+  // llround gave INT64_MIN for NaN, +-inf and out-of-range values, so a
+  // +1e25 bias quantized negative.  Every parameter now saturates with its
+  // sign (NaN -> 0), and the affected layers, which cannot prove their
+  // operands fit int32, run scalar and still match infer() exactly.
+  rng g{0xbad};
+  auto net = nn::make_ffnn_flow_size_net(g);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  net.layer(0).weights()[0] = nan;
+  net.layer(0).weights()[1] = inf;
+  net.layer(0).weights()[2] = -inf;
+  net.layer(1).weights()[0] = 1e30;
+  net.layer(1).weights()[1] = -1e30;
+  net.layer(1).biases()[0] = 1e25;
+  net.layer(2).weights()[0] = inf;
+  net.layer(2).biases()[0] = nan;
+  const auto q = quantize(net);
+  for (std::size_t li = 0; li < q.layer_count(); ++li) {
+    const auto& fl = net.layer(li);
+    const auto& ql = q.layer(li);
+    const auto check = [&](double p, fp::s64 v) {
+      const bool same_sign = std::isnan(p) ? v == 0
+                             : p > 0       ? v >= 0
+                             : p < 0       ? v <= 0
+                                           : true;
+      EXPECT_TRUE(same_sign) << "layer " << li << ": " << p << " -> " << v;
+    };
+    for (std::size_t k = 0; k < ql.weights.size(); ++k) {
+      check(fl.weights()[k], ql.weights[k]);
+    }
+    for (std::size_t k = 0; k < ql.biases.size(); ++k) {
+      check(fl.biases()[k], ql.biases[k]);
+    }
+    EXPECT_EQ(q.layer_operand_proof(li), operand_proof::none) << li;
+  }
+  EXPECT_EQ(q.layer(0).weights[1], fp::s64_max);
+  EXPECT_EQ(q.layer(0).weights[2], fp::s64_min);
+  EXPECT_EQ(q.layer(1).biases[0], fp::s64_max);
+
+  inference_scratch scratch;
+  rng xs{0xbad + 1};
+  std::vector<fp::s64> inputs(16 * q.input_size());
+  for (auto& v : inputs) v = xs.uniform_int(-1000, 1000);
+  std::vector<fp::s64> got(16 * q.output_size());
+  std::vector<fp::s64> batch(got.size());
+  for (std::size_t s = 0; s < 16; ++s) {
+    const std::span<const fp::s64> x{inputs.data() + s * q.input_size(),
+                                     q.input_size()};
+    const std::span<fp::s64> y{got.data() + s * q.output_size(),
+                               q.output_size()};
+    q.infer_into(x, y, scratch);
+    EXPECT_TRUE(std::equal(y.begin(), y.end(), q.infer(x).begin())) << s;
+  }
+  q.infer_batch_into(inputs, 16, batch, scratch);
+  EXPECT_EQ(got, batch);
 }
 
 TEST(Quantizer, RejectsNonPositiveScale) {
