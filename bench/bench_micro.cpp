@@ -2,8 +2,9 @@
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
 // inference, plus the open-addressing flow cache, snapshot generation
-// (quantize + translate) and template rendering.  These back the Fig. 15
-// latency story with real wall-clock numbers on this machine.
+// (quantize + translate) with its freeze/load/emit stages, and template
+// rendering.  These back the Fig. 15 latency story with real wall-clock
+// numbers on this machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
@@ -19,6 +20,8 @@
 #include "core/adaptation_monitor.hpp"
 #include "core/flow_cache.hpp"
 #include "nn/mlp.hpp"
+#include "nn/serialize.hpp"
+#include "quant/quantizer.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/latency_histogram.hpp"
 #include "util/bench_report.hpp"
@@ -164,6 +167,32 @@ void bm_snapshot_generation_aurora(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_snapshot_generation_aurora);
+
+// The update path's text stages one at a time: freeze and load (the §4.1
+// hand-off) and the C emission half of generate_snapshot.
+void bm_freeze_aurora(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::save_mlp_to_string(aurora()));
+  }
+}
+BENCHMARK(bm_freeze_aurora);
+
+void bm_load_aurora(benchmark::State& state) {
+  const std::string frozen = nn::save_mlp_to_string(aurora());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::load_mlp_from_string(frozen));
+  }
+}
+BENCHMARK(bm_load_aurora);
+
+void bm_emit_c_source_aurora(benchmark::State& state) {
+  const auto program = quant::quantize(aurora());
+  const codegen::emit_options options{"a", 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codegen::emit_c_source(program, options));
+  }
+}
+BENCHMARK(bm_emit_c_source_aurora);
 
 void bm_template_render_fc_layer(benchmark::State& state) {
   codegen::tcontext ctx;

@@ -18,11 +18,15 @@
 namespace lf::codegen {
 
 struct emit_options {
+  /// Written into a C comment and string literals, so it must match
+  /// [A-Za-z0-9_.-]+; emit_c_source throws std::invalid_argument otherwise.
   std::string model_name = "model";
   std::uint64_t version = 1;
 };
 
-/// Render the complete C source for the snapshot program.
+/// Render the complete C source for the snapshot program.  The template
+/// engine renders the per-layer computation; parameter arrays and lookup
+/// tables are written directly.
 std::string emit_c_source(const quant::quantized_mlp& program,
                           const emit_options& options);
 

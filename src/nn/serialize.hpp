@@ -4,7 +4,6 @@
 // file hand-off the paper describes between the trainer and LiteFlow.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "nn/mlp.hpp"
@@ -17,12 +16,14 @@ namespace lf::nn {
 ///   layers <k>
 ///   layer <out> <activation>       (k times)
 ///   params <count>
-///   <count whitespace-separated doubles, full precision>
-void save_mlp(const mlp& model, std::ostream& os);
+///   <count whitespace-separated doubles, %.17g, eight to a line>
 std::string save_mlp_to_string(const mlp& model);
 
-/// Throws std::runtime_error on malformed input.
-mlp load_mlp(std::istream& is);
+/// Reads each parameter exactly as `istream >> double` does in the C locale:
+/// a leading '+' is accepted, "nan" and "inf" are not, an underflow reads as
+/// a signed zero and an overflow fails.  Throws std::runtime_error on
+/// malformed input, and allocates nothing until the header is read and the
+/// text is long enough to hold every parameter.
 mlp load_mlp_from_string(const std::string& text);
 
 }  // namespace lf::nn

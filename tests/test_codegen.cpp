@@ -2,6 +2,8 @@
 // gcc+dlopen golden test proving generated code matches the interpreter.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "codegen/c_emitter.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
@@ -149,6 +151,127 @@ TEST(Snapshot, MetadataMatchesModel) {
   EXPECT_EQ(snap.version, 7u);
   EXPECT_EQ(snap.input_size(), net.input_size());
   EXPECT_EQ(snap.output_size(), 4u);
+}
+
+// ------------------------------------ parameter arrays, byte for byte --
+
+// The reference the emitter's directly written arrays must reproduce byte
+// for byte: the params template, rendered by the template engine.
+constexpr std::string_view k_fc_params_template =
+    R"(static const s64 fc_{{ prefix }}_w[{{ output_size }}][{{ input_size }}] = {
+{% for row in weights %}	{ {% for w in row %}({{ w }}){% if not loop.last %}, {% endif %}{% endfor %} },
+{% endfor %}};
+static const s64 fc_{{ prefix }}_b[{{ output_size }}] = {
+{% for b in bias %}	({{ b }}){% if not loop.last %},
+{% endif %}{% endfor %}
+};
+)";
+
+std::string reference_fc_params(const quant::qdense_layer& layer,
+                                std::size_t index) {
+  tcontext ctx;
+  ctx["prefix"] = static_cast<std::int64_t>(index);
+  ctx["input_size"] = static_cast<std::int64_t>(layer.input_size);
+  ctx["output_size"] = static_cast<std::int64_t>(layer.output_size);
+  std::vector<tvalue> rows;
+  for (std::size_t i = 0; i < layer.output_size; ++i) {
+    std::vector<tvalue> row;
+    for (std::size_t j = 0; j < layer.input_size; ++j) {
+      row.emplace_back(layer.weights[i * layer.input_size + j]);
+    }
+    rows.emplace_back(std::move(row));
+  }
+  ctx["weights"] = tvalue{std::move(rows)};
+  ctx["bias"] =
+      tvalue{std::vector<tvalue>(layer.biases.begin(), layer.biases.end())};
+  return render_template(k_fc_params_template, ctx);
+}
+
+// The reference for a table's entries: streamed, eight to a line.
+std::string reference_lut_values(const quant::lookup_table& lut,
+                                 std::size_t index) {
+  std::ostringstream os;
+  const auto& values = lut.values();
+  os << "static const s64 lut_" << index << "_values[" << values.size()
+     << "] = {";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i % 8 == 0) os << "\n\t";
+    os << values[i];
+    if (i + 1 != values.size()) os << ", ";
+  }
+  os << "\n};\n";
+  return os.str();
+}
+
+// `src` holds `want` exactly where its first line's declaration starts.
+void expect_block(const std::string& src, const std::string& want) {
+  const auto at = src.find(want.substr(0, want.find('=')));
+  ASSERT_NE(at, std::string::npos) << want.substr(0, want.find('\n'));
+  EXPECT_EQ(src.substr(at, want.size()), want);
+}
+
+void expect_arrays_match_reference(const quant::quantized_mlp& program,
+                                   const std::string& src) {
+  for (std::size_t i = 0; i < program.layer_count(); ++i) {
+    const auto& layer = program.layer(i);
+    expect_block(src, reference_fc_params(layer, i));
+    if (layer.lut) expect_block(src, reference_lut_values(*layer.lut, i));
+  }
+}
+
+TEST(CEmitter, ArraysMatchTemplateReferenceOnPaperNets) {
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    for (int kind = 0; kind < 4; ++kind) {
+      rng g{200 + 10 * seed + static_cast<std::uint64_t>(kind)};
+      const nn::mlp net = kind == 0   ? nn::make_aurora_net(g)
+                          : kind == 1 ? nn::make_mocc_net(g)
+                          : kind == 2 ? nn::make_ffnn_flow_size_net(g)
+                                      : nn::make_lb_mlp_net(g, 4);
+      const auto snap = generate_snapshot(net, "ref", seed + 1);
+      SCOPED_TRACE(::testing::Message() << "net " << kind << " seed " << seed);
+      expect_arrays_match_reference(snap.program, snap.c_source);
+    }
+  }
+}
+
+TEST(CEmitter, ArraysMatchTemplateReferenceOnEdgeValues) {
+  // Negative weights, weights at the int32 edge and biases at the s64 edge,
+  // with a lookup table on the first layer.
+  constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
+  constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
+  quant::qdense_layer l0;
+  l0.input_size = 3;
+  l0.output_size = 3;
+  l0.weight_scale = 1 << 20;
+  l0.weights = {-1, i32_max, i32_min, -i32_max, 0, -7, i32_max + 1, 1, -2};
+  l0.biases = {fp::s64_max, fp::s64_min, -1};
+  l0.act = nn::activation::tanh_act;
+  l0.lut = quant::lookup_table::for_activation(nn::activation::tanh_act, 37,
+                                               1000);
+  quant::qdense_layer l1;
+  l1.input_size = 3;
+  l1.output_size = 1;
+  l1.weight_scale = 3;
+  l1.weights = {fp::s64_min, fp::s64_max, i32_min - 1};
+  l1.biases = {fp::s64_min + 1};
+  l1.act = nn::activation::linear;
+  const quant::quantized_mlp program{3, 1000, {std::move(l0), std::move(l1)}};
+  expect_arrays_match_reference(program, emit_c_source(program, {}));
+}
+
+TEST(CEmitter, RejectsModelNamesThatEscapeTheSource) {
+  rng g{55};
+  const auto program = quant::quantize(nn::make_ffnn_flow_size_net(g));
+  for (const char* name : {"a\"b", "x*/y", "a\nb", "a\\b", "", "a b"}) {
+    EXPECT_THROW(emit_c_source(program, emit_options{name, 1}),
+                 std::invalid_argument)
+        << name;
+  }
+  for (const char* name : {"aurora", "lb-mlp", "rt-heavy", "mm-m0", "v1.2_x"}) {
+    const auto src = emit_c_source(program, emit_options{name, 1});
+    EXPECT_NE(src.find("lf_register_model(\"" + std::string{name} + "\""),
+              std::string::npos);
+  }
 }
 
 // ----------------------------------------------- compiled golden equality --

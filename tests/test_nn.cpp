@@ -2,7 +2,13 @@
 // against finite differences), losses, optimizers, trainer, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
@@ -312,6 +318,135 @@ TEST(Serialize, RejectsTruncatedParams) {
   auto text = save_mlp_to_string(net);
   text.resize(text.size() / 2);
   EXPECT_THROW(load_mlp_from_string(text), std::runtime_error);
+}
+
+// The byte reference for save_mlp_to_string: the format written through an
+// ostream at setprecision(17).
+std::string stream_reference(const mlp& model) {
+  std::ostringstream os;
+  os << "liteflow-mlp v1\n";
+  os << "input " << model.input_size() << "\n";
+  os << "layers " << model.layer_count() << "\n";
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    os << "layer " << model.layer(i).output_size() << " "
+       << to_string(model.layer(i).act()) << "\n";
+  }
+  const auto params = model.parameters();
+  os << "params " << params.size() << "\n";
+  os << std::setprecision(17);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    os << params[i] << ((i + 1) % 8 == 0 ? "\n" : " ");
+  }
+  os << "\n";
+  return os.str();
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "parameter " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(Serialize, TextMatchesStreamReferenceAndReloadsBitIdentical) {
+  const double edge[] = {0.0,     -0.0,     4.94e-324, DBL_MIN, DBL_MAX,
+                         -DBL_MAX, 1e300,   -1e300,    1e-300,  -1e-300,
+                         0.1,     1.0,      -3.0,      42.0,    1e17,
+                         123456789012345678.0};
+  for (int kind = 0; kind < 4; ++kind) {
+    rng g{static_cast<std::uint64_t>(40 + kind)};
+    mlp net = kind == 0   ? make_aurora_net(g)
+              : kind == 1 ? make_mocc_net(g)
+              : kind == 2 ? make_ffnn_flow_size_net(g)
+                          : make_lb_mlp_net(g, 4);
+    auto params = net.parameters();
+    ASSERT_GT(params.size(), std::size(edge));
+    std::copy(std::begin(edge), std::end(edge), params.begin());
+    for (std::size_t i = std::size(edge); i < params.size(); i += 3) {
+      params[i] *= std::pow(10.0, g.uniform_int(-30, 30));
+    }
+    net.set_parameters(params);
+    const auto text = save_mlp_to_string(net);
+    EXPECT_EQ(text, stream_reference(net)) << "net " << kind;
+    expect_same_bits(load_mlp_from_string(text).parameters(), params);
+  }
+}
+
+// A one-neuron model whose two parameters are written as `values`.
+std::string one_neuron_text(const std::string& values) {
+  return "liteflow-mlp v1\ninput 1\nlayers 1\nlayer 1 linear\nparams 2\n" +
+         values + "\n";
+}
+
+TEST(Serialize, ParsesParametersExactlyAsTheStreamDid) {
+  // `istringstream >> double` was the loader's parser.  Each token must
+  // load to the stream's bits where the stream read it and throw where it
+  // failed, both first (checked against the table) and last in the list.
+  const struct {
+    std::string token;
+    bool loads;
+  } table[] = {
+      {"nan", false},     {"inf", false},      {"-inf", false},
+      {"1e400", false},   {"-1e400", false},   {"abc", false},
+      {"0x10", false},    {"1e", false},       {"1e+", false},
+      {".", false},       {"+", false},        {"+-1", false},
+      {"+1.5", true},     {".5", true},        {"-.5", true},
+      {"1.", true},       {"00012", true},     {"1E2", true},
+      {"-1e+2", true},    {"4.94e-324", true}, {"1e-400", true},
+      {"-1e-400", true},  {"0.0000001e-320", true},
+      {"1.5-2.5", true},  // the stream read two values from this token
+      {"0." + std::string(399, '0') + "1", true},  // underflows to zero
+      {"1" + std::string(400, '0'), false},        // overflows
+  };
+  for (const auto& row : table) {
+    for (const bool first : {true, false}) {
+      const std::string& token = row.token;
+      const std::string values = first ? token + " 0" : "0 " + token;
+      std::istringstream is{values};
+      double a = 0;
+      double b = 0;
+      const bool stream_ok = static_cast<bool>(is >> a >> b);
+      if (first) {
+        EXPECT_EQ(stream_ok, row.loads) << token;
+      }
+      if (stream_ok) {
+        expect_same_bits(load_mlp_from_string(one_neuron_text(values))
+                             .parameters(),
+                         {a, b});
+      } else {
+        EXPECT_THROW(load_mlp_from_string(one_neuron_text(values)),
+                     std::runtime_error)
+            << values;
+      }
+    }
+  }
+}
+
+TEST(Serialize, MalformedHeadersThrowRuntimeErrorBeforeAllocating) {
+  // Each of these once escaped as another exception type: the loader built
+  // the model from the header's sizes before checking them.
+  const char* texts[] = {
+      // invalid_argument from the activation parser
+      "liteflow-mlp v1\ninput 1\nlayers 1\nlayer 1 bogus\nparams 2\n0 0\n",
+      // bad_alloc reserving the claimed layer count
+      "liteflow-mlp v1\ninput 1\nlayers 1000000000000000\nlayer 1 relu\n"
+      "params 2\n0 0\n",
+      // length_error: 1.6e19 parameters
+      "liteflow-mlp v1\ninput 4000000000\nlayers 1\nlayer 4000000000 relu\n"
+      "params 16000000004000000000\n0 0\n",
+      // bad_alloc: 32 GB of weights for a text that holds two values
+      "liteflow-mlp v1\ninput 4000000000\nlayers 1\nlayer 1 relu\n"
+      "params 4000000001\n0 0\n",
+      // the parameter count overflows size_t
+      "liteflow-mlp v1\ninput 4294967296\nlayers 2\nlayer 4294967296 relu\n"
+      "layer 1 linear\nparams 0\n",
+  };
+  for (const char* text : texts) {
+    EXPECT_THROW(load_mlp_from_string(text), std::runtime_error) << text;
+  }
 }
 
 }  // namespace
