@@ -13,6 +13,7 @@
 
 #include <iostream>
 #include <map>
+#include <vector>
 
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
@@ -41,6 +42,12 @@ nn::mlp& aurora() {
 nn::mlp& ffnn() {
   static rng g{8};
   static nn::mlp net = nn::make_ffnn_flow_size_net(g);
+  return net;
+}
+
+nn::mlp& lb_mlp() {
+  static rng g{9};
+  static nn::mlp net = nn::make_lb_mlp_net(g);
   return net;
 }
 
@@ -96,6 +103,69 @@ void bm_quantized_infer_into_ffnn(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_quantized_infer_into_ffnn);
+
+/// 4096 input rows drawn from [-900, 900], as perfbench's flow_churn and
+/// lb_batch inputs are, so relu signs vary from row to row.
+constexpr std::size_t k_pool_rows = 4096;
+
+std::vector<fp::s64> input_pool(std::size_t width) {
+  rng g{0x9001};
+  std::vector<fp::s64> pool(k_pool_rows * width);
+  for (auto& v : pool) v = g.uniform_int(-900, 900);
+  return pool;
+}
+
+/// One infer_into per iteration on the pool's next row.
+void infer_into_pool(benchmark::State& state, const quant::quantized_mlp& q) {
+  const std::size_t in = q.input_size();
+  const auto pool = input_pool(in);
+  std::vector<fp::s64> out(q.output_size());
+  quant::inference_scratch scratch;
+  scratch.reserve(q);
+  std::size_t r = 0;
+  for (auto _ : state) {
+    q.infer_into({pool.data() + r * in, in}, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    r = (r + 1) & (k_pool_rows - 1);
+  }
+}
+
+/// One infer_batch_into of the pool's next 64 rows per iteration.
+void infer_batch_into_pool(benchmark::State& state,
+                           const quant::quantized_mlp& q) {
+  constexpr std::size_t k = 64;
+  const std::size_t in = q.input_size();
+  const auto pool = input_pool(in);
+  std::vector<fp::s64> outs(k * q.output_size());
+  quant::inference_scratch scratch;
+  std::size_t r = 0;
+  for (auto _ : state) {
+    q.infer_batch_into({pool.data() + r * in, k * in}, k, outs, scratch);
+    benchmark::DoNotOptimize(outs.data());
+    benchmark::ClobberMemory();
+    r = (r + k) & (k_pool_rows - 1);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
+}
+
+void bm_quantized_infer_into_lb_mlp(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
+  infer_into_pool(state, snap.program);
+}
+BENCHMARK(bm_quantized_infer_into_lb_mlp);
+
+void bm_quantized_infer_batch_into_ffnn(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(ffnn(), "f", 1);
+  infer_batch_into_pool(state, snap.program);
+}
+BENCHMARK(bm_quantized_infer_batch_into_ffnn);
+
+void bm_quantized_infer_batch_into_lb_mlp(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
+  infer_batch_into_pool(state, snap.program);
+}
+BENCHMARK(bm_quantized_infer_batch_into_lb_mlp);
 
 // ------------------------------------------------------------ flow cache --
 

@@ -91,12 +91,15 @@ bool all_in_range(const s64* v, std::size_t n, s64 lo, s64 hi) noexcept {
 /// lanes per group.  _mm256_mul_epi32 multiplies the sign-extended low 32
 /// bits of each lane, which is the exact product when both operands fit
 /// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
-/// any summation order.  With shift >= 0 the lanes are then requantized as
-/// the scalar epilogue does it (round half away on the magnitude, restore
-/// the sign); |acc| + half < 2^63 by the proof, so the logical shift is
-/// exact.  `out` receives the requantized values, or the raw accumulators
-/// when shift < 0.
-template <int G>
+/// any summation order.  The epilogue then runs in the lanes and all 4G
+/// lanes are stored to `out` (padding lanes have zero weights and bias):
+/// - linear and relu (shift >= 0) store the layer's outputs: requantized
+///   as the scalar epilogue does it (round half away on the magnitude,
+///   restore the sign; |acc| + half < 2^63 by the proof, so the logical
+///   shift is exact) and activated;
+/// - a LUT layer (tanh_act stands for both) stores the requantized values
+///   when shift >= 0, else the raw accumulators, for its per-neuron lookup.
+template <nn::activation Act, int G>
 __attribute__((target("avx2"))) void mac_i32_groups(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
     std::size_t n, int shift, s64 half, s64* out) noexcept {
@@ -116,21 +119,25 @@ __attribute__((target("avx2"))) void mac_i32_groups(
       a[g] = _mm256_add_epi64(a[g], _mm256_mul_epi32(wj, xj));
     }
   }
-  if (shift >= 0) {
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i h = _mm256_set1_epi64x(half);
-    const __m128i count = _mm_cvtsi32_si128(shift);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i h = _mm256_set1_epi64x(half);
+  const __m128i count = _mm_cvtsi32_si128(shift);
 #pragma GCC unroll 4
-    for (int g = 0; g < G; ++g) {
+  for (int g = 0; g < G; ++g) {
+    if constexpr (Act == nn::activation::relu) {
+      // relu(requantize(acc)): a non-positive accumulator rounds to a
+      // non-positive value, which relu zeroes, so only acc > 0 lanes keep
+      // (acc + half) >> shift and the sign restore drops out.
+      const __m256i pos = _mm256_cmpgt_epi64(a[g], zero);
+      a[g] = _mm256_and_si256(
+          _mm256_srl_epi64(_mm256_add_epi64(a[g], h), count), pos);
+    } else if (Act == nn::activation::linear || shift >= 0) {
       const __m256i sign = _mm256_cmpgt_epi64(zero, a[g]);  // 0 or -1
       const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(a[g], sign), sign);
       const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, h), count);
       a[g] = _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign);
     }
-  }
-#pragma GCC unroll 4
-  for (int g = 0; g < G; ++g) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(out + 4 * g), a[g]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * g), a[g]);
   }
 }
 
@@ -138,23 +145,38 @@ __attribute__((target("avx2"))) void mac_i32_groups(
 /// in registers and each broadcast input is reused across the groups.
 constexpr std::size_t k_block = 16;
 
+template <nn::activation Act>
 __attribute__((target("avx2"))) void mac_i32_block(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
     std::size_t n, std::size_t groups, int shift, s64 half,
     s64* out) noexcept {
   switch (groups) {
     case 4:
-      mac_i32_groups<4>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 4>(w, stride, b, x, n, shift, half, out);
       break;
     case 3:
-      mac_i32_groups<3>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 3>(w, stride, b, x, n, shift, half, out);
       break;
     case 2:
-      mac_i32_groups<2>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 2>(w, stride, b, x, n, shift, half, out);
       break;
     default:
-      mac_i32_groups<1>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 1>(w, stride, b, x, n, shift, half, out);
       break;
+  }
+}
+
+/// A relu or linear layer (shift >= 0) of `m` outputs on the int32 kernel:
+/// each block's 4-lane groups land straight in `out`, which must hold `m`
+/// rounded up to whole groups.
+template <nn::activation Act>
+__attribute__((target("avx2"))) void mac_i32_layer(
+    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    std::size_t n, std::size_t m, int shift, s64 half, s64* out) noexcept {
+  for (std::size_t o = 0; o < m; o += k_block) {
+    const std::size_t groups = (std::min(k_block, m - o) + 3) / 4;
+    mac_i32_block<Act>(w + o, stride, b + o, x, n, groups, shift, half,
+                       out + o);
   }
 }
 #endif
@@ -314,7 +336,10 @@ void quantized_mlp::build_arena() {
       d.operands = in_bound <= INT32_MAX ? operand_proof::proven
                                          : operand_proof::per_call;
     }
-    d.simd = d.operands != operand_proof::none && simd_dispatch();
+    // relu/linear requantize in the lanes with the shift; with any other
+    // scale (the quantizer never emits one) they run the scalar loop.
+    d.simd = d.operands != operand_proof::none && simd_dispatch() &&
+             (l.lut || d.shift >= 0);
 
     // Propagate this layer's output bound as the next layer's input bound.
     if (l.lut) {
@@ -334,6 +359,8 @@ void quantized_mlp::build_arena() {
     max_width_ = std::max(max_width_, l.output_size);
     descs_.push_back(d);
   }
+  // Activation rows hold whole 4-lane groups: the int32 kernel stores them.
+  max_width_ = padded(max_width_);
 }
 
 std::size_t quantized_mlp::output_size() const noexcept {
@@ -445,21 +472,21 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
 }
 
 #if defined(__x86_64__)
-template <nn::activation Act>
 void quantized_mlp::run_layer_i32(const layer_desc& desc, const s64* in,
                                   s64* out) const {
   const layer_desc d = desc;  // a local copy: stores to out cannot alias it
   const s64* w = arena_.data() + d.weights_off;
   const s64* b = arena_.data() + d.biases_off;
-  const s64* lut = d.lut_entries != 0 ? arena_.data() + d.lut_off : nullptr;
+  const s64* lut = arena_.data() + d.lut_off;
   alignas(32) s64 lanes[k_block];
   for (std::size_t o = 0; o < d.output_size; o += k_block) {
     const std::size_t m = std::min(k_block, d.output_size - o);
-    mac_i32_block(w + o, d.stride, b + o, in, d.input_size, (m + 3) / 4,
-                  d.shift, d.half, lanes);
+    mac_i32_block<nn::activation::tanh_act>(w + o, d.stride, b + o, in,
+                                            d.input_size, (m + 3) / 4,
+                                            d.shift, d.half, lanes);
     for (std::size_t i = 0; i < m; ++i) {
       const s64 pre = d.shift >= 0 ? lanes[i] : requantize<false>(d, lanes[i]);
-      out[o + i] = activate<Act>(d, lut, pre);
+      out[o + i] = activate<nn::activation::tanh_act>(d, lut, pre);
     }
   }
 }
@@ -473,14 +500,20 @@ void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
   if (fast && d.simd &&
       (d.operands == operand_proof::proven ||
        all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
+    const s64* w = arena_.data() + d.weights_off;
+    const s64* b = arena_.data() + d.biases_off;
     switch (d.act) {
       case activation::linear:
-        return run_layer_i32<activation::linear>(d, in, out);
+        return mac_i32_layer<activation::linear>(w, d.stride, b, in,
+                                                 d.input_size, d.output_size,
+                                                 d.shift, d.half, out);
       case activation::relu:
-        return run_layer_i32<activation::relu>(d, in, out);
+        return mac_i32_layer<activation::relu>(w, d.stride, b, in,
+                                               d.input_size, d.output_size,
+                                               d.shift, d.half, out);
       case activation::tanh_act:
       case activation::sigmoid:
-        return run_layer_i32<activation::tanh_act>(d, in, out);
+        return run_layer_i32(d, in, out);
     }
   }
 #endif
@@ -518,17 +551,18 @@ void quantized_mlp::infer_into(std::span<const s64> input_q, std::span<s64> out,
       all_in_range(input_q.data(), input_size_, -fastpath_input_bound_,
                    fastpath_input_bound_);
 
+  // Every layer writes a scratch row padded to whole 4-lane groups, the
+  // last one too: the int32 kernel stores full groups, and `out` holds
+  // exactly output_size() values.
   s64* const half_a = scratch.buf_.data();
   s64* const half_b = scratch.buf_.data() + max_width_;
   const s64* cur = input_q.data();
   for (std::size_t li = 0; li < descs_.size(); ++li) {
-    const auto& d = descs_[li];
-    s64* const dst = (li + 1 == descs_.size())
-                         ? out.data()
-                         : (li % 2 == 0 ? half_a : half_b);
-    run(d, in_bounds, cur, dst);
+    s64* const dst = li % 2 == 0 ? half_a : half_b;
+    run(descs_[li], in_bounds, cur, dst);
     cur = dst;
   }
+  std::copy_n(cur, out.size(), out.data());
 }
 
 void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
@@ -569,16 +603,17 @@ void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
     for (std::size_t li = 0; li < descs_.size(); ++li) {
       const auto& d = descs_[li];
       const bool last = li + 1 == descs_.size();
-      s64* const dst_base = last ? nullptr : (li % 2 == 0 ? half_a : half_b);
+      s64* const dst_base = li % 2 == 0 ? half_a : half_b;
       // Layer-outer / sample-inner: d's weight rows are read c times while
       // hot instead of being evicted between samples by the other layers.
+      // Rows are padded as in infer_into; the last layer's are copied out.
       for (std::size_t s = 0; s < c; ++s) {
         const s64* in = li == 0 ? inputs.data() + (base + s) * input_size_
                                 : (li % 2 == 0 ? half_b : half_a) +
                                       s * max_width_;
-        s64* const dst = last ? outs.data() + (base + s) * out_sz
-                              : dst_base + s * max_width_;
+        s64* const dst = dst_base + s * max_width_;
         run(d, fast_mode[s], in, dst);
+        if (last) std::copy_n(dst, out_sz, outs.data() + (base + s) * out_sz);
       }
     }
   }

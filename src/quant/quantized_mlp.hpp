@@ -86,7 +86,8 @@ class quantized_mlp {
   /// accumulator bound proves saturation can never trigger — runs a plain
   /// +/* MAC loop with the activation dispatch hoisted out of the loop.
   /// Where the operands also fit int32 (layer_operand_proof) and the CPU
-  /// has AVX2, that loop runs four output lanes per instruction.
+  /// has AVX2, that loop runs four output lanes per instruction, and relu/
+  /// linear layers requantize and activate in those lanes too.
   /// `out.size()` must equal output_size().
   void infer_into(std::span<const s64> input_q, std::span<s64> out,
                   inference_scratch& scratch) const;
@@ -157,7 +158,9 @@ class quantized_mlp {
     bool lut_small = false;  ///< interpolation fits 64-bit arithmetic
     bool saturation_free = false;
     operand_proof operands = operand_proof::none;
-    bool simd = false;  ///< operands != none and this process has AVX2
+    /// operands != none, this process has AVX2, and the layer is a LUT
+    /// layer or has a power-of-two weight scale
+    bool simd = false;
   };
 
   void build_arena();
@@ -169,7 +172,8 @@ class quantized_mlp {
   template <bool Saturating, nn::activation Act>
   void run_layer(const layer_desc& d, const s64* in, s64* out) const;
 
-  template <nn::activation Act>
+  /// A tanh/sigmoid layer on the int32 kernel: the lanes, then the table
+  /// lookup per neuron.  (relu/linear layers finish in the lanes.)
   void run_layer_i32(const layer_desc& d, const s64* in, s64* out) const;
 
   /// Per-neuron epilogue: accumulator -> io_scale, then the activation.
@@ -185,7 +189,9 @@ class quantized_mlp {
   std::vector<s64> arena_;          ///< weights | biases | lut, per layer
   std::vector<layer_desc> descs_;
   s64 fastpath_input_bound_ = 0;
-  std::size_t max_width_ = 0;       ///< widest activation vector
+  /// Widest activation vector, rounded up to whole 4-lane groups: the
+  /// length of each scratch row.
+  std::size_t max_width_ = 0;
 };
 
 }  // namespace lf::quant

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 
 #include "nn/mlp.hpp"
 #include "quant/fidelity.hpp"
@@ -470,20 +472,132 @@ TEST(QuantizedMlpFastPath, ValidatesSpanSizes) {
   EXPECT_THROW(q.infer_into(in, out_bad, scratch), std::invalid_argument);
 }
 
+/// infer() on each of the k rows of `inputs`, concatenated.
+std::vector<fp::s64> infer_rows(const quantized_mlp& q,
+                                std::span<const fp::s64> inputs,
+                                std::size_t k) {
+  std::vector<fp::s64> out;
+  for (std::size_t s = 0; s < k; ++s) {
+    const auto row =
+        q.infer(inputs.subspan(s * q.input_size(), q.input_size()));
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
 TEST(QuantizedMlpFastPath, ScratchReusableAcrossPrograms) {
+  // One scratch serves Aurora, FFNN and LB-MLP, whose padded activation rows
+  // are 32, 8 and 12 wide, alternating infer_into and infer_batch_into, in
+  // both orders: every program must find its rows in bounds and must not
+  // read what the previous program left in them.
   rng g{51};
-  const auto a = quantize(nn::make_aurora_net(g));
-  const auto f = quantize(nn::make_ffnn_flow_size_net(g));
+  const quantized_mlp progs[] = {quantize(nn::make_aurora_net(g)),
+                                 quantize(nn::make_ffnn_flow_size_net(g)),
+                                 quantize(nn::make_lb_mlp_net(g))};
   inference_scratch scratch;
-  scratch.reserve(f);  // undersized for aurora; infer_into must grow it
-  std::vector<fp::s64> xa(a.input_size(), 250);
-  std::vector<fp::s64> oa(a.output_size());
-  a.infer_into(xa, oa, scratch);
-  EXPECT_EQ(a.infer(xa), oa);
-  std::vector<fp::s64> xf(f.input_size(), 500);
-  std::vector<fp::s64> of(f.output_size());
-  f.infer_into(xf, of, scratch);
-  EXPECT_EQ(f.infer(xf), of);
+  scratch.reserve(progs[1]);  // undersized for aurora; infer_into must grow it
+  for (const bool reverse : {false, true}) {
+    for (std::size_t n = 0; n < 3; ++n) {
+      const quantized_mlp& q = progs[reverse ? 2 - n : n];
+      for (const std::size_t k : {1, 5, 40}) {
+        std::vector<fp::s64> x(k * q.input_size());
+        for (auto& v : x) v = g.uniform_int(-900, 900);
+        const auto expect = infer_rows(q, x, k);
+        std::vector<fp::s64> one(q.output_size());
+        q.infer_into(std::span<const fp::s64>{x}.first(q.input_size()), one,
+                     scratch);
+        EXPECT_TRUE(std::equal(one.begin(), one.end(), expect.begin()))
+            << "program " << n << " reverse " << reverse << " k " << k;
+        std::vector<fp::s64> got(k * q.output_size());
+        q.infer_batch_into(x, k, got, scratch);
+        EXPECT_EQ(expect, got)
+            << "program " << n << " reverse " << reverse << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(QuantizedMlpFastPath, FusedStoresStayInsideOutputAndRows) {
+  // The int32 kernel stores whole 4-lane groups into padded activation
+  // rows, and only output_size() values may reach the caller's span.  Every
+  // hidden and output width 1..20 (each lane remainder, one to five groups,
+  // across the 16-output block), with relu, linear and tanh layers mixed,
+  // writes into `out` and each infer_batch_into output block sitting inside
+  // a larger buffer of sentinels.  Sentinels must survive and every output
+  // must equal infer().  Under ASan this also catches a scratch-row overrun.
+  constexpr fp::s64 sentinel = 0x5e5e5e5e5e5e5e5e;
+  constexpr std::size_t pad = 8;  // more than one group on each side
+  const nn::activation acts[] = {nn::activation::relu,
+                                 nn::activation::linear,
+                                 nn::activation::tanh_act};
+  const auto layer = [](rng& g, std::size_t in, std::size_t out,
+                        nn::activation act) {
+    qdense_layer l;
+    l.input_size = in;
+    l.output_size = out;
+    l.weight_scale = fp::s64{1} << g.uniform_int(4, 12);
+    const fp::s64 wmax = l.weight_scale * 4;
+    for (std::size_t i = 0; i < in * out; ++i) {
+      l.weights.push_back(g.uniform_int(-wmax, wmax));
+    }
+    for (std::size_t i = 0; i < out; ++i) {
+      l.biases.push_back(g.uniform_int(-wmax * 1000, wmax * 1000));
+    }
+    l.act = act;
+    if (act == nn::activation::tanh_act) {
+      l.lut = lookup_table::for_activation(act, 128, 1000);
+    }
+    return l;
+  };
+  const auto sentinels_intact = [&](const std::vector<fp::s64>& buf,
+                                    std::size_t used) {
+    return std::all_of(buf.begin(), buf.begin() + pad,
+                       [&](fp::s64 v) { return v == sentinel; }) &&
+           std::all_of(buf.begin() + pad + used, buf.end(),
+                       [&](fp::s64 v) { return v == sentinel; });
+  };
+  rng g{0xf05e};
+  for (std::size_t hidden = 1; hidden <= 20; ++hidden) {
+    for (std::size_t width = 1; width <= 20; ++width) {
+      const std::size_t in = static_cast<std::size_t>(g.uniform_int(1, 20));
+      const std::size_t mix = hidden + 3 * width;
+      std::vector<qdense_layer> layers;
+      layers.push_back(layer(g, in, hidden, acts[mix % 3]));
+      layers.push_back(layer(g, hidden, hidden, acts[(mix + 1) % 3]));
+      layers.push_back(layer(g, hidden, width, acts[(mix / 3) % 3]));
+      const quantized_mlp q{in, 1000, std::move(layers)};
+      for (std::size_t li = 0; li < q.layer_count(); ++li) {
+        ASSERT_TRUE(q.layer_saturation_free(li));
+        ASSERT_NE(q.layer_operand_proof(li), operand_proof::none);
+      }
+      inference_scratch scratch;  // fresh, so it is sized for q exactly
+      for (const std::size_t k : {1, 7, 33}) {
+        std::vector<fp::s64> x(k * in);
+        for (auto& v : x) v = g.uniform_int(-900, 900);
+        const auto expect = infer_rows(q, x, k);
+        const std::string where = "hidden " + std::to_string(hidden) +
+                                  " width " + std::to_string(width) + " k " +
+                                  std::to_string(k);
+
+        std::vector<fp::s64> buf(pad + width + pad, sentinel);
+        q.infer_into(std::span<const fp::s64>{x}.first(in),
+                     std::span<fp::s64>{buf}.subspan(pad, width), scratch);
+        ASSERT_TRUE(sentinels_intact(buf, width)) << where;
+        ASSERT_TRUE(std::equal(expect.begin(), expect.begin() + width,
+                               buf.begin() + pad))
+            << where;
+
+        std::vector<fp::s64> batch(pad + k * width + pad, sentinel);
+        q.infer_batch_into(x, k,
+                           std::span<fp::s64>{batch}.subspan(pad, k * width),
+                           scratch);
+        ASSERT_TRUE(sentinels_intact(batch, k * width)) << where;
+        ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                               batch.begin() + pad))
+            << where;
+      }
+    }
+  }
 }
 
 TEST(QuantizedMlp, InferFloatSaturatesOnHugeInputs) {
