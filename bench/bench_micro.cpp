@@ -1,10 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the snapshot pipeline itself:
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
-// inference, plus the open-addressing flow cache, snapshot generation
-// (quantize + translate) with its freeze/load/emit stages, and template
-// rendering.  These back the Fig. 15 latency story with real wall-clock
-// numbers on this machine.
+// inference, plus the open-addressing flow cache and snapshot generation
+// (quantize + translate) with its freeze/load/emit stages.  These back the
+// Fig. 15 latency story with real wall-clock numbers on this machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
@@ -17,7 +16,6 @@
 
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
-#include "codegen/template_engine.hpp"
 #include "core/adaptation_monitor.hpp"
 #include "core/flow_cache.hpp"
 #include "nn/mlp.hpp"
@@ -263,20 +261,6 @@ void bm_emit_c_source_aurora(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_emit_c_source_aurora);
-
-void bm_template_render_fc_layer(benchmark::State& state) {
-  codegen::tcontext ctx;
-  ctx["prefix"] = std::int64_t{3};
-  ctx["n"] = std::int64_t{16};
-  const std::string tmpl =
-      "static void fc_{{ prefix }}_comp(void) {"
-      "{% for i in range(0, n) %}x[{{ i }}]"
-      "{% if not loop.last %}, {% endif %}{% endfor %}}";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(codegen::render_template(tmpl, ctx));
-  }
-}
-BENCHMARK(bm_template_render_fc_layer);
 
 // ---------------------------------------------------------------- tracer --
 

@@ -1,5 +1,9 @@
 // Emits the kernel-module C source for a quantized snapshot (§3.1,
-// Listings 1 and 2).
+// Listings 1 and 2): layer by layer, each layer's computation function
+// apart from its parameter arrays, all appended directly to one string.
+// Decisions the program has already made are read from it, not recomputed:
+// the fast variant where a layer is saturation-free, each table's
+// interpolation tier, and one values array per distinct table.
 //
 // The generated file is valid C99 and compiles in two environments:
 //  - as a Linux kernel module (the #ifdef __KERNEL__ section carries the
@@ -24,9 +28,8 @@ struct emit_options {
   std::uint64_t version = 1;
 };
 
-/// Render the complete C source for the snapshot program.  The template
-/// engine renders the per-layer computation; parameter arrays and lookup
-/// tables are written directly.
+/// Render the complete C source for the snapshot program.  It compiles
+/// warning-free under `gcc -Wall -Wextra`.
 std::string emit_c_source(const quant::quantized_mlp& program,
                           const emit_options& options);
 

@@ -1,23 +1,42 @@
 #include "codegen/compiled_snapshot.hpp"
 
 #include <dlfcn.h>
-#include <unistd.h>
 
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 namespace lf::codegen {
 namespace {
 
-/// Unique temp path under TMPDIR (or /tmp).
-std::string temp_path(const char* suffix) {
-  const char* dir = std::getenv("TMPDIR");
-  if (!dir || *dir == '\0') dir = "/tmp";
-  static int counter = 0;
-  return std::string{dir} + "/lf_snapshot_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter++) + suffix;
+/// A fresh directory under TMPDIR (or /tmp) that only this compile uses.
+std::string make_private_dir() {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string dir = std::string{tmp && *tmp ? tmp : "/tmp"} +
+                    "/lf_snapshot_XXXXXX";
+  if (!::mkdtemp(dir.data())) {
+    throw std::runtime_error{"cannot create " + dir + ": " +
+                             std::strerror(errno)};
+  }
+  return dir;
+}
+
+/// `s` as one sh word: single-quoted, with each ' closed, escaped and
+/// reopened.
+std::string sh_quote(const std::string& s) {
+  std::string quoted = "'";
+  for (const char c : s) {
+    if (c == '\'') {
+      quoted += "'\\''";
+    } else {
+      quoted += c;
+    }
+  }
+  return quoted + "'";
 }
 
 }  // namespace
@@ -27,32 +46,28 @@ bool compiler_available() {
 }
 
 compiled_snapshot compiled_snapshot::compile(const std::string& c_source) {
-  const std::string src_path = temp_path(".c");
-  const std::string so_path = temp_path(".so");
-  const std::string log_path = temp_path(".log");
+  // From here on `snap` owns the directory: any throw below removes it.
+  compiled_snapshot snap;
+  snap.dir_ = make_private_dir();
+  const std::string src_path = snap.dir_ + "/snapshot.c";
+  const std::string so_path = snap.dir_ + "/snapshot.so";
+  const std::string log_path = snap.dir_ + "/gcc.log";
   {
     std::ofstream os{src_path};
-    if (!os) throw std::runtime_error{"cannot write " + src_path};
     os << c_source;
+    if (!os) throw std::runtime_error{"cannot write " + src_path};
   }
-  const std::string cmd = "gcc -O2 -shared -fPIC -o " + so_path + " " +
-                          src_path + " 2> " + log_path;
-  const int rc = std::system(cmd.c_str());
-  std::remove(src_path.c_str());
-  if (rc != 0) {
+  const std::string cmd = "gcc -O2 -Wall -Wextra -Werror -shared -fPIC -o " +
+                          sh_quote(so_path) + " " + sh_quote(src_path) +
+                          " 2> " + sh_quote(log_path);
+  if (std::system(cmd.c_str()) != 0) {
     std::ifstream log{log_path};
     std::string err((std::istreambuf_iterator<char>(log)),
                     std::istreambuf_iterator<char>());
-    std::remove(log_path.c_str());
     throw std::runtime_error{"gcc failed to compile snapshot:\n" + err};
   }
-  std::remove(log_path.c_str());
-
-  compiled_snapshot snap;
-  snap.so_path_ = so_path;
   snap.handle_ = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!snap.handle_) {
-    std::remove(so_path.c_str());
     throw std::runtime_error{std::string{"dlopen failed: "} + ::dlerror()};
   }
   snap.infer_fn_ = reinterpret_cast<int (*)(const long long*, long long*)>(
@@ -65,10 +80,10 @@ compiled_snapshot compiled_snapshot::compile(const std::string& c_source) {
 
 compiled_snapshot::compiled_snapshot(compiled_snapshot&& other) noexcept
     : handle_{other.handle_}, infer_fn_{other.infer_fn_},
-      so_path_{std::move(other.so_path_)} {
+      dir_{std::move(other.dir_)} {
   other.handle_ = nullptr;
   other.infer_fn_ = nullptr;
-  other.so_path_.clear();
+  other.dir_.clear();
 }
 
 compiled_snapshot& compiled_snapshot::operator=(
@@ -82,7 +97,10 @@ compiled_snapshot& compiled_snapshot::operator=(
 
 compiled_snapshot::~compiled_snapshot() {
   if (handle_) ::dlclose(handle_);
-  if (!so_path_.empty()) std::remove(so_path_.c_str());
+  if (!dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
 }
 
 std::vector<fp::s64> compiled_snapshot::infer(std::span<const fp::s64> input,

@@ -19,9 +19,11 @@ namespace lf::codegen {
 
 class compiled_snapshot {
  public:
-  /// Write `c_source` to a temp file, compile it with `gcc -O2 -shared`, and
-  /// dlopen the result.  Throws std::runtime_error (with the compiler's
-  /// stderr) on failure.  Requires a working gcc on PATH.
+  /// Write `c_source` into a private directory under TMPDIR (or /tmp),
+  /// compile it with `gcc -O2 -Wall -Wextra -Werror -shared`, and dlopen
+  /// the result; the directory is removed when the snapshot is destroyed.
+  /// Throws std::runtime_error (with the compiler's stderr) on failure,
+  /// including any warning.  Requires a working gcc on PATH.
   static compiled_snapshot compile(const std::string& c_source);
 
   compiled_snapshot(compiled_snapshot&&) noexcept;
@@ -43,7 +45,7 @@ class compiled_snapshot {
 
   void* handle_ = nullptr;
   int (*infer_fn_)(const long long*, long long*) = nullptr;
-  std::string so_path_;
+  std::string dir_;  ///< holds the source, gcc's log and the .so
 };
 
 /// True if a usable gcc is available (tests skip gracefully otherwise).

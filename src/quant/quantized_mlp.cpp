@@ -300,7 +300,8 @@ void quantized_mlp::build_arena() {
       d.lut_entries = static_cast<s64>(vals.size());
       d.lut_lo_q = l.lut->domain_low_q();
       d.lut_step_num = l.lut->domain_span_q();
-      d.lut_small = lut_fits_64bit(vals, d.lut_step_num);
+      d.tier = lut_fits_64bit(vals, d.lut_step_num) ? lut_tier::bits64
+                                                    : lut_tier::bits128;
       d.lut_div = fp::u64_divider{static_cast<std::uint64_t>(d.lut_step_num)};
     }
 
@@ -361,6 +362,17 @@ void quantized_mlp::build_arena() {
   }
   // Activation rows hold whole 4-lane groups: the int32 kernel stores them.
   max_width_ = padded(max_width_);
+}
+
+std::size_t quantized_mlp::layer_lut_source(std::size_t i) const {
+  const layer_desc& d = descs_.at(i);
+  if (d.tier == lut_tier::none) return i;
+  // build_arena gives each distinct table its own offset.
+  std::size_t p = 0;
+  while (descs_[p].tier == lut_tier::none || descs_[p].lut_off != d.lut_off) {
+    ++p;
+  }
+  return p;
 }
 
 std::size_t quantized_mlp::output_size() const noexcept {
@@ -428,10 +440,11 @@ inline __attribute__((always_inline)) s64 quantized_mlp::activate(
   } else if constexpr (Act == nn::activation::relu) {
     return pre > 0 ? pre : 0;
   } else {
-    return d.lut_small ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
-                                        d.lut_step_num, d.lut_div, pre)
-                       : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
-                                        d.lut_step_num, pre);
+    return d.tier == lut_tier::bits64
+               ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
+                                d.lut_step_num, d.lut_div, pre)
+               : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
+                                d.lut_step_num, pre);
   }
 }
 

@@ -33,6 +33,13 @@ enum class operand_proof : std::uint8_t {
   proven,    ///< weights fit and the propagated input bound is below 2^31
 };
 
+/// The integer width a layer's table interpolation provably fits.
+enum class lut_tier : std::uint8_t {
+  none,     ///< a relu or linear layer: no table
+  bits64,   ///< every intermediate fits s64 (all of the quantizer's tables)
+  bits128,  ///< needs a 128-bit product and quotient
+};
+
 /// Caller-owned scratch for the zero-allocation fast path.  Holds the two
 /// ping-pong activation buffers `infer_into` works in; reusing one scratch
 /// across calls makes inference allocation-free after the first use.
@@ -114,6 +121,15 @@ class quantized_mlp {
     return descs_.at(i).saturation_free;
   }
 
+  /// Which interpolation tier layer i's table takes (lut_tier::none for
+  /// relu/linear layers); infer_into and the C emitter both follow it.
+  lut_tier layer_lut_tier(std::size_t i) const { return descs_.at(i).tier; }
+
+  /// The first layer whose table holds the same values as layer i's: the
+  /// one copy the arena stores and the C emitter writes.  i itself for a
+  /// layer without a table.
+  std::size_t layer_lut_source(std::size_t i) const;
+
   /// How layer i's int32-operand precondition is established (see
   /// operand_proof).  Independent of the CPU this process runs on.
   operand_proof layer_operand_proof(std::size_t i) const {
@@ -155,7 +171,7 @@ class quantized_mlp {
     s64 lut_lo_q = 0;
     s64 lut_step_num = 0;
     fp::u64_divider lut_div;  ///< divides by lut_step_num (64-bit tier)
-    bool lut_small = false;  ///< interpolation fits 64-bit arithmetic
+    lut_tier tier = lut_tier::none;  ///< none for relu/linear layers
     bool saturation_free = false;
     operand_proof operands = operand_proof::none;
     /// operands != none, this process has AVX2, and the layer is a LUT

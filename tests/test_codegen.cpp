@@ -1,117 +1,26 @@
-// Unit tests for src/codegen: the template engine, the C emitter, and the
-// gcc+dlopen golden test proving generated code matches the interpreter.
+// Unit tests for src/codegen: the C emitter, and the gcc+dlopen golden tests
+// proving generated code matches the interpreter.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "codegen/c_emitter.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
-#include "codegen/template_engine.hpp"
 #include "nn/mlp.hpp"
 #include "quant/quantizer.hpp"
+#include "random_qmlp.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace lf;
 using namespace lf::codegen;
-
-// -------------------------------------------------------- template engine --
-
-TEST(TemplateEngine, PlainTextPassesThrough) {
-  EXPECT_EQ(render_template("hello world", {}), "hello world");
-}
-
-TEST(TemplateEngine, VariableSubstitution) {
-  tcontext ctx;
-  ctx["name"] = "fc_5";
-  ctx["n"] = std::int64_t{16};
-  EXPECT_EQ(render_template("static void {{ name }}_comp({{ n }})", ctx),
-            "static void fc_5_comp(16)");
-}
-
-TEST(TemplateEngine, ForOverRange) {
-  EXPECT_EQ(render_template("{% for i in range(0, 3) %}{{ i }},{% endfor %}",
-                            {}),
-            "0,1,2,");
-}
-
-TEST(TemplateEngine, ForOverArray) {
-  tcontext ctx;
-  ctx["xs"] = tvalue{std::vector<tvalue>{std::int64_t{7}, std::int64_t{9}}};
-  EXPECT_EQ(render_template("{% for x in xs %}[{{ x }}]{% endfor %}", ctx),
-            "[7][9]");
-}
-
-TEST(TemplateEngine, NestedLoopsAndIndexing) {
-  tcontext ctx;
-  ctx["m"] = tvalue{std::vector<tvalue>{
-      tvalue{std::vector<tvalue>{std::int64_t{1}, std::int64_t{2}}},
-      tvalue{std::vector<tvalue>{std::int64_t{3}, std::int64_t{4}}}}};
-  const auto out = render_template(
-      "{% for i in range(0, 2) %}{% for j in range(0, 2) %}"
-      "{{ m[i][j] }} {% endfor %}{% endfor %}",
-      ctx);
-  EXPECT_EQ(out, "1 2 3 4 ");
-}
-
-TEST(TemplateEngine, LoopLastControlsSeparators) {
-  const auto out = render_template(
-      "{% for i in range(0, 3) %}{{ i }}{% if not loop.last %} + "
-      "{% endif %}{% endfor %}",
-      {});
-  EXPECT_EQ(out, "0 + 1 + 2");
-}
-
-TEST(TemplateEngine, LoopFirstAndIndex0) {
-  const auto out = render_template(
-      "{% for i in range(5, 8) %}{% if loop.first %}^{% endif %}"
-      "{{ loop.index0 }}{% endfor %}",
-      {});
-  EXPECT_EQ(out, "^012");
-}
-
-TEST(TemplateEngine, WhitespaceTrimming) {
-  EXPECT_EQ(render_template("a   {{- 1 -}}   b", {}), "a1b");
-  EXPECT_EQ(render_template("x {%- if 1 -%} y {%- endif -%} z", {}), "xyz");
-}
-
-TEST(TemplateEngine, LiteralBraceBeforeTag) {
-  // "(void) {{% for ... %}" contains "{{%": a literal '{' then a tag.
-  const auto out = render_template(
-      "f(void) {{% for i in range(0, 2) %}x{{ i }};{% endfor %}}", {});
-  EXPECT_EQ(out, "f(void) {x0;x1;}");
-}
-
-TEST(TemplateEngine, IfTruthiness) {
-  tcontext ctx;
-  ctx["empty"] = "";
-  ctx["full"] = "yes";
-  EXPECT_EQ(render_template("{% if empty %}A{% endif %}", ctx), "");
-  EXPECT_EQ(render_template("{% if full %}A{% endif %}", ctx), "A");
-  EXPECT_EQ(render_template("{% if not empty %}B{% endif %}", ctx), "B");
-}
-
-TEST(TemplateEngine, ErrorsCarryOffsets) {
-  EXPECT_THROW(render_template("{{ unknown }}", {}), template_error);
-  EXPECT_THROW(render_template("{% for i in range(0, 2) %}x", {}),
-               template_error);
-  EXPECT_THROW(render_template("{{ broken", {}), template_error);
-  EXPECT_THROW(render_template("{% frob x %}", {}), template_error);
-  try {
-    render_template("abc {{ nope }}", {});
-    FAIL() << "expected throw";
-  } catch (const template_error& e) {
-    EXPECT_GT(e.offset(), 0u);
-  }
-}
-
-TEST(TemplateEngine, IndexOutOfRangeThrows) {
-  tcontext ctx;
-  ctx["a"] = tvalue{std::vector<tvalue>{std::int64_t{1}}};
-  EXPECT_THROW(render_template("{{ a[3] }}", ctx), template_error);
-}
 
 // ------------------------------------------------------------- c emitter --
 
@@ -124,9 +33,17 @@ TEST(CEmitter, SourceContainsExpectedStructure) {
   EXPECT_NE(src.find("static void fc_0_comp"), std::string::npos);
   EXPECT_NE(src.find("static void fc_1_comp"), std::string::npos);
   EXPECT_NE(src.find("static void fc_2_comp"), std::string::npos);
-  // tanh layers got lookup tables.
-  EXPECT_NE(src.find("lut_0_values"), std::string::npos);
-  EXPECT_NE(src.find("lut_2_eval"), std::string::npos);
+  // The three tanh layers share one table: its values are written once,
+  // and each layer gets its own eval.
+  EXPECT_NE(src.find("static const s64 lut_0_values[1024]"),
+            std::string::npos);
+  EXPECT_EQ(src.find("lut_1_values"), std::string::npos);
+  EXPECT_EQ(src.find("lut_2_values"), std::string::npos);
+  EXPECT_NE(src.find("static s64 lut_1_eval"), std::string::npos);
+  EXPECT_NE(src.find("static s64 lut_2_eval"), std::string::npos);
+  // Only the helpers a layer calls: no relu, and the tables fit 64 bits.
+  EXPECT_EQ(src.find("lf_relu"), std::string::npos);
+  EXPECT_EQ(src.find("lf_mul_div"), std::string::npos);
   // Top-level inference entry point and kernel module registration.
   EXPECT_NE(src.find("int lf_nn_infer"), std::string::npos);
   EXPECT_NE(src.find("lf_register_model(\"aurora\", 3UL, 30, 1, 1000"),
@@ -155,36 +72,34 @@ TEST(Snapshot, MetadataMatchesModel) {
 
 // ------------------------------------ parameter arrays, byte for byte --
 
-// The reference the emitter's directly written arrays must reproduce byte
-// for byte: the params template, rendered by the template engine.
-constexpr std::string_view k_fc_params_template =
-    R"(static const s64 fc_{{ prefix }}_w[{{ output_size }}][{{ input_size }}] = {
-{% for row in weights %}	{ {% for w in row %}({{ w }}){% if not loop.last %}, {% endif %}{% endfor %} },
-{% endfor %}};
-static const s64 fc_{{ prefix }}_b[{{ output_size }}] = {
-{% for b in bias %}	({{ b }}){% if not loop.last %},
-{% endif %}{% endfor %}
-};
-)";
+// C has no literal for s64_min, so the emitter spells it LF_S64_MIN.
+std::string literal(fp::s64 v) {
+  return v == fp::s64_min ? "LF_S64_MIN" : std::to_string(v);
+}
 
+// The reference the emitter's directly written arrays must reproduce byte
+// for byte, written with a plain stream.
 std::string reference_fc_params(const quant::qdense_layer& layer,
                                 std::size_t index) {
-  tcontext ctx;
-  ctx["prefix"] = static_cast<std::int64_t>(index);
-  ctx["input_size"] = static_cast<std::int64_t>(layer.input_size);
-  ctx["output_size"] = static_cast<std::int64_t>(layer.output_size);
-  std::vector<tvalue> rows;
+  std::ostringstream os;
+  os << "static const s64 fc_" << index << "_w[" << layer.output_size << "]["
+     << layer.input_size << "] = {\n";
   for (std::size_t i = 0; i < layer.output_size; ++i) {
-    std::vector<tvalue> row;
+    os << "\t{ ";
     for (std::size_t j = 0; j < layer.input_size; ++j) {
-      row.emplace_back(layer.weights[i * layer.input_size + j]);
+      if (j != 0) os << ", ";
+      os << '(' << literal(layer.weights[i * layer.input_size + j]) << ')';
     }
-    rows.emplace_back(std::move(row));
+    os << " },\n";
   }
-  ctx["weights"] = tvalue{std::move(rows)};
-  ctx["bias"] =
-      tvalue{std::vector<tvalue>(layer.biases.begin(), layer.biases.end())};
-  return render_template(k_fc_params_template, ctx);
+  os << "};\nstatic const s64 fc_" << index << "_b[" << layer.output_size
+     << "] = {\n";
+  for (std::size_t i = 0; i < layer.biases.size(); ++i) {
+    if (i != 0) os << ",\n";
+    os << "\t(" << literal(layer.biases[i]) << ')';
+  }
+  os << "\n};\n";
+  return os.str();
 }
 
 // The reference for a table's entries: streamed, eight to a line.
@@ -196,7 +111,7 @@ std::string reference_lut_values(const quant::lookup_table& lut,
      << "] = {";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i % 8 == 0) os << "\n\t";
-    os << values[i];
+    os << literal(values[i]);
     if (i + 1 != values.size()) os << ", ";
   }
   os << "\n};\n";
@@ -210,12 +125,19 @@ void expect_block(const std::string& src, const std::string& want) {
   EXPECT_EQ(src.substr(at, want.size()), want);
 }
 
+// Each distinct table's values appear once, under the first layer that
+// uses them.
 void expect_arrays_match_reference(const quant::quantized_mlp& program,
                                    const std::string& src) {
   for (std::size_t i = 0; i < program.layer_count(); ++i) {
     const auto& layer = program.layer(i);
     expect_block(src, reference_fc_params(layer, i));
-    if (layer.lut) expect_block(src, reference_lut_values(*layer.lut, i));
+    const std::string values = "lut_" + std::to_string(i) + "_values";
+    if (layer.lut && program.layer_lut_source(i) == i) {
+      expect_block(src, reference_lut_values(*layer.lut, i));
+    } else {
+      EXPECT_EQ(src.find(values), std::string::npos) << values;
+    }
   }
 }
 
@@ -234,9 +156,9 @@ TEST(CEmitter, ArraysMatchTemplateReferenceOnPaperNets) {
   }
 }
 
-TEST(CEmitter, ArraysMatchTemplateReferenceOnEdgeValues) {
-  // Negative weights, weights at the int32 edge and biases at the s64 edge,
-  // with a lookup table on the first layer.
+// Negative weights, weights at the int32 edge and parameters at the s64
+// edges, with a lookup table on the first layer.
+quant::quantized_mlp edge_value_program() {
   constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
   constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
   quant::qdense_layer l0;
@@ -255,7 +177,11 @@ TEST(CEmitter, ArraysMatchTemplateReferenceOnEdgeValues) {
   l1.weights = {fp::s64_min, fp::s64_max, i32_min - 1};
   l1.biases = {fp::s64_min + 1};
   l1.act = nn::activation::linear;
-  const quant::quantized_mlp program{3, 1000, {std::move(l0), std::move(l1)}};
+  return quant::quantized_mlp{3, 1000, {std::move(l0), std::move(l1)}};
+}
+
+TEST(CEmitter, ArraysMatchTemplateReferenceOnEdgeValues) {
+  const auto program = edge_value_program();
   expect_arrays_match_reference(program, emit_c_source(program, {}));
 }
 
@@ -307,6 +233,85 @@ TEST_P(CompiledGolden, GeneratedCodeMatchesInterpreterBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nets, CompiledGolden, ::testing::Values(0, 1, 2));
+
+TEST(CompiledGolden, PropertyCorpusMatchesInterpreterBitForBit) {
+  // The random_qmlp corpus: odd weight scales, shared and differing
+  // tanh/sigmoid tables, widths 1-44, saturating weights (every third
+  // program) and int32-edge weights and hidden outputs (every third); then
+  // the edge-value program, whose s64_min parameters are spelled
+  // LF_S64_MIN.  The tallies show that the corpus both shares a table
+  // between layers and mixes different tables in one program.
+  if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
+  rng g{0xc0de};
+  int shared = 0;
+  int mixed = 0;
+  for (int trial = 0; trial <= 30; ++trial) {
+    const auto q = trial < 30
+                       ? test::random_qmlp(g, trial % 3 == 1, trial % 3 == 2)
+                       : edge_value_program();
+    std::vector<std::size_t> sources;
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      if (!q.layer(i).lut) continue;
+      const std::size_t src = q.layer_lut_source(i);
+      shared += src != i;
+      if (src == i) sources.push_back(i);
+    }
+    mixed += sources.size() > 1;
+    const auto compiled = compiled_snapshot::compile(emit_c_source(q, {}));
+    for (int rep = 0; rep < 20; ++rep) {
+      // In-bound inputs (the fast chain) first, then ones that mix in
+      // huge values (the saturating chain).
+      std::vector<fp::s64> x(q.input_size());
+      for (auto& v : x) {
+        v = rep < 10 || g.bernoulli(0.5)
+                ? g.uniform_int(-2000, 2000)
+                : g.uniform_int(fp::s64_min / 2, fp::s64_max / 2);
+      }
+      ASSERT_EQ(q.infer(x), compiled.infer(x, q.output_size()))
+          << "trial " << trial << " rep " << rep;
+    }
+  }
+  EXPECT_GT(shared, 0);
+  EXPECT_GT(mixed, 0);
+}
+
+TEST(CompiledGolden, WideLutTierMatchesInterpreterBitForBit) {
+  // A tanh table at scale 2^30 is too wide for 64-bit interpolation, so
+  // its lut_0_eval runs the 128-bit tier (lf_mul_div).  Inputs up to the
+  // fast-path bound sweep the table's whole domain.
+  if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
+  rng g{64};
+  quant::qdense_layer l0;
+  l0.input_size = 3;
+  l0.output_size = 5;
+  l0.weight_scale = 16;
+  for (int i = 0; i < 15; ++i) l0.weights.push_back(g.uniform_int(-64, 64));
+  for (int i = 0; i < 5; ++i) {
+    l0.biases.push_back(g.uniform_int(-1'000'000'000, 1'000'000'000));
+  }
+  l0.act = nn::activation::tanh_act;
+  l0.lut = quant::lookup_table::for_activation(nn::activation::tanh_act, 64,
+                                               fp::s64{1} << 30);
+  quant::qdense_layer l1;
+  l1.input_size = 5;
+  l1.output_size = 2;
+  l1.weight_scale = 1 << 10;
+  for (int i = 0; i < 10; ++i) l1.weights.push_back(g.uniform_int(-999, 999));
+  l1.biases = {12345, -678};
+  l1.act = nn::activation::linear;
+  const quant::quantized_mlp q{3, 1000, {std::move(l0), std::move(l1)}};
+  ASSERT_EQ(q.layer_lut_tier(0), quant::lut_tier::bits128);
+  const auto compiled = compiled_snapshot::compile(emit_c_source(q, {}));
+  const fp::s64 bound = q.fastpath_input_bound();
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<fp::s64> x(3);
+    for (auto& v : x) {
+      v = rep % 4 == 3 ? g.uniform_int(fp::s64_min / 2, fp::s64_max / 2)
+                       : g.uniform_int(-bound, bound);
+    }
+    ASSERT_EQ(q.infer(x), compiled.infer(x, 2)) << "rep " << rep;
+  }
+}
 
 TEST(CEmitter, FastVariantEmittedForSaturationFreeLayers) {
   rng g{53};
@@ -384,6 +389,48 @@ TEST(CompiledSnapshot, InferIntoMatchesInfer) {
   std::vector<fp::s64> out(net.output_size());
   compiled.infer_into(x, out);
   EXPECT_EQ(compiled.infer(x, net.output_size()), out);
+}
+
+/// A fresh directory whose name holds a space and a quote, made TMPDIR
+/// until destroyed; then TMPDIR is restored and the directory removed.
+class quoted_tmpdir {
+ public:
+  quoted_tmpdir()
+      : path_{(std::filesystem::temp_directory_path() / "lf tmp 'q' XXXXXX")
+                  .string()} {
+    if (!::mkdtemp(path_.data())) throw std::runtime_error{"mkdtemp failed"};
+    if (const char* old = std::getenv("TMPDIR")) old_ = old;
+    ::setenv("TMPDIR", path_.c_str(), 1);
+  }
+  quoted_tmpdir(const quoted_tmpdir&) = delete;
+  quoted_tmpdir& operator=(const quoted_tmpdir&) = delete;
+  ~quoted_tmpdir() {
+    if (old_) {
+      ::setenv("TMPDIR", old_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::optional<std::string> old_;
+};
+
+TEST(CompiledSnapshot, CompilesUnderTmpdirWithSpaceAndQuote) {
+  if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
+  rng g{63};
+  const auto snap = generate_snapshot(nn::make_ffnn_flow_size_net(g), "q", 1);
+  const quoted_tmpdir tmpdir;
+  {
+    const auto compiled = compiled_snapshot::compile(snap.c_source);
+    std::vector<fp::s64> x(snap.input_size(), 321);
+    EXPECT_EQ(compiled.infer(x, snap.output_size()), snap.program.infer(x));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir.path())) << tmpdir.path();
 }
 
 TEST(CompiledSnapshot, RejectsGarbageSource) {

@@ -7,7 +7,6 @@
 
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
-#include "codegen/template_engine.hpp"
 #include "core/batch_collector.hpp"
 #include "core/userspace_service.hpp"
 #include "kernelsim/channel.hpp"
@@ -43,8 +42,12 @@ TEST(EdgeCases, SigmoidNetGetsLutAndStaysAccurate) {
                                   {1, nn::activation::sigmoid}};
   nn::mlp net{3, specs, g};
   const auto snap = codegen::generate_snapshot(net, "sig", 1);
+  // Both layers use the same sigmoid table: one shared lut_0_values, and
+  // an eval per layer.
   EXPECT_NE(snap.c_source.find("lut_0_values"), std::string::npos);
-  EXPECT_NE(snap.c_source.find("lut_1_values"), std::string::npos);
+  EXPECT_EQ(snap.c_source.find("lut_1_values"), std::string::npos);
+  EXPECT_NE(snap.c_source.find("lut_0_eval"), std::string::npos);
+  EXPECT_NE(snap.c_source.find("lut_1_eval"), std::string::npos);
   rng xs{3};
   for (int i = 0; i < 10; ++i) {
     std::vector<double> x(3);
@@ -159,17 +162,6 @@ TEST(EdgeCases, CollectorIntervalChangeTakesEffect) {
   bc.set_interval(0.5);
   EXPECT_DOUBLE_EQ(bc.interval(), 0.5);
   EXPECT_THROW(bc.set_interval(0.0), std::invalid_argument);
-}
-
-// ------------------------------------------------------ template extremes --
-
-TEST(EdgeCases, TemplateHandlesEmptyRangeAndNestedTrim) {
-  using namespace lf::codegen;
-  EXPECT_EQ(render_template("[{% for i in range(3, 3) %}x{% endfor %}]", {}),
-            "[]");
-  EXPECT_EQ(render_template("a {%- for i in range(0, 1) -%} b {%- endfor -%} c",
-                            {}),
-            "abc");
 }
 
 TEST(EdgeCases, NegativeWeightsRenderParenthesized) {
