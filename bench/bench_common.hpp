@@ -20,7 +20,7 @@ namespace lf::bench {
 
 inline void print_header(const std::string& figure, const std::string& title) {
   std::cout << "\n=== " << figure << ": " << title << " ===\n";
-  if (apps::bench_fast_mode()) {
+  if (fast_mode()) {
     std::cout << "(LF_BENCH_FAST: reduced durations)\n";
   }
 }
@@ -39,11 +39,11 @@ inline void write_report(const report& rep) {
 
 /// Scale a duration down in fast mode.
 inline double dur(double full, double fast) {
-  return apps::bench_fast_mode() ? fast : full;
+  return fast_mode() ? fast : full;
 }
 
 inline std::size_t count(std::size_t full, std::size_t fast) {
-  return apps::bench_fast_mode() ? fast : full;
+  return fast_mode() ? fast : full;
 }
 
 inline std::string mbps(double bps, int precision = 1) {

@@ -1,7 +1,6 @@
 #include "apps/cc/cc_experiment.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 
 #include "apps/common/deployment_registry.hpp"
@@ -20,11 +19,6 @@ std::string_view to_string(cc_scheme s) noexcept {
 
 bool is_rate_based(cc_scheme s) noexcept {
   return s != cc_scheme::bbr && s != cc_scheme::cubic;
-}
-
-bool bench_fast_mode() {
-  const char* v = std::getenv("LF_BENCH_FAST");
-  return v != nullptr && *v != '\0' && *v != '0';
 }
 
 namespace {

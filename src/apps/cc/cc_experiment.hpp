@@ -97,8 +97,4 @@ struct cc_overhead_result : run_result {
 
 cc_overhead_result run_cc_overhead(const cc_overhead_config& config);
 
-/// True if the LF_BENCH_FAST environment variable is set: benchmarks then
-/// shrink durations/flow counts for quick iteration.
-bool bench_fast_mode();
-
 }  // namespace lf::apps

@@ -10,8 +10,6 @@ std::string_view to_string(app_kind app) noexcept {
       return "sched";
     case app_kind::lb:
       return "lb";
-    case app_kind::rt:
-      return "rt";
   }
   return "?";
 }

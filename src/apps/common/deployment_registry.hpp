@@ -24,7 +24,7 @@
 
 namespace lf::apps {
 
-enum class app_kind { cc, sched, lb, rt };
+enum class app_kind { cc, sched, lb };
 
 std::string_view to_string(app_kind app) noexcept;
 
@@ -71,7 +71,7 @@ class deployment_registry {
   entry* find(app_kind app, int value) noexcept;
   const entry* find(app_kind app, int value) const noexcept;
 
-  std::array<std::vector<entry>, 4> apps_;
+  std::array<std::vector<entry>, 3> apps_;
 };
 
 /// Convenience for the app registrars.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -21,28 +20,6 @@ std::string_view to_string(anomaly_kind k) noexcept {
     case anomaly_kind::retired_leak: return "retired_leak";
   }
   return "unknown";
-}
-
-watchdog_config watchdog_config_from_env() {
-  watchdog_config cfg;
-  if (const char* v = std::getenv("LF_RT_WATCHDOG")) {
-    cfg.enabled = std::atoi(v) != 0;
-  }
-  const auto env_sz = [](const char* name, std::size_t fallback) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return fallback;
-    const long long n = std::atoll(v);
-    return n > 0 ? static_cast<std::size_t>(n) : fallback;
-  };
-  cfg.warmup_windows = env_sz("LF_RT_WATCHDOG_WARMUP", cfg.warmup_windows);
-  cfg.breach_windows = env_sz("LF_RT_WATCHDOG_BREACH", cfg.breach_windows);
-  cfg.min_window_routes =
-      env_sz("LF_RT_WATCHDOG_MIN_ROUTES", cfg.min_window_routes);
-  if (const char* v = std::getenv("LF_RT_WATCHDOG_P999_FACTOR")) {
-    const double f = std::atof(v);
-    if (f > 1.0) cfg.p999_spike_factor = f;
-  }
-  return cfg;
 }
 
 anomaly_watchdog::anomaly_watchdog(watchdog_config cfg,

@@ -142,14 +142,6 @@ struct watchdog_config {
   bool auto_rollback = false;
 };
 
-/// Environment defaults, all optional:
-///   LF_RT_WATCHDOG          0 disables (default on)
-///   LF_RT_WATCHDOG_WARMUP   warmup_windows
-///   LF_RT_WATCHDOG_BREACH   breach_windows (M)
-///   LF_RT_WATCHDOG_MIN_ROUTES  min_window_routes
-///   LF_RT_WATCHDOG_P999_FACTOR p999_spike_factor
-watchdog_config watchdog_config_from_env();
-
 /// One rule's rolling baseline (exposed for tests and the incident record).
 struct baseline_stats {
   double mean = 0.0;

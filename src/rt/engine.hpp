@@ -57,8 +57,7 @@
 // What this deliberately does NOT do: it is not wired into the simulated
 // experiments.  The sim path (core::inference_router + kernelsim::spinlock)
 // is untouched, so every fixed-seed result stays bit-for-bit identical; the
-// rt engine is selected explicitly via the deployment registry (app_kind::rt)
-// or constructed directly by the harness/tests.
+// harness, perfbench and the tests construct the rt engine directly.
 #pragma once
 
 #include <cstdint>

@@ -1,37 +1,14 @@
 #include "rt/stats_sampler.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "rt/anomaly_watchdog.hpp"
 
 namespace lf::rt {
-
-stats_sampler_config stats_config_from_env() {
-  stats_sampler_config cfg;
-  cfg.interval_ms = 0.0;  // env default: off until asked for
-  if (const char* v = std::getenv("LF_RT_STATS_INTERVAL_MS")) {
-    cfg.interval_ms = std::atof(v);
-  }
-  if (const char* v = std::getenv("LF_RT_STATS_OUT")) {
-    cfg.text_out = v;
-  }
-  if (const char* v = std::getenv("LF_RT_STATS_FIFO")) {
-    cfg.fifo_out = v;
-  }
-  return cfg;
-}
 
 stats_sampler::stats_sampler(datapath_engine& engine, stats_sampler_config cfg)
     : engine_{engine}, cfg_{std::move(cfg)} {
@@ -76,7 +53,6 @@ void stats_sampler::stop() {
   final_folded_ = true;
   tick();
   write_text();
-  write_fifo();
 }
 
 void stats_sampler::run() {
@@ -88,7 +64,6 @@ void stats_sampler::run() {
     lk.unlock();
     tick();
     write_text();
-    write_fifo();
     lk.lock();
   }
 }
@@ -291,42 +266,6 @@ bool stats_sampler::write_text() const {
     return false;
   }
   return true;
-}
-
-bool stats_sampler::write_fifo() const {
-#if defined(__unix__) || defined(__APPLE__)
-  if (cfg_.fifo_out.empty()) return false;
-  if (!fifo_ready_) {
-    if (mkfifo(cfg_.fifo_out.c_str(), 0644) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "stats_sampler: mkfifo %s failed (errno %d)\n",
-                   cfg_.fifo_out.c_str(), errno);
-      return false;
-    }
-    fifo_ready_ = true;
-  }
-  // O_NONBLOCK open fails with ENXIO while nobody holds the read end —
-  // exactly the "pay nothing when nobody looks" contract.  Opened per tick
-  // so a reader can attach and detach at will mid-soak.
-  const int fd = ::open(cfg_.fifo_out.c_str(), O_WRONLY | O_NONBLOCK);
-  if (fd < 0) return false;
-  const std::string body = render_text();
-  std::size_t off = 0;
-  bool ok = true;
-  while (off < body.size()) {
-    const ssize_t n = ::write(fd, body.data() + off, body.size() - off);
-    if (n <= 0) {
-      // EAGAIN (reader not draining) or a vanished reader: drop the rest of
-      // this tick's exposition rather than block the sampler thread.
-      ok = false;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  return ok;
-#else
-  return false;
-#endif
 }
 
 }  // namespace lf::rt

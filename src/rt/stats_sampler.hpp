@@ -42,20 +42,10 @@ struct stats_sampler_config {
   /// Published atomically (temp file + rename) so a concurrent scraper
   /// never reads a torn exposition.
   std::string text_out;
-  /// Optional POSIX FIFO re-fed with the exposition every tick ("" = off).
-  /// Created on first use; writes are O_NONBLOCK and silently skipped while
-  /// no reader is attached, so a soak can be watched with `cat <fifo>`
-  /// without touching the process and pays nothing when nobody looks.
-  std::string fifo_out;
   /// Cap on retained windows (oldest dropped past this; keeps a runaway
   /// soak test from growing the vector unboundedly).
   std::size_t max_windows = 100000;
 };
-
-/// Environment defaults: LF_RT_STATS_INTERVAL_MS (window length; 0 or unset
-/// disables), LF_RT_STATS_OUT (text exposition path) and LF_RT_STATS_FIFO
-/// (live-scrape FIFO path).
-stats_sampler_config stats_config_from_env();
 
 /// One folded window.
 struct stats_window {
@@ -122,11 +112,6 @@ class stats_sampler {
   /// or the write failed (diagnostic on stderr).
   bool write_text() const;
 
-  /// Push render_text() into config().fifo_out (created on first call).
-  /// Non-blocking: returns false without writing when no path is
-  /// configured, no reader is attached, or the FIFO is full.
-  bool write_fifo() const;
-
  private:
   void run();
 
@@ -140,7 +125,6 @@ class stats_sampler {
   bool stopping_ = false;
   bool started_ = false;
   bool final_folded_ = false;    ///< tail window folded (stop ran once)
-  mutable bool fifo_ready_ = false;  ///< mkfifo attempted and succeeded
 
   // Everything below is guarded by fold_mu_: tick() may be called from the
   // sampler thread, from stop(), or directly by a test.

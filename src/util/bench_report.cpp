@@ -11,11 +11,6 @@
 namespace lf::bench {
 namespace {
 
-bool fast_mode_env() {
-  const char* v = std::getenv("LF_BENCH_FAST");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
 /// Reports are numbered in emission order within the process.  Unlike a
 /// wall-clock timestamp this is identical across repeated runs, so
 /// fast-mode JSON output stays byte-diffable.
@@ -25,6 +20,11 @@ std::uint64_t next_emitted_seq() {
 }
 
 }  // namespace
+
+bool fast_mode() {
+  const char* v = std::getenv("LF_BENCH_FAST");
+  return v != nullptr && *v != '\0' && *v != '0';
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -139,7 +139,7 @@ std::string report::json() const {
   os << "{\n";
   os << "  \"figure\": \"" << json_escape(figure_) << "\",\n";
   os << "  \"title\": \"" << json_escape(title_) << "\",\n";
-  os << "  \"fast_mode\": " << (fast_mode_env() ? "true" : "false") << ",\n";
+  os << "  \"fast_mode\": " << (fast_mode() ? "true" : "false") << ",\n";
   os << "  \"emitted_seq\": " << emitted_seq_ << ",\n";
 
   os << "  \"config\": {";

@@ -27,6 +27,10 @@ namespace lf::bench {
 /// Directory BENCH_*.json files land in (see header comment for the rules).
 std::string output_dir();
 
+/// True when LF_BENCH_FAST is set to anything but "" or "0": benches then
+/// shrink durations and counts for quick iteration.
+bool fast_mode();
+
 /// Escape a string for inclusion inside a JSON string literal (quotes not
 /// added).  Shared with the trace exporter (util/trace_report.cpp).
 std::string json_escape(std::string_view s);

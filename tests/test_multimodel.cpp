@@ -21,7 +21,6 @@
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "rt/engine.hpp"
-#include "rt/rt_deployment.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -653,17 +652,6 @@ TEST(RtShadow, TrySwitchGateBlocksDriftThenAdmitsRetrain) {
   rt::switch_outcome noop = engine.try_switch(0);
   EXPECT_EQ(noop.status, rt::switch_outcome::result::no_standby);
   EXPECT_EQ(engine.switch_noops(), 1u);
-}
-
-TEST(RtShadow, MultimodelDeploymentProfileApplies) {
-  rt::engine_config cfg;
-  auto engine = rt::build_engine(cfg, rt::rt_deployment::multimodel);
-  EXPECT_GE(engine->model_count(), 2u);
-  EXPECT_TRUE(engine->config().shadow.active());
-  // The plain rt-engine deployment keeps exact single-model defaults.
-  auto plain = rt::build_engine(cfg);
-  EXPECT_EQ(plain->model_count(), 1u);
-  EXPECT_FALSE(plain->config().shadow.active());
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // flow cache's pin transfer and eviction paths, engine-level flow
 // consistency across switches, and a short deterministic 2-thread
 // interleaving smoke.  Everything here runs in the normal ctest tier; the
-// heavy randomized multi-thread stress lives in rt_stress_harness (TSan CI).
+// heavy randomized multi-thread stress lives in rt_harness (TSan CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include "rt/epoch.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/latency_histogram.hpp"
-#include "rt/rt_deployment.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "rt/snapshot_handle.hpp"
 #include "rt/stats_sampler.hpp"
@@ -882,18 +881,6 @@ TEST(RtEngine, BatchedRouteSpansGenerationsAndRoutesWithoutInfer) {
 
   // An empty batch is a no-op.
   EXPECT_EQ(e.route_batch(w, {}, 0.3, {}, {}, results), 0u);
-}
-
-TEST(RtEngine, DeploymentRegistryBuildsEngine) {
-  rt::engine_config cfg;
-  cfg.shards = 2;
-  cfg.max_workers = 2;
-  auto e = rt::build_engine(cfg);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->config().shards, 2u);
-  e->install(rt_snapshot(1));
-  EXPECT_TRUE(e->switch_active());
-  EXPECT_TRUE(e->has_active());
 }
 
 // Deterministic 2-thread interleaving smoke for the normal ctest tier: one

@@ -3,13 +3,9 @@
 // warmup gating, edge-triggered k-of-M firing and re-arm, the rate-gated
 // retired-version leak trend, black-box dump correlation (anomaly +
 // lifecycle events alongside route summaries), flight-recorder dump rate
-// limiting, and the stats sampler's tail-window / atomic-publish / FIFO
-// contracts the watchdog rides on.
+// limiting, and the stats sampler's tail-window / atomic-publish contracts
+// the watchdog rides on.
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -690,44 +686,6 @@ TEST(RtStatsSampler, TextExpositionIsPublishedAtomically) {
   EXPECT_FALSE(fs::exists(scfg.text_out + ".tmp"));
   const std::string text = slurp(scfg.text_out);
   EXPECT_NE(text.find("lf_rt_routes_total 16"), std::string::npos);
-}
-
-TEST(RtStatsSampler, FifoDeliversOnlyWhileAReaderIsAttached) {
-  bench_dir out{"lf_sampler_fifo"};
-  rt::engine_config cfg;
-  cfg.max_workers = 1;
-  rt::datapath_engine e{cfg};
-  rt::worker_handle& w = e.register_worker();
-  e.install(wd_snapshot(1));
-  ASSERT_TRUE(e.switch_active());
-  for (int i = 0; i < 8; ++i) e.route(w, 7 + i, i * 0.001, {}, {});
-
-  rt::stats_sampler_config scfg;
-  scfg.interval_ms = 0.0;
-  scfg.fifo_out = (out.dir / "live.fifo").string();
-  rt::stats_sampler s{e, scfg};
-  s.tick();
-
-  // No reader: the write is skipped (O_NONBLOCK open fails with ENXIO),
-  // but the FIFO node itself is created so `cat` can attach any time.
-  EXPECT_FALSE(s.write_fifo());
-  struct stat st {};
-  ASSERT_EQ(::stat(scfg.fifo_out.c_str(), &st), 0);
-  EXPECT_TRUE(S_ISFIFO(st.st_mode));
-
-  // Reader attached: the exposition flows.
-  const int rd = ::open(scfg.fifo_out.c_str(), O_RDONLY | O_NONBLOCK);
-  ASSERT_GE(rd, 0);
-  EXPECT_TRUE(s.write_fifo());
-  std::string got;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(rd, buf, sizeof(buf));
-    if (n <= 0) break;
-    got.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(rd);
-  EXPECT_NE(got.find("lf_rt_routes_total"), std::string::npos);
 }
 
 }  // namespace
