@@ -21,6 +21,7 @@
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "quant/quantizer.hpp"
+#include "rl/link_env.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/latency_histogram.hpp"
 #include "util/bench_report.hpp"
@@ -113,10 +114,39 @@ std::vector<fp::s64> input_pool(std::size_t width) {
   return pool;
 }
 
+/// 4096 Aurora observations (io_scale 1000) of rl::link_env under random
+/// rate actions, skipping each episode's zero-padded history, as perfbench's
+/// cc_adapt inputs are: pre-activations spread over the tanh tables instead
+/// of repeating one lookup.
+std::vector<fp::s64> link_env_pool() {
+  rng g{0x9002};
+  rl::link_env env{rl::link_env_config{}, g.split()};
+  const std::size_t history = env.config().history;
+  const std::size_t size = k_pool_rows * env.observation_size();
+  std::vector<fp::s64> pool;
+  pool.reserve(size);
+  env.reset();
+  std::size_t step = 0;
+  while (pool.size() < size) {
+    const double action[1] = {g.uniform(-1.0, 1.0)};
+    const rl::step_result res = env.step(action);
+    if (++step > history) {
+      for (const double v : res.observation) {
+        pool.push_back(fp::sat_quantize(v * 1000.0));
+      }
+    }
+    if (res.done) {
+      env.reset();
+      step = 0;
+    }
+  }
+  return pool;
+}
+
 /// One infer_into per iteration on the pool's next row.
-void infer_into_pool(benchmark::State& state, const quant::quantized_mlp& q) {
+void infer_into_pool(benchmark::State& state, const quant::quantized_mlp& q,
+                     const std::vector<fp::s64>& pool) {
   const std::size_t in = q.input_size();
-  const auto pool = input_pool(in);
   std::vector<fp::s64> out(q.output_size());
   quant::inference_scratch scratch;
   scratch.reserve(q);
@@ -131,10 +161,10 @@ void infer_into_pool(benchmark::State& state, const quant::quantized_mlp& q) {
 
 /// One infer_batch_into of the pool's next 64 rows per iteration.
 void infer_batch_into_pool(benchmark::State& state,
-                           const quant::quantized_mlp& q) {
+                           const quant::quantized_mlp& q,
+                           const std::vector<fp::s64>& pool) {
   constexpr std::size_t k = 64;
   const std::size_t in = q.input_size();
-  const auto pool = input_pool(in);
   std::vector<fp::s64> outs(k * q.output_size());
   quant::inference_scratch scratch;
   std::size_t r = 0;
@@ -147,21 +177,33 @@ void infer_batch_into_pool(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
 }
 
+void bm_quantized_infer_into_aurora_pool(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(aurora(), "a", 1);
+  infer_into_pool(state, snap.program, link_env_pool());
+}
+BENCHMARK(bm_quantized_infer_into_aurora_pool);
+
 void bm_quantized_infer_into_lb_mlp(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
-  infer_into_pool(state, snap.program);
+  infer_into_pool(state, snap.program, input_pool(snap.input_size()));
 }
 BENCHMARK(bm_quantized_infer_into_lb_mlp);
 
+void bm_quantized_infer_batch_into_aurora(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(aurora(), "a", 1);
+  infer_batch_into_pool(state, snap.program, link_env_pool());
+}
+BENCHMARK(bm_quantized_infer_batch_into_aurora);
+
 void bm_quantized_infer_batch_into_ffnn(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(ffnn(), "f", 1);
-  infer_batch_into_pool(state, snap.program);
+  infer_batch_into_pool(state, snap.program, input_pool(snap.input_size()));
 }
 BENCHMARK(bm_quantized_infer_batch_into_ffnn);
 
 void bm_quantized_infer_batch_into_lb_mlp(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
-  infer_batch_into_pool(state, snap.program);
+  infer_batch_into_pool(state, snap.program, input_pool(snap.input_size()));
 }
 BENCHMARK(bm_quantized_infer_batch_into_lb_mlp);
 

@@ -30,7 +30,8 @@ namespace {
 }
 
 /// 64-bit-only LUT evaluation, valid when build_arena proved both
-/// (n-1)*step_num and max|y1-y0|*(step_num-1) fit in s64: then every
+/// (n-1)*step_num and max|y1-y0|*(step_num-1) fit in s64 (the bits64 and
+/// bits32 tiers; the lanes evaluate the latter on their own): then every
 /// intermediate equals the 128-bit version's exactly (div_round and mul_div
 /// share the round-to-nearest-ties-away rule), just without the __int128
 /// division — which is a libgcc call on x86-64 and dominates tanh layers.
@@ -61,17 +62,52 @@ inline __int128 abs128(s64 v) noexcept {
   return v < 0 ? -static_cast<__int128>(v) : static_cast<__int128>(v);
 }
 
-/// True when lut_eval_small's intermediates provably fit in s64 for any
-/// input, i.e. (n-1)*step_num and max adjacent delta * (step_num-1) do.
-bool lut_fits_64bit(const std::vector<s64>& values, s64 step_num) {
-  constexpr __int128 lim = fp::s64_max;
-  const auto n = static_cast<s64>(values.size());
-  if (static_cast<__int128>(n - 1) * step_num > lim) return false;
-  __int128 max_dy = 0;
-  for (std::size_t i = 0; i + 1 < values.size(); ++i) {
-    max_dy = std::max(max_dy, abs128(values[i + 1]) + abs128(values[i]));
+/// What the tier proofs and the output bound need of a table's values,
+/// gathered in one pass.
+struct table_stats {
+  __int128 max_abs = 0;   ///< max |v[i]|: the layer's output bound
+  __int128 max_pair = 0;  ///< max |v[i+1]| + |v[i]|: bounds bits64's deltas
+  __int128 max_dy = 0;    ///< max |v[i+1] - v[i]|: bounds bits32's deltas
+};
+
+table_stats scan_table(const std::vector<s64>& values) {
+  table_stats t;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    t.max_abs = std::max(t.max_abs, abs128(values[i]));
+    if (i == 0) continue;
+    const __int128 dy = static_cast<__int128>(values[i]) - values[i - 1];
+    t.max_pair =
+        std::max(t.max_pair, abs128(values[i]) + abs128(values[i - 1]));
+    t.max_dy = std::max(t.max_dy, dy < 0 ? -dy : dy);
   }
-  return max_dy * (step_num - 1) <= lim;
+  return t;
+}
+
+/// The narrowest tier whose proof holds for a table of `n` entries over a
+/// domain `span` wide; a bits32 table's lane divider is stored in `div32`.
+lut_tier table_tier(const table_stats& t, s64 n, s64 span,
+                    fp::u32_divider& div32) {
+  // bits32: the lanes' numerators, (x - lo)*(n-1) and |y1 - y0|*rem +
+  // span/2, stay below 2^32 with int32 factors and an exact magic.  span 0
+  // never interpolates, but clamping would fold x > lo onto x = lo.
+  constexpr __int128 i32_max = INT32_MAX;
+  if (span >= 1 && span <= i32_max && n - 1 <= i32_max &&
+      t.max_dy <= i32_max) {
+    const __int128 bound = std::max(static_cast<__int128>(span) * (n - 1),
+                                    t.max_dy * (span - 1) + span / 2);
+    if (const auto div = fp::u32_divider::for_bound(
+            static_cast<std::uint64_t>(span),
+            static_cast<std::uint64_t>(bound))) {
+      div32 = *div;
+      return lut_tier::bits32;
+    }
+  }
+  // bits64: lut_eval_small's intermediates fit s64 for any input.
+  constexpr __int128 lim = fp::s64_max;
+  return static_cast<__int128>(n - 1) * span <= lim &&
+                 t.max_pair * (span - 1) <= lim
+             ? lut_tier::bits64
+             : lut_tier::bits128;
 }
 
 constexpr bool fits_i32(s64 v) noexcept {
@@ -87,22 +123,66 @@ bool all_in_range(const s64* v, std::size_t n, s64 lo, s64 hi) noexcept {
 }
 
 #if defined(__x86_64__)
+/// A bits32 table as the lanes read it.
+struct lane_table {
+  const s64* values = nullptr;  ///< n entries, then the guard values[n - 1]
+  s64 lo_q = 0;
+  s64 span = 0;
+  s64 n_minus_1 = 0;
+  fp::u32_divider div;  ///< exact for both numerators, see table_tier
+};
+
+/// lookup_table::eval on four lanes of a bits32 table, as lut_eval_small
+/// computes it.  x is clamped into [lo, lo + span] first, after which the
+/// ends need no branch: x = lo gives idx 0 and rem 0, and x = lo + span
+/// gives idx n-1 and rem 0, where y1 is the guard entry and weighs nothing.
+/// Every factor fits 32 bits (unsigned for _mm256_mul_epu32, signed for
+/// _mm256_mul_epi32) and both numerators stay within the magic's bound.
+__attribute__((target("avx2"))) inline __m256i lane_lookup(
+    __m256i x, const lane_table& t) noexcept {
+  const __m256i lo = _mm256_set1_epi64x(t.lo_q);
+  const __m256i hi = _mm256_set1_epi64x(t.lo_q + t.span);
+  const __m256i span = _mm256_set1_epi64x(t.span);
+  const __m256i magic = _mm256_set1_epi64x(t.div.magic());
+  const __m128i shift = _mm_cvtsi32_si128(t.div.shift());
+  x = _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
+  x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
+  const __m256i scaled = _mm256_mul_epu32(
+      _mm256_sub_epi64(x, lo), _mm256_set1_epi64x(t.n_minus_1));
+  const __m256i idx = _mm256_srl_epi64(_mm256_mul_epu32(scaled, magic), shift);
+  const __m256i rem = _mm256_sub_epi64(scaled, _mm256_mul_epu32(idx, span));
+  const auto* values = reinterpret_cast<const long long*>(t.values);
+  const __m256i y0 = _mm256_i64gather_epi64(values, idx, 8);
+  const __m256i y1 = _mm256_i64gather_epi64(values + 1, idx, 8);
+  // div_round((y1 - y0) * rem, span) on the magnitude, sign restored.
+  const __m256i num = _mm256_mul_epi32(_mm256_sub_epi64(y1, y0), rem);
+  const __m256i sign = _mm256_cmpgt_epi64(_mm256_setzero_si256(), num);
+  const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(num, sign), sign);
+  const __m256i q = _mm256_srl_epi64(
+      _mm256_mul_epu32(_mm256_add_epi64(mag, _mm256_set1_epi64x(t.span / 2)),
+                       magic),
+      shift);
+  return _mm256_add_epi64(y0,
+                          _mm256_sub_epi64(_mm256_xor_si256(q, sign), sign));
+}
+
 /// acc[0..4G) = b[0..4G) + sum_j w[j*stride + 0..4G) * x[j], four 64-bit
 /// lanes per group.  _mm256_mul_epi32 multiplies the sign-extended low 32
 /// bits of each lane, which is the exact product when both operands fit
 /// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
-/// any summation order.  The epilogue then runs in the lanes and all 4G
-/// lanes are stored to `out` (padding lanes have zero weights and bias):
-/// - linear and relu (shift >= 0) store the layer's outputs: requantized
-///   as the scalar epilogue does it (round half away on the magnitude,
-///   restore the sign; |acc| + half < 2^63 by the proof, so the logical
-///   shift is exact) and activated;
-/// - a LUT layer (tanh_act stands for both) stores the requantized values
-///   when shift >= 0, else the raw accumulators, for its per-neuron lookup.
+/// any summation order.  The epilogue then runs in the lanes: each group is
+/// requantized as the scalar epilogue does it (round half away on the
+/// magnitude, restore the sign; |acc| + half < 2^63 by the proof, so the
+/// logical shift by `shift` >= 0 is exact), activated (tanh_act stands for
+/// both LUT activations and reads `lut`) and stored whole to `out`.
+/// Padding lanes have zero weights and bias; a LUT layer's still look up
+/// the table, which the clamp keeps in bounds.
 template <nn::activation Act, int G>
 __attribute__((target("avx2"))) void mac_i32_groups(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
-    std::size_t n, int shift, s64 half, s64* out) noexcept {
+    std::size_t n, int shift, s64 half, const lane_table& table,
+    s64* out) noexcept {
+  const lane_table lut = table;  // a local copy: stores to out cannot alias it
   // Fully unrolled over the groups so the accumulators live in registers.
   __m256i a[G];
 #pragma GCC unroll 4
@@ -131,11 +211,14 @@ __attribute__((target("avx2"))) void mac_i32_groups(
       const __m256i pos = _mm256_cmpgt_epi64(a[g], zero);
       a[g] = _mm256_and_si256(
           _mm256_srl_epi64(_mm256_add_epi64(a[g], h), count), pos);
-    } else if (Act == nn::activation::linear || shift >= 0) {
+    } else {
       const __m256i sign = _mm256_cmpgt_epi64(zero, a[g]);  // 0 or -1
       const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(a[g], sign), sign);
       const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, h), count);
       a[g] = _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign);
+      if constexpr (Act == nn::activation::tanh_act) {
+        a[g] = lane_lookup(a[g], lut);
+      }
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * g), a[g]);
   }
@@ -149,33 +232,34 @@ template <nn::activation Act>
 __attribute__((target("avx2"))) void mac_i32_block(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
     std::size_t n, std::size_t groups, int shift, s64 half,
-    s64* out) noexcept {
+    const lane_table& lut, s64* out) noexcept {
   switch (groups) {
     case 4:
-      mac_i32_groups<Act, 4>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 4>(w, stride, b, x, n, shift, half, lut, out);
       break;
     case 3:
-      mac_i32_groups<Act, 3>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 3>(w, stride, b, x, n, shift, half, lut, out);
       break;
     case 2:
-      mac_i32_groups<Act, 2>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 2>(w, stride, b, x, n, shift, half, lut, out);
       break;
     default:
-      mac_i32_groups<Act, 1>(w, stride, b, x, n, shift, half, out);
+      mac_i32_groups<Act, 1>(w, stride, b, x, n, shift, half, lut, out);
       break;
   }
 }
 
-/// A relu or linear layer (shift >= 0) of `m` outputs on the int32 kernel:
-/// each block's 4-lane groups land straight in `out`, which must hold `m`
-/// rounded up to whole groups.
+/// A layer of `m` outputs (shift >= 0; a bits32 table for tanh_act) on the
+/// int32 kernel: each block's 4-lane groups land straight in `out`, which
+/// must hold `m` rounded up to whole groups.
 template <nn::activation Act>
 __attribute__((target("avx2"))) void mac_i32_layer(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
-    std::size_t n, std::size_t m, int shift, s64 half, s64* out) noexcept {
+    std::size_t n, std::size_t m, int shift, s64 half, const lane_table& lut,
+    s64* out) noexcept {
   for (std::size_t o = 0; o < m; o += k_block) {
     const std::size_t groups = (std::min(k_block, m - o) + 3) / 4;
-    mac_i32_block<Act>(w + o, stride, b + o, x, n, groups, shift, half,
+    mac_i32_block<Act>(w + o, stride, b + o, x, n, groups, shift, half, lut,
                        out + o);
   }
 }
@@ -229,7 +313,7 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
 
 void quantized_mlp::build_arena() {
   const auto padded = [](std::size_t n) { return (n + 3) & ~std::size_t{3}; };
-  // Layers whose tables hold the same values (Aurora's two tanh layers)
+  // Layers whose tables hold the same values (Aurora's three tanh layers)
   // share one arena copy; each keeps its own domain in its layer_desc.
   // Returns the first such layer's index, or the layer's own.
   const auto lut_owner = [&](std::size_t li) {
@@ -243,7 +327,7 @@ void quantized_mlp::build_arena() {
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const auto& l = layers_[li];
     total += (l.input_size + 1) * padded(l.output_size);
-    if (l.lut && lut_owner(li) == li) total += l.lut->values().size();
+    if (l.lut && lut_owner(li) == li) total += l.lut->values().size() + 1;
   }
   arena_.reserve(total);
   descs_.reserve(layers_.size());
@@ -257,6 +341,7 @@ void quantized_mlp::build_arena() {
 
   constexpr __int128 lim = fp::s64_max;
   __int128 in_bound = fastpath_input_bound_;
+  std::vector<table_stats> stats(layers_.size());  // per table owner
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const auto& l = layers_[li];
     layer_desc d;
@@ -294,14 +379,17 @@ void quantized_mlp::build_arena() {
       if (owner == li) {
         d.lut_off = arena_.size();
         arena_.insert(arena_.end(), vals.begin(), vals.end());
+        arena_.push_back(vals.back());  // the lanes' y1 at idx = n - 1
+        stats[li] = scan_table(vals);
       } else {
         d.lut_off = descs_[owner].lut_off;
+        stats[li] = stats[owner];
       }
       d.lut_entries = static_cast<s64>(vals.size());
       d.lut_lo_q = l.lut->domain_low_q();
       d.lut_step_num = l.lut->domain_span_q();
-      d.tier = lut_fits_64bit(vals, d.lut_step_num) ? lut_tier::bits64
-                                                    : lut_tier::bits128;
+      d.tier = table_tier(stats[li], d.lut_entries, d.lut_step_num,
+                          d.lut_div32);
       d.lut_div = fp::u64_divider{static_cast<std::uint64_t>(d.lut_step_num)};
     }
 
@@ -337,19 +425,15 @@ void quantized_mlp::build_arena() {
       d.operands = in_bound <= INT32_MAX ? operand_proof::proven
                                          : operand_proof::per_call;
     }
-    // relu/linear requantize in the lanes with the shift; with any other
-    // scale (the quantizer never emits one) they run the scalar loop.
+    // The lanes requantize with the shift and interpolate bits32 tables;
+    // any other scale or table (the quantizer emits neither) runs scalar.
     d.simd = d.operands != operand_proof::none && simd_dispatch() &&
-             (l.lut || d.shift >= 0);
+             d.shift >= 0 && (!l.lut || d.tier == lut_tier::bits32);
 
     // Propagate this layer's output bound as the next layer's input bound.
     if (l.lut) {
       // LUT outputs clamp to the table's value range no matter the input.
-      __int128 lut_max = 0;
-      for (const s64 v : l.lut->values()) {
-        lut_max = std::max(lut_max, abs128(v));
-      }
-      in_bound = lut_max;
+      in_bound = stats[li].max_abs;
     } else {
       // linear/relu: |out| <= |div_round(acc, ws)| <= acc_bound/ws + 1, and
       // the saturating fallback clamps to s64 either way.
@@ -440,7 +524,7 @@ inline __attribute__((always_inline)) s64 quantized_mlp::activate(
   } else if constexpr (Act == nn::activation::relu) {
     return pre > 0 ? pre : 0;
   } else {
-    return d.tier == lut_tier::bits64
+    return d.tier != lut_tier::bits128
                ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
                                 d.lut_step_num, d.lut_div, pre)
                : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
@@ -484,27 +568,6 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
   }
 }
 
-#if defined(__x86_64__)
-void quantized_mlp::run_layer_i32(const layer_desc& desc, const s64* in,
-                                  s64* out) const {
-  const layer_desc d = desc;  // a local copy: stores to out cannot alias it
-  const s64* w = arena_.data() + d.weights_off;
-  const s64* b = arena_.data() + d.biases_off;
-  const s64* lut = arena_.data() + d.lut_off;
-  alignas(32) s64 lanes[k_block];
-  for (std::size_t o = 0; o < d.output_size; o += k_block) {
-    const std::size_t m = std::min(k_block, d.output_size - o);
-    mac_i32_block<nn::activation::tanh_act>(w + o, d.stride, b + o, in,
-                                            d.input_size, (m + 3) / 4,
-                                            d.shift, d.half, lanes);
-    for (std::size_t i = 0; i < m; ++i) {
-      const s64 pre = d.shift >= 0 ? lanes[i] : requantize<false>(d, lanes[i]);
-      out[o + i] = activate<nn::activation::tanh_act>(d, lut, pre);
-    }
-  }
-}
-#endif
-
 void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
                         s64* out) const {
   using nn::activation;
@@ -515,18 +578,23 @@ void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
        all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
     const s64* w = arena_.data() + d.weights_off;
     const s64* b = arena_.data() + d.biases_off;
+    const lane_table lut{arena_.data() + d.lut_off, d.lut_lo_q,
+                         d.lut_step_num, d.lut_entries - 1, d.lut_div32};
     switch (d.act) {
       case activation::linear:
         return mac_i32_layer<activation::linear>(w, d.stride, b, in,
                                                  d.input_size, d.output_size,
-                                                 d.shift, d.half, out);
+                                                 d.shift, d.half, lut, out);
       case activation::relu:
         return mac_i32_layer<activation::relu>(w, d.stride, b, in,
                                                d.input_size, d.output_size,
-                                               d.shift, d.half, out);
+                                               d.shift, d.half, lut, out);
       case activation::tanh_act:
       case activation::sigmoid:
-        return run_layer_i32(d, in, out);
+        return mac_i32_layer<activation::tanh_act>(w, d.stride, b, in,
+                                                   d.input_size,
+                                                   d.output_size, d.shift,
+                                                   d.half, lut, out);
     }
   }
 #endif

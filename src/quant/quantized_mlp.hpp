@@ -33,10 +33,13 @@ enum class operand_proof : std::uint8_t {
   proven,    ///< weights fit and the propagated input bound is below 2^31
 };
 
-/// The integer width a layer's table interpolation provably fits.
+/// The integer width a layer's table interpolation provably fits.  The
+/// scalar path and the C emitter run bits32 tables on the 64-bit chain.
 enum class lut_tier : std::uint8_t {
   none,     ///< a relu or linear layer: no table
-  bits64,   ///< every intermediate fits s64 (all of the quantizer's tables)
+  bits32,   ///< both numerators fit u32 under an exact 32-bit magic, so the
+            ///< AVX2 lanes interpolate (all of the quantizer's tables)
+  bits64,   ///< every intermediate fits s64
   bits128,  ///< needs a 128-bit product and quotient
 };
 
@@ -93,8 +96,9 @@ class quantized_mlp {
   /// accumulator bound proves saturation can never trigger — runs a plain
   /// +/* MAC loop with the activation dispatch hoisted out of the loop.
   /// Where the operands also fit int32 (layer_operand_proof) and the CPU
-  /// has AVX2, that loop runs four output lanes per instruction, and relu/
-  /// linear layers requantize and activate in those lanes too.
+  /// has AVX2, that loop runs four output lanes per instruction, and the
+  /// layer requantizes and activates in those lanes too (tanh/sigmoid when
+  /// the table is on lut_tier::bits32).
   /// `out.size()` must equal output_size().
   void infer_into(std::span<const s64> input_q, std::span<s64> out,
                   inference_scratch& scratch) const;
@@ -170,12 +174,13 @@ class quantized_mlp {
     s64 lut_entries = 0;
     s64 lut_lo_q = 0;
     s64 lut_step_num = 0;
-    fp::u64_divider lut_div;  ///< divides by lut_step_num (64-bit tier)
+    fp::u64_divider lut_div;    ///< divides by lut_step_num (scalar path)
+    fp::u32_divider lut_div32;  ///< the same in the lanes (bits32 tier)
     lut_tier tier = lut_tier::none;  ///< none for relu/linear layers
     bool saturation_free = false;
     operand_proof operands = operand_proof::none;
-    /// operands != none, this process has AVX2, and the layer is a LUT
-    /// layer or has a power-of-two weight scale
+    /// operands != none, this process has AVX2, the weight scale is a power
+    /// of two, and the layer has no table or a bits32 one
     bool simd = false;
   };
 
@@ -188,10 +193,6 @@ class quantized_mlp {
   template <bool Saturating, nn::activation Act>
   void run_layer(const layer_desc& d, const s64* in, s64* out) const;
 
-  /// A tanh/sigmoid layer on the int32 kernel: the lanes, then the table
-  /// lookup per neuron.  (relu/linear layers finish in the lanes.)
-  void run_layer_i32(const layer_desc& d, const s64* in, s64* out) const;
-
   /// Per-neuron epilogue: accumulator -> io_scale, then the activation.
   template <bool Saturating>
   static s64 requantize(const layer_desc& d, s64 acc) noexcept;
@@ -202,7 +203,9 @@ class quantized_mlp {
   s64 io_scale_;
   std::vector<qdense_layer> layers_;
   // Fast-path state, derived from layers_ at construction:
-  std::vector<s64> arena_;          ///< weights | biases | lut, per layer
+  /// weights | biases | lut, per layer; each table is followed by a guard
+  /// entry equal to its last value
+  std::vector<s64> arena_;
   std::vector<layer_desc> descs_;
   s64 fastpath_input_bound_ = 0;
   /// Widest activation vector, rounded up to whole 4-lane groups: the

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 namespace lf::fp {
 
@@ -132,6 +133,45 @@ class u64_divider {
   std::uint64_t magic_ = 0;  ///< 0 means "power of two: shift only"
   int shift_ = 0;
   bool add_ = false;
+};
+
+/// Unsigned division by a fixed divisor d in [1, 2^31) in the form SIMD
+/// lanes evaluate: floor(n / d) == (n * magic) >> shift with n and magic
+/// below 2^32, so one 32x32->64 multiply (_mm256_mul_epu32) forms the
+/// product.  A 32-bit magic is not exact for every u32 numerator, so
+/// `for_bound` proves it for the numerators a caller can produce.
+class u32_divider {
+ public:
+  constexpr u32_divider() noexcept = default;  ///< divides by 1
+
+  /// The divider for d when its magic is exact for every n in [0, bound];
+  /// nullopt when d is outside [1, 2^31), bound >= 2^32 or the proof fails.
+  static constexpr std::optional<u32_divider> for_bound(
+      std::uint64_t d, std::uint64_t bound) noexcept {
+    if (d == 0 || d > INT32_MAX || bound > UINT32_MAX) return std::nullopt;
+    // shift = 31 + ceil(log2 d) keeps magic = ceil(2^shift / d) below 2^32.
+    const int shift = 31 + std::bit_width(d - 1);
+    const std::uint64_t pow = std::uint64_t{1} << shift;
+    const std::uint64_t magic = (pow - 1) / d + 1;
+    // magic*d = 2^shift + e with 0 <= e < d, so n*magic/2^shift exceeds n/d
+    // by n*e/(d*2^shift), which stays below the 1/d gap to the next integer
+    // while n*e < 2^shift.  (bound*e < 2^32 * 2^31 cannot wrap.)
+    if (bound * (magic * d - pow) >= pow) return std::nullopt;
+    u32_divider div;
+    div.magic_ = static_cast<std::uint32_t>(magic);
+    div.shift_ = shift;
+    return div;
+  }
+
+  constexpr std::uint64_t divide(std::uint64_t n) const noexcept {
+    return (n * magic_) >> shift_;
+  }
+  constexpr std::uint32_t magic() const noexcept { return magic_; }
+  constexpr int shift() const noexcept { return shift_; }
+
+ private:
+  std::uint32_t magic_ = std::uint32_t{1} << 31;
+  int shift_ = 31;
 };
 
 /// Quantize a double to s64, saturating at the representable range instead of

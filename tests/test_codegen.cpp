@@ -313,6 +313,36 @@ TEST(CompiledGolden, WideLutTierMatchesInterpreterBitForBit) {
   }
 }
 
+TEST(CompiledGolden, LaneTierTableWithHugeValuesMatchesInterpreter) {
+  // Values near 2^62 fail the 64-bit tier's |v[i+1]| + |v[i]| bound, but
+  // only their deltas are interpolated: the table is bits32, and its
+  // lut_0_eval takes the 64-bit chain, whose products stay small.  Every x
+  // across the domain and past both ends, and inputs far outside it.
+  if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
+  quant::qdense_layer l;
+  l.input_size = 1;
+  l.output_size = 1;
+  l.weight_scale = 1;
+  l.weights = {1};
+  l.biases = {0};
+  l.act = nn::activation::tanh_act;
+  l.lut = quant::lookup_table{
+      [](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0, 8.0, 17, 1};
+  const quant::quantized_mlp q{1, 1, {std::move(l)}};
+  ASSERT_EQ(q.layer_lut_tier(0), quant::lut_tier::bits32);
+  const std::string src = emit_c_source(q, {});
+  EXPECT_EQ(src.find("lf_mul_div"), std::string::npos);
+  const auto compiled = compiled_snapshot::compile(src);
+  std::vector<fp::s64> xs;
+  for (fp::s64 x = -12; x <= 12; ++x) xs.push_back(x);
+  xs.insert(xs.end(), {fp::s64_min, -(fp::s64{1} << 40), fp::s64{1} << 40,
+                       fp::s64_max});
+  for (const fp::s64 x : xs) {
+    const fp::s64 in[] = {x};
+    ASSERT_EQ(q.infer(in), compiled.infer(in, 1)) << "x " << x;
+  }
+}
+
 TEST(CEmitter, FastVariantEmittedForSaturationFreeLayers) {
   rng g{53};
   const auto net = nn::make_aurora_net(g);

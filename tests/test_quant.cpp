@@ -297,24 +297,37 @@ TEST(QuantizedMlpFastPath, Int32OperandEdgesAgreeAcrossKernels) {
   EXPECT_GT(scan_fail, 0u);
 }
 
+/// A one-layer program whose only table is `lut`, so the table (and its
+/// guard entry) ends the arena: out[i] = lut.eval(x + i), i < outputs.
+/// Either LUT activation runs the table.
+quantized_mlp lut_program(const lookup_table& lut,
+                          nn::activation act = nn::activation::tanh_act,
+                          std::size_t outputs = 1) {
+  qdense_layer l;
+  l.input_size = 1;
+  l.output_size = outputs;
+  l.weight_scale = 1;
+  l.weights.assign(outputs, 1);
+  for (std::size_t i = 0; i < outputs; ++i) {
+    l.biases.push_back(static_cast<fp::s64>(i));
+  }
+  l.act = act;
+  l.lut = lut;
+  return quantized_mlp{1, lut.scale(), {std::move(l)}};
+}
+
 TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
-  // The quantizer's default tanh and sigmoid tables at two io scales: every
-  // x_q from just below the domain to just above it, through a one-layer
-  // program's infer_into (multiply-high divider), against the table's own
-  // 128-bit eval.
+  // The quantizer's default tanh and sigmoid tables at io_scale 1000 (the
+  // lanes' bits32 tier) and 300000 (bits64: (n-1)*span > 2^32): every x_q
+  // from just below the domain to just above it, through a one-layer
+  // program's infer_into, against the table's own 128-bit eval.
   const std::size_t entries = quantizer_config{}.lut_entries;
   for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
-    for (const fp::s64 scale : {fp::s64{1000}, fp::s64{10000}}) {
+    for (const fp::s64 scale : {fp::s64{1000}, fp::s64{300000}}) {
       const auto lut = lookup_table::for_activation(act, entries, scale);
-      qdense_layer l;
-      l.input_size = 1;
-      l.output_size = 1;
-      l.weight_scale = 1;
-      l.weights = {1};
-      l.biases = {0};
-      l.act = act;
-      l.lut = lut;
-      const quantized_mlp one{1, scale, {std::move(l)}};
+      const quantized_mlp one = lut_program(lut, act);
+      EXPECT_EQ(one.layer_lut_tier(0),
+                scale == 1000 ? lut_tier::bits32 : lut_tier::bits64);
       inference_scratch scratch;
       fp::s64 out = 0;
       std::size_t checked = 0;
@@ -337,6 +350,7 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
   // tables never produce.  Every x_q across the domain, plus a margin.
   rng g{0x1a7};
   std::size_t checked = 0;
+  std::size_t tiers[4] = {};
   for (int t = 0; t < 60; ++t) {
     const fp::s64 scale = t < 4 ? 1 : g.uniform_int(1, 4000);
     const double lo = t < 4 ? -512.0 * (t + 1) : g.uniform(-5.0, -0.01);
@@ -346,15 +360,8 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
     const double freq = g.uniform(0.5, 40.0);
     const lookup_table lut{[&](double x) { return amp * std::sin(freq * x); },
                            lo, hi, entries, scale};
-    qdense_layer l;
-    l.input_size = 1;
-    l.output_size = 1;
-    l.weight_scale = 1;
-    l.weights = {1};
-    l.biases = {0};
-    l.act = nn::activation::tanh_act;  // any LUT activation runs the table
-    l.lut = lut;
-    const quantized_mlp one{1, scale, {std::move(l)}};
+    const quantized_mlp one = lut_program(lut);
+    ++tiers[static_cast<int>(one.layer_lut_tier(0))];
     inference_scratch scratch;
     fp::s64 out = 0;
     const fp::s64 first = lut.domain_low_q() - 2;
@@ -366,12 +373,132 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
     }
   }
   EXPECT_GT(checked, 100000u);
+  // Tables whose numerators fit 32 bits interpolate in the lanes, the
+  // larger amplitudes on the scalar 64-bit chain.
+  EXPECT_GT(tiers[static_cast<int>(lut_tier::bits32)], 0u);
+  EXPECT_GT(tiers[static_cast<int>(lut_tier::bits64)], 0u);
+}
+
+TEST(QuantizedMlp, QuantizerTablesTakeLaneTier) {
+  // Every table the repository builds interpolates in the lanes: tanh and
+  // sigmoid, 128 or 1024 entries, io_scale 1 to 10^4.
+  for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
+    for (const std::size_t entries : {128, 1024}) {
+      for (const fp::s64 scale : {1, 10, 100, 1000, 10000}) {
+        const auto q = lut_program(
+            lookup_table::for_activation(act, entries, scale), act);
+        EXPECT_EQ(q.layer_lut_tier(0), lut_tier::bits32)
+            << nn::to_string(act) << " " << entries << " " << scale;
+      }
+    }
+  }
+}
+
+TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
+  // Tables whose lane numerator bound sits exactly at 2^32 - 1 (bits32) or
+  // 2^32 (bits64), through either numerator, (x - lo)*(n-1) or
+  // |dy|*(span-1) + span/2, one with span 2^31 (bits64) and one whose
+  // values exceed the 64-bit tier's proof (bits32).  Five outputs
+  // see x..x+4, so lanes 0-3 and a second group's lane 0 all look up.
+  // Each table ends the arena, so the lanes' y1 at the top reads the guard.
+  const fp::s64 i31 = fp::s64{1} << 31;
+  const auto wave = [](double x) { return 30000.0 * std::sin(x / 5000.0); };
+  // Two entries at scale 1: y_lo at x = lo, y_hi at x = hi.
+  const auto ramp = [](double lo, double hi, double y_lo, double y_hi) {
+    return lookup_table{
+        [=](double x) { return y_lo + (y_hi - y_lo) * (x - lo) / (hi - lo); },
+        lo, hi, 2, 1};
+  };
+  struct boundary {
+    lookup_table lut;
+    lut_tier tier;
+  };
+  const boundary tables[] = {
+      // span * (n - 1) = 65537 * 65535 = 2^32 - 1, and 65536 * 65536.
+      {lookup_table{wave, 0.0, 65537.0, 65536, 1}, lut_tier::bits32},
+      {lookup_table{wave, 0.0, 65536.0, 65537, 1}, lut_tier::bits64},
+      // |dy| * (span - 1) + span / 2 = (2^31 - 1) * 2 + 1 = 2^32 - 1 (a
+      // falling ramp: negative products), and 613566756 * 7 + 4 = 2^32.
+      {ramp(0.0, 3.0, static_cast<double>(i31 - 1), 0.0), lut_tier::bits32},
+      {ramp(-4.0, 4.0, 0.0, 613566756.0), lut_tier::bits64},
+      {ramp(0.0, static_cast<double>(i31), -7.0, 9.0), lut_tier::bits64},
+      // Values near 2^62 fail the 64-bit tier's |v[i+1]| + |v[i]| bound,
+      // but only their deltas (<= 15360) are interpolated.
+      {lookup_table{[](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0,
+                    8.0, 17, 1},
+       lut_tier::bits32},
+  };
+  constexpr std::size_t outputs = 5;
+  constexpr std::size_t k = 61;  // batches that straddle the 32-row chunks
+  for (std::size_t t = 0; t < std::size(tables); ++t) {
+    const lookup_table& lut = tables[t].lut;
+    const quantized_mlp q =
+        lut_program(lut, nn::activation::tanh_act, outputs);
+    ASSERT_EQ(q.layer_lut_tier(0), tables[t].tier) << "table " << t;
+    // Every x of the domain and 6 past each end; the 2^31-wide domain is
+    // walked at a prime stride between whole stretches at both ends.
+    const fp::s64 lo = lut.domain_low_q() - 6 - fp::s64{outputs};
+    const fp::s64 hi = lut.domain_low_q() + lut.domain_span_q() + 6;
+    std::vector<fp::s64> xs;
+    const auto walk = [&](fp::s64 from, fp::s64 to, fp::s64 step) {
+      for (fp::s64 x = from; x <= to; x += step) xs.push_back(x);
+    };
+    if (lut.domain_span_q() < i31) {
+      walk(lo, hi, 1);
+    } else {
+      walk(lo, lo + 4095, 1);
+      walk(lo + 4096, hi - 4097, 32749);
+      walk(hi - 4096, hi, 1);
+    }
+    inference_scratch scratch;
+    std::vector<fp::s64> out(outputs);
+    std::vector<fp::s64> batch(k * outputs);
+    for (std::size_t base = 0; base < xs.size(); base += k) {
+      const std::size_t rows = std::min(k, xs.size() - base);
+      q.infer_batch_into({xs.data() + base, rows}, rows,
+                         {batch.data(), rows * outputs}, scratch);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const fp::s64 x = xs[base + r];
+        q.infer_into({&x, 1}, out, scratch);
+        for (std::size_t i = 0; i < outputs; ++i) {
+          const fp::s64 expect = lut.eval(x + static_cast<fp::s64>(i));
+          ASSERT_EQ(out[i], expect) << "table " << t << " x " << x << " +" << i;
+          ASSERT_EQ(batch[r * outputs + i], expect)
+              << "table " << t << " x " << x << " +" << i;
+        }
+      }
+    }
+  }
+
+  // The lanes' divider against `/` over each numerator the quantizer's
+  // io_scale-1000 tables can produce.
+  for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
+    for (const std::size_t entries : {128, 1024}) {
+      const auto lut = lookup_table::for_activation(act, entries, 1000);
+      const auto& v = lut.values();
+      const auto span = static_cast<std::uint64_t>(lut.domain_span_q());
+      std::uint64_t max_dy = 0;
+      for (std::size_t i = 1; i < v.size(); ++i) {
+        max_dy = std::max(
+            max_dy, static_cast<std::uint64_t>(std::abs(v[i] - v[i - 1])));
+      }
+      const std::uint64_t bound =
+          std::max(span * (entries - 1), max_dy * (span - 1) + span / 2);
+      const auto div = fp::u32_divider::for_bound(span, bound);
+      ASSERT_TRUE(div.has_value()) << nn::to_string(act) << " " << entries;
+      for (std::uint64_t n = 0; n <= bound; ++n) {
+        ASSERT_EQ(div->divide(n), n / span)
+            << nn::to_string(act) << " " << entries << " n " << n;
+      }
+    }
+  }
 }
 
 TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
   // Layers 0 and 2 hold equal tanh tables and share layer 0's arena copy;
-  // the sigmoid table and the scale-2^30 tanh table (too wide for 64-bit
-  // interpolation) are their own.
+  // the sigmoid table, the scale-10^6 tanh table (too wide for the lanes)
+  // and the scale-2^30 tanh table (too wide for 64-bit interpolation) are
+  // their own.
   const auto lut = [](nn::activation act, std::size_t entries, fp::s64 scale) {
     return lookup_table::for_activation(act, entries, scale);
   };
@@ -379,6 +506,7 @@ TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
       lut(nn::activation::tanh_act, 1024, 1000), std::nullopt,
       lut(nn::activation::tanh_act, 1024, 1000),
       lut(nn::activation::sigmoid, 1024, 1000),
+      lut(nn::activation::tanh_act, 1024, 1000000),
       lut(nn::activation::tanh_act, 64, fp::s64{1} << 30)};
   std::vector<qdense_layer> layers;
   for (const auto& table : tables) {
@@ -392,9 +520,10 @@ TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
     layers.push_back(std::move(l));
   }
   const quantized_mlp q{2, 1000, std::move(layers)};
-  const lut_tier tiers[] = {lut_tier::bits64, lut_tier::none, lut_tier::bits64,
+  const lut_tier tiers[] = {lut_tier::bits32, lut_tier::none,
+                            lut_tier::bits32, lut_tier::bits32,
                             lut_tier::bits64, lut_tier::bits128};
-  const std::size_t sources[] = {0, 1, 0, 3, 4};
+  const std::size_t sources[] = {0, 1, 0, 3, 4, 5};
   for (std::size_t i = 0; i < q.layer_count(); ++i) {
     EXPECT_EQ(q.layer_lut_tier(i), tiers[i]) << i;
     EXPECT_EQ(q.layer_lut_source(i), sources[i]) << i;
