@@ -159,11 +159,11 @@ void infer_into_pool(benchmark::State& state, const quant::quantized_mlp& q,
   }
 }
 
-/// One infer_batch_into of the pool's next 64 rows per iteration.
+/// One infer_batch_into of the pool's next k rows per iteration.
 void infer_batch_into_pool(benchmark::State& state,
                            const quant::quantized_mlp& q,
-                           const std::vector<fp::s64>& pool) {
-  constexpr std::size_t k = 64;
+                           const std::vector<fp::s64>& pool,
+                           std::size_t k = 64) {
   const std::size_t in = q.input_size();
   std::vector<fp::s64> outs(k * q.output_size());
   quant::inference_scratch scratch;
@@ -172,7 +172,7 @@ void infer_batch_into_pool(benchmark::State& state,
     q.infer_batch_into({pool.data() + r * in, k * in}, k, outs, scratch);
     benchmark::DoNotOptimize(outs.data());
     benchmark::ClobberMemory();
-    r = (r + k) & (k_pool_rows - 1);
+    r = r + 2 * k <= k_pool_rows ? r + k : 0;
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
 }
@@ -201,11 +201,22 @@ void bm_quantized_infer_batch_into_ffnn(benchmark::State& state) {
 }
 BENCHMARK(bm_quantized_infer_batch_into_ffnn);
 
+/// k rows per call: 64 is lb_batch's batch, 1-3 are the runs a switch
+/// drain feeds, 3 and 4 straddle the blocks' break-even (k_lanes_min in
+/// quantized_mlp.cpp), and 5 and 8 are a short and a whole block.
 void bm_quantized_infer_batch_into_lb_mlp(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
-  infer_batch_into_pool(state, snap.program, input_pool(snap.input_size()));
+  infer_batch_into_pool(state, snap.program, input_pool(snap.input_size()),
+                        static_cast<std::size_t>(state.range(0)));
 }
-BENCHMARK(bm_quantized_infer_batch_into_lb_mlp);
+BENCHMARK(bm_quantized_infer_batch_into_lb_mlp)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(8)
+    ->Arg(64);
 
 // ------------------------------------------------------------ flow cache --
 

@@ -122,6 +122,16 @@ bool all_in_range(const s64* v, std::size_t n, s64 lo, s64 hi) noexcept {
   return ok;
 }
 
+/// Samples per block of infer_batch_into's sample lanes: two 4-lane
+/// vectors.
+constexpr std::size_t k_lanes = 8;
+
+/// The fewest real samples for which a block beats one infer_into per
+/// sample; shorter blocks run per sample.  An LB-MLP block costs about
+/// 3.5 infer_into calls (bench_micro's bm_quantized_infer_batch_into_lb_mlp
+/// at k = 3, 4 and 8).
+constexpr std::size_t k_lanes_min = 4;
+
 #if defined(__x86_64__)
 /// A bits32 table as the lanes read it.
 struct lane_table {
@@ -166,17 +176,42 @@ __attribute__((target("avx2"))) inline __m256i lane_lookup(
                           _mm256_sub_epi64(_mm256_xor_si256(q, sign), sign));
 }
 
+/// The scalar epilogue on four accumulators: requantize (round half away
+/// on the magnitude, restore the sign; |acc| + half < 2^63 by the
+/// no-saturation proof, so the logical shift by `shift` >= 0 is exact),
+/// then activate (tanh_act stands for both LUT activations and reads
+/// `lut`).
+template <nn::activation Act>
+__attribute__((target("avx2"))) inline __m256i lane_epilogue(
+    __m256i acc, __m256i half, __m128i shift, const lane_table& lut) noexcept {
+  const __m256i zero = _mm256_setzero_si256();
+  if constexpr (Act == nn::activation::relu) {
+    // relu(requantize(acc)): a non-positive accumulator rounds to a
+    // non-positive value, which relu zeroes, so only acc > 0 lanes keep
+    // (acc + half) >> shift and the sign restore drops out.
+    const __m256i pos = _mm256_cmpgt_epi64(acc, zero);
+    return _mm256_and_si256(
+        _mm256_srl_epi64(_mm256_add_epi64(acc, half), shift), pos);
+  } else {
+    const __m256i sign = _mm256_cmpgt_epi64(zero, acc);  // 0 or -1
+    const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(acc, sign), sign);
+    const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, half), shift);
+    const __m256i pre = _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign);
+    if constexpr (Act == nn::activation::tanh_act) {
+      return lane_lookup(pre, lut);
+    } else {
+      return pre;
+    }
+  }
+}
+
 /// acc[0..4G) = b[0..4G) + sum_j w[j*stride + 0..4G) * x[j], four 64-bit
 /// lanes per group.  _mm256_mul_epi32 multiplies the sign-extended low 32
 /// bits of each lane, which is the exact product when both operands fit
 /// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
-/// any summation order.  The epilogue then runs in the lanes: each group is
-/// requantized as the scalar epilogue does it (round half away on the
-/// magnitude, restore the sign; |acc| + half < 2^63 by the proof, so the
-/// logical shift by `shift` >= 0 is exact), activated (tanh_act stands for
-/// both LUT activations and reads `lut`) and stored whole to `out`.
-/// Padding lanes have zero weights and bias; a LUT layer's still look up
-/// the table, which the clamp keeps in bounds.
+/// any summation order.  Each group then runs lane_epilogue and is stored
+/// whole to `out`.  Padding lanes have zero weights and bias; a LUT layer's
+/// still look up the table, which the clamp keeps in bounds.
 template <nn::activation Act, int G>
 __attribute__((target("avx2"))) void mac_i32_groups(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
@@ -199,28 +234,12 @@ __attribute__((target("avx2"))) void mac_i32_groups(
       a[g] = _mm256_add_epi64(a[g], _mm256_mul_epi32(wj, xj));
     }
   }
-  const __m256i zero = _mm256_setzero_si256();
   const __m256i h = _mm256_set1_epi64x(half);
   const __m128i count = _mm_cvtsi32_si128(shift);
 #pragma GCC unroll 4
   for (int g = 0; g < G; ++g) {
-    if constexpr (Act == nn::activation::relu) {
-      // relu(requantize(acc)): a non-positive accumulator rounds to a
-      // non-positive value, which relu zeroes, so only acc > 0 lanes keep
-      // (acc + half) >> shift and the sign restore drops out.
-      const __m256i pos = _mm256_cmpgt_epi64(a[g], zero);
-      a[g] = _mm256_and_si256(
-          _mm256_srl_epi64(_mm256_add_epi64(a[g], h), count), pos);
-    } else {
-      const __m256i sign = _mm256_cmpgt_epi64(zero, a[g]);  // 0 or -1
-      const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(a[g], sign), sign);
-      const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, h), count);
-      a[g] = _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign);
-      if constexpr (Act == nn::activation::tanh_act) {
-        a[g] = lane_lookup(a[g], lut);
-      }
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * g), a[g]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * g),
+                        lane_epilogue<Act>(a[g], h, count, lut));
   }
 }
 
@@ -262,6 +281,91 @@ __attribute__((target("avx2"))) void mac_i32_layer(
     mac_i32_block<Act>(w + o, stride, b + o, x, n, groups, shift, half, lut,
                        out + o);
   }
+}
+
+/// G consecutive outputs of a layer (w, b and y start at the first) for the
+/// 8 samples of a block, whose rows hold one value per sample:
+/// y[g*8 + s] = epilogue(b[g] + sum_j w[j*stride + g] * x[j*8 + s]).  Each
+/// weight is broadcast to both vectors, and the product is exact as in
+/// mac_i32_groups.  Returns the lanes whose stored value left int32 (all
+/// ones), for the next layer's operand check; relu outputs are never
+/// negative, so only their upper bound is compared.
+template <nn::activation Act, int G>
+__attribute__((target("avx2"))) __m256i mac_samples_groups(
+    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    std::size_t n, __m256i half, __m128i shift, const lane_table& table,
+    s64* y) noexcept {
+  const lane_table lut = table;  // a local copy: stores to y cannot alias it
+  __m256i a[G][2];
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) a[g][0] = a[g][1] = _mm256_set1_epi64x(b[g]);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto* xj = reinterpret_cast<const __m256i*>(x + j * k_lanes);
+    const __m256i x0 = _mm256_loadu_si256(xj);
+    const __m256i x1 = _mm256_loadu_si256(xj + 1);
+    const s64* row = w + j * stride;
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const __m256i wj = _mm256_set1_epi64x(row[g]);
+      a[g][0] = _mm256_add_epi64(a[g][0], _mm256_mul_epi32(wj, x0));
+      a[g][1] = _mm256_add_epi64(a[g][1], _mm256_mul_epi32(wj, x1));
+    }
+  }
+  const __m256i i32_max = _mm256_set1_epi64x(INT32_MAX);
+  const __m256i i32_min = _mm256_set1_epi64x(INT32_MIN);
+  __m256i bad = _mm256_setzero_si256();
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    for (int v = 0; v < 2; ++v) {
+      const __m256i r = lane_epilogue<Act>(a[g][v], half, shift, lut);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + g * k_lanes + 4 * v),
+                          r);
+      bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(r, i32_max));
+      if constexpr (Act != nn::activation::relu) {
+        bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(i32_min, r));
+      }
+    }
+  }
+  return bad;
+}
+
+/// A layer of `m` outputs (shift >= 0; a bits32 table for tanh_act) on the
+/// sample lanes: rows x[j*8 + s] for j < n in, y[i*8 + s] for i < m out.
+/// False when a stored value left int32.
+template <nn::activation Act>
+__attribute__((target("avx2"))) bool mac_samples_layer(
+    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    std::size_t n, std::size_t m, int shift, s64 half, const lane_table& lut,
+    s64* y) noexcept {
+  const __m256i h = _mm256_set1_epi64x(half);
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  __m256i bad = _mm256_setzero_si256();
+  for (std::size_t o = 0; o < m; o += 4) {
+    const s64* wo = w + o;
+    const s64* bo = b + o;
+    s64* yo = y + o * k_lanes;
+    __m256i r;
+    switch (std::min<std::size_t>(4, m - o)) {
+      case 4:
+        r = mac_samples_groups<Act, 4>(wo, stride, bo, x, n, h, count, lut,
+                                       yo);
+        break;
+      case 3:
+        r = mac_samples_groups<Act, 3>(wo, stride, bo, x, n, h, count, lut,
+                                       yo);
+        break;
+      case 2:
+        r = mac_samples_groups<Act, 2>(wo, stride, bo, x, n, h, count, lut,
+                                       yo);
+        break;
+      default:
+        r = mac_samples_groups<Act, 1>(wo, stride, bo, x, n, h, count, lut,
+                                       yo);
+        break;
+    }
+    bad = _mm256_or_si256(bad, r);
+  }
+  return _mm256_testz_si256(bad, bad) != 0;
 }
 #endif
 
@@ -446,6 +550,9 @@ void quantized_mlp::build_arena() {
   }
   // Activation rows hold whole 4-lane groups: the int32 kernel stores them.
   max_width_ = padded(max_width_);
+  sample_lanes_ = std::all_of(descs_.begin(), descs_.end(), [](const auto& d) {
+    return d.saturation_free && d.simd;
+  });
 }
 
 std::size_t quantized_mlp::layer_lut_source(std::size_t i) const {
@@ -646,56 +753,99 @@ void quantized_mlp::infer_into(std::span<const s64> input_q, std::span<s64> out,
   std::copy_n(cur, out.size(), out.data());
 }
 
+bool quantized_mlp::run_block(const s64* in, std::size_t real, s64* out,
+                              s64* rows) const {
+#if defined(__x86_64__)
+  using nn::activation;
+  // Transpose the caller's rows into x[j*8 + s], spare lanes repeating the
+  // last real sample.  Each value must lie within the no-saturation bound
+  // and, for the first layer's operands, int32 (which the bound implies
+  // when that layer's operands are proven).
+  const s64 lo = std::max<s64>(-fastpath_input_bound_, INT32_MIN);
+  const s64 hi = std::min<s64>(fastpath_input_bound_, INT32_MAX);
+  s64* x = rows;
+  s64* y = rows + k_lanes * max_width_;
+  bool ok = true;
+  for (std::size_t s = 0; s < k_lanes; ++s) {
+    const s64* row = in + std::min(s, real - 1) * input_size_;
+    for (std::size_t j = 0; j < input_size_; ++j) {
+      x[j * k_lanes + s] = row[j];
+      ok &= (row[j] >= lo) & (row[j] <= hi);
+    }
+  }
+  if (!ok) return false;
+  for (const layer_desc& d : descs_) {
+    const s64* w = arena_.data() + d.weights_off;
+    const s64* b = arena_.data() + d.biases_off;
+    const lane_table lut{arena_.data() + d.lut_off, d.lut_lo_q,
+                         d.lut_step_num, d.lut_entries - 1, d.lut_div32};
+    switch (d.act) {
+      case activation::linear:
+        ok = mac_samples_layer<activation::linear>(
+            w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
+            lut, y);
+        break;
+      case activation::relu:
+        ok = mac_samples_layer<activation::relu>(
+            w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
+            lut, y);
+        break;
+      case activation::tanh_act:
+      case activation::sigmoid:
+        ok = mac_samples_layer<activation::tanh_act>(
+            w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
+            lut, y);
+        break;
+    }
+    // A row outside int32 breaks the next layer's operand precondition;
+    // the last layer's rows are only copied out.
+    if (!ok && &d != &descs_.back()) return false;
+    std::swap(x, y);
+  }
+  const std::size_t out_sz = output_size();
+  for (std::size_t s = 0; s < real; ++s) {
+    for (std::size_t i = 0; i < out_sz; ++i) {
+      out[s * out_sz + i] = x[i * k_lanes + s];
+    }
+  }
+  return true;
+#else
+  (void)in, (void)real, (void)out, (void)rows;
+  return false;
+#endif
+}
+
 void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
                                      std::size_t k, std::span<s64> outs,
                                      inference_scratch& scratch) const {
-  if (inputs.size() != k * input_size_) {
+  const std::size_t out_sz = output_size();
+  std::size_t total = 0;
+  if (__builtin_mul_overflow(k, input_size_, &total) ||
+      inputs.size() != total) {
     throw std::invalid_argument{
         "quantized_mlp::infer_batch_into input size mismatch"};
   }
-  if (outs.size() != k * output_size()) {
+  if (__builtin_mul_overflow(k, out_sz, &total) || outs.size() != total) {
     throw std::invalid_argument{
         "quantized_mlp::infer_batch_into output size mismatch"};
   }
-  // Bound the scratch footprint for arbitrarily large batches: the weight
-  // pass is amortized within each chunk, and 32 samples already amortize
-  // the per-layer dispatch and weight streaming almost completely.
-  constexpr std::size_t k_chunk = 32;
-  const std::size_t chunk = k < k_chunk ? k : k_chunk;
-  if (scratch.buf_.size() < 2 * max_width_ * chunk) {
-    scratch.buf_.resize(2 * max_width_ * chunk);
+  if (scratch.buf_.size() < 2 * k_lanes * max_width_) {
+    scratch.buf_.resize(2 * k_lanes * max_width_);
   }
-  const std::size_t out_sz = output_size();
-
-  for (std::size_t base = 0; base < k; base += k_chunk) {
-    const std::size_t c = std::min(k_chunk, k - base);
-    // Per-sample mode so each sample's result matches its scalar
-    // infer_into() exactly: within the bound the no-saturation proofs
-    // apply, beyond it that sample runs fully saturating.
-    bool fast_mode[k_chunk];
-    for (std::size_t s = 0; s < c; ++s) {
-      fast_mode[s] = all_in_range(inputs.data() + (base + s) * input_size_,
-                                  input_size_, -fastpath_input_bound_,
-                                  fastpath_input_bound_);
+  // Blocks of 8 samples run on the sample lanes when every layer can; a
+  // block that fails a check, and one too short to repay its spare lanes,
+  // runs its real samples one by one.
+  for (std::size_t base = 0; base < k; base += k_lanes) {
+    const std::size_t real = std::min(k_lanes, k - base);
+    const auto in = inputs.subspan(base * input_size_, real * input_size_);
+    const auto out = outs.subspan(base * out_sz, real * out_sz);
+    if (sample_lanes_ && real >= k_lanes_min &&
+        run_block(in.data(), real, out.data(), scratch.buf_.data())) {
+      continue;
     }
-
-    s64* const half_a = scratch.buf_.data();
-    s64* const half_b = scratch.buf_.data() + max_width_ * chunk;
-    for (std::size_t li = 0; li < descs_.size(); ++li) {
-      const auto& d = descs_[li];
-      const bool last = li + 1 == descs_.size();
-      s64* const dst_base = li % 2 == 0 ? half_a : half_b;
-      // Layer-outer / sample-inner: d's weight rows are read c times while
-      // hot instead of being evicted between samples by the other layers.
-      // Rows are padded as in infer_into; the last layer's are copied out.
-      for (std::size_t s = 0; s < c; ++s) {
-        const s64* in = li == 0 ? inputs.data() + (base + s) * input_size_
-                                : (li % 2 == 0 ? half_b : half_a) +
-                                      s * max_width_;
-        s64* const dst = dst_base + s * max_width_;
-        run(d, fast_mode[s], in, dst);
-        if (last) std::copy_n(dst, out_sz, outs.data() + (base + s) * out_sz);
-      }
+    for (std::size_t s = 0; s < real; ++s) {
+      infer_into(in.subspan(s * input_size_, input_size_),
+                 out.subspan(s * out_sz, out_sz), scratch);
     }
   }
 }
@@ -727,9 +877,13 @@ std::size_t quantized_mlp::mac_count() const noexcept {
 
 std::size_t quantized_mlp::parameter_bytes() const noexcept {
   std::size_t n = 0;
-  for (const auto& layer : layers_) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const auto& layer = layers_[i];
     n += (layer.weights.size() + layer.biases.size()) * sizeof(s64);
-    if (layer.lut) n += layer.lut->values().size() * sizeof(s64);
+    // A table shared with an earlier layer is stored once.
+    if (layer.lut && layer_lut_source(i) == i) {
+      n += layer.lut->values().size() * sizeof(s64);
+    }
   }
   return n;
 }

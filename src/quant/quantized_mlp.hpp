@@ -29,7 +29,9 @@ class quantized_mlp;
 /// kernel.  Only saturation-free layers qualify.
 enum class operand_proof : std::uint8_t {
   none,      ///< always scalar: a weight exceeds int32 or the MAC may saturate
-  per_call,  ///< weights fit; each call scans the layer's input vector
+  per_call,  ///< weights fit; infer_into scans the layer's input vector on
+             ///< each call, and infer_batch_into's sample lanes check each
+             ///< row as it is stored (the caller's as they are transposed)
   proven,    ///< weights fit and the propagated input bound is below 2^31
 };
 
@@ -44,8 +46,9 @@ enum class lut_tier : std::uint8_t {
 };
 
 /// Caller-owned scratch for the zero-allocation fast path.  Holds the two
-/// ping-pong activation buffers `infer_into` works in; reusing one scratch
-/// across calls makes inference allocation-free after the first use.
+/// ping-pong activation buffers `infer_into` works in, or the two blocks of
+/// sample rows `infer_batch_into` works in; reusing one scratch across
+/// calls makes inference allocation-free after the first use.
 class inference_scratch {
  public:
   inference_scratch() = default;
@@ -105,13 +108,16 @@ class quantized_mlp {
 
   /// Batched fast path: run `k` independent inferences in one call,
   /// bit-for-bit identical to k scalar infer_into() calls.  `inputs` is
-  /// row-major k x input_size(), `outs` row-major k x output_size().  The
-  /// loop nest is layer-outer / sample-inner, so each layer's weight rows
-  /// stream from cache once per *batch* instead of once per sample — this
-  /// is the "one weight pass over K flows" the rt engine's route_batch
-  /// feeds (same-generation packet runs), and the shape the future SIMD/JIT
-  /// backend will specialize.  Zero-allocation once `scratch` is warm
-  /// (internally chunked, so scratch stays bounded for any k).
+  /// row-major k x input_size(), `outs` row-major k x output_size(); a k
+  /// whose sizes overflow is rejected.  This is the "one weight pass over
+  /// K flows" the rt engine's route_batch feeds (same-generation packet
+  /// runs).  Blocks of 8 samples run with the AVX2 lanes carrying samples:
+  /// each weight is broadcast once per block and each layer's rows are
+  /// the next layer's input, when every layer is saturation-free and on
+  /// the int32 kernel, every sample is within fastpath_input_bound(), and
+  /// every row fits int32.  Other blocks, and blocks of fewer than 4 real
+  /// samples, run one infer_into per sample.  Zero-allocation once
+  /// `scratch` is warm; its size does not depend on k.
   void infer_batch_into(std::span<const s64> inputs, std::size_t k,
                         std::span<s64> outs, inference_scratch& scratch) const;
 
@@ -190,6 +196,13 @@ class quantized_mlp {
   void run(const layer_desc& d, bool in_bounds, const s64* in,
            s64* out) const;
 
+  /// The whole program on the sample lanes for one block of infer_batch_into:
+  /// `real` (1..8) input rows at `in`, their outputs to `out`, `rows` a
+  /// scratch of 16 * max_width_.  False, with `out` untouched, when a value
+  /// fails the bound or int32 check.
+  bool run_block(const s64* in, std::size_t real, s64* out,
+                 s64* rows) const;
+
   template <bool Saturating, nn::activation Act>
   void run_layer(const layer_desc& d, const s64* in, s64* out) const;
 
@@ -211,6 +224,9 @@ class quantized_mlp {
   /// Widest activation vector, rounded up to whole 4-lane groups: the
   /// length of each scratch row.
   std::size_t max_width_ = 0;
+  /// Every layer is saturation-free and simd, so infer_batch_into's blocks
+  /// may take the sample lanes.
+  bool sample_lanes_ = false;
 };
 
 }  // namespace lf::quant

@@ -147,13 +147,67 @@ TEST(QuantizedMlpFastPath, InferIntoMatchesInferBitForBit) {
   }
 }
 
+/// True when infer_batch_into's blocks of q run on the sample lanes on this
+/// CPU: every layer saturation-free, with int32 weights, a power-of-two
+/// weight scale and no table or a bits32 one.
+bool takes_sample_lanes(const quantized_mlp& q) {
+  if (!quantized_mlp::simd_dispatch()) return false;
+  for (std::size_t i = 0; i < q.layer_count(); ++i) {
+    const fp::s64 ws = q.layer(i).weight_scale;
+    const lut_tier tier = q.layer_lut_tier(i);
+    if (!q.layer_saturation_free(i) ||
+        q.layer_operand_proof(i) == operand_proof::none ||
+        (ws & (ws - 1)) != 0 ||
+        (tier != lut_tier::none && tier != lut_tier::bits32)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// infer() on each of the k rows of `inputs`, concatenated.
+std::vector<fp::s64> infer_rows(const quantized_mlp& q,
+                                std::span<const fp::s64> inputs,
+                                std::size_t k) {
+  std::vector<fp::s64> out;
+  for (std::size_t s = 0; s < k; ++s) {
+    const auto row =
+        q.infer(inputs.subspan(s * q.input_size(), q.input_size()));
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+/// infer_batch_into on the k rows of `inputs`.
+std::vector<fp::s64> batch_rows(const quantized_mlp& q,
+                                std::span<const fp::s64> inputs,
+                                std::size_t k, inference_scratch& scratch) {
+  std::vector<fp::s64> out(k * q.output_size());
+  q.infer_batch_into(inputs, k, out, scratch);
+  return out;
+}
+
 TEST(QuantizedMlpFastPath, InferBatchMatchesScalarBitForBit) {
-  // The batched kernel (layer-outer/sample-inner) must be indistinguishable
-  // from k scalar infer_into calls — including batches that mix fast-mode
-  // samples with ones beyond the no-saturation bound, and k values that
-  // exercise the internal chunking (k > 32) and the empty batch.
+  // The batched kernel must be indistinguishable from k scalar infer_into
+  // calls: on batches that mix fast-mode samples with ones beyond the
+  // no-saturation bound, and on all-in-bound batches of every k in 0..20
+  // and 33..80 on programs that take the sample lanes, so whole blocks,
+  // tails on both sides of the break-even and the empty batch all run.
   rng g{0xba7c};
   inference_scratch scratch;
+  const auto expect_scalar = [](const quantized_mlp& q,
+                                std::span<const fp::s64> inputs,
+                                std::size_t k) {
+    std::vector<fp::s64> expect(k * q.output_size());
+    inference_scratch scalar_scratch;
+    for (std::size_t s = 0; s < k; ++s) {
+      q.infer_into(inputs.subspan(s * q.input_size(), q.input_size()),
+                   std::span<fp::s64>{expect}.subspan(s * q.output_size(),
+                                                      q.output_size()),
+                   scalar_scratch);
+    }
+    return expect;
+  };
   for (int trial = 0; trial < 60; ++trial) {
     const auto q = random_qmlp(g, trial >= 30);
     const auto k = static_cast<std::size_t>(
@@ -163,19 +217,125 @@ TEST(QuantizedMlpFastPath, InferBatchMatchesScalarBitForBit) {
       v = g.bernoulli(0.85) ? g.uniform_int(-2000, 2000)
                             : g.uniform_int(fp::s64_min / 2, fp::s64_max / 2);
     }
-    std::vector<fp::s64> expect(k * q.output_size());
-    inference_scratch scalar_scratch;
-    for (std::size_t s = 0; s < k; ++s) {
-      q.infer_into(
-          std::span<const fp::s64>{inputs}.subspan(s * q.input_size(),
-                                                   q.input_size()),
-          std::span<fp::s64>{expect}.subspan(s * q.output_size(),
-                                             q.output_size()),
-          scalar_scratch);
+    ASSERT_EQ(expect_scalar(q, inputs, k), batch_rows(q, inputs, k, scratch))
+        << "trial " << trial << " k " << k;
+  }
+  std::size_t lane_programs = 0;
+  for (std::size_t k = 0; k <= 80; k = k == 20 ? 33 : k + 1) {
+    auto q = random_qmlp(g, false);
+    for (int draw = 0; draw < 100 && !takes_sample_lanes(q); ++draw) {
+      q = random_qmlp(g, false);
     }
-    std::vector<fp::s64> got(k * q.output_size());
-    q.infer_batch_into(inputs, k, got, scratch);
-    ASSERT_EQ(expect, got) << "trial " << trial << " k " << k;
+    lane_programs += takes_sample_lanes(q);
+    std::vector<fp::s64> inputs(k * q.input_size());
+    for (auto& v : inputs) v = g.uniform_int(-2000, 2000);
+    const auto got = batch_rows(q, inputs, k, scratch);
+    ASSERT_EQ(expect_scalar(q, inputs, k), got) << "in bound, k " << k;
+    ASSERT_EQ(infer_rows(q, inputs, k), got) << "in bound, k " << k;
+  }
+  if (quantized_mlp::simd_dispatch()) {
+    EXPECT_EQ(lane_programs, 21u + 48u);
+  }
+}
+
+TEST(QuantizedMlpFastPath, InferBatchOutOfBoundSampleAtEachLane) {
+  // One value outside the lanes' input range in sample p, for every p of a
+  // whole block (k = 8) and of a block plus a tail (k = 13: the second
+  // block holds 5 real samples and 3 spare lanes repeating sample 12).
+  // The range is fastpath_input_bound() for LB-MLP, whose first layer's
+  // operands are proven, and int32 for a program at io_scale 2^12, whose
+  // bound 2^32 leaves them to the per-call check.  The values sit at
+  // both ends of the range and one past each; every output must equal
+  // infer().
+  rng g{0x0b0d};
+  qdense_layer wide_layer;
+  wide_layer.input_size = 3;
+  wide_layer.output_size = 5;
+  wide_layer.weight_scale = 16;
+  for (int i = 0; i < 15; ++i) {
+    wide_layer.weights.push_back(g.uniform_int(-64, 64));
+  }
+  wide_layer.biases.assign(5, 1000);
+  wide_layer.act = nn::activation::relu;
+  const quantized_mlp progs[] = {
+      quantize(nn::make_lb_mlp_net(g)),
+      quantized_mlp{3, fp::s64{1} << 12, {wide_layer}}};
+  ASSERT_EQ(progs[0].layer_operand_proof(0), operand_proof::proven);
+  ASSERT_EQ(progs[1].layer_operand_proof(0), operand_proof::per_call);
+  inference_scratch scratch;
+  for (const quantized_mlp& q : progs) {
+    ASSERT_EQ(takes_sample_lanes(q), quantized_mlp::simd_dispatch());
+    const fp::s64 hi = std::min(q.fastpath_input_bound(), i32_max);
+    const fp::s64 lo = std::max(-q.fastpath_input_bound(), i32_min);
+    const std::size_t in = q.input_size();
+    for (const std::size_t k : {8, 13}) {
+      for (std::size_t p = 0; p < k; ++p) {
+        for (const fp::s64 v : {hi, hi + 1, lo, lo - 1, fp::s64_max}) {
+          std::vector<fp::s64> x(k * in);
+          for (auto& e : x) e = g.uniform_int(-900, 900);
+          x[p * in + static_cast<std::size_t>(g.uniform_int(
+                         0, static_cast<fp::s64>(in) - 1))] = v;
+          ASSERT_EQ(infer_rows(q, x, k), batch_rows(q, x, k, scratch))
+              << "io_scale " << q.io_scale() << " k " << k << " sample " << p
+              << " value " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizedMlpFastPath, InferBatchInt32FailureInOneLane) {
+  // random_qmlp's edge programs put hidden outputs near +-2^31, and inputs
+  // up to 10^9 (still within the bound) push others past it.  On programs
+  // that take the sample lanes, a block holds 8 copies of a sample whose
+  // hidden rows fit int32, except lane p, which holds a sample with a
+  // hidden value outside int32: exactly one lane fails the check in the
+  // epilogue of a layer that feeds another.  The block must leave the
+  // lanes and still equal infer() in every lane, for every p.
+  rng g{0x1a4e};
+  inference_scratch scratch;
+  std::size_t programs = 0;
+  for (int trial = 0; trial < 3000 && programs < 12; ++trial) {
+    const auto q = random_qmlp(g, false, true);
+    if (q.layer_count() < 2 || !takes_sample_lanes(q)) continue;
+    const std::size_t in = q.input_size();
+    std::vector<quantized_mlp> prefixes;  // layers 0..li, li < last
+    for (std::size_t li = 0; li + 1 < q.layer_count(); ++li) {
+      std::vector<qdense_layer> layers;
+      for (std::size_t p = 0; p <= li; ++p) layers.push_back(q.layer(p));
+      prefixes.emplace_back(in, q.io_scale(), std::move(layers));
+    }
+    const auto hidden_fits = [&](const std::vector<fp::s64>& x) {
+      return std::all_of(prefixes.begin(), prefixes.end(), [&](const auto& p) {
+        const auto h = p.infer(x);
+        return std::all_of(h.begin(), h.end(), [](fp::s64 v) {
+          return v >= i32_min && v <= i32_max;
+        });
+      });
+    };
+    std::optional<std::vector<fp::s64>> fits;
+    std::optional<std::vector<fp::s64>> fails;
+    for (int draw = 0; draw < 64 && !(fits && fails); ++draw) {
+      // Within the input bound (1000 * 2^20) either way.
+      const fp::s64 mag = draw % 2 == 0 ? 2000 : 1000000000;
+      std::vector<fp::s64> x(in);
+      for (auto& v : x) v = g.uniform_int(-mag, mag);
+      (hidden_fits(x) ? fits : fails) = std::move(x);
+    }
+    if (!fits || !fails) continue;
+    ++programs;
+    for (std::size_t p = 0; p < 8; ++p) {
+      std::vector<fp::s64> x;
+      for (std::size_t s = 0; s < 8; ++s) {
+        const auto& row = s == p ? *fails : *fits;
+        x.insert(x.end(), row.begin(), row.end());
+      }
+      ASSERT_EQ(infer_rows(q, x, 8), batch_rows(q, x, 8, scratch))
+          << "trial " << trial << " failing lane " << p;
+    }
+  }
+  if (quantized_mlp::simd_dispatch()) {
+    EXPECT_EQ(programs, 12u);
   }
 }
 
@@ -189,6 +349,14 @@ TEST(QuantizedMlpFastPath, InferBatchValidatesSpanSizes) {
   EXPECT_THROW(q.infer_batch_into(in, 2, out, scratch), std::invalid_argument);
   std::vector<fp::s64> out_bad(2 * q.output_size());
   EXPECT_THROW(q.infer_batch_into(in, 3, out_bad, scratch),
+               std::invalid_argument);
+  // LB-MLP has 6 inputs and 2 outputs: at k = 2^63 both sizes wrap to 0,
+  // which empty spans would match.
+  const auto lb = quantize(nn::make_lb_mlp_net(g));
+  const std::size_t huge = std::size_t{1} << 63;
+  EXPECT_THROW(lb.infer_batch_into({}, huge, {}, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(q.infer_batch_into({}, huge, {}, scratch),
                std::invalid_argument);
 }
 
@@ -316,11 +484,37 @@ quantized_mlp lut_program(const lookup_table& lut,
   return quantized_mlp{1, lut.scale(), {std::move(l)}};
 }
 
+/// Every x in [first, last] through the one-input, one-output program q:
+/// one infer_into per x, and infer_batch_into 64 x at a time (the last
+/// batch short, so a tail block runs too).  Returns the first x at which
+/// either differs from lut.eval(x).
+std::optional<fp::s64> first_table_mismatch(const quantized_mlp& q,
+                                            const lookup_table& lut,
+                                            fp::s64 first, fp::s64 last) {
+  constexpr std::size_t k = 64;
+  inference_scratch scratch;
+  std::vector<fp::s64> xs;
+  std::vector<fp::s64> batch(k);
+  fp::s64 out = 0;
+  for (fp::s64 base = first; base <= last; base += k) {
+    xs.clear();
+    for (fp::s64 x = base; x <= last && xs.size() < k; ++x) xs.push_back(x);
+    q.infer_batch_into(xs, xs.size(), {batch.data(), xs.size()}, scratch);
+    for (std::size_t r = 0; r < xs.size(); ++r) {
+      q.infer_into({&xs[r], 1}, {&out, 1}, scratch);
+      const fp::s64 expect = lut.eval(xs[r]);
+      if (out != expect || batch[r] != expect) return xs[r];
+    }
+  }
+  return std::nullopt;
+}
+
 TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
   // The quantizer's default tanh and sigmoid tables at io_scale 1000 (the
   // lanes' bits32 tier) and 300000 (bits64: (n-1)*span > 2^32): every x_q
   // from just below the domain to just above it, through a one-layer
-  // program's infer_into, against the table's own 128-bit eval.
+  // program's infer_into and infer_batch_into (the sample lanes for the
+  // bits32 tables), against the table's own 128-bit eval.
   const std::size_t entries = quantizer_config{}.lut_entries;
   for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
     for (const fp::s64 scale : {fp::s64{1000}, fp::s64{300000}}) {
@@ -328,17 +522,11 @@ TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
       const quantized_mlp one = lut_program(lut, act);
       EXPECT_EQ(one.layer_lut_tier(0),
                 scale == 1000 ? lut_tier::bits32 : lut_tier::bits64);
-      inference_scratch scratch;
-      fp::s64 out = 0;
-      std::size_t checked = 0;
-      const fp::s64 lo = lut.domain_low_q() - 2;
-      const fp::s64 hi = lut.domain_low_q() + lut.domain_span_q() + 2;
-      for (fp::s64 x = lo; x <= hi; ++x) {
-        one.infer_into({&x, 1}, {&out, 1}, scratch);
-        ASSERT_EQ(out, lut.eval(x)) << "x_q " << x << " scale " << scale;
-        ++checked;
-      }
-      EXPECT_EQ(checked, static_cast<std::size_t>(hi - lo + 1));
+      const auto bad =
+          first_table_mismatch(one, lut, lut.domain_low_q() - 2,
+                               lut.domain_low_q() + lut.domain_span_q() + 2);
+      EXPECT_FALSE(bad.has_value())
+          << "x_q " << bad.value_or(0) << " scale " << scale;
     }
   }
 }
@@ -347,7 +535,8 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
   // Tables with large, irregular adjacent deltas and every kind of step
   // (odd, even, power of two), so the rounding division meets remainders
   // just below, at and above half the step, which the smooth default
-  // tables never produce.  Every x_q across the domain, plus a margin.
+  // tables never produce.  Every x_q across the domain, plus a margin,
+  // through infer_into and infer_batch_into.
   rng g{0x1a7};
   std::size_t checked = 0;
   std::size_t tiers[4] = {};
@@ -362,15 +551,11 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
                            lo, hi, entries, scale};
     const quantized_mlp one = lut_program(lut);
     ++tiers[static_cast<int>(one.layer_lut_tier(0))];
-    inference_scratch scratch;
-    fp::s64 out = 0;
     const fp::s64 first = lut.domain_low_q() - 2;
     const fp::s64 last = lut.domain_low_q() + lut.domain_span_q() + 2;
-    for (fp::s64 x = first; x <= last; ++x) {
-      one.infer_into({&x, 1}, {&out, 1}, scratch);
-      ASSERT_EQ(out, lut.eval(x)) << "table " << t << " x_q " << x;
-      ++checked;
-    }
+    const auto bad = first_table_mismatch(one, lut, first, last);
+    ASSERT_FALSE(bad.has_value()) << "table " << t << " x_q " << *bad;
+    checked += static_cast<std::size_t>(last - first + 1);
   }
   EXPECT_GT(checked, 100000u);
   // Tables whose numerators fit 32 bits interpolate in the lanes, the
@@ -542,19 +727,6 @@ TEST(QuantizedMlpFastPath, ValidatesSpanSizes) {
   EXPECT_THROW(q.infer_into(in, out_bad, scratch), std::invalid_argument);
 }
 
-/// infer() on each of the k rows of `inputs`, concatenated.
-std::vector<fp::s64> infer_rows(const quantized_mlp& q,
-                                std::span<const fp::s64> inputs,
-                                std::size_t k) {
-  std::vector<fp::s64> out;
-  for (std::size_t s = 0; s < k; ++s) {
-    const auto row =
-        q.infer(inputs.subspan(s * q.input_size(), q.input_size()));
-    out.insert(out.end(), row.begin(), row.end());
-  }
-  return out;
-}
-
 TEST(QuantizedMlpFastPath, ScratchReusableAcrossPrograms) {
   // One scratch serves Aurora, FFNN and LB-MLP, whose padded activation rows
   // are 32, 8 and 12 wide, alternating infer_into and infer_batch_into, in
@@ -593,8 +765,10 @@ TEST(QuantizedMlpFastPath, FusedStoresStayInsideOutputAndRows) {
   // hidden and output width 1..20 (each lane remainder, one to five groups,
   // across the 16-output block), with relu, linear and tanh layers mixed,
   // writes into `out` and each infer_batch_into output block sitting inside
-  // a larger buffer of sentinels.  Sentinels must survive and every output
-  // must equal infer().  Under ASan this also catches a scratch-row overrun.
+  // a larger buffer of sentinels; the batches take every block shape the
+  // sample lanes see (tails of 1..7 real samples, one to five blocks).
+  // Sentinels must survive and every output must equal infer().  Under
+  // ASan this also catches a scratch-row overrun.
   constexpr fp::s64 sentinel = 0x5e5e5e5e5e5e5e5e;
   constexpr std::size_t pad = 8;  // more than one group on each side
   const nn::activation acts[] = {nn::activation::relu,
@@ -641,7 +815,7 @@ TEST(QuantizedMlpFastPath, FusedStoresStayInsideOutputAndRows) {
         ASSERT_NE(q.layer_operand_proof(li), operand_proof::none);
       }
       inference_scratch scratch;  // fresh, so it is sized for q exactly
-      for (const std::size_t k : {1, 7, 33}) {
+      for (const std::size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33}) {
         std::vector<fp::s64> x(k * in);
         for (auto& v : x) v = g.uniform_int(-900, 900);
         const auto expect = infer_rows(q, x, k);
@@ -693,7 +867,10 @@ TEST(QuantizedMlp, MacCountAndBytes) {
   const auto q = quantize(nn::make_aurora_net(g));
   // 30*32 + 32*16 + 16*1 = 960 + 512 + 16.
   EXPECT_EQ(q.mac_count(), 1488u);
-  EXPECT_GT(q.parameter_bytes(), 1488u * 8);
+  // 1488 weights, 32 + 16 + 1 biases and one 1024-entry tanh table, which
+  // the three layers share.
+  EXPECT_EQ(q.parameter_bytes(), (1488u + 49u + 1024u) * 8);
+  EXPECT_EQ(q.parameter_bytes(), 20488u);
 }
 
 // --------------------------------------------------------------- quantizer --
