@@ -125,36 +125,6 @@ report::flight_report build_flight_report(const driver_config& cfg,
   }
   fr.tables.push_back(std::move(lifecycle));
 
-  // Shadow-gate decisions (multi-model runs only; single-model reports stay
-  // exactly as before because the table is omitted when no gate ever ran).
-  if (!mon.gates().empty()) {
-    report::table_data gates;
-    gates.id = "gates";
-    gates.title = "Shadow gate decisions";
-    gates.caption =
-        "Each row is one switch_active that went through the shadow "
-        "divergence gate: admitted rows flipped active/standby, blocked "
-        "rows kept the incumbent serving, rolled-back rows re-promoted the "
-        "probation-held previous active after live evidence condemned an "
-        "admitted switch.";
-    gates.columns = {"t (s)",   "domain model", "candidate", "version",
-                     "outcome", "samples",      "mean div",  "max div"};
-    for (const core::gate_record& g : mon.gates()) {
-      gates.rows.push_back(
-          {num(g.t), std::to_string(g.logical_model),
-           std::to_string(g.candidate), std::to_string(g.version),
-           g.rollback    ? "rolled-back"
-           : g.admitted  ? "admitted"
-                         : "blocked",
-           std::to_string(g.samples), num(g.mean_divergence),
-           num(g.max_divergence)});
-      gates.row_classes.push_back(g.rollback    ? "gate-rollback"
-                                  : g.admitted  ? "gate-admitted"
-                                                : "gate-blocked");
-    }
-    fr.tables.push_back(std::move(gates));
-  }
-
   // Fired alerts.
   report::table_data alerts;
   alerts.id = "alerts";
@@ -256,7 +226,6 @@ run_result run_experiment(experiment& exp) {
   if (monitor.enabled()) {
     out.lifecycle = monitor.ledger();
     out.alerts = monitor.alerts();
-    out.gates = monitor.gates();
   }
 
   for (const auto& [name, value] : reg.scalars()) {

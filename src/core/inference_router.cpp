@@ -13,22 +13,20 @@ inference_router::inference_router(sim::simulation& sim, nn_manager& manager,
       cache_{config.cache_initial_capacity},
       release_{[this](model_id m) { manager_.release(m); }} {}
 
-void inference_router::install_standby(model_key model, model_id id) {
+void inference_router::install_standby(model_id id) {
   if (!manager_.get(id)) {
     throw std::invalid_argument{"install_standby: model not registered"};
   }
-  auto& s = slot_of(model);
   // The standby slot itself keeps a reference so the module cannot be
   // unloaded between install and switch.
-  if (s.standby) manager_.release(*s.standby);
-  s.standby = id;
+  if (standby_) manager_.release(*standby_);
+  standby_ = id;
   manager_.add_ref(id);
   trace_.emit(sim_.now(), trace::event_type::snapshot_install, id);
 }
 
-double inference_router::switch_active(model_key model) {
-  auto& s = slot_of(model);
-  if (!s.standby) {
+double inference_router::switch_active() {
+  if (!standby_) {
     // Explicit no-standby guard: flipping an empty optional into the active
     // slot would silently deactivate the datapath (every route() falling
     // back to nullopt).  A spurious switch request is an orchestration bug,
@@ -36,39 +34,33 @@ double inference_router::switch_active(model_key model) {
     noop_switches_.inc();
     return 0.0;
   }
-  // One spinlock serializes switches across every logical model: the paper's
-  // flip is "3 lines of code" under one kernel lock, and sharing it is what
-  // makes the per-switch wait accounting comparable between deployments.
+  // The paper's flip is "3 lines of code" under one kernel lock.
   const double waited = lock_.acquire(config_.switch_lock_hold);
-  std::swap(s.active, s.standby);
+  std::swap(active_, standby_);
   switches_.inc();
-  trace_.emit(sim_.now(), trace::event_type::snapshot_switch, *s.active,
+  trace_.emit(sim_.now(), trace::event_type::snapshot_switch, *active_,
               static_cast<std::uint64_t>(waited * 1e9));
   // Drop the standby slot's reference on the demoted model; if nothing else
   // references it the caller can remove it.
-  if (s.standby) {
-    manager_.release(*s.standby);
-    s.standby.reset();
+  if (standby_) {
+    manager_.release(*standby_);
+    standby_.reset();
   }
   return waited;
 }
 
-std::optional<model_id> inference_router::route(model_key model,
-                                               netsim::flow_id_t flow) {
-  auto& s = slot_of(model);
+std::optional<model_id> inference_router::route(netsim::flow_id_t flow) {
   if (!config_.flow_cache_enabled) {
-    return s.active;
+    return active_;
   }
   const double now = sim_.now();
-  const auto key = composite_flow_key(model, flow);
   // Amortized idle eviction: constant work per packet keeps the table free
-  // of dead flows without a stop-the-world scan.  The sweep crosses model
-  // boundaries by construction — the cache is shared.
+  // of dead flows without a stop-the-world scan.
   if (config_.cache_evict_slots_per_route > 0) {
     cache_.step_evict(now, config_.cache_idle_timeout,
                       config_.cache_evict_slots_per_route, release_);
   }
-  if (auto* e = cache_.find(key)) {
+  if (auto* e = cache_.find(flow)) {
     // Hit — but the pinned model may have been force-removed; fall back.
     if (manager_.get(e->model)) {
       hits_.inc();
@@ -77,33 +69,21 @@ std::optional<model_id> inference_router::route(model_key model,
     }
     // Model already gone from the manager: drop the stale entry without a
     // release (the ref died with the force-removal).
-    cache_.erase(key, {});
+    cache_.erase(flow, {});
   }
   misses_.inc();
-  if (!s.active) return std::nullopt;
-  manager_.add_ref(*s.active);
-  cache_.insert(key, *s.active, now);
-  return s.active;
+  if (!active_) return std::nullopt;
+  manager_.add_ref(*active_);
+  cache_.insert(flow, *active_, now);
+  return active_;
 }
 
-void inference_router::flow_finished(model_key model, netsim::flow_id_t flow) {
-  cache_.erase(composite_flow_key(model, flow), release_);
+void inference_router::flow_finished(netsim::flow_id_t flow) {
+  cache_.erase(flow, release_);
 }
 
 std::size_t inference_router::expire_idle() {
   return cache_.expire_idle(sim_.now(), config_.cache_idle_timeout, release_);
-}
-
-std::optional<model_id> inference_router::active(
-    model_key model) const noexcept {
-  const auto it = slots_.find(model);
-  return it == slots_.end() ? std::nullopt : it->second.active;
-}
-
-std::optional<model_id> inference_router::standby(
-    model_key model) const noexcept {
-  const auto it = slots_.find(model);
-  return it == slots_.end() ? std::nullopt : it->second.standby;
 }
 
 void inference_router::register_metrics(metrics::registry& reg,

@@ -5,19 +5,11 @@
 // no lock because the datapath never touches the standby copy.  Switching
 // roles flips one pointer under a spinlock held for nanoseconds.
 //
-// Multi-model serving: one router now carries N independent active/standby
-// slots, one per logical `model_key`, behind ONE flow cache, ONE switch
-// spinlock and one set of counters — the shape the paper deploys (three
-// datapath functions, four NNs, one box).  Cache entries are keyed by
-// `composite_flow_key(model, flow)`, so the open-addressing table itself is
-// untouched and model 0 (the implicit single-model key every existing call
-// site uses) hashes exactly as before.
-//
 // Flow consistency: the flow cache (an open-addressing kernel hash table:
-// composite key -> model, see core/flow_cache.hpp) pins every (model, flow)
-// pair to the snapshot that served its first packet, so one flow never mixes
-// decisions from two model generations (which would, e.g., make a CC flow's
-// rate jump mid-connection).  Cached entries hold a reference on their
+// flow -> model, see core/flow_cache.hpp) pins every flow to the snapshot
+// that served its first packet, so one flow never mixes decisions from two
+// model generations (which would, e.g., make a CC flow's rate jump
+// mid-connection).  Cached entries hold a reference on their
 // model; FIN or idle-timeout eviction releases it, and a module becomes
 // removable only at refcount zero.  Idle eviction is amortized into
 // route(): every lookup also sweeps a couple of table slots, so stale flows
@@ -25,11 +17,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 
 #include "core/flow_cache.hpp"
-#include "core/model_domain.hpp"
 #include "core/nn_manager.hpp"
 #include "kernelsim/spinlock.hpp"
 #include "netsim/packet.hpp"
@@ -54,10 +44,8 @@ class inference_router {
   inference_router(sim::simulation& sim, nn_manager& manager,
                    router_config config);
 
-  /// Install a registered model as the standby snapshot of one logical
-  /// model (no lock taken).  The single-argument form serves model 0.
-  void install_standby(model_id id) { install_standby(k_default_model, id); }
-  void install_standby(model_key model, model_id id);
+  /// Install a registered model as the standby snapshot (no lock taken).
+  void install_standby(model_id id);
 
   /// Flip active/standby under the spinlock.  Returns the time the flip
   /// waited on the lock.  The old active becomes standby (and is typically
@@ -65,38 +53,20 @@ class inference_router {
   /// installed the switch is an explicit no-op: the active snapshot stays
   /// in place, no lock is taken, switch_noops() increments, and 0 is
   /// returned.
-  double switch_active() { return switch_active(k_default_model); }
-  double switch_active(model_key model);
+  double switch_active();
 
-  /// Route one inference request for one logical model: returns the
-  /// snapshot that must serve this flow (honoring the flow cache), or
-  /// nullopt if nothing is active for that model.
-  std::optional<model_id> route(netsim::flow_id_t flow) {
-    return route(k_default_model, flow);
-  }
-  std::optional<model_id> route(model_key model, netsim::flow_id_t flow);
+  /// Route one inference request: returns the snapshot that must serve
+  /// this flow (honoring the flow cache), or nullopt if nothing is active.
+  std::optional<model_id> route(netsim::flow_id_t flow);
 
   /// Flow terminated (TCP FIN): drop its cache entry, release the ref.
-  void flow_finished(netsim::flow_id_t flow) {
-    flow_finished(k_default_model, flow);
-  }
-  void flow_finished(model_key model, netsim::flow_id_t flow);
+  void flow_finished(netsim::flow_id_t flow);
 
   /// Evict cache entries idle longer than the configured timeout.
   std::size_t expire_idle();
 
-  std::optional<model_id> active() const noexcept {
-    return active(k_default_model);
-  }
-  std::optional<model_id> standby() const noexcept {
-    return standby(k_default_model);
-  }
-  std::optional<model_id> active(model_key model) const noexcept;
-  std::optional<model_id> standby(model_key model) const noexcept;
-
-  /// Logical models this router has touched (installed to or routed for);
-  /// a fresh router reports 0 — even the default model's slot is lazy.
-  std::size_t model_count() const noexcept { return slots_.size(); }
+  std::optional<model_id> active() const noexcept { return active_; }
+  std::optional<model_id> standby() const noexcept { return standby_; }
 
   std::uint64_t cache_hits() const noexcept { return hits_.value(); }
   std::uint64_t cache_misses() const noexcept { return misses_.value(); }
@@ -117,19 +87,12 @@ class inference_router {
   void register_trace(trace::collector& col, const std::string& prefix);
 
  private:
-  struct slot {
-    std::optional<model_id> active;
-    std::optional<model_id> standby;
-  };
-  slot& slot_of(model_key model) { return slots_[model]; }
-
   sim::simulation& sim_;
   nn_manager& manager_;
   router_config config_;
   kernelsim::spinlock lock_;
-  /// Per-logical-model snapshot pair; created lazily on first install so a
-  /// single-model router carries exactly one slot.
-  std::map<model_key, slot> slots_;
+  std::optional<model_id> active_;
+  std::optional<model_id> standby_;
   flow_cache cache_;
   flow_cache::evict_fn release_;  ///< built once; evictions drop model refs
   metrics::counter hits_;

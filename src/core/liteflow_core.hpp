@@ -9,28 +9,15 @@
 // query_model runs on the simulated kernel CPU: the caller's callback fires
 // after the snapshot's MAC count worth of integer work has been serviced,
 // so inference contends with packet processing exactly as in a real kernel.
-//
-// Multi-model: every query/install/switch API takes an optional leading
-// `model_key`; the keyless forms serve model 0, so single-model harnesses
-// are source- and behavior-identical.  All models share one nn_manager, one
-// router (one flow cache, one switch lock) and one kernel CPU.
-//
-// Shadow scoring: with a nonzero `shadow_config.sample_rate`, queries on a
-// deterministic sampled slice of flows also run the model's *standby*
-// snapshot, charge its CPU cost (shadowing is not free — that is the
-// point), and accumulate the output divergence vs the active.  switch_active
-// consults that evidence: a standby whose divergence exceeds the threshold
-// (or that has not been measured enough) is refused, and the refusal is
-// reported to the adaptation monitor's gate ledger.  A model with no active
-// yet always admits — there is nothing to diverge from.
+// Snapshot install and the active/standby flip go through router().
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
 
 #include "core/adaptation_monitor.hpp"
 #include "core/inference_router.hpp"
-#include "core/model_domain.hpp"
 #include "core/nn_manager.hpp"
 #include "kernelsim/cost_model.hpp"
 #include "kernelsim/cpu.hpp"
@@ -43,15 +30,6 @@ struct io_module_spec {
   std::string name;
   std::size_t input_size = 0;
   std::size_t output_size = 0;
-};
-
-/// Outcome of one (possibly gated) switch request.
-struct gate_result {
-  bool admitted = false;      ///< the active/standby flip actually happened
-  bool had_standby = false;   ///< false: the request was a counted no-op
-  bool gate_blocked = false;  ///< standby present but shadow gate refused
-  double switch_wait = 0.0;   ///< lock wait of the flip (0 when not flipped)
-  shadow_verdict verdict;     ///< the evidence the gate ruled on
 };
 
 class liteflow_core {
@@ -78,84 +56,28 @@ class liteflow_core {
   /// lf_unregister_io.
   bool unregister_io(io_handle handle);
 
-  /// Install a snapshot as one logical model's standby.  Resets that
-  /// model's shadow evidence: a new candidate starts unproven.
-  void install_standby(model_id id) { install_standby(k_default_model, id); }
-  void install_standby(model_key model, model_id id);
-
-  /// Shadow-gated switch (see file header for the protocol).  The gate only
-  /// engages when shadowing is configured AND the model already has an
-  /// active snapshot; otherwise this is the router's plain flip.
-  gate_result switch_active() { return switch_active(k_default_model); }
-  gate_result switch_active(model_key model);
-
-  /// Gate-aware rollback: re-promote `prev` (the module that was active
-  /// before the last switch and that the caller kept registered through its
-  /// probation window).  Installs `prev` as standby and flips it active
-  /// through the router's ordinary one-pointer exchange — never consulting
-  /// the shadow gate, because live evidence already condemned the incumbent.
-  /// The demoted (regressed) module stays registered; removing it is the
-  /// caller's close-out, exactly like an admitted switch.  Recorded in the
-  /// monitor's gate ledger with gate_record::rollback set.  Returns an
-  /// unadmitted no-op result when `prev` is no longer registered.
-  gate_result rollback(model_id prev) {
-    return rollback(k_default_model, prev);
-  }
-  gate_result rollback(model_key model, model_id prev);
-
   /// lf_query_model (asynchronous): integer-domain inference through the
   /// active snapshot for `flow`, honoring the flow cache.  `done` receives
   /// the output vector; it fires with an empty vector if no model is active
   /// or the input size mismatches.
   void query_model(netsim::flow_id_t flow, std::vector<fp::s64> input,
-                   std::function<void(std::vector<fp::s64>)> done) {
-    query_model(k_default_model, flow, std::move(input), std::move(done));
-  }
-  void query_model(model_key model, netsim::flow_id_t flow,
-                   std::vector<fp::s64> input,
                    std::function<void(std::vector<fp::s64>)> done);
 
   /// Synchronous variant: performs the same routing and accounting but
   /// returns immediately (used by modules that already run in CPU-gated
   /// context and by tests).  CPU cost is still charged (fire-and-forget).
   std::vector<fp::s64> query_model_sync(netsim::flow_id_t flow,
-                                        std::span<const fp::s64> input) {
-    return query_model_sync(k_default_model, flow, input);
-  }
-  std::vector<fp::s64> query_model_sync(model_key model,
-                                        netsim::flow_id_t flow,
                                         std::span<const fp::s64> input);
 
-  /// io_scale (the quantizer's C) of a model's active snapshot, 0 if none.
-  fp::s64 active_io_scale() const { return active_io_scale(k_default_model); }
-  fp::s64 active_io_scale(model_key model) const;
-
-  /// Shadow scoring configuration (applies to every model; per-model state
-  /// is the scorer, not the knobs).  Takes effect for subsequent queries.
-  void set_shadow_config(const shadow_config& cfg) { shadow_ = cfg; }
-  const shadow_config& shadow() const noexcept { return shadow_; }
-
-  /// Current shadow evidence for one model (zero-valued if never sampled).
-  shadow_verdict shadow_evidence(model_key model) const;
+  /// io_scale (the quantizer's C) of the active snapshot, 0 if none.
+  fp::s64 active_io_scale() const;
 
   std::uint64_t queries() const noexcept { return queries_.value(); }
-  /// Standby inferences executed on the shadow slice (0 when rate is 0).
-  std::uint64_t shadow_inferences() const noexcept {
-    return shadow_inferences_.value();
-  }
-  /// Switch requests refused by the divergence gate.
-  std::uint64_t gate_blocks() const noexcept { return gate_blocks_.value(); }
   std::size_t io_module_count() const noexcept { return io_modules_.size(); }
 
   /// Publish query count plus the router/cache/lock telemetry under
   /// "<prefix>.core.*".
   void register_metrics(metrics::registry& reg, const std::string& prefix);
-
-  /// Opt-in shadow counters ("<prefix>.core.shadow.{inferences,gate_blocks}"
-  /// + "<prefix>.nn.refcount_errors").  Separate from register_metrics so
-  /// single-model fast-seed telemetry stays byte-identical.
-  void register_shadow_metrics(metrics::registry& reg,
-                               const std::string& prefix);
 
   /// Attach the core rings to a trace collector: inference_begin/end spans
   /// under "<prefix>.core" (begin at query submission, end when the CPU
@@ -165,21 +87,11 @@ class liteflow_core {
 
   /// Attach the adaptation health monitor: wires the nn_manager removal
   /// hook so the monitor's lifecycle ledger sees module unloads (deferred
-  /// last-reference drops included), and routes shadow-gate outcomes into
-  /// its gate ledger.  No-op for a disabled monitor.
+  /// last-reference drops included).  No-op for a disabled monitor.
   void register_monitor(adaptation_monitor& monitor);
 
  private:
   double query_cost(const codegen::snapshot& snap) const noexcept;
-  /// The standby snapshot to shadow `(model, flow)` with, or nullptr when
-  /// shadowing is off, the flow is outside the sample, or no standby exists.
-  const codegen::snapshot* shadow_target(model_key model,
-                                         netsim::flow_id_t flow,
-                                         model_id& out_id) const;
-  void record_shadow(model_key model, const codegen::snapshot& active_snap,
-                     std::span<const fp::s64> active_out,
-                     const codegen::snapshot& shadow_snap,
-                     std::span<const fp::s64> input);
 
   sim::simulation& sim_;
   kernelsim::cpu_model& cpu_;
@@ -188,18 +100,11 @@ class liteflow_core {
   inference_router router_;
   std::map<io_handle, io_module_spec> io_modules_;
   io_handle next_io_ = 1;
-  shadow_config shadow_;
-  std::map<model_key, shadow_scorer> scorers_;
-  adaptation_monitor* monitor_ = nullptr;
   metrics::counter queries_;
-  metrics::counter shadow_inferences_;
-  metrics::counter gate_blocks_;
   trace::ring trace_{"core"};
   /// Reused across queries so the datapath inference allocates nothing
   /// beyond the caller-visible output vector (sim is single-threaded).
   mutable quant::inference_scratch scratch_;
-  /// Shadow output staging (same zero-allocation discipline).
-  std::vector<fp::s64> shadow_out_;
 };
 
 }  // namespace lf::core

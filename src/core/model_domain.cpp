@@ -16,34 +16,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
 
 }  // namespace
 
-model_key model_domain::add(std::string name) {
-  if (!default_named_) {
-    default_named_ = true;
-    slots_[0].name = std::move(name);
-    return 0;
-  }
-  const auto key = static_cast<model_key>(slots_.size());
-  slots_.push_back({key, std::move(name)});
-  return key;
-}
-
-std::string model_domain::name_of(model_key key) const {
-  if (key < slots_.size()) return slots_[key].name;
-  return "model" + std::to_string(key);
-}
-
-std::optional<model_key> model_domain::find(std::string_view name) const noexcept {
-  for (const auto& s : slots_) {
-    if (s.name == name) return s.key;
-  }
-  return std::nullopt;
-}
-
-std::string model_domain::prefix_of(const std::string& base, model_key key) const {
-  if (key == k_default_model) return base;
-  return base + ".m" + std::to_string(key) + "-" + name_of(key);
-}
-
 bool shadow_scorer::sampled(const shadow_config& cfg, model_key m,
                             netsim::flow_id_t flow) noexcept {
   if (cfg.sample_rate <= 0.0) return false;
@@ -56,19 +28,15 @@ bool shadow_scorer::sampled(const shadow_config& cfg, model_key m,
   return u < cfg.sample_rate;
 }
 
-void shadow_scorer::record(double divergence) noexcept {
-  ++samples_;
-  sum_ += divergence;
-  max_ = std::max(max_, divergence);
-}
-
 void shadow_scorer::record(double divergence,
                            std::uint64_t candidate_gen) noexcept {
   if (candidate_gen == 0 || candidate_gen != bound_gen_) {
     ++gen_drops_;
     return;
   }
-  record(divergence);
+  ++samples_;
+  sum_ += divergence;
+  max_ = std::max(max_, divergence);
 }
 
 shadow_verdict shadow_scorer::check(const shadow_config& cfg) const noexcept {

@@ -1,42 +1,32 @@
-// Model domain: N logical models sharing one datapath engine.
-//
-// The paper deploys three datapath functions backed by four NNs on one box
-// (§5), but the original harnesses in this repository served exactly one
-// model per engine — `inference_router`, `liteflow_core` and
-// `rt::datapath_engine` all baked in a single active/standby snapshot pair.
-// This header is the shared vocabulary that removes that assumption:
+// Model keys and shadow scoring: the vocabulary of the rt engine's
+// multi-model serving (rt::datapath_engine, DESIGN §11).
 //
 //   model_key        stable identifier of one *logical* model ("cc-aurora",
 //                    "sched-ffnn", ...).  Distinct from core::model_id,
 //                    which names one *installed snapshot* inside nn_manager;
 //                    a logical model's lifecycle is a sequence of snapshot
 //                    installs behind one stable key.
-//   composite key    the flow caches stay keyed by a single 64-bit value so
-//                    their probe loops are untouched; multi-model routing
-//                    folds the model key into the top bits of the flow id.
-//                    Key 0 maps a flow onto itself, so every single-model
-//                    code path (and its fixed-seed output) is bit-for-bit
-//                    unchanged.
-//   model_domain     the per-engine registry of logical models: stable keys,
-//                    display names and metrics prefixes.
+//   composite key    the engine's flow caches stay keyed by a single 64-bit
+//                    value so their probe loops are untouched; multi-model
+//                    routing folds the model key into the top bits of the
+//                    flow id.  Key 0 maps a flow onto itself, so a
+//                    single-model engine hashes and shards exactly as a
+//                    keyless one would.
 //
 // The header also carries the **shadow scoring** primitives (the live
 // complement to §3.3's offline fidelity check): a seeded, deterministic
 // flow sampler plus a divergence accumulator.  The standby snapshot runs on
 // the sampled slice of live routes, its outputs are compared against the
-// active's, and the accumulated divergence statistic gates switch_active —
-// measure before you commit.  The scorer itself is plain (single-writer);
-// the rt engine wraps it in a per-model spinlock, the simulated core uses
-// it bare.
+// active's, and the accumulated divergence statistic gates the engine's
+// try_switch — measure before you commit.  The scorer itself is plain
+// (single-writer); the rt engine wraps it in a per-model spinlock.  The
+// simulated stack serves one model behind core::inference_router and uses
+// none of this.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "netsim/packet.hpp"
 
@@ -65,36 +55,6 @@ constexpr netsim::flow_id_t composite_flow_key(model_key m,
          (static_cast<netsim::flow_id_t>(m) << k_flow_key_bits);
 }
 
-/// Registry of the logical models one engine serves.  Key 0 is reserved for
-/// the default model so single-model call sites need no registration at all.
-class model_domain {
- public:
-  struct slot {
-    model_key key = 0;
-    std::string name;
-  };
-
-  /// Register a logical model; returns its stable key.  Key 0 ("default")
-  /// always exists; the first add() names it, later adds mint fresh keys.
-  model_key add(std::string name);
-
-  std::size_t count() const noexcept { return slots_.size(); }
-  /// Display name; "model<k>" if the key was never named.
-  std::string name_of(model_key key) const;
-  std::optional<model_key> find(std::string_view name) const noexcept;
-
-  /// Metrics/trace prefix for one model: "<base>" for the default model
-  /// (single-model telemetry keys stay byte-identical), else
-  /// "<base>.m<key>-<name>".
-  std::string prefix_of(const std::string& base, model_key key) const;
-
-  const std::vector<slot>& slots() const noexcept { return slots_; }
-
- private:
-  std::vector<slot> slots_{{0, "default"}};
-  bool default_named_ = false;
-};
-
 /// Shadow scoring knobs.  Rate 0 (the default) disables shadowing entirely:
 /// no sampling hash, no standby inference, no gate — the zero-overhead
 /// contract the regression tests pin down.
@@ -111,7 +71,7 @@ struct shadow_config {
   /// unmeasured standby is treated as unproven, not as clean.
   std::size_t min_samples = 32;
   /// When false the scorer still accumulates (observability) but
-  /// switch_active is never blocked.
+  /// try_switch is never blocked.
   bool gate_enabled = true;
 
   bool active() const noexcept { return sample_rate > 0.0; }
@@ -127,8 +87,7 @@ struct shadow_verdict {
 
 /// Divergence accumulator for one model's standby snapshot.  Plain data:
 /// callers that share it across threads must wrap it in their own lock (the
-/// rt engine uses a per-model spinlock; the simulated core is
-/// single-threaded).
+/// rt engine uses a per-model spinlock).
 class shadow_scorer {
  public:
   /// Deterministic flow sampler: a pure splitmix64 hash of
@@ -139,15 +98,12 @@ class shadow_scorer {
                       netsim::flow_id_t flow) noexcept;
 
   /// Record one shadow comparison (mean |active - standby| over the output
-  /// vector, in io_scale-normalized units).
-  void record(double divergence) noexcept;
-
-  /// Gen-tagged record: drops (and counts) the sample unless `candidate_gen`
-  /// matches the bound generation.  This closes a misattribution race in
-  /// concurrent callers: a worker that peeked candidate A inside its epoch
-  /// guard can reach the scorer after the writer replaced A with B and
-  /// reset/re-bound the evidence — A's divergence must not gate B.  The
-  /// single-threaded sim path keeps using the untagged record().
+  /// vector, in io_scale-normalized units) made against `candidate_gen`.
+  /// Drops (and counts) the sample unless `candidate_gen` matches the bound
+  /// generation.  This closes a misattribution race in concurrent callers:
+  /// a worker that peeked candidate A inside its epoch guard can reach the
+  /// scorer after the writer replaced A with B and reset/re-bound the
+  /// evidence — A's divergence must not gate B.
   void record(double divergence, std::uint64_t candidate_gen) noexcept;
 
   /// Bind the evidence to one candidate generation (0 = unbound: every

@@ -36,13 +36,6 @@ void userspace_service::on_batch(std::vector<train_sample> batch) {
                        core_.router().cache_capacity());
   }
   if (!config_.adaptation_enabled || batch.empty()) return;
-  // Admission point: when the shared CPU is saturated, the mux lets only
-  // the highest-priority services spend user_train cycles.  Deferring a
-  // batch drops it — the next kernel batch carries fresher samples.
-  if (admission_ && !admission_()) {
-    deferred_.inc();
-    return;
-  }
   // Slow-path tuning competes for the shared CPU as user_train work; the
   // actual model math runs when the simulated work completes.
   cpu_.submit(kernelsim::task_category::user_train,
@@ -56,7 +49,7 @@ void userspace_service::on_batch(std::vector<train_sample> batch) {
 
 void userspace_service::maybe_update(std::span<const train_sample> batch) {
   checks_.inc();
-  const auto active = core_.router().active(config_.model);
+  const auto active = core_.router().active();
   const auto* installed = active ? core_.manager().get(*active) : nullptr;
   if (!installed) return;
 
@@ -80,7 +73,7 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
   netlink_.round_trip(
       bytes, bytes, 0.0, kernelsim::task_category::user_nn,
       [this, tuned, inputs = std::move(inputs)](double) {
-        const auto active_now = core_.router().active(config_.model);
+        const auto active_now = core_.router().active();
         const auto* snap =
             active_now ? core_.manager().get(*active_now) : nullptr;
         if (!snap) return;
@@ -144,7 +137,7 @@ void userspace_service::register_trace(trace::collector& col,
 void userspace_service::install_snapshot(codegen::snapshot snap) {
   const std::size_t param_bytes = snap.program.parameter_bytes();
   const bool is_initial = snap.version <= 1;
-  const auto prev_active = core_.router().active(config_.model);
+  const auto prev_active = core_.router().active();
   // Ship parameters into the kernel, pay the install cost, then register
   // the module and stage it as standby (no lock), then flip the pointer.
   netlink_.send_to_kernel(param_bytes, [this, snap = std::move(snap),
@@ -160,21 +153,12 @@ void userspace_service::install_snapshot(codegen::snapshot snap) {
           const auto id = core_.register_model(std::move(snap));
           trace_.emit(sim_.now(), trace::event_type::snapshot_install, id,
                       version);
-          core_.install_standby(config_.model, id);
+          core_.router().install_standby(id);
           // The demoted snapshot's pinned-flow count must be read before the
           // flip retires it (refs only drain afterwards).
           const std::uint64_t prev_pinned =
               prev_active ? core_.manager().refcount(*prev_active) : 0;
-          // Shadow-gated flip: with shadowing configured and an incumbent
-          // active, the divergence evidence decides.  A block leaves the
-          // candidate as standby — it keeps accumulating shadow samples and
-          // the next install (after more retraining) gets a fresh trial.
-          last_gate_ = core_.switch_active(config_.model);
-          if (last_gate_.gate_blocked) {
-            gate_blocked_.inc();
-            return;
-          }
-          const double switch_wait = last_gate_.switch_wait;
+          const double switch_wait = core_.router().switch_active();
           // The initial deployment is not a "snapshot update" (§3.3 counts
           // only conservative re-syncs).
           if (!is_initial) updates_.inc();
@@ -184,7 +168,6 @@ void userspace_service::install_snapshot(codegen::snapshot snap) {
             install_observation obs;
             obs.version = version;
             obs.model = id;
-            obs.logical_model = config_.model;
             obs.initial = is_initial;
             obs.freeze_seconds = params * costs_.pipeline_freeze_per_param;
             obs.quantize_seconds = params * costs_.pipeline_quantize_per_param;
@@ -201,45 +184,10 @@ void userspace_service::install_snapshot(codegen::snapshot snap) {
             monitor_->on_snapshot_install(sim_.now(), obs);
           }
           // The demoted snapshot is removed once its flow-cache refs drain;
-          // opportunistically try now.  Under probation the module is
-          // retained instead — it is the rollback target — and removal
-          // becomes the close-out of the *previous* hold, which this newer
-          // switch supersedes.
-          if (config_.probation) {
-            if (probation_prev_) core_.manager().try_remove(*probation_prev_);
-            probation_prev_ = prev_active;
-            const auto* prev_snap =
-                prev_active ? core_.manager().get(*prev_active) : nullptr;
-            probation_prev_version_ =
-                prev_snap != nullptr ? prev_snap->version : 0;
-          } else if (prev_active) {
-            core_.manager().try_remove(*prev_active);
-          }
+          // opportunistically try now.
+          if (prev_active) core_.manager().try_remove(*prev_active);
         });
   });
-}
-
-bool userspace_service::rollback_last() {
-  if (!config_.probation || !probation_prev_) return false;
-  const model_id prev = *probation_prev_;
-  const std::uint64_t prev_version = probation_prev_version_;
-  probation_prev_.reset();
-  probation_prev_version_ = 0;
-  const auto regressed = core_.router().active(config_.model);
-  const auto* regressed_snap =
-      regressed ? core_.manager().get(*regressed) : nullptr;
-  const std::uint64_t regressed_version =
-      regressed_snap != nullptr ? regressed_snap->version : 0;
-  const gate_result r = core_.rollback(config_.model, prev);
-  if (!r.admitted) return false;  // the target unloaded out from under us
-  rollbacks_.inc();
-  trace_.emit(sim_.now(), trace::event_type::snapshot_rollback,
-              (static_cast<std::uint64_t>(config_.model) << 32) |
-                  (prev_version & 0xffffffffULL),
-              regressed_version);
-  // The regressed module unloads once its pinned flows drain.
-  if (regressed && *regressed != prev) core_.manager().try_remove(*regressed);
-  return true;
 }
 
 }  // namespace lf::core

@@ -731,26 +731,29 @@ void quantized_mlp::infer_into(std::span<const s64> input_q, std::span<s64> out,
         "quantized_mlp::infer_into output size mismatch"};
   }
   if (scratch.buf_.size() < 2 * max_width_) scratch.buf_.resize(2 * max_width_);
+  infer_unchecked(input_q.data(), out.data(), scratch.buf_.data());
+}
 
+void quantized_mlp::infer_unchecked(const s64* in, s64* out,
+                                    s64* buf) const {
   // One pass over the inputs picks the mode for the whole call: within the
   // precomputed bound the per-layer proofs apply; beyond it everything runs
   // saturating (bit-identical to infer() either way).
-  const bool in_bounds =
-      all_in_range(input_q.data(), input_size_, -fastpath_input_bound_,
-                   fastpath_input_bound_);
+  const bool in_bounds = all_in_range(in, input_size_, -fastpath_input_bound_,
+                                      fastpath_input_bound_);
 
   // Every layer writes a scratch row padded to whole 4-lane groups, the
   // last one too: the int32 kernel stores full groups, and `out` holds
   // exactly output_size() values.
-  s64* const half_a = scratch.buf_.data();
-  s64* const half_b = scratch.buf_.data() + max_width_;
-  const s64* cur = input_q.data();
+  s64* const half_a = buf;
+  s64* const half_b = buf + max_width_;
+  const s64* cur = in;
   for (std::size_t li = 0; li < descs_.size(); ++li) {
     s64* const dst = li % 2 == 0 ? half_a : half_b;
     run(descs_[li], in_bounds, cur, dst);
     cur = dst;
   }
-  std::copy_n(cur, out.size(), out.data());
+  std::copy_n(cur, output_size(), out);
 }
 
 bool quantized_mlp::run_block(const s64* in, std::size_t real, s64* out,
@@ -834,18 +837,19 @@ void quantized_mlp::infer_batch_into(std::span<const s64> inputs,
   }
   // Blocks of 8 samples run on the sample lanes when every layer can; a
   // block that fails a check, and one too short to repay its spare lanes,
-  // runs its real samples one by one.
+  // runs its real samples one by one.  The sizes were checked above, and
+  // the lanes' scratch covers the 2 * max_width_ a sample needs.
+  s64* const buf = scratch.buf_.data();
   for (std::size_t base = 0; base < k; base += k_lanes) {
     const std::size_t real = std::min(k_lanes, k - base);
-    const auto in = inputs.subspan(base * input_size_, real * input_size_);
-    const auto out = outs.subspan(base * out_sz, real * out_sz);
+    const s64* const in = inputs.data() + base * input_size_;
+    s64* const out = outs.data() + base * out_sz;
     if (sample_lanes_ && real >= k_lanes_min &&
-        run_block(in.data(), real, out.data(), scratch.buf_.data())) {
+        run_block(in, real, out, buf)) {
       continue;
     }
     for (std::size_t s = 0; s < real; ++s) {
-      infer_into(in.subspan(s * input_size_, input_size_),
-                 out.subspan(s * out_sz, out_sz), scratch);
+      infer_unchecked(in + s * input_size_, out + s * out_sz, buf);
     }
   }
 }

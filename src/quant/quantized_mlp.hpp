@@ -196,6 +196,10 @@ class quantized_mlp {
   void run(const layer_desc& d, bool in_bounds, const s64* in,
            s64* out) const;
 
+  /// infer_into without its checks: `in` holds input_size() values, `out`
+  /// output_size(), and `buf` at least 2 * max_width_.
+  void infer_unchecked(const s64* in, s64* out, s64* buf) const;
+
   /// The whole program on the sample lanes for one block of infer_batch_into:
   /// `real` (1..8) input rows at `in`, their outputs to `out`, `rows` a
   /// scratch of 16 * max_width_.  False, with `out` untouched, when a value

@@ -9,6 +9,14 @@
 #include "util/bench_report.hpp"
 
 namespace lf::rt {
+namespace {
+
+/// EWMA smoothing of every rule's baseline, for both the mean and the MAD.
+constexpr double k_ewma_alpha = 0.25;
+/// Weight of the MAD in the high-side envelopes (see watchdog_config).
+constexpr double k_mad_slack = 8.0;
+
+}  // namespace
 
 std::string_view to_string(anomaly_kind k) noexcept {
   switch (k) {
@@ -37,7 +45,7 @@ double anomaly_watchdog::envelope(anomaly_kind k,
   switch (k) {
     case anomaly_kind::p999_spike:
       return std::max(b.mean * cfg_.p999_spike_factor,
-                      b.mean + cfg_.mad_slack * b.mad) +
+                      b.mean + k_mad_slack * b.mad) +
              cfg_.p999_spike_min_ns;
     case anomaly_kind::rps_collapse:
       return b.mean * cfg_.rps_collapse_frac;
@@ -45,11 +53,11 @@ double anomaly_watchdog::envelope(anomaly_kind k,
       return b.mean * cfg_.l1_collapse_frac;
     case anomaly_kind::locks_spike:
       return std::max({b.mean * cfg_.locks_spike_factor,
-                       b.mean + cfg_.mad_slack * b.mad,
+                       b.mean + k_mad_slack * b.mad,
                        cfg_.locks_spike_min});
     case anomaly_kind::shadow_drift:
       return std::max({b.mean * cfg_.shadow_drift_factor,
-                       b.mean + cfg_.mad_slack * b.mad,
+                       b.mean + k_mad_slack * b.mad,
                        cfg_.shadow_drift_min});
     case anomaly_kind::retired_leak:
       // No MAD term, deliberately.  Mid-storm the live count whipsaws
@@ -99,8 +107,8 @@ void anomaly_watchdog::evaluate(anomaly_kind k, const stats_window& w,
       r.base.mad = 0.0;
     } else {
       const double dev = std::abs(v - r.base.mean);
-      r.base.mean += cfg_.ewma_alpha * (v - r.base.mean);
-      r.base.mad += cfg_.ewma_alpha * (dev - r.base.mad);
+      r.base.mean += k_ewma_alpha * (v - r.base.mean);
+      r.base.mad += k_ewma_alpha * (dev - r.base.mad);
     }
     ++r.base.samples;
     r.breach_run = 0;
@@ -209,7 +217,7 @@ void anomaly_watchdog::fire(anomaly_kind k, const stats_window& w,
       }
     }
     if (flight_recorder* rec = engine_->recorder()) {
-      inc.dump_path = rec->try_dump("anomaly", cfg_.dump_window_ns);
+      inc.dump_path = rec->try_dump("anomaly");
       dumps_gauge_.set(static_cast<double>(rec->dumps()));
       dumps_suppressed_gauge_.set(
           static_cast<double>(rec->dumps_suppressed()));

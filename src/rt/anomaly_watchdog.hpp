@@ -79,18 +79,16 @@ struct watchdog_config {
   /// update, no breach evaluation): idle phases and the short tail window
   /// after workers join carry no signal, only noise.
   std::size_t min_window_routes = 64;
-  /// EWMA smoothing for both the mean and the MAD.
-  double ewma_alpha = 0.25;
   /// Consecutive breaching windows required to fire (the M in k-of-M).
   /// 3 is deliberate: on a loaded single-CPU host, two back-to-back
   /// scheduler-stall p999 spikes show up in genuinely clean runs.
   std::size_t breach_windows = 3;
 
-  // Per-rule envelopes.  High-side rules breach above
-  //   max(mean * factor, mean + mad_slack * mad) + abs_min
+  // Per-rule envelopes over the rule's EWMA baseline (alpha 0.25 for both
+  // the mean and the MAD).  High-side rules breach above
+  //   max(mean * factor, mean + 8 * mad) + abs_min
   // (the MAD term keeps a noisy-but-legitimate series from alerting on its
   // own jitter); low-side rules breach below mean * frac.
-  double mad_slack = 8.0;
   double p999_spike_factor = 4.0;
   double p999_spike_min_ns = 250.0;
   double rps_collapse_frac = 0.25;
@@ -114,7 +112,7 @@ struct watchdog_config {
   /// count legitimately swings 2-3x while reclamation absorbs a recovery
   /// (e.g. a heavy model draining out), and a real reclamation loss sits an
   /// order of magnitude up.  Unlike the other high-side rules there is no
-  /// mad_slack term: the series is low-jitter when healthy, and mid-storm
+  /// MAD term: the series is low-jitter when healthy, and mid-storm
   /// reclaim-win dips that fold as "clean" would feed the MAD deviations
   /// large enough to balloon the envelope above the storm plateau itself.
   double retired_leak_factor = 4.0;
@@ -130,8 +128,6 @@ struct watchdog_config {
   /// reset the breach count (the k-of-M run survives isolated dips).
   std::size_t retired_leak_rearm = 3;
 
-  /// Trailing window kept in anomaly dumps (0 = whole rings).
-  std::uint64_t dump_window_ns = 0;
   /// INCIDENT_<label>.json basename; "" disables the incident file.
   std::string incident_label;
   /// Rollback policy: when a firing rule is classified

@@ -8,6 +8,9 @@ namespace {
 /// timeout while keeping ~98% of hits entirely worker-local.
 constexpr std::uint64_t k_l1_refresh_mask = 63;
 
+/// Flow-cache buckets the incremental idle sweep visits on every miss.
+constexpr std::size_t k_evict_slots_per_route = 2;
+
 }  // namespace
 
 void worker_handle::register_metrics(metrics::registry& reg,
@@ -239,7 +242,7 @@ snapshot_version* datapath_engine::resolve_flow(worker_handle& w,
     v = h.pin_active();
     if (v == nullptr) return nullptr;  // nothing deployed yet for this model
     v = cache_.insert(key, v, now, cfg_.idle_timeout,
-                      cfg_.evict_slots_per_route, h);
+                      k_evict_slots_per_route, h);
   }
   if (!w.l1_.empty()) {
     // Stamp with the epoch loaded *before* the probe: if a flip or

@@ -110,7 +110,6 @@ struct engine_config {
   std::size_t shards = 0;
   std::size_t shard_capacity = 1024;  ///< initial slots per shard
   double idle_timeout = 30.0;         ///< seconds before idle eviction
-  std::size_t evict_slots_per_route = 2;  ///< incremental sweep per miss
   std::size_t max_workers = 64;       ///< epoch reader slots preallocated
   /// Per-worker L1 route-cache slots (rounded up to a power of two);
   /// 0 disables the L1 so benches can measure the L2 path in isolation.

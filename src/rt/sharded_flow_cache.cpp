@@ -145,6 +145,7 @@ snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
                                              snapshot_handle& handle) {
   shard& sh = *shards_[shard_of(flow)];
   snapshot_version* resident = nullptr;
+  bool rehashed = false;
   {
     spin_guard g{sh.lock};
     // The incremental idle sweep rides the miss path now that lookups are
@@ -167,6 +168,7 @@ snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
         // Grow on genuine pressure, scrub in place when tombstones alone
         // crossed the load factor.
         rehash(sh, occ + 1 > cap / 2 ? cap * 2 : cap);
+        rehashed = true;
         t = sh.tbl.load(std::memory_order_relaxed);
         reusable = nullptr;
         (void)probe_for_write(*t, flow, &reusable);
@@ -186,6 +188,13 @@ snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
       shard::bump(sh.occupied);
       if (reusing_tombstone) --sh.tombstones;
     }
+  }
+  if (rehashed) {
+    // Free the arrays earlier rehashes retired, so churn that never calls
+    // maintain() cannot pile them up.  Safe inside the caller's epoch
+    // guard: its own slot holds back anything it could still reach,
+    // including the array this rehash just retired.
+    epochs_.try_reclaim();
   }
   if (resident != nullptr) {
     // Release the pin we brought; the caller's epoch guard keeps `resident`

@@ -24,7 +24,8 @@
 //  - Growth swaps in a new slot array and retires the old one through the
 //    engine's epoch_domain: a reader that loaded the stale array pointer
 //    keeps probing memory that stays allocated until its guard closes, then
-//    fails seq validation and retries against the new array.
+//    fails seq validation and retries against the new array.  The next
+//    rehash reclaims what the earlier ones retired.
 //
 // Entries pin a snapshot_version exactly as before: every eviction path —
 // FIN erase, incremental idle sweep, full expiry, clear — funnels through
@@ -88,7 +89,10 @@ class sharded_flow_cache {
   /// same lock acquisition.  If another thread inserted the flow
   /// concurrently, the resident entry wins: the transferred pin is released
   /// and the resident version returned so the caller serves the flow
-  /// consistently.  MUST be called inside an epoch guard.
+  /// consistently.  After a rehash it runs the epoch domain's try_reclaim()
+  /// once the shard lock is released, so the slot arrays earlier rehashes
+  /// retired are freed even if nobody calls maintain().  MUST be called
+  /// inside an epoch guard.
   snapshot_version* insert(netsim::flow_id_t flow, snapshot_version* ver,
                            double now, double idle_timeout,
                            std::size_t evict_slots, snapshot_handle& handle);

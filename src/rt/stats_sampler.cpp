@@ -9,6 +9,13 @@
 #include "rt/anomaly_watchdog.hpp"
 
 namespace lf::rt {
+namespace {
+
+/// Cap on retained windows (oldest dropped past this; keeps a runaway soak
+/// test from growing the vector unboundedly).
+constexpr std::size_t k_max_windows = 100000;
+
+}  // namespace
 
 stats_sampler::stats_sampler(datapath_engine& engine, stats_sampler_config cfg)
     : engine_{engine}, cfg_{std::move(cfg)} {
@@ -101,11 +108,11 @@ void stats_sampler::tick() {
   w.versions_retired = c.versions_retired;
 
   windows_.push_back(w);
-  if (windows_.size() > cfg_.max_windows) {
+  if (windows_.size() > k_max_windows) {
     windows_.erase(windows_.begin(),
                    windows_.begin() +
                        static_cast<std::ptrdiff_t>(windows_.size() -
-                                                   cfg_.max_windows));
+                                                   k_max_windows));
   }
   ts_routes_per_sec_.record(w.t_s, w.routes_per_sec);
   if (w.samples != 0) {

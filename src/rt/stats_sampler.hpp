@@ -42,9 +42,6 @@ struct stats_sampler_config {
   /// Published atomically (temp file + rename) so a concurrent scraper
   /// never reads a torn exposition.
   std::string text_out;
-  /// Cap on retained windows (oldest dropped past this; keeps a runaway
-  /// soak test from growing the vector unboundedly).
-  std::size_t max_windows = 100000;
 };
 
 /// One folded window.
@@ -95,7 +92,8 @@ class stats_sampler {
   /// callable directly from tests without starting the thread).
   void tick();
 
-  /// Copy of the windows folded so far (any thread).
+  /// Copy of the windows folded so far (any thread), at most the latest
+  /// 100000.
   std::vector<stats_window> windows() const;
 
   /// Register the windowed series under "<prefix>.ts.*" and per-model

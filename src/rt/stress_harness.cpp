@@ -630,8 +630,8 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     if (engine.rollbacks() != 0) {
-      // Mirror the rollback into the gate ledger, as the sim stack's
-      // userspace_service does, so the flight report carries the row.
+      // Record the rollback in the gate ledger next to the gate's rulings,
+      // so the flight report carries the row.
       mon.on_shadow_gate({.t = now_seconds(t0),
                           .logical_model = 0,
                           .candidate = 3,  // stage C's version, re-promoted

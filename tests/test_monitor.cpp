@@ -1,8 +1,8 @@
 // Adaptation health monitor: edge-triggered watchdog rules (stuck /
 // cache-pressure / staleness), the snapshot lifecycle ledger close-out,
-// metrics and trace attachment, a service-level induced-stuck scenario,
-// and an end-to-end flight-report run whose HTML row/marker counts must
-// reconcile with the run's telemetry.
+// the shadow-gate ledger, metrics and trace attachment, a service-level
+// induced-stuck scenario, and an end-to-end flight-report run whose HTML
+// row/marker counts must reconcile with the run's telemetry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -256,6 +256,60 @@ TEST(AdaptationMonitor, MetricsAndTraceMirrorAlerts) {
   EXPECT_EQ(alert_events[1].b, 900000000u);  // occupancy 0.9
 }
 
+TEST(AdaptationMonitor, ShadowGateLedgerKeepsRulingsInOrder) {
+  adaptation_monitor mon{enabled_config()};
+  trace::collector col{trace::collector_config{true, 64}};
+  mon.register_trace(col, "health");
+
+  gate_record blocked;
+  blocked.t = 0.5;
+  blocked.logical_model = 1;
+  blocked.candidate = 2;
+  blocked.version = 2;
+  blocked.samples = 16;
+  blocked.mean_divergence = 0.25;
+  gate_record admitted = blocked;
+  admitted.t = 0.75;
+  admitted.candidate = 3;
+  admitted.version = 3;
+  admitted.admitted = true;
+  admitted.mean_divergence = 0.0;
+  gate_record rolled_back = admitted;
+  rolled_back.t = 1.0;
+  rolled_back.candidate = 1;
+  rolled_back.version = 1;
+  rolled_back.rollback = true;
+  mon.on_shadow_gate(blocked);
+  mon.on_shadow_gate(admitted);
+  mon.on_shadow_gate(rolled_back);
+
+  ASSERT_EQ(mon.gates().size(), 3u);
+  EXPECT_FALSE(mon.gates()[0].admitted);
+  EXPECT_FALSE(mon.gates()[0].rollback);
+  EXPECT_EQ(mon.gates()[0].logical_model, 1u);
+  EXPECT_TRUE(mon.gates()[1].admitted);
+  EXPECT_FALSE(mon.gates()[1].rollback);
+  EXPECT_EQ(mon.gates()[1].version, 3u);
+  EXPECT_TRUE(mon.gates()[2].rollback);
+  EXPECT_EQ(mon.gates()[2].candidate, 1u);
+  // Rulings are not alerts, but each one lands on the trace timeline as an
+  // alert instant: a = admitted flag, b = mean divergence in 1e-9 units.
+  EXPECT_EQ(mon.total_alerts(), 0u);
+  std::vector<trace::event> instants;
+  for (const auto& m : col.merged()) {
+    if (m.e.type == trace::event_type::alert) instants.push_back(m.e);
+  }
+  ASSERT_EQ(instants.size(), 3u);
+  EXPECT_EQ(instants[0].a, 0u);
+  EXPECT_EQ(instants[0].b, 250000000u);
+  EXPECT_EQ(instants[1].a, 1u);
+  EXPECT_EQ(instants[2].a, 1u);
+
+  adaptation_monitor disabled{};
+  disabled.on_shadow_gate(blocked);
+  EXPECT_TRUE(disabled.gates().empty());
+}
+
 // ----------------------------------------------- service-level scenarios --
 
 /// Scripted adaptation interface (same shape as test_core.cpp): adapt()
@@ -383,78 +437,11 @@ TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
   // pinned the drain completes immediately at the switch.
   for (std::size_t i = 0; i + 1 < mon.ledger().size(); ++i) {
     EXPECT_GE(mon.ledger()[i].retire_time, 0.0);
+    EXPECT_GE(mon.ledger()[i].removed_time, 0.0);
   }
+  // No flow pinned a demoted module, so each unloaded at its switch.
+  EXPECT_EQ(rig.core.manager().installed_count(), 1u);
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 0u);
-}
-
-TEST(MonitorService, ProbationRetainsPrevAndRollbackRePromotes) {
-  // Sim mirror of the rt probation hold: with probation on the service
-  // keeps the displaced module loaded instead of removing it at the
-  // switch, so a post-switch regression can re-promote it.
-  service_rig rig;
-  rig.adapter.drift_per_batch = 0.2;  // steady drift: healthy re-syncs ship
-  adaptation_monitor mon{enabled_config()};
-  rig.core.register_monitor(mon);
-
-  rig.cfg.probation = true;
-  auto svc = rig.make();
-  svc->register_monitor(mon);
-  svc->start();
-  for (int round = 0; round < 6; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
-  ASSERT_GE(svc->snapshot_updates(), 1u);
-
-  // The rollback target is still loaded (the hold), and the suspect is the
-  // active.
-  ASSERT_TRUE(svc->probation_prev().has_value());
-  const model_id prev = *svc->probation_prev();
-  ASSERT_NE(rig.core.manager().get(prev), nullptr);
-  const std::uint64_t prev_version = rig.core.manager().get(prev)->version;
-  const auto regressed = rig.core.router().active(k_default_model);
-  ASSERT_TRUE(regressed.has_value());
-  ASSERT_NE(*regressed, prev);
-
-  const std::size_t gates_before = mon.gates().size();
-  ASSERT_TRUE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 1u);
-  // The previous module serves again; the regressed one is closed out.
-  EXPECT_EQ(rig.core.router().active(k_default_model), prev);
-  EXPECT_EQ(rig.core.manager().get(prev)->version, prev_version);
-  // The ledger carries the rollback as a gate record: admitted, flagged,
-  // naming the re-promoted module.
-  ASSERT_EQ(mon.gates().size(), gates_before + 1);
-  const gate_record& g = mon.gates().back();
-  EXPECT_TRUE(g.rollback);
-  EXPECT_TRUE(g.admitted);
-  EXPECT_EQ(g.candidate, prev);
-  EXPECT_EQ(g.version, prev_version);
-  // The hold is consumed: a second rollback is a no-op.
-  EXPECT_FALSE(svc->probation_prev().has_value());
-  EXPECT_FALSE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 1u);
-}
-
-TEST(MonitorService, ProbationOffKeepsImmediateRemovalAndNoRollback) {
-  service_rig rig;
-  rig.adapter.drift_per_batch = 0.2;
-  adaptation_monitor mon{enabled_config()};
-  rig.core.register_monitor(mon);
-
-  auto svc = rig.make();  // cfg.probation stays false: historical behavior
-  svc->register_monitor(mon);
-  svc->start();
-  for (int round = 0; round < 6; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
-  ASSERT_GE(svc->snapshot_updates(), 1u);
-  // No hold was ever kept, so there is nothing to roll back into.
-  EXPECT_FALSE(svc->probation_prev().has_value());
-  EXPECT_FALSE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 0u);
-  for (const gate_record& g : mon.gates()) EXPECT_FALSE(g.rollback);
 }
 
 // ------------------------------------------------------------ end to end --

@@ -1,8 +1,6 @@
-// Multi-model serving domain tests: the composite flow key and model
-// registry, the deterministic shadow sampler/scorer, the multi-model
-// inference router and liteflow_core shadow gate, training admission under
-// kernelsim CPU saturation (service_mux), and the rt engine's multi-model +
-// shadow-gated switching behavior.
+// Multi-model serving tests: the composite flow key, the deterministic
+// shadow sampler/scorer, and the rt engine's multi-model + shadow-gated
+// switching behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,16 +8,8 @@
 #include <set>
 #include <vector>
 
-#include "core/adaptation_monitor.hpp"
-#include "core/batch_collector.hpp"
-#include "core/inference_router.hpp"
-#include "core/liteflow_core.hpp"
 #include "core/model_domain.hpp"
-#include "core/nn_manager.hpp"
-#include "core/service_mux.hpp"
-#include "core/userspace_service.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
 #include "rt/engine.hpp"
 #include "util/rng.hpp"
 
@@ -27,13 +17,6 @@ namespace {
 
 using namespace lf;
 using namespace lf::core;
-
-codegen::snapshot tiny_snapshot(const std::string& name, std::uint64_t version,
-                                std::uint64_t seed = 5) {
-  rng g{seed};
-  return codegen::generate_snapshot(nn::make_ffnn_flow_size_net(g), name,
-                                    version);
-}
 
 // ------------------------------------------------------------ ModelDomain --
 
@@ -55,22 +38,6 @@ TEST(ModelDomain, CompositeKeySeparatesModels) {
   EXPECT_EQ(k1 & k_flow_key_mask, f);
   EXPECT_EQ(k1 >> k_flow_key_bits, 1u);
   EXPECT_EQ(k2 >> k_flow_key_bits, 2u);
-}
-
-TEST(ModelDomain, RegistryNamesAndPrefixes) {
-  model_domain dom;
-  EXPECT_EQ(dom.count(), 1u);  // key 0 always exists
-  EXPECT_EQ(dom.add("cc-aurora"), 0u);  // first add names the default slot
-  EXPECT_EQ(dom.add("sched-ffnn"), 1u);
-  EXPECT_EQ(dom.count(), 2u);
-  EXPECT_EQ(dom.name_of(0), "cc-aurora");
-  EXPECT_EQ(dom.name_of(1), "sched-ffnn");
-  ASSERT_TRUE(dom.find("sched-ffnn").has_value());
-  EXPECT_EQ(*dom.find("sched-ffnn"), 1u);
-  EXPECT_FALSE(dom.find("absent").has_value());
-  // Default-model telemetry keys stay byte-identical; extras get a suffix.
-  EXPECT_EQ(dom.prefix_of("rt", 0), "rt");
-  EXPECT_EQ(dom.prefix_of("rt", 1), "rt.m1-sched-ffnn");
 }
 
 // ----------------------------------------------------------- ShadowScorer --
@@ -118,20 +85,21 @@ TEST(ShadowScorer, GateRequiresEvidenceAndFidelity) {
   cfg.min_samples = 4;
   cfg.divergence_threshold = 0.05;
   shadow_scorer sc;
+  sc.bind(7);
   // Unmeasured standby is unproven, not clean.
   EXPECT_FALSE(sc.check(cfg).admit);
-  sc.record(0.01);
-  sc.record(0.02);
-  sc.record(0.01);
+  sc.record(0.01, 7);
+  sc.record(0.02, 7);
+  sc.record(0.01, 7);
   EXPECT_FALSE(sc.check(cfg).admit);  // 3 < min_samples
-  sc.record(0.02);
+  sc.record(0.02, 7);
   const shadow_verdict good = sc.check(cfg);
   EXPECT_TRUE(good.admit);
   EXPECT_EQ(good.samples, 4u);
   EXPECT_NEAR(good.mean_divergence, 0.015, 1e-12);
   EXPECT_NEAR(good.max_divergence, 0.02, 1e-12);
   // One divergent burst pushes the mean over the threshold.
-  sc.record(1.0);
+  sc.record(1.0, 7);
   EXPECT_FALSE(sc.check(cfg).admit);
   // Gate disabled: the evidence is still reported but never blocks.
   cfg.gate_enabled = false;
@@ -155,330 +123,6 @@ TEST(ShadowScorer, DivergenceNormalizesByScaleAndRejectsShapeMismatch) {
   const std::int64_t short_out[] = {1};
   EXPECT_TRUE(std::isinf(shadow_divergence(a, 100, short_out, 100)));
   EXPECT_TRUE(std::isinf(shadow_divergence(a, 0, b, 200)));
-}
-
-// ------------------------------------------------------- MultiModelRouter --
-
-struct router_rig {
-  sim::simulation s;
-  nn_manager m;
-  inference_router r{s, m, router_config{}};
-};
-
-TEST(MultiModelRouter, ModelsFlipIndependently) {
-  router_rig rig;
-  const auto a = rig.m.register_model(tiny_snapshot("a", 1));
-  const auto b = rig.m.register_model(tiny_snapshot("b", 1));
-  rig.r.install_standby(1, a);
-  rig.r.switch_active(1);
-  EXPECT_EQ(rig.r.active(1), a);
-  EXPECT_FALSE(rig.r.active(0).has_value());  // untouched
-  EXPECT_FALSE(rig.r.active(2).has_value());
-  rig.r.install_standby(2, b);
-  EXPECT_EQ(rig.r.standby(2), b);
-  EXPECT_EQ(rig.r.active(1), a);  // installing elsewhere changes nothing
-  rig.r.switch_active(2);
-  EXPECT_EQ(rig.r.active(2), b);
-  // The keyless API is exactly model 0.
-  const auto c = rig.m.register_model(tiny_snapshot("c", 1));
-  rig.r.install_standby(c);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.active(), rig.r.active(0));
-  EXPECT_EQ(rig.r.active(0), c);
-}
-
-TEST(MultiModelRouter, SharedCacheBindsPerModelAndFlow) {
-  router_rig rig;
-  const auto a = rig.m.register_model(tiny_snapshot("a", 1));
-  const auto b = rig.m.register_model(tiny_snapshot("b", 1));
-  rig.r.install_standby(0, a);
-  rig.r.switch_active(0);
-  rig.r.install_standby(1, b);
-  rig.r.switch_active(1);
-  // The same wire flow id routes to each model's own snapshot through the
-  // one shared cache.
-  EXPECT_EQ(rig.r.route(0, 42), a);
-  EXPECT_EQ(rig.r.route(1, 42), b);
-  EXPECT_EQ(rig.r.cache_size(), 2u);  // two composite-key entries
-  // Stickiness is per (model, flow): a switch on model 1 must not move the
-  // resident flow, and model 0's binding is untouched entirely.
-  const auto b2 = rig.m.register_model(tiny_snapshot("b", 2));
-  rig.r.install_standby(1, b2);
-  rig.r.switch_active(1);
-  EXPECT_EQ(rig.r.route(1, 42), b);   // resident: pinned generation
-  EXPECT_EQ(rig.r.route(1, 43), b2);  // fresh flow: new active
-  EXPECT_EQ(rig.r.route(0, 42), a);
-  // FIN on (1, 42) releases only that binding.
-  rig.r.flow_finished(1, 42);
-  EXPECT_EQ(rig.r.route(0, 42), a);
-  EXPECT_EQ(rig.r.route(1, 42), b2);
-}
-
-// ---------------------------------------------------- LiteflowCoreShadow --
-
-struct core_rig {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  liteflow_core core{s, cpu, costs};
-
-  model_id deploy(model_key m, const std::string& name, std::uint64_t version,
-                  std::uint64_t seed) {
-    const auto id = core.register_model(tiny_snapshot(name, version, seed));
-    core.install_standby(m, id);
-    core.switch_active(m);
-    return id;
-  }
-};
-
-TEST(LiteflowCoreShadow, RateZeroMeansZeroShadowWork) {
-  core_rig rig;
-  rig.deploy(0, "a", 1, 5);
-  const auto standby = rig.core.register_model(tiny_snapshot("a", 2, 6));
-  rig.core.install_standby(0, standby);
-  const std::vector<fp::s64> input(8, 100);
-  for (netsim::flow_id_t f = 1; f <= 64; ++f) {
-    EXPECT_FALSE(rig.core.query_model_sync(0, f, input).empty());
-  }
-  // Default config: no sampling hash ever fires, no standby inference runs.
-  EXPECT_EQ(rig.core.shadow_inferences(), 0u);
-  EXPECT_EQ(rig.core.shadow_evidence(0).samples, 0u);
-}
-
-TEST(LiteflowCoreShadow, EvidenceIsDeterministicAcrossRuns) {
-  shadow_config sh;
-  sh.sample_rate = 0.5;
-  const auto run = [&](core_rig& rig) {
-    rig.core.set_shadow_config(sh);
-    rig.deploy(0, "a", 1, 5);
-    const auto standby = rig.core.register_model(tiny_snapshot("a", 2, 99));
-    rig.core.install_standby(0, standby);
-    const std::vector<fp::s64> input(8, 100);
-    std::set<netsim::flow_id_t> sampled;
-    for (netsim::flow_id_t f = 1; f <= 128; ++f) {
-      const auto before = rig.core.shadow_inferences();
-      rig.core.query_model_sync(0, f, input);
-      if (rig.core.shadow_inferences() > before) sampled.insert(f);
-    }
-    return std::pair{sampled, rig.core.shadow_evidence(0)};
-  };
-  core_rig rig1, rig2;
-  const auto [set1, v1] = run(rig1);
-  const auto [set2, v2] = run(rig2);
-  EXPECT_FALSE(set1.empty());
-  EXPECT_EQ(set1, set2);  // identical sampled route set
-  EXPECT_EQ(v1.samples, v2.samples);
-  EXPECT_DOUBLE_EQ(v1.mean_divergence, v2.mean_divergence);
-  EXPECT_DOUBLE_EQ(v1.max_divergence, v2.max_divergence);
-}
-
-TEST(LiteflowCoreShadow, GateBlocksDriftThenAdmitsRetrain) {
-  core_rig rig;
-  core::monitor_config mc;
-  mc.enabled = true;
-  core::adaptation_monitor mon{mc};
-  rig.core.register_monitor(mon);
-  shadow_config sh;
-  sh.sample_rate = 1.0;
-  sh.min_samples = 16;
-  rig.core.set_shadow_config(sh);
-
-  // Bootstrap: no incumbent, the gate has no jurisdiction.
-  const auto v1 = rig.core.register_model(tiny_snapshot("a", 1, 5));
-  rig.core.install_standby(0, v1);
-  const gate_result boot = rig.core.switch_active(0);
-  EXPECT_TRUE(boot.admitted);
-  EXPECT_FALSE(boot.gate_blocked);
-
-  const std::vector<fp::s64> input(8, 100);
-  // Drifted candidate: different weights, divergence blows the threshold.
-  const auto v2 = rig.core.register_model(tiny_snapshot("a", 2, 1234));
-  rig.core.install_standby(0, v2);
-  for (netsim::flow_id_t f = 1; f <= 32; ++f) {
-    rig.core.query_model_sync(0, f, input);
-  }
-  const gate_result blocked = rig.core.switch_active(0);
-  EXPECT_FALSE(blocked.admitted);
-  EXPECT_TRUE(blocked.gate_blocked);
-  EXPECT_GT(blocked.verdict.mean_divergence, sh.divergence_threshold);
-  EXPECT_EQ(rig.core.router().active(0), v1);  // incumbent kept serving
-  EXPECT_EQ(rig.core.gate_blocks(), 1u);
-
-  // Retrained candidate reproduces the active's behavior: divergence 0.
-  const auto v3 = rig.core.register_model(tiny_snapshot("a", 3, 5));
-  rig.core.install_standby(0, v3);
-  for (netsim::flow_id_t f = 100; f <= 131; ++f) {
-    rig.core.query_model_sync(0, f, input);
-  }
-  const gate_result admitted = rig.core.switch_active(0);
-  EXPECT_TRUE(admitted.admitted);
-  EXPECT_DOUBLE_EQ(admitted.verdict.max_divergence, 0.0);
-  EXPECT_EQ(rig.core.router().active(0), v3);
-
-  // Both rulings landed in the monitor's gate ledger, in order.
-  ASSERT_EQ(mon.gates().size(), 2u);
-  EXPECT_FALSE(mon.gates()[0].admitted);
-  EXPECT_TRUE(mon.gates()[1].admitted);
-  EXPECT_EQ(mon.gates()[0].logical_model, 0u);
-}
-
-TEST(LiteflowCoreShadow, UnprovenStandbyIsBlockedUntilMeasured) {
-  core_rig rig;
-  shadow_config sh;
-  sh.sample_rate = 1.0;
-  sh.min_samples = 8;
-  rig.core.set_shadow_config(sh);
-  rig.deploy(1, "b", 1, 5);
-  const auto v2 = rig.core.register_model(tiny_snapshot("b", 2, 5));
-  rig.core.install_standby(1, v2);
-  // Identical weights — but zero samples means unproven, and unproven is
-  // blocked, not admitted.
-  const gate_result unproven = rig.core.switch_active(1);
-  EXPECT_TRUE(unproven.gate_blocked);
-  EXPECT_EQ(unproven.verdict.samples, 0u);
-  const std::vector<fp::s64> input(8, 100);
-  for (netsim::flow_id_t f = 1; f <= 8; ++f) {
-    rig.core.query_model_sync(1, f, input);
-  }
-  EXPECT_TRUE(rig.core.switch_active(1).admitted);
-}
-
-// -------------------------------------------------------------- ServiceMux --
-
-/// Minimal scripted adapter (mirrors test_core's stub, trimmed to what the
-/// admission tests need).
-class mux_adapter final : public adaptation_interface {
- public:
-  mux_adapter() {
-    rng g{11};
-    model_ = std::make_unique<nn::mlp>(nn::make_ffnn_flow_size_net(g));
-  }
-  std::string freeze_model() override {
-    return nn::save_mlp_to_string(*model_);
-  }
-  double stability_value() const override { return 1.0; }
-  std::vector<double> evaluate(std::span<const double> x) const override {
-    return model_->forward(x);
-  }
-  void adapt(std::span<const core::train_sample> batch) override {
-    ++adapt_calls;
-    (void)batch;
-  }
-  std::size_t parameter_count() const override {
-    return model_->parameter_count();
-  }
-  std::unique_ptr<nn::mlp> model_;
-  int adapt_calls = 0;
-};
-
-struct mux_rig {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  kernelsim::crossspace_channel netlink{s, cpu, costs,
-                                        kernelsim::channel_kind::netlink};
-  liteflow_core core{s, cpu, costs};
-  batch_collector lo_collector{s, netlink, batch_collector_config{}};
-  batch_collector hi_collector{s, netlink, batch_collector_config{}};
-  mux_adapter lo_adapter, hi_adapter;
-
-  service_config make_cfg(const char* name, model_key m, int priority) {
-    service_config cfg;
-    cfg.model_name = name;
-    cfg.model = m;
-    cfg.priority = priority;
-    cfg.sync.output_min = 0.0;
-    cfg.sync.output_max = 1.0;
-    cfg.sync.stability_window = 2;
-    return cfg;
-  }
-
-  static void feed(batch_collector& c, int n) {
-    for (int i = 0; i < n; ++i) {
-      c.collect({std::vector<double>(8, 0.1), {0.5}, 0.0});
-    }
-  }
-};
-
-TEST(ServiceMux, SaturationShedsLowPriorityTraining) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  service_mux mux{rig.s, rig.cpu, mux_config{}};
-  mux.attach(lo);
-  mux.attach(hi);
-  lo.start();
-  hi.start();
-  EXPECT_FALSE(mux.saturated());
-  // Admission reads the CPU backlog when the delivery softirq *completes*,
-  // and delivery rides the same FIFO CPU — so pre-loading the queue would
-  // only delay the batches past the saturation.  Instead: a 0.12s task
-  // spans the t=0.1 delivery enqueue, and its completion hook queues 10s of
-  // work *behind* the already-queued deliveries.  Each on_batch then sees
-  // that backlog at admission time.
-  rig.cpu.submit(kernelsim::task_category::other, 0.12, [&rig]() {
-    rig.cpu.submit(kernelsim::task_category::other, 10.0);
-  });
-  mux_rig::feed(rig.lo_collector, 10);
-  mux_rig::feed(rig.hi_collector, 10);
-  rig.s.run_until(0.5);
-  // Only the top priority class kept its training budget; lo's batch was
-  // shed at admission (load shedding, not queueing).
-  EXPECT_EQ(lo.deferred_batches(), 1u);
-  EXPECT_EQ(hi.deferred_batches(), 0u);
-  EXPECT_GE(mux.deferred(), 1u);
-  EXPECT_GE(mux.admitted(), 1u);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 0);
-  // hi's training was admitted but queues behind the saturating work (the
-  // CPU is FIFO); once the backlog drains it runs — lo's never does.
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 0);
-  rig.s.run_until(25.0);
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 1);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 0);
-}
-
-TEST(ServiceMux, UnsaturatedCpuAdmitsEveryClass) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  service_mux mux{rig.s, rig.cpu, mux_config{}};
-  mux.attach(lo);
-  mux.attach(hi);
-  lo.start();
-  hi.start();
-  mux_rig::feed(rig.lo_collector, 10);
-  mux_rig::feed(rig.hi_collector, 10);
-  rig.s.run_until(0.3);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 1);
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 1);
-  EXPECT_EQ(lo.deferred_batches(), 0u);
-  EXPECT_EQ(mux.deferred(), 0u);
-}
-
-TEST(ServiceMux, ServicesRunDistinctModelLifecycles) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  lo.start();
-  hi.start();
-  rig.s.run_until(0.05);
-  // Each service bootstraps its own logical model behind the shared core.
-  ASSERT_TRUE(rig.core.router().active(0).has_value());
-  ASSERT_TRUE(rig.core.router().active(1).has_value());
-  EXPECT_NE(*rig.core.router().active(0), *rig.core.router().active(1));
-  EXPECT_EQ(rig.core.router().model_count(), 2u);
 }
 
 // ------------------------------------------------------------ RtMultiModel --
@@ -652,6 +296,35 @@ TEST(RtShadow, TrySwitchGateBlocksDriftThenAdmitsRetrain) {
   rt::switch_outcome noop = engine.try_switch(0);
   EXPECT_EQ(noop.status, rt::switch_outcome::result::no_standby);
   EXPECT_EQ(engine.switch_noops(), 1u);
+}
+
+TEST(RtShadow, UnprovenStandbyIsBlockedUntilMeasured) {
+  rt::engine_config cfg;
+  cfg.models = 2;
+  cfg.max_workers = 1;
+  cfg.shadow.sample_rate = 1.0;
+  cfg.shadow.min_samples = 8;
+  rt::datapath_engine engine{cfg};
+  rt::worker_handle& w = engine.register_worker();
+  engine.install(1, rt_snapshot(5, 1));
+  ASSERT_TRUE(engine.try_switch(1).flipped());
+  // Identical weights — but zero samples means unproven, and unproven is
+  // blocked, not admitted.
+  engine.install(1, rt_snapshot(5, 2));
+  const rt::switch_outcome unproven = engine.try_switch(1);
+  EXPECT_EQ(unproven.status, rt::switch_outcome::result::gate_blocked);
+  EXPECT_EQ(unproven.verdict.samples, 0u);
+  std::vector<fp::s64> input(8, 100), out(1);
+  for (netsim::flow_id_t f = 1; f < cfg.shadow.min_samples; ++f) {
+    engine.route(w, 1, f, 0.0, input, out);
+  }
+  EXPECT_EQ(engine.try_switch(1).status,
+            rt::switch_outcome::result::gate_blocked);  // one sample short
+  engine.route(w, 1, cfg.shadow.min_samples, 0.0, input, out);
+  const rt::switch_outcome measured = engine.try_switch(1);
+  EXPECT_TRUE(measured.flipped());
+  EXPECT_EQ(measured.verdict.samples, cfg.shadow.min_samples);
+  EXPECT_FALSE(engine.has_active(0));  // model 0 never took part
 }
 
 }  // namespace

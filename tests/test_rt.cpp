@@ -660,6 +660,28 @@ TEST(RtEngine, SwitchWithoutStandbyIsNoopAndIdleExpiryDrains) {
   EXPECT_EQ(e.cached_flows(), 0u);
 }
 
+TEST(RtEngine, ChurnWithoutMaintainKeepsRetiredArraysBounded) {
+  // Every FIN leaves a tombstone, so a small shard under route/FIN churn
+  // scrubs its slot array every few inserts and retires the old one.
+  // Nothing here calls maintain(): the insert path has to free them.
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.shard_capacity = 16;
+  cfg.max_workers = 1;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  std::size_t fins = 0;
+  for (netsim::flow_id_t f = 1; f <= 4096; ++f) {
+    e.route(w, f, 0.0, {}, {});
+    fins += e.flow_finished(w, f) ? 1 : 0;
+  }
+  EXPECT_EQ(fins, 4096u);
+  EXPECT_GT(e.cache().stats().rehashes, 100u);
+  EXPECT_LE(e.epochs().retired_pending(), 1u);
+}
+
 TEST(RtEngineConfig, ShardsDeriveFromWorkerBudget) {
   // shards == 0 derives next_pow2(2 * max_workers); explicit values round
   // up to a power of two and ignore the worker budget.
