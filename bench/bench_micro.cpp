@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the snapshot pipeline itself:
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
-// inference, plus the open-addressing flow cache and snapshot generation
+// inference, plus the engine's one-shard flow cache and snapshot generation
 // (quantize + translate) with its freeze/load/emit stages.  These back the
 // Fig. 15 latency story with real wall-clock numbers on this machine.
 //
@@ -17,13 +17,13 @@
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
 #include "core/adaptation_monitor.hpp"
-#include "core/flow_cache.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "quant/quantizer.hpp"
 #include "rl/link_env.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/latency_histogram.hpp"
+#include "rt/sharded_flow_cache.hpp"
 #include "util/bench_report.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -219,14 +219,38 @@ BENCHMARK(bm_quantized_infer_batch_into_lb_mlp)
     ->Arg(64);
 
 // ------------------------------------------------------------ flow cache --
+//
+// The engine's cache as the simulated stack runs it: one shard, one reader,
+// entries pinning one version.  Inserts run in a guard per iteration, as
+// routes do, so the tables a rehash retires are reclaimed as the loop goes.
+
+struct one_shard_cache {
+  explicit one_shard_cache(std::size_t capacity)
+      : cache{1, capacity, epochs} {
+    handle.install_standby(codegen::generate_snapshot(ffnn(), "f", 1));
+    handle.switch_active();
+  }
+  ~one_shard_cache() { cache.clear(handle); }
+
+  /// Insert `flow` pinned to the active version (the miss path's pin
+  /// transfer); `sweep` buckets of the idle sweep ride along.
+  void insert(netsim::flow_id_t flow, std::size_t sweep) {
+    cache.insert(flow, handle.pin_active(), 0.0, 30.0, sweep, handle);
+  }
+
+  rt::epoch_domain epochs{1};
+  rt::snapshot_handle handle{epochs};
+  rt::sharded_flow_cache cache;
+  std::size_t slot = epochs.register_reader();
+};
 
 void bm_flow_cache_hit(benchmark::State& state) {
-  core::flow_cache cache{1024};
-  for (netsim::flow_id_t f = 0; f < 512; ++f) cache.insert(f, 1, 0.0);
+  one_shard_cache c{1024};
+  rt::epoch_domain::guard g{c.epochs, c.slot};
+  for (netsim::flow_id_t f = 0; f < 512; ++f) c.insert(f, 0);
   netsim::flow_id_t f = 0;
   for (auto _ : state) {
-    auto* e = cache.find(f);
-    benchmark::DoNotOptimize(e);
+    benchmark::DoNotOptimize(c.cache.lookup(f, 1.0));
     f = (f + 1) & 511;
   }
 }
@@ -234,22 +258,35 @@ BENCHMARK(bm_flow_cache_hit);
 
 void bm_flow_cache_churn(benchmark::State& state) {
   // Steady-state insert + FIN-erase cycle: the pattern a busy datapath sees.
-  core::flow_cache cache{1024};
+  one_shard_cache c{1024};
   netsim::flow_id_t next = 0;
-  for (; next < 512; ++next) cache.insert(next, 1, 0.0);
+  for (; next < 512; ++next) {
+    rt::epoch_domain::guard g{c.epochs, c.slot};
+    c.insert(next, 0);
+  }
   for (auto _ : state) {
-    cache.erase(next - 512, {});
-    cache.insert(next, 1, 0.0);
+    rt::epoch_domain::guard g{c.epochs, c.slot};
+    c.cache.erase(next - 512, c.handle);
+    c.insert(next, 0);
     ++next;
   }
 }
 BENCHMARK(bm_flow_cache_churn);
 
 void bm_flow_cache_step_evict(benchmark::State& state) {
-  core::flow_cache cache{4096};
-  for (netsim::flow_id_t f = 0; f < 2048; ++f) cache.insert(f, 1, 0.0);
+  // The churn cycle with the insert-driven idle sweep (2 buckets, as the
+  // engine's miss path runs it) over a 2048-flow table of fresh entries.
+  one_shard_cache c{4096};
+  netsim::flow_id_t next = 0;
+  for (; next < 2048; ++next) {
+    rt::epoch_domain::guard g{c.epochs, c.slot};
+    c.insert(next, 0);
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.step_evict(1.0, 30.0, 2, {}));
+    rt::epoch_domain::guard g{c.epochs, c.slot};
+    c.cache.erase(next - 2048, c.handle);
+    c.insert(next, 2);
+    ++next;
   }
 }
 BENCHMARK(bm_flow_cache_step_evict);

@@ -49,9 +49,8 @@ int main() {
   kernelsim::cpu_model cpu{simu};
   core::liteflow_core core{simu, cpu, costs};
   core.register_io({"quickstart-io", 8, 1});  // lf_register_io shape check
-  const auto id = core.register_model(snap);  // lf_register_model
-  core.router().install_standby(id);          // no lock
-  core.router().switch_active();              // pointer flip (~ns)
+  core.register_model(snap);  // lf_register_model: standby, no lock
+  core.switch_active();       // pointer flip (~ns)
 
   // --- 4. fast-path inference (lf_query_model) -------------------------
   std::vector<double> x(8, 0.4);

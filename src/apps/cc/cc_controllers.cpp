@@ -68,7 +68,7 @@ void liteflow_cc_controller::on_monitor_interval(
 }
 
 void liteflow_cc_controller::on_flow_close() {
-  core_.router().flow_finished(flow_);
+  core_.flow_finished(flow_);
 }
 
 // ------------------------------------------------------------------ ccp --

@@ -12,10 +12,9 @@ liteflow_cc_stack::liteflow_cc_stack(netsim::host& h,
   // just keeps being steered); pinning them to their first snapshot would
   // lock out every future update.  The paper notes users can disable the
   // flow cache per datapath function (§3.4 fn. 2) — the CC module does.
-  core::router_config rc;
-  rc.flow_cache_enabled = false;
   core_ = std::make_unique<core::liteflow_core>(sim, host_.cpu(),
-                                                host_.costs(), rc);
+                                                host_.costs(),
+                                                /*flow_cache=*/false);
   core::batch_collector_config bc;
   bc.interval = options_.batch_interval;
   collector_ =

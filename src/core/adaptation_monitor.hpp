@@ -90,7 +90,7 @@ struct alert_record {
 /// of band in the paper too), so attaching the monitor cannot perturb a run.
 struct snapshot_record {
   std::uint64_t version = 0;
-  std::uint64_t model = 0;  ///< nn_manager model id
+  std::uint64_t model = 0;  ///< engine generation of the installed version
   /// Logical model (core::model_key) this snapshot serves; 0 for every
   /// single-model deployment.
   std::uint32_t logical_model = 0;
@@ -134,7 +134,7 @@ struct snapshot_record {
 struct gate_record {
   double t = 0.0;
   std::uint32_t logical_model = 0;  ///< core::model_key ruled on
-  std::uint64_t candidate = 0;      ///< nn_manager id of the standby
+  std::uint64_t candidate = 0;      ///< engine generation of the standby
   std::uint64_t version = 0;        ///< snapshot version of the candidate
   bool admitted = false;
   std::uint64_t samples = 0;

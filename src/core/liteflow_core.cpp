@@ -3,13 +3,34 @@
 #include <stdexcept>
 
 namespace lf::core {
+namespace {
+
+/// The simulated kernel is one thread: one shard, one worker slot.
+rt::engine_config sim_engine_config() {
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.max_workers = 1;
+  return cfg;
+}
+
+}  // namespace
 
 liteflow_core::liteflow_core(sim::simulation& sim, kernelsim::cpu_model& cpu,
                              const kernelsim::cost_model& costs,
-                             router_config rconfig)
-    : sim_{sim}, cpu_{cpu}, costs_{costs}, router_{sim, manager_, rconfig} {}
+                             bool flow_cache)
+    : sim_{sim},
+      cpu_{cpu},
+      costs_{costs},
+      flow_cache_{flow_cache},
+      engine_{sim_engine_config()},
+      worker_{engine_.register_worker()},
+      flip_lock_{sim} {
+  engine_.set_drain_observer([this](const rt::snapshot_version& v) {
+    drained_.push_back(v.gen);
+  });
+}
 
-model_id liteflow_core::register_model(codegen::snapshot snap) {
+std::uint64_t liteflow_core::register_model(codegen::snapshot snap) {
   // Shape compatibility against every attached IO module (the paper's
   // lf_register_io check runs both ways).
   for (const auto& [h, spec] : io_modules_) {
@@ -20,23 +41,56 @@ model_id liteflow_core::register_model(codegen::snapshot snap) {
           "'"};
     }
   }
-  return manager_.register_model(std::move(snap));
+  for (const auto& [gen, id] : loaded_) {
+    if (id.first == snap.name && id.second == snap.version) {
+      throw std::invalid_argument{"register_model: duplicate model " +
+                                  snap.name + " v" +
+                                  std::to_string(snap.version)};
+    }
+  }
+  std::pair<std::string, std::uint64_t> id{snap.name, snap.version};
+  const std::uint64_t gen = engine_.install(std::move(snap));
+  loaded_.emplace(gen, std::move(id));
+  router_trace_.emit(sim_.now(), trace::event_type::snapshot_install, gen);
+  settle();
+  return gen;
 }
 
-bool liteflow_core::unregister_model(std::string_view name,
-                                     std::uint64_t version) {
-  const auto id = manager_.find(name, version);
-  return id ? manager_.try_remove(*id) : false;
+double liteflow_core::switch_active(install_observation* ledger) {
+  if (!engine_.snapshots().has_standby()) {
+    // Flipping an empty standby would deactivate the datapath; the engine
+    // counts the request as a no-op and takes no lock.
+    engine_.switch_active();
+    return 0.0;
+  }
+  // Read the demoted version before the flip drops its ownership pin.
+  const rt::snapshot_version* prev = active_version();
+  const std::uint64_t prev_gen = prev != nullptr ? prev->gen : 0;
+  const std::uint64_t prev_pins = prev != nullptr ? prev->pins.load() : 0;
+  // The paper's flip is "3 lines of code" under one kernel lock.
+  const double waited = flip_lock_.acquire(costs_.router_switch_lock_hold);
+  engine_.switch_active();
+  const std::uint64_t gen = active_version()->gen;
+  router_trace_.emit(sim_.now(), trace::event_type::snapshot_switch, gen,
+                     static_cast<std::uint64_t>(waited * 1e9));
+  if (monitor_ != nullptr && ledger != nullptr) {
+    ledger->model = gen;
+    ledger->prev_model = prev_gen;
+    ledger->prev_pinned = prev_pins;
+    ledger->switch_wait_seconds = waited;
+    monitor_->on_snapshot_install(sim_.now(), *ledger);
+  }
+  settle();
+  return waited;
 }
 
 io_handle liteflow_core::register_io(io_module_spec spec) {
   if (spec.input_size == 0 || spec.output_size == 0) {
     throw std::invalid_argument{"register_io: zero-sized interface"};
   }
-  if (const auto active = router_.active()) {
-    const auto* snap = manager_.get(*active);
-    if (snap && (snap->input_size() != spec.input_size ||
-                 snap->output_size() != spec.output_size)) {
+  if (const codegen::snapshot* snap = active_snapshot()) {
+    if (snap->input_size() != spec.input_size ||
+        snap->output_size() != spec.output_size) {
       throw std::invalid_argument{
           "register_io: installed NN shape mismatch for '" + spec.name + "'"};
     }
@@ -56,74 +110,145 @@ double liteflow_core::query_cost(const codegen::snapshot& snap) const noexcept {
              costs_.snapshot_mac_cost;
 }
 
+rt::snapshot_version* liteflow_core::pin(netsim::flow_id_t flow) {
+  rt::epoch_domain::guard g{engine_.epochs(), worker_.epoch_slot()};
+  if (!flow_cache_) return engine_.snapshots().pin_active();
+  rt::snapshot_version* v = engine_.resolve(worker_, flow, sim_.now());
+  // One thread: the count is nonzero (the flow's cache entry holds a pin,
+  // or its L1 binding's unchanged switch epoch proves it has not drained)
+  // and nothing else can drop it before this add.
+  if (v != nullptr) v->pins.fetch_add(1);
+  return v;
+}
+
+void liteflow_core::unpin(rt::snapshot_version* v) {
+  engine_.snapshots().unpin(v);
+}
+
+rt::snapshot_version* liteflow_core::active_version() {
+  rt::epoch_domain::guard g{engine_.epochs(), worker_.epoch_slot()};
+  rt::snapshot_version* v = engine_.snapshots().pin_active();
+  if (v != nullptr) unpin(v);  // its ownership pin outlives the guard
+  return v;
+}
+
 void liteflow_core::query_model(netsim::flow_id_t flow,
                                 std::vector<fp::s64> input,
                                 std::function<void(std::vector<fp::s64>)> done) {
   queries_.inc();
-  const auto id = router_.route(flow);
-  const auto* snap = id ? manager_.get(*id) : nullptr;
-  if (!snap || input.size() != snap->input_size()) {
+  rt::snapshot_version* v = pin(flow);
+  if (v == nullptr || input.size() != v->snap.input_size()) {
+    if (v != nullptr) unpin(v);
+    settle();
     if (done) done({});
     return;
   }
-  // Pin the module while the inference is queued on the CPU — a snapshot
-  // update may otherwise unload it before the work item runs.
-  manager_.add_ref(*id);
-  trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, *id);
-  cpu_.submit(kernelsim::task_category::datapath, query_cost(*snap),
-              [this, flow, id = *id, snap, input = std::move(input),
+  // The pin keeps the version loaded while the inference is queued on the
+  // CPU — a snapshot update may otherwise unload it before the work runs.
+  trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, v->gen);
+  cpu_.submit(kernelsim::task_category::datapath, query_cost(v->snap),
+              [this, flow, v, input = std::move(input),
                done = std::move(done)]() {
-                std::vector<fp::s64> out(snap->output_size());
-                snap->program.infer_into(input, out, scratch_);
+                std::vector<fp::s64> out(v->snap.output_size());
+                v->snap.program.infer_into(input, out, scratch_);
                 trace_.emit(sim_.now(), trace::event_type::inference_end,
-                            flow, id);
-                manager_.release(id);
+                            flow, v->gen);
+                unpin(v);
+                settle();
                 if (done) done(std::move(out));
               });
+  settle();
 }
 
 std::vector<fp::s64> liteflow_core::query_model_sync(
     netsim::flow_id_t flow, std::span<const fp::s64> input) {
   queries_.inc();
-  const auto id = router_.route(flow);
-  const auto* snap = id ? manager_.get(*id) : nullptr;
-  if (!snap || input.size() != snap->input_size()) return {};
-  cpu_.submit(kernelsim::task_category::datapath, query_cost(*snap));
-  // Synchronous path: begin/end collapse to a zero-duration span (the CPU
-  // charge above is fire-and-forget).
-  trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, *id);
-  std::vector<fp::s64> out(snap->output_size());
-  snap->program.infer_into(input, out, scratch_);
-  trace_.emit(sim_.now(), trace::event_type::inference_end, flow, *id);
+  rt::snapshot_version* v = pin(flow);
+  std::vector<fp::s64> out;
+  if (v != nullptr && input.size() == v->snap.input_size()) {
+    cpu_.submit(kernelsim::task_category::datapath, query_cost(v->snap));
+    // Synchronous path: begin/end collapse to a zero-duration span (the CPU
+    // charge above is fire-and-forget).
+    trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, v->gen);
+    out.resize(v->snap.output_size());
+    v->snap.program.infer_into(input, out, scratch_);
+    trace_.emit(sim_.now(), trace::event_type::inference_end, flow, v->gen);
+  }
+  if (v != nullptr) unpin(v);
+  settle();
   return out;
 }
 
-fp::s64 liteflow_core::active_io_scale() const {
-  const auto id = router_.active();
-  if (!id) return 0;
-  const auto* snap = manager_.get(*id);
-  return snap ? snap->program.io_scale() : 0;
+std::uint64_t liteflow_core::route(netsim::flow_id_t flow) {
+  rt::snapshot_version* v = pin(flow);
+  const std::uint64_t gen = v != nullptr ? v->gen : 0;
+  if (v != nullptr) unpin(v);
+  settle();
+  return gen;
+}
+
+void liteflow_core::flow_finished(netsim::flow_id_t flow) {
+  engine_.flow_finished(worker_, flow);
+  settle();
+}
+
+const codegen::snapshot* liteflow_core::active_snapshot() {
+  const rt::snapshot_version* v = active_version();
+  return v != nullptr ? &v->snap : nullptr;
+}
+
+fp::s64 liteflow_core::active_io_scale() {
+  const codegen::snapshot* snap = active_snapshot();
+  return snap != nullptr ? snap->program.io_scale() : 0;
+}
+
+void liteflow_core::settle() {
+  if (!drained_.empty()) {
+    // No epoch guard is open between operations, so the grace period has
+    // passed and maintain() frees the drained versions now.
+    engine_.maintain();
+    for (const std::uint64_t gen : drained_) {
+      loaded_.erase(gen);
+      if (monitor_ != nullptr) monitor_->on_snapshot_removed(sim_.now(), gen);
+    }
+    drained_.clear();
+  }
+  const rt::sharded_flow_cache::totals c = engine_.cache().stats();
+  cache_hits_.set(
+      static_cast<double>(worker_.l1_hits() + worker_.cache_hits()));
+  cache_misses_.set(static_cast<double>(worker_.cache_misses()));
+  versions_live_.set(static_cast<double>(engine_.versions_live()));
+  versions_retired_.set(static_cast<double>(engine_.versions_retired()));
+  occupancy_.set(static_cast<double>(c.size));
+  evictions_.set(static_cast<double>(c.evictions));
+  rehashes_.set(static_cast<double>(c.rehashes));
 }
 
 void liteflow_core::register_metrics(metrics::registry& reg,
                                      const std::string& prefix) {
   const std::string base = prefix + ".core";
   reg.register_counter(base + ".queries", queries_);
-  router_.register_metrics(reg, base);
+  engine_.snapshots().register_metrics(reg, base + ".router");
+  reg.register_gauge(base + ".router.cache_hits", cache_hits_);
+  reg.register_gauge(base + ".router.cache_misses", cache_misses_);
+  reg.register_gauge(base + ".router.versions_live", versions_live_);
+  reg.register_gauge(base + ".router.versions_retired", versions_retired_);
+  reg.register_gauge(base + ".router.cache.occupancy", occupancy_);
+  reg.register_gauge(base + ".router.cache.evictions", evictions_);
+  reg.register_gauge(base + ".router.cache.rehashes", rehashes_);
+  flip_lock_.register_metrics(reg, base + ".router.lock");
 }
 
 void liteflow_core::register_trace(trace::collector& col,
                                    const std::string& prefix) {
   const std::string base = prefix + ".core";
   col.attach(trace_, base);
-  router_.register_trace(col, base);
+  col.attach(router_trace_, base + ".router");
+  flip_lock_.register_trace(col, base + ".router.lock");
 }
 
 void liteflow_core::register_monitor(adaptation_monitor& monitor) {
-  if (!monitor.enabled()) return;
-  manager_.set_removal_hook([this, &monitor](model_id id) {
-    monitor.on_snapshot_removed(sim_.now(), id);
-  });
+  if (monitor.enabled()) monitor_ = &monitor;
 }
 
 }  // namespace lf::core

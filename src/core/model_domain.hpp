@@ -2,10 +2,10 @@
 // multi-model serving (rt::datapath_engine, DESIGN §11).
 //
 //   model_key        stable identifier of one *logical* model ("cc-aurora",
-//                    "sched-ffnn", ...).  Distinct from core::model_id,
-//                    which names one *installed snapshot* inside nn_manager;
-//                    a logical model's lifecycle is a sequence of snapshot
-//                    installs behind one stable key.
+//                    "sched-ffnn", ...).  Distinct from a generation, which
+//                    names one *installed snapshot*; a logical model's
+//                    lifecycle is a sequence of generations behind one
+//                    stable key.
 //   composite key    the engine's flow caches stay keyed by a single 64-bit
 //                    value so their probe loops are untouched; multi-model
 //                    routing folds the model key into the top bits of the
@@ -20,8 +20,8 @@
 // active's, and the accumulated divergence statistic gates the engine's
 // try_switch — measure before you commit.  The scorer itself is plain
 // (single-writer); the rt engine wraps it in a per-model spinlock.  The
-// simulated stack serves one model behind core::inference_router and uses
-// none of this.
+// simulated stack serves k_default_model through the engine and samples no
+// shadow traffic.
 #pragma once
 
 #include <cstddef>

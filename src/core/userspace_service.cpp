@@ -32,8 +32,8 @@ double userspace_service::training_cost(std::size_t samples) const noexcept {
 void userspace_service::on_batch(std::vector<train_sample> batch) {
   batches_.inc();
   if (monitor_) {
-    monitor_->on_batch(sim_.now(), core_.router().cache_size(),
-                       core_.router().cache_capacity());
+    const rt::sharded_flow_cache::totals c = core_.engine().cache().stats();
+    monitor_->on_batch(sim_.now(), c.size, c.capacity);
   }
   if (!config_.adaptation_enabled || batch.empty()) return;
   // Slow-path tuning competes for the shared CPU as user_train work; the
@@ -49,9 +49,7 @@ void userspace_service::on_batch(std::vector<train_sample> batch) {
 
 void userspace_service::maybe_update(std::span<const train_sample> batch) {
   checks_.inc();
-  const auto active = core_.router().active();
-  const auto* installed = active ? core_.manager().get(*active) : nullptr;
-  if (!installed) return;
+  if (core_.active_snapshot() == nullptr) return;
 
   const auto frozen = user_.freeze_model();
   const auto tuned = nn::load_mlp_from_string(frozen);
@@ -73,9 +71,7 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
   netlink_.round_trip(
       bytes, bytes, 0.0, kernelsim::task_category::user_nn,
       [this, tuned, inputs = std::move(inputs)](double) {
-        const auto active_now = core_.router().active();
-        const auto* snap =
-            active_now ? core_.manager().get(*active_now) : nullptr;
+        const codegen::snapshot* snap = core_.active_snapshot();
         if (!snap) return;
         last_decision_ = evaluator_.evaluate(tuned, snap->program, inputs);
         trace_.emit(
@@ -94,8 +90,10 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
           obs.stability_spread = evaluator_.stability_spread();
           obs.stability_samples = evaluator_.stability_samples();
           obs.stability_window = config_.sync.stability_window;
-          obs.cache_size = core_.router().cache_size();
-          obs.cache_capacity = core_.router().cache_capacity();
+          const rt::sharded_flow_cache::totals c =
+              core_.engine().cache().stats();
+          obs.cache_size = c.size;
+          obs.cache_capacity = c.capacity;
           obs.version = version_;
           monitor_->on_sync_check(sim_.now(), obs);
         }
@@ -137,37 +135,26 @@ void userspace_service::register_trace(trace::collector& col,
 void userspace_service::install_snapshot(codegen::snapshot snap) {
   const std::size_t param_bytes = snap.program.parameter_bytes();
   const bool is_initial = snap.version <= 1;
-  const auto prev_active = core_.router().active();
   // Ship parameters into the kernel, pay the install cost, then register
-  // the module and stage it as standby (no lock), then flip the pointer.
+  // the module as standby (no lock) and flip the pointer.
   netlink_.send_to_kernel(param_bytes, [this, snap = std::move(snap),
-                                        param_bytes, prev_active,
-                                        is_initial]() mutable {
+                                        param_bytes, is_initial]() mutable {
     const double install_seconds =
         static_cast<double>(param_bytes) * costs_.snapshot_install_per_byte;
     cpu_.submit(
         kernelsim::task_category::other, install_seconds,
-        [this, snap = std::move(snap), prev_active, is_initial,
+        [this, snap = std::move(snap), is_initial,
          install_seconds]() mutable {
           const std::uint64_t version = snap.version;
-          const auto id = core_.register_model(std::move(snap));
-          trace_.emit(sim_.now(), trace::event_type::snapshot_install, id,
+          const std::uint64_t gen = core_.register_model(std::move(snap));
+          trace_.emit(sim_.now(), trace::event_type::snapshot_install, gen,
                       version);
-          core_.router().install_standby(id);
-          // The demoted snapshot's pinned-flow count must be read before the
-          // flip retires it (refs only drain afterwards).
-          const std::uint64_t prev_pinned =
-              prev_active ? core_.manager().refcount(*prev_active) : 0;
-          const double switch_wait = core_.router().switch_active();
-          // The initial deployment is not a "snapshot update" (§3.3 counts
-          // only conservative re-syncs).
-          if (!is_initial) updates_.inc();
+          // The core fills in the flip's side of the ledger row.
+          install_observation obs;
           if (monitor_) {
             const double params =
                 static_cast<double>(user_.parameter_count());
-            install_observation obs;
             obs.version = version;
-            obs.model = id;
             obs.initial = is_initial;
             obs.freeze_seconds = params * costs_.pipeline_freeze_per_param;
             obs.quantize_seconds = params * costs_.pipeline_quantize_per_param;
@@ -176,16 +163,13 @@ void userspace_service::install_snapshot(codegen::snapshot snap) {
             obs.compile_seconds = costs_.pipeline_compile_fixed +
                                   params * costs_.pipeline_compile_per_param;
             obs.install_seconds = install_seconds;
-            obs.switch_wait_seconds = switch_wait;
             // v1 ships before any sync check; its verdict fields stay zero.
             if (!is_initial) obs.fidelity = last_decision_.fidelity;
-            obs.prev_model = prev_active.value_or(0);
-            obs.prev_pinned = prev_pinned;
-            monitor_->on_snapshot_install(sim_.now(), obs);
           }
-          // The demoted snapshot is removed once its flow-cache refs drain;
-          // opportunistically try now.
-          if (prev_active) core_.manager().try_remove(*prev_active);
+          core_.switch_active(monitor_ ? &obs : nullptr);
+          // The initial deployment is not a "snapshot update" (§3.3 counts
+          // only conservative re-syncs).
+          if (!is_initial) updates_.inc();
         });
   });
 }

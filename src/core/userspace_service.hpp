@@ -99,8 +99,8 @@ class userspace_service {
   /// (a: bit0 converged, bit1 necessary; b: min fidelity loss in 1e-9
   /// units) and snapshot_install when a new version ships to the kernel.
   /// The sync_evaluator itself stays clock-free — this service is the
-  /// clock-bearing caller that stamps its verdicts, mirroring how
-  /// nn_manager's installs are stamped by the router.
+  /// clock-bearing caller that stamps its verdicts, as liteflow_core stamps
+  /// the engine's installs and flips.
   void register_trace(trace::collector& col, const std::string& prefix);
 
  private:

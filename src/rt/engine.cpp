@@ -400,6 +400,15 @@ bool datapath_engine::flow_finished(worker_handle& w, core::model_key model,
   return erased;
 }
 
+snapshot_version* datapath_engine::resolve(worker_handle& w,
+                                          netsim::flow_id_t flow,
+                                          double now) {
+  w.routes_.inc();
+  snapshot_handle& h = handles_[core::k_default_model];
+  bool hit = false;  // the worker's hit/miss counters record it
+  return resolve_flow(w, h, flow, now, h.switch_epoch(), hit);
+}
+
 std::size_t datapath_engine::expire_idle(double now) {
   return cache_.expire_idle(now, cfg_.idle_timeout, handles_[0]);
 }

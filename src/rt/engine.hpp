@@ -1,12 +1,11 @@
-// Real-thread datapath engine (§3.4 exercised by actual std::threads).
+// Datapath engine: the repository's one §3.4 implementation.
 //
-// Everything else in this repository runs on the single-threaded simulated
-// clock, where the snapshot-update concurrency claims are *cost-accounted*
-// but never contended.  This engine is the parallel deployment target that
-// runs them for real: N worker threads route flows and execute compiled
-// integer inference (the same quant/codegen programs the sim installs)
-// while one writer installs standby snapshots lock-free and flips the
-// active pointer under a nanoseconds-held rt::spinlock.
+// N worker threads route flows and execute compiled integer inference while
+// one writer installs standby snapshots lock-free and flips the active
+// pointer under a nanoseconds-held rt::spinlock.  The simulated stack is the
+// one-thread case: core::liteflow_core owns an engine with one shard and one
+// worker, passes simulation time as `now`, and serves every paper figure
+// through it, so the figures run the code the TSan suites stress.
 //
 // Multi-model serving: one engine hosts `engine_config::models` logical
 // models.  Each gets its own snapshot_handle (its own active/standby pair
@@ -50,18 +49,24 @@
 //   sharded_flow_cache  per-flow model pinning (flow consistency invariant)
 //
 // Time is caller-supplied (seconds on any monotonic clock shared by the
-// threads): the stress harness passes wall time, the deterministic tests
-// pass scripted instants.  The engine never reads a clock itself, which is
-// what keeps the 2-thread interleaving tests reproducible.
+// threads): the stress harness passes wall time, the simulated stack its
+// simulation time, the deterministic tests scripted instants.  The engine
+// never reads a clock itself, which is what keeps the 2-thread
+// interleaving tests reproducible.
 //
-// What this deliberately does NOT do: it is not wired into the simulated
-// experiments.  The sim path (core::inference_router + kernelsim::spinlock)
-// is untouched, so every fixed-seed result stays bit-for-bit identical; the
-// harness, perfbench and the tests construct the rt engine directly.
+// What this deliberately does NOT do: charge simulated cost, or order
+// operations across threads.  In the simulated stack, core::liteflow_core
+// charges the flip's cost_model::router_switch_lock_hold on a
+// kernelsim::spinlock and each query's MACs on the simulated CPU; the
+// engine only decides which version serves a flow and when a demoted
+// version drains.  The simulated stack is deterministic because it calls
+// the engine from one thread; the multi-thread callers (the harness,
+// perfbench, the TSan suites) only sample interleavings.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -331,8 +336,23 @@ class datapath_engine {
   bool flow_finished(worker_handle& w, core::model_key model,
                      netsim::flow_id_t flow);
 
+  /// route() without the inference, for callers that run it themselves
+  /// (the simulated stack runs it when its CPU reaches the query): resolve
+  /// model 0's `flow` at `now` exactly as route() does and return the
+  /// serving version, or nullptr when nothing is active.  Call inside `w`'s
+  /// epoch guard; the pointer is valid until the guard closes.
+  snapshot_version* resolve(worker_handle& w, netsim::flow_id_t flow,
+                            double now);
+
   /// Full idle expiry across all shards (maintenance).
   std::size_t expire_idle(double now);
+
+  /// Observe drains: `fn` gets every version whose last pin drops, on the
+  /// thread that dropped it (see version_reclaim::on_drain).  Set it before
+  /// any worker runs.  The simulated stack stamps unloads with it.
+  void set_drain_observer(std::function<void(const snapshot_version&)> fn) {
+    reclaim_.on_drain = std::move(fn);
+  }
 
   // ------------------------------------------------------------- status --
 
@@ -428,6 +448,7 @@ class datapath_engine {
     return handles_[model];
   }
   sharded_flow_cache& cache() noexcept { return cache_; }
+  const sharded_flow_cache& cache() const noexcept { return cache_; }
 
   /// Shard count an engine_config resolves to: explicit values round up to
   /// a power of two, 0 derives next_pow2(2 * max_workers).  Exposed so the

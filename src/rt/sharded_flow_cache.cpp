@@ -5,9 +5,10 @@
 namespace lf::rt {
 namespace {
 
-/// splitmix64 finalizer — same mixer family as core::flow_cache's bucket
-/// hash.  The shard index takes the *top* bits and the in-shard bucket the
-/// low bits, so the two choices stay decorrelated.
+/// splitmix64 finalizer: flow ids are often small sequential integers, so a
+/// strong mix is what keeps linear probe chains short.  The shard index
+/// takes the *top* bits and the in-shard bucket the low bits, so the two
+/// choices stay decorrelated.
 constexpr std::uint64_t mix(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -239,9 +240,9 @@ void sharded_flow_cache::rehash(shard& sh, std::size_t new_capacity) {
                   std::memory_order_relaxed);
     d.state.store(k_occupied, std::memory_order_relaxed);
   }
-  // Scale the sweep cursor into the new layout instead of restarting at 0,
-  // mirroring core::flow_cache's fix: no head double-visit, no tail
-  // starvation.
+  // Scale the sweep cursor into the new layout instead of restarting at 0:
+  // a rehash mid-sweep then neither re-visits the head nor starves the
+  // tail.
   sh.sweep_cursor = old->mask == 0
                         ? 0
                         : (sh.sweep_cursor * (fresh->mask + 1)) /

@@ -1,8 +1,8 @@
-// Sharded flow cache for the real-thread datapath engine — read-mostly.
+// Sharded flow cache of the datapath engine — read-mostly.
 //
-// The first rt engine reused core::flow_cache behind one spinlock per shard,
-// which put ~1 lock RMW on every route and made 4 workers *slower* than one.
-// This version makes the shard hot path lock-free in the common case:
+// The engine's workers share 2^k shards; the simulated stack's one-thread
+// engine has one.  A spinlock taken on every route made 4 workers *slower*
+// than one, so the shard hot path is lock-free in the common case:
 //
 //  - Every slot field is a std::atomic (flow id, pinned version pointer,
 //    last-used stamp, state byte), so concurrent probing is race-free by
@@ -30,8 +30,8 @@
 // Entries pin a snapshot_version exactly as before: every eviction path —
 // FIN erase, incremental idle sweep, full expiry, clear — funnels through
 // snapshot_handle::unpin, so model removal remains refcount-gated (§3.4).
-// The incremental idle sweep moved from the (now lock-free) lookup to the
-// miss/insert path: a steady state of pure hits performs no eviction work,
+// The incremental idle sweep runs on the miss/insert path, not on the
+// lock-free lookup: a steady state of pure hits performs no eviction work,
 // which is sound because idle entries are created by churn, and churn means
 // misses, FINs and inserts — exactly the operations that drive the sweep.
 //

@@ -53,8 +53,8 @@ std::uint64_t snapshot_handle::install_standby(codegen::snapshot snap) {
 bool snapshot_handle::switch_active() {
   if (standby_ == nullptr) {
     // Explicit guard: flipping an empty standby would publish a null active
-    // and lose the running snapshot.  Mirror the sim router's fixed
-    // semantics: no-op plus a counter the caller can alarm on.
+    // and lose the running snapshot.  No-op plus a counter the caller can
+    // alarm on.
     noops_.inc();
     return false;
   }
@@ -218,6 +218,7 @@ void snapshot_handle::push_zombie(snapshot_version* v) noexcept {
     rec_.recorder->emit(trace::event_type::zombie_push, v->gen,
                         rec_.switch_epoch.load(std::memory_order_relaxed));
   }
+  if (rec_.on_drain) rec_.on_drain(*v);
   std::lock_guard<std::mutex> g{rec_.zombies_mu};
   rec_.zombies.push_back(v);
 }

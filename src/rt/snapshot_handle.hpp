@@ -1,13 +1,12 @@
 // Active/standby snapshot handle for real threads (§3.4, made concurrent).
 //
-// This is the rt counterpart of core::inference_router's snapshot slots.
-// The simulated router flips an std::optional under an *analytic* spinlock;
-// here the flip is a real std::atomic pointer exchange under a real
-// rt::spinlock held for a few instructions, standby installation takes no
-// lock at all (the datapath never looks at the standby slot), and the
-// demoted snapshot is freed only after (a) its flow-cache pin count drains
-// to zero and (b) an epoch grace period proves no in-flight reader still
-// holds the raw pointer.
+// The paper's active/standby slots, for every caller: the rt engine's
+// workers and, through core::liteflow_core, the simulated stack.  The flip
+// is a std::atomic pointer exchange under an rt::spinlock held for a few
+// instructions, standby installation takes no lock at all (the datapath
+// never looks at the standby slot), and the demoted snapshot is freed only
+// after (a) its flow-cache pin count drains to zero and (b) an epoch grace
+// period proves no in-flight reader still holds the raw pointer.
 //
 // Lifecycle of one snapshot_version:
 //
@@ -76,6 +75,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -120,6 +120,10 @@ struct version_reclaim {
   /// which happen on arbitrary reader threads — and reclaim batches).  Set
   /// once before any concurrency starts; nullptr keeps the paths silent.
   blackbox_ring* recorder = nullptr;
+  /// Optional drain observer: called with each version whose last pin
+  /// dropped, on the thread that dropped it, before the version is queued
+  /// for reclamation.  Set once before any concurrency starts.
+  std::function<void(const snapshot_version&)> on_drain;
 };
 
 class snapshot_handle {

@@ -1,11 +1,11 @@
-// Real spinlock for the real-thread datapath engine (rt/).
+// Real spinlock of the datapath engine (rt/).
 //
-// Unlike kernelsim::spinlock — an *analytic model* that charges simulated
-// wait time on a single-threaded event loop — this is an actual
-// test-and-test-and-set lock taken by concurrent std::thread workers.  It
-// exists so the rt engine exercises the paper's §3.4 claim for real: the
-// active/standby flip holds this lock for a handful of instructions, and the
-// sharded flow cache holds one per shard for a probe-and-touch.
+// An actual test-and-test-and-set lock taken by concurrent std::thread
+// workers: the active/standby flip holds it for a handful of instructions,
+// and the sharded flow cache holds one per shard for a probe-and-touch.
+// The simulated stack takes it through the same engine, from one thread;
+// kernelsim::spinlock, an *analytic model* of wait time on the simulated
+// clock, only charges the flip's cost there.
 //
 // Accounting: acquisitions and contended acquisitions are mutated only while
 // the lock is held, so writes are serialized by the lock itself — which is

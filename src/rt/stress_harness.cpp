@@ -560,7 +560,7 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
                                const rt::switch_outcome& o) {
     mon.on_shadow_gate({.t = now_seconds(t0),
                         .logical_model = m,
-                        .candidate = version,  // no nn_manager: id == version
+                        .candidate = version,  // one install per gen: gen == version
                         .version = version,
                         .admitted = o.flipped(),
                         .samples = o.verdict.samples,

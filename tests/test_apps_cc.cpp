@@ -125,7 +125,7 @@ TEST(LiteflowCcStack, StartInstallsSnapshotAndRegistersIo) {
   liteflow_cc_stack stack{rig.net->sender(), fast_lf_options()};
   stack.start();
   rig.s.run_until(0.01);
-  EXPECT_TRUE(stack.core().router().active().has_value());
+  EXPECT_NE(stack.core().active_snapshot(), nullptr);
   EXPECT_EQ(stack.core().io_module_count(), 1u);
   EXPECT_EQ(stack.service().current_version(), 1u);
 }

@@ -76,10 +76,8 @@ TEST(LiteflowPathSelector, PrefersUncongestedPath) {
   rng g{3};
   supervised_adapter adapter{nn::make_lb_mlp_net(g, 2), 3e-3, 1, 3};
   adapter.pretrain(make_lb_pretrain_dataset(2, 1500, 4), 200);
-  const auto id = core.register_model(
-      codegen::generate_snapshot(adapter.model(), "lb", 1));
-  core.router().install_standby(id);
-  core.router().switch_active();
+  core.register_model(codegen::generate_snapshot(adapter.model(), "lb", 1));
+  core.switch_active();
 
   liteflow_path_selector sel{core, 2};
   // Path 1 congested (high ECN, high rtt), path 2 clean.  Selection is

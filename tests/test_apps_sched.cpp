@@ -147,10 +147,8 @@ TEST(LiteflowSizePredictor, MatchesQuantizedModelOutput) {
   core::liteflow_core core{s, cpu, costs};
   rng g{9};
   const auto net = nn::make_ffnn_flow_size_net(g);
-  const auto id =
-      core.register_model(codegen::generate_snapshot(net, "ffnn", 1));
-  core.router().install_standby(id);
-  core.router().switch_active();
+  core.register_model(codegen::generate_snapshot(net, "ffnn", 1));
+  core.switch_active();
   liteflow_size_predictor pred{core};
   const std::vector<double> features(8, 0.5);
   double got = 0.0;

@@ -1,6 +1,7 @@
-// Tests for the LiteFlow core library: NN manager refcounting, the
-// active/standby inference router with flow cache (§3.4), the core module
-// APIs (§4.2), batched data delivery (§3.2), sync evaluation (§3.3) and the
+// Tests for the LiteFlow core library: the NN manager's pin-gated unloads
+// and the active/standby inference router with flow cache (§3.4), both
+// served by the core module's rt::datapath_engine, the core module APIs
+// (§4.2), batched data delivery (§3.2), sync evaluation (§3.3) and the
 // end-to-end userspace service pipeline.
 #include <gtest/gtest.h>
 
@@ -8,9 +9,7 @@
 #include <limits>
 
 #include "core/batch_collector.hpp"
-#include "core/inference_router.hpp"
 #include "core/liteflow_core.hpp"
-#include "core/nn_manager.hpp"
 #include "core/sync_evaluator.hpp"
 #include "core/userspace_service.hpp"
 #include "nn/serialize.hpp"
@@ -28,249 +27,284 @@ codegen::snapshot tiny_snapshot(const std::string& name, std::uint64_t version,
   return codegen::generate_snapshot(net, name, version);
 }
 
-// -------------------------------------------------------------- manager --
+struct core_rig {
+  explicit core_rig(bool flow_cache = true)
+      : core{s, cpu, costs, flow_cache} {}
+  sim::simulation s;
+  kernelsim::cost_model costs;
+  kernelsim::cpu_model cpu{s};
+  liteflow_core core;
+
+  /// Generations installed and not yet unloaded.
+  std::uint64_t loaded() const { return core.engine().versions_live(); }
+  /// Run `fn` at simulation time `t`.
+  void at(double t, std::function<void()> fn) {
+    s.schedule_at(t, std::move(fn));
+    s.run();
+  }
+};
+
+// ------------------------------------------------------- manager (§4.2) --
+// The paper's NN manager: a snapshot stays loaded until no flow and no
+// queued query pins it.  The core keeps it as the engine's version pins.
 
 TEST(NnManager, RegisterAndLookup) {
-  nn_manager m;
-  const auto id = m.register_model(tiny_snapshot("ffnn", 1));
-  ASSERT_NE(m.get(id), nullptr);
-  EXPECT_EQ(m.get(id)->name, "ffnn");
-  EXPECT_EQ(m.installed_count(), 1u);
-  EXPECT_EQ(m.get(id + 57), nullptr);
+  core_rig rig;
+  const auto gen = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  EXPECT_EQ(gen, 1u);
+  EXPECT_EQ(rig.loaded(), 1u);
+  EXPECT_EQ(rig.core.active_snapshot(), nullptr);  // standby until the flip
+  rig.core.switch_active();
+  ASSERT_NE(rig.core.active_snapshot(), nullptr);
+  EXPECT_EQ(rig.core.active_snapshot()->name, "ffnn");
+  EXPECT_EQ(rig.core.route(7), gen);
 }
 
 TEST(NnManager, DuplicateNameVersionRejected) {
-  nn_manager m;
-  m.register_model(tiny_snapshot("ffnn", 1));
-  EXPECT_THROW(m.register_model(tiny_snapshot("ffnn", 1)),
+  core_rig rig;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  EXPECT_THROW(rig.core.register_model(tiny_snapshot("ffnn", 1)),
                std::invalid_argument);
   // Same name, new version is fine.
-  EXPECT_NO_THROW(m.register_model(tiny_snapshot("ffnn", 2)));
+  EXPECT_NO_THROW(rig.core.register_model(tiny_snapshot("ffnn", 2)));
 }
 
 TEST(NnManager, RemoveBlockedByRefcountThenDeferred) {
-  nn_manager m;
-  const auto id = m.register_model(tiny_snapshot("ffnn", 1));
-  m.add_ref(id);
-  EXPECT_FALSE(m.try_remove(id));  // a flow still pins the module
-  EXPECT_NE(m.get(id), nullptr);   // still installed (pending removal)
-  m.release(id);                   // last ref drops -> deferred unload fires
-  EXPECT_EQ(m.get(id), nullptr);
+  core_rig rig;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  for (netsim::flow_id_t f = 1; f <= 3; ++f) rig.core.route(f);
+  rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.switch_active();
+  EXPECT_EQ(rig.loaded(), 2u);  // three flows still pin the demoted v1
+  rig.core.flow_finished(1);
+  rig.core.flow_finished(2);
+  EXPECT_EQ(rig.loaded(), 2u);
+  rig.core.flow_finished(3);  // last pin drops -> deferred unload fires
+  EXPECT_EQ(rig.loaded(), 1u);
+  EXPECT_EQ(rig.core.engine().versions_retired(), 1u);
 }
 
 TEST(NnManager, RemoveWithoutRefsIsImmediate) {
-  nn_manager m;
-  const auto id = m.register_model(tiny_snapshot("ffnn", 1));
-  EXPECT_TRUE(m.try_remove(id));
-  EXPECT_EQ(m.get(id), nullptr);
-}
-
-TEST(NnManager, ReleaseUnderflowIsCountedNotThrown) {
-  // Broken release pairing is a datapath-adjacent bug: diagnose it through
-  // a counter instead of unwinding through the caller (a kernel-side FIN
-  // handler has nowhere to catch).
-  nn_manager m;
-  const auto id = m.register_model(tiny_snapshot("ffnn", 1));
-  EXPECT_EQ(m.refcount_errors(), 0u);
-  EXPECT_NO_THROW(m.release(id));  // refcount already 0
-  EXPECT_EQ(m.refcount_errors(), 1u);
-  // The bogus release must not corrupt the count: a real ref/release pair
-  // still balances and the module stays installed throughout.
-  m.add_ref(id);
-  m.release(id);
-  EXPECT_EQ(m.refcount_errors(), 1u);
-  EXPECT_NE(m.get(id), nullptr);
-}
-
-TEST(NnManager, UnknownIdRefOpsAreCounted) {
-  nn_manager m;
-  const auto id = m.register_model(tiny_snapshot("ffnn", 1));
-  EXPECT_NO_THROW(m.add_ref(id + 99));
-  EXPECT_NO_THROW(m.release(id + 99));
-  EXPECT_EQ(m.refcount_errors(), 2u);
-
-  metrics::registry reg;
-  m.register_metrics(reg, "nn");
-  bool found = false;
-  for (const auto& [name, value] : reg.scalars()) {
-    if (name == "nn.refcount_errors") {
-      found = true;
-      EXPECT_DOUBLE_EQ(value, 2.0);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(NnManager, FindLatestPicksHighestVersion) {
-  nn_manager m;
-  m.register_model(tiny_snapshot("ffnn", 1));
-  const auto id3 = m.register_model(tiny_snapshot("ffnn", 3));
-  m.register_model(tiny_snapshot("ffnn", 2));
-  ASSERT_TRUE(m.find_latest("ffnn").has_value());
-  EXPECT_EQ(*m.find_latest("ffnn"), id3);
-  EXPECT_FALSE(m.find_latest("absent").has_value());
+  core_rig rig;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.switch_active();  // nothing pins v1: it unloads at the flip
+  EXPECT_EQ(rig.loaded(), 1u);
+  EXPECT_EQ(rig.core.engine().versions_retired(), 1u);
 }
 
 // ---------------------------------------------------------------- router --
-
-struct router_rig {
-  sim::simulation s;
-  nn_manager m;
-  inference_router r{s, m, router_config{}};
-};
+// The inference router (§3.4): the active/standby flip plus the flow cache.
 
 TEST(InferenceRouter, InstallThenSwitchActivates) {
-  router_rig rig;
-  const auto id = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  EXPECT_FALSE(rig.r.active().has_value());
-  rig.r.install_standby(id);
-  EXPECT_EQ(rig.r.standby(), id);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.active(), id);
-  EXPECT_FALSE(rig.r.standby().has_value());
-  EXPECT_EQ(rig.r.switches(), 1u);
+  core_rig rig;
+  const auto gen = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  EXPECT_EQ(rig.core.route(7), 0u);  // a standby serves nothing
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.route(7), gen);
+  EXPECT_EQ(rig.core.engine().switches(), 1u);
 }
 
 TEST(InferenceRouter, SwitchWithoutStandbyIsCountedNoop) {
-  router_rig rig;
+  core_rig rig;
   // Nothing installed at all: the switch must not publish an empty active.
-  EXPECT_DOUBLE_EQ(rig.r.switch_active(), 0.0);
-  EXPECT_FALSE(rig.r.active().has_value());
-  EXPECT_EQ(rig.r.switches(), 0u);
-  EXPECT_EQ(rig.r.switch_noops(), 1u);
+  EXPECT_DOUBLE_EQ(rig.core.switch_active(), 0.0);
+  EXPECT_EQ(rig.core.active_snapshot(), nullptr);
+  EXPECT_EQ(rig.core.engine().switches(), 0u);
+  EXPECT_EQ(rig.core.engine().switch_noops(), 1u);
 
   // Active deployed, standby already consumed by a previous switch: a
   // spurious second switch must leave the active snapshot in place.
-  const auto v1 = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
-  ASSERT_EQ(rig.r.active(), v1);
-  EXPECT_FALSE(rig.r.standby().has_value());
-  rig.r.switch_active();  // no standby -> no-op
-  EXPECT_EQ(rig.r.active(), v1);
-  EXPECT_EQ(rig.r.route(7), v1);  // datapath still serves
-  EXPECT_EQ(rig.r.switches(), 1u);
-  EXPECT_EQ(rig.r.switch_noops(), 2u);
+  const auto v1 = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  rig.core.switch_active();  // no standby -> no-op
+  EXPECT_EQ(rig.core.route(7), v1);  // datapath still serves
+  EXPECT_EQ(rig.core.engine().switches(), 1u);
+  EXPECT_EQ(rig.core.engine().switch_noops(), 2u);
 }
 
 TEST(InferenceRouter, DoubleSwitchRoundTripRestoresActive) {
-  router_rig rig;
-  const auto v1 = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  const auto v2 = rig.m.register_model(tiny_snapshot("ffnn", 2));
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
+  core_rig rig;
+  const auto v1 = tiny_snapshot("ffnn", 1, 5);
+  rig.core.register_model(v1);
+  rig.core.switch_active();
 
-  // Install v2, flip to it, then re-install v1 and flip back: a full
-  // round-trip must land exactly where it started, with both switches
-  // counted and no stray standby left behind.
-  rig.r.install_standby(v2);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.active(), v2);
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.active(), v1);
-  EXPECT_FALSE(rig.r.standby().has_value());
-  EXPECT_EQ(rig.r.switches(), 3u);
-  EXPECT_EQ(rig.r.switch_noops(), 0u);
+  // Install v2, flip to it, then re-install v1 (unloaded at v2's flip, so
+  // its name and version are free again) and flip back: the round trip
+  // must serve v1's program again, with every switch counted.
+  rig.core.register_model(tiny_snapshot("ffnn", 2, 6));
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.active_snapshot()->version, 2u);
+  rig.core.register_model(v1);
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.active_snapshot()->version, 1u);
+  const std::vector<fp::s64> x(v1.input_size(), 300);
+  EXPECT_EQ(rig.core.query_model_sync(9, x), v1.program.infer(x));
+  EXPECT_EQ(rig.core.engine().switches(), 3u);
+  EXPECT_EQ(rig.core.engine().switch_noops(), 0u);
+  EXPECT_EQ(rig.loaded(), 1u);  // no flow pinned a demoted version
 }
 
 TEST(InferenceRouter, FlowCachePinsOldSnapshotAcrossSwitch) {
   // The paper's flow-consistency property: a flow keeps using the snapshot
-  // that served its first packet even after an update switch.
-  router_rig rig;
-  const auto v1 = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.route(42), v1);  // miss -> pins v1
+  // that served its first packet, across update switches, until its FIN.
+  core_rig rig;
+  const auto v1 = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.route(42), v1);  // miss -> pins v1
 
-  const auto v2 = rig.m.register_model(tiny_snapshot("ffnn", 2));
-  rig.r.install_standby(v2);
-  rig.r.switch_active();
-  EXPECT_EQ(rig.r.active(), v2);
-  EXPECT_EQ(rig.r.route(42), v1);  // cached: still v1
-  EXPECT_EQ(rig.r.route(43), v2);  // new flow: v2
-  EXPECT_EQ(rig.r.cache_hits(), 1u);
-  EXPECT_EQ(rig.r.cache_misses(), 2u);
+  const auto v2 = rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.switch_active();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rig.core.route(42), v1);  // cached: still v1
+  }
+  EXPECT_EQ(rig.core.route(43), v2);  // new flow: v2
+  const auto c = rig.core.engine().counters_now();
+  EXPECT_EQ(c.l1_hits + c.l2_hits, 100u);
+  EXPECT_EQ(c.misses, 2u);
+
+  rig.core.flow_finished(42);
+  EXPECT_EQ(rig.core.route(42), v2);  // after its FIN the flow id is new
 }
 
 TEST(InferenceRouter, OldModelRemovableOnlyAfterFlowsFinish) {
-  router_rig rig;
-  const auto v1 = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
-  rig.r.route(42);
-  const auto v2 = rig.m.register_model(tiny_snapshot("ffnn", 2));
-  rig.r.install_standby(v2);
-  rig.r.switch_active();
-  EXPECT_FALSE(rig.m.try_remove(v1));  // flow 42 pins it (deferred unload)
-  rig.r.flow_finished(42);             // FIN -> last ref drops -> unloaded
-  EXPECT_EQ(rig.m.get(v1), nullptr);
+  core_rig rig;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  rig.core.route(42);
+  rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.switch_active();
+  EXPECT_EQ(rig.loaded(), 2u);  // flow 42 pins v1 (deferred unload)
+  rig.core.flow_finished(42);   // FIN -> last pin drops -> unloaded
+  EXPECT_EQ(rig.loaded(), 1u);
 }
 
 TEST(InferenceRouter, DisabledFlowCacheAlwaysUsesActive) {
-  sim::simulation s;
-  nn_manager m;
-  router_config cfg;
-  cfg.flow_cache_enabled = false;
-  inference_router r{s, m, cfg};
-  const auto v1 = m.register_model(tiny_snapshot("ffnn", 1));
-  r.install_standby(v1);
-  r.switch_active();
-  r.route(42);
-  const auto v2 = m.register_model(tiny_snapshot("ffnn", 2));
-  r.install_standby(v2);
-  r.switch_active();
-  EXPECT_EQ(r.route(42), v2);  // no pinning
-  EXPECT_EQ(r.cache_size(), 0u);
+  // §3.4 fn. 2: a function with the cache off (CC) is always served by the
+  // active version, queued queries included.
+  core_rig rig{/*flow_cache=*/false};
+  const auto v1snap = tiny_snapshot("ffnn", 1, 5);
+  const auto v2snap = tiny_snapshot("ffnn", 2, 6);
+  const auto v1 = rig.core.register_model(v1snap);
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.route(42), v1);
+  const auto v2 = rig.core.register_model(v2snap);
+  rig.core.switch_active();
+  EXPECT_EQ(rig.core.route(42), v2);  // no pinning
+  EXPECT_EQ(rig.core.engine().cached_flows(), 0u);
+
+  const std::vector<fp::s64> x(v2snap.input_size(), 300);
+  ASSERT_NE(v1snap.program.infer(x), v2snap.program.infer(x));
+  std::vector<fp::s64> out;
+  rig.core.query_model(42, x, [&](std::vector<fp::s64> o) { out = o; });
+  rig.s.run();
+  EXPECT_EQ(out, v2snap.program.infer(x));
+  EXPECT_EQ(rig.loaded(), 1u);  // nothing kept v1 loaded past its flip
 }
 
 TEST(InferenceRouter, IdleEntriesExpire) {
-  sim::simulation s;
-  nn_manager m;
-  router_config cfg;
-  cfg.cache_idle_timeout = 1.0;
-  inference_router r{s, m, cfg};
-  const auto v1 = m.register_model(tiny_snapshot("ffnn", 1));
-  r.install_standby(v1);
-  r.switch_active();
-  r.route(42);
-  EXPECT_EQ(r.cache_size(), 1u);
-  s.schedule(2.0, []() {});
-  s.run();
-  EXPECT_EQ(r.expire_idle(), 1u);
-  EXPECT_EQ(r.cache_size(), 0u);
+  // The engine sweeps idle entries on the miss path: two buckets per miss
+  // against the 30 s idle timeout.
+  core_rig rig;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  rig.core.route(42);
+  EXPECT_EQ(rig.core.engine().cached_flows(), 1u);
+  // 600 misses at t = 100 sweep all 1024 buckets of the initial table.
+  rig.at(100.0, [&]() {
+    for (netsim::flow_id_t f = 1000; f < 1600; ++f) rig.core.route(f);
+  });
+  EXPECT_EQ(rig.core.engine().cached_flows(), 600u);
+  EXPECT_EQ(rig.core.engine().cache().stats().evictions, 1u);
 }
 
 TEST(InferenceRouter, RouteWithNothingActiveReturnsNullopt) {
-  router_rig rig;
-  EXPECT_FALSE(rig.r.route(1).has_value());
+  core_rig rig;
+  EXPECT_EQ(rig.core.route(1), 0u);
+  EXPECT_EQ(rig.core.engine().cached_flows(), 0u);
 }
 
 TEST(InferenceRouter, SwitchLockHeldNanoseconds) {
-  router_rig rig;
-  const auto v1 = rig.m.register_model(tiny_snapshot("ffnn", 1));
-  rig.r.install_standby(v1);
-  rig.r.switch_active();
-  EXPECT_LE(rig.r.lock().total_hold_seconds(), 100e-9);
+  core_rig rig;
+  metrics::registry reg;
+  rig.core.register_metrics(reg, "t");
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  EXPECT_EQ(reg.find_counter("t.core.router.lock.acquisitions")->value(), 1u);
+  EXPECT_LE(reg.find_gauge("t.core.router.lock.hold_seconds")->value(),
+            100e-9);
+}
+
+// ------------------------------------------------------ core over engine --
+
+TEST(CoreEngine, RemovedTimeIsLastPinnedFlowsFin) {
+  core_rig rig;
+  monitor_config mc;
+  mc.enabled = true;
+  adaptation_monitor mon{mc};
+  rig.core.register_monitor(mon);
+  install_observation v1;
+  v1.version = 1;
+  v1.initial = true;
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active(&v1);
+  rig.core.route(1);
+  rig.core.route(2);
+  rig.at(1.0, [&]() {
+    install_observation v2;
+    v2.version = 2;
+    rig.core.register_model(tiny_snapshot("ffnn", 2));
+    rig.core.switch_active(&v2);
+  });
+  rig.at(2.0, [&]() { rig.core.flow_finished(1); });
+  ASSERT_EQ(mon.ledger().size(), 2u);
+  EXPECT_DOUBLE_EQ(mon.ledger()[0].retire_time, 1.0);
+  EXPECT_EQ(mon.ledger()[0].pinned_at_retire, 3u);  // ownership + 2 flows
+  EXPECT_LT(mon.ledger()[0].removed_time, 0.0);     // flow 2 still pins it
+  rig.at(3.5, [&]() { rig.core.flow_finished(2); });
+  EXPECT_DOUBLE_EQ(mon.ledger()[0].removed_time, 3.5);
+  EXPECT_DOUBLE_EQ(mon.ledger()[0].drain_seconds(), 2.5);
+  EXPECT_LT(mon.ledger()[1].removed_time, 0.0);  // v2 is still active
+}
+
+TEST(CoreEngine, VersionCountsReachTelemetry) {
+  // Every run publishes the engine's live and retired version counts, so a
+  // leaked pin shows as a version that stays live after its flows finish.
+  core_rig rig;
+  metrics::registry reg;
+  rig.core.register_metrics(reg, "t");
+  const auto gauge = [&](const std::string& name) {
+    return reg.find_gauge("t.core.router." + name)->value();
+  };
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
+  rig.core.route(7);
+  rig.core.route(7);
+  rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.switch_active();
+  EXPECT_DOUBLE_EQ(gauge("versions_live"), 2.0);
+  EXPECT_DOUBLE_EQ(gauge("versions_retired"), 0.0);
+  EXPECT_DOUBLE_EQ(gauge("cache_hits"), 1.0);
+  EXPECT_DOUBLE_EQ(gauge("cache_misses"), 1.0);
+  rig.core.flow_finished(7);
+  EXPECT_DOUBLE_EQ(gauge("versions_live"), 1.0);
+  EXPECT_DOUBLE_EQ(gauge("versions_retired"), 1.0);
+  EXPECT_DOUBLE_EQ(gauge("cache.evictions"), 1.0);
+  EXPECT_DOUBLE_EQ(gauge("cache.occupancy"), 0.0);
+  EXPECT_EQ(reg.find_atomic_counter("t.core.router.switches")->value(), 2u);
 }
 
 // ------------------------------------------------------------------ core --
-
-struct core_rig {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  liteflow_core core{s, cpu, costs};
-};
 
 TEST(LiteflowCore, QueryRunsActiveSnapshot) {
   core_rig rig;
   rng g{5};
   const auto net = nn::make_ffnn_flow_size_net(g);
   const auto snap = codegen::generate_snapshot(net, "ffnn", 1);
-  const auto id = rig.core.register_model(snap);
-  rig.core.router().install_standby(id);
-  rig.core.router().switch_active();
+  rig.core.register_model(snap);
+  rig.core.switch_active();
 
   std::vector<fp::s64> input(net.input_size(), 100);
   const auto direct = snap.program.infer(input);
@@ -298,18 +332,16 @@ TEST(LiteflowCore, QueryWithoutModelReturnsEmpty) {
 
 TEST(LiteflowCore, QueryWrongInputSizeReturnsEmpty) {
   core_rig rig;
-  const auto id = rig.core.register_model(tiny_snapshot("ffnn", 1));
-  rig.core.router().install_standby(id);
-  rig.core.router().switch_active();
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
   const fp::s64 bad[] = {1, 2};
   EXPECT_TRUE(rig.core.query_model_sync(1, bad).empty());
 }
 
 TEST(LiteflowCore, RegisterIoValidatesShapes) {
   core_rig rig;
-  const auto id = rig.core.register_model(tiny_snapshot("ffnn", 1));
-  rig.core.router().install_standby(id);
-  rig.core.router().switch_active();
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
   // FFNN: 8 inputs, 1 output.
   EXPECT_NO_THROW(rig.core.register_io({"sched", 8, 1}));
   EXPECT_THROW(rig.core.register_io({"bad", 4, 1}), std::invalid_argument);
@@ -339,9 +371,8 @@ TEST(LiteflowCore, UnregisterIo) {
 TEST(LiteflowCore, ActiveIoScale) {
   core_rig rig;
   EXPECT_EQ(rig.core.active_io_scale(), 0);
-  const auto id = rig.core.register_model(tiny_snapshot("ffnn", 1));
-  rig.core.router().install_standby(id);
-  rig.core.router().switch_active();
+  rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.switch_active();
   EXPECT_EQ(rig.core.active_io_scale(), 1000);
 }
 
@@ -624,7 +655,7 @@ TEST(UserspaceService, StartInstallsInitialSnapshot) {
   auto svc = rig.make();
   svc->start();
   rig.s.run_until(0.05);
-  EXPECT_TRUE(rig.core.router().active().has_value());
+  EXPECT_NE(rig.core.active_snapshot(), nullptr);
   EXPECT_EQ(svc->current_version(), 1u);
   EXPECT_EQ(rig.core.active_io_scale(), 1000);
 }
@@ -667,9 +698,8 @@ TEST(UserspaceService, UpdatesAfterDriftAndConvergence) {
   EXPECT_GE(svc->snapshot_updates(), 1u);
   EXPECT_GT(svc->current_version(), 1u);
   // The router's active snapshot got replaced.
-  const auto active = rig.core.router().active();
-  ASSERT_TRUE(active.has_value());
-  EXPECT_GT(rig.core.manager().get(*active)->version, 1u);
+  ASSERT_NE(rig.core.active_snapshot(), nullptr);
+  EXPECT_GT(rig.core.active_snapshot()->version, 1u);
 }
 
 TEST(UserspaceService, UnstableMetricBlocksUpdate) {

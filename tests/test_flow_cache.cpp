@@ -1,186 +1,186 @@
-// Tests for the open-addressing flow cache (core/flow_cache.hpp) and its
-// integration with the inference router: insert/hit/FIN/idle-expiry, growth
-// and tombstone reclamation, incremental step_evict, and refcount draining
-// across a snapshot switch.
+// Tests for the flow cache the simulated stack serves through: the engine's
+// sharded_flow_cache with one shard (insert/hit/FIN/idle expiry, growth and
+// tombstone reclamation, the insert-driven idle sweep), and the core
+// module's flow pinning and pin draining across snapshot switches.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <vector>
 
-#include "core/flow_cache.hpp"
-#include "core/inference_router.hpp"
-#include "core/nn_manager.hpp"
+#include "core/liteflow_core.hpp"
 #include "nn/mlp.hpp"
+#include "rt/sharded_flow_cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace lf;
-using namespace lf::core;
+
+codegen::snapshot tiny_snapshot(const std::string& name,
+                                std::uint64_t version) {
+  rng g{12};
+  const auto net = nn::make_ffnn_flow_size_net(g);
+  return codegen::generate_snapshot(net, name, version);
+}
 
 // ------------------------------------------------------------ flow cache --
 
+/// One shard, one reader inside its epoch guard for the rig's lifetime, and
+/// one active version that every entry pins.
+struct cache_rig {
+  explicit cache_rig(std::size_t capacity) : cache{1, capacity, epochs} {
+    handle.install_standby(tiny_snapshot("ffnn", 1));
+    handle.switch_active();
+    v = handle.pin_active();
+    handle.unpin(v);  // the ownership pin keeps it; count back to 1
+  }
+  ~cache_rig() { cache.clear(handle); }
+
+  /// Insert `flow` last used at `now`, transferring a fresh pin; `sweep`
+  /// buckets of the idle sweep (against `timeout`) ride along.
+  rt::snapshot_version* insert(netsim::flow_id_t flow, double now,
+                               std::size_t sweep = 0,
+                               double timeout = 30.0) {
+    return cache.insert(flow, handle.pin_active(), now, timeout, sweep,
+                        handle);
+  }
+  bool find(netsim::flow_id_t flow) {
+    return cache.lookup(flow, 0.0) != nullptr;
+  }
+  std::size_t size() const { return cache.stats().size; }
+  std::size_t capacity() const { return cache.stats().capacity; }
+  std::uint64_t evictions() const { return cache.stats().evictions; }
+  std::uint64_t rehashes() const { return cache.stats().rehashes; }
+
+  rt::epoch_domain epochs{1};
+  rt::snapshot_handle handle{epochs};
+  rt::sharded_flow_cache cache;
+  std::size_t slot = epochs.register_reader();
+  rt::epoch_domain::guard guard{epochs, slot};
+  rt::snapshot_version* v = nullptr;
+};
+
 TEST(FlowCache, InsertFindErase) {
-  flow_cache c{16};
+  cache_rig c{16};
   EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.find(7), nullptr);
-  c.insert(7, 3, 1.0);
-  ASSERT_NE(c.find(7), nullptr);
-  EXPECT_EQ(c.find(7)->model, 3u);
-  EXPECT_EQ(c.find(7)->last_used, 1.0);
+  EXPECT_EQ(c.cache.lookup(7, 0.0), nullptr);
+  EXPECT_EQ(c.insert(7, 1.0), c.v);
+  EXPECT_EQ(c.cache.lookup(7, 1.0), c.v);
   EXPECT_EQ(c.size(), 1u);
-  model_id released = 0;
-  EXPECT_TRUE(c.erase(7, [&](model_id m) { released = m; }));
-  EXPECT_EQ(released, 3u);
-  EXPECT_EQ(c.find(7), nullptr);
+  EXPECT_EQ(c.v->pins.load(), 2u);  // ownership + the entry
+  EXPECT_TRUE(c.cache.erase(7, c.handle));
+  EXPECT_EQ(c.v->pins.load(), 1u);  // FIN released the entry's pin
+  EXPECT_EQ(c.cache.lookup(7, 1.0), nullptr);
   EXPECT_EQ(c.size(), 0u);
-  EXPECT_FALSE(c.erase(7, {}));  // absent; empty callback must be safe
-}
-
-TEST(FlowCache, OccupancyGaugeAndHighWatermark) {
-  flow_cache c{16};
-  metrics::registry reg;
-  c.register_metrics(reg, "cache");
-  const auto* occ = reg.find_gauge("cache.occupancy");
-  const auto* hwm = reg.find_gauge("cache.occupancy_hwm");
-  ASSERT_NE(occ, nullptr);
-  ASSERT_NE(hwm, nullptr);
-
-  for (netsim::flow_id_t f = 0; f < 8; ++f) c.insert(f, 1, 0.0);
-  EXPECT_DOUBLE_EQ(occ->value(), 8.0);
-  EXPECT_DOUBLE_EQ(hwm->value(), 8.0);
-  EXPECT_EQ(c.occupancy_high_watermark(), 8u);
-
-  // Draining entries moves the gauge down but never the watermark.
-  for (netsim::flow_id_t f = 0; f < 5; ++f) c.erase(f, {});
-  EXPECT_DOUBLE_EQ(occ->value(), 3.0);
-  EXPECT_DOUBLE_EQ(hwm->value(), 8.0);
-
-  // clear() empties the cache; the watermark is a lifetime maximum.
-  c.clear({});
-  EXPECT_DOUBLE_EQ(occ->value(), 0.0);
-  EXPECT_EQ(c.occupancy_high_watermark(), 8u);
-
-  // A new peak pushes it up again.
-  for (netsim::flow_id_t f = 100; f < 112; ++f) c.insert(f, 1, 0.0);
-  EXPECT_DOUBLE_EQ(occ->value(), 12.0);
-  EXPECT_DOUBLE_EQ(hwm->value(), 12.0);
+  EXPECT_FALSE(c.cache.erase(7, c.handle));  // absent
 }
 
 TEST(FlowCache, OccupancyGaugeSurvivesRehash) {
-  flow_cache c{16};
+  sim::simulation s;
+  kernelsim::cost_model costs;
+  kernelsim::cpu_model cpu{s};
+  core::liteflow_core core{s, cpu, costs};
   metrics::registry reg;
-  c.register_metrics(reg, "cache");
-  for (netsim::flow_id_t f = 0; f < 500; ++f) c.insert(f, 1, 0.0);
-  ASSERT_GT(c.rehashes(), 0u);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("cache.occupancy")->value(), 500.0);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("cache.occupancy_hwm")->value(), 500.0);
+  core.register_metrics(reg, "t");
+  core.register_model(tiny_snapshot("ffnn", 1));
+  core.switch_active();
+  for (netsim::flow_id_t f = 0; f < 1000; ++f) core.route(f);
+  ASSERT_GT(reg.find_gauge("t.core.router.cache.rehashes")->value(), 0.0);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("t.core.router.cache.occupancy")->value(),
+                   1000.0);
 }
 
 TEST(FlowCache, GrowsPastInitialCapacityWithoutLosingEntries) {
-  flow_cache c{16};
+  cache_rig c{16};
   const std::size_t cap0 = c.capacity();
-  for (netsim::flow_id_t f = 0; f < 1000; ++f) c.insert(f, f + 1, 0.0);
+  for (netsim::flow_id_t f = 0; f < 1000; ++f) c.insert(f, 0.0);
   EXPECT_EQ(c.size(), 1000u);
   EXPECT_GT(c.capacity(), cap0);
   EXPECT_GT(c.rehashes(), 0u);
   for (netsim::flow_id_t f = 0; f < 1000; ++f) {
-    ASSERT_NE(c.find(f), nullptr) << "flow " << f;
-    EXPECT_EQ(c.find(f)->model, f + 1);
+    ASSERT_TRUE(c.find(f)) << "flow " << f;
   }
+  EXPECT_EQ(c.v->pins.load(), 1001u);
 }
 
 TEST(FlowCache, TombstonesAreReclaimedByChurn) {
   // Steady insert+erase churn at constant live size must not grow the table
   // without bound: tombstones get reused or scrubbed by the periodic rehash.
-  flow_cache c{64};
+  cache_rig c{64};
   netsim::flow_id_t next = 0;
-  for (; next < 32; ++next) c.insert(next, 1, 0.0);
+  for (; next < 32; ++next) c.insert(next, 0.0);
   for (int i = 0; i < 100000; ++i) {
-    ASSERT_TRUE(c.erase(next - 32, {}));
-    c.insert(next, 1, 0.0);
+    ASSERT_TRUE(c.cache.erase(next - 32, c.handle));
+    c.insert(next, 0.0);
     ++next;
   }
   EXPECT_EQ(c.size(), 32u);
   EXPECT_LE(c.capacity(), 256u);  // bounded despite 100k inserts
   for (netsim::flow_id_t f = next - 32; f < next; ++f) {
-    ASSERT_NE(c.find(f), nullptr);
+    ASSERT_TRUE(c.find(f));
   }
 }
 
 TEST(FlowCache, CollidingFlowsAllFindable) {
-  // Adversarial-ish: dense sequential ids plus ids that alias mod capacity.
-  flow_cache c{16};
+  // Adversarial-ish: ids that alias mod capacity.
+  cache_rig c{16};
   std::vector<netsim::flow_id_t> flows;
   for (int i = 0; i < 40; ++i) flows.push_back(1 + i * 16);
-  for (const auto f : flows) c.insert(f, f, 0.5);
-  for (const auto f : flows) {
-    ASSERT_NE(c.find(f), nullptr) << "flow " << f;
-    EXPECT_EQ(c.find(f)->model, f);
-  }
+  for (const auto f : flows) c.insert(f, 0.5);
+  for (const auto f : flows) ASSERT_TRUE(c.find(f)) << "flow " << f;
   // Erase every other one, then verify probes still reach the survivors
   // (tombstones must not terminate the probe chain).
-  for (std::size_t i = 0; i < flows.size(); i += 2) c.erase(flows[i], {});
+  for (std::size_t i = 0; i < flows.size(); i += 2) {
+    c.cache.erase(flows[i], c.handle);
+  }
   for (std::size_t i = 1; i < flows.size(); i += 2) {
-    ASSERT_NE(c.find(flows[i]), nullptr) << "flow " << flows[i];
+    ASSERT_TRUE(c.find(flows[i])) << "flow " << flows[i];
   }
 }
 
 TEST(FlowCache, ExpireIdleSweepsEverything) {
-  flow_cache c{64};
+  cache_rig c{64};
   for (netsim::flow_id_t f = 0; f < 20; ++f) {
-    c.insert(f, f + 100, f < 10 ? 0.0 : 50.0);  // half old, half fresh
+    c.insert(f, f < 10 ? 0.0 : 50.0);  // half old, half fresh
   }
-  std::multiset<model_id> released;
-  const auto n = c.expire_idle(60.0, 30.0, [&](model_id m) {
-    released.insert(m);
-  });
-  EXPECT_EQ(n, 10u);
+  EXPECT_EQ(c.cache.expire_idle(60.0, 30.0, c.handle), 10u);
   EXPECT_EQ(c.size(), 10u);
-  EXPECT_EQ(released.size(), 10u);
-  for (netsim::flow_id_t f = 0; f < 10; ++f) EXPECT_EQ(c.find(f), nullptr);
-  for (netsim::flow_id_t f = 10; f < 20; ++f) EXPECT_NE(c.find(f), nullptr);
+  EXPECT_EQ(c.v->pins.load(), 11u);  // each eviction released its pin
+  for (netsim::flow_id_t f = 0; f < 10; ++f) EXPECT_FALSE(c.find(f));
+  for (netsim::flow_id_t f = 10; f < 20; ++f) EXPECT_TRUE(c.find(f));
 }
 
 TEST(FlowCache, StepEvictDrainsIncrementally) {
-  flow_cache c{64};
-  for (netsim::flow_id_t f = 0; f < 30; ++f) c.insert(f, 1, 0.0);
-  // Sweeping `slots` buckets per call must reach every stale entry within
-  // one full lap of the table, regardless of where they hash.
-  std::size_t evicted = 0;
+  // Each insert sweeps `slots` buckets; re-inserting a resident probe flow
+  // runs the sweep without growing the table.  Sweeping must reach every
+  // stale entry within one full lap, regardless of where they hash.
+  cache_rig c{128};
+  for (netsim::flow_id_t f = 0; f < 30; ++f) c.insert(f, 0.0);
   const std::size_t laps = c.capacity() / 4 + 1;
-  for (std::size_t i = 0; i < laps; ++i) {
-    evicted += c.step_evict(100.0, 30.0, 4, {});
-  }
-  EXPECT_EQ(evicted, 30u);
-  EXPECT_EQ(c.size(), 0u);
+  for (std::size_t i = 0; i < laps; ++i) c.insert(9999, 100.0, 4);
+  EXPECT_EQ(c.evictions(), 30u);
+  EXPECT_EQ(c.size(), 1u);  // the probe flow
 }
 
 TEST(FlowCache, StepEvictSparesFreshEntries) {
-  flow_cache c{64};
-  for (netsim::flow_id_t f = 0; f < 16; ++f) c.insert(f, 1, 99.0);
-  std::size_t evicted = 0;
-  for (int i = 0; i < 200; ++i) evicted += c.step_evict(100.0, 30.0, 4, {});
-  EXPECT_EQ(evicted, 0u);
-  EXPECT_EQ(c.size(), 16u);
+  cache_rig c{64};
+  for (netsim::flow_id_t f = 0; f < 16; ++f) c.insert(f, 99.0);
+  for (int i = 0; i < 200; ++i) c.insert(9999, 100.0, 4);
+  EXPECT_EQ(c.evictions(), 0u);
+  EXPECT_EQ(c.size(), 17u);
 }
 
 TEST(FlowCache, ClearReleasesEveryEntry) {
-  flow_cache c{32};
-  for (netsim::flow_id_t f = 0; f < 10; ++f) c.insert(f, 7, 0.0);
-  int calls = 0;
-  c.clear([&](model_id m) {
-    EXPECT_EQ(m, 7u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 10);
+  cache_rig c{32};
+  for (netsim::flow_id_t f = 0; f < 10; ++f) c.insert(f, 0.0);
+  EXPECT_EQ(c.cache.clear(c.handle), 10u);
+  EXPECT_EQ(c.v->pins.load(), 1u);
   EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.find(3), nullptr);
+  EXPECT_FALSE(c.find(3));
 }
 
-// splitmix64 finalizer, mirrored from flow_cache.cpp so tests can place
-// flows into known home buckets of a capacity-16 table.
+// splitmix64 finalizer, mirrored from sharded_flow_cache.cpp so tests can
+// place flows into known home buckets of a one-shard, 16-slot table.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -196,178 +196,142 @@ netsim::flow_id_t flow_for_bucket(std::size_t bucket,
 }
 
 TEST(FlowCache, ScrubMidSweepDoesNotRestartTheSweep) {
-  // Regression for the sweep-cursor reset in rehash(): a tombstone scrub
-  // landing mid-sweep used to send the cursor back to slot 0, so with
-  // recurring scrubs the incremental sweep re-visited the head of the table
-  // forever and stale entries parked in the tail were never evicted.  The
-  // fix scales the cursor into the new layout (identity for a same-size
-  // scrub), so sweep progress survives the rehash.
-  flow_cache c{16};
+  // A tombstone scrub (same-size rehash) landing mid-sweep must keep the
+  // sweep cursor where it was: sending it back to slot 0 would re-visit the
+  // head of the table forever under recurring scrubs and never evict stale
+  // entries parked in the tail.
+  cache_rig c{16};
   ASSERT_EQ(c.capacity(), 16u);
 
-  // A stale victim in the tail (home bucket 14) and two fresh fillers in
-  // the head (buckets 0 and 1).  Distinct home buckets mean every entry
-  // sits exactly in its bucket, before and after the scrub's re-insertion.
+  // A stale victim in the tail (home bucket 14) and two fillers in the head
+  // (buckets 0 and 1).  Distinct home buckets mean every entry sits exactly
+  // in its bucket, before and after the scrub's re-insertion.
   const auto victim = flow_for_bucket(14);
   const auto keep0 = flow_for_bucket(0);
   const auto keep1 = flow_for_bucket(1);
-  c.insert(victim, 1, 0.0);     // will be idle by t=2000
-  c.insert(keep0, 2, 3000.0);   // stays fresh throughout
-  c.insert(keep1, 2, 3000.0);
+  c.insert(victim, 0.0);  // will be idle by t=2000
+  c.insert(keep0, 3000.0);
+  c.insert(keep1, 3000.0);
 
   // Advance the sweep cursor halfway through the table without evicting
   // anything (victim is only 500s old against a 1000s timeout).
-  EXPECT_EQ(c.step_evict(500.0, 1000.0, 8, {}), 0u);
+  c.insert(keep0, 500.0, 8, 1000.0);
+  EXPECT_EQ(c.evictions(), 0u);
 
-  // Now force a tombstone scrub: park a tombstone in each remaining bucket
-  // (insert a short-lived flow into an empty bucket, erase it) until the
-  // occupied+tombstone fill crosses the scrub threshold and an insert
-  // performs the same-size rehash.
-  for (std::size_t b = 2; b <= 15; ++b) {
+  // Park tombstones in the other buckets (insert into an empty bucket,
+  // erase) until an insert crosses the load factor and scrubs in place.
+  for (std::size_t b = 2; b <= 15 && c.rehashes() == 0; ++b) {
     if (b == 14) continue;  // the victim's bucket
     const auto tmp = flow_for_bucket(b, victim + 1);
-    c.insert(tmp, 9, 600.0);
-    if (c.tombstone_scrubs() > 0) {
-      c.erase(tmp, {});
-      break;
-    }
-    c.erase(tmp, {});
+    c.insert(tmp, 600.0);
+    c.cache.erase(tmp, c.handle);
   }
-  EXPECT_EQ(c.tombstone_scrubs(), 1u);
+  EXPECT_EQ(c.rehashes(), 1u);
   EXPECT_EQ(c.capacity(), 16u);  // scrub, not growth
   EXPECT_EQ(c.size(), 3u);
 
   // One more 8-slot sweep step must finish the lap — slots 8..15, which
-  // include the victim.  With the old reset-to-0 cursor this sweeps slots
-  // 0..7 again and evicts nothing.
-  std::vector<model_id> evicted;
-  const auto n =
-      c.step_evict(2000.0, 1000.0, 8, [&](model_id m) { evicted.push_back(m); });
-  EXPECT_EQ(n, 1u);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 1u);
-  EXPECT_EQ(c.find(victim), nullptr);
-  // The fresh fillers survive.
-  EXPECT_NE(c.find(keep0), nullptr);
-  EXPECT_NE(c.find(keep1), nullptr);
+  // include the victim.  A cursor reset to 0 would sweep slots 0..7 again
+  // and evict nothing.
+  const std::uint64_t before = c.evictions();
+  c.insert(keep1, 2000.0, 8, 1000.0);
+  EXPECT_EQ(c.evictions() - before, 1u);
+  EXPECT_FALSE(c.find(victim));
+  // The fillers survive.
+  EXPECT_TRUE(c.find(keep0));
+  EXPECT_TRUE(c.find(keep1));
 }
 
 TEST(FlowCache, GrowthMidSweepPreservesSweepProgress) {
   // The growth rehash doubles capacity; the scaled cursor keeps relative
-  // position, so a sweep that was halfway through stays halfway through
-  // instead of restarting and double-visiting the head.
-  flow_cache c{16};
+  // position, so sweep work to cover the table stays bounded by its size.
+  cache_rig c{16};
   ASSERT_EQ(c.capacity(), 16u);
   // Advance the cursor to slot 8 of 16.
-  c.insert(flow_for_bucket(0), 1, 0.0);
-  EXPECT_EQ(c.step_evict(1.0, 1000.0, 8, {}), 0u);
+  const auto first = flow_for_bucket(0);
+  c.insert(first, 0.0);
+  c.insert(first, 1.0, 8, 1000.0);
   // Trigger growth to 32 slots.
-  for (netsim::flow_id_t f = 1000; f < 1012; ++f) c.insert(f, 1, 1.0);
+  for (netsim::flow_id_t f = 1000; f < 1012; ++f) c.insert(f, 1.0);
   ASSERT_EQ(c.capacity(), 32u);
-  // Cursor should now sit at 16 of 32: one more 16-slot step completes the
-  // lap and a further full lap revisits everything — total sweep work to
-  // cover the table stays bounded by its (new) size.
-  std::size_t evicted = 0;
-  evicted += c.step_evict(5000.0, 1000.0, 16, {});
-  evicted += c.step_evict(5000.0, 1000.0, 16, {});
-  EXPECT_EQ(evicted, 13u);  // every entry is stale by t=5000
-  EXPECT_EQ(c.size(), 0u);
+  // Two 16-slot steps cover the new table once: every entry is stale by
+  // t=5000, and only the probe flow inserted by the steps remains.
+  c.insert(9999, 5000.0, 16, 1000.0);
+  c.insert(9999, 5000.0, 16, 1000.0);
+  EXPECT_EQ(c.evictions(), 13u);
+  EXPECT_EQ(c.size(), 1u);
 }
 
 TEST(FlowCache, RandomizedAgainstReferenceMap) {
-  // Model-based check: random insert/erase/find against a std::map oracle.
-  flow_cache c{16};
-  std::map<netsim::flow_id_t, model_id> oracle;
+  // Model-based check: random insert/erase/lookup against a std::set oracle.
+  cache_rig c{16};
+  std::set<netsim::flow_id_t> oracle;
   rng g{0xcafe};
   for (int step = 0; step < 20000; ++step) {
     const auto f = static_cast<netsim::flow_id_t>(g.uniform_int(0, 400));
     switch (g.uniform_int(0, 2)) {
       case 0:
-        if (!oracle.count(f)) {
-          c.insert(f, f * 2 + 1, 0.0);
-          oracle[f] = f * 2 + 1;
-        }
+        if (oracle.insert(f).second) c.insert(f, 0.0);
         break;
-      case 1: {
-        const bool present = oracle.erase(f) > 0;
-        EXPECT_EQ(c.erase(f, {}), present);
+      case 1:
+        EXPECT_EQ(c.cache.erase(f, c.handle), oracle.erase(f) > 0);
         break;
-      }
-      default: {
-        auto* e = c.find(f);
-        const auto it = oracle.find(f);
-        if (it == oracle.end()) {
-          EXPECT_EQ(e, nullptr);
-        } else {
-          ASSERT_NE(e, nullptr);
-          EXPECT_EQ(e->model, it->second);
-        }
+      default:
+        EXPECT_EQ(c.find(f), oracle.count(f) > 0);
         break;
-      }
     }
   }
   EXPECT_EQ(c.size(), oracle.size());
+  EXPECT_EQ(c.v->pins.load(), oracle.size() + 1);
 }
 
 // ---------------------------------------------------- router integration --
 
-codegen::snapshot tiny_snapshot(const std::string& name,
-                                std::uint64_t version) {
-  rng g{12};
-  const auto net = nn::make_ffnn_flow_size_net(g);
-  return codegen::generate_snapshot(net, name, version);
-}
-
-struct rig {
+struct core_rig {
   sim::simulation s;
-  nn_manager m;
+  kernelsim::cost_model costs;
+  kernelsim::cpu_model cpu{s};
+  core::liteflow_core core{s, cpu, costs};
 };
 
 TEST(RouterFlowCache, PinsFlowsAndDrainsRefsAcrossSwitch) {
-  rig r;
-  router_config cfg;
-  cfg.cache_initial_capacity = 16;
-  inference_router router{r.s, r.m, cfg};
-  const auto v1 = r.m.register_model(tiny_snapshot("ffnn", 1));
-  router.install_standby(v1);
-  router.switch_active();
+  core_rig r;
+  const auto v1 = r.core.register_model(tiny_snapshot("ffnn", 1));
+  r.core.switch_active();
   for (netsim::flow_id_t f = 0; f < 100; ++f) {
-    EXPECT_EQ(router.route(f), v1);  // pins each flow, cache grows past 16
+    EXPECT_EQ(r.core.route(f), v1);  // pins each flow
   }
-  // 100 pinned flows + the active slot's own reference.
-  EXPECT_EQ(r.m.refcount(v1), 101u);
-  EXPECT_EQ(router.cache_size(), 100u);
+  EXPECT_EQ(r.core.engine().cached_flows(), 100u);
 
-  const auto v2 = r.m.register_model(tiny_snapshot("ffnn", 2));
-  router.install_standby(v2);
-  router.switch_active();
+  const auto v2 = r.core.register_model(tiny_snapshot("ffnn", 2));
+  r.core.switch_active();
   // Existing flows stay pinned to v1; new flows go to v2.
-  EXPECT_EQ(router.route(5), v1);
-  EXPECT_EQ(router.route(1000), v2);
-  EXPECT_FALSE(r.m.try_remove(v1));  // blocked: 100 flows still pinned
-  for (netsim::flow_id_t f = 0; f < 100; ++f) router.flow_finished(f);
-  EXPECT_EQ(r.m.get(v1), nullptr);  // deferred unload fired at refcount 0
-  EXPECT_EQ(router.route(5), v2);   // re-routes to the new active
+  EXPECT_EQ(r.core.route(5), v1);
+  EXPECT_EQ(r.core.route(1000), v2);
+  EXPECT_EQ(r.core.engine().versions_live(), 2u);  // 100 flows pin v1
+  for (netsim::flow_id_t f = 0; f < 99; ++f) r.core.flow_finished(f);
+  EXPECT_EQ(r.core.engine().versions_live(), 2u);
+  r.core.flow_finished(99);
+  EXPECT_EQ(r.core.engine().versions_live(), 1u);  // unloaded at its last FIN
+  EXPECT_EQ(r.core.route(5), v2);  // re-routes to the new active
 }
 
 TEST(RouterFlowCache, IncrementalEvictionDrainsIdleFlowsDuringRouting) {
-  rig r;
-  router_config cfg;
-  cfg.cache_idle_timeout = 1.0;
-  cfg.cache_evict_slots_per_route = 8;
-  inference_router router{r.s, r.m, cfg};
-  const auto v1 = r.m.register_model(tiny_snapshot("ffnn", 1));
-  router.install_standby(v1);
-  router.switch_active();
-  for (netsim::flow_id_t f = 0; f < 64; ++f) router.route(f);
-  EXPECT_EQ(r.m.refcount(v1), 65u);  // 64 flows + the active slot's ref
-  // Advance time past the idle timeout, then keep routing one hot flow:
-  // the per-route sweep alone must drain all the stale entries.
-  r.s.schedule(5.0, []() {});
+  core_rig r;
+  r.core.register_model(tiny_snapshot("ffnn", 1));
+  r.core.switch_active();
+  for (netsim::flow_id_t f = 0; f < 64; ++f) r.core.route(f);
+  r.core.register_model(tiny_snapshot("ffnn", 2));
+  r.core.switch_active();
+  EXPECT_EQ(r.core.engine().versions_live(), 2u);  // 64 idle flows pin v1
+  // Past the 30 s idle timeout, new flows keep missing: the sweep on their
+  // miss path alone drains every stale entry, and v1 unloads with the last.
+  r.s.schedule_at(100.0, [&]() {
+    for (netsim::flow_id_t f = 1000; f < 1600; ++f) r.core.route(f);
+  });
   r.s.run();
-  for (int i = 0; i < 400; ++i) router.route(9999);
-  EXPECT_EQ(router.cache_size(), 1u);  // only the hot flow remains
-  EXPECT_EQ(r.m.refcount(v1), 2u);     // hot flow + the active slot's ref
+  EXPECT_EQ(r.core.engine().cache().stats().evictions, 64u);
+  EXPECT_EQ(r.core.engine().versions_live(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-module integration tests: determinism of whole experiments, the
 // full LiteFlow pipeline (collect -> batch -> adapt -> sync -> install ->
-// switch) with a real RL slow path, lf_unregister_model semantics, and the
+// switch) with a real RL slow path, pin-gated module unloads, and the
 // generated-code path exercised through the live core module.
 #include <gtest/gtest.h>
 
@@ -57,43 +57,37 @@ TEST(Determinism, DifferentSeedsDiffer) {
 
 // --------------------------------------------------- module lifecycle e2e --
 
-TEST(ModuleLifecycle, UnregisterByNameVersion) {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  core::liteflow_core core{s, cpu, costs};
-  rng g{3};
-  const auto net = nn::make_ffnn_flow_size_net(g);
-  core.register_model(codegen::generate_snapshot(net, "m", 1));
-  core.register_model(codegen::generate_snapshot(net, "m", 2));
-  EXPECT_EQ(core.manager().installed_count(), 2u);
-  EXPECT_TRUE(core.unregister_model("m", 1));
-  EXPECT_FALSE(core.unregister_model("m", 1));  // already gone
-  EXPECT_FALSE(core.unregister_model("m", 9));  // never existed
-  EXPECT_EQ(core.manager().installed_count(), 1u);
-}
-
 TEST(ModuleLifecycle, UnregisterDeferredWhileQueryInFlight) {
+  // A query queued on the CPU keeps its version loaded until the CPU serves
+  // it, even after a switch demotes that version.  The cache is off, as for
+  // CC, so the query's pin is the only one.
   sim::simulation s;
   kernelsim::cost_model costs;
   kernelsim::cpu_model cpu{s};
-  core::liteflow_core core{s, cpu, costs};
+  core::liteflow_core core{s, cpu, costs, /*flow_cache=*/false};
   rng g{4};
-  const auto net = nn::make_ffnn_flow_size_net(g);
-  const auto id = core.register_model(codegen::generate_snapshot(net, "m", 1));
-  core.router().install_standby(id);
-  core.router().switch_active();
+  const auto v1 =
+      codegen::generate_snapshot(nn::make_ffnn_flow_size_net(g), "m", 1);
+  const auto v2 =
+      codegen::generate_snapshot(nn::make_ffnn_flow_size_net(g), "m", 2);
+  core.register_model(v1);
+  core.switch_active();
 
-  // Saturate the CPU so the query stays queued, then unregister mid-flight.
+  // Saturate the CPU so the query stays queued, then switch mid-flight.
   cpu.submit(kernelsim::task_category::other, 1e-3);
+  const std::vector<fp::s64> x(v1.input_size(), 100);
+  ASSERT_NE(v1.program.infer(x), v2.program.infer(x));
   std::vector<fp::s64> out;
-  core.query_model(7, std::vector<fp::s64>(net.input_size(), 100),
-                   [&](std::vector<fp::s64> o) { out = std::move(o); });
-  // Router's active slot holds one ref + the in-flight query holds another.
-  EXPECT_FALSE(core.unregister_model("m", 1));
+  core.query_model(7, x, [&](std::vector<fp::s64> o) { out = std::move(o); });
+  core.register_model(v2);
+  core.switch_active();
+  EXPECT_EQ(core.engine().versions_live(), 2u);  // the query pins v1
   s.run();
-  // The query completed against the pinned module despite the rmmod.
-  EXPECT_EQ(out.size(), 1u);
+  // The query completed against the version that routed it, which then
+  // unloaded.
+  EXPECT_EQ(out, v1.program.infer(x));
+  EXPECT_EQ(core.engine().versions_live(), 1u);
+  EXPECT_EQ(core.engine().versions_retired(), 1u);
 }
 
 // ------------------------------------------------- full slow-path pipeline --
@@ -164,11 +158,10 @@ TEST(Pipeline, GeneratedSourceOfLiveSnapshotCompilesAndMatches) {
   core::liteflow_core core{s, cpu, costs};
   rng g{8};
   const auto net = nn::make_lb_mlp_net(g, 2);
-  const auto id = core.register_model(codegen::generate_snapshot(net, "lb", 1));
-  core.router().install_standby(id);
-  core.router().switch_active();
+  core.register_model(codegen::generate_snapshot(net, "lb", 1));
+  core.switch_active();
 
-  const auto* snap = core.manager().get(*core.router().active());
+  const auto* snap = core.active_snapshot();
   ASSERT_NE(snap, nullptr);
   const auto compiled = codegen::compiled_snapshot::compile(snap->c_source);
   std::vector<fp::s64> x(net.input_size());

@@ -440,7 +440,7 @@ TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
     EXPECT_GE(mon.ledger()[i].removed_time, 0.0);
   }
   // No flow pinned a demoted module, so each unloaded at its switch.
-  EXPECT_EQ(rig.core.manager().installed_count(), 1u);
+  EXPECT_EQ(rig.core.engine().versions_live(), 1u);
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 0u);
 }
 
