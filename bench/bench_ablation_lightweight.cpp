@@ -80,7 +80,7 @@ int main() {
     const auto lut =
         lookup_table::for_activation(nn::activation::tanh_act, entries, 1000);
     const double max_err =
-        lut.max_abs_error([](double x) { return std::tanh(x); });
+        lut->max_abs_error([](double x) { return std::tanh(x); });
     lut_table.add_row({std::to_string(entries), text_table::num(max_err, 5),
                        std::to_string(entries * sizeof(fp::s64))});
     rep.add_point("tanh_lut_max_abs_err", static_cast<double>(entries),

@@ -2,8 +2,9 @@
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
 // inference, plus the engine's one-shard flow cache and snapshot generation
-// (quantize + translate) with its freeze/load/emit stages.  These back the
-// Fig. 15 latency story with real wall-clock numbers on this machine.
+// (quantize + translate) with its freeze/load/quantize/emit stages.  These
+// back the Fig. 15 latency story with real wall-clock numbers on this
+// machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
@@ -12,6 +13,7 @@
 
 #include <iostream>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "codegen/compiled_snapshot.hpp"
@@ -326,8 +328,8 @@ void bm_snapshot_generation_aurora(benchmark::State& state) {
 }
 BENCHMARK(bm_snapshot_generation_aurora);
 
-// The update path's text stages one at a time: freeze and load (the §4.1
-// hand-off) and the C emission half of generate_snapshot.
+// The update path's stages one at a time: freeze and load (the §4.1
+// hand-off), then generate_snapshot's two halves, quantize and C emission.
 void bm_freeze_aurora(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::save_mlp_to_string(aurora()));
@@ -342,6 +344,17 @@ void bm_load_aurora(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_load_aurora);
+
+// Quantize alone, with the previous program still alive as it is on an
+// update (the engine holds the live versions), so the shared tanh table is
+// looked up, not rebuilt.
+void bm_quantize_aurora(benchmark::State& state) {
+  const auto live = quant::quantize(aurora());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(quant::quantize(aurora()));
+  }
+}
+BENCHMARK(bm_quantize_aurora);
 
 void bm_emit_c_source_aurora(benchmark::State& state) {
   const auto program = quant::quantize(aurora());
@@ -569,20 +582,30 @@ void bm_blackbox_emit_sampled(benchmark::State& state) {
 }
 BENCHMARK(bm_blackbox_emit_sampled);
 
-/// Console reporter that also captures per-benchmark CPU times so main()
-/// can emit the machine-readable BENCH_fastpath.json summary.
-class capturing_reporter : public benchmark::ConsoleReporter {
+/// The library's own display reporter (so --benchmark_color and
+/// --benchmark_format apply as without this wrapper), also capturing
+/// per-benchmark CPU times so main() can emit the machine-readable
+/// BENCH_fastpath.json summary.  Construct after benchmark::Initialize.
+class capturing_reporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const auto& run : reports) {
       if (!run.error_occurred) {
         cpu_ns[run.benchmark_name()] = run.GetAdjustedCPUTime();
       }
     }
-    benchmark::ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
   }
+  void Finalize() override { display_->Finalize(); }
 
   std::map<std::string, double> cpu_ns;
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_{
+      benchmark::CreateDefaultDisplayReporter()};
 };
 
 void write_fastpath_json(const std::map<std::string, double>& cpu_ns) {

@@ -1,9 +1,91 @@
 #include "quant/lut.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 namespace lf::quant {
+namespace {
+
+/// What the tier proofs and the output bound need of a table's values,
+/// gathered in one pass.
+struct table_stats {
+  __int128 max_abs = 0;   ///< max |v[i]|: the layer's output bound
+  __int128 max_pair = 0;  ///< max |v[i+1]| + |v[i]|: bounds bits64's deltas
+  __int128 max_dy = 0;    ///< max |v[i+1] - v[i]|: bounds bits32's deltas
+};
+
+table_stats scan_table(std::span<const s64> values) {
+  table_stats t;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    t.max_abs = std::max(t.max_abs, fp::abs128(values[i]));
+    if (i == 0) continue;
+    const __int128 dy = static_cast<__int128>(values[i]) - values[i - 1];
+    t.max_pair = std::max(t.max_pair,
+                          fp::abs128(values[i]) + fp::abs128(values[i - 1]));
+    t.max_dy = std::max(t.max_dy, dy < 0 ? -dy : dy);
+  }
+  return t;
+}
+
+/// The narrowest tier whose proof holds for a table of `n` entries over a
+/// domain `span` wide; a bits32 table's lane divider is stored in `div32`.
+lut_tier table_tier(const table_stats& t, s64 n, s64 span,
+                    fp::u32_divider& div32) {
+  // bits32: the lanes' numerators, (x - lo)*(n-1) and |y1 - y0|*rem +
+  // span/2, stay below 2^32 with int32 factors and an exact magic.  span 0
+  // never interpolates, but clamping would fold x > lo onto x = lo.
+  constexpr __int128 i32_max = INT32_MAX;
+  if (span >= 1 && span <= i32_max && n - 1 <= i32_max &&
+      t.max_dy <= i32_max) {
+    const __int128 bound = std::max(static_cast<__int128>(span) * (n - 1),
+                                    t.max_dy * (span - 1) + span / 2);
+    if (const auto div = fp::u32_divider::for_bound(
+            static_cast<std::uint64_t>(span),
+            static_cast<std::uint64_t>(bound))) {
+      div32 = *div;
+      return lut_tier::bits32;
+    }
+  }
+  // bits64: lut_eval_small's intermediates fit s64 for any input.
+  constexpr __int128 lim = fp::s64_max;
+  return static_cast<__int128>(n - 1) * span <= lim &&
+                 t.max_pair * (span - 1) <= lim
+             ? lut_tier::bits64
+             : lut_tier::bits128;
+}
+
+lookup_table build_activation(nn::activation act, std::size_t entries,
+                              s64 scale) {
+  if (act == nn::activation::tanh_act) {
+    // tanh saturates to +-1 outside ~[-8, 8] well below the table's own
+    // resolution, so clamping at the boundary entries is exact there.
+    return lookup_table{[](double x) { return std::tanh(x); }, -8.0, 8.0,
+                        entries, scale};
+  }
+  return lookup_table{[](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+                      -12.0, 12.0, entries, scale};
+}
+
+struct table_key {
+  nn::activation act;
+  std::size_t entries;
+  s64 scale;
+  auto operator<=>(const table_key&) const = default;
+};
+
+/// The live activation tables.  Entries are weak, so a table dies with its
+/// last holder; a dead entry is rebuilt on its next lookup.  A table never
+/// refers back here, so holders may outlive this map at exit.
+struct table_registry {
+  std::mutex mu;
+  /// guarded by mu
+  std::map<table_key, std::weak_ptr<const lookup_table>> tables;
+};
+
+}  // namespace
 
 lookup_table::lookup_table(const std::function<double(double)>& f, double lo,
                            double hi, std::size_t entries, s64 scale)
@@ -14,36 +96,43 @@ lookup_table::lookup_table(const std::function<double(double)>& f, double lo,
   lo_q_ = static_cast<s64>(std::llround(lo * static_cast<double>(scale)));
   const s64 hi_q = static_cast<s64>(std::llround(hi * static_cast<double>(scale)));
   step_num_ = hi_q - lo_q_;
-  values_.reserve(entries);
+  values_.reserve(entries + 1);
   for (std::size_t i = 0; i < entries; ++i) {
     const double x = lo + (hi - lo) * static_cast<double>(i) /
                               static_cast<double>(entries - 1);
     values_.push_back(
         static_cast<s64>(std::llround(f(x) * static_cast<double>(scale))));
   }
+  values_.push_back(values_.back());  // the lanes' y1 at idx = n - 1
+  const table_stats stats = scan_table(values());
+  tier_ = table_tier(stats, static_cast<s64>(entries), step_num_, div32_);
+  max_abs_ = static_cast<std::uint64_t>(stats.max_abs);
+  div_ = fp::u64_divider{static_cast<std::uint64_t>(step_num_)};
 }
 
-lookup_table lookup_table::for_activation(nn::activation act,
-                                          std::size_t entries, s64 scale) {
-  switch (act) {
-    case nn::activation::tanh_act:
-      // tanh saturates to +-1 outside ~[-8, 8] well below the table's own
-      // resolution, so clamping at the boundary entries is exact there.
-      return lookup_table{[](double x) { return std::tanh(x); }, -8.0, 8.0,
-                          entries, scale};
-    case nn::activation::sigmoid:
-      return lookup_table{[](double x) { return 1.0 / (1.0 + std::exp(-x)); },
-                          -12.0, 12.0, entries, scale};
-    default:
-      throw std::invalid_argument{
-          "lookup_table only approximates tanh/sigmoid"};
+std::shared_ptr<const lookup_table> lookup_table::for_activation(
+    nn::activation act, std::size_t entries, s64 scale) {
+  if (act != nn::activation::tanh_act && act != nn::activation::sigmoid) {
+    throw std::invalid_argument{"lookup_table only approximates tanh/sigmoid"};
   }
+  static table_registry registry;
+  const table_key key{act, entries, scale};
+  const std::lock_guard lock{registry.mu};
+  const auto it = registry.tables.find(key);
+  if (it != registry.tables.end()) {
+    if (auto live = it->second.lock()) return live;
+  }
+  // Built under the lock, so concurrent callers of one key share the table.
+  auto table = std::make_shared<const lookup_table>(
+      build_activation(act, entries, scale));
+  registry.tables.insert_or_assign(key, table);
+  return table;
 }
 
 s64 lookup_table::eval(s64 x_q) const noexcept {
-  const auto n = static_cast<s64>(values_.size());
+  const auto n = static_cast<s64>(size());
   if (x_q <= lo_q_) return values_.front();
-  if (x_q >= lo_q_ + step_num_) return values_.back();
+  if (x_q >= lo_q_ + step_num_) return values_.back();  // == the guard
   // Position within the table in units of 1/(n-1) of the domain:
   // pos = (x_q - lo_q) * (n-1) / step_num, with remainder for interpolation.
   const s64 off = x_q - lo_q_;

@@ -12,8 +12,9 @@
 namespace lf::quant {
 namespace {
 
-/// Arena-based LUT evaluation.  Must match lookup_table::eval bit-for-bit —
-/// infer_into routes through this so the hot path touches only the arena.
+/// LUT evaluation from a layer_desc's copy of the table's parameters.  Must
+/// match lookup_table::eval bit-for-bit — infer_into routes through this so
+/// the hot path reads only the arena and the table's values.
 /// Out of line: no quantizer table needs this tier, and inlined into the
 /// neuron loop it would crowd the 64-bit tier's values out of registers.
 [[gnu::noinline]] s64 lut_eval_arena(const s64* values, s64 n, s64 lo_q,
@@ -58,58 +59,6 @@ inline s64 lut_eval_small(const s64* values, s64 n, s64 lo_q, s64 step_num,
   return y0 + ((q ^ sign) - sign);
 }
 
-inline __int128 abs128(s64 v) noexcept {
-  return v < 0 ? -static_cast<__int128>(v) : static_cast<__int128>(v);
-}
-
-/// What the tier proofs and the output bound need of a table's values,
-/// gathered in one pass.
-struct table_stats {
-  __int128 max_abs = 0;   ///< max |v[i]|: the layer's output bound
-  __int128 max_pair = 0;  ///< max |v[i+1]| + |v[i]|: bounds bits64's deltas
-  __int128 max_dy = 0;    ///< max |v[i+1] - v[i]|: bounds bits32's deltas
-};
-
-table_stats scan_table(const std::vector<s64>& values) {
-  table_stats t;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    t.max_abs = std::max(t.max_abs, abs128(values[i]));
-    if (i == 0) continue;
-    const __int128 dy = static_cast<__int128>(values[i]) - values[i - 1];
-    t.max_pair =
-        std::max(t.max_pair, abs128(values[i]) + abs128(values[i - 1]));
-    t.max_dy = std::max(t.max_dy, dy < 0 ? -dy : dy);
-  }
-  return t;
-}
-
-/// The narrowest tier whose proof holds for a table of `n` entries over a
-/// domain `span` wide; a bits32 table's lane divider is stored in `div32`.
-lut_tier table_tier(const table_stats& t, s64 n, s64 span,
-                    fp::u32_divider& div32) {
-  // bits32: the lanes' numerators, (x - lo)*(n-1) and |y1 - y0|*rem +
-  // span/2, stay below 2^32 with int32 factors and an exact magic.  span 0
-  // never interpolates, but clamping would fold x > lo onto x = lo.
-  constexpr __int128 i32_max = INT32_MAX;
-  if (span >= 1 && span <= i32_max && n - 1 <= i32_max &&
-      t.max_dy <= i32_max) {
-    const __int128 bound = std::max(static_cast<__int128>(span) * (n - 1),
-                                    t.max_dy * (span - 1) + span / 2);
-    if (const auto div = fp::u32_divider::for_bound(
-            static_cast<std::uint64_t>(span),
-            static_cast<std::uint64_t>(bound))) {
-      div32 = *div;
-      return lut_tier::bits32;
-    }
-  }
-  // bits64: lut_eval_small's intermediates fit s64 for any input.
-  constexpr __int128 lim = fp::s64_max;
-  return static_cast<__int128>(n - 1) * span <= lim &&
-                 t.max_pair * (span - 1) <= lim
-             ? lut_tier::bits64
-             : lut_tier::bits128;
-}
-
 constexpr bool fits_i32(s64 v) noexcept {
   return v >= INT32_MIN && v <= INT32_MAX;
 }
@@ -135,7 +84,7 @@ constexpr std::size_t k_lanes_min = 4;
 #if defined(__x86_64__)
 /// A bits32 table as the lanes read it.
 struct lane_table {
-  const s64* values = nullptr;  ///< n entries, then the guard values[n - 1]
+  const s64* values = nullptr;  ///< lookup_table::guarded_values()
   s64 lo_q = 0;
   s64 span = 0;
   s64 n_minus_1 = 0;
@@ -146,6 +95,7 @@ struct lane_table {
 /// computes it.  x is clamped into [lo, lo + span] first, after which the
 /// ends need no branch: x = lo gives idx 0 and rem 0, and x = lo + span
 /// gives idx n-1 and rem 0, where y1 is the guard entry and weighs nothing.
+/// The guard ends the table's own allocation, so that gather stays in it.
 /// Every factor fits 32 bits (unsigned for _mm256_mul_epu32, signed for
 /// _mm256_mul_epi32) and both numerators stay within the magic's bound.
 __attribute__((target("avx2"))) inline __m256i lane_lookup(
@@ -406,7 +356,7 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
     }
     const bool needs_lut = layer.act == nn::activation::tanh_act ||
                            layer.act == nn::activation::sigmoid;
-    if (needs_lut != layer.lut.has_value()) {
+    if (needs_lut != (layer.lut != nullptr)) {
       throw std::invalid_argument{
           "quantized_mlp: lut presence inconsistent with activation"};
     }
@@ -417,21 +367,9 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
 
 void quantized_mlp::build_arena() {
   const auto padded = [](std::size_t n) { return (n + 3) & ~std::size_t{3}; };
-  // Layers whose tables hold the same values (Aurora's three tanh layers)
-  // share one arena copy; each keeps its own domain in its layer_desc.
-  // Returns the first such layer's index, or the layer's own.
-  const auto lut_owner = [&](std::size_t li) {
-    for (std::size_t p = 0; p < li; ++p) {
-      const auto& other = layers_[p].lut;
-      if (other && other->values() == layers_[li].lut->values()) return p;
-    }
-    return li;
-  };
   std::size_t total = 0;
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const auto& l = layers_[li];
+  for (const auto& l : layers_) {
     total += (l.input_size + 1) * padded(l.output_size);
-    if (l.lut && lut_owner(li) == li) total += l.lut->values().size() + 1;
   }
   arena_.reserve(total);
   descs_.reserve(layers_.size());
@@ -445,7 +383,6 @@ void quantized_mlp::build_arena() {
 
   constexpr __int128 lim = fp::s64_max;
   __int128 in_bound = fastpath_input_bound_;
-  std::vector<table_stats> stats(layers_.size());  // per table owner
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const auto& l = layers_[li];
     layer_desc d;
@@ -477,24 +414,15 @@ void quantized_mlp::build_arena() {
     d.biases_off = arena_.size();
     arena_.insert(arena_.end(), l.biases.begin(), l.biases.end());
     arena_.resize(d.biases_off + d.stride, 0);
+    // The table's values and proofs are its own, made once per table.
     if (l.lut) {
-      const auto& vals = l.lut->values();
-      const std::size_t owner = lut_owner(li);
-      if (owner == li) {
-        d.lut_off = arena_.size();
-        arena_.insert(arena_.end(), vals.begin(), vals.end());
-        arena_.push_back(vals.back());  // the lanes' y1 at idx = n - 1
-        stats[li] = scan_table(vals);
-      } else {
-        d.lut_off = descs_[owner].lut_off;
-        stats[li] = stats[owner];
-      }
-      d.lut_entries = static_cast<s64>(vals.size());
+      d.lut = l.lut->guarded_values().data();
+      d.lut_entries = static_cast<s64>(l.lut->size());
       d.lut_lo_q = l.lut->domain_low_q();
       d.lut_step_num = l.lut->domain_span_q();
-      d.tier = table_tier(stats[li], d.lut_entries, d.lut_step_num,
-                          d.lut_div32);
-      d.lut_div = fp::u64_divider{static_cast<std::uint64_t>(d.lut_step_num)};
+      d.tier = l.lut->tier();
+      d.lut_div = l.lut->divider();
+      d.lut_div32 = l.lut->lane_divider();
     }
 
     // Worst-case accumulator: |bias_i| + sum_j |w_ij| * in_bound.  If the
@@ -503,10 +431,10 @@ void quantized_mlp::build_arena() {
     bool sat_free = true;
     __int128 layer_acc_max = 0;
     for (std::size_t i = 0; i < l.output_size && sat_free; ++i) {
-      __int128 a = abs128(l.biases[i]);
+      __int128 a = fp::abs128(l.biases[i]);
       const s64* row = &l.weights[i * l.input_size];
       for (std::size_t j = 0; j < l.input_size; ++j) {
-        a += abs128(row[j]) * in_bound;
+        a += fp::abs128(row[j]) * in_bound;
         if (a > lim) {
           sat_free = false;
           break;
@@ -537,7 +465,7 @@ void quantized_mlp::build_arena() {
     // Propagate this layer's output bound as the next layer's input bound.
     if (l.lut) {
       // LUT outputs clamp to the table's value range no matter the input.
-      in_bound = stats[li].max_abs;
+      in_bound = l.lut->max_abs();
     } else {
       // linear/relu: |out| <= |div_round(acc, ws)| <= acc_bound/ws + 1, and
       // the saturating fallback clamps to s64 either way.
@@ -556,12 +484,17 @@ void quantized_mlp::build_arena() {
 }
 
 std::size_t quantized_mlp::layer_lut_source(std::size_t i) const {
-  const layer_desc& d = descs_.at(i);
-  if (d.tier == lut_tier::none) return i;
-  // build_arena gives each distinct table its own offset.
+  const auto& lut = layers_.at(i).lut;
+  if (!lut) return i;
+  // Shared tables (Aurora's three tanh layers) compare by address; equal
+  // values in distinct objects count as one table too.
   std::size_t p = 0;
-  while (descs_[p].tier == lut_tier::none || descs_[p].lut_off != d.lut_off) {
-    ++p;
+  for (; p < i; ++p) {
+    const auto& other = layers_[p].lut;
+    if (other && (other == lut ||
+                  std::ranges::equal(other->values(), lut->values()))) {
+      break;
+    }
   }
   return p;
 }
@@ -645,7 +578,7 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
   const layer_desc d = desc;  // a local copy: stores to out cannot alias it
   const s64* __restrict w = arena_.data() + d.weights_off;
   const s64* __restrict b = arena_.data() + d.biases_off;
-  const s64* lut = d.lut_entries != 0 ? arena_.data() + d.lut_off : nullptr;
+  const s64* lut = d.lut;
   const std::size_t n = d.input_size;
   const std::size_t s = d.stride;
   for (std::size_t i = 0; i < d.output_size; ++i) {
@@ -685,8 +618,8 @@ void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
        all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
     const s64* w = arena_.data() + d.weights_off;
     const s64* b = arena_.data() + d.biases_off;
-    const lane_table lut{arena_.data() + d.lut_off, d.lut_lo_q,
-                         d.lut_step_num, d.lut_entries - 1, d.lut_div32};
+    const lane_table lut{d.lut, d.lut_lo_q, d.lut_step_num,
+                         d.lut_entries - 1, d.lut_div32};
     switch (d.act) {
       case activation::linear:
         return mac_i32_layer<activation::linear>(w, d.stride, b, in,
@@ -780,8 +713,8 @@ bool quantized_mlp::run_block(const s64* in, std::size_t real, s64* out,
   for (const layer_desc& d : descs_) {
     const s64* w = arena_.data() + d.weights_off;
     const s64* b = arena_.data() + d.biases_off;
-    const lane_table lut{arena_.data() + d.lut_off, d.lut_lo_q,
-                         d.lut_step_num, d.lut_entries - 1, d.lut_div32};
+    const lane_table lut{d.lut, d.lut_lo_q, d.lut_step_num,
+                         d.lut_entries - 1, d.lut_div32};
     switch (d.act) {
       case activation::linear:
         ok = mac_samples_layer<activation::linear>(

@@ -2,7 +2,9 @@
 //
 // A quantized_mlp is what the paper installs into the kernel as a generated
 // module: weights, biases and activation lookup tables baked into integer
-// arrays, evaluated with 64-bit integer arithmetic only.  src/codegen emits
+// arrays, evaluated with 64-bit integer arithmetic only.  Its tables are the
+// process's shared ones (lookup_table::for_activation), so a program and
+// its copies hold references, not copies, of them.  src/codegen emits
 // this same program as C source text; this class is the executable form the
 // simulated kernel runs (and the oracle the generated code is golden-tested
 // against).
@@ -10,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,16 +34,6 @@ enum class operand_proof : std::uint8_t {
              ///< each call, and infer_batch_into's sample lanes check each
              ///< row as it is stored (the caller's as they are transposed)
   proven,    ///< weights fit and the propagated input bound is below 2^31
-};
-
-/// The integer width a layer's table interpolation provably fits.  The
-/// scalar path and the C emitter run bits32 tables on the 64-bit chain.
-enum class lut_tier : std::uint8_t {
-  none,     ///< a relu or linear layer: no table
-  bits32,   ///< both numerators fit u32 under an exact 32-bit magic, so the
-            ///< AVX2 lanes interpolate (all of the quantizer's tables)
-  bits64,   ///< every intermediate fits s64
-  bits128,  ///< needs a 128-bit product and quotient
 };
 
 /// Caller-owned scratch for the zero-allocation fast path.  Holds the two
@@ -69,7 +60,8 @@ struct qdense_layer {
   std::vector<s64> biases;   ///< scale = weight_scale * io_scale
   s64 weight_scale = 1;      ///< divisor applied after the MAC to requantize
   nn::activation act = nn::activation::linear;
-  std::optional<lookup_table> lut;  ///< present iff act is tanh/sigmoid
+  /// set iff act is tanh/sigmoid; shared with every other holder
+  std::shared_ptr<const lookup_table> lut;
 };
 
 class quantized_mlp {
@@ -136,8 +128,8 @@ class quantized_mlp {
   lut_tier layer_lut_tier(std::size_t i) const { return descs_.at(i).tier; }
 
   /// The first layer whose table holds the same values as layer i's: the
-  /// one copy the arena stores and the C emitter writes.  i itself for a
-  /// layer without a table.
+  /// one copy parameter_bytes() counts and the C emitter writes.  i itself
+  /// for a layer without a table.
   std::size_t layer_lut_source(std::size_t i) const;
 
   /// How layer i's int32-operand precondition is established (see
@@ -157,14 +149,16 @@ class quantized_mlp {
   /// Integer multiply-accumulate count of one inference (cost model input).
   std::size_t mac_count() const noexcept;
 
-  /// Total bytes of baked parameters (weights + biases + LUTs).
+  /// Total bytes of baked parameters (weights + biases + each distinct
+  /// table once), as the emitted module carries them.
   std::size_t parameter_bytes() const noexcept;
 
  private:
   friend class inference_scratch;
 
-  /// Flat per-layer view into the parameter arena plus everything the inner
-  /// loops need, so the hot path never chases the qdense_layer vectors.
+  /// Flat per-layer view into the parameter arena and the layer's table,
+  /// plus everything the inner loops need, so the hot path never chases
+  /// the qdense_layer vectors.
   struct layer_desc {
     std::size_t input_size = 0;
     std::size_t output_size = 0;
@@ -175,8 +169,9 @@ class quantized_mlp {
     int shift = -1;   ///< log2(weight_scale) if it is a power of two, else -1
     s64 half = 0;     ///< weight_scale / 2, the round-to-nearest bias
     nn::activation act = nn::activation::linear;
-    // LUT parameters (valid iff act is tanh/sigmoid):
-    std::size_t lut_off = 0;
+    // LUT parameters (valid iff act is tanh/sigmoid), copied from the table,
+    // which layers_ keeps alive:
+    const s64* lut = nullptr;  ///< lookup_table::guarded_values()
     s64 lut_entries = 0;
     s64 lut_lo_q = 0;
     s64 lut_step_num = 0;
@@ -220,8 +215,7 @@ class quantized_mlp {
   s64 io_scale_;
   std::vector<qdense_layer> layers_;
   // Fast-path state, derived from layers_ at construction:
-  /// weights | biases | lut, per layer; each table is followed by a guard
-  /// entry equal to its last value
+  /// weights | biases, per layer (the tables stay in their shared objects)
   std::vector<s64> arena_;
   std::vector<layer_desc> descs_;
   s64 fastpath_input_bound_ = 0;

@@ -7,17 +7,20 @@
 namespace lf::quant {
 namespace {
 
+/// The largest per-layer weight scale the quantizer picks.
+constexpr s64 k_max_weight_scale = s64{1} << 20;
+
 /// Largest power-of-two scale S such that |w_max| * S still leaves ample
-/// headroom in the 64-bit MAC, capped by max_scale.  Larger S = finer weight
-/// resolution.
-s64 choose_weight_scale(std::span<const double> weights, s64 max_scale) {
+/// headroom in the 64-bit MAC, capped by k_max_weight_scale.  Larger S =
+/// finer weight resolution.
+s64 choose_weight_scale(std::span<const double> weights) {
   double w_max = 0.0;
   for (const double w : weights) w_max = std::max(w_max, std::abs(w));
-  if (w_max == 0.0) return max_scale;
+  if (w_max == 0.0) return k_max_weight_scale;
   // Keep |w_q| below 2^31 so that (w_q * x_q) stays far from s64 overflow
   // even after summing thousands of terms.
   s64 scale = 1;
-  while (scale < max_scale &&
+  while (scale < k_max_weight_scale &&
          w_max * static_cast<double>(scale * 2) < 2147483647.0) {
     scale *= 2;
   }
@@ -39,8 +42,7 @@ quantized_mlp quantize(const nn::mlp& model, const quantizer_config& config) {
     ql.input_size = fl.input_size();
     ql.output_size = fl.output_size();
     ql.act = fl.act();
-    ql.weight_scale =
-        choose_weight_scale(fl.weights(), config.max_weight_scale);
+    ql.weight_scale = choose_weight_scale(fl.weights());
     const auto w_scale = static_cast<double>(ql.weight_scale);
     // sat_quantize, not llround: NaN becomes 0 and out-of-range values
     // saturate, where llround returns an arbitrary (on x86-64, negative)
@@ -54,6 +56,8 @@ quantized_mlp quantize(const nn::mlp& model, const quantizer_config& config) {
       // Bias participates in the MAC whose scale is weight_scale * io_scale.
       ql.biases.push_back(fp::sat_quantize(b * w_scale * io_scale));
     }
+    // The process's shared table: built only when no live program holds
+    // this (activation, entries, io_scale).
     if (ql.act == nn::activation::tanh_act ||
         ql.act == nn::activation::sigmoid) {
       ql.lut = lookup_table::for_activation(ql.act, config.lut_entries,

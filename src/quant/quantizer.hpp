@@ -19,8 +19,6 @@ struct quantizer_config {
   s64 io_scale = 1000;
   /// Number of entries per activation lookup table.
   std::size_t lut_entries = 1024;
-  /// Upper bound for the per-layer weight scale (power of two).
-  s64 max_weight_scale = s64{1} << 20;
 };
 
 /// Quantize a trained float model into an integer snapshot program.

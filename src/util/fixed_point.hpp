@@ -90,6 +90,11 @@ constexpr s64 mul_div(s64 a, s64 b, s64 den) noexcept {
   return static_cast<s64>(q);
 }
 
+/// |v| without overflow (|s64_min| = 2^63).
+constexpr __int128 abs128(s64 v) noexcept {
+  return v < 0 ? -static_cast<__int128>(v) : static_cast<__int128>(v);
+}
+
 /// Unsigned division by a divisor fixed ahead of time, done with a multiply-
 /// high and shifts instead of a hardware divide (Granlund & Montgomery 1994,
 /// in libdivide's u64 form).  Exact for every u64 numerator and every divisor

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -326,8 +327,8 @@ TEST(CompiledGolden, LaneTierTableWithHugeValuesMatchesInterpreter) {
   l.weights = {1};
   l.biases = {0};
   l.act = nn::activation::tanh_act;
-  l.lut = quant::lookup_table{
-      [](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0, 8.0, 17, 1};
+  l.lut = std::make_shared<const quant::lookup_table>(
+      [](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0, 8.0, 17, 1);
   const quant::quantized_mlp q{1, 1, {std::move(l)}};
   ASSERT_EQ(q.layer_lut_tier(0), quant::lut_tier::bits32);
   const std::string src = emit_c_source(q, {});

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 
 #include "nn/mlp.hpp"
 #include "quant/fidelity.hpp"
@@ -30,18 +33,18 @@ using namespace lf::test;
 TEST(Lut, TanhEndpointsSaturate) {
   const auto lut = lookup_table::for_activation(nn::activation::tanh_act, 256,
                                                 1000);
-  EXPECT_EQ(lut.eval(-100000), lut.values().front());
-  EXPECT_EQ(lut.eval(100000), lut.values().back());
-  EXPECT_NEAR(lut.eval_float(0.0), 0.0, 1e-3);
-  EXPECT_NEAR(lut.eval_float(1.0), std::tanh(1.0), 2e-3);
+  EXPECT_EQ(lut->eval(-100000), lut->values().front());
+  EXPECT_EQ(lut->eval(100000), lut->values().back());
+  EXPECT_NEAR(lut->eval_float(0.0), 0.0, 1e-3);
+  EXPECT_NEAR(lut->eval_float(1.0), std::tanh(1.0), 2e-3);
 }
 
 TEST(Lut, SigmoidMidpoint) {
   const auto lut = lookup_table::for_activation(nn::activation::sigmoid, 512,
                                                 10000);
-  EXPECT_NEAR(lut.eval_float(0.0), 0.5, 1e-3);
-  EXPECT_NEAR(lut.eval_float(-12.5), 0.0, 1e-3);
-  EXPECT_NEAR(lut.eval_float(12.5), 1.0, 1e-3);
+  EXPECT_NEAR(lut->eval_float(0.0), 0.5, 1e-3);
+  EXPECT_NEAR(lut->eval_float(-12.5), 0.0, 1e-3);
+  EXPECT_NEAR(lut->eval_float(12.5), 1.0, 1e-3);
 }
 
 TEST(Lut, RejectsUnsupportedActivation) {
@@ -64,7 +67,7 @@ TEST_P(LutPrecisionSweep, ErrorShrinksWithResolution) {
   const auto lut =
       lookup_table::for_activation(nn::activation::tanh_act, entries, scale);
   const auto tanh_fn = [](double x) { return std::tanh(x); };
-  const double err = lut.max_abs_error(tanh_fn);
+  const double err = lut->max_abs_error(tanh_fn);
   // Error bound: interpolation error O((dx)^2) plus quantization 1/scale.
   const double dx = 16.0 / static_cast<double>(entries - 1);
   const double bound = 0.2 * dx * dx + 2.0 / static_cast<double>(scale);
@@ -465,10 +468,9 @@ TEST(QuantizedMlpFastPath, Int32OperandEdgesAgreeAcrossKernels) {
   EXPECT_GT(scan_fail, 0u);
 }
 
-/// A one-layer program whose only table is `lut`, so the table (and its
-/// guard entry) ends the arena: out[i] = lut.eval(x + i), i < outputs.
-/// Either LUT activation runs the table.
-quantized_mlp lut_program(const lookup_table& lut,
+/// A one-layer program whose only table is `lut`: out[i] = lut.eval(x + i),
+/// i < outputs.  Either LUT activation runs the table.
+quantized_mlp lut_program(std::shared_ptr<const lookup_table> lut,
                           nn::activation act = nn::activation::tanh_act,
                           std::size_t outputs = 1) {
   qdense_layer l;
@@ -480,8 +482,9 @@ quantized_mlp lut_program(const lookup_table& lut,
     l.biases.push_back(static_cast<fp::s64>(i));
   }
   l.act = act;
-  l.lut = lut;
-  return quantized_mlp{1, lut.scale(), {std::move(l)}};
+  const fp::s64 scale = lut->scale();
+  l.lut = std::move(lut);
+  return quantized_mlp{1, scale, {std::move(l)}};
 }
 
 /// Every x in [first, last] through the one-input, one-output program q:
@@ -523,8 +526,8 @@ TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
       EXPECT_EQ(one.layer_lut_tier(0),
                 scale == 1000 ? lut_tier::bits32 : lut_tier::bits64);
       const auto bad =
-          first_table_mismatch(one, lut, lut.domain_low_q() - 2,
-                               lut.domain_low_q() + lut.domain_span_q() + 2);
+          first_table_mismatch(one, *lut, lut->domain_low_q() - 2,
+                               lut->domain_low_q() + lut->domain_span_q() + 2);
       EXPECT_FALSE(bad.has_value())
           << "x_q " << bad.value_or(0) << " scale " << scale;
     }
@@ -549,7 +552,8 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
     const double freq = g.uniform(0.5, 40.0);
     const lookup_table lut{[&](double x) { return amp * std::sin(freq * x); },
                            lo, hi, entries, scale};
-    const quantized_mlp one = lut_program(lut);
+    const quantized_mlp one =
+        lut_program(std::make_shared<const lookup_table>(lut));
     ++tiers[static_cast<int>(one.layer_lut_tier(0))];
     const fp::s64 first = lut.domain_low_q() - 2;
     const fp::s64 last = lut.domain_low_q() + lut.domain_span_q() + 2;
@@ -585,7 +589,9 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
   // |dy|*(span-1) + span/2, one with span 2^31 (bits64) and one whose
   // values exceed the 64-bit tier's proof (bits32).  Five outputs
   // see x..x+4, so lanes 0-3 and a second group's lane 0 all look up.
-  // Each table ends the arena, so the lanes' y1 at the top reads the guard.
+  // At the top of each domain the lanes' y1 gathers the guard entry that
+  // ends the table's own allocation.  ASan does not instrument gathers, so
+  // the guard's place is asserted here.
   const fp::s64 i31 = fp::s64{1} << 31;
   const auto wave = [](double x) { return 30000.0 * std::sin(x / 5000.0); };
   // Two entries at scale 1: y_lo at x = lo, y_hi at x = hi.
@@ -616,10 +622,15 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
   constexpr std::size_t outputs = 5;
   constexpr std::size_t k = 61;  // batches that straddle the 32-row chunks
   for (std::size_t t = 0; t < std::size(tables); ++t) {
-    const lookup_table& lut = tables[t].lut;
     const quantized_mlp q =
-        lut_program(lut, nn::activation::tanh_act, outputs);
+        lut_program(std::make_shared<const lookup_table>(tables[t].lut),
+                    nn::activation::tanh_act, outputs);
+    const lookup_table& lut = *q.layer(0).lut;
     ASSERT_EQ(q.layer_lut_tier(0), tables[t].tier) << "table " << t;
+    const auto guarded = lut.guarded_values();
+    ASSERT_EQ(guarded.data(), lut.values().data()) << "table " << t;
+    ASSERT_EQ(guarded.size(), lut.size() + 1) << "table " << t;
+    ASSERT_EQ(guarded.back(), lut.values().back()) << "table " << t;
     // Every x of the domain and 6 past each end; the 2^31-wide domain is
     // walked at a prime stride between whole stretches at both ends.
     const fp::s64 lo = lut.domain_low_q() - 6 - fp::s64{outputs};
@@ -660,8 +671,8 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
   for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
     for (const std::size_t entries : {128, 1024}) {
       const auto lut = lookup_table::for_activation(act, entries, 1000);
-      const auto& v = lut.values();
-      const auto span = static_cast<std::uint64_t>(lut.domain_span_q());
+      const auto v = lut->values();
+      const auto span = static_cast<std::uint64_t>(lut->domain_span_q());
       std::uint64_t max_dy = 0;
       for (std::size_t i = 1; i < v.size(); ++i) {
         max_dy = std::max(
@@ -671,6 +682,9 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
           std::max(span * (entries - 1), max_dy * (span - 1) + span / 2);
       const auto div = fp::u32_divider::for_bound(span, bound);
       ASSERT_TRUE(div.has_value()) << nn::to_string(act) << " " << entries;
+      // The divider the table proved once is this one.
+      ASSERT_EQ(lut->lane_divider().magic(), div->magic());
+      ASSERT_EQ(lut->lane_divider().shift(), div->shift());
       for (std::uint64_t n = 0; n <= bound; ++n) {
         ASSERT_EQ(div->divide(n), n / span)
             << nn::to_string(act) << " " << entries << " n " << n;
@@ -680,16 +694,16 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
 }
 
 TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
-  // Layers 0 and 2 hold equal tanh tables and share layer 0's arena copy;
-  // the sigmoid table, the scale-10^6 tanh table (too wide for the lanes)
-  // and the scale-2^30 tanh table (too wide for 64-bit interpolation) are
-  // their own.
+  // Layers 0 and 2 hold equal tanh tables, layer 2's a separate copy, so
+  // they count as one table by value, not by address; the sigmoid table,
+  // the scale-10^6 tanh table (too wide for the lanes) and the scale-2^30
+  // tanh table (too wide for 64-bit interpolation) are their own.
   const auto lut = [](nn::activation act, std::size_t entries, fp::s64 scale) {
     return lookup_table::for_activation(act, entries, scale);
   };
-  const std::optional<lookup_table> tables[] = {
-      lut(nn::activation::tanh_act, 1024, 1000), std::nullopt,
-      lut(nn::activation::tanh_act, 1024, 1000),
+  const auto tanh = lut(nn::activation::tanh_act, 1024, 1000);
+  const std::shared_ptr<const lookup_table> tables[] = {
+      tanh, nullptr, std::make_shared<const lookup_table>(*tanh),
       lut(nn::activation::sigmoid, 1024, 1000),
       lut(nn::activation::tanh_act, 1024, 1000000),
       lut(nn::activation::tanh_act, 64, fp::s64{1} << 30)};
@@ -1007,6 +1021,157 @@ TEST(Quantizer, RejectsNonPositiveScale) {
   quantizer_config config;
   config.io_scale = 0;
   EXPECT_THROW(quantize(net, config), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- lut intern --
+
+/// What makes two programs bit-identical: each layer's parameters, table
+/// and proofs, and the outputs of infer, infer_into and infer_batch_into
+/// on a fixed pool of inputs.
+std::vector<fp::s64> fingerprint(const quantized_mlp& q) {
+  std::vector<fp::s64> f;
+  const auto append = [&](std::span<const fp::s64> v) {
+    f.insert(f.end(), v.begin(), v.end());
+  };
+  for (std::size_t i = 0; i < q.layer_count(); ++i) {
+    const qdense_layer& l = q.layer(i);
+    append(l.weights);
+    append(l.biases);
+    if (l.lut) {
+      append(l.lut->values());
+      append(std::vector{l.lut->domain_low_q(), l.lut->domain_span_q()});
+    }
+    append(std::vector<fp::s64>{
+        l.weight_scale, static_cast<fp::s64>(q.layer_lut_tier(i)),
+        static_cast<fp::s64>(q.layer_operand_proof(i)),
+        q.layer_saturation_free(i)});
+  }
+  constexpr std::size_t k = 24;
+  rng g{0xf1};
+  std::vector<fp::s64> x(k * q.input_size());
+  for (auto& v : x) v = g.uniform_int(-3000, 3000);
+  inference_scratch scratch;
+  append(infer_rows(q, x, k));
+  append(batch_rows(q, x, k, scratch));
+  std::vector<fp::s64> one(q.output_size());
+  q.infer_into(std::span<const fp::s64>{x}.first(q.input_size()), one,
+               scratch);
+  append(one);
+  return f;
+}
+
+TEST(LutIntern, ProgramsShareOneTablePerKey) {
+  // Two Aurora nets with different weights, quantized at two io_scales:
+  // every tanh layer of both programs of a key holds one table object,
+  // and each key (activation, entries, io_scale) has its own.
+  rng g{0x1e7};
+  const auto net_a = nn::make_aurora_net(g);
+  const auto net_b = nn::make_aurora_net(g);
+  quantizer_config coarse;
+  coarse.io_scale = 100;
+  const quantized_mlp programs[] = {quantize(net_a), quantize(net_b),
+                                    quantize(net_a, coarse),
+                                    quantize(net_b, coarse)};
+  ASSERT_NE(programs[0].layer(0).weights, programs[1].layer(0).weights);
+  const lookup_table* fine = programs[0].layer(0).lut.get();
+  const lookup_table* coarse_lut = programs[2].layer(0).lut.get();
+  ASSERT_NE(fine, nullptr);
+  ASSERT_NE(coarse_lut, nullptr);
+  EXPECT_NE(fine, coarse_lut);
+  EXPECT_EQ(coarse_lut->scale(), 100);
+  for (std::size_t p = 0; p < std::size(programs); ++p) {
+    for (std::size_t li = 0; li < programs[p].layer_count(); ++li) {
+      EXPECT_EQ(programs[p].layer(li).lut.get(), p < 2 ? fine : coarse_lut)
+          << "program " << p << " layer " << li;
+    }
+  }
+  quantizer_config small;
+  small.lut_entries = 128;
+  EXPECT_NE(quantize(net_a, small).layer(0).lut.get(), fine);
+  EXPECT_NE(lookup_table::for_activation(nn::activation::sigmoid, 1024, 1000)
+                .get(),
+            fine);
+  // The shared table is still counted once per program.
+  EXPECT_EQ(programs[0].parameter_bytes(), 20488u);
+}
+
+TEST(LutIntern, CopiedProgramSharesTheTable) {
+  // A copy of a program (an engine version, an oracle) holds the original's
+  // table, and still runs bit-identically once the original is gone.
+  rng g{0x1e8};
+  std::optional<quantized_mlp> original{quantize(nn::make_aurora_net(g))};
+  const quantized_mlp copy = *original;
+  for (std::size_t li = 0; li < copy.layer_count(); ++li) {
+    EXPECT_EQ(copy.layer(li).lut, original->layer(li).lut) << li;
+  }
+  const auto expect = fingerprint(*original);
+  original.reset();
+  EXPECT_EQ(fingerprint(copy), expect);
+}
+
+TEST(LutIntern, TableIsFreedWithItsLastProgram) {
+  // The registry keeps no table alive: once the last program holding a
+  // key is gone, its table is freed, and the next quantize builds a new one
+  // with the same values.  io_scale 1013 is a key no other test uses.
+  rng g{0x1e9};
+  const auto net = nn::make_aurora_net(g);
+  quantizer_config config;
+  config.io_scale = 1013;
+  std::optional<quantized_mlp> q{quantize(net, config)};
+  std::optional<quantized_mlp> copy{*q};
+  const std::weak_ptr<const lookup_table> held = q->layer(0).lut;
+  const auto expect = fingerprint(*q);
+  q.reset();
+  EXPECT_FALSE(held.expired());
+  copy.reset();
+  EXPECT_TRUE(held.expired());
+  EXPECT_EQ(fingerprint(quantize(net, config)), expect);
+}
+
+TEST(LutIntern, ConcurrentQuantizeSharesOneTable) {
+  // Four threads quantize Aurora nets at once, starting when no program
+  // holds the key (io_scale 1019, used by no other test): their programs
+  // equal serial ones bit for bit, and all hold one table.
+  constexpr std::size_t threads = 4;
+  constexpr std::size_t per_thread = 8;
+  quantizer_config config;
+  config.io_scale = 1019;
+  std::vector<nn::mlp> nets;
+  for (std::size_t t = 0; t < threads; ++t) {
+    rng g{0x1ea + t};
+    nets.push_back(nn::make_aurora_net(g));
+  }
+  std::vector<std::vector<fp::s64>> expect;
+  std::weak_ptr<const lookup_table> serial;
+  for (const auto& net : nets) {
+    const auto q = quantize(net, config);
+    expect.push_back(fingerprint(q));
+    serial = q.layer(0).lut;
+  }
+  ASSERT_TRUE(serial.expired());
+
+  std::vector<std::vector<quantized_mlp>> got(threads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      for (std::size_t r = 0; r < per_thread; ++r) {
+        got[t].push_back(quantize(nets[t], config));
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  const lookup_table* shared = got[0][0].layer(0).lut.get();
+  for (std::size_t t = 0; t < threads; ++t) {
+    for (const quantized_mlp& q : got[t]) {
+      for (std::size_t li = 0; li < q.layer_count(); ++li) {
+        EXPECT_EQ(q.layer(li).lut.get(), shared) << t << " layer " << li;
+      }
+      EXPECT_EQ(fingerprint(q), expect[t]) << "thread " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- fidelity --
