@@ -24,9 +24,9 @@
 #include "quant/quantizer.hpp"
 #include "rl/link_env.hpp"
 #include "rt/flight_recorder.hpp"
-#include "rt/latency_histogram.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "util/bench_report.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -475,7 +475,8 @@ void bm_monitor_batch_rules_enabled(benchmark::State& state) {
 BENCHMARK(bm_monitor_batch_rules_enabled);
 
 void bm_trace_ring_emit(benchmark::State& state) {
-  // Raw per-event cost with the ring hot: one store into a wrapped slot.
+  // Raw per-event cost with the ring hot: the head claim and the slot's
+  // tag-bracketed stores into a wrapped slot.
   trace::ring ring{"bench"};
   ring.enable(4096);
   double t = 0.0;
@@ -500,13 +501,13 @@ BENCHMARK(bm_trace_ring_emit);
 // DoNotOptimize so the dead branch is not folded away.
 
 void bm_latency_record(benchmark::State& state) {
-  rt::latency_histogram h;
+  metrics::latency_histogram h;
   std::uint64_t ns = 0;
   for (auto _ : state) {
     h.record(ns);
     ns = (ns + 147) & 1023;  // walk a handful of buckets, near-free update
   }
-  rt::latency_snapshot s;
+  metrics::latency_snapshot s;
   h.snapshot_into(s);
   benchmark::DoNotOptimize(s.total());
 }
@@ -515,16 +516,16 @@ BENCHMARK(bm_latency_record);
 void latency_route_shape(benchmark::State& state, bool enabled,
                          std::uint64_t mask) {
   benchmark::DoNotOptimize(enabled);
-  rt::latency_histogram h;
+  metrics::latency_histogram h;
   std::uint64_t tick = 0;
   for (auto _ : state) {
     const bool timed = enabled && ((tick++ & mask) == 0);
-    const std::uint64_t t0 = timed ? rt::wall_ns() : 0;
+    const std::uint64_t t0 = timed ? metrics::wall_ns() : 0;
     benchmark::ClobberMemory();  // stands in for the routed work
-    if (timed) h.record(rt::wall_ns() - t0);
+    if (timed) h.record(metrics::wall_ns() - t0);
   }
   benchmark::DoNotOptimize(tick);
-  rt::latency_snapshot s;
+  metrics::latency_snapshot s;
   h.snapshot_into(s);
   benchmark::DoNotOptimize(s.total());
 }
@@ -544,11 +545,14 @@ void bm_latency_route_sampled(benchmark::State& state) {
 }
 BENCHMARK(bm_latency_route_sampled);
 
+// The flight recorder's rings are trace::rings stamped by rt::emit_now,
+// which reads the clock only when the ring is enabled.
+
 void bm_blackbox_emit_disabled(benchmark::State& state) {
-  rt::blackbox_ring ring;  // never enabled: emit is one null check
+  trace::ring ring{"bench"};  // never enabled: emit_now is one null check
   std::uint64_t f = 0;
   for (auto _ : state) {
-    ring.emit(trace::event_type::route_summary, f, 1);
+    rt::emit_now(ring, trace::event_type::route_summary, f, 1);
     ++f;
   }
   benchmark::DoNotOptimize(ring.emitted());
@@ -556,11 +560,11 @@ void bm_blackbox_emit_disabled(benchmark::State& state) {
 BENCHMARK(bm_blackbox_emit_disabled);
 
 void bm_blackbox_emit_enabled(benchmark::State& state) {
-  rt::blackbox_ring ring;
+  trace::ring ring{"bench"};
   ring.enable(4096);
   std::uint64_t f = 0;
   for (auto _ : state) {
-    ring.emit(trace::event_type::route_summary, f, 1);
+    rt::emit_now(ring, trace::event_type::route_summary, f, 1);
     ++f;
   }
   benchmark::DoNotOptimize(ring.emitted());
@@ -569,12 +573,12 @@ BENCHMARK(bm_blackbox_emit_enabled);
 
 void bm_blackbox_emit_sampled(benchmark::State& state) {
   // The route-summary shape: per-worker tick, emit 1-in-64.
-  rt::blackbox_ring ring;
+  trace::ring ring{"bench"};
   ring.enable(4096);
   std::uint64_t f = 0, tick = 0;
   for (auto _ : state) {
-    if ((tick++ & 63) == 0) {
-      ring.emit(trace::event_type::route_summary, f, 1);
+    if ((tick++ & 63) == 0) [[unlikely]] {
+      rt::emit_now(ring, trace::event_type::route_summary, f, 1);
     }
     ++f;
   }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "util/run_report.hpp"
 #include "util/stats.hpp"
@@ -138,15 +139,17 @@ report::flight_report build_flight_report(const driver_config& cfg,
   fr.tables.push_back(std::move(alerts));
 
   if (tracing) {
-    fr.histograms.push_back(
-        report::make_histogram_data("inference latency (us)",
-                                    spans.inference_us));
-    fr.histograms.push_back(
-        report::make_histogram_data("task latency (us)", spans.task_us));
-    fr.histograms.push_back(
-        report::make_histogram_data("lock hold (ns)", spans.lock_hold_ns));
-    fr.histograms.push_back(
-        report::make_histogram_data("lock wait (ns)", spans.lock_wait_ns));
+    // Buckets are nanoseconds; the exact means convert to match.
+    for (const auto& [name, stat] :
+         {std::pair{"inference latency (ns)", &spans.inference_us},
+          std::pair{"task latency (ns)", &spans.task_us},
+          std::pair{"lock hold (ns)", &spans.lock_hold_ns},
+          std::pair{"lock wait (ns)", &spans.lock_wait_ns}}) {
+      metrics::latency_snapshot snap;
+      stat->ns.snapshot_into(snap);
+      fr.histograms.push_back(report::make_histogram_data(
+          name, snap, stat->mean.value() * stat->ns_per_unit));
+    }
   }
   return fr;
 }

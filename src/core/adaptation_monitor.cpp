@@ -140,30 +140,6 @@ void adaptation_monitor::on_snapshot_install(double now,
   rec.fidelity_max = obs.fidelity.max_loss;
   ledger_.push_back(rec);
 
-  // Mirror the §3.1 pipeline stages into the attached control ring (if any)
-  // so a black-box dump correlates datapath anomalies with the slow-path
-  // work that preceded them.  Zero-cost stages are skipped — the ring is
-  // small and an empty stage carries no signal.
-  if (mirror_) {
-    const auto ns = [](double s) {
-      return static_cast<std::uint64_t>(std::max(0.0, s) * 1e9);
-    };
-    struct stage { trace::lifecycle_phase phase; double seconds; };
-    const stage stages[] = {
-        {trace::lifecycle_phase::freeze, obs.freeze_seconds},
-        {trace::lifecycle_phase::quantize, obs.quantize_seconds},
-        {trace::lifecycle_phase::translate, obs.translate_seconds},
-        {trace::lifecycle_phase::compile, obs.compile_seconds},
-        {trace::lifecycle_phase::install, obs.install_seconds},
-    };
-    for (const auto& st : stages) {
-      if (st.seconds <= 0.0 && st.phase != trace::lifecycle_phase::install) {
-        continue;
-      }
-      mirror_(st.phase, obs.logical_model, obs.version, ns(st.seconds));
-    }
-  }
-
   last_install_time_ = now;
   current_version_ = obs.version;
   // A fresh snapshot resets the drift view until the next verdict.
@@ -179,25 +155,9 @@ void adaptation_monitor::on_snapshot_removed(double now, std::uint64_t model) {
       // A module unloaded without an explicit demotion (e.g. force-removed)
       // still gets a retirement stamp so drain_seconds() is well defined.
       if (it->retire_time < 0.0) it->retire_time = now;
-      if (mirror_) {
-        const double drain = it->drain_seconds();
-        mirror_(trace::lifecycle_phase::remove, it->logical_model, it->version,
-                static_cast<std::uint64_t>(std::max(0.0, drain) * 1e9));
-      }
       return;
     }
   }
-}
-
-void adaptation_monitor::on_shadow_gate(const gate_record& g) {
-  if (!config_.enabled) return;
-  gates_.push_back(g);
-  // Reuse the alert instant shape: a = admitted flag, b = divergence in
-  // 1e-9 units — enough to see blocked switches on the trace timeline.
-  trace_.emit(g.t, trace::event_type::alert,
-              static_cast<std::uint64_t>(g.admitted ? 1 : 0),
-              static_cast<std::uint64_t>(
-                  std::max(0.0, g.mean_divergence) * 1e9));
 }
 
 std::uint64_t adaptation_monitor::alert_count(alert_kind k) const noexcept {

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,26 +126,6 @@ struct snapshot_record {
   }
 };
 
-/// One shadow-gate consultation: a switch request ruled on by live
-/// divergence evidence (the run-time complement of the §3.3 offline
-/// fidelity check).  Both verdicts are ledgered — a blocked switch is as
-/// interesting as an admitted one.
-struct gate_record {
-  double t = 0.0;
-  std::uint32_t logical_model = 0;  ///< core::model_key ruled on
-  std::uint64_t candidate = 0;      ///< engine generation of the standby
-  std::uint64_t version = 0;        ///< snapshot version of the candidate
-  bool admitted = false;
-  std::uint64_t samples = 0;
-  double mean_divergence = 0.0;
-  double max_divergence = 0.0;
-  /// True for a gate-aware rollback: `candidate` is the *re-promoted*
-  /// previous active, not a fresh standby, and `admitted` is always true
-  /// (a rollback never consults the shadow gate — it undoes a switch the
-  /// gate already admitted and live evidence then condemned).
-  bool rollback = false;
-};
-
 /// What the userspace service observed at one sync check.
 struct check_observation {
   sync_decision decision{};
@@ -204,30 +183,12 @@ class adaptation_monitor {
   /// A snapshot module unloaded (its last flow-cache reference drained).
   void on_snapshot_removed(double now, std::uint64_t model);
 
-  /// A shadow gate ruled on a switch request (admitted or blocked).
-  void on_shadow_gate(const gate_record& g);
-
-  /// Sink for control-plane lifecycle stages (train/freeze/quantize/…).
-  /// core cannot depend on rt, so mirroring slow-path activity into the rt
-  /// flight recorder's control ring is a callback the deployment wires
-  /// (typically to datapath_engine::record_lifecycle).  Stage costs are
-  /// nanoseconds.  Null (the default) disables mirroring.
-  using lifecycle_mirror =
-      std::function<void(trace::lifecycle_phase phase, std::uint32_t model,
-                         std::uint64_t version, std::uint64_t cost_ns)>;
-  void set_lifecycle_mirror(lifecycle_mirror fn) {
-    mirror_ = std::move(fn);
-  }
-
   // ---- reporting ----
 
   const std::vector<snapshot_record>& ledger() const noexcept {
     return ledger_;
   }
   const std::vector<alert_record>& alerts() const noexcept { return alerts_; }
-  /// Shadow-gate ledger, in consultation order (empty unless a gated
-  /// deployment reported through on_shadow_gate).
-  const std::vector<gate_record>& gates() const noexcept { return gates_; }
   std::uint64_t alert_count(alert_kind k) const noexcept;
   std::uint64_t total_alerts() const noexcept;
   std::uint64_t checks() const noexcept { return checks_.value(); }
@@ -268,9 +229,6 @@ class adaptation_monitor {
 
   std::vector<snapshot_record> ledger_;
   std::vector<alert_record> alerts_;
-  std::vector<gate_record> gates_;
-
-  lifecycle_mirror mirror_;
 
   metrics::counter checks_;
   metrics::counter alert_counters_[alert_kind_count];

@@ -13,8 +13,53 @@ namespace {
 
 /// EWMA smoothing of every rule's baseline, for both the mean and the MAD.
 constexpr double k_ewma_alpha = 0.25;
-/// Weight of the MAD in the high-side envelopes (see watchdog_config).
+/// Weight of the MAD in the high-side envelopes.
 constexpr double k_mad_slack = 8.0;
+/// Windows with fewer routes than this are skipped outright (no baseline
+/// update, no breach evaluation): idle phases and the short tail window
+/// after workers join carry no signal, only noise.
+constexpr std::uint64_t k_min_window_routes = 64;
+
+// Per-rule envelopes over the rule's EWMA baseline.  High-side rules breach
+// above
+//   max(mean * factor, mean + k_mad_slack * mad) + abs_min
+// (the MAD term keeps a noisy-but-legitimate series from alerting on its
+// own jitter); low-side rules breach below mean * frac.
+constexpr double k_p999_spike_factor = 4.0;
+constexpr double k_p999_spike_min_ns = 250.0;
+constexpr double k_rps_collapse_frac = 0.25;
+constexpr double k_l1_collapse_frac = 0.5;
+/// l1_collapse only applies when the baseline says the L1 was actually
+/// absorbing traffic (an L1-disabled run has nothing to collapse).
+constexpr double k_l1_min_baseline = 0.2;
+constexpr double k_locks_spike_factor = 8.0;
+constexpr double k_locks_spike_min = 0.05;
+constexpr double k_shadow_drift_factor = 4.0;
+constexpr double k_shadow_drift_min = 1e-3;
+/// retired_leak breaches when versions_live exceeds
+///   mean * k_retired_leak_factor + k_retired_leak_min.
+/// A *level* envelope, deliberately not a growth trend: a switch storm
+/// that outruns reclamation does not grow the live count monotonically —
+/// reclaim wins individual windows mid-storm — but it does hold the level
+/// an order of magnitude above the steady churn baseline (which the EWMA
+/// tracks through slow creep without alerting).  The absolute floor keeps
+/// small deployments (baseline of a handful of versions) from alerting on
+/// trivial counts.  4x (not the p999 rule's tighter envelope): the live
+/// count legitimately swings 2-3x while reclamation absorbs a recovery
+/// (e.g. a heavy model draining out), and a real reclamation loss sits an
+/// order of magnitude up.
+constexpr double k_retired_leak_factor = 4.0;
+constexpr double k_retired_leak_min = 64.0;
+/// Consecutive clean windows required to close a retired_leak breach run
+/// (re-arm the trigger and resume folding the baseline).  Every other rule
+/// re-arms on a single clean window; here reclamation wins single windows
+/// *mid-storm* — the live count whipsaws 3x and back while the leak rages —
+/// so one clean window proves nothing.  While a breach run is open, clean
+/// windows below this count are a suspicious period: they neither fold into
+/// the baseline (a storm-level "dip" of 300 against a baseline of 100 would
+/// teach the EWMA that the storm is normal) nor reset the breach count (the
+/// k-of-M run survives isolated dips).
+constexpr std::size_t k_retired_leak_rearm = 3;
 
 }  // namespace
 
@@ -35,30 +80,28 @@ anomaly_watchdog::anomaly_watchdog(watchdog_config cfg,
     : cfg_{std::move(cfg)}, engine_{engine} {}
 
 std::size_t anomaly_watchdog::rearm_windows(anomaly_kind k) const noexcept {
-  return k == anomaly_kind::retired_leak
-             ? std::max<std::size_t>(1, cfg_.retired_leak_rearm)
-             : 1;
+  return k == anomaly_kind::retired_leak ? k_retired_leak_rearm : 1;
 }
 
 double anomaly_watchdog::envelope(anomaly_kind k,
                                   const baseline_stats& b) const {
   switch (k) {
     case anomaly_kind::p999_spike:
-      return std::max(b.mean * cfg_.p999_spike_factor,
+      return std::max(b.mean * k_p999_spike_factor,
                       b.mean + k_mad_slack * b.mad) +
-             cfg_.p999_spike_min_ns;
+             k_p999_spike_min_ns;
     case anomaly_kind::rps_collapse:
-      return b.mean * cfg_.rps_collapse_frac;
+      return b.mean * k_rps_collapse_frac;
     case anomaly_kind::l1_collapse:
-      return b.mean * cfg_.l1_collapse_frac;
+      return b.mean * k_l1_collapse_frac;
     case anomaly_kind::locks_spike:
-      return std::max({b.mean * cfg_.locks_spike_factor,
+      return std::max({b.mean * k_locks_spike_factor,
                        b.mean + k_mad_slack * b.mad,
-                       cfg_.locks_spike_min});
+                       k_locks_spike_min});
     case anomaly_kind::shadow_drift:
-      return std::max({b.mean * cfg_.shadow_drift_factor,
+      return std::max({b.mean * k_shadow_drift_factor,
                        b.mean + k_mad_slack * b.mad,
-                       cfg_.shadow_drift_min});
+                       k_shadow_drift_min});
     case anomaly_kind::retired_leak:
       // No MAD term, deliberately.  Mid-storm the live count whipsaws
       // (reclaim wins a window, drops it 3x, loses the next) — if one such
@@ -67,7 +110,7 @@ double anomaly_watchdog::envelope(anomaly_kind k,
       // turning every later storm window "clean".  The live count is
       // low-jitter in steady state, so the pure-factor envelope loses
       // nothing the MAD term was protecting.
-      return b.mean * cfg_.retired_leak_factor + cfg_.retired_leak_min;
+      return b.mean * k_retired_leak_factor + k_retired_leak_min;
   }
   return 0.0;
 }
@@ -85,7 +128,7 @@ void anomaly_watchdog::evaluate(anomaly_kind k, const stats_window& w,
         breach = r.base.mean > 0.0 && v < thr;
         break;
       case anomaly_kind::l1_collapse:
-        breach = r.base.mean >= cfg_.l1_min_baseline && v < thr;
+        breach = r.base.mean >= k_l1_min_baseline && v < thr;
         break;
       default:
         breach = v > thr;
@@ -146,7 +189,7 @@ void anomaly_watchdog::observe(const stats_window& w,
   // Traffic rules only see windows with enough routes to mean anything:
   // idle phases and the short tail window after the workers join would
   // otherwise read as throughput collapses.
-  if (w.routes < cfg_.min_window_routes) return;
+  if (w.routes < k_min_window_routes) return;
 
   if (w.samples != 0) evaluate(anomaly_kind::p999_spike, w, w.p999_ns);
   evaluate(anomaly_kind::rps_collapse, w, w.routes_per_sec);
@@ -191,9 +234,9 @@ void anomaly_watchdog::fire(anomaly_kind k, const stats_window& w,
       // The trigger goes into the control ring BEFORE the rollback and the
       // dump, so the dump reads causally: anomaly, then the
       // snapshot_rollback the policy issued for it.
-      rec->control().emit(
-          trace::event_type::anomaly, static_cast<std::uint64_t>(k),
-          static_cast<std::uint64_t>(std::max(0.0, observed) * 1e3));
+      emit_now(rec->control(), trace::event_type::anomaly,
+               static_cast<std::uint64_t>(k),
+               static_cast<std::uint64_t>(std::max(0.0, observed) * 1e3));
     }
     // Cross-rule correlation: a datapath symptom while a switch's probation
     // hold is still open names the admitted candidate as the suspect.

@@ -21,7 +21,7 @@
 //   `breach_windows` consecutive breaching windows, fires once, and re-arms
 //   when a window comes back inside the envelope (the adaptation_monitor's
 //   alert semantics, applied to the rt plane).  retired_leak alone needs
-//   several consecutive clean windows to re-arm (retired_leak_rearm):
+//   several consecutive clean windows to re-arm (k_retired_leak_rearm):
 //   reclamation wins isolated windows mid-storm, and those dips must not
 //   reset the count or fold into the baseline.
 //
@@ -75,59 +75,10 @@ struct watchdog_config {
   /// warmup every window (spike or not) feeds the baseline and nothing
   /// fires — a cold start must not alert on its own ramp.
   std::size_t warmup_windows = 5;
-  /// Windows with fewer routes than this are skipped outright (no baseline
-  /// update, no breach evaluation): idle phases and the short tail window
-  /// after workers join carry no signal, only noise.
-  std::size_t min_window_routes = 64;
   /// Consecutive breaching windows required to fire (the M in k-of-M).
   /// 3 is deliberate: on a loaded single-CPU host, two back-to-back
   /// scheduler-stall p999 spikes show up in genuinely clean runs.
   std::size_t breach_windows = 3;
-
-  // Per-rule envelopes over the rule's EWMA baseline (alpha 0.25 for both
-  // the mean and the MAD).  High-side rules breach above
-  //   max(mean * factor, mean + 8 * mad) + abs_min
-  // (the MAD term keeps a noisy-but-legitimate series from alerting on its
-  // own jitter); low-side rules breach below mean * frac.
-  double p999_spike_factor = 4.0;
-  double p999_spike_min_ns = 250.0;
-  double rps_collapse_frac = 0.25;
-  double l1_collapse_frac = 0.5;
-  /// l1_collapse only applies when the baseline says the L1 was actually
-  /// absorbing traffic (an L1-disabled run has nothing to collapse).
-  double l1_min_baseline = 0.2;
-  double locks_spike_factor = 8.0;
-  double locks_spike_min = 0.05;
-  double shadow_drift_factor = 4.0;
-  double shadow_drift_min = 1e-3;
-  /// retired_leak breaches when versions_live exceeds
-  ///   mean * factor + retired_leak_min.
-  /// A *level* envelope, deliberately not a growth trend: a switch storm
-  /// that outruns reclamation does not grow the live count monotonically —
-  /// reclaim wins individual windows mid-storm — but it does hold the level
-  /// an order of magnitude above the steady churn baseline (which the EWMA
-  /// tracks through slow creep without alerting).  The absolute floor keeps
-  /// small deployments (baseline of a handful of versions) from alerting on
-  /// trivial counts.  4x (not the p999 rule's tighter envelope): the live
-  /// count legitimately swings 2-3x while reclamation absorbs a recovery
-  /// (e.g. a heavy model draining out), and a real reclamation loss sits an
-  /// order of magnitude up.  Unlike the other high-side rules there is no
-  /// MAD term: the series is low-jitter when healthy, and mid-storm
-  /// reclaim-win dips that fold as "clean" would feed the MAD deviations
-  /// large enough to balloon the envelope above the storm plateau itself.
-  double retired_leak_factor = 4.0;
-  double retired_leak_min = 64.0;
-  /// Consecutive clean windows required to close a retired_leak breach run
-  /// (re-arm the trigger and resume folding the baseline).  Every other
-  /// rule re-arms on a single clean window; here reclamation wins single
-  /// windows *mid-storm* — the live count whipsaws 3x and back while the
-  /// leak rages — so one clean window proves nothing.  While a breach run
-  /// is open, clean windows below this count are a suspicious period: they
-  /// neither fold into the baseline (a storm-level "dip" of 300 against a
-  /// baseline of 100 would teach the EWMA that the storm is normal) nor
-  /// reset the breach count (the k-of-M run survives isolated dips).
-  std::size_t retired_leak_rearm = 3;
-
   /// INCIDENT_<label>.json basename; "" disables the incident file.
   std::string incident_label;
   /// Rollback policy: when a firing rule is classified

@@ -47,11 +47,7 @@ datapath_engine::datapath_engine(engine_config cfg)
   }
   if (cfg_.telemetry.blackbox_events != 0) {
     recorder_ = std::make_unique<flight_recorder>(
-        flight_recorder_config{cfg_.telemetry.blackbox_events,
-                               cfg_.telemetry.blackbox_route_shift,
-                               cfg_.telemetry.blackbox_dump_interval_ns,
-                               cfg_.telemetry.blackbox_max_dumps},
-        cfg_.max_workers == 0 ? 1 : cfg_.max_workers);
+        cfg_.telemetry, cfg_.max_workers == 0 ? 1 : cfg_.max_workers);
     bb_route_mask_ = recorder_->route_sample_mask();
     // Single-threaded here (before any worker exists), which satisfies the
     // version_reclaim contract of setting the recorder before concurrency.
@@ -80,7 +76,8 @@ std::uint64_t datapath_engine::install(core::model_key model,
   snapshot_handle& h = handles_[model];
   const std::uint64_t gen = h.install_standby(std::move(snap));
   if (recorder_ != nullptr) {
-    recorder_->control().emit(trace::event_type::snapshot_install, model, gen);
+    emit_now(recorder_->control(), trace::event_type::snapshot_install, model,
+             gen);
   }
   {
     // A fresh candidate invalidates whatever was measured for the old one.
@@ -103,7 +100,8 @@ bool datapath_engine::switch_active(core::model_key model) {
   const bool flipped = h.switch_active();
   if (flipped) {
     if (recorder_ != nullptr) {
-      recorder_->control().emit(trace::event_type::snapshot_switch, model, 0);
+      emit_now(recorder_->control(), trace::event_type::snapshot_switch,
+               model, 0);
     }
     spin_guard g{shadows_[model].mu};
     shadows_[model].scorer.reset();
@@ -129,8 +127,8 @@ switch_outcome datapath_engine::try_switch(core::model_key model) {
   const bool gated = cfg_.shadow.active() && cfg_.shadow.gate_enabled &&
                      h.has_active();
   if (recorder_ != nullptr && gated) {
-    recorder_->control().emit(
-        trace::event_type::gate_verdict,
+    emit_now(
+        recorder_->control(), trace::event_type::gate_verdict,
         (static_cast<std::uint64_t>(model) << 1) |
             (out.verdict.admit ? 1u : 0u),
         static_cast<std::uint64_t>(out.verdict.mean_divergence * 1e9));
@@ -142,7 +140,8 @@ switch_outcome datapath_engine::try_switch(core::model_key model) {
   }
   h.switch_active();
   if (recorder_ != nullptr) {
-    recorder_->control().emit(trace::event_type::snapshot_switch, model, 0);
+    emit_now(recorder_->control(), trace::event_type::snapshot_switch, model,
+             0);
   }
   {
     spin_guard g{shadows_[model].mu};
@@ -164,11 +163,10 @@ bool datapath_engine::try_rollback(core::model_key model) {
   const bool rolled = h.rollback();
   if (rolled) {
     if (recorder_ != nullptr) {
-      recorder_->control().emit(
-          trace::event_type::snapshot_rollback,
-          (static_cast<std::uint64_t>(model) << 32) |
-              (st.held_gen & 0xffffffffULL),
-          st.promoted_gen);
+      emit_now(recorder_->control(), trace::event_type::snapshot_rollback,
+               (static_cast<std::uint64_t>(model) << 32) |
+                   (st.held_gen & 0xffffffffULL),
+               st.promoted_gen);
     }
     // Whatever divergence a standby accumulated was measured against the
     // regressed active; the next install starts the evidence over.
@@ -290,7 +288,7 @@ route_result datapath_engine::route(worker_handle& w, core::model_key model,
   // the tick but no clock read.
   const bool timed =
       cfg_.telemetry.latency && ((w.lat_tick_++ & lat_mask_) == 0);
-  const std::uint64_t t0 = timed ? wall_ns() : 0;
+  const std::uint64_t t0 = timed ? metrics::wall_ns() : 0;
   const netsim::flow_id_t key = core::composite_flow_key(model, flow);
   snapshot_handle& h = handles_[model];
   {
@@ -321,9 +319,9 @@ route_result datapath_engine::route(worker_handle& w, core::model_key model,
       }
     }
   }
-  if (timed) w.lat_.record(wall_ns() - t0);
-  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) {
-    w.bb_->emit(trace::event_type::route_summary, key, r.gen);
+  if (timed) w.lat_.record(metrics::wall_ns() - t0);
+  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) [[unlikely]] {
+    emit_now(*w.bb_, trace::event_type::route_summary, key, r.gen);
   }
   return r;
 }
@@ -341,7 +339,7 @@ std::size_t datapath_engine::route_batch(
   // batched and scalar routes weigh equally in the merged histogram.
   const bool timed =
       cfg_.telemetry.latency && ((w.lat_tick_++ & lat_mask_) == 0);
-  const std::uint64_t t0 = timed ? wall_ns() : 0;
+  const std::uint64_t t0 = timed ? metrics::wall_ns() : 0;
   if (w.batch_vers_.size() < n) w.batch_vers_.resize(n);
   snapshot_handle& h = handles_[model];
   // One guard + one switch-epoch load amortized over the whole batch.
@@ -379,9 +377,9 @@ std::size_t datapath_engine::route_batch(
     }
     i = j;
   }
-  if (timed) w.lat_.record((wall_ns() - t0) / n, n);
-  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) {
-    w.bb_->emit(trace::event_type::batch_flush, n, served);
+  if (timed) w.lat_.record((metrics::wall_ns() - t0) / n, n);
+  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) [[unlikely]] {
+    emit_now(*w.bb_, trace::event_type::batch_flush, n, served);
   }
   return served;
 }
@@ -504,7 +502,8 @@ datapath_engine::live_counters datapath_engine::counters_now() const {
   return c;
 }
 
-void datapath_engine::latency_snapshot_into(latency_snapshot& out) const {
+void datapath_engine::latency_snapshot_into(
+    metrics::latency_snapshot& out) const {
   std::lock_guard<std::mutex> g{workers_mu_};
   for (const worker_handle& w : workers_) w.latency().snapshot_into(out);
 }
@@ -516,10 +515,10 @@ void datapath_engine::record_violation(worker_handle& w, netsim::flow_id_t key,
   const std::uint64_t packed =
       (expected_gen << 32) | (observed_gen & 0xffffffffULL);
   if (w.bb_ != nullptr) {
-    w.bb_->emit(trace::event_type::invariant_violation, key, packed);
+    emit_now(*w.bb_, trace::event_type::invariant_violation, key, packed);
   }
-  recorder_->control().emit(trace::event_type::invariant_violation, key,
-                            packed);
+  emit_now(recorder_->control(), trace::event_type::invariant_violation, key,
+           packed);
 }
 
 void datapath_engine::record_lifecycle(trace::lifecycle_phase phase,
@@ -527,9 +526,8 @@ void datapath_engine::record_lifecycle(trace::lifecycle_phase phase,
                                        std::uint64_t version,
                                        std::uint64_t cost_ns) noexcept {
   if (recorder_ == nullptr) return;
-  recorder_->control().emit(trace::event_type::lifecycle_stage,
-                            trace::pack_lifecycle(phase, model, version),
-                            cost_ns);
+  emit_now(recorder_->control(), trace::event_type::lifecycle_stage,
+           trace::pack_lifecycle(phase, model, version), cost_ns);
 }
 
 void datapath_engine::register_metrics(metrics::registry& reg,

@@ -79,33 +79,13 @@
 #include "quant/quantized_mlp.hpp"
 #include "rt/epoch.hpp"
 #include "rt/flight_recorder.hpp"
-#include "rt/latency_histogram.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "rt/snapshot_handle.hpp"
 #include "util/fixed_point.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
 
 namespace lf::rt {
-
-/// Live-telemetry knobs.  Everything defaults OFF: the route path then pays
-/// one predictable branch for the histogram and one null check for the
-/// recorder (bench_micro pins both), and no ring memory is allocated.
-struct telemetry_config {
-  /// Record route latency into the per-worker log2 histograms.
-  bool latency = false;
-  /// Sample 1-in-2^shift routes for timing (0 = every route).  Sampled
-  /// routes pay two steady_clock reads; unsampled ones a branch + tick.
-  unsigned latency_sample_shift = 0;
-  /// Per-ring flight-recorder capacity in events; 0 disables the recorder.
-  std::size_t blackbox_events = 0;
-  /// Route summaries are sampled 1-in-2^shift per worker; lifecycle events
-  /// (switches, verdicts, zombie pushes, reclaims, violations) always record.
-  unsigned blackbox_route_shift = 6;
-  /// flight_recorder::try_dump rate limit (anomaly capture): minimum
-  /// spacing between dumps and a lifetime cap.  0 = unlimited.
-  std::uint64_t blackbox_dump_interval_ns = 0;
-  std::uint64_t blackbox_max_dumps = 0;
-};
 
 struct engine_config {
   /// Flow-cache shards.  0 (the default) derives the count from
@@ -177,7 +157,7 @@ class alignas(128) worker_handle {
   std::size_t l1_capacity() const noexcept { return l1_.size(); }
   /// This worker's route-latency histogram (empty unless
   /// telemetry_config::latency is on).  Readable from any thread.
-  const latency_histogram& latency() const noexcept { return lat_; }
+  const metrics::latency_histogram& latency() const noexcept { return lat_; }
 
   /// Publish this worker's counters under "<prefix>.routes", ".hits", ...
   void register_metrics(metrics::registry& reg, const std::string& prefix);
@@ -208,9 +188,9 @@ class alignas(128) worker_handle {
   std::uint64_t l1_tick_ = 0;  ///< forces periodic L2 stamp refresh
   std::vector<snapshot_version*> batch_vers_;  ///< route_batch scratch
   std::vector<fp::s64> shadow_out_;  ///< standby-output staging (no alloc/route)
-  latency_histogram lat_;            ///< route latency (telemetry.latency)
+  metrics::latency_histogram lat_;   ///< route latency (telemetry.latency)
   std::uint64_t lat_tick_ = 0;       ///< latency sampling counter
-  blackbox_ring* bb_ = nullptr;      ///< this worker's flight-recorder ring
+  trace::ring* bb_ = nullptr;        ///< this worker's flight-recorder ring
   std::uint64_t bb_tick_ = 0;        ///< route-summary sampling counter
   metrics::atomic_counter routes_;
   metrics::atomic_counter l1_hits_;
@@ -419,7 +399,7 @@ class datapath_engine {
   live_counters counters_now() const;
 
   /// Merge every worker's latency histogram into `out` (any thread).
-  void latency_snapshot_into(latency_snapshot& out) const;
+  void latency_snapshot_into(metrics::latency_snapshot& out) const;
 
   /// The flight recorder, or nullptr when telemetry.blackbox_events == 0.
   flight_recorder* recorder() noexcept { return recorder_.get(); }

@@ -5,129 +5,78 @@
 // a post-mortem — BLACKBOX_<label>.json, Perfetto-compatible through the
 // same trace_report exporter the sim tracer uses.
 //
-// Concurrency model, in order of importance:
-//  - emit() must be cheap and safe on the route hot path.  Every slot field
-//    is a relaxed atomic; the ring head is claimed with a relaxed fetch_add.
-//    Per-worker rings are effectively single-writer (their worker), the
-//    control ring is written by the writer/admin threads; the fetch_add
-//    makes the control ring safe for those without a lock.
-//  - A dump can race live emitters.  Readers take relaxed snapshots of each
-//    slot; a slot being overwritten mid-dump can yield a *stale or mixed*
-//    record (timestamp from one event, payload from another).  That is an
-//    accepted black-box property — the dump is forensic, not transactional
-//    — and the seq tag lets the reader drop slots that are mid-rewrite for
-//    the common case (tag changed between the first and second read).
-//  - Timestamps are rt::wall_ns() (steady clock), the same clock the
+// The rings are trace::rings in the wall_ns time domain; their slot
+// protocol (util/trace.hpp) is what makes this safe:
+//  - emit() is cheap and safe on the route hot path: atomic slots and a
+//    fetch_add head claim.  Per-worker rings are single-writer (their
+//    worker); the control ring is written by the writer, admin and sampler
+//    threads, which the fetch_add makes safe without a lock.
+//  - A dump can race live emitters.  snapshot() drops slots that are
+//    mid-rewrite instead of decoding mixed fields; the dump is forensic,
+//    not transactional.
+//  - Timestamps are metrics::wall_ns() (steady clock), the same clock the
 //    latency histograms use, so dumped events and latency windows line up.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "rt/latency_histogram.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/trace.hpp"
 
 namespace lf::rt {
 
-/// One decoded record from a ring snapshot.
-struct blackbox_event {
-  std::uint64_t t_ns = 0;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  std::uint64_t seq = 0;
-  trace::event_type type{};
+/// Live-telemetry knobs of a datapath_engine (engine_config::telemetry).
+/// Everything defaults OFF: the route path then pays one predictable branch
+/// for the histogram and one null check for the recorder (bench_micro pins
+/// both), and no ring memory is allocated.
+struct telemetry_config {
+  /// Record route latency into the per-worker log2 histograms.
+  bool latency = false;
+  /// Sample 1-in-2^shift routes for timing (0 = every route).  Sampled
+  /// routes pay two steady_clock reads; unsampled ones a branch + tick.
+  unsigned latency_sample_shift = 0;
+  /// Per-ring flight-recorder capacity in events; 0 disables the recorder.
+  std::size_t blackbox_events = 0;
+  /// Route summaries are sampled 1-in-2^shift per worker; lifecycle events
+  /// (switches, verdicts, zombie pushes, reclaims, violations) always record.
+  unsigned blackbox_route_shift = 6;
+  /// flight_recorder::try_dump rate limit (anomaly capture): minimum
+  /// spacing between dumps and a lifetime cap.  0 = unlimited.
+  std::uint64_t blackbox_dump_interval_ns = 0;
+  std::uint64_t blackbox_max_dumps = 0;
 };
 
-/// Fixed-capacity overwrite-oldest ring of relaxed-atomic event slots.
-class blackbox_ring {
- public:
-  blackbox_ring() = default;
-  blackbox_ring(const blackbox_ring&) = delete;
-  blackbox_ring& operator=(const blackbox_ring&) = delete;
-
-  /// Allocate storage (capacity rounded up to a power of two, min 2).
-  /// Not thread-safe; call before emitters start.  enable(0) disables.
-  void enable(std::size_t capacity);
-
-  bool enabled() const noexcept { return slots_ != nullptr; }
-  std::size_t capacity() const noexcept { return mask_ ? mask_ + 1 : 0; }
-  std::uint64_t emitted() const noexcept {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  /// Hot path: stamp wall_ns() and store one event.  One branch when
-  /// disabled; no allocation, no lock, no RMW beyond the head claim.
-  void emit(trace::event_type type, std::uint64_t a = 0,
-            std::uint64_t b = 0) noexcept {
-    if (slots_ == nullptr) return;
-    const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-    slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
-    s.t_ns.store(wall_ns(), std::memory_order_relaxed);
-    s.a.store(a, std::memory_order_relaxed);
-    s.b.store(b, std::memory_order_relaxed);
-    // Tag last: seq+1 so 0 stays the "never written" sentinel.
-    s.tag.store(((seq + 1) << 8) | static_cast<std::uint64_t>(type),
-                std::memory_order_relaxed);
-  }
-
-  /// Reporting path: decode every written slot, oldest first by timestamp.
-  /// Slots whose tag changes while being read are dropped (mid-rewrite).
-  std::vector<blackbox_event> snapshot() const;
-
-  /// Not thread-safe; quiesced use only (tests, between runs).
-  void clear() noexcept;
-
- private:
-  struct slot {
-    std::atomic<std::uint64_t> t_ns{0};
-    std::atomic<std::uint64_t> a{0};
-    std::atomic<std::uint64_t> b{0};
-    std::atomic<std::uint64_t> tag{0};  ///< ((seq + 1) << 8) | event_type
-  };
-
-  std::unique_ptr<slot[]> slots_;
-  std::size_t mask_ = 0;
-  std::atomic<std::uint64_t> head_{0};
-};
-
-struct flight_recorder_config {
-  std::size_t events_per_ring = 0;  ///< 0 disables the recorder entirely
-  /// Route summaries are sampled 1-in-2^shift per worker (everything else —
-  /// switches, verdicts, zombie pushes, reclaims, violations — is recorded
-  /// unconditionally).
-  unsigned route_sample_shift = 6;
-  /// try_dump() rate limit: dumps closer together than this are suppressed
-  /// (counted, not written).  0 = no interval limit.
-  std::uint64_t min_dump_interval_ns = 0;
-  /// try_dump() lifetime cap; dumps past it are suppressed.  0 = no cap.
-  std::uint64_t max_dumps = 0;
-};
+/// Emit into a recorder ring stamped with metrics::wall_ns().  The clock is
+/// read only when the ring is enabled, so a disabled ring costs one branch.
+inline void emit_now(trace::ring& r, trace::event_type type,
+                     std::uint64_t a = 0, std::uint64_t b = 0) noexcept {
+  if (r.enabled()) r.emit(static_cast<double>(metrics::wall_ns()), type, a, b);
+}
 
 /// The recorder proper: one control ring (writer/admin events) plus one ring
-/// per worker slot, all sized events_per_ring.
+/// per worker slot, all sized telemetry_config::blackbox_events.
 class flight_recorder {
  public:
-  flight_recorder(const flight_recorder_config& cfg, std::size_t max_workers);
+  flight_recorder(const telemetry_config& cfg, std::size_t max_workers);
 
   bool enabled() const noexcept { return control_.enabled(); }
   std::uint64_t route_sample_mask() const noexcept { return route_mask_; }
 
-  blackbox_ring& control() noexcept { return control_; }
-  blackbox_ring& worker(std::size_t i) noexcept { return workers_[i]; }
-  std::size_t worker_rings() const noexcept { return n_workers_; }
+  trace::ring& control() noexcept { return control_; }
+  trace::ring& worker(std::size_t i) noexcept { return workers_[i]; }
+  std::size_t worker_rings() const noexcept { return workers_.size(); }
 
   /// Write BLACKBOX_<label>.json (Perfetto trace-event JSON, wall-ns time
-  /// domain) into bench::output_dir().  Keeps only events within
-  /// `window_ns` of the newest event across all rings (0 = everything
-  /// retained).  Timestamps are re-based to the oldest kept event.
-  /// Returns the path written, or "" on failure (diagnostic on stderr).
-  std::string dump(std::string_view label, std::uint64_t window_ns = 0) const;
+  /// domain, so timestamps count from the oldest retained event) into
+  /// bench::output_dir().  Returns the path written, or "" on failure
+  /// (diagnostic on stderr).
+  std::string dump(std::string_view label);
 
   /// Rate-limited dump for anomaly capture: writes
   /// BLACKBOX_<prefix>_<n>.json where n is a monotonic per-recorder dump
@@ -135,7 +84,7 @@ class flight_recorder {
   /// this dump must be suppressed (then counts the drop and returns "").
   /// A flapping watchdog therefore cannot flood the disk; the suppressed
   /// count is exported as rt.watchdog.dumps_suppressed.
-  std::string try_dump(std::string_view prefix, std::uint64_t window_ns = 0);
+  std::string try_dump(std::string_view prefix);
 
   /// try_dump()s actually written / suppressed so far (any thread).
   std::uint64_t dumps() const noexcept {
@@ -146,11 +95,11 @@ class flight_recorder {
   }
 
  private:
-  blackbox_ring control_;
-  std::unique_ptr<blackbox_ring[]> workers_;
-  std::size_t n_workers_ = 0;
+  trace::ring control_{"rt.control"};
+  std::deque<trace::ring> workers_;  ///< deque: rings are not movable
   std::uint64_t route_mask_ = 0;
-  flight_recorder_config cfg_{};
+  std::uint64_t min_dump_interval_ns_ = 0;
+  std::uint64_t max_dumps_ = 0;
   std::mutex dump_mu_;  ///< serializes the try_dump admission decision
   std::uint64_t last_dump_ns_ = 0;
   std::atomic<std::uint64_t> dumps_written_{0};

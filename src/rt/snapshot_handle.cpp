@@ -215,8 +215,8 @@ void snapshot_handle::push_zombie(snapshot_version* v) noexcept {
     // — which is exactly why the recorder ring tolerates multi-producer
     // emission.  b = the post-bump switch epoch, so a dump shows which L1
     // invalidation the push rode on.
-    rec_.recorder->emit(trace::event_type::zombie_push, v->gen,
-                        rec_.switch_epoch.load(std::memory_order_relaxed));
+    emit_now(*rec_.recorder, trace::event_type::zombie_push, v->gen,
+             rec_.switch_epoch.load(std::memory_order_relaxed));
   }
   if (rec_.on_drain) rec_.on_drain(*v);
   std::lock_guard<std::mutex> g{rec_.zombies_mu};
@@ -242,8 +242,8 @@ std::size_t snapshot_handle::maintain() {
   }
   const std::size_t freed = epochs_.try_reclaim();
   if (freed != 0 && rec_.recorder != nullptr) {
-    rec_.recorder->emit(trace::event_type::version_reclaim, freed,
-                        rec_.retired.load(std::memory_order_relaxed));
+    emit_now(*rec_.recorder, trace::event_type::version_reclaim, freed,
+             rec_.retired.load(std::memory_order_relaxed));
   }
   return freed;
 }

@@ -119,7 +119,7 @@ struct version_reclaim {
   /// Optional flight-recorder ring for lifecycle events (zombie pushes —
   /// which happen on arbitrary reader threads — and reclaim batches).  Set
   /// once before any concurrency starts; nullptr keeps the paths silent.
-  blackbox_ring* recorder = nullptr;
+  trace::ring* recorder = nullptr;
   /// Optional drain observer: called with each version whose last pin
   /// dropped, on the thread that dropped it, before the version is queued
   /// for reclamation.  Set once before any concurrency starts.

@@ -24,7 +24,7 @@ stats_sampler::stats_sampler(datapath_engine& engine, stats_sampler_config cfg)
     ts_shadow_divergence_.push_back(std::make_unique<time_series>(
         "rt.ts.shadow_divergence.m" + std::to_string(m)));
   }
-  start_ns_ = wall_ns();
+  start_ns_ = metrics::wall_ns();
   prev_ns_ = start_ns_;
   prev_counters_ = engine_.counters_now();
   engine_.latency_snapshot_into(prev_latency_);
@@ -77,11 +77,11 @@ void stats_sampler::run() {
 
 void stats_sampler::tick() {
   std::lock_guard<std::mutex> g{fold_mu_};
-  const std::uint64_t now_ns = wall_ns();
+  const std::uint64_t now_ns = metrics::wall_ns();
   const datapath_engine::live_counters c = engine_.counters_now();
-  latency_snapshot lat;
+  metrics::latency_snapshot lat;
   engine_.latency_snapshot_into(lat);
-  const latency_snapshot delta = lat.delta_since(prev_latency_);
+  const metrics::latency_snapshot delta = lat.delta_since(prev_latency_);
 
   stats_window w;
   w.t_s = static_cast<double>(now_ns - start_ns_) * 1e-9;
@@ -180,7 +180,7 @@ void stats_sampler::register_metrics(metrics::registry& reg,
 
 std::string stats_sampler::render_text() const {
   const datapath_engine::live_counters c = engine_.counters_now();
-  latency_snapshot lat;
+  metrics::latency_snapshot lat;
   engine_.latency_snapshot_into(lat);
 
   std::ostringstream os;
@@ -227,13 +227,15 @@ std::string stats_sampler::render_text() const {
   // bucket midpoints (the recorder keeps counts, not exact sums).
   os << "# TYPE lf_rt_route_latency_ns histogram\n";
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < latency_snapshot::k_buckets; ++i) {
+  using metrics::latency_histogram;
+  constexpr std::size_t k_buckets = latency_histogram::k_buckets;
+  for (std::size_t i = 0; i < k_buckets; ++i) {
     cum += lat.counts[i];
-    if (lat.counts[i] == 0 && i + 1 != latency_snapshot::k_buckets) continue;
+    if (lat.counts[i] == 0 && i + 1 != k_buckets) continue;
     const std::uint64_t hi = latency_histogram::bucket_floor(i) +
                              latency_histogram::bucket_width(i);
     os << "lf_rt_route_latency_ns_bucket{le=\"";
-    if (i + 1 == latency_snapshot::k_buckets) {
+    if (i + 1 == k_buckets) {
       os << "+Inf";
     } else {
       os << hi;

@@ -130,7 +130,7 @@ class stats_sampler {
   std::uint64_t start_ns_ = 0;
   std::uint64_t prev_ns_ = 0;
   datapath_engine::live_counters prev_counters_{};
-  latency_snapshot prev_latency_{};
+  metrics::latency_snapshot prev_latency_{};
   std::vector<stats_window> windows_;
   time_series ts_routes_per_sec_{"rt.ts.routes_per_sec"};
   time_series ts_p50_{"rt.ts.p50_ns"};

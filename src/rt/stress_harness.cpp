@@ -22,8 +22,7 @@
 //      B  drift: install a net from another seed; once the sampled slice
 //         holds min_samples of evidence, try_switch must be gate-blocked
 //      C  retrain: reinstall the first seed's net; try_switch admits it
-//    Every ruling goes through an adaptation_monitor ledger into the gates
-//    table of the flight report.
+//    Every ruling becomes a row of the flight report's gates table.
 //
 // Every worker asserts the §3.4 flow-consistency invariant online: a
 // flow-cache hit must serve exactly the generation its (model, flow)
@@ -55,7 +54,6 @@
 #include <vector>
 
 #include "codegen/snapshot.hpp"
-#include "core/adaptation_monitor.hpp"
 #include "nn/mlp.hpp"
 #include "rt/anomaly_watchdog.hpp"
 #include "rt/stats_sampler.hpp"
@@ -134,6 +132,10 @@ constexpr std::size_t k_sweep[] = {1, 2, 4, 8, 16};
 double now_seconds(clock_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+std::uint64_t ns_between(clock_point a, clock_point b) {
+  return static_cast<std::uint64_t>(std::chrono::nanoseconds{b - a}.count());
 }
 
 /// Collects the profile's checks: a failed one prints "FAIL: ..." and makes
@@ -525,8 +527,24 @@ std::vector<rt::worker_handle*> register_workers(rt::datapath_engine& engine,
   return handles;
 }
 
+/// One gate-script ruling: a shadow-gated switch, admitted or blocked, or
+/// stage D's rollback.
+struct gate_row {
+  double t = 0.0;
+  core::model_key model = 0;
+  /// The candidate's snapshot version; the script installs once per
+  /// generation, so it is the candidate's generation too.
+  std::uint64_t version = 0;
+  bool admitted = false;
+  /// A gate-aware rollback: `version` is the re-promoted previous active,
+  /// and the row is admitted (a rollback undoes a switch the gate admitted
+  /// and live evidence then condemned).
+  bool rollback = false;
+  core::shadow_verdict verdict{};
+};
+
 struct script_outcome {
-  std::vector<core::gate_record> gates;
+  std::vector<gate_row> gates;
   std::uint64_t blocked = 0;
   std::uint64_t admitted_after_block = 0;
 };
@@ -538,16 +556,7 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
                            rt::snapshot_handle::probation_status& bad,
                            verdict& v) {
   const core::shadow_config& sh = engine.config().shadow;
-  core::adaptation_monitor mon{core::monitor_config{.enabled = true}};
-  // Lifecycle stages the monitor ledgers are mirrored into the engine's
-  // control ring, so a black-box dump taken around an anomaly carries the
-  // slow-path work that preceded it.
-  mon.set_lifecycle_mirror([&engine](trace::lifecycle_phase ph,
-                                     std::uint32_t m, std::uint64_t version,
-                                     std::uint64_t cost_ns) {
-    engine.record_lifecycle(ph, static_cast<core::model_key>(m), version,
-                            cost_ns);
-  });
+  script_outcome out;
   // Bounded: on timeout the stage's expectation fails loudly instead.
   const auto wait_evidence = [&](core::model_key m) {
     const double deadline = now_seconds(t0) + 10.0;
@@ -558,35 +567,26 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
   };
   const auto record_gate = [&](core::model_key m, std::uint64_t version,
                                const rt::switch_outcome& o) {
-    mon.on_shadow_gate({.t = now_seconds(t0),
-                        .logical_model = m,
-                        .candidate = version,  // one install per gen: gen == version
-                        .version = version,
-                        .admitted = o.flipped(),
-                        .samples = o.verdict.samples,
-                        .mean_divergence = o.verdict.mean_divergence,
-                        .max_divergence = o.verdict.max_divergence});
+    out.gates.push_back({.t = now_seconds(t0),
+                         .model = m,
+                         .version = version,
+                         .admitted = o.flipped(),
+                         .verdict = o.verdict});
   };
   // Each install is a fresh training run: its cost lands in the control
-  // ring as a `train` stage, and the monitor's mirror adds `install`.
+  // ring as a `train` stage and the install's own as an `install` stage, so
+  // a black-box dump taken around an anomaly carries the slow-path work
+  // that preceded it.
   const auto install = [&](core::model_key m, std::uint64_t seed,
                            std::uint64_t version) {
-    const auto c0 = std::chrono::steady_clock::now();
+    const clock_point c0 = std::chrono::steady_clock::now();
     codegen::snapshot snap = train(seed, "mm-m" + std::to_string(m), version);
-    const auto c1 = std::chrono::steady_clock::now();
-    install_trained(engine, m, std::move(snap), version,
-                    static_cast<std::uint64_t>(
-                        std::chrono::nanoseconds{c1 - c0}.count()));
-    mon.on_snapshot_install(
-        now_seconds(t0),
-        {.version = version,
-         .model = version,
-         .logical_model = m,
-         .initial = version == 1,
-         .install_seconds = now_seconds(c1)});
+    const clock_point c1 = std::chrono::steady_clock::now();
+    install_trained(engine, m, std::move(snap), version, ns_between(c0, c1));
+    engine.record_lifecycle(trace::lifecycle_phase::install, m, version,
+                            ns_between(c1, std::chrono::steady_clock::now()));
   };
 
-  script_outcome out;
   for (std::size_t mi = 0; mi < engine.model_count(); ++mi) {
     const auto m = static_cast<core::model_key>(mi);
     const std::uint64_t seed = 0x5eed0000 + mi;
@@ -630,17 +630,15 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     if (engine.rollbacks() != 0) {
-      // Record the rollback in the gate ledger next to the gate's rulings,
-      // so the flight report carries the row.
-      mon.on_shadow_gate({.t = now_seconds(t0),
-                          .logical_model = 0,
-                          .candidate = 3,  // stage C's version, re-promoted
-                          .version = 3,
-                          .admitted = true,
-                          .rollback = true});
+      // Record the rollback next to the gate's rulings, so the flight
+      // report carries the row.
+      out.gates.push_back({.t = now_seconds(t0),
+                           .model = 0,
+                           .version = 3,  // stage C's version, re-promoted
+                           .admitted = true,
+                           .rollback = true});
     }
   }
-  out.gates = mon.gates();
   return out;
 }
 
@@ -921,9 +919,9 @@ int main(int argc, char** argv) {
           static_cast<double>(
               engine.snapshots(static_cast<core::model_key>(m)).switches()));
     }
-    for (const core::gate_record& g : script.gates) {
-      rep.add_point("gate_mean_divergence",
-                    static_cast<double>(g.logical_model), g.mean_divergence);
+    for (const gate_row& g : script.gates) {
+      rep.add_point("gate_mean_divergence", static_cast<double>(g.model),
+                    g.verdict.mean_divergence);
     }
   }
   if (p.stall || p.storm || p.bad) {
@@ -944,7 +942,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(st.outcomes[i].routes) / st.elapsed);
   }
   // Live telemetry: whole-run percentiles and the per-window series.
-  rt::latency_snapshot lat;
+  metrics::latency_snapshot lat;
   engine.latency_snapshot_into(lat);
   const double p50 = lat.quantile(0.50), p99 = lat.quantile(0.99),
                p999 = lat.quantile(0.999);
@@ -1016,12 +1014,12 @@ int main(int argc, char** argv) {
     // Incidents and gate rulings mark both charts, so a regression, its
     // detection and the switch behind it read off one time axis.
     std::vector<report::marker> markers = watchdog.incident_markers();
-    for (const core::gate_record& g : script.gates) {
+    for (const gate_row& g : script.gates) {
       markers.push_back({g.t,
                          std::string{g.rollback   ? "rollback m"
                                      : g.admitted ? "admit m"
                                                   : "block m"} +
-                             std::to_string(g.logical_model),
+                             std::to_string(g.model),
                          !g.admitted || g.rollback});
     }
     report::series_data rps{"routes/s", {}};
@@ -1050,15 +1048,16 @@ int main(int argc, char** argv) {
           "active re-promoted out of its probation hold.";
       gates.columns = {"t (s)",   "domain model", "candidate", "version",
                        "outcome", "samples",      "mean div",  "max div"};
-      for (const core::gate_record& g : script.gates) {
+      for (const gate_row& g : script.gates) {
         const char* outcome = g.rollback   ? "rolled-back"
                               : g.admitted ? "admitted"
                                            : "blocked";
+        // The candidate generation is the version (see gate_row).
         gates.rows.push_back(
-            {num(g.t), std::to_string(g.logical_model),
-             std::to_string(g.candidate), std::to_string(g.version), outcome,
-             std::to_string(g.samples), num(g.mean_divergence),
-             num(g.max_divergence)});
+            {num(g.t), std::to_string(g.model), std::to_string(g.version),
+             std::to_string(g.version), outcome,
+             std::to_string(g.verdict.samples),
+             num(g.verdict.mean_divergence), num(g.verdict.max_divergence)});
         gates.row_classes.push_back(std::string{"gate-"} +
                                     (g.rollback   ? "rollback"
                                      : g.admitted ? "admitted"
@@ -1067,19 +1066,8 @@ int main(int argc, char** argv) {
       fr.tables.push_back(std::move(gates));
     }
     if (lat.total() != 0) {
-      report::histogram_data h;
-      h.name = "route latency (ns)";
-      h.mean = lat.approx_mean_ns();
-      h.total = lat.total();
-      for (std::size_t i = 0; i < rt::latency_snapshot::k_buckets; ++i) {
-        if (lat.counts[i] == 0) continue;
-        const auto lo = rt::latency_histogram::bucket_floor(i);
-        h.buckets.push_back(
-            {static_cast<double>(lo),
-             static_cast<double>(lo + rt::latency_histogram::bucket_width(i)),
-             lat.counts[i]});
-      }
-      fr.histograms.push_back(std::move(h));
+      fr.histograms.push_back(report::make_histogram_data(
+          "route latency (ns)", lat, lat.approx_mean_ns()));
     }
     const std::string html = report::write_flight_report(fr, label);
     if (!html.empty()) std::printf("[html] %s\n", html.c_str());

@@ -1,73 +1,6 @@
 #include "util/metrics.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace lf::metrics {
-
-namespace {
-
-/// Validate before any arithmetic touches the arguments: the bucket width
-/// must never be computed from a zero bucket count or an empty/inverted
-/// range (hi <= lo, including NaN bounds, which fail the `hi > lo` test).
-double checked_bucket_width(double lo, double hi, std::size_t buckets) {
-  if (buckets == 0) throw std::invalid_argument{"histogram needs >= 1 bucket"};
-  if (!(hi > lo)) throw std::invalid_argument{"histogram range must be hi > lo"};
-  return (hi - lo) / static_cast<double>(buckets);
-}
-
-}  // namespace
-
-fixed_histogram::fixed_histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, width_{checked_bucket_width(lo, hi, buckets)} {
-  counts_.assign(buckets, 0);
-}
-
-void fixed_histogram::observe(double x) noexcept {
-  const auto last = static_cast<double>(counts_.size() - 1);
-  double idx = (x - lo_) / width_;
-  if (idx < 0.0) idx = 0.0;
-  if (idx > last) idx = last;
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-  sum_ += x;
-}
-
-double fixed_histogram::bucket_low(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double fixed_histogram::bucket_high(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double fixed_histogram::mean() const noexcept {
-  return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
-}
-
-double fixed_histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t c = counts_[i];
-    if (c == 0) continue;
-    if (static_cast<double>(seen + c) >= target) {
-      const double within =
-          (target - static_cast<double>(seen)) / static_cast<double>(c);
-      return bucket_low(i) + width_ * std::clamp(within, 0.0, 1.0);
-    }
-    seen += c;
-  }
-  return bucket_high(counts_.size() - 1);
-}
-
-void fixed_histogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0.0;
-}
 
 std::string_view to_string(metric_kind k) noexcept {
   switch (k) {
@@ -77,8 +10,6 @@ std::string_view to_string(metric_kind k) noexcept {
       return "atomic_counter";
     case metric_kind::gauge:
       return "gauge";
-    case metric_kind::histogram:
-      return "histogram";
     case metric_kind::series:
       return "series";
   }
@@ -99,10 +30,6 @@ void registry::register_counter(std::string name, atomic_counter& c) {
 
 void registry::register_gauge(std::string name, gauge& g) {
   bind(std::move(name), metric_kind::gauge, &g);
-}
-
-void registry::register_histogram(std::string name, fixed_histogram& h) {
-  bind(std::move(name), metric_kind::histogram, &h);
 }
 
 void registry::register_series(std::string name, time_series& s) {
@@ -138,11 +65,6 @@ gauge* registry::find_gauge(std::string_view name) const noexcept {
   return b ? static_cast<gauge*>(b->ptr) : nullptr;
 }
 
-fixed_histogram* registry::find_histogram(std::string_view name) const noexcept {
-  const auto* b = find(name, metric_kind::histogram);
-  return b ? static_cast<fixed_histogram*>(b->ptr) : nullptr;
-}
-
 time_series* registry::find_series(std::string_view name) const noexcept {
   const auto* b = find(name, metric_kind::series);
   return b ? static_cast<time_series*>(b->ptr) : nullptr;
@@ -169,12 +91,6 @@ std::vector<std::pair<std::string, double>> registry::scalars() const {
       case metric_kind::gauge:
         out.emplace_back(name, static_cast<gauge*>(b.ptr)->value());
         break;
-      case metric_kind::histogram: {
-        const auto* h = static_cast<fixed_histogram*>(b.ptr);
-        out.emplace_back(name + ".count", static_cast<double>(h->total()));
-        out.emplace_back(name + ".mean", h->mean());
-        break;
-      }
       case metric_kind::series:
         break;  // series are not scalars; reported as series
     }
@@ -193,9 +109,6 @@ void registry::reset_all() {
         break;
       case metric_kind::gauge:
         static_cast<gauge*>(b.ptr)->reset();
-        break;
-      case metric_kind::histogram:
-        static_cast<fixed_histogram*>(b.ptr)->reset();
         break;
       case metric_kind::series:
         static_cast<time_series*>(b.ptr)->clear();

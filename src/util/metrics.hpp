@@ -3,10 +3,10 @@
 // Design rules (the kernel-datapath constraints of the paper apply to the
 // instrumentation too):
 //  - Components *own* their metric objects as plain members.  The hot-path
-//    operations (counter::inc, gauge::add, fixed_histogram::observe) are
-//    inline arithmetic on those members — no map lookup, no locking, no
-//    allocation, and identical cost whether or not a registry ever sees
-//    them ("zero-overhead when unregistered").
+//    operations (counter::inc, gauge::add, and latency_histogram::record in
+//    util/latency_histogram.hpp) are inline arithmetic on those members —
+//    no map lookup, no locking, no allocation, and identical cost whether
+//    or not a registry ever sees them ("zero-overhead when unregistered").
 //  - A registry is a borrowing name -> metric* index built at wiring time
 //    (experiment setup), used only on the reporting path: enumeration,
 //    scalar snapshots for BENCH_*.json, and reset between runs.
@@ -73,42 +73,7 @@ class gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram over [lo, hi).  Buckets are allocated once at
-/// construction; observe() clamps out-of-range values into the edge buckets
-/// (nothing is silently dropped) and never allocates.
-class fixed_histogram {
- public:
-  /// Throws std::invalid_argument for buckets == 0 or any range where
-  /// !(hi > lo) — inverted, empty, or NaN bounds — before any width
-  /// arithmetic happens.
-  fixed_histogram(double lo, double hi, std::size_t buckets);
-
-  void observe(double x) noexcept;
-
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const noexcept { return counts_[i]; }
-  double bucket_low(std::size_t i) const noexcept;
-  double bucket_high(std::size_t i) const noexcept;
-
-  std::uint64_t total() const noexcept { return total_; }
-  double sum() const noexcept { return sum_; }
-  double mean() const noexcept;
-
-  /// Quantile q in [0, 1] estimated by linear interpolation within the
-  /// bucket that crosses the target rank.  0 for an empty histogram.
-  double quantile(double q) const noexcept;
-
-  void reset() noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  double sum_ = 0.0;
-};
-
-enum class metric_kind { counter, atomic_counter, gauge, histogram, series };
+enum class metric_kind { counter, atomic_counter, gauge, series };
 
 std::string_view to_string(metric_kind k) noexcept;
 
@@ -119,7 +84,6 @@ class registry {
   void register_counter(std::string name, counter& c);
   void register_counter(std::string name, atomic_counter& c);
   void register_gauge(std::string name, gauge& g);
-  void register_histogram(std::string name, fixed_histogram& h);
   void register_series(std::string name, time_series& s);
 
   /// Remove one binding; no-op if absent.
@@ -128,15 +92,13 @@ class registry {
   counter* find_counter(std::string_view name) const noexcept;
   atomic_counter* find_atomic_counter(std::string_view name) const noexcept;
   gauge* find_gauge(std::string_view name) const noexcept;
-  fixed_histogram* find_histogram(std::string_view name) const noexcept;
   time_series* find_series(std::string_view name) const noexcept;
 
   bool contains(std::string_view name) const noexcept;
   std::size_t size() const noexcept { return bindings_.size(); }
 
-  /// Every counter and gauge flattened to (name, value), plus each
-  /// histogram's count/mean as "<name>.count" / "<name>.mean".  Sorted by
-  /// name (map order) so output is deterministic.
+  /// Every counter and gauge flattened to (name, value).  Sorted by name
+  /// (map order) so output is deterministic.
   std::vector<std::pair<std::string, double>> scalars() const;
 
   /// Reset every registered metric (between experiment runs); registered

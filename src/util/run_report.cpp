@@ -274,16 +274,20 @@ std::string html_escape(std::string_view s) {
 }
 
 histogram_data make_histogram_data(std::string name,
-                                   const metrics::fixed_histogram& h) {
+                                   const metrics::latency_snapshot& h,
+                                   double mean) {
+  using metrics::latency_histogram;
   histogram_data out;
   out.name = std::move(name);
-  out.mean = h.mean();
+  out.mean = mean;
   out.total = h.total();
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-    if (h.bucket(i) == 0) continue;
-    out.buckets.push_back(
-        histogram_data::bucket{h.bucket_low(i), h.bucket_high(i),
-                               h.bucket(i)});
+  for (std::size_t i = 0; i < h.counts.size(); ++i) {
+    if (h.counts[i] == 0) continue;
+    const std::uint64_t lo = latency_histogram::bucket_floor(i);
+    out.buckets.push_back(histogram_data::bucket{
+        static_cast<double>(lo),
+        static_cast<double>(lo + latency_histogram::bucket_width(i)),
+        h.counts[i]});
   }
   return out;
 }

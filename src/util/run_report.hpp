@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/metrics.hpp"
+#include "util/latency_histogram.hpp"
 
 namespace lf::report {
 
@@ -78,8 +78,11 @@ struct histogram_data {
   std::vector<bucket> buckets;
 };
 
+/// Digest a log2 histogram (nanosecond buckets) shown with `mean`, which
+/// callers pass because only they know it exactly.
 histogram_data make_histogram_data(std::string name,
-                                   const metrics::fixed_histogram& h);
+                                   const metrics::latency_snapshot& h,
+                                   double mean);
 
 struct flight_report {
   std::string title;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace lf {
@@ -165,44 +164,6 @@ double empirical_cdf::mean_value() const noexcept {
     m += 0.5 * (knots_[i].first + knots_[i - 1].first) * dp;
   }
   return m;
-}
-
-histogram::histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, width_{(hi - lo) / static_cast<double>(buckets)},
-      counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument{"histogram requires hi > lo and buckets > 0"};
-  }
-}
-
-void histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::uint64_t histogram::count(std::size_t bucket) const {
-  return counts_.at(bucket);
-}
-
-double histogram::bucket_low(std::size_t bucket) const {
-  if (bucket >= counts_.size()) throw std::out_of_range{"bucket"};
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double histogram::bucket_high(std::size_t bucket) const {
-  return bucket_low(bucket) + width_;
-}
-
-std::string format_series(std::span<const std::pair<double, double>> rows,
-                          const std::string& x_name,
-                          const std::string& y_name) {
-  std::ostringstream os;
-  os << x_name << "\t" << y_name << "\n";
-  for (const auto& [x, y] : rows) os << x << "\t" << y << "\n";
-  return os.str();
 }
 
 }  // namespace lf

@@ -1,12 +1,10 @@
 // Statistics helpers used throughout the benchmarks and tests: running
 // moments, percentile extraction, empirical CDFs (both for reporting results
-// and for sampling flow sizes from workload distributions) and histograms.
+// and for sampling flow sizes from workload distributions).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -77,30 +75,5 @@ class empirical_cdf {
   // Sorted (value, cum_prob) pairs.
   std::vector<std::pair<double, double>> knots_;
 };
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bucket so nothing is silently dropped.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bucket) const;
-  std::uint64_t total() const noexcept { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Pretty-print a series of (x, y) rows as an aligned two-column table.
-std::string format_series(std::span<const std::pair<double, double>> rows,
-                          const std::string& x_name, const std::string& y_name);
 
 }  // namespace lf

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 namespace lf::trace {
 
@@ -59,38 +60,47 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 void ring::enable(std::size_t capacity) {
+  head_.store(0, std::memory_order_relaxed);
   if (capacity == 0) {
-    disable();
+    slots_.reset();
+    mask_ = 0;
     return;
   }
   const std::size_t cap = round_up_pow2(capacity);
-  buf_.assign(cap, event{});
+  slots_ = std::make_unique<slot[]>(cap);
   mask_ = cap - 1;
-  head_ = 0;
-}
-
-void ring::disable() noexcept {
-  buf_.clear();
-  buf_.shrink_to_fit();
-  mask_ = 0;
-  head_ = 0;
 }
 
 std::size_t ring::size() const noexcept {
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(head_, buf_.size()));
+      std::min<std::uint64_t>(emitted(), capacity()));
 }
 
-std::uint64_t ring::overwritten() const noexcept {
-  return head_ - size();
+void ring::clear() noexcept {
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    slots_[i].tag.store(0, std::memory_order_relaxed);
+  }
+  head_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<event> ring::snapshot() const {
   std::vector<event> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  for (std::uint64_t i = head_ - n; i != head_; ++i) {
-    out.push_back(buf_[static_cast<std::size_t>(i) & mask_]);
+  const std::uint64_t head = emitted();
+  const std::uint64_t n = std::min<std::uint64_t>(head, capacity());
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t seq = head - n; seq != head; ++seq) {
+    const slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
+    const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
+    // Claimed but not yet stored, or already overwritten by a newer event.
+    if ((tag >> 8) != seq + 1) continue;
+    const event e{s.t.load(std::memory_order_acquire),
+                  s.a.load(std::memory_order_acquire),
+                  s.b.load(std::memory_order_acquire), seq,
+                  static_cast<event_type>(tag & 0xff)};
+    // A tag that changed under the payload reads means the slot was
+    // rewritten meanwhile: drop it rather than report a mixed record.
+    if (s.tag.load(std::memory_order_relaxed) != tag) continue;
+    out.push_back(e);
   }
   return out;
 }
@@ -109,6 +119,10 @@ collector_config config_from_env() {
 
 std::uint32_t collector::attach(ring& r, std::string name) {
   r.set_name(std::move(name));
+  return attach(r);
+}
+
+std::uint32_t collector::attach(ring& r) {
   if (config_.enabled) r.enable(config_.ring_capacity);
   rings_.push_back(&r);
   return static_cast<std::uint32_t>(rings_.size() - 1);
@@ -119,13 +133,23 @@ std::vector<merged_event> collector::merged() const {
   std::size_t total = 0;
   for (const ring* r : rings_) total += r->size();
   out.reserve(total);
+  // Steady-clock stamps count from an arbitrary epoch, so wall-ns events
+  // export relative to the oldest of them; simulation time keeps its zero.
+  double wall_origin = std::numeric_limits<double>::infinity();
   for (std::uint32_t c = 0; c < rings_.size(); ++c) {
     const ring& r = *rings_[c];
-    std::uint64_t seq = r.first_seq();
     for (const event& e : r.snapshot()) {
-      out.push_back(
-          merged_event{e, to_export_us(r.domain(), e.t), c, seq++, r.domain()});
+      out.push_back(merged_event{e, 0.0, c, r.domain()});
+      if (r.domain() == time_domain::wall_ns) {
+        wall_origin = std::min(wall_origin, e.t);
+      }
     }
+  }
+  for (merged_event& m : out) {
+    // Subtract in the raw domain, then convert: one rounding per timestamp.
+    m.us = to_export_us(m.domain, m.domain == time_domain::wall_ns
+                                      ? m.e.t - wall_origin
+                                      : m.e.t);
   }
   // Per-ring runs are already in emission order, so sorting by (us,
   // component) with a stable sort preserves the per-ring seq order for
@@ -160,10 +184,6 @@ std::vector<std::uint64_t> collector::counts_by_type() const {
     }
   }
   return counts;
-}
-
-void collector::clear_all() noexcept {
-  for (ring* r : rings_) r->clear();
 }
 
 }  // namespace lf::trace

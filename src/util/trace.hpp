@@ -3,12 +3,16 @@
 // The metrics spine (util/metrics.hpp) answers "how many / how much" at the
 // end of a run; this answers "when, in what order, and how long apart".  The
 // same kernel-datapath constraints apply to the instrumentation:
-//  - Components *own* a trace::ring as a plain member.  Emission is a bounds
-//    mask, a struct store and an increment into a fixed-capacity
+//  - Components *own* a trace::ring as a plain member.  Emission claims a
+//    slot with one fetch_add and stores the event into a fixed-capacity
 //    power-of-two buffer that overwrites the oldest event when full — no
 //    allocation, no locking, no branching beyond the single enabled check.
 //    A disabled ring (the default: capacity 0) costs exactly that one
 //    branch, which bench_micro's tracer-overhead benches pin down.
+//  - Rings may be written and read concurrently: the rt flight recorder
+//    (rt/flight_recorder.hpp) keeps its control and per-worker rings as
+//    trace::rings and dumps them while workers route.  The slot protocol is
+//    documented on ring.
 //  - A trace::collector is a borrowing ring index built at wiring time
 //    (experiment setup), used only on the reporting path: it merges every
 //    attached ring into one causally-ordered stream (sorted by timestamp,
@@ -16,12 +20,15 @@
 //    Perfetto exporter and the derived span statistics in
 //    util/trace_report.hpp.
 //
-// Timestamps are simulation::now() seconds; the emitting component supplies
-// them (rings do not know about the clock).
+// Timestamps are supplied by the emitting component (rings do not know
+// about the clock): simulation::now() seconds in the simulator,
+// steady-clock nanoseconds in the flight recorder.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,17 +125,30 @@ constexpr double to_export_us(time_domain d, double t) noexcept {
   return d == time_domain::sim_seconds ? t * 1e6 : t * 1e-3;
 }
 
-/// One trace record.  Fixed-size POD so ring storage is a flat array.
+/// One trace record, as ring::snapshot() decodes it.
 struct event {
   double t = 0.0;  ///< ring time_domain units (sim seconds or wall ns)
   std::uint64_t a = 0;
   std::uint64_t b = 0;
+  std::uint64_t seq = 0;  ///< per-ring emission index
   event_type type{};
 };
 
-/// Fixed-capacity overwrite-oldest event buffer owned by one component.
+/// Fixed-capacity overwrite-oldest event ring owned by one component.
 /// Disabled (capacity 0) until a collector attaches it or enable() is
 /// called; emit() on a disabled ring is a single branch.
+///
+/// Any number of threads may emit() while others read snapshot().  Every
+/// slot field is an atomic (plain moves on x86-64) and emit() claims its
+/// slot with one relaxed fetch_add on the head.  A slot's tag, ((seq + 1) << 8) | type, works as
+/// a per-slot seqlock: emit() clears it before the payload stores and
+/// stores it last, and snapshot() keeps a slot only when the tag names the
+/// emission it expects there and reads the same before and after the
+/// payload.  A slot that is mid-rewrite, or already overwritten by a newer
+/// event, is dropped rather than decoded from mixed fields.  One case
+/// escapes: a writer preempted mid-slot for long enough that `capacity`
+/// later emits lap it can finish its stores under the newer tag.  The rings
+/// are forensic records, not transactions.
 class ring {
  public:
   explicit ring(std::string name) : name_{std::move(name)} {}
@@ -137,22 +157,27 @@ class ring {
   ring& operator=(const ring&) = delete;
 
   /// Allocate storage (capacity rounded up to a power of two, minimum 2).
-  /// Existing events are discarded.  enable(0) disables.
+  /// Existing events are discarded.  enable(0) disables.  Not thread-safe:
+  /// call before emitters start.
   void enable(std::size_t capacity);
-  void disable() noexcept;
-  bool enabled() const noexcept { return !buf_.empty(); }
+  bool enabled() const noexcept { return slots_ != nullptr; }
 
   /// Hot path: record one event.  Zero allocation; overwrites the oldest
   /// record once the ring is full; no-op (one branch) when disabled.
   void emit(double t, event_type type, std::uint64_t a = 0,
             std::uint64_t b = 0) noexcept {
-    if (buf_.empty()) return;
-    event& e = buf_[static_cast<std::size_t>(head_) & mask_];
-    e.t = t;
-    e.a = a;
-    e.b = b;
-    e.type = type;
-    ++head_;
+    if (slots_ == nullptr) return;
+    const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
+    slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
+    s.tag.store(0, std::memory_order_relaxed);
+    // Release payload stores: a reader that sees any of them also sees the
+    // clear above when it re-reads the tag.
+    s.t.store(t, std::memory_order_release);
+    s.a.store(a, std::memory_order_release);
+    s.b.store(b, std::memory_order_release);
+    // seq + 1 keeps 0 as the "empty or mid-rewrite" tag.
+    s.tag.store(((seq + 1) << 8) | static_cast<std::uint64_t>(type),
+                std::memory_order_release);
   }
 
   const std::string& name() const noexcept { return name_; }
@@ -163,27 +188,35 @@ class ring {
   time_domain domain() const noexcept { return domain_; }
   void set_domain(time_domain d) noexcept { domain_ = d; }
 
-  std::size_t capacity() const noexcept { return buf_.size(); }
+  std::size_t capacity() const noexcept { return slots_ ? mask_ + 1 : 0; }
   /// Events currently retained (<= capacity).
   std::size_t size() const noexcept;
   /// Total events ever emitted (monotonic, survives overwrites).
-  std::uint64_t emitted() const noexcept { return head_; }
+  std::uint64_t emitted() const noexcept {
+    return head_.load(std::memory_order_relaxed);
+  }
   /// Events lost to overwrite-oldest.
-  std::uint64_t overwritten() const noexcept;
+  std::uint64_t overwritten() const noexcept { return emitted() - size(); }
 
-  void clear() noexcept { head_ = 0; }
+  /// Not thread-safe; quiesced use only (tests, between runs).
+  void clear() noexcept;
 
-  /// Retained events, oldest first (reporting path; allocates).
+  /// Retained events, oldest first, each tagged with its emission index
+  /// (reporting path; allocates).  Safe against concurrent emit().
   std::vector<event> snapshot() const;
 
-  /// Emission index of the oldest retained event (seq of snapshot()[0]).
-  std::uint64_t first_seq() const noexcept { return head_ - size(); }
-
  private:
+  struct slot {
+    std::atomic<double> t{0.0};
+    std::atomic<std::uint64_t> a{0};
+    std::atomic<std::uint64_t> b{0};
+    std::atomic<std::uint64_t> tag{0};  ///< ((seq + 1) << 8) | event_type
+  };
+
   std::string name_;
-  std::vector<event> buf_;
+  std::unique_ptr<slot[]> slots_;
   std::size_t mask_ = 0;
-  std::uint64_t head_ = 0;
+  std::atomic<std::uint64_t> head_{0};
   time_domain domain_ = time_domain::sim_seconds;
 };
 
@@ -201,7 +234,6 @@ struct merged_event {
   event e;
   double us = 0.0;              ///< e.t normalized to exported microseconds
   std::uint32_t component = 0;  ///< attach order, stable merge tie-break
-  std::uint64_t seq = 0;        ///< per-ring emission index
   /// Source ring's domain.  Span durations are computed as
   /// to_export_us(domain, end.t - begin.t) — one rounding on the raw
   /// delta, not a difference of two separately-rounded timestamps.
@@ -221,7 +253,9 @@ class collector {
   /// Register a ring under `name` (overrides the ring's own name) and
   /// return its component id (attach order).
   std::uint32_t attach(ring& r, std::string name);
-  std::uint32_t attach(ring& r) { return attach(r, r.name()); }
+  /// Register a ring under its own name (which attach leaves untouched, so
+  /// rings other threads are emitting into can be attached).
+  std::uint32_t attach(ring& r);
 
   bool enabled() const noexcept { return config_.enabled; }
   const collector_config& config() const noexcept { return config_; }
@@ -236,7 +270,8 @@ class collector {
   /// All retained events merged into causal order: sorted by normalized
   /// microsecond timestamp (so sim-second and wall-ns rings interleave
   /// correctly), equal timestamps ordered by component id, then per-ring
-  /// emission order.
+  /// emission order.  Wall-ns timestamps export relative to the oldest
+  /// retained wall-ns event (the steady clock's epoch is arbitrary).
   std::vector<merged_event> merged() const;
 
   std::uint64_t total_emitted() const noexcept;
@@ -245,8 +280,6 @@ class collector {
   /// Retained (post-overwrite) event count per event_type, indexed by the
   /// enum value.
   std::vector<std::uint64_t> counts_by_type() const;
-
-  void clear_all() noexcept;
 
  private:
   collector_config config_;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <system_error>
 #include <tuple>
+#include <utility>
 
 #include "util/bench_report.hpp"
 
@@ -154,6 +155,13 @@ std::vector<span> derive_spans(const std::vector<merged_event>& events) {
   return out;
 }
 
+void span_stat::observe(double v) noexcept {
+  count.inc();
+  sum += v;
+  mean.set(sum / static_cast<double>(count.value()));
+  ns.record(static_cast<std::uint64_t>(std::max(0.0, v * ns_per_unit) + 0.5));
+}
+
 void derive_span_stats(const collector& col, span_stats& out) {
   const auto events = col.merged();
   for (const span& s : derive_spans(events)) {
@@ -177,10 +185,14 @@ void derive_span_stats(const collector& col, span_stats& out) {
 
 void register_span_stats(span_stats& stats, metrics::registry& reg,
                          const std::string& prefix) {
-  reg.register_histogram(prefix + ".span.inference_us", stats.inference_us);
-  reg.register_histogram(prefix + ".span.task_us", stats.task_us);
-  reg.register_histogram(prefix + ".span.lock_hold_ns", stats.lock_hold_ns);
-  reg.register_histogram(prefix + ".span.lock_wait_ns", stats.lock_wait_ns);
+  for (auto& [name, stat] : {std::pair{"inference_us", &stats.inference_us},
+                             std::pair{"task_us", &stats.task_us},
+                             std::pair{"lock_hold_ns", &stats.lock_hold_ns},
+                             std::pair{"lock_wait_ns", &stats.lock_wait_ns}}) {
+    const std::string base = prefix + ".span." + name;
+    reg.register_counter(base + ".count", stat->count);
+    reg.register_gauge(base + ".mean", stat->mean);
+  }
 }
 
 std::string perfetto_json(const collector& col) {

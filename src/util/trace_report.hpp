@@ -7,9 +7,10 @@
 //      different flows overlap while queued on the CPU; everything else is
 //      an "i" instant with typed args.  pid 0 is the simulated machine,
 //      tid is the component id, named via "M" thread_name metadata.
-//  (b) derived span statistics (per-phase latency histograms, lock hold
-//      vs. wait) fed back into the metrics registry so TRACE-derived
-//      numbers land in the same telemetry scalar map as everything else.
+//  (b) derived span statistics (per-phase exact count and mean plus a log2
+//      histogram, lock hold vs. wait) fed back into the metrics registry so
+//      TRACE-derived numbers land in the same telemetry scalar map as
+//      everything else.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -50,19 +52,31 @@ struct span {
 /// the exported B/E stream balanced by construction.
 std::vector<span> derive_spans(const std::vector<merged_event>& events);
 
-/// Latency decomposition derived from a trace.  Histogram means are exact
-/// (observe() accumulates the raw value even when it clamps the bucket).
+/// One derived latency: the exact count and mean of the observed values
+/// (in the unit the stat's name carries) and their distribution in
+/// nanoseconds.
+struct span_stat {
+  double ns_per_unit = 1.0;  ///< converts the stat's unit to nanoseconds
+  metrics::counter count{};
+  metrics::gauge mean{};            ///< exact: sum / count
+  metrics::latency_histogram ns{};  ///< log2 buckets, for the flight report
+  double sum = 0.0;
+
+  void observe(double v) noexcept;
+};
+
+/// Latency decomposition derived from a trace.
 struct span_stats {
-  metrics::fixed_histogram inference_us{0.0, 100.0, 100};
-  metrics::fixed_histogram task_us{0.0, 1000.0, 100};
-  metrics::fixed_histogram lock_hold_ns{0.0, 1000.0, 100};
-  metrics::fixed_histogram lock_wait_ns{0.0, 1000.0, 100};
+  span_stat inference_us{.ns_per_unit = 1e3};
+  span_stat task_us{.ns_per_unit = 1e3};
+  span_stat lock_hold_ns;
+  span_stat lock_wait_ns;
 };
 
 void derive_span_stats(const collector& col, span_stats& out);
 
-/// Bind the four histograms under "<prefix>.span.*" so registry.scalars()
-/// flattens them into the run telemetry ("....count" / "....mean").
+/// Bind each stat's count and mean under "<prefix>.span.<stat>.count" and
+/// "....mean" so registry.scalars() flattens them into the run telemetry.
 void register_span_stats(span_stats& stats, metrics::registry& reg,
                          const std::string& prefix);
 

@@ -6,14 +6,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "apps/common/probes.hpp"
 #include "netsim/topology.hpp"
 #include "sim/sim.hpp"
 #include "util/bench_report.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
 
 using namespace lf;
@@ -40,42 +39,44 @@ TEST(Metrics, GaugeMovesBothWays) {
 }
 
 TEST(Metrics, HistogramClampsIntoEdgeBuckets) {
-  metrics::fixed_histogram h{0.0, 10.0, 5};
-  h.observe(-100.0);  // below range: first bucket
-  h.observe(100.0);   // above range: last bucket
-  h.observe(5.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0);  // clamping affects buckets, not the sum
-}
-
-TEST(Metrics, HistogramRejectsDegenerateConstruction) {
-  // Regression: zero buckets used to divide by zero and an inverted range
-  // produced a negative width; both must fail loudly at construction.
-  EXPECT_THROW((metrics::fixed_histogram{0.0, 10.0, 0}),
-               std::invalid_argument);
-  EXPECT_THROW((metrics::fixed_histogram{10.0, 10.0, 5}),
-               std::invalid_argument);
-  EXPECT_THROW((metrics::fixed_histogram{10.0, 0.0, 5}),
-               std::invalid_argument);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((metrics::fixed_histogram{nan, 10.0, 5}),
-               std::invalid_argument);
-  EXPECT_THROW((metrics::fixed_histogram{0.0, nan, 5}),
-               std::invalid_argument);
-  EXPECT_NO_THROW((metrics::fixed_histogram{0.0, 1e-9, 1}));
+  // The log2 histogram has no range to configure: 0 and 1 ns get their own
+  // buckets, and everything past ~3.2 s lands in the top bucket.
+  using h = metrics::latency_histogram;
+  h hist;
+  hist.record(0);
+  hist.record(1);
+  hist.record(std::uint64_t{1} << 40);  // ~18 min: above range
+  hist.record(~std::uint64_t{0}, 2);
+  metrics::latency_snapshot s;
+  hist.snapshot_into(s);
+  EXPECT_EQ(s.total(), 5u);
+  EXPECT_EQ(s.counts[0], 1u);
+  EXPECT_EQ(s.counts[1], 1u);
+  EXPECT_EQ(s.counts[h::k_buckets - 1], 3u);
+  // A clamped tail caps the quantiles at the top bucket's upper edge.
+  EXPECT_DOUBLE_EQ(s.quantile(1.0),
+                   static_cast<double>(h::bucket_floor(h::k_buckets - 1) +
+                                       h::bucket_width(h::k_buckets - 1)));
 }
 
 TEST(Metrics, HistogramQuantileAndMean) {
-  metrics::fixed_histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.observe(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.mean(), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 2.0);
+  metrics::latency_histogram h;
+  for (std::uint64_t ns = 1000; ns < 2000; ++ns) h.record(ns);
+  metrics::latency_snapshot s;
+  h.snapshot_into(s);
+  // The samples fill [768, 1024), [1024, 1536) and [1536, 2048).
+  // Interpolation within the crossing bucket keeps each quantile inside its
+  // bucket, and the midpoint mean lands within a bucket width of 1499.5.
+  EXPECT_GE(s.quantile(0.5), 1024.0);
+  EXPECT_LE(s.quantile(0.5), 1536.0);
+  EXPECT_GE(s.quantile(0.99), 1536.0);
+  EXPECT_LE(s.quantile(0.99), 2048.0);
+  EXPECT_NEAR(s.approx_mean_ns(), 1499.5, 512.0);
   h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+  metrics::latency_snapshot z;
+  h.snapshot_into(z);
+  EXPECT_EQ(z.total(), 0u);
+  EXPECT_DOUBLE_EQ(z.quantile(0.5), 0.0);
 }
 
 TEST(Metrics, AtomicCounterSingleWriterSemantics) {
@@ -139,33 +140,25 @@ TEST(Metrics, ReRegistrationRebinds) {
   EXPECT_EQ(reg.find_counter("x")->value(), 0u);
 }
 
-TEST(Metrics, ScalarsFlattensCountersGaugesHistograms) {
+TEST(Metrics, ScalarsFlattensCountersAndGauges) {
   metrics::registry reg;
   metrics::counter c;
   c.inc(3);
   metrics::gauge g;
   g.set(1.5);
-  metrics::fixed_histogram h{0.0, 10.0, 10};
-  h.observe(2.0);
-  h.observe(4.0);
   time_series ts{"t"};
   ts.record(0.0, 1.0);
   reg.register_counter("c", c);
   reg.register_gauge("g", g);
-  reg.register_histogram("h", h);
   reg.register_series("s", ts);
 
   const auto flat = reg.scalars();
-  // Series contribute no scalars; the histogram contributes count + mean.
-  ASSERT_EQ(flat.size(), 4u);
+  // Series contribute no scalars.
+  ASSERT_EQ(flat.size(), 2u);
   EXPECT_EQ(flat[0].first, "c");
   EXPECT_DOUBLE_EQ(flat[0].second, 3.0);
   EXPECT_EQ(flat[1].first, "g");
   EXPECT_DOUBLE_EQ(flat[1].second, 1.5);
-  EXPECT_EQ(flat[2].first, "h.count");
-  EXPECT_DOUBLE_EQ(flat[2].second, 2.0);
-  EXPECT_EQ(flat[3].first, "h.mean");
-  EXPECT_DOUBLE_EQ(flat[3].second, 3.0);
 }
 
 TEST(Metrics, ResetAllClearsEverythingBetweenRuns) {

@@ -1,8 +1,8 @@
 // Adaptation health monitor: edge-triggered watchdog rules (stuck /
 // cache-pressure / staleness), the snapshot lifecycle ledger close-out,
-// the shadow-gate ledger, metrics and trace attachment, a service-level
-// induced-stuck scenario, and an end-to-end flight-report run whose HTML
-// row/marker counts must reconcile with the run's telemetry.
+// metrics and trace attachment, a service-level induced-stuck scenario, and
+// an end-to-end flight-report run whose HTML row/marker counts must
+// reconcile with the run's telemetry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -254,60 +254,6 @@ TEST(AdaptationMonitor, MetricsAndTraceMirrorAlerts) {
   EXPECT_EQ(alert_events[1].a,
             static_cast<std::uint64_t>(alert_kind::flow_cache_pressure));
   EXPECT_EQ(alert_events[1].b, 900000000u);  // occupancy 0.9
-}
-
-TEST(AdaptationMonitor, ShadowGateLedgerKeepsRulingsInOrder) {
-  adaptation_monitor mon{enabled_config()};
-  trace::collector col{trace::collector_config{true, 64}};
-  mon.register_trace(col, "health");
-
-  gate_record blocked;
-  blocked.t = 0.5;
-  blocked.logical_model = 1;
-  blocked.candidate = 2;
-  blocked.version = 2;
-  blocked.samples = 16;
-  blocked.mean_divergence = 0.25;
-  gate_record admitted = blocked;
-  admitted.t = 0.75;
-  admitted.candidate = 3;
-  admitted.version = 3;
-  admitted.admitted = true;
-  admitted.mean_divergence = 0.0;
-  gate_record rolled_back = admitted;
-  rolled_back.t = 1.0;
-  rolled_back.candidate = 1;
-  rolled_back.version = 1;
-  rolled_back.rollback = true;
-  mon.on_shadow_gate(blocked);
-  mon.on_shadow_gate(admitted);
-  mon.on_shadow_gate(rolled_back);
-
-  ASSERT_EQ(mon.gates().size(), 3u);
-  EXPECT_FALSE(mon.gates()[0].admitted);
-  EXPECT_FALSE(mon.gates()[0].rollback);
-  EXPECT_EQ(mon.gates()[0].logical_model, 1u);
-  EXPECT_TRUE(mon.gates()[1].admitted);
-  EXPECT_FALSE(mon.gates()[1].rollback);
-  EXPECT_EQ(mon.gates()[1].version, 3u);
-  EXPECT_TRUE(mon.gates()[2].rollback);
-  EXPECT_EQ(mon.gates()[2].candidate, 1u);
-  // Rulings are not alerts, but each one lands on the trace timeline as an
-  // alert instant: a = admitted flag, b = mean divergence in 1e-9 units.
-  EXPECT_EQ(mon.total_alerts(), 0u);
-  std::vector<trace::event> instants;
-  for (const auto& m : col.merged()) {
-    if (m.e.type == trace::event_type::alert) instants.push_back(m.e);
-  }
-  ASSERT_EQ(instants.size(), 3u);
-  EXPECT_EQ(instants[0].a, 0u);
-  EXPECT_EQ(instants[0].b, 250000000u);
-  EXPECT_EQ(instants[1].a, 1u);
-  EXPECT_EQ(instants[2].a, 1u);
-
-  adaptation_monitor disabled{};
-  disabled.on_shadow_gate(blocked);
-  EXPECT_TRUE(disabled.gates().empty());
 }
 
 // ----------------------------------------------- service-level scenarios --

@@ -21,10 +21,10 @@
 #include "rt/engine.hpp"
 #include "rt/epoch.hpp"
 #include "rt/flight_recorder.hpp"
-#include "rt/latency_histogram.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "rt/snapshot_handle.hpp"
 #include "rt/stats_sampler.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -972,7 +972,7 @@ TEST(RtEngine, TwoThreadInterleavingSmoke) {
 // ---------------------------------------------------- latency histogram --
 
 TEST(RtLatencyHistogram, BucketIndexFloorAndWidthRoundTrip) {
-  using h = rt::latency_histogram;
+  using h = metrics::latency_histogram;
   EXPECT_EQ(h::bucket_index(0), 0u);
   EXPECT_EQ(h::bucket_index(1), 1u);
   for (std::size_t i = 2; i < h::k_buckets; ++i) {
@@ -990,11 +990,11 @@ TEST(RtLatencyHistogram, BucketIndexFloorAndWidthRoundTrip) {
 }
 
 TEST(RtLatencyHistogram, QuantilesOrderedMergeAndDeltaSubtract) {
-  rt::latency_histogram h;
+  metrics::latency_histogram h;
   for (const std::uint64_t ns : {1u, 10u, 100u, 1000u, 100000u}) {
     h.record(ns, 100);
   }
-  rt::latency_snapshot a;
+  metrics::latency_snapshot a;
   h.snapshot_into(a);
   EXPECT_EQ(a.total(), 500u);
   const double p50 = a.quantile(0.50);
@@ -1009,19 +1009,19 @@ TEST(RtLatencyHistogram, QuantilesOrderedMergeAndDeltaSubtract) {
 
   // Windowed delta isolates exactly the new samples.
   h.record(50, 7);
-  rt::latency_snapshot b;
+  metrics::latency_snapshot b;
   h.snapshot_into(b);
-  const rt::latency_snapshot d = b.delta_since(a);
+  const metrics::latency_snapshot d = b.delta_since(a);
   EXPECT_EQ(d.total(), 7u);
-  EXPECT_EQ(d.counts[rt::latency_histogram::bucket_index(50)], 7u);
+  EXPECT_EQ(d.counts[metrics::latency_histogram::bucket_index(50)], 7u);
 
   // merge(a) + merge(delta) reassembles the later snapshot.
-  rt::latency_snapshot m;
+  metrics::latency_snapshot m;
   m.merge(a).merge(d);
   EXPECT_EQ(m.total(), b.total());
 
   // Empty snapshots answer 0, never NaN.
-  const rt::latency_snapshot z;
+  const metrics::latency_snapshot z;
   EXPECT_EQ(z.quantile(0.99), 0.0);
   EXPECT_EQ(z.approx_mean_ns(), 0.0);
 }
@@ -1034,7 +1034,7 @@ TEST(RtLatencyHistogram, EngineRecordsOnlyWhenEnabled) {
   e_off.install(rt_snapshot(1));
   e_off.switch_active();
   for (int i = 0; i < 16; ++i) e_off.route(w_off, 7, i * 0.01, {}, {});
-  rt::latency_snapshot s_off;
+  metrics::latency_snapshot s_off;
   e_off.latency_snapshot_into(s_off);
   EXPECT_EQ(s_off.total(), 0u);  // telemetry off by default
 
@@ -1046,42 +1046,13 @@ TEST(RtLatencyHistogram, EngineRecordsOnlyWhenEnabled) {
   e.install(rt_snapshot(1));
   e.switch_active();
   for (int i = 0; i < 64; ++i) e.route(w, 7, i * 0.01, {}, {});
-  rt::latency_snapshot s;
+  metrics::latency_snapshot s;
   e.latency_snapshot_into(s);
   EXPECT_EQ(s.total(), 64u);
   EXPECT_GT(s.quantile(0.5), 0.0);
 }
 
 // ------------------------------------------------------ flight recorder --
-
-TEST(RtFlightRecorder, RingOverwritesOldestAndDecodesInOrder) {
-  rt::blackbox_ring r;
-  EXPECT_FALSE(r.enabled());
-  r.emit(trace::event_type::route_summary, 1, 1);  // disabled: dropped
-  EXPECT_EQ(r.emitted(), 0u);
-
-  r.enable(4);
-  EXPECT_EQ(r.capacity(), 4u);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    r.emit(trace::event_type::route_summary, i, i * 2);
-  }
-  EXPECT_EQ(r.emitted(), 10u);
-  const auto evs = r.snapshot();
-  ASSERT_EQ(evs.size(), 4u);
-  // Only the newest capacity events survive, decoded oldest first.
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_EQ(evs[i].seq, 6u + i);
-    EXPECT_EQ(evs[i].a, 6u + i);
-    EXPECT_EQ(evs[i].b, (6u + i) * 2);
-    EXPECT_EQ(evs[i].type, trace::event_type::route_summary);
-    if (i > 0) {
-      EXPECT_GE(evs[i].t_ns, evs[i - 1].t_ns);
-    }
-  }
-  r.clear();
-  EXPECT_TRUE(r.snapshot().empty());
-  EXPECT_TRUE(r.enabled());  // clear resets contents, not capacity
-}
 
 TEST(RtFlightRecorder, ViolationDumpIsParseableAndKeepsTheFlowsLastEvents) {
   namespace fs = std::filesystem;

@@ -1,18 +1,22 @@
-// Datapath event tracer: ring overwrite semantics, collector merge
-// ordering, span derivation, Perfetto export validity, the kernelsim label
-// pinning, and an end-to-end traced cc run whose event counts must agree
-// with the metrics counters for the same operations.
+// Datapath event tracer: ring overwrite semantics and concurrent snapshots,
+// collector merge ordering, span derivation, Perfetto export validity, the
+// kernelsim label pinning, and an end-to-end traced cc run whose event
+// counts must agree with the metrics counters for the same operations.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/cc/cc_experiment.hpp"
 #include "kernelsim/cpu.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/trace.hpp"
 #include "util/trace_report.hpp"
 
@@ -53,14 +57,81 @@ TEST(TraceRing, OverwritesOldestAtCapacity) {
   EXPECT_EQ(r.emitted(), 6u);
   EXPECT_EQ(r.size(), 4u);
   EXPECT_EQ(r.overwritten(), 2u);
-  EXPECT_EQ(r.first_seq(), 2u);
   const auto events = r.snapshot();
   ASSERT_EQ(events.size(), 4u);
   // Oldest retained first: emissions 2..5 survive, 0 and 1 were overwritten.
   for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i + 2);
     EXPECT_EQ(events[i].a, i + 2);
     EXPECT_DOUBLE_EQ(events[i].t, static_cast<double>(i + 2));
   }
+}
+
+TEST(TraceRing, ConcurrentProducersAndSnapshotDecodeWholeEvents) {
+  // Three producers and a reader share a capacity-4 ring, so slots are
+  // rewritten while snapshot() reads them.  Every field of an event derives
+  // from one (producer, counter) pair: a record mixing two emissions shows
+  // up as a field that disagrees with `a`.
+  trace::ring r{"r"};
+  r.enable(4);
+  constexpr std::uint64_t k_producers = 3;
+  constexpr std::uint64_t k_mix = 0x9e3779b97f4a7c15ULL;
+  // Writers take tickets and finish in ticket order, and a ticket starts
+  // only once all but the one before it have finished.  At most two emits
+  // are then in flight, so no writer is lapped by `capacity` later emits
+  // while it is mid-slot (the one case the slot protocol leaves open)
+  // whatever the scheduler does.
+  std::atomic<std::uint64_t> next_ticket{0};
+  std::atomic<std::uint64_t> finished{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < k_producers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t k = 0; !stop.load(); ++k) {
+        const std::uint64_t ticket = next_ticket.fetch_add(1);
+        while (finished.load() + 1 < ticket) std::this_thread::yield();
+        const std::uint64_t a = (p << 32) | k;
+        r.emit(static_cast<double>(a), static_cast<trace::event_type>(p), a,
+               a * k_mix);
+        while (finished.load() != ticket) std::this_thread::yield();
+        finished.store(ticket + 1);
+      }
+    });
+  }
+
+  std::uint64_t decoded = 0;
+  std::uint64_t torn = 0;
+  std::uint64_t out_of_order = 0;
+  const auto check = [&](const std::vector<trace::event>& events) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const trace::event& e = events[i];
+      const std::uint64_t p = e.a >> 32;
+      const bool whole = p < k_producers &&
+                         e.t == static_cast<double>(e.a) &&
+                         e.b == e.a * k_mix &&
+                         e.type == static_cast<trace::event_type>(p);
+      torn += whole ? 0 : 1;
+      if (i > 0 && events[i - 1].seq >= e.seq) ++out_of_order;
+    }
+    decoded += events.size();
+  };
+  // Time-bounded rather than count-bounded: the number of rewrites that
+  // race a read depends on how many CPUs the four threads get.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  while (std::chrono::steady_clock::now() < until) check(r.snapshot());
+  stop.store(true);
+  for (std::thread& t : producers) t.join();
+
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_GT(decoded, 0u);
+  // Quiesced, the ring holds exactly the last `capacity` emissions.
+  const auto last = r.snapshot();
+  check(last);
+  EXPECT_EQ(torn, 0u);
+  ASSERT_EQ(last.size(), 4u);
+  EXPECT_EQ(last.front().seq, r.emitted() - 4);
 }
 
 TEST(TraceRing, ClearResetsCountsButKeepsCapacity) {
@@ -113,11 +184,11 @@ TEST(TraceCollector, MergeSortsByTimestampThenComponentId) {
   EXPECT_EQ(as, (std::vector<std::uint64_t>{0, 1, 2, 10, 11}));
   // Per-ring seq is the emission index (a=0 was r0's first emission even
   // though r1 emitted earlier in real time).
-  EXPECT_EQ(merged[0].seq, 0u);
+  EXPECT_EQ(merged[0].e.seq, 0u);
   EXPECT_EQ(merged[0].component, 0u);
-  EXPECT_EQ(merged[2].seq, 2u);  // r0's third emission, after the tie
+  EXPECT_EQ(merged[2].e.seq, 2u);  // r0's third emission, after the tie
   EXPECT_EQ(merged[3].component, 1u);
-  EXPECT_EQ(merged[3].seq, 0u);
+  EXPECT_EQ(merged[3].e.seq, 0u);
 
   const auto counts = col.counts_by_type();
   EXPECT_EQ(counts[static_cast<std::size_t>(trace::event_type::pkt_enqueue)],
@@ -162,12 +233,23 @@ TEST(TraceSpans, StatsFeedHistogramsWithExactMeans) {
 
   trace::span_stats stats;
   trace::derive_span_stats(col, stats);
-  EXPECT_EQ(stats.inference_us.total(), 2u);
-  EXPECT_NEAR(stats.inference_us.mean(), 20.0, 1e-9);
-  EXPECT_EQ(stats.task_us.total(), 0u);
-  EXPECT_EQ(stats.lock_hold_ns.total(), 1u);
-  EXPECT_NEAR(stats.lock_hold_ns.mean(), 200.0, 1e-9);
-  EXPECT_NEAR(stats.lock_wait_ns.mean(), 40.0, 1e-9);
+  EXPECT_EQ(stats.inference_us.count.value(), 2u);
+  EXPECT_NEAR(stats.inference_us.mean.value(), 20.0, 1e-9);
+  EXPECT_EQ(stats.task_us.count.value(), 0u);
+  EXPECT_EQ(stats.lock_hold_ns.count.value(), 1u);
+  EXPECT_NEAR(stats.lock_hold_ns.mean.value(), 200.0, 1e-9);
+  EXPECT_NEAR(stats.lock_wait_ns.mean.value(), 40.0, 1e-9);
+  // The log2 histograms hold the same samples in nanoseconds.
+  metrics::latency_snapshot inference;
+  stats.inference_us.ns.snapshot_into(inference);
+  EXPECT_EQ(inference.total(), 2u);
+  EXPECT_EQ(inference.counts[metrics::latency_histogram::bucket_index(10000)],
+            1u);
+  EXPECT_EQ(inference.counts[metrics::latency_histogram::bucket_index(30000)],
+            1u);
+  metrics::latency_snapshot hold;
+  stats.lock_hold_ns.ns.snapshot_into(hold);
+  EXPECT_EQ(hold.counts[metrics::latency_histogram::bucket_index(200)], 1u);
 
   metrics::registry reg;
   trace::register_span_stats(stats, reg, "trace");
@@ -280,8 +362,9 @@ TEST(TracePerfetto, BalancedSpansAndSortedTimestamps) {
 TEST(TracePerfetto, MixedTimeDomainsExportBalancedAndOrdered) {
   // A sim-seconds ring (the simulator tracer) and a wall-ns ring (the rt
   // flight recorder) share one collector.  Both convert to microseconds on
-  // export, so the merged stream must interleave correctly: 500 ns lands
-  // before 1 us of sim time, which lands before 2500 ns.
+  // export, wall-ns relative to the oldest wall-ns event (500 ns), so the
+  // merged stream must interleave: 500 ns exports at 0, before 1 us of sim
+  // time, which lands before 2500 ns (2 us).
   trace::collector col{trace::collector_config{true, 64}};
   trace::ring sim{"sim"};
   trace::ring wall{"rt"};
@@ -322,9 +405,10 @@ TEST(TracePerfetto, MixedTimeDomainsExportBalancedAndOrdered) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_EQ(instants, 3);
-  // The wall-ns instant at 500 ns precedes the sim-seconds span begin at
-  // 1 us in export order.
-  EXPECT_DOUBLE_EQ(events.front().ts, 0.5);
+  // The oldest wall-ns instant exports at 0 and precedes the sim-seconds
+  // span begin at 1 us.
+  EXPECT_DOUBLE_EQ(events.front().ts, 0.0);
+  EXPECT_EQ(events.front().ph, 'i');
 }
 
 TEST(TracePerfetto, TaskCategoryLabelsPinnedToKernelsim) {

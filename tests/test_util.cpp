@@ -205,24 +205,6 @@ TEST(EmpiricalCdf, RejectsBadKnots) {
                std::invalid_argument);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  histogram h{0.0, 10.0, 5};
-  h.add(1.0);   // bucket 0
-  h.add(9.9);   // bucket 4
-  h.add(-5.0);  // clamps to bucket 0
-  h.add(50.0);  // clamps to bucket 4
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // ----------------------------------------------------------- fixed point --
 
 TEST(FixedPoint, DivRoundHalfAwayFromZero) {

@@ -64,7 +64,6 @@ rt::watchdog_config wd_config() {
   rt::watchdog_config c;
   c.warmup_windows = 3;
   c.breach_windows = 2;
-  c.min_window_routes = 64;
   return c;
 }
 
@@ -199,7 +198,7 @@ TEST(RtWatchdog, ThroughputAndL1CollapseFireBelowTheEnvelope) {
 }
 
 TEST(RtWatchdog, L1RuleIgnoresAnL1ThatNeverAbsorbedTraffic) {
-  rt::anomaly_watchdog wd{wd_config()};  // l1_min_baseline = 0.2
+  rt::anomaly_watchdog wd{wd_config()};  // L1 baseline floor 0.2
   double t = 0.0;
   for (int i = 0; i < 5; ++i) {
     wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.05));
@@ -221,7 +220,7 @@ TEST(RtWatchdog, LocksSpikeAndShadowDriftRideTheSameMachinery) {
 }
 
 TEST(RtWatchdog, LowTrafficWindowsAreSkippedOutright) {
-  rt::anomaly_watchdog wd{wd_config()};  // min_window_routes = 64
+  rt::anomaly_watchdog wd{wd_config()};  // windows under 64 routes skip
   double t = 0.0;
   for (int i = 0; i < 5; ++i) wd.observe(mk_window(t += 0.1));
   const std::size_t warm = wd.baseline(rt::anomaly_kind::p999_spike).samples;
@@ -402,11 +401,11 @@ TEST(RtIncidentCapture, FiresWithoutEngineOrRecorderJustWithoutEvidence) {
 
 TEST(RtDumpRateLimit, MinIntervalSuppressesAndCountsDrops) {
   bench_dir out{"lf_dump_ratelimit"};
-  rt::flight_recorder_config rcfg;
-  rcfg.events_per_ring = 16;
-  rcfg.min_dump_interval_ns = 3'600'000'000'000ull;  // 1h: only one admits
+  rt::telemetry_config rcfg;
+  rcfg.blackbox_events = 16;
+  rcfg.blackbox_dump_interval_ns = 3'600'000'000'000ull;  // 1h: one admits
   rt::flight_recorder rec{rcfg, 1};
-  rec.control().emit(trace::event_type::snapshot_switch, 1, 1);
+  rt::emit_now(rec.control(), trace::event_type::snapshot_switch, 1, 1);
 
   const std::string p1 = rec.try_dump("anomaly");
   ASSERT_NE(p1.find("BLACKBOX_anomaly_1.json"), std::string::npos);
@@ -418,11 +417,11 @@ TEST(RtDumpRateLimit, MinIntervalSuppressesAndCountsDrops) {
 
 TEST(RtDumpRateLimit, LifetimeCapAndMonotonicSequenceNumbers) {
   bench_dir out{"lf_dump_cap"};
-  rt::flight_recorder_config rcfg;
-  rcfg.events_per_ring = 16;
-  rcfg.max_dumps = 2;  // no interval limit: the cap does the suppressing
+  rt::telemetry_config rcfg;
+  rcfg.blackbox_events = 16;
+  rcfg.blackbox_max_dumps = 2;  // no interval limit: the cap suppresses
   rt::flight_recorder rec{rcfg, 1};
-  rec.control().emit(trace::event_type::snapshot_switch, 1, 1);
+  rt::emit_now(rec.control(), trace::event_type::snapshot_switch, 1, 1);
 
   const std::string p1 = rec.try_dump("anomaly");
   const std::string p2 = rec.try_dump("anomaly");
@@ -435,11 +434,11 @@ TEST(RtDumpRateLimit, LifetimeCapAndMonotonicSequenceNumbers) {
 
 TEST(RtDumpRateLimit, ConcurrentTryDumpAdmitsExactlyTheBudget) {
   bench_dir out{"lf_dump_race"};
-  rt::flight_recorder_config rcfg;
-  rcfg.events_per_ring = 16;
-  rcfg.max_dumps = 8;  // no interval limit: the cap is the only gate
+  rt::telemetry_config rcfg;
+  rcfg.blackbox_events = 16;
+  rcfg.blackbox_max_dumps = 8;  // no interval limit: the cap is the only gate
   rt::flight_recorder rec{rcfg, 1};
-  rec.control().emit(trace::event_type::snapshot_switch, 1, 1);
+  rt::emit_now(rec.control(), trace::event_type::snapshot_switch, 1, 1);
 
   // Two threads hammer try_dump concurrently.  Admission is serialized
   // under the dump mutex, so exactly max_dumps attempts may win, every
