@@ -1,208 +1,117 @@
 #include "nn/serialize.hpp"
 
-#include <charconv>
-#include <limits>
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string_view>
-#include <system_error>
 
 namespace lf::nn {
 namespace {
 
-/// from_chars reports overflow and underflow alike as out of range; the
-/// stream rejected overflow but read an underflow as a signed zero.  The
-/// out-of-range decimal [first, last) underflowed iff it is below 1, that
-/// is iff its leading nonzero digit's place plus its exponent is negative.
-bool underflows(const char* first, const char* last) {
-  if (*first == '-') ++first;
-  long long place = 0;  // of the leading nonzero digit, as a power of 10
-  bool found = false;
-  bool fraction = false;
-  const char* p = first;
-  for (; p != last && *p != 'e' && *p != 'E'; ++p) {
-    if (*p == '.') {
-      fraction = true;
-    } else if (!fraction) {
-      if (found) {
-        ++place;
-      } else {
-        found = *p != '0';
-      }
-    } else if (!found) {
-      --place;
-      found = *p != '0';
-    }
-  }
-  long long exp = 0;
-  bool negative_exp = false;
-  if (p != last) {
-    ++p;
-    if (p != last && (*p == '+' || *p == '-')) negative_exp = *p++ == '-';
-    // Capped far beyond any place a text can reach, and far below overflow.
-    for (; p != last && exp < 1'000'000'000'000'000; ++p) {
-      exp = exp * 10 + (*p - '0');
-    }
-  }
-  return place + (negative_exp ? -exp : exp) < 0;
+constexpr std::string_view k_magic = "liteflow-mlp v2\n";
+constexpr std::size_t k_word = 8;  ///< bytes in every field and parameter
+
+/// The frozen activation codes, by index.  Spelled out, not taken from the
+/// enum's order, so reordering the enum cannot change a frozen model.
+constexpr activation k_activations[] = {activation::linear, activation::relu,
+                                        activation::tanh_act,
+                                        activation::sigmoid};
+
+std::uint64_t code_of(activation a) noexcept {
+  return static_cast<std::uint64_t>(
+      std::find(std::begin(k_activations), std::end(k_activations), a) -
+      std::begin(k_activations));
 }
 
-/// A cursor over the frozen text that reads words and numbers as `std::istream`
-/// extraction does in the C locale.
-class reader {
- public:
-  explicit reader(std::string_view text)
-      : p_{text.data()}, end_{text.data() + text.size()} {}
+/// The layout's byte order from or to the host's.
+std::uint64_t little_endian(std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(v);
+  }
+  return v;
+}
 
-  std::size_t remaining() const noexcept {
-    return static_cast<std::size_t>(end_ - p_);
+char* put(char* p, std::uint64_t v) noexcept {
+  v = little_endian(v);
+  std::memcpy(p, &v, k_word);
+  return p + k_word;
+}
+
+char* put(char* p, std::span<const double> values) noexcept {
+  for (const double v : values) p = put(p, std::bit_cast<std::uint64_t>(v));
+  return p;
+}
+
+/// Reads the layout's words in order, in place.
+struct cursor {
+  const char* p;
+  std::size_t left;  ///< bytes
+
+  std::uint64_t next() {
+    if (left < k_word) throw std::runtime_error{"mlp load: truncated"};
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, k_word);
+    p += k_word;
+    left -= k_word;
+    return little_endian(v);
   }
 
-  /// `is >> std::string`: the next run of non-space characters.
-  std::string_view word() {
-    skip_space();
-    const char* first = p_;
-    while (p_ != end_ && !is_space(*p_)) ++p_;
-    return {first, static_cast<std::size_t>(p_ - first)};
-  }
-
-  void expect(std::string_view want) {
-    const std::string_view got = word();
-    if (got != want) {
-      throw std::runtime_error{"mlp load: expected '" + std::string{want} +
-                               "', got '" + std::string{got} + "'"};
-    }
-  }
-
-  /// `is >> std::size_t`, except that a '-' sign is refused: the stream
-  /// wrapped it to a count no text can hold, which failed later anyway.
-  bool count(std::size_t& out) {
-    skip_space();
-    if (p_ != end_ && *p_ == '+') ++p_;
-    const auto [ptr, ec] = std::from_chars(p_, end_, out);
-    p_ = ptr;
-    return ec == std::errc{};
-  }
-
-  /// `is >> double`.  num_get first takes the longest prefix shaped like
-  /// [sign] digits [. digits] [e [sign] digits] (an 'e' only after a digit),
-  /// so "nan" and "inf" take nothing, then strtod must consume all of it
-  /// and not overflow.  from_chars rounds as strtod does but takes no '+'.
-  bool real(double& out) {
-    skip_space();
-    const char* first = p_;
-    const char* q = p_;
-    if (q != end_ && (*q == '+' || *q == '-')) ++q;
-    bool mantissa = false;
-    bool dot = false;
-    bool sci = false;
-    for (; q != end_; ++q) {
-      const char c = *q;
-      if (c >= '0' && c <= '9') {
-        mantissa = true;
-      } else if (c == '.' && !dot && !sci) {
-        dot = true;
-      } else if ((c == 'e' || c == 'E') && mantissa && !sci) {
-        sci = true;
-        if (q + 1 != end_ && (q[1] == '+' || q[1] == '-')) ++q;
-      } else {
-        break;
+  void take_finite(std::span<double> values) {
+    for (double& v : values) {
+      v = std::bit_cast<double>(next());
+      if (!std::isfinite(v)) {
+        throw std::runtime_error{"mlp load: non-finite parameter"};
       }
     }
-    p_ = q;
-    if (first != q && *first == '+') ++first;
-    const auto [ptr, ec] = std::from_chars(first, q, out);
-    if (ptr != q || first == q) return false;
-    if (ec == std::errc::result_out_of_range) {
-      if (!underflows(first, q)) return false;
-      out = *first == '-' ? -0.0 : 0.0;
-      return true;
-    }
-    return ec == std::errc{};
   }
-
- private:
-  // The C locale's isspace: ' ', '\t', '\n', '\v', '\f', '\r'.
-  static bool is_space(char c) noexcept {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  }
-
-  void skip_space() noexcept {
-    while (p_ != end_ && is_space(*p_)) ++p_;
-  }
-
-  const char* p_;
-  const char* end_;
 };
-
-activation parse_activation(std::string_view name) {
-  try {
-    return activation_from_string(name);
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error{std::string{"mlp load: "} + e.what()};
-  }
-}
 
 }  // namespace
 
 std::string save_mlp_to_string(const mlp& model) {
-  std::string out = "liteflow-mlp v1\ninput " +
-                    std::to_string(model.input_size()) + "\nlayers " +
-                    std::to_string(model.layer_count()) + "\n";
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const auto& layer = model.layer(i);
-    out += "layer " + std::to_string(layer.output_size()) + " ";
-    out += to_string(layer.act());
-    out += '\n';
+  const std::size_t n_layers = model.layer_count();
+  const std::size_t count = model.parameter_count();
+  std::string out(k_magic.size() + k_word * (3 + 2 * n_layers + count), '\0');
+  char* p = std::copy(k_magic.begin(), k_magic.end(), out.data());
+  p = put(p, model.input_size());
+  p = put(p, n_layers);
+  for (std::size_t i = 0; i < n_layers; ++i) {
+    p = put(p, model.layer(i).output_size());
+    p = put(p, code_of(model.layer(i).act()));
   }
-  const auto params = model.parameters();
-  out += "params " + std::to_string(params.size()) + "\n";
-  // %.17g round-trips every double and spends at most 24 characters on one
-  // ("-2.2250738585072014e-308"); each is followed by its separator.
-  constexpr std::size_t k_max_chars = 24 + 1;
-  const std::size_t header = out.size();
-  out.resize(header + params.size() * k_max_chars + 1);
-  char* p = out.data() + header;
-  char* const end = out.data() + out.size();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    p = std::to_chars(p, end, params[i], std::chars_format::general,
-                      std::numeric_limits<double>::max_digits10)
-            .ptr;
-    *p++ = (i + 1) % 8 == 0 ? '\n' : ' ';
+  p = put(p, count);
+  for (std::size_t i = 0; i < n_layers; ++i) {
+    p = put(p, model.layer(i).weights());
+    p = put(p, model.layer(i).biases());
   }
-  *p++ = '\n';
-  out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 
 mlp load_mlp_from_string(const std::string& text) {
-  reader in{text};
-  in.expect("liteflow-mlp");
-  in.expect("v1");
-  in.expect("input");
-  std::size_t input_size = 0;
-  if (!in.count(input_size) || input_size == 0) {
-    throw std::runtime_error{"mlp load: bad input size"};
+  if (!text.starts_with(k_magic)) {
+    throw std::runtime_error{"mlp load: not a liteflow-mlp v2 model"};
   }
-  in.expect("layers");
-  std::size_t n_layers = 0;
-  if (!in.count(n_layers) || n_layers == 0) {
-    throw std::runtime_error{"mlp load: bad layer count"};
-  }
-  // The header's sizes are untrusted: specs grows one text line at a time,
-  // and the parameter count is checked for overflow and against the text
+  cursor in{text.data() + k_magic.size(), text.size() - k_magic.size()};
+  const std::size_t input_size = in.next();
+  if (input_size == 0) throw std::runtime_error{"mlp load: bad input size"};
+  const std::size_t n_layers = in.next();
+  if (n_layers == 0) throw std::runtime_error{"mlp load: bad layer count"};
+  // The header's sizes are untrusted: this pass reads them in place, and
+  // the parameter count is checked for overflow and against the bytes left
   // before the model is allocated.
-  std::vector<layer_spec> specs;
+  cursor layers = in;
   std::size_t expected = 0;
   std::size_t fan_in = input_size;
   for (std::size_t i = 0; i < n_layers; ++i) {
-    in.expect("layer");
-    std::size_t out = 0;
-    if (!in.count(out) || out == 0) {
+    const std::size_t out = in.next();
+    if (out == 0 || in.next() >= std::size(k_activations)) {
       throw std::runtime_error{"mlp load: bad layer spec"};
     }
-    const std::string_view act = in.word();
-    if (act.empty()) throw std::runtime_error{"mlp load: bad layer spec"};
-    specs.push_back({out, parse_activation(act)});
     std::size_t layer_params = 0;
     if (__builtin_mul_overflow(fan_in, out, &layer_params) ||
         __builtin_add_overflow(layer_params, out, &layer_params) ||
@@ -211,22 +120,22 @@ mlp load_mlp_from_string(const std::string& text) {
     }
     fan_in = out;
   }
-  in.expect("params");
-  std::size_t count = 0;
-  if (!in.count(count) || count != expected) {
+  if (in.next() != expected) {
     throw std::runtime_error{"mlp load: parameter count mismatch"};
   }
-  // A value takes at least two characters: a digit, and the space, sign or
-  // point that parts it from the token before.
-  if (count > in.remaining() / 2) {
-    throw std::runtime_error{"mlp load: truncated parameters"};
+  if (in.left % k_word != 0 || in.left / k_word != expected) {
+    throw std::runtime_error{"mlp load: parameters do not fill the text"};
+  }
+  std::vector<layer_spec> specs(n_layers);
+  for (auto& s : specs) {
+    s.output_size = layers.next();
+    s.act = k_activations[layers.next()];
   }
   mlp model{input_size, specs};
-  std::vector<double> params(count);
-  for (auto& p : params) {
-    if (!in.real(p)) throw std::runtime_error{"mlp load: bad parameter"};
+  for (std::size_t i = 0; i < n_layers; ++i) {
+    in.take_finite(model.layer(i).weights());
+    in.take_finite(model.layer(i).biases());
   }
-  model.set_parameters(params);
   return model;
 }
 

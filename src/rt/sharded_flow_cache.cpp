@@ -76,18 +76,18 @@ snapshot_version* sharded_flow_cache::lookup(netsim::flow_id_t flow,
       const std::uint8_t st = s.state.load(std::memory_order_acquire);
       if (st == k_empty) break;
       if (st == k_occupied &&
-          s.flow.load(std::memory_order_relaxed) == flow) {
+          s.flow.load(std::memory_order_acquire) == flow) {
         found = &s;
         break;
       }
     }
     snapshot_version* const v =
-        found != nullptr ? found->ver.load(std::memory_order_relaxed)
+        found != nullptr ? found->ver.load(std::memory_order_acquire)
                          : nullptr;
-    // Canonical seqlock validation (Boehm): the acquire fence keeps every
-    // probe load above the re-read, and upgrades them to acquire loads for
-    // everything that follows — including the caller's dereference of `v`.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Seqlock validation without a standalone fence: every probe load is
+    // an acquire, so none can sink below the re-read.  A slot store made
+    // inside a seq bump is a release, so a probe that read it also sees
+    // the bump and the re-read differs from s0.
     if (sh.seq.load(std::memory_order_relaxed) != s0) {
       // An erase/evict/rehash overlapped the probe: the (flow, ver) pair
       // may be torn, so nothing read this round can be trusted.
@@ -212,7 +212,7 @@ void sharded_flow_cache::evict_slot(shard& sh, slot& s,
   // The seq bump brackets the re-binding store: any lock-free probe that
   // overlapped it re-runs and sees the tombstone.
   sh.seq_write_begin();
-  s.state.store(k_tombstone, std::memory_order_relaxed);
+  s.state.store(k_tombstone, std::memory_order_release);
   sh.seq_write_end();
   shard::bump_sub(sh.occupied);
   ++sh.tombstones;
@@ -325,7 +325,7 @@ std::size_t sharded_flow_cache::clear(snapshot_handle& handle) {
       }
       if (st != k_empty) {
         sh.seq_write_begin();
-        s.state.store(k_empty, std::memory_order_relaxed);
+        s.state.store(k_empty, std::memory_order_release);
         sh.seq_write_end();
       }
     }

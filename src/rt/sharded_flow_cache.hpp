@@ -8,11 +8,14 @@
 //    last-used stamp, state byte), so concurrent probing is race-free by
 //    construction (TSan-clean) without any lock.
 //  - Lookups run a **seqlock-validated probe**: read the shard's sequence
-//    counter, probe with acquire loads, re-read the counter.  An unchanged
-//    even counter proves no erase/evict/rehash overlapped the probe, so the
-//    (flow → version) pair read is consistent.  A torn probe retries, and
-//    after a few failed attempts falls back to the shard spinlock (bounded
-//    wait; counted separately so the bench can see it).
+//    counter, probe with acquire loads (state, flow, version), re-read the
+//    counter.  An unchanged even counter proves no erase/evict/rehash
+//    overlapped the probe, so the (flow → version) pair read is
+//    consistent.  A torn probe retries, and after a few failed attempts
+//    falls back to the shard spinlock (bounded wait; counted separately so
+//    the bench can see it).  No standalone fence: the acquire loads keep
+//    the re-read below the probe, which GCC's TSan models and a fence it
+//    does not.
 //  - Inserts publish with a release store of the state byte *last*, so a
 //    concurrent reader either misses the slot entirely or sees fully
 //    initialized fields — plain inserts do not bump the sequence counter
@@ -20,7 +23,10 @@
 //  - Structural mutation (insert/erase/incremental evict/expire/clear/grow)
 //    keeps the per-shard spinlock.  Erase/evict/rehash additionally wrap
 //    their slot writes in seq_write_begin()/seq_write_end() bumps, because
-//    only those can re-bind a slot a reader is mid-probe on.
+//    only those can re-bind a slot a reader is mid-probe on.  The slot
+//    writes inside a bump (evict's tombstone, clear's empty state) are
+//    release stores, so a probe that reads one also sees the bump before
+//    it; rehash publishes its fresh table with a release store.
 //  - Growth swaps in a new slot array and retires the old one through the
 //    engine's epoch_domain: a reader that loaded the stale array pointer
 //    keeps probing memory that stays allocated until its guard closes, then

@@ -2,20 +2,6 @@
 
 namespace lf::metrics {
 
-std::string_view to_string(metric_kind k) noexcept {
-  switch (k) {
-    case metric_kind::counter:
-      return "counter";
-    case metric_kind::atomic_counter:
-      return "atomic_counter";
-    case metric_kind::gauge:
-      return "gauge";
-    case metric_kind::series:
-      return "series";
-  }
-  return "?";
-}
-
 void registry::bind(std::string name, metric_kind kind, void* ptr) {
   bindings_.insert_or_assign(std::move(name), binding{kind, ptr});
 }

@@ -73,10 +73,6 @@ class gauge {
   double value_ = 0.0;
 };
 
-enum class metric_kind { counter, atomic_counter, gauge, series };
-
-std::string_view to_string(metric_kind k) noexcept;
-
 /// Borrowing name -> metric index.  Not an owner: the registered objects
 /// must outlive the registry or be unregistered/rebound first.
 class registry {
@@ -105,13 +101,9 @@ class registry {
   /// time series are cleared.
   void reset_all();
 
-  /// Visit (name, kind) for every binding, in name order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [name, b] : bindings_) fn(name, b.kind);
-  }
-
  private:
+  enum class metric_kind { counter, atomic_counter, gauge, series };
+
   struct binding {
     metric_kind kind;
     void* ptr;

@@ -7,8 +7,10 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
-#include <iomanip>
-#include <sstream>
+#include <cstdlib>
+#include <initializer_list>
+#include <limits>
+#include <new>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
@@ -18,6 +20,23 @@
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
+
+// This thread's operator new calls, counted so a test can check that the
+// model loader throws before it allocates.
+namespace {
+thread_local std::size_t t_news = 0;
+}  // namespace
+
+// Out of line, or GCC sees free() called on what new-expressions returned.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++t_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -320,25 +339,43 @@ TEST(Serialize, RejectsTruncatedParams) {
   EXPECT_THROW(load_mlp_from_string(text), std::runtime_error);
 }
 
-// The byte reference for save_mlp_to_string: the format written through an
-// ostream at setprecision(17).
-std::string stream_reference(const mlp& model) {
-  std::ostringstream os;
-  os << "liteflow-mlp v1\n";
-  os << "input " << model.input_size() << "\n";
-  os << "layers " << model.layer_count() << "\n";
+// Appends `v` as eight little-endian bytes: the frozen layout's word,
+// encoded apart from the library.
+void put_le(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+// The magic, then `words`.
+std::string frozen_words(std::initializer_list<std::uint64_t> words) {
+  std::string out = "liteflow-mlp v2\n";
+  for (const std::uint64_t w : words) put_le(out, w);
+  return out;
+}
+
+std::uint64_t activation_code(activation a) {
+  switch (a) {
+    case activation::linear:
+      return 0;
+    case activation::relu:
+      return 1;
+    case activation::tanh_act:
+      return 2;
+    case activation::sigmoid:
+      return 3;
+  }
+  return 99;
+}
+
+std::string reference_freeze(const mlp& model) {
+  std::string out = frozen_words({model.input_size(), model.layer_count()});
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    os << "layer " << model.layer(i).output_size() << " "
-       << to_string(model.layer(i).act()) << "\n";
+    put_le(out, model.layer(i).output_size());
+    put_le(out, activation_code(model.layer(i).act()));
   }
   const auto params = model.parameters();
-  os << "params " << params.size() << "\n";
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    os << params[i] << ((i + 1) % 8 == 0 ? "\n" : " ");
-  }
-  os << "\n";
-  return os.str();
+  put_le(out, params.size());
+  for (const double v : params) put_le(out, std::bit_cast<std::uint64_t>(v));
+  return out;
 }
 
 void expect_same_bits(const std::vector<double>& got,
@@ -351,102 +388,159 @@ void expect_same_bits(const std::vector<double>& got,
   }
 }
 
-TEST(Serialize, TextMatchesStreamReferenceAndReloadsBitIdentical) {
+// Paper net `kind` (Aurora, MOCC, FFNN, LB-MLP) whose first parameters are
+// the edge values and whose others span 60 decades.
+mlp paper_net_with_edges(int kind) {
   const double edge[] = {0.0,     -0.0,     4.94e-324, DBL_MIN, DBL_MAX,
                          -DBL_MAX, 1e300,   -1e300,    1e-300,  -1e-300,
                          0.1,     1.0,      -3.0,      42.0,    1e17,
                          123456789012345678.0};
+  rng g{static_cast<std::uint64_t>(40 + kind)};
+  mlp net = kind == 0   ? make_aurora_net(g)
+            : kind == 1 ? make_mocc_net(g)
+            : kind == 2 ? make_ffnn_flow_size_net(g)
+                        : make_lb_mlp_net(g, 4);
+  auto params = net.parameters();
+  std::copy(std::begin(edge), std::end(edge), params.begin());
+  for (std::size_t i = std::size(edge); i < params.size(); i += 3) {
+    params[i] *= std::pow(10.0, g.uniform_int(-30, 30));
+  }
+  net.set_parameters(params);
+  return net;
+}
+
+TEST(Serialize, RoundTripsPaperNetsBitIdentical) {
   for (int kind = 0; kind < 4; ++kind) {
-    rng g{static_cast<std::uint64_t>(40 + kind)};
-    mlp net = kind == 0   ? make_aurora_net(g)
-              : kind == 1 ? make_mocc_net(g)
-              : kind == 2 ? make_ffnn_flow_size_net(g)
-                          : make_lb_mlp_net(g, 4);
-    auto params = net.parameters();
-    ASSERT_GT(params.size(), std::size(edge));
-    std::copy(std::begin(edge), std::end(edge), params.begin());
-    for (std::size_t i = std::size(edge); i < params.size(); i += 3) {
-      params[i] *= std::pow(10.0, g.uniform_int(-30, 30));
-    }
-    net.set_parameters(params);
-    const auto text = save_mlp_to_string(net);
-    EXPECT_EQ(text, stream_reference(net)) << "net " << kind;
-    expect_same_bits(load_mlp_from_string(text).parameters(), params);
+    const mlp net = paper_net_with_edges(kind);
+    const auto frozen = save_mlp_to_string(net);
+    const mlp loaded = load_mlp_from_string(frozen);
+    EXPECT_TRUE(net.same_structure(loaded)) << "net " << kind;
+    expect_same_bits(loaded.parameters(), net.parameters());
+    EXPECT_EQ(save_mlp_to_string(loaded), frozen) << "net " << kind;
   }
 }
 
-// A one-neuron model whose two parameters are written as `values`.
-std::string one_neuron_text(const std::string& values) {
-  return "liteflow-mlp v1\ninput 1\nlayers 1\nlayer 1 linear\nparams 2\n" +
-         values + "\n";
+TEST(Serialize, MatchesAnIndependentLittleEndianEncoder) {
+  for (int kind = 0; kind < 4; ++kind) {
+    const mlp net = paper_net_with_edges(kind);
+    EXPECT_EQ(save_mlp_to_string(net), reference_freeze(net)) << "net " << kind;
+  }
+  // The paper nets use no sigmoid: one net with every activation code.
+  rng g{39};
+  const layer_spec specs[] = {{3, activation::sigmoid},
+                              {2, activation::tanh_act},
+                              {2, activation::relu},
+                              {1, activation::linear}};
+  const mlp net{2, specs, g};
+  const auto frozen = save_mlp_to_string(net);
+  EXPECT_EQ(frozen, reference_freeze(net));
+  EXPECT_TRUE(net.same_structure(load_mlp_from_string(frozen)));
 }
 
-TEST(Serialize, ParsesParametersExactlyAsTheStreamDid) {
-  // `istringstream >> double` was the loader's parser.  Each token must
-  // load to the stream's bits where the stream read it and throw where it
-  // failed, both first (checked against the table) and last in the list.
-  const struct {
-    std::string token;
-    bool loads;
-  } table[] = {
-      {"nan", false},     {"inf", false},      {"-inf", false},
-      {"1e400", false},   {"-1e400", false},   {"abc", false},
-      {"0x10", false},    {"1e", false},       {"1e+", false},
-      {".", false},       {"+", false},        {"+-1", false},
-      {"+1.5", true},     {".5", true},        {"-.5", true},
-      {"1.", true},       {"00012", true},     {"1E2", true},
-      {"-1e+2", true},    {"4.94e-324", true}, {"1e-400", true},
-      {"-1e-400", true},  {"0.0000001e-320", true},
-      {"1.5-2.5", true},  // the stream read two values from this token
-      {"0." + std::string(399, '0') + "1", true},  // underflows to zero
-      {"1" + std::string(400, '0'), false},        // overflows
-  };
-  for (const auto& row : table) {
-    for (const bool first : {true, false}) {
-      const std::string& token = row.token;
-      const std::string values = first ? token + " 0" : "0 " + token;
-      std::istringstream is{values};
-      double a = 0;
-      double b = 0;
-      const bool stream_ok = static_cast<bool>(is >> a >> b);
-      if (first) {
-        EXPECT_EQ(stream_ok, row.loads) << token;
-      }
-      if (stream_ok) {
-        expect_same_bits(load_mlp_from_string(one_neuron_text(values))
-                             .parameters(),
-                         {a, b});
-      } else {
-        EXPECT_THROW(load_mlp_from_string(one_neuron_text(values)),
-                     std::runtime_error)
-            << values;
-      }
+TEST(Serialize, EveryProperPrefixAndAnAppendedByteThrow) {
+  rng g{35};
+  const auto frozen = save_mlp_to_string(make_ffnn_flow_size_net(g));
+  for (std::size_t n = 0; n < frozen.size(); ++n) {
+    EXPECT_THROW(load_mlp_from_string(frozen.substr(0, n)),
+                 std::runtime_error)
+        << n << " of " << frozen.size() << " bytes";
+  }
+  EXPECT_THROW(load_mlp_from_string(frozen + '\0'), std::runtime_error);
+}
+
+TEST(Serialize, NonFiniteParametersThrow) {
+  rng g{36};
+  const mlp net = make_ffnn_flow_size_net(g);
+  const std::size_t count = net.parameter_count();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const std::size_t at : {std::size_t{0}, count / 2, count - 1}) {
+      auto params = net.parameters();
+      params[at] = bad;
+      mlp poisoned = net;
+      poisoned.set_parameters(params);
+      EXPECT_THROW(load_mlp_from_string(save_mlp_to_string(poisoned)),
+                   std::runtime_error)
+          << bad << " as parameter " << at;
     }
   }
+}
+
+TEST(Serialize, RejectsTheV1Text) {
+  EXPECT_THROW(load_mlp_from_string("liteflow-mlp v1\ninput 1\nlayers 1\n"
+                                    "layer 1 linear\nparams 2\n0.5 -0.25\n"),
+               std::runtime_error);
+}
+
+// operator new calls on this thread while `fn` runs.
+template <typename Fn>
+std::size_t news_during(Fn&& fn) {
+  const std::size_t before = t_news;
+  fn();
+  return t_news - before;
 }
 
 TEST(Serialize, MalformedHeadersThrowRuntimeErrorBeforeAllocating) {
-  // Each of these once escaped as another exception type: the loader built
-  // the model from the header's sizes before checking them.
-  const char* texts[] = {
-      // invalid_argument from the activation parser
-      "liteflow-mlp v1\ninput 1\nlayers 1\nlayer 1 bogus\nparams 2\n0 0\n",
-      // bad_alloc reserving the claimed layer count
-      "liteflow-mlp v1\ninput 1\nlayers 1000000000000000\nlayer 1 relu\n"
-      "params 2\n0 0\n",
-      // length_error: 1.6e19 parameters
-      "liteflow-mlp v1\ninput 4000000000\nlayers 1\nlayer 4000000000 relu\n"
-      "params 16000000004000000000\n0 0\n",
-      // bad_alloc: 32 GB of weights for a text that holds two values
-      "liteflow-mlp v1\ninput 4000000000\nlayers 1\nlayer 1 relu\n"
-      "params 4000000001\n0 0\n",
-      // the parameter count overflows size_t
-      "liteflow-mlp v1\ninput 4294967296\nlayers 2\nlayer 4294967296 relu\n"
-      "layer 1 linear\nparams 0\n",
+  // A loader that sized anything from these headers before checking them
+  // would throw something other than runtime_error, or allocate gigabytes.
+  // The first five are the text format's old regressions, re-encoded.
+  // Words after the parameter count are parameters: 0 is +0.0.
+  const std::string headers[] = {
+      // an activation code past the table
+      frozen_words({1, 1, 1, 4, 2, 0, 0}),
+      // a layer count no text can hold
+      frozen_words({1, 1'000'000'000'000'000, 1, 1, 2, 0, 0}),
+      // 1.6e19 parameters
+      frozen_words({4'000'000'000, 1, 4'000'000'000, 1,
+                    16'000'000'004'000'000'000ULL, 0, 0}),
+      // 32 GB of weights for a text that holds two values
+      frozen_words({4'000'000'000, 1, 1, 1, 4'000'000'001, 0, 0}),
+      // the parameter count overflows size_t (a count of 0, no values)
+      frozen_words({4'294'967'296, 2, 4'294'967'296, 1, 1, 0, 0}),
+      // 2^63 * 2 weights + 2 biases wrap to the two values given
+      frozen_words({std::uint64_t{1} << 63, 1, 2, 1, 2, 0, 0}),
   };
-  for (const char* text : texts) {
-    EXPECT_THROW(load_mlp_from_string(text), std::runtime_error) << text;
+  // What throwing a runtime_error costs by itself: its message.
+  const std::size_t one_error =
+      news_during([] { const std::runtime_error e{"mlp load: message"}; });
+  for (std::size_t i = 0; i < std::size(headers); ++i) {
+    bool threw = false;
+    const std::size_t news = news_during([&] {
+      try {
+        (void)load_mlp_from_string(headers[i]);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+    });
+    EXPECT_TRUE(threw) << "header " << i;
+    EXPECT_EQ(news, one_error) << "header " << i << " allocated before it threw";
   }
+}
+
+TEST(Serialize, RandomByteChangesThrowOrRefreezeToTheChangedBytes) {
+  rng g{37};
+  const auto frozen = save_mlp_to_string(make_aurora_net(g));
+  int loads = 0;
+  int throws = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::string bytes = frozen;
+    const auto at = static_cast<std::size_t>(
+        g.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) +
+                                  g.uniform_int(1, 255));
+    try {
+      EXPECT_EQ(save_mlp_to_string(load_mlp_from_string(bytes)), bytes)
+          << "byte " << at;
+      ++loads;
+    } catch (const std::runtime_error&) {
+      ++throws;
+    }
+  }
+  // Both outcomes happen: most bytes belong to parameters, and a change to
+  // the header or to an exponent's top bits is refused.
+  EXPECT_GT(loads, 0);
+  EXPECT_GT(throws, 0);
 }
 
 }  // namespace
