@@ -23,14 +23,14 @@ int main() {
     bbr_cfg.scheme = cc_scheme::bbr;
     bbr_cfg.n_flows = n;
     bbr_cfg.duration = duration;
-    const double bbr = run_cc_overhead(bbr_cfg).aggregate_bps;
+    const double bbr = run_cc_overhead(bbr_cfg).mean_goodput;
 
     cc_overhead_config lf_cfg;
     lf_cfg.scheme = cc_scheme::lf_dummy;
     lf_cfg.n_flows = n;
     lf_cfg.duration = duration;
     lf_cfg.pretrain_iterations = 0;
-    const double lf = run_cc_overhead(lf_cfg).aggregate_bps;
+    const double lf = run_cc_overhead(lf_cfg).mean_goodput;
 
     table.add_row({std::to_string(n), text_table::num(bbr / 1e9, 2),
                    text_table::num(lf / 1e9, 2),

@@ -29,7 +29,7 @@ int main() {
     cfg.n_flows = n;
     cfg.duration = duration;
     const auto r = run_cc_overhead(cfg);
-    bbr_tput.push_back(r.aggregate_bps);
+    bbr_tput.push_back(r.mean_goodput);
   }
 
   text_table table{{"N", "BBR(Gbps)", "CCP-1ms", "CCP-10ms", "CCP-100ms"}};
@@ -47,10 +47,10 @@ int main() {
       cfg.duration = duration;
       cfg.pretrain_iterations = pretrain;
       const auto r = run_cc_overhead(cfg);
-      row.push_back(text_table::num(r.aggregate_bps / bbr_tput[i], 2));
+      row.push_back(text_table::num(r.mean_goodput / bbr_tput[i], 2));
       rep.add_point(
           "ccp_norm_" + text_table::num(interval * 1e3, 0) + "ms", n,
-          r.aggregate_bps / bbr_tput[i]);
+          r.mean_goodput / bbr_tput[i]);
     }
     table.add_row(std::move(row));
   }

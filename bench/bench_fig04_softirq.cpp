@@ -34,14 +34,14 @@ int main() {
     const auto r = run_cc_overhead(cfg);
     const double window = duration - cfg.warmup;
     table.add_row({name,
-                   text_table::num(r.softirq_seconds / window * 1e3, 1),
+                   text_table::num(r.cpu.softirq_seconds / window * 1e3, 1),
                    pct(r.softirq_share),
-                   text_table::num(r.datapath_seconds / window * 1e3, 1),
-                   pct(r.cpu_utilization)});
+                   text_table::num(r.cpu.datapath_seconds / window * 1e3, 1),
+                   pct(r.cpu.utilization)});
     rep.summary(name + ".softirq_ms_per_s",
-                r.softirq_seconds / window * 1e3);
+                r.cpu.softirq_seconds / window * 1e3);
     rep.summary(name + ".softirq_share", r.softirq_share);
-    rep.summary(name + ".cpu_utilization", r.cpu_utilization);
+    rep.summary(name + ".cpu_utilization", r.cpu.utilization);
   };
 
   run(cc_scheme::bbr, 0.0, "BBR");

@@ -22,7 +22,7 @@ int main() {
     cfg.scheme = cc_scheme::bbr;
     cfg.n_flows = n;
     cfg.duration = duration;
-    bbr_tput.push_back(run_cc_overhead(cfg).aggregate_bps);
+    bbr_tput.push_back(run_cc_overhead(cfg).mean_goodput);
   }
 
   struct scheme_case {
@@ -59,9 +59,9 @@ int main() {
       cfg.duration = duration;
       cfg.pretrain_iterations = pretrain;
       const auto r = run_cc_overhead(cfg);
-      row.push_back(text_table::num(r.aggregate_bps / bbr_tput[i], 2));
+      row.push_back(text_table::num(r.mean_goodput / bbr_tput[i], 2));
       rep.add_point("norm_" + c.name, static_cast<double>(n_values[i]),
-                    r.aggregate_bps / bbr_tput[i]);
+                    r.mean_goodput / bbr_tput[i]);
     }
     table.add_row(std::move(row));
   }

@@ -60,18 +60,18 @@ int main() {
     const auto oh = overhead(T, true);
     const double goodput = goodput_under_change(T, true, &updates);
     table.add_row({text_table::num(T * 1e3, 0) + "ms", pct(oh.softirq_share),
-                   text_table::num(oh.slowpath_seconds / ow * 1e3, 1),
+                   text_table::num(oh.cpu.slowpath_seconds / ow * 1e3, 1),
                    mbps(goodput), std::to_string(updates)});
     rep.add_point("softirq_share", T * 1e3, oh.softirq_share);
     rep.add_point("slowpath_ms_per_s", T * 1e3,
-                  oh.slowpath_seconds / ow * 1e3);
+                  oh.cpu.slowpath_seconds / ow * 1e3);
     rep.add_point("goodput_after_change_mbps", T * 1e3, goodput / 1e6);
     rep.add_point("snapshot_updates", T * 1e3, static_cast<double>(updates));
   }
   const auto noa = overhead(100e-3, false);
   const double noa_goodput = goodput_under_change(100e-3, false, nullptr);
   table.add_row({"N-O-A", pct(noa.softirq_share),
-                 text_table::num(noa.slowpath_seconds / ow * 1e3, 1),
+                 text_table::num(noa.cpu.slowpath_seconds / ow * 1e3, 1),
                  mbps(noa_goodput), "0"});
   rep.summary("noa.softirq_share", noa.softirq_share);
   rep.summary("noa.goodput_after_change_mbps", noa_goodput / 1e6);

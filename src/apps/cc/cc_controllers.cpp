@@ -1,8 +1,8 @@
 #include "apps/cc/cc_controllers.hpp"
 
-#include <cmath>
+#include <algorithm>
 
-#include "apps/cc/aurora_adapter.hpp"
+#include "apps/common/liteflow_stack.hpp"
 
 namespace lf::apps {
 
@@ -45,26 +45,15 @@ void liteflow_cc_controller::on_monitor_interval(
     collector_->collect(std::move(sample));
   }
 
-  const fp::s64 scale = core_.active_io_scale();
-  if (scale == 0) return;  // nothing installed yet
-  std::vector<fp::s64> input(features.size());
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    input[i] =
-        static_cast<fp::s64>(std::llround(features[i] * static_cast<double>(scale)));
-  }
   const double send_rate = obs.send_rate;
-  core_.query_model(
-      flow_, std::move(input),
-      [this, send_rate, scale, set_rate = std::move(set_rate)](
-          std::vector<fp::s64> out) {
-        if (out.empty()) return;
-        const double action =
-            static_cast<double>(out[0]) / static_cast<double>(scale);
-        set_rate(transport::apply_rate_action(send_rate, action,
-                                              config_.action_delta,
-                                              config_.min_rate_bps,
-                                              config_.max_rate_bps));
-      });
+  query_model(core_, flow_, features,
+              [this, send_rate, set_rate = std::move(set_rate)](
+                  std::vector<double> out) {
+                if (out.empty()) return;  // nothing installed yet
+                set_rate(transport::apply_rate_action(
+                    send_rate, out[0], config_.action_delta,
+                    config_.min_rate_bps, config_.max_rate_bps));
+              });
 }
 
 void liteflow_cc_controller::on_flow_close() {

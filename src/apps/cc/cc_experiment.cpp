@@ -3,8 +3,9 @@
 #include <cmath>
 #include <functional>
 
-#include "apps/common/deployment_registry.hpp"
-#include "apps/common/probes.hpp"
+#include "apps/cc/aurora_adapter.hpp"
+#include "apps/cc/cc_controllers.hpp"
+#include "apps/common/liteflow_stack.hpp"
 #include "netsim/workload.hpp"
 #include "transport/bbr.hpp"
 #include "transport/cubic.hpp"
@@ -14,7 +15,27 @@
 namespace lf::apps {
 
 std::string_view to_string(cc_scheme s) noexcept {
-  return deployment_label(app_kind::cc, s);
+  switch (s) {
+    case cc_scheme::lf_aurora:
+      return "LF-Aurora";
+    case cc_scheme::lf_mocc:
+      return "LF-MOCC";
+    case cc_scheme::lf_aurora_noa:
+      return "LF-Aurora-N-O-A";
+    case cc_scheme::lf_dummy:
+      return "LF-Dummy-NN";
+    case cc_scheme::ccp_aurora:
+      return "CCP-Aurora";
+    case cc_scheme::ccp_mocc:
+      return "CCP-MOCC";
+    case cc_scheme::kernel_train_aurora:
+      return "Kernel-Train-Aurora";
+    case cc_scheme::bbr:
+      return "BBR";
+    case cc_scheme::cubic:
+      return "CUBIC";
+  }
+  return "?";
 }
 
 bool is_rate_based(cc_scheme s) noexcept {
@@ -23,34 +44,16 @@ bool is_rate_based(cc_scheme s) noexcept {
 
 namespace {
 
-/// Owns whichever deployment stack the scheme needs and hands out
-/// controllers / senders uniformly.
+/// The sender host's deployment for one scheme, and the flows it serves.
 struct scheme_runtime {
-  std::unique_ptr<liteflow_cc_stack> lf;
-  std::unique_ptr<ccp_cc_stack> ccp;
-  std::unique_ptr<kernel_train_cc_stack> ktrain;
+  std::unique_ptr<aurora_adapter> adapter;  ///< every NN scheme's model
+  std::unique_ptr<liteflow_stack> lf;       ///< LF-* schemes
+  std::unique_ptr<kernelsim::crossspace_channel> ccp;  ///< CCP-* schemes
+  double ccp_interval = 0.0;
 
   std::vector<std::unique_ptr<transport::rate_sender>> rate_flows;
   std::vector<std::unique_ptr<transport::window_sender>> window_flows;
 };
-
-/// Everything a cc stack builder needs to wire a deployment onto the
-/// sender host — the registry stores one builder per cc_scheme.
-struct cc_build_context {
-  scheme_runtime& rt;
-  netsim::host& sender;
-  double bottleneck_bps;
-  double bg_bps;
-  double rtt;
-  std::uint64_t buffer_bytes;
-  double ccp_interval;
-  double batch_interval;
-  std::size_t pretrain;
-  std::uint64_t seed;
-  double sync_alpha;
-};
-
-using cc_stack_builder = std::function<void(cc_build_context&)>;
 
 aurora_adapter_config env_matched_adapter(double bottleneck_bps, double bg_bps,
                                           double rtt,
@@ -63,105 +66,105 @@ aurora_adapter_config env_matched_adapter(double bottleneck_bps, double bg_bps,
   return a;
 }
 
-cc_stack_builder liteflow_builder(cc_model model, bool adaptation,
-                                  bool dummy) {
-  return [model, adaptation, dummy](cc_build_context& c) {
-    liteflow_cc_options o;
-    o.model = model;
-    o.adaptation = adaptation;
-    o.batch_interval = c.batch_interval;
-    o.pretrain_iterations = dummy ? 0 : c.pretrain;
-    o.seed = c.seed;
-    o.adapter =
-        env_matched_adapter(c.bottleneck_bps, c.bg_bps, c.rtt, c.buffer_bytes);
-    o.controller.min_rate_bps = 0.05 * c.bottleneck_bps;
-    o.controller.max_rate_bps = 2.0 * c.bottleneck_bps;
-    o.sync.alpha = c.sync_alpha;
-    c.rt.lf = std::make_unique<liteflow_cc_stack>(c.sender, o);
-    if (dummy) {
-      // LF-Dummy-NN (§5.1): same structure as Aurora, but the generated
-      // code always emits the max action -> the flow pins line rate.
-      auto& m = c.rt.lf->adapter().model();
-      std::vector<double> params(m.parameter_count(), 0.0);
-      // Final layer bias saturates tanh at ~+1.
-      params.back() = 6.0;
-      m.set_parameters(params);
-    }
-    c.rt.lf->start();
-  };
-}
-
-cc_stack_builder ccp_builder(cc_model model) {
-  return [model](cc_build_context& c) {
-    ccp_cc_options o;
-    o.model = model;
-    o.interval = c.ccp_interval;
-    o.pretrain_iterations = c.pretrain;
-    o.seed = c.seed;
-    o.adapter =
-        env_matched_adapter(c.bottleneck_bps, c.bg_bps, c.rtt, c.buffer_bytes);
-    o.controller.min_rate_bps = 0.05 * c.bottleneck_bps;
-    o.controller.max_rate_bps = 2.0 * c.bottleneck_bps;
-    c.rt.ccp = std::make_unique<ccp_cc_stack>(c.sender, o);
-    c.rt.ccp->start();
-  };
-}
-
-cc_stack_builder kernel_train_builder() {
-  return [](cc_build_context& c) {
-    kernel_train_cc_options o;
-    o.pretrain_iterations = c.pretrain;
-    o.seed = c.seed;
-    o.adapter =
-        env_matched_adapter(c.bottleneck_bps, c.bg_bps, c.rtt, c.buffer_bytes);
-    o.controller.min_rate_bps = 0.05 * c.bottleneck_bps;
-    o.controller.max_rate_bps = 2.0 * c.bottleneck_bps;
-    c.rt.ktrain = std::make_unique<kernel_train_cc_stack>(c.sender, o);
-    c.rt.ktrain->start();
-  };
-}
-
-[[maybe_unused]] const bool k_cc_registered = [] {
-  register_deployment(app_kind::cc, cc_scheme::lf_aurora, "LF-Aurora",
-                      liteflow_builder(cc_model::aurora, true, false));
-  register_deployment(app_kind::cc, cc_scheme::lf_mocc, "LF-MOCC",
-                      liteflow_builder(cc_model::mocc, true, false));
-  register_deployment(app_kind::cc, cc_scheme::lf_aurora_noa,
-                      "LF-Aurora-N-O-A",
-                      liteflow_builder(cc_model::aurora, false, false));
-  register_deployment(app_kind::cc, cc_scheme::lf_dummy, "LF-Dummy-NN",
-                      liteflow_builder(cc_model::aurora, false, true));
-  register_deployment(app_kind::cc, cc_scheme::ccp_aurora, "CCP-Aurora",
-                      ccp_builder(cc_model::aurora));
-  register_deployment(app_kind::cc, cc_scheme::ccp_mocc, "CCP-MOCC",
-                      ccp_builder(cc_model::mocc));
-  register_deployment(app_kind::cc, cc_scheme::kernel_train_aurora,
-                      "Kernel-Train-Aurora", kernel_train_builder());
-  // Window transports need no stack; registered for the label alone.
-  register_deployment(app_kind::cc, cc_scheme::bbr, "BBR");
-  register_deployment(app_kind::cc, cc_scheme::cubic, "CUBIC");
-  return true;
-}();
-
 void setup_scheme(scheme_runtime& rt, cc_scheme scheme, netsim::host& sender,
                   double bottleneck_bps, double bg_bps, double rtt,
                   std::uint64_t buffer_bytes, double ccp_interval,
                   double batch_interval, std::size_t pretrain,
                   std::uint64_t seed, double sync_alpha = 0.05) {
-  cc_build_context ctx{rt,           sender,         bottleneck_bps,
-                       bg_bps,       rtt,            buffer_bytes,
-                       ccp_interval, batch_interval, pretrain,
-                       seed,         sync_alpha};
-  const auto* build =
-      deployment_registry::instance().builder_as<cc_stack_builder>(
-          app_kind::cc, static_cast<int>(scheme));
-  if (build) (*build)(ctx);
+  auto a = env_matched_adapter(bottleneck_bps, bg_bps, rtt, buffer_bytes);
+  a.model = scheme == cc_scheme::lf_mocc || scheme == cc_scheme::ccp_mocc
+                ? cc_model::mocc
+                : cc_model::aurora;
+  a.seed = seed;
+  switch (scheme) {
+    case cc_scheme::lf_aurora:
+    case cc_scheme::lf_mocc:
+    case cc_scheme::lf_aurora_noa:
+    case cc_scheme::lf_dummy: {
+      rt.adapter = std::make_unique<aurora_adapter>(a);
+      liteflow_stack_options o;
+      o.model_name = a.model == cc_model::aurora ? "aurora" : "mocc";
+      o.batch_interval = batch_interval;
+      o.adaptation =
+          scheme == cc_scheme::lf_aurora || scheme == cc_scheme::lf_mocc;
+      // CC flows are long-lived and tolerate a mid-flow model switch (the
+      // rate just keeps being steered); pinning them to their first
+      // snapshot would lock out every future update.
+      o.flow_cache = false;
+      o.sync.alpha = sync_alpha;
+      rt.lf = std::make_unique<liteflow_stack>(sender, *rt.adapter, o);
+      // Attach the CC input collector / output enforcer module (§4.2).
+      auto& m = rt.adapter->model();
+      rt.lf->core().register_io(core::io_module_spec{
+          "liteflow-cc", m.input_size(), m.output_size()});
+      if (scheme == cc_scheme::lf_dummy) {
+        // LF-Dummy-NN (§5.1): same structure as Aurora, but the generated
+        // code always emits the max action -> the flow pins line rate.
+        std::vector<double> params(m.parameter_count(), 0.0);
+        // Final layer bias saturates tanh at ~+1.
+        params.back() = 6.0;
+        m.set_parameters(params);
+      } else {
+        rt.adapter->pretrain(pretrain);
+      }
+      rt.lf->start();
+      return;
+    }
+    case cc_scheme::ccp_aurora:
+    case cc_scheme::ccp_mocc:
+      rt.ccp = std::make_unique<kernelsim::crossspace_channel>(
+          sender.simulator(), sender.cpu(), sender.costs(),
+          kernelsim::channel_kind::ccp_ipc);
+      rt.ccp_interval = ccp_interval;
+      break;
+    case cc_scheme::kernel_train_aurora:
+      break;
+    case cc_scheme::bbr:
+    case cc_scheme::cubic:
+      return;  // window transports need no deployment
+  }
+  rt.adapter = std::make_unique<aurora_adapter>(a);
+  rt.adapter->pretrain(pretrain);
+}
+
+/// The rate controller a scheme's flow runs; null for window transports.
+std::unique_ptr<transport::rate_controller> make_controller(
+    scheme_runtime& rt, cc_scheme scheme, netsim::host& sender,
+    netsim::flow_id_t id, double bottleneck_bps) {
+  cc_controller_config c;
+  c.min_rate_bps = 0.05 * bottleneck_bps;
+  c.max_rate_bps = 2.0 * bottleneck_bps;
+  switch (scheme) {
+    case cc_scheme::lf_aurora:
+    case cc_scheme::lf_mocc:
+      return std::make_unique<liteflow_cc_controller>(
+          rt.lf->core(), &rt.lf->collector(), id, c);
+    case cc_scheme::lf_aurora_noa:
+    case cc_scheme::lf_dummy:
+      // No slow path: the installed snapshot alone steers the rate.
+      return std::make_unique<liteflow_cc_controller>(rt.lf->core(), nullptr,
+                                                      id, c);
+    case cc_scheme::ccp_aurora:
+    case cc_scheme::ccp_mocc:
+      return std::make_unique<ccp_cc_controller>(
+          sender.simulator(), *rt.ccp, sender.costs(), rt.adapter->model(),
+          rt.ccp_interval, c);
+    case cc_scheme::kernel_train_aurora:
+      return std::make_unique<kernel_train_controller>(
+          sender.simulator(), sender.cpu(), sender.costs(),
+          rt.adapter->model(), /*train_interval=*/0.100, /*batch_size=*/32,
+          c);
+    case cc_scheme::bbr:
+    case cc_scheme::cubic:
+      break;
+  }
+  return nullptr;
 }
 
 void launch_flow(scheme_runtime& rt, cc_scheme scheme, netsim::host& sender,
                  netsim::host_id_t dst, netsim::flow_id_t id,
                  double bottleneck_bps, double initial_rate_bps) {
-  if (is_rate_based(scheme)) {
+  if (auto ctrl = make_controller(rt, scheme, sender, id, bottleneck_bps)) {
     transport::rate_sender_config rc;
     rc.initial_rate_bps =
         scheme == cc_scheme::lf_dummy ? bottleneck_bps : initial_rate_bps;
@@ -169,14 +172,6 @@ void launch_flow(scheme_runtime& rt, cc_scheme scheme, netsim::host& sender,
     // Keep >= ~5% of line rate so monitor intervals still carry enough
     // packets for meaningful signal statistics.
     rc.min_rate_bps = 0.05 * bottleneck_bps;
-    std::unique_ptr<transport::rate_controller> ctrl;
-    if (rt.lf) {
-      ctrl = rt.lf->make_controller(id);
-    } else if (rt.ccp) {
-      ctrl = rt.ccp->make_controller();
-    } else {
-      ctrl = rt.ktrain->make_controller();
-    }
     auto flow = std::make_unique<transport::rate_sender>(
         sender, dst, id, rc, std::move(ctrl));
     flow->start();
@@ -206,16 +201,7 @@ void wire_cc_metrics(driver_context& ctx, netsim::dumbbell& net,
   net.bottleneck().register_metrics(ctx.metrics, "cc");
   net.sender().register_trace(ctx.trace, "cc");
   net.bottleneck().register_trace(ctx.trace, "cc");
-  if (rt.lf) {
-    rt.lf->core().register_metrics(ctx.metrics, "cc");
-    rt.lf->service().register_metrics(ctx.metrics, "cc");
-    rt.lf->collector().register_metrics(ctx.metrics, "cc.collector");
-    rt.lf->core().register_trace(ctx.trace, "cc");
-    rt.lf->service().register_trace(ctx.trace, "cc");
-    rt.lf->collector().register_trace(ctx.trace, "cc.collector");
-    rt.lf->core().register_monitor(ctx.monitor);
-    rt.lf->service().register_monitor(ctx.monitor);
-  }
+  if (rt.lf) rt.lf->register_telemetry(ctx, "cc");
 }
 
 /// Single-flow goodput run under emulated congestion (Figs. 1/2/5/11/12/14).
@@ -410,16 +396,9 @@ cc_single_flow_result run_cc_single_flow(const cc_single_flow_config& config) {
   return run_experiment(exp);
 }
 
-cc_overhead_result run_cc_overhead(const cc_overhead_config& config) {
+run_result run_cc_overhead(const cc_overhead_config& config) {
   cc_overhead_experiment exp{config};
-  cc_overhead_result result;
-  static_cast<run_result&>(result) = run_experiment(exp);
-  result.aggregate_bps = result.mean_goodput;
-  result.softirq_seconds = result.cpu.softirq_seconds;
-  result.datapath_seconds = result.cpu.datapath_seconds;
-  result.slowpath_seconds = result.cpu.slowpath_seconds;
-  result.cpu_utilization = result.cpu.utilization;
-  return result;
+  return run_experiment(exp);
 }
 
 }  // namespace lf::apps

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/cc/cc_deployment.hpp"
 #include "apps/common/experiment_driver.hpp"
 #include "kernelsim/cpu.hpp"
 #include "netsim/topology.hpp"
@@ -84,17 +83,8 @@ struct cc_overhead_config {
   std::uint64_t seed = 7;
 };
 
-/// Overhead runs extend run_result with the legacy flat field names (the
-/// same numbers also live in run_result::cpu for the unified consumers).
-struct cc_overhead_result : run_result {
-  double aggregate_bps = 0.0;     ///< goodput over [warmup, duration]
-  double softirq_seconds = 0.0;   ///< sender softirq CPU in the window
-  double cpu_utilization = 0.0;   ///< total busy / capacity
-  double datapath_seconds = 0.0;
-  /// Userspace slow-path CPU (inference + training) in the window.
-  double slowpath_seconds = 0.0;
-};
-
-cc_overhead_result run_cc_overhead(const cc_overhead_config& config);
+/// Overhead runs report goodput over [warmup, duration] as mean_goodput and
+/// the sender's CPU over the same window in run_result::cpu.
+run_result run_cc_overhead(const cc_overhead_config& config);
 
 }  // namespace lf::apps

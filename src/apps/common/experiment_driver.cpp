@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "netsim/workload.hpp"
 #include "util/run_report.hpp"
 #include "util/stats.hpp"
 #include "util/trace_report.hpp"
@@ -156,12 +157,32 @@ report::flight_report build_flight_report(const driver_config& cfg,
 
 }  // namespace
 
-class_fct_stats fill_fct(const std::vector<double>& fct_seconds) {
-  class_fct_stats s;
-  s.count = fct_seconds.size();
-  s.mean_seconds = mean_of(fct_seconds);
-  s.p99_seconds = percentile(fct_seconds, 99.0);
-  return s;
+void fct_recorder::record(std::uint64_t flow_bytes, double fct_seconds) {
+  switch (netsim::classify_flow(flow_bytes)) {
+    case netsim::flow_class::short_flow:
+      short_.push_back(fct_seconds);
+      break;
+    case netsim::flow_class::mid_flow:
+      mid_.push_back(fct_seconds);
+      break;
+    case netsim::flow_class::long_flow:
+      long_.push_back(fct_seconds);
+      break;
+  }
+}
+
+void fct_recorder::report(run_result& out) const {
+  const auto fill = [](const std::vector<double>& fct_seconds) {
+    class_fct_stats s;
+    s.count = fct_seconds.size();
+    s.mean_seconds = mean_of(fct_seconds);
+    s.p99_seconds = percentile(fct_seconds, 99.0);
+    return s;
+  };
+  out.short_flows = fill(short_);
+  out.mid_flows = fill(mid_);
+  out.long_flows = fill(long_);
+  out.completed = completed();
 }
 
 run_result run_experiment(experiment& exp) {

@@ -34,8 +34,6 @@ struct class_fct_stats {
   double p99_seconds = 0.0;
 };
 
-/// Build class_fct_stats (count / mean / p99) from raw FCT samples.
-class_fct_stats fill_fct(const std::vector<double>& fct_seconds);
 
 /// CPU accounting over the measurement window at the host under test.
 struct cpu_breakdown {
@@ -85,6 +83,21 @@ struct run_result {
 
   /// Path of the written REPORT_<label>.html; empty when reporting was off.
   std::string report_path;
+};
+
+/// Flow completion times of an FCT-shaped run (sched / lb), split into the
+/// paper's short/mid/long classes by flow size.
+class fct_recorder {
+ public:
+  void record(std::uint64_t flow_bytes, double fct_seconds);
+  std::size_t completed() const noexcept {
+    return short_.size() + mid_.size() + long_.size();
+  }
+  /// Fill the result's three FCT classes and its completion count.
+  void report(run_result& out) const;
+
+ private:
+  std::vector<double> short_, mid_, long_;
 };
 
 /// Datapath tracing knobs for one run.  Off by default; the environment
@@ -149,7 +162,7 @@ struct driver_context {
 };
 
 /// One end-to-end experiment.  Hooks run in order: setup (build topology,
-/// stacks, probes, schedule arrivals), at_warmup (snapshot accounting),
+/// deployments, schedule arrivals), at_warmup (snapshot accounting),
 /// finished (polled between slices), report (summarize into run_result).
 class experiment {
  public:

@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "apps/common/deployment_registry.hpp"
 #include "apps/lb/load_balance.hpp"
 #include "netsim/topology.hpp"
 #include "netsim/workload.hpp"
@@ -26,70 +25,6 @@ struct lb_host_deployment {
   std::unique_ptr<path_stats_tracker> tracker;
   std::vector<core::train_sample> pending_labels;
 };
-
-/// What an lb stack builder gets; one builder per lb_deployment lives in
-/// the deployment registry.
-struct lb_build_context {
-  lb_host_deployment& d;
-  netsim::host& host;
-  sim::simulation& sim;
-  const lb_experiment_config& config;
-  const std::string& frozen;  ///< shared pretrained weights (may be empty)
-  std::size_t paths;
-  std::size_t host_index;
-};
-
-using lb_stack_builder = std::function<void(lb_build_context&)>;
-
-lb_stack_builder liteflow_lb_builder(bool adaptation) {
-  return [adaptation](lb_build_context& c) {
-    c.d.adapter = std::make_unique<supervised_adapter>(
-        nn::load_mlp_from_string(c.frozen), 3e-3, 4,
-        c.config.seed + c.host_index);
-    liteflow_stack_options opts;
-    opts.model_name = "lb-mlp";
-    opts.batch_interval = c.config.batch_interval;
-    opts.adaptation = adaptation;
-    opts.sync.output_min = 0.0;
-    opts.sync.output_max = 1.0;
-    c.d.lf = std::make_unique<liteflow_stack>(c.host, *c.d.adapter, opts);
-    c.d.lf->start();
-    c.d.selector = std::make_unique<liteflow_path_selector>(
-        c.d.lf->core(), c.paths, c.config.seed + 100 + c.host_index);
-  };
-}
-
-lb_stack_builder chardev_lb_builder() {
-  return [](lb_build_context& c) {
-    c.d.adapter = std::make_unique<supervised_adapter>(
-        nn::load_mlp_from_string(c.frozen), 3e-3, 4,
-        c.config.seed + c.host_index);
-    c.d.channel = std::make_unique<kernelsim::crossspace_channel>(
-        c.sim, c.host.cpu(), c.host.costs(),
-        kernelsim::channel_kind::char_device);
-    c.d.selector = std::make_unique<userspace_path_selector>(
-        *c.d.channel, c.host.costs(), c.d.adapter->model(),
-        c.config.seed + 100 + c.host_index);
-  };
-}
-
-lb_stack_builder ecmp_lb_builder() {
-  return [](lb_build_context& c) {
-    c.d.selector = std::make_unique<ecmp_selector>();
-  };
-}
-
-[[maybe_unused]] const bool k_lb_registered = [] {
-  register_deployment(app_kind::lb, lb_deployment::liteflow, "LF-MLP",
-                      liteflow_lb_builder(true));
-  register_deployment(app_kind::lb, lb_deployment::liteflow_noa,
-                      "LF-MLP-N-O-A", liteflow_lb_builder(false));
-  register_deployment(app_kind::lb, lb_deployment::chardev, "char-MLP",
-                      chardev_lb_builder());
-  register_deployment(app_kind::lb, lb_deployment::ecmp, "ECMP",
-                      ecmp_lb_builder());
-  return true;
-}();
 
 struct lb_flow {
   std::size_t src = 0;
@@ -144,45 +79,44 @@ class lb_fct_experiment final : public experiment {
     }
 
     deploy_.resize(hosts);
-    const auto* build =
-        deployment_registry::instance().builder_as<lb_stack_builder>(
-            app_kind::lb, static_cast<int>(config_.deployment));
     for (std::size_t h = 0; h < hosts; ++h) {
       auto& d = deploy_[h];
+      auto& host = topo_->host_at(h);
       d.tracker = std::make_unique<path_stats_tracker>(paths);
-      if (build) {
-        lb_build_context bc{d,      topo_->host_at(h), simu, config_,
-                            frozen, paths,             h};
-        (*build)(bc);
+      if (needs_model_) {
+        d.adapter = std::make_unique<supervised_adapter>(
+            nn::load_mlp_from_string(frozen), 3e-3, 4, config_.seed + h);
       }
-    }
-
-    // char-device deployment still adapts (in userspace), labels batched up.
-    if (config_.deployment == lb_deployment::chardev) {
-      for (std::size_t h = 0; h < hosts; ++h) {
-        auto& d = deploy_[h];
-        auto& host = topo_->host_at(h);
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simu, &d, &host, this, tick]() {
-          if (!d.pending_labels.empty()) {
-            auto batch = std::move(d.pending_labels);
-            d.pending_labels.clear();
-            d.channel->send_to_user(
-                batch.size() * 64, [&d, &host, batch = std::move(batch)]() {
-                  const double cost =
-                      host.costs().user_train_fixed_cost +
-                      static_cast<double>(batch.size() *
-                                          d.adapter->parameter_count()) *
-                          host.costs().user_train_cost_per_sample_param;
-                  host.cpu().submit(kernelsim::task_category::user_train, cost,
-                                    [&d, batch = std::move(batch)]() {
-                                      d.adapter->adapt(batch);
-                                    });
-                });
-          }
-          simu.schedule(config_.batch_interval, *tick);
-        };
-        simu.schedule(config_.batch_interval, *tick);
+      const std::uint64_t selector_seed = config_.seed + 100 + h;
+      switch (config_.deployment) {
+        case lb_deployment::liteflow:
+        case lb_deployment::liteflow_noa: {
+          liteflow_stack_options opts;
+          opts.model_name = "lb-mlp";
+          opts.batch_interval = config_.batch_interval;
+          opts.adaptation = config_.deployment == lb_deployment::liteflow;
+          opts.sync.output_min = 0.0;
+          opts.sync.output_max = 1.0;
+          d.lf = std::make_unique<liteflow_stack>(host, *d.adapter, opts);
+          d.lf->start();
+          d.selector = std::make_unique<liteflow_path_selector>(
+              d.lf->core(), paths, selector_seed);
+          break;
+        }
+        case lb_deployment::chardev:
+          // The char-device deployment still adapts (in userspace), labels
+          // batched up.
+          d.channel = std::make_unique<kernelsim::crossspace_channel>(
+              simu, host.cpu(), host.costs(),
+              kernelsim::channel_kind::char_device);
+          d.selector = std::make_unique<userspace_path_selector>(
+              *d.channel, host.costs(), d.adapter->model(), selector_seed);
+          batch_labels_to_userspace(host, *d.channel, *d.adapter,
+                                    d.pending_labels, config_.batch_interval);
+          break;
+        case lb_deployment::ecmp:
+          d.selector = std::make_unique<ecmp_selector>();
+          break;
       }
     }
 
@@ -278,37 +212,15 @@ class lb_fct_experiment final : public experiment {
       simu.schedule(config_.reselect_interval, *resel);
     }
 
-    // Telemetry: per-host FCT/CPU accounting, LiteFlow stacks, fabric links;
-    // the trace rings wire alongside under the same prefixes.
-    for (std::size_t h = 0; h < hosts; ++h) {
-      auto& host = topo_->host_at(h);
-      host.register_metrics(ctx.metrics, "lb");
-      host.register_trace(ctx.trace, "lb");
-      if (deploy_[h].lf) {
-        const std::string base = "lb." + host.name();
-        deploy_[h].lf->core().register_metrics(ctx.metrics, base);
-        deploy_[h].lf->service().register_metrics(ctx.metrics, base);
-        deploy_[h].lf->collector().register_metrics(ctx.metrics,
-                                                    base + ".collector");
-        deploy_[h].lf->register_trace(ctx.trace, base);
-        deploy_[h].lf->register_monitor(ctx.monitor);
-      }
-    }
-    for (std::size_t l = 0; l < 2; ++l) {
-      for (std::size_t s = 0; s < paths; ++s) {
-        topo_->uplink(l, s).register_metrics(ctx.metrics, "lb.fabric");
-        topo_->uplink(l, s).register_trace(ctx.trace, "lb.fabric");
-      }
-    }
+    register_spine_leaf_telemetry(
+        ctx, *topo_, "lb",
+        [this](std::size_t h) { return deploy_[h].lf.get(); });
   }
 
-  bool finished() const override { return completed_ >= plan_.size(); }
+  bool finished() const override { return fct_.completed() >= plan_.size(); }
 
   void report(driver_context&, run_result& out) override {
-    out.short_flows = fill_fct(fct_short_);
-    out.mid_flows = fill_fct(fct_mid_);
-    out.long_flows = fill_fct(fct_long_);
-    out.completed = completed_;
+    fct_.report(out);
     for (auto& d : deploy_) {
       if (d.lf) out.snapshot_updates += d.lf->service().snapshot_updates();
     }
@@ -374,18 +286,7 @@ class lb_fct_experiment final : public experiment {
         // FCT from arrival: path selection latency counts.
         const double fct = simu.now() - f->arrival;
         f->done = true;
-        ++completed_;
-        switch (netsim::classify_flow(f->size)) {
-          case netsim::flow_class::short_flow:
-            fct_short_.push_back(fct);
-            break;
-          case netsim::flow_class::mid_flow:
-            fct_mid_.push_back(fct);
-            break;
-          case netsim::flow_class::long_flow:
-            fct_long_.push_back(fct);
-            break;
-        }
+        fct_.record(f->size, fct);
         record_label(*f, fct);
       });
       f->sender->start();
@@ -401,15 +302,24 @@ class lb_fct_experiment final : public experiment {
   std::vector<arrival_plan> plan_;
   std::vector<std::unique_ptr<lb_flow>> flows_;
   flow_id_t next_flow_ = 1;
-  std::size_t completed_ = 0;
   std::uint64_t selector_calls_ = 0;
-  std::vector<double> fct_short_, fct_mid_, fct_long_;
+  fct_recorder fct_;
 };
 
 }  // namespace
 
 std::string_view to_string(lb_deployment d) noexcept {
-  return deployment_label(app_kind::lb, d);
+  switch (d) {
+    case lb_deployment::liteflow:
+      return "LF-MLP";
+    case lb_deployment::liteflow_noa:
+      return "LF-MLP-N-O-A";
+    case lb_deployment::chardev:
+      return "char-MLP";
+    case lb_deployment::ecmp:
+      return "ECMP";
+  }
+  return "?";
 }
 
 lb_result run_lb_experiment(const lb_experiment_config& config) {

@@ -62,29 +62,10 @@ liteflow_path_selector::liteflow_path_selector(core::liteflow_core& core,
 void liteflow_path_selector::select(netsim::flow_id_t flow,
                                     std::vector<double> features,
                                     std::function<void(std::uint32_t)> done) {
-  const fp::s64 scale = core_.active_io_scale();
-  if (scale == 0) {
-    done(0);
-    return;
-  }
-  std::vector<fp::s64> input(features.size());
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    input[i] = static_cast<fp::s64>(
-        std::llround(features[i] * static_cast<double>(scale)));
-  }
-  core_.query_model(flow, std::move(input),
-                    [this, scale, done = std::move(done)](std::vector<fp::s64> out) {
-                      if (out.empty()) {
-                        done(0);
-                        return;
-                      }
-                      std::vector<double> scores(out.size());
-                      for (std::size_t i = 0; i < out.size(); ++i) {
-                        scores[i] = static_cast<double>(out[i]) /
-                                    static_cast<double>(scale);
-                      }
-                      done(weighted_path_choice(scores, gen_));
-                    });
+  query_model(core_, flow, features,
+              [this, done = std::move(done)](std::vector<double> scores) {
+                done(scores.empty() ? 0 : weighted_path_choice(scores, gen_));
+              });
 }
 
 userspace_path_selector::userspace_path_selector(

@@ -75,26 +75,10 @@ liteflow_size_predictor::liteflow_size_predictor(core::liteflow_core& core)
 void liteflow_size_predictor::predict(netsim::flow_id_t flow,
                                       std::vector<double> features,
                                       std::function<void(double)> done) {
-  const fp::s64 scale = core_.active_io_scale();
-  if (scale == 0) {
-    done(0.0);
-    return;
-  }
-  std::vector<fp::s64> input(features.size());
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    input[i] = static_cast<fp::s64>(
-        std::llround(features[i] * static_cast<double>(scale)));
-  }
-  core_.query_model(flow, std::move(input),
-                    [scale, done = std::move(done)](std::vector<fp::s64> out) {
-                      if (out.empty()) {
-                        done(0.0);
-                        return;
-                      }
-                      const double y = static_cast<double>(out[0]) /
-                                       static_cast<double>(scale);
-                      done(decode_flow_size(y));
-                    });
+  query_model(core_, flow, features,
+              [done = std::move(done)](std::vector<double> y) {
+                done(y.empty() ? 0.0 : decode_flow_size(y[0]));
+              });
 }
 
 userspace_size_predictor::userspace_size_predictor(

@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "apps/common/deployment_registry.hpp"
 #include "apps/sched/flow_sched.hpp"
 #include "netsim/topology.hpp"
 #include "netsim/workload.hpp"
@@ -29,59 +28,6 @@ struct host_deployment {
   // Userspace modes still ship labels up in batches for adaptation.
   std::vector<core::train_sample> pending_labels;
 };
-
-/// What a sched stack builder gets: the per-host deployment slot (adapter
-/// already populated), the host, and the run config.  One builder per
-/// sched_deployment lives in the deployment registry.
-struct sched_build_context {
-  host_deployment& d;
-  netsim::host& host;
-  sim::simulation& sim;
-  const sched_experiment_config& config;
-};
-
-using sched_stack_builder = std::function<void(sched_build_context&)>;
-
-sched_stack_builder liteflow_sched_builder(bool adaptation) {
-  return [adaptation](sched_build_context& c) {
-    liteflow_stack_options opts;
-    opts.model_name = "ffnn";
-    opts.batch_interval = c.config.batch_interval;
-    opts.adaptation = adaptation;
-    // FFNN outputs live in (0, 1); necessity threshold scales with it.
-    opts.sync.output_min = 0.0;
-    opts.sync.output_max = 1.0;
-    c.d.lf = std::make_unique<liteflow_stack>(c.host, *c.d.adapter, opts);
-    c.d.lf->start();
-    c.d.predictor = std::make_unique<liteflow_size_predictor>(c.d.lf->core());
-  };
-}
-
-sched_stack_builder userspace_sched_builder(kernelsim::channel_kind kind) {
-  return [kind](sched_build_context& c) {
-    c.d.channel = std::make_unique<kernelsim::crossspace_channel>(
-        c.sim, c.host.cpu(), c.host.costs(), kind);
-    c.d.predictor = std::make_unique<userspace_size_predictor>(
-        *c.d.channel, c.host.costs(), c.d.adapter->model());
-  };
-}
-
-[[maybe_unused]] const bool k_sched_registered = [] {
-  register_deployment(app_kind::sched, sched_deployment::liteflow, "LF-FFNN",
-                      liteflow_sched_builder(true));
-  register_deployment(app_kind::sched, sched_deployment::liteflow_noa,
-                      "LF-FFNN-N-O-A", liteflow_sched_builder(false));
-  register_deployment(app_kind::sched, sched_deployment::chardev, "char-FFNN",
-                      userspace_sched_builder(
-                          kernelsim::channel_kind::char_device));
-  register_deployment(app_kind::sched, sched_deployment::netlink_dev,
-                      "netlink-FFNN",
-                      userspace_sched_builder(kernelsim::channel_kind::netlink));
-  register_deployment(app_kind::sched, sched_deployment::no_prediction,
-                      "no-prediction");
-  register_deployment(app_kind::sched, sched_deployment::oracle, "oracle");
-  return true;
-}();
 
 struct live_flow {
   std::size_t src = 0;
@@ -171,52 +117,42 @@ class sched_fct_experiment final : public experiment {
     }
 
     deploy_.resize(hosts);
-    const auto* build =
-        deployment_registry::instance().builder_as<sched_stack_builder>(
-            app_kind::sched, static_cast<int>(config_.deployment));
     for (std::size_t h = 0; h < hosts && needs_model_; ++h) {
       auto& d = deploy_[h];
-      auto model = nn::load_mlp_from_string(frozen);
-      d.adapter = std::make_unique<supervised_adapter>(std::move(model), 3e-3,
-                                                       4, config_.seed + h);
-      if (build) {
-        sched_build_context bc{d, topo_->host_at(h), simu, config_};
-        (*build)(bc);
-      }
-    }
-
-    // Userspace deployments adapt too: labels batch up and cross to
-    // userspace on the same cadence as LiteFlow's collector.
-    const bool userspace_adapts =
-        config_.deployment == sched_deployment::chardev ||
-        config_.deployment == sched_deployment::netlink_dev;
-    if (userspace_adapts) {
-      for (std::size_t h = 0; h < hosts; ++h) {
-        auto& d = deploy_[h];
-        auto& host = topo_->host_at(h);
-        // Heap-allocate the periodic tick so the self-referencing closure
-        // outlives this loop iteration.
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simu, &d, &host, this, tick]() {
-          if (!d.pending_labels.empty()) {
-            auto batch = std::move(d.pending_labels);
-            d.pending_labels.clear();
-            d.channel->send_to_user(batch.size() * 64, [&d, &host,
-                                                        batch = std::move(
-                                                            batch)]() {
-              const double cost =
-                  host.costs().user_train_fixed_cost +
-                  static_cast<double>(batch.size() * d.adapter->parameter_count()) *
-                      host.costs().user_train_cost_per_sample_param;
-              host.cpu().submit(kernelsim::task_category::user_train, cost,
-                                [&d, batch = std::move(batch)]() {
-                                  d.adapter->adapt(batch);
-                                });
-            });
-          }
-          simu.schedule(config_.batch_interval, *tick);
-        };
-        simu.schedule(config_.batch_interval, *tick);
+      auto& host = topo_->host_at(h);
+      d.adapter = std::make_unique<supervised_adapter>(
+          nn::load_mlp_from_string(frozen), 3e-3, 4, config_.seed + h);
+      switch (config_.deployment) {
+        case sched_deployment::liteflow:
+        case sched_deployment::liteflow_noa: {
+          liteflow_stack_options opts;
+          opts.model_name = "ffnn";
+          opts.batch_interval = config_.batch_interval;
+          opts.adaptation = config_.deployment == sched_deployment::liteflow;
+          // FFNN outputs live in (0, 1); necessity threshold scales with it.
+          opts.sync.output_min = 0.0;
+          opts.sync.output_max = 1.0;
+          d.lf = std::make_unique<liteflow_stack>(host, *d.adapter, opts);
+          d.lf->start();
+          d.predictor =
+              std::make_unique<liteflow_size_predictor>(d.lf->core());
+          break;
+        }
+        case sched_deployment::chardev:
+        case sched_deployment::netlink_dev:
+          d.channel = std::make_unique<kernelsim::crossspace_channel>(
+              simu, host.cpu(), host.costs(),
+              config_.deployment == sched_deployment::chardev
+                  ? kernelsim::channel_kind::char_device
+                  : kernelsim::channel_kind::netlink);
+          d.predictor = std::make_unique<userspace_size_predictor>(
+              *d.channel, host.costs(), d.adapter->model());
+          batch_labels_to_userspace(host, *d.channel, *d.adapter,
+                                    d.pending_labels, config_.batch_interval);
+          break;
+        case sched_deployment::no_prediction:
+        case sched_deployment::oracle:
+          break;
       }
     }
 
@@ -253,37 +189,15 @@ class sched_fct_experiment final : public experiment {
       simu.schedule_at(ap.t, [this, ap]() { start_flow(ap); });
     }
 
-    // Telemetry: per-host FCT/CPU accounting plus each LiteFlow stack; the
-    // trace rings wire alongside under the same prefixes.
-    for (std::size_t h = 0; h < hosts; ++h) {
-      auto& host = topo_->host_at(h);
-      host.register_metrics(ctx.metrics, "sched");
-      host.register_trace(ctx.trace, "sched");
-      if (deploy_[h].lf) {
-        const std::string base = "sched." + host.name();
-        deploy_[h].lf->core().register_metrics(ctx.metrics, base);
-        deploy_[h].lf->service().register_metrics(ctx.metrics, base);
-        deploy_[h].lf->collector().register_metrics(ctx.metrics,
-                                                    base + ".collector");
-        deploy_[h].lf->register_trace(ctx.trace, base);
-        deploy_[h].lf->register_monitor(ctx.monitor);
-      }
-    }
-    for (std::size_t l = 0; l < 2; ++l) {
-      for (std::size_t s = 0; s < topo_->config().spines; ++s) {
-        topo_->uplink(l, s).register_metrics(ctx.metrics, "sched.fabric");
-        topo_->uplink(l, s).register_trace(ctx.trace, "sched.fabric");
-      }
-    }
+    register_spine_leaf_telemetry(
+        ctx, *topo_, "sched",
+        [this](std::size_t h) { return deploy_[h].lf.get(); });
   }
 
-  bool finished() const override { return completed_ >= plan_.size(); }
+  bool finished() const override { return fct_.completed() >= plan_.size(); }
 
   void report(driver_context&, run_result& out) override {
-    out.short_flows = fill_fct(fct_short_);
-    out.mid_flows = fill_fct(fct_mid_);
-    out.long_flows = fill_fct(fct_long_);
-    out.completed = completed_;
+    fct_.report(out);
     for (auto& d : deploy_) {
       if (d.lf) out.snapshot_updates += d.lf->service().snapshot_updates();
     }
@@ -328,22 +242,10 @@ class sched_fct_experiment final : public experiment {
       f->sender = std::make_unique<transport::window_sender>(
           src_host, static_cast<netsim::host_id_t>(f->dst), id, f->size, wc,
           std::make_unique<transport::dctcp>());
-      f->sender->set_done([this, &simu, f, id](double) {
+      f->sender->set_done([this, &simu, f](double) {
         // FCT counts from arrival, so prediction latency (the tagging
         // happens before the first packet) is part of the completion time.
-        const double fct = simu.now() - f->arrival;
-        ++completed_;
-        switch (netsim::classify_flow(f->size)) {
-          case netsim::flow_class::short_flow:
-            fct_short_.push_back(fct);
-            break;
-          case netsim::flow_class::mid_flow:
-            fct_mid_.push_back(fct);
-            break;
-          case netsim::flow_class::long_flow:
-            fct_long_.push_back(fct);
-            break;
-        }
+        fct_.record(f->size, simu.now() - f->arrival);
         auto& dd = deploy_[f->src];
         dd.tracker.on_flow_complete(f->src, f->dst, simu.now(), f->size);
         if (needs_model_) {
@@ -356,7 +258,6 @@ class sched_fct_experiment final : public experiment {
             dd.pending_labels.push_back(std::move(label));
           }
         }
-        (void)id;
       });
       f->sender->start();
     };
@@ -394,8 +295,7 @@ class sched_fct_experiment final : public experiment {
   std::vector<arrival_plan> plan_;
   std::vector<std::unique_ptr<live_flow>> flows_;
   flow_id_t next_flow_ = 1;
-  std::size_t completed_ = 0;
-  std::vector<double> fct_short_, fct_mid_, fct_long_;
+  fct_recorder fct_;
   running_stats pred_latency_;
   running_stats pred_error_;
   std::vector<double> prediction_latencies_;
@@ -405,7 +305,21 @@ class sched_fct_experiment final : public experiment {
 }  // namespace
 
 std::string_view to_string(sched_deployment d) noexcept {
-  return deployment_label(app_kind::sched, d);
+  switch (d) {
+    case sched_deployment::liteflow:
+      return "LF-FFNN";
+    case sched_deployment::liteflow_noa:
+      return "LF-FFNN-N-O-A";
+    case sched_deployment::chardev:
+      return "char-FFNN";
+    case sched_deployment::netlink_dev:
+      return "netlink-FFNN";
+    case sched_deployment::no_prediction:
+      return "no-prediction";
+    case sched_deployment::oracle:
+      return "oracle";
+  }
+  return "?";
 }
 
 sched_result run_sched_experiment(const sched_experiment_config& config) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "util/bench_report.hpp"
@@ -396,32 +395,9 @@ std::string anomaly_watchdog::write_incidents_locked() const {
     os << "}";
   }
   os << "\n  ]\n}\n";
-
-  const std::string path =
-      bench::output_dir() + "/INCIDENT_" + cfg_.incident_label + ".json";
-  // Same publication contract as the sampler's text exposition: a reader
-  // (CI's python assert, a tail -f) must never see a torn file, so write a
-  // sibling temp file and rename over the target.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f{tmp, std::ios::trunc};
-    if (!f) {
-      std::fprintf(stderr, "watchdog: cannot open %s for writing\n",
-                   tmp.c_str());
-      return {};
-    }
-    f << os.str();
-    if (!f) {
-      std::fprintf(stderr, "watchdog: write to %s failed\n", tmp.c_str());
-      return {};
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "watchdog: rename %s -> %s failed\n", tmp.c_str(),
-                 path.c_str());
-    return {};
-  }
-  return path;
+  return bench::write_artifact(
+      bench::artifact_path("INCIDENT", cfg_.incident_label, ".json"),
+      os.str());
 }
 
 std::string anomaly_watchdog::write_incidents() const {

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "rt/anomaly_watchdog.hpp"
+#include "util/bench_report.hpp"
 
 namespace lf::rt {
 namespace {
@@ -249,32 +248,8 @@ std::string stats_sampler::render_text() const {
 }
 
 bool stats_sampler::write_text() const {
-  if (cfg_.text_out.empty()) return false;
-  const std::string body = render_text();
-  // Publish atomically: a scraper racing the tick must parse either the
-  // previous exposition or this one, never a truncated half-write.  The
-  // temp file is a sibling so the rename stays within one filesystem.
-  const std::string tmp = cfg_.text_out + ".tmp";
-  {
-    std::ofstream os{tmp, std::ios::trunc};
-    if (!os) {
-      std::fprintf(stderr, "stats_sampler: cannot open %s for writing\n",
-                   tmp.c_str());
-      return false;
-    }
-    os << body;
-    if (!os) {
-      std::fprintf(stderr, "stats_sampler: write to %s failed\n",
-                   tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), cfg_.text_out.c_str()) != 0) {
-    std::fprintf(stderr, "stats_sampler: rename %s -> %s failed\n",
-                 tmp.c_str(), cfg_.text_out.c_str());
-    return false;
-  }
-  return true;
+  return !cfg_.text_out.empty() &&
+         !bench::write_artifact(cfg_.text_out, render_text()).empty();
 }
 
 }  // namespace lf::rt

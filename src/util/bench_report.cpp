@@ -1,8 +1,10 @@
 #include "util/bench_report.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -65,6 +67,45 @@ std::string json_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+std::string artifact_path(std::string_view prefix, std::string_view label,
+                          std::string_view ext) {
+  std::string safe;
+  safe.reserve(label.size());
+  for (const char c : label) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    safe += ok ? c : '-';
+  }
+  if (safe.empty()) safe = "run";
+  return output_dir() + "/" + std::string{prefix} + "_" + safe +
+         std::string{ext};
+}
+
+std::string write_artifact(const std::string& path, std::string_view body) {
+  const std::string tmp = path + ".tmp";
+  const char* failed = nullptr;
+  {
+    std::ofstream os{tmp, std::ios::trunc};
+    if (!os) {
+      failed = "cannot create the temp file";
+    } else {
+      os << body;
+      os.close();
+      if (!os) failed = "write failed";
+    }
+  }
+  if (failed == nullptr && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    failed = "cannot rename the temp file over it";
+  }
+  if (failed == nullptr) return path;
+  const int err = errno;
+  std::error_code ec;
+  std::filesystem::remove(tmp, ec);
+  std::fprintf(stderr, "cannot write %s: %s (%s)\n", path.c_str(), failed,
+               std::strerror(err));
+  return {};
 }
 
 std::string output_dir() {
@@ -192,28 +233,7 @@ std::string report::json() const {
 }
 
 std::string report::write() const {
-  const std::string dir = output_dir();
-  const std::string path = dir + "/BENCH_" + figure_ + ".json";
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    std::fprintf(stderr,
-                 "bench_report: cannot write %s: output directory '%s' does "
-                 "not exist (check LF_BENCH_OUT)\n",
-                 path.c_str(), dir.c_str());
-    return {};
-  }
-  std::ofstream os{path};
-  if (!os) {
-    std::fprintf(stderr, "bench_report: cannot open %s for writing\n",
-                 path.c_str());
-    return {};
-  }
-  os << json();
-  if (!os) {
-    std::fprintf(stderr, "bench_report: write to %s failed\n", path.c_str());
-    return {};
-  }
-  return path;
+  return write_artifact(artifact_path("BENCH", figure_, ".json"), json());
 }
 
 }  // namespace lf::bench

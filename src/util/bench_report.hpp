@@ -39,6 +39,18 @@ std::string json_escape(std::string_view s);
 /// stays parseable.
 std::string json_number(double v);
 
+/// "<output_dir()>/<prefix>_<label><ext>": where BENCH, TRACE, BLACKBOX,
+/// REPORT and INCIDENT artifacts land.  Label characters outside
+/// [A-Za-z0-9._-] become '-'; an empty label becomes "run".
+std::string artifact_path(std::string_view prefix, std::string_view label,
+                          std::string_view ext);
+
+/// The one artifact writer: write `body` to the sibling "<path>.tmp" and
+/// rename it over `path`, so a reader sees the old file or the new one,
+/// never a torn write.  Returns `path`, or "" after one stderr diagnostic;
+/// a failed write leaves no temp file behind.
+std::string write_artifact(const std::string& path, std::string_view body);
+
 class report {
  public:
   report(std::string figure, std::string title);
@@ -76,8 +88,7 @@ class report {
   /// Serialize the full document (tests validate this directly).
   std::string json() const;
 
-  /// Write BENCH_<figure>.json into output_dir().  Returns the path
-  /// written, or an empty string on I/O failure.
+  /// Write BENCH_<figure>.json into output_dir() through write_artifact().
   std::string write() const;
 
  private:

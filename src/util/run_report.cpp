@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <system_error>
 
 #include "util/bench_report.hpp"
 
@@ -320,37 +317,8 @@ std::string render_html(const flight_report& r) {
 
 std::string write_flight_report(const flight_report& r,
                                 std::string_view label) {
-  std::string safe;
-  safe.reserve(label.size());
-  for (const char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    safe += ok ? c : '-';
-  }
-  if (safe.empty()) safe = "run";
-
-  const std::string dir = bench::output_dir();
-  const std::string path = dir + "/REPORT_" + safe + ".html";
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    std::fprintf(stderr,
-                 "run_report: cannot write %s: output directory '%s' does "
-                 "not exist (check LF_BENCH_OUT)\n",
-                 path.c_str(), dir.c_str());
-    return {};
-  }
-  std::ofstream os{path};
-  if (!os) {
-    std::fprintf(stderr, "run_report: cannot open %s for writing\n",
-                 path.c_str());
-    return {};
-  }
-  os << render_html(r);
-  if (!os) {
-    std::fprintf(stderr, "run_report: write to %s failed\n", path.c_str());
-    return {};
-  }
-  return path;
+  return bench::write_artifact(bench::artifact_path("REPORT", label, ".html"),
+                               render_html(r));
 }
 
 }  // namespace lf::report

@@ -100,8 +100,8 @@ std::string html_escape(std::string_view s);
 /// Render the full self-contained document.
 std::string render_html(const flight_report& r);
 
-/// Write REPORT_<label>.html into bench::output_dir() (label sanitized the
-/// same way trace files are).  Returns the path, or "" on I/O failure.
+/// Write REPORT_<label>.html (bench::artifact_path) through
+/// bench::write_artifact.  Returns the path, or "" after a stderr diagnostic.
 std::string write_flight_report(const flight_report& r,
                                 std::string_view label);
 

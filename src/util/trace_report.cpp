@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <system_error>
 #include <tuple>
 #include <utility>
 
@@ -297,38 +294,8 @@ std::string perfetto_json(const collector& col) {
 
 std::string write_trace(const collector& col, std::string_view label,
                         std::string_view prefix) {
-  std::string safe;
-  safe.reserve(label.size());
-  for (const char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    safe += ok ? c : '-';
-  }
-  if (safe.empty()) safe = "trace";
-
-  const std::string dir = bench::output_dir();
-  const std::string path =
-      dir + "/" + std::string{prefix} + "_" + safe + ".json";
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    std::fprintf(stderr,
-                 "trace_report: cannot write %s: output directory '%s' does "
-                 "not exist (check LF_BENCH_OUT)\n",
-                 path.c_str(), dir.c_str());
-    return {};
-  }
-  std::ofstream os{path};
-  if (!os) {
-    std::fprintf(stderr, "trace_report: cannot open %s for writing\n",
-                 path.c_str());
-    return {};
-  }
-  os << perfetto_json(col);
-  if (!os) {
-    std::fprintf(stderr, "trace_report: write to %s failed\n", path.c_str());
-    return {};
-  }
-  return path;
+  return bench::write_artifact(bench::artifact_path(prefix, label, ".json"),
+                               perfetto_json(col));
 }
 
 }  // namespace lf::trace

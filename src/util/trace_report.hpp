@@ -84,11 +84,10 @@ void register_span_stats(span_stats& stats, metrics::registry& reg,
 /// "liteflow" block recording emitted/overwritten totals per component).
 std::string perfetto_json(const collector& col);
 
-/// Write <prefix>_<label>.json into bench::output_dir() (same rules as
-/// BENCH_*.json).  Non-[A-Za-z0-9._-] label characters become '-'.
-/// The default prefix is "TRACE"; the rt flight recorder dumps with
-/// "BLACKBOX" through the same exporter.  Returns the path written, or an
-/// empty string after a stderr diagnostic.
+/// Write <prefix>_<label>.json (bench::artifact_path) through
+/// bench::write_artifact.  The default prefix is "TRACE"; the rt flight
+/// recorder dumps with "BLACKBOX" through the same exporter.  Returns the
+/// path written, or an empty string after a stderr diagnostic.
 std::string write_trace(const collector& col, std::string_view label,
                         std::string_view prefix = "TRACE");
 

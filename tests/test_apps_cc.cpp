@@ -1,12 +1,13 @@
 // Tests for the congestion-control application layer: feature history,
-// the LiteFlow/CCP/kernel-train deployment stacks, and end-to-end behaviour
-// on the dumbbell testbed.
+// the Aurora adapter, and the LiteFlow/CCP/kernel-train deployments built
+// from their parts on the dumbbell testbed.
 #include <gtest/gtest.h>
 
-#include "apps/cc/cc_deployment.hpp"
-#include "apps/common/probes.hpp"
+#include "apps/cc/aurora_adapter.hpp"
+#include "apps/cc/cc_controllers.hpp"
+#include "apps/common/liteflow_stack.hpp"
 #include "netsim/topology.hpp"
-#include "netsim/workload.hpp"
+#include "nn/serialize.hpp"
 #include "transport/rate_sender.hpp"
 
 namespace {
@@ -98,6 +99,9 @@ TEST(AuroraAdapter, MoccUsesLargerNet) {
 }
 
 // --------------------------------------------------------- liteflow stack --
+// The deployments are built from parts, as cc_experiment builds them: an
+// aurora_adapter plus a liteflow_stack, a CCP channel, or nothing (kernel
+// training), and a controller per flow.
 
 struct cc_rig {
   sim::simulation s;
@@ -111,35 +115,74 @@ struct cc_rig {
   }
 };
 
-liteflow_cc_options fast_lf_options() {
-  liteflow_cc_options o;
-  o.pretrain_iterations = 250;
-  o.adapter.env.bandwidth_bps = 200e6;
-  o.adapter.env.background_bps = 0.0;
-  o.adapter.env.base_rtt = 10e-3;
-  return o;
+/// Every deployment here pretrains from seed 7.
+aurora_adapter_config seeded_adapter() {
+  aurora_adapter_config a;
+  a.seed = 7;
+  return a;
 }
+
+/// The slow-path environment matched to the 200 Mbps, 10 ms rig.
+aurora_adapter_config matched_adapter() {
+  auto a = seeded_adapter();
+  a.env.bandwidth_bps = 200e6;
+  a.env.background_bps = 0.0;
+  a.env.base_rtt = 10e-3;
+  return a;
+}
+
+/// LF-Aurora on one sender: the stack runs with the flow cache off and the
+/// CC input collector / output enforcer module registered.
+struct lf_cc_parts {
+  aurora_adapter adapter;
+  liteflow_stack stack;
+  bool adaptation;
+
+  lf_cc_parts(netsim::host& h, bool adapt)
+      : adapter{matched_adapter()},
+        stack{h, adapter,
+              liteflow_stack_options{.model_name = "aurora",
+                                     .adaptation = adapt,
+                                     .flow_cache = false}},
+        adaptation{adapt} {
+    stack.core().register_io(core::io_module_spec{
+        "liteflow-cc", adapter.model().input_size(),
+        adapter.model().output_size()});
+  }
+
+  void start() {
+    adapter.pretrain(250);
+    stack.start();
+  }
+
+  std::unique_ptr<transport::rate_controller> make_controller(
+      netsim::flow_id_t flow) {
+    return std::make_unique<liteflow_cc_controller>(
+        stack.core(), adaptation ? &stack.collector() : nullptr, flow,
+        cc_controller_config{});
+  }
+};
 
 TEST(LiteflowCcStack, StartInstallsSnapshotAndRegistersIo) {
   cc_rig rig;
-  liteflow_cc_stack stack{rig.net->sender(), fast_lf_options()};
-  stack.start();
+  lf_cc_parts lf{rig.net->sender(), true};
+  lf.start();
   rig.s.run_until(0.01);
-  EXPECT_NE(stack.core().active_snapshot(), nullptr);
-  EXPECT_EQ(stack.core().io_module_count(), 1u);
-  EXPECT_EQ(stack.service().current_version(), 1u);
+  EXPECT_NE(lf.stack.core().active_snapshot(), nullptr);
+  EXPECT_EQ(lf.stack.core().io_module_count(), 1u);
+  EXPECT_EQ(lf.stack.service().current_version(), 1u);
 }
 
 TEST(LiteflowCcStack, FlowAchievesHighGoodput) {
   // The headline behaviour: an LF-Aurora flow must actually drive the link.
   cc_rig rig;
-  liteflow_cc_stack stack{rig.net->sender(), fast_lf_options()};
-  stack.start();
+  lf_cc_parts lf{rig.net->sender(), true};
+  lf.start();
   transport::rate_sender_config rc;
   rc.initial_rate_bps = 20e6;
   auto flow = std::make_unique<transport::rate_sender>(
       rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
-      stack.make_controller(1));
+      lf.make_controller(1));
   flow->start();
   rig.s.run_until(4.0);
   const auto bytes_mid = rig.net->receiver().total_delivered_payload();
@@ -151,54 +194,71 @@ TEST(LiteflowCcStack, FlowAchievesHighGoodput) {
   flow->stop();
   // Should reach a healthy fraction of the 200 Mbps bottleneck.
   EXPECT_GT(goodput, 100e6);
-  EXPECT_GT(stack.core().queries(), 100u);
+  EXPECT_GT(lf.stack.core().queries(), 100u);
 }
 
 TEST(LiteflowCcStack, CollectorReceivesSamplesAndServiceAdapts) {
   cc_rig rig;
-  auto opts = fast_lf_options();
-  liteflow_cc_stack stack{rig.net->sender(), opts};
-  stack.start();
+  lf_cc_parts lf{rig.net->sender(), true};
+  lf.start();
   transport::rate_sender_config rc;
   auto flow = std::make_unique<transport::rate_sender>(
       rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
-      stack.make_controller(1));
+      lf.make_controller(1));
   flow->start();
   rig.s.run_until(1.0);
   flow->stop();
-  EXPECT_GT(stack.collector().samples_delivered(), 0u);
-  EXPECT_GT(stack.service().batches_processed(), 0u);
-  EXPECT_GT(stack.netlink().one_way_messages(), 0u);
+  EXPECT_GT(lf.stack.collector().samples_delivered(), 0u);
+  EXPECT_GT(lf.stack.service().batches_processed(), 0u);
+  EXPECT_GT(lf.stack.netlink().one_way_messages(), 0u);
 }
 
 TEST(LiteflowCcStack, NoAdaptationVariantNeverUpdates) {
   cc_rig rig;
-  auto opts = fast_lf_options();
-  opts.adaptation = false;
-  liteflow_cc_stack stack{rig.net->sender(), opts};
-  stack.start();
+  lf_cc_parts lf{rig.net->sender(), false};
+  lf.start();
   transport::rate_sender_config rc;
   auto flow = std::make_unique<transport::rate_sender>(
       rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
-      stack.make_controller(1));
+      lf.make_controller(1));
   flow->start();
   rig.s.run_until(1.0);
   flow->stop();
-  EXPECT_EQ(stack.service().snapshot_updates(), 0u);
+  EXPECT_EQ(lf.stack.service().snapshot_updates(), 0u);
 }
 
 // ---------------------------------------------------------------- ccp --
 
+/// CCP-Aurora on one sender: the model stays in userspace behind a CCP IPC
+/// channel and is consulted every `interval`.
+struct ccp_parts {
+  kernelsim::crossspace_channel ipc;
+  aurora_adapter adapter;
+  netsim::host& host;
+  double interval;
+
+  ccp_parts(netsim::host& h, aurora_adapter_config a, double ivl,
+            std::size_t pretrain)
+      : ipc{h.simulator(), h.cpu(), h.costs(),
+            kernelsim::channel_kind::ccp_ipc},
+        adapter{a}, host{h}, interval{ivl} {
+    adapter.pretrain(pretrain);
+  }
+
+  std::unique_ptr<transport::rate_controller> make_controller() {
+    return std::make_unique<ccp_cc_controller>(
+        host.simulator(), ipc, host.costs(), adapter.model(), interval,
+        cc_controller_config{});
+  }
+};
+
 TEST(CcpCcStack, DecisionsArriveAtConfiguredInterval) {
   cc_rig rig;
-  ccp_cc_options opts;
-  opts.interval = 10e-3;
-  opts.pretrain_iterations = 100;
-  opts.adapter.env.bandwidth_bps = 200e6;
-  ccp_cc_stack stack{rig.net->sender(), opts};
-  stack.start();
+  auto a = seeded_adapter();
+  a.env.bandwidth_bps = 200e6;
+  ccp_parts ccp{rig.net->sender(), a, 10e-3, 100};
   transport::rate_sender_config rc;
-  auto ctrl = stack.make_controller();
+  auto ctrl = ccp.make_controller();
   auto* ctrl_raw = static_cast<ccp_cc_controller*>(ctrl.get());
   auto flow = std::make_unique<transport::rate_sender>(
       rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
@@ -209,20 +269,17 @@ TEST(CcpCcStack, DecisionsArriveAtConfiguredInterval) {
   // ~1s / 10ms = ~100 decisions.
   EXPECT_GT(ctrl_raw->decisions(), 50u);
   EXPECT_LT(ctrl_raw->decisions(), 150u);
-  EXPECT_GT(stack.channel().round_trips(), 50u);
+  EXPECT_GT(ccp.ipc.round_trips(), 50u);
 }
 
 TEST(CcpCcStack, CrossSpaceOverheadChargedAsSoftirq) {
   cc_rig rig;
-  ccp_cc_options opts;
-  opts.interval = 1e-3;  // aggressive
-  opts.pretrain_iterations = 50;
-  ccp_cc_stack stack{rig.net->sender(), opts};
-  stack.start();
+  ccp_parts ccp{rig.net->sender(), seeded_adapter(), 1e-3 /* aggressive */,
+                50};
   transport::rate_sender_config rc;
   auto flow = std::make_unique<transport::rate_sender>(
       rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
-      stack.make_controller());
+      ccp.make_controller());
   flow->start();
   rig.s.run_until(1.0);
   flow->stop();
@@ -236,36 +293,21 @@ TEST(CcpCcStack, CrossSpaceOverheadChargedAsSoftirq) {
 
 TEST(KernelTrainStack, TrainingBurnsKernelCpu) {
   cc_rig rig;
-  kernel_train_cc_options opts;
-  opts.pretrain_iterations = 50;
-  opts.train_interval = 0.05;
-  kernel_train_cc_stack stack{rig.net->sender(), opts};
-  stack.start();
+  aurora_adapter adapter{seeded_adapter()};
+  adapter.pretrain(50);
+  auto& h = rig.net->sender();
   transport::rate_sender_config rc;
   auto flow = std::make_unique<transport::rate_sender>(
-      rig.net->sender(), netsim::dumbbell::receiver_id, 1, rc,
-      stack.make_controller());
+      h, netsim::dumbbell::receiver_id, 1, rc,
+      std::make_unique<kernel_train_controller>(
+          h.simulator(), h.cpu(), h.costs(), adapter.model(),
+          /*train_interval=*/0.05, /*batch_size=*/32, cc_controller_config{}));
   flow->start();
   rig.s.run_until(1.0);
   flow->stop();
   const double ktrain = rig.net->sender().cpu().busy_seconds(
       kernelsim::task_category::kernel_train);
   EXPECT_GT(ktrain, 0.05);  // §2.3: training shreds the kernel CPU budget
-}
-
-// ---------------------------------------------------------------- probes --
-
-TEST(GoodputProbe, TracksCbrRate) {
-  sim::simulation s;
-  netsim::dumbbell net{s, {}};
-  netsim::cbr_source cbr{s, net.bg_sender(), netsim::dumbbell::receiver_id,
-                         77, 80e6};
-  goodput_probe probe{net.receiver(), 0.1};
-  probe.start();
-  cbr.start();
-  s.run_until(1.0);
-  EXPECT_GE(probe.series().size(), 9u);
-  EXPECT_NEAR(probe.average_bps(0.3, 1.0), 80e6, 10e6);
 }
 
 }  // namespace

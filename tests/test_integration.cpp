@@ -1,12 +1,14 @@
-// Cross-module integration tests: determinism of whole experiments, the
-// full LiteFlow pipeline (collect -> batch -> adapt -> sync -> install ->
+// Cross-module integration tests: the deployment labels every app reports
+// under, determinism of whole experiments, the full LiteFlow pipeline (collect -> batch -> adapt -> sync -> install ->
 // switch) with a real RL slow path, pin-gated module unloads, and the
 // generated-code path exercised through the live core module.
 #include <gtest/gtest.h>
 
 #include "apps/cc/cc_experiment.hpp"
 #include "apps/common/liteflow_stack.hpp"
+#include "apps/lb/lb_experiment.hpp"
 #include "apps/sched/flow_sched.hpp"
+#include "apps/sched/sched_experiment.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "netsim/topology.hpp"
 #include "nn/serialize.hpp"
@@ -15,6 +17,33 @@ namespace {
 
 using namespace lf;
 using namespace lf::apps;
+
+// ------------------------------------------------------ deployment labels --
+
+TEST(DeploymentLabels, EveryDeploymentKeepsItsLabel) {
+  // These labels key BENCH summaries and name TRACE/REPORT files, so a
+  // respelling silently breaks every consumer; -Wswitch only checks that
+  // each enumerator has a case.
+  EXPECT_EQ(to_string(cc_scheme::lf_aurora), "LF-Aurora");
+  EXPECT_EQ(to_string(cc_scheme::lf_mocc), "LF-MOCC");
+  EXPECT_EQ(to_string(cc_scheme::lf_aurora_noa), "LF-Aurora-N-O-A");
+  EXPECT_EQ(to_string(cc_scheme::lf_dummy), "LF-Dummy-NN");
+  EXPECT_EQ(to_string(cc_scheme::ccp_aurora), "CCP-Aurora");
+  EXPECT_EQ(to_string(cc_scheme::ccp_mocc), "CCP-MOCC");
+  EXPECT_EQ(to_string(cc_scheme::kernel_train_aurora), "Kernel-Train-Aurora");
+  EXPECT_EQ(to_string(cc_scheme::bbr), "BBR");
+  EXPECT_EQ(to_string(cc_scheme::cubic), "CUBIC");
+  EXPECT_EQ(to_string(sched_deployment::liteflow), "LF-FFNN");
+  EXPECT_EQ(to_string(sched_deployment::liteflow_noa), "LF-FFNN-N-O-A");
+  EXPECT_EQ(to_string(sched_deployment::chardev), "char-FFNN");
+  EXPECT_EQ(to_string(sched_deployment::netlink_dev), "netlink-FFNN");
+  EXPECT_EQ(to_string(sched_deployment::no_prediction), "no-prediction");
+  EXPECT_EQ(to_string(sched_deployment::oracle), "oracle");
+  EXPECT_EQ(to_string(lb_deployment::liteflow), "LF-MLP");
+  EXPECT_EQ(to_string(lb_deployment::liteflow_noa), "LF-MLP-N-O-A");
+  EXPECT_EQ(to_string(lb_deployment::chardev), "char-MLP");
+  EXPECT_EQ(to_string(lb_deployment::ecmp), "ECMP");
+}
 
 // ------------------------------------------------------------ determinism --
 
@@ -180,14 +209,14 @@ TEST(Integration, LiteflowOverheadTracksBbr) {
   bbr_cfg.scheme = cc_scheme::bbr;
   bbr_cfg.n_flows = 4;
   bbr_cfg.duration = 1.5;
-  const double bbr = run_cc_overhead(bbr_cfg).aggregate_bps;
+  const double bbr = run_cc_overhead(bbr_cfg).mean_goodput;
 
   cc_overhead_config lf_cfg;
   lf_cfg.scheme = cc_scheme::lf_aurora;
   lf_cfg.n_flows = 4;
   lf_cfg.duration = 1.5;
   lf_cfg.pretrain_iterations = 400;
-  const double lf = run_cc_overhead(lf_cfg).aggregate_bps;
+  const double lf = run_cc_overhead(lf_cfg).mean_goodput;
   EXPECT_GT(lf, 0.8 * bbr);
 }
 
@@ -197,14 +226,14 @@ TEST(Integration, KernelTrainingCrushesThroughput) {
   bbr_cfg.scheme = cc_scheme::bbr;
   bbr_cfg.n_flows = 6;
   bbr_cfg.duration = 0.8;
-  const double bbr = run_cc_overhead(bbr_cfg).aggregate_bps;
+  const double bbr = run_cc_overhead(bbr_cfg).mean_goodput;
 
   cc_overhead_config kt_cfg;
   kt_cfg.scheme = cc_scheme::kernel_train_aurora;
   kt_cfg.n_flows = 6;
   kt_cfg.duration = 0.8;
   kt_cfg.pretrain_iterations = 150;
-  const double kt = run_cc_overhead(kt_cfg).aggregate_bps;
+  const double kt = run_cc_overhead(kt_cfg).mean_goodput;
   EXPECT_LT(kt, 0.6 * bbr);
 }
 

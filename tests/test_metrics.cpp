@@ -1,6 +1,5 @@
-// Telemetry registry semantics (util/metrics), measurement-probe edge
-// cases (apps/common/probes) and the shared BENCH_*.json reporter
-// (util/bench_report).
+// Telemetry registry semantics (util/metrics) and the shared BENCH_*.json
+// reporter (util/bench_report).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "apps/common/probes.hpp"
-#include "netsim/topology.hpp"
-#include "sim/sim.hpp"
 #include "util/bench_report.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
@@ -186,51 +182,6 @@ TEST(Metrics, UnregisterRemovesBinding) {
   EXPECT_FALSE(reg.contains("c"));
   reg.unregister("never-there");  // no-op
   EXPECT_EQ(reg.size(), 0u);
-}
-
-// ------------------------------------------------------------------ probes --
-
-TEST(GoodputProbe, ZeroLengthWindowIsZero) {
-  sim::simulation s;
-  netsim::dumbbell_config cfg;
-  netsim::dumbbell net{s, cfg};
-  apps::goodput_probe probe{net.receiver(), 0.1};
-  probe.start();
-  s.run_until(1.0);
-  EXPECT_DOUBLE_EQ(probe.average_bps(0.5, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(probe.average_bps(0.8, 0.2), 0.0);  // inverted window
-}
-
-TEST(GoodputProbe, StoppedBeforeFirstSampleIsEmpty) {
-  sim::simulation s;
-  netsim::dumbbell_config cfg;
-  netsim::dumbbell net{s, cfg};
-  apps::goodput_probe probe{net.receiver(), 0.1};
-  probe.start();
-  probe.stop();  // before the first sample event fires
-  s.run_until(1.0);
-  EXPECT_TRUE(probe.series().points().empty());
-  EXPECT_DOUBLE_EQ(probe.average_bps(0.0, 1.0), 0.0);
-}
-
-TEST(GoodputProbe, NonPositiveIntervalIsPinned) {
-  sim::simulation s;
-  netsim::dumbbell_config cfg;
-  netsim::dumbbell net{s, cfg};
-  apps::goodput_probe probe{net.receiver(), 0.0};
-  probe.start();
-  s.run_until(1.0);  // must terminate (no zero-delay event storm)
-  EXPECT_LE(probe.series().points().size(), 11u);
-}
-
-TEST(GoodputProbe, RegistersSeriesUnderPrefix) {
-  sim::simulation s;
-  netsim::dumbbell_config cfg;
-  netsim::dumbbell net{s, cfg};
-  apps::goodput_probe probe{net.receiver(), 0.1};
-  metrics::registry reg;
-  probe.register_metrics(reg, "cc");
-  EXPECT_NE(reg.find_series("cc.goodput_bps"), nullptr);
 }
 
 // ------------------------------------------------------------ bench report --

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,9 +24,12 @@
 #include "rt/engine.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/stats_sampler.hpp"
+#include "util/bench_report.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/run_report.hpp"
 #include "util/trace.hpp"
+#include "util/trace_report.hpp"
 
 namespace {
 
@@ -685,6 +689,77 @@ TEST(RtStatsSampler, TextExpositionIsPublishedAtomically) {
   EXPECT_FALSE(fs::exists(scfg.text_out + ".tmp"));
   const std::string text = slurp(scfg.text_out);
   EXPECT_NE(text.find("lf_rt_routes_total 16"), std::string::npos);
+}
+
+// ------------------------------------------------------- artifact writer --
+
+/// `write` targets a path that already exists as a directory, so the final
+/// rename fails even for root.  The writer must return "", print one
+/// diagnostic naming the target, and leave no temp file behind.
+void expect_clean_failure(const fs::path& target,
+                          const std::function<std::string()>& write) {
+  fs::create_directories(target);
+  ::testing::internal::CaptureStderr();
+  const std::string path = write();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(path, "") << target;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find(target.string()), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(target.string() + ".tmp")) << target;
+  EXPECT_TRUE(fs::is_directory(target)) << target;
+}
+
+TEST(ArtifactWriter, DirectoryTargetFailsCleanlyForEveryWriter) {
+  bench_dir out{"lf_artifact_dir_target"};
+
+  bench::report rep{"figdir", "directory target"};
+  expect_clean_failure(out.dir / "BENCH_figdir.json",
+                       [&] { return rep.write(); });
+
+  trace::collector col;
+  expect_clean_failure(out.dir / "TRACE_dir.json",
+                       [&] { return trace::write_trace(col, "dir"); });
+
+  rt::telemetry_config rcfg;
+  rcfg.blackbox_events = 16;
+  rt::flight_recorder rec{rcfg, 1};
+  expect_clean_failure(out.dir / "BLACKBOX_dir.json",
+                       [&] { return rec.dump("dir"); });
+
+  report::flight_report fr;
+  fr.title = "directory target";
+  expect_clean_failure(out.dir / "REPORT_dir.html", [&] {
+    return report::write_flight_report(fr, "dir");
+  });
+
+  // The watchdog also publishes on every fire; swallow that attempt's
+  // incident line and diagnostic, then check the explicit write.
+  fs::create_directories(out.dir / "INCIDENT_dir.json");
+  auto wcfg = wd_config();
+  wcfg.incident_label = "dir";
+  rt::anomaly_watchdog wd{wcfg};
+  ::testing::internal::CaptureStderr();
+  double t = 0.0;
+  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
+  wd.observe(mk_window(t += 0.1, 1000, 1e6));
+  wd.observe(mk_window(t += 0.1, 1000, 1e6));
+  ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(wd.incident_count(), 1u);
+  expect_clean_failure(out.dir / "INCIDENT_dir.json",
+                       [&] { return wd.write_incidents(); });
+
+  rt::engine_config ecfg;
+  ecfg.max_workers = 1;
+  rt::datapath_engine e{ecfg};
+  rt::stats_sampler_config scfg;
+  scfg.interval_ms = 0.0;
+  scfg.text_out = (out.dir / "STATS_dir.prom").string();
+  rt::stats_sampler s{e, scfg};
+  expect_clean_failure(scfg.text_out, [&] {
+    return s.write_text() ? scfg.text_out : std::string{};
+  });
+  // Let the sampler's final write on destruction succeed quietly.
+  fs::remove(scfg.text_out);
 }
 
 }  // namespace
