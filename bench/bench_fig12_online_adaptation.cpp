@@ -39,8 +39,7 @@ int main() {
     cfg.bg_schedule = {{phase_len, 0.1e9, 0.08}};
     // Run the adaptation monitor so the report carries each scheme's
     // snapshot lifecycle ledger (install/retire/drain per version).
-    cfg.monitor = core::monitor_config{};
-    cfg.monitor->enabled = true;
+    cfg.monitor = true;
     const auto r = run_cc_single_flow(cfg);
 
     const double p1 = r.goodput.average(cfg.warmup, phase_len);

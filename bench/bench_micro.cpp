@@ -23,6 +23,7 @@
 #include "nn/serialize.hpp"
 #include "quant/quantizer.hpp"
 #include "rl/link_env.hpp"
+#include "rt/anomaly_watchdog.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "util/bench_report.hpp"
@@ -413,8 +414,8 @@ BENCHMARK(bm_traced_infer_into_enabled);
 // The adaptation monitor is attached the same way: components call its
 // hooks through a pointer that stays null unless an enabled monitor was
 // registered.  The disabled variant measures the early-return guard; the
-// enabled ones bound the per-sync-check cost (six series appends plus the
-// watchdog rule pass) and the cheaper per-batch rule-only pass.
+// enabled ones bound the per-sync-check cost (five series appends plus both
+// alert rules) and the cheaper per-batch staleness-rule pass.
 
 core::check_observation bench_check_observation() {
   core::check_observation obs;
@@ -425,10 +426,6 @@ core::check_observation bench_check_observation() {
   obs.decision.fidelity.max_loss = 0.09;
   obs.threshold = 0.1;
   obs.stability_spread = 0.4;
-  obs.stability_samples = 10;
-  obs.stability_window = 10;
-  obs.cache_size = 120;
-  obs.cache_capacity = 1024;
   obs.version = 3;
   return obs;
 }
@@ -446,9 +443,7 @@ void bm_monitor_sync_check_disabled(benchmark::State& state) {
 BENCHMARK(bm_monitor_sync_check_disabled);
 
 void bm_monitor_sync_check_enabled(benchmark::State& state) {
-  core::monitor_config cfg;
-  cfg.enabled = true;
-  core::adaptation_monitor mon{cfg};
+  core::adaptation_monitor mon{true};
   const auto obs = bench_check_observation();
   double t = 0.0;
   for (auto _ : state) {
@@ -457,22 +452,43 @@ void bm_monitor_sync_check_enabled(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(mon.checks());
 }
-// Each enabled check appends a point to six time series; cap the iteration
+// Each enabled check appends a point to five time series; cap the iteration
 // count so the bench measures steady-state appends, not allocator growth.
 BENCHMARK(bm_monitor_sync_check_enabled)->Iterations(1 << 17);
 
 void bm_monitor_batch_rules_enabled(benchmark::State& state) {
-  core::monitor_config cfg;
-  cfg.enabled = true;
-  core::adaptation_monitor mon{cfg};
+  core::adaptation_monitor mon{true};
   double t = 0.0;
   for (auto _ : state) {
-    mon.on_batch(t, 120, 1024);  // rule pass only, no series append
+    mon.on_batch(t);  // rule pass only, no series append
     t += 1e-3;
   }
   benchmark::DoNotOptimize(mon.total_alerts());
 }
 BENCHMARK(bm_monitor_batch_rules_enabled);
+
+// The rt watchdog's per-window cost on the sampler thread: one healthy
+// window through all six rules (shadow evidence present), warmed up first
+// so every rule computes its threshold.  No engine: nothing fires.
+void bm_watchdog_observe(benchmark::State& state) {
+  rt::anomaly_watchdog wd{{}};
+  rt::stats_window w;
+  w.dt_s = 0.1;
+  w.routes = 1000;
+  w.routes_per_sec = 1e4;
+  w.samples = 1000;
+  w.p999_ns = 1000.0;
+  w.l1_hit_rate = 0.9;
+  w.locks_per_route = 0.01;
+  w.versions_live = 4;
+  for (int i = 0; i < 8; ++i) wd.observe(w, 1e-4);
+  for (auto _ : state) {
+    w.t_s += 0.1;
+    wd.observe(w, 1e-4);
+  }
+  benchmark::DoNotOptimize(wd.incident_count());
+}
+BENCHMARK(bm_watchdog_observe);
 
 void bm_trace_ring_emit(benchmark::State& state) {
   // Raw per-event cost with the ring hot: the head claim and the slot's

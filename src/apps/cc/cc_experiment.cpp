@@ -214,7 +214,7 @@ class cc_single_flow_experiment final : public experiment {
     driver_.duration = config.duration;
     driver_.warmup = config.warmup;
     if (config.trace) driver_.trace = *config.trace;
-    if (config.monitor) driver_.monitor = *config.monitor;
+    driver_.monitor = config.monitor;
     if (config.report) driver_.report = *config.report;
   }
 
@@ -248,17 +248,15 @@ class cc_single_flow_experiment final : public experiment {
 
     // Goodput sampling counts only the test flow (exclude background):
     // sample the receiver's per-flow state.
-    sampler_ = std::make_shared<std::function<void()>>();
-    *sampler_ = [this, &simu]() {
-      const auto* st = net_->receiver().flow_state(1);
-      const std::uint64_t bytes = st ? st->delivered_payload : 0;
-      goodput_.record(simu.now(),
-                      static_cast<double>(bytes - last_bytes_) * 8.0 /
-                          config_.sample_interval);
-      last_bytes_ = bytes;
-      simu.schedule(config_.sample_interval, *sampler_);
-    };
-    simu.schedule(config_.sample_interval, *sampler_);
+    simu.schedule_every(
+        config_.sample_interval, config_.sample_interval, [this, &simu]() {
+          const auto* st = net_->receiver().flow_state(1);
+          const std::uint64_t bytes = st ? st->delivered_payload : 0;
+          goodput_.record(simu.now(),
+                          static_cast<double>(bytes - last_bytes_) * 8.0 /
+                              config_.sample_interval);
+          last_bytes_ = bytes;
+        });
 
     wire_cc_metrics(ctx, *net_, rt_);
     ctx.metrics.register_series("cc.goodput_bps", goodput_);
@@ -296,7 +294,6 @@ class cc_single_flow_experiment final : public experiment {
   scheme_runtime rt_;
   time_series goodput_{"goodput_bps"};
   std::uint64_t last_bytes_ = 0;
-  std::shared_ptr<std::function<void()>> sampler_;
 };
 
 /// N-flow overhead run in a non-congested setting (Figs. 3/4/13).

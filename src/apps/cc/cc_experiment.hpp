@@ -57,8 +57,8 @@ struct cc_single_flow_config {
   /// Programmatic event-tracing override; unset keeps the driver default
   /// (the LF_TRACE / LF_TRACE_RING environment).
   std::optional<trace_options> trace;
-  /// Adaptation-monitor override; unset keeps the LF_MONITOR default.
-  std::optional<core::monitor_config> monitor;
+  /// Run the adaptation health monitor (driver_config::monitor).
+  bool monitor = false;
   /// Flight-report override; unset keeps the LF_REPORT default.
   std::optional<report_options> report;
 };

@@ -192,9 +192,7 @@ run_result run_experiment(experiment& exp) {
   trace::collector tracer{cfg.trace.collector};
   // The flight report renders the monitor's ledger/alerts, so asking for a
   // report implies running the monitor.
-  core::monitor_config mon_cfg = cfg.monitor;
-  if (cfg.report.enabled) mon_cfg.enabled = true;
-  core::adaptation_monitor monitor{mon_cfg};
+  core::adaptation_monitor monitor{cfg.monitor || cfg.report.enabled};
   if (monitor.enabled()) {
     // Register before setup() so the health ring merges with component
     // rings; metrics registration here keeps monitor-off telemetry

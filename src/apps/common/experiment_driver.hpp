@@ -144,8 +144,8 @@ struct driver_config {
   bool warmup_hook = false;
   /// Event tracing; defaults to the LF_TRACE / LF_TRACE_RING environment.
   trace_options trace = trace_options::from_env();
-  /// Adaptation health monitor; defaults to the LF_MONITOR environment.
-  core::monitor_config monitor = core::monitor_config::from_env();
+  /// Run the adaptation health monitor (a flight report runs it too).
+  bool monitor = false;
   /// Per-run HTML flight report; defaults to the LF_REPORT environment.
   report_options report = report_options::from_env();
 };

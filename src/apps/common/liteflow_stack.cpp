@@ -66,28 +66,23 @@ void batch_labels_to_userspace(netsim::host& host,
                                core::adaptation_interface& user,
                                std::vector<core::train_sample>& pending,
                                double interval) {
-  // Heap-allocate the periodic tick so the self-referencing closure
-  // outlives this call.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&host, &channel, &user, &pending, interval, tick]() {
-    if (!pending.empty()) {
-      auto batch = std::move(pending);
-      pending.clear();
-      channel.send_to_user(
-          batch.size() * 64, [&host, &user, batch = std::move(batch)]() {
-            const double cost =
-                host.costs().user_train_fixed_cost +
-                static_cast<double>(batch.size() * user.parameter_count()) *
-                    host.costs().user_train_cost_per_sample_param;
-            host.cpu().submit(kernelsim::task_category::user_train, cost,
-                              [&user, batch = std::move(batch)]() {
-                                user.adapt(batch);
-                              });
-          });
-    }
-    host.simulator().schedule(interval, *tick);
+  const auto tick = [&host, &channel, &user, &pending]() {
+    if (pending.empty()) return;
+    auto batch = std::move(pending);
+    pending.clear();
+    channel.send_to_user(
+        batch.size() * 64, [&host, &user, batch = std::move(batch)]() {
+          const double cost =
+              host.costs().user_train_fixed_cost +
+              static_cast<double>(batch.size() * user.parameter_count()) *
+                  host.costs().user_train_cost_per_sample_param;
+          host.cpu().submit(kernelsim::task_category::user_train, cost,
+                            [&user, batch = std::move(batch)]() {
+                              user.adapt(batch);
+                            });
+        });
   };
-  host.simulator().schedule(interval, *tick);
+  host.simulator().schedule_every(interval, interval, tick);
 }
 
 void register_spine_leaf_telemetry(

@@ -126,28 +126,22 @@ class lb_fct_experiment final : public experiment {
     // explicit path tag.
     {
       auto state = std::make_shared<std::uint32_t>(2);
-      auto hop = std::make_shared<std::function<void()>>();
-      *hop = [&simu, state, this, hop]() {
-        *state = (*state == 1) ? 2 : 1;
-        simu.schedule(config_.hotspot_switch_period, *hop);
-      };
-      simu.schedule(config_.hotspot_switch_period, *hop);
-      auto emit = std::make_shared<std::function<void()>>();
+      simu.schedule_every(config_.hotspot_switch_period,
+                          config_.hotspot_switch_period,
+                          [state]() { *state = (*state == 1) ? 2 : 1; });
       auto* src_host = &topo_->host_at(0);
       const auto dst_id =
           static_cast<netsim::host_id_t>(config_.hosts_per_leaf);
-      *emit = [&simu, src_host, dst_id, state, this, emit]() {
-        netsim::packet pkt;
-        pkt.flow_id = 1'000'000;
-        pkt.dst = dst_id;
-        pkt.payload_bytes = 1460;
-        pkt.path_tag = *state;
-        pkt.ecn_capable = false;  // blasting UDP; does not back off
-        src_host->send_packet_free(pkt);
-        const double gap = 1500.0 * 8.0 / config_.hotspot_bps;
-        simu.schedule(gap, *emit);
-      };
-      simu.schedule(0.0, *emit);
+      simu.schedule_every(
+          0.0, 1500.0 * 8.0 / config_.hotspot_bps, [src_host, dst_id, state]() {
+            netsim::packet pkt;
+            pkt.flow_id = 1'000'000;
+            pkt.dst = dst_id;
+            pkt.payload_bytes = 1460;
+            pkt.path_tag = *state;
+            pkt.ecn_capable = false;  // blasting UDP; does not back off
+            src_host->send_packet_free(pkt);
+          });
     }
 
     flows_.reserve(config_.total_flows);
@@ -181,8 +175,8 @@ class lb_fct_experiment final : public experiment {
     // Flowlet re-selection for active flows.
     if (config_.reselect_interval > 0.0 &&
         config_.deployment != lb_deployment::ecmp) {
-      auto resel = std::make_shared<std::function<void()>>();
-      *resel = [this, &simu, resel]() {
+      simu.schedule_every(config_.reselect_interval,
+                          config_.reselect_interval, [this]() {
         for (auto& fp : flows_) {
           lb_flow* f = fp.get();
           if (!f->sender || f->done) continue;
@@ -207,9 +201,7 @@ class lb_fct_experiment final : public experiment {
                                }
                              });
         }
-        simu.schedule(config_.reselect_interval, *resel);
-      };
-      simu.schedule(config_.reselect_interval, *resel);
+      });
     }
 
     register_spine_leaf_telemetry(

@@ -158,14 +158,9 @@ class sched_fct_experiment final : public experiment {
 
     sizes_.emplace(hosts, config_.size_correlation, config_.seed + 4000);
     if (config_.pattern_shift_period > 0.0) {
-      // Heap-allocate the self-referencing closure: the scheduled copies must
-      // outlive this scope.
-      auto shift = std::make_shared<std::function<void()>>();
-      *shift = [&simu, this, shift]() {
-        sizes_->shift_pattern();
-        simu.schedule(config_.pattern_shift_period, *shift);
-      };
-      simu.schedule(config_.pattern_shift_period, *shift);
+      simu.schedule_every(config_.pattern_shift_period,
+                          config_.pattern_shift_period,
+                          [this]() { sizes_->shift_pattern(); });
     }
 
     flows_.reserve(config_.total_flows);

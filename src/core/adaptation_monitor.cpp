@@ -1,72 +1,63 @@
 #include "core/adaptation_monitor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace lf::core {
+namespace {
 
-monitor_config monitor_config::from_env() {
-  monitor_config cfg;
-  if (const char* v = std::getenv("LF_MONITOR")) {
-    cfg.enabled = std::atoi(v) != 0;
-  }
-  return cfg;
-}
+/// Consecutive sync checks with (necessary && !converged) before
+/// adaptation_stuck fires.
+constexpr std::size_t k_stuck_checks = 5;
+/// Snapshot age (seconds since install) that, combined with a drifting
+/// last verdict, raises stale_snapshot.
+constexpr double k_stale_snapshot_age = 5.0;
+
+/// adaptation_stuck observes 1 for a stuck check and 0 for any other.
+constexpr metrics::rule_spec k_stuck_rule{
+    metrics::breach_side::above,
+    [](const metrics::rule_baseline&) { return 0.5; },
+    /*warmup=*/0, /*fire_after=*/k_stuck_checks, /*rearm_after=*/1};
+/// stale_snapshot observes the installed snapshot's age.
+constexpr metrics::rule_spec k_stale_rule{
+    metrics::breach_side::above,
+    [](const metrics::rule_baseline&) { return k_stale_snapshot_age; },
+    /*warmup=*/0, /*fire_after=*/1, /*rearm_after=*/1};
+
+}  // namespace
 
 std::string_view to_string(alert_kind k) noexcept {
   switch (k) {
     case alert_kind::adaptation_stuck: return "adaptation_stuck";
-    case alert_kind::flow_cache_pressure: return "flow_cache_pressure";
     case alert_kind::stale_snapshot: return "stale_snapshot";
   }
   return "unknown";
 }
 
-adaptation_monitor::adaptation_monitor(monitor_config config)
-    : config_{config} {}
+adaptation_monitor::adaptation_monitor(bool enabled)
+    : enabled_{enabled}, stuck_{k_stuck_rule}, stale_{k_stale_rule} {}
 
 void adaptation_monitor::raise(double now, alert_kind kind, double value) {
-  alert_counters_[static_cast<std::size_t>(kind)].inc();
+  alerts_fired_[slot(kind)].inc();
   alerts_.push_back(alert_record{now, kind, value, current_version_});
   trace_.emit(now, trace::event_type::alert,
               static_cast<std::uint64_t>(kind),
               static_cast<std::uint64_t>(std::max(0.0, value) * 1e9));
 }
 
-void adaptation_monitor::check_time_rules(double now, std::size_t cache_size,
-                                          std::size_t cache_capacity) {
-  // flow_cache_pressure: occupancy at/above the high-watermark fraction.
-  if (cache_capacity > 0) {
-    const double occupancy = static_cast<double>(cache_size) /
-                             static_cast<double>(cache_capacity);
-    if (occupancy >= config_.cache_high_watermark) {
-      if (!pressure_active_) {
-        pressure_active_ = true;
-        raise(now, alert_kind::flow_cache_pressure, occupancy);
-      }
-    } else {
-      pressure_active_ = false;
-    }
-  }
-
+void adaptation_monitor::observe_staleness(double now) {
   // stale_snapshot: the installed version is old *and* the last verdict
-  // still wanted an update (drift persists while nothing ships).
-  if (last_install_time_ >= 0.0) {
-    const double age = now - last_install_time_;
-    if (age > config_.stale_snapshot_age && last_drifting_) {
-      if (!stale_active_) {
-        stale_active_ = true;
-        raise(now, alert_kind::stale_snapshot, age);
-      }
-    } else if (age <= config_.stale_snapshot_age || !last_drifting_) {
-      stale_active_ = false;
-    }
+  // still wanted an update (drift persists while nothing ships).  A
+  // verdict that no longer drifts is a clean observation at any age.
+  if (last_install_time_ < 0.0) return;
+  const double age = now - last_install_time_;
+  if (stale_.observe(now, last_drifting_ ? age : 0.0)) {
+    raise(now, alert_kind::stale_snapshot, age);
   }
 }
 
 void adaptation_monitor::on_sync_check(double now,
                                        const check_observation& obs) {
-  if (!config_.enabled) return;
+  if (!enabled_) return;
   checks_.inc();
   current_version_ = obs.version;
   last_threshold_ = obs.threshold;
@@ -79,39 +70,28 @@ void adaptation_monitor::on_sync_check(double now,
   if (last_install_time_ >= 0.0) {
     staleness_.record(now, now - last_install_time_);
   }
-  if (obs.cache_capacity > 0) {
-    occupancy_.record(now, static_cast<double>(obs.cache_size) /
-                               static_cast<double>(obs.cache_capacity));
-  }
 
   // adaptation_stuck: the model has drifted past the necessity threshold
   // but the stability metric will not converge — N consecutive checks of
   // "necessary && !converged" means the loop is stuck mid-exploration and
   // the kernel keeps serving a snapshot the slow path knows is wrong.
-  if (obs.decision.necessary && !obs.decision.converged) {
-    ++consecutive_stuck_;
-    if (consecutive_stuck_ >= config_.stuck_checks && !stuck_active_) {
-      stuck_active_ = true;
-      raise(now, alert_kind::adaptation_stuck,
-            static_cast<double>(consecutive_stuck_));
-    }
-  } else {
-    consecutive_stuck_ = 0;
-    stuck_active_ = false;
+  const bool stuck = obs.decision.necessary && !obs.decision.converged;
+  if (stuck_.observe(now, stuck ? 1.0 : 0.0)) {
+    raise(now, alert_kind::adaptation_stuck,
+          static_cast<double>(stuck_.breach_run()));
   }
 
-  check_time_rules(now, obs.cache_size, obs.cache_capacity);
+  observe_staleness(now);
 }
 
-void adaptation_monitor::on_batch(double now, std::size_t cache_size,
-                                  std::size_t cache_capacity) {
-  if (!config_.enabled) return;
-  check_time_rules(now, cache_size, cache_capacity);
+void adaptation_monitor::on_batch(double now) {
+  if (!enabled_) return;
+  observe_staleness(now);
 }
 
 void adaptation_monitor::on_snapshot_install(double now,
                                              const install_observation& obs) {
-  if (!config_.enabled) return;
+  if (!enabled_) return;
   // Close out the demoted predecessor.
   if (obs.prev_model != 0) {
     for (auto it = ledger_.rbegin(); it != ledger_.rend(); ++it) {
@@ -144,11 +124,11 @@ void adaptation_monitor::on_snapshot_install(double now,
   current_version_ = obs.version;
   // A fresh snapshot resets the drift view until the next verdict.
   last_drifting_ = false;
-  stale_active_ = false;
+  stale_.rearm();
 }
 
 void adaptation_monitor::on_snapshot_removed(double now, std::uint64_t model) {
-  if (!config_.enabled) return;
+  if (!enabled_) return;
   for (auto it = ledger_.rbegin(); it != ledger_.rend(); ++it) {
     if (it->model == model && it->removed_time < 0.0) {
       it->removed_time = now;
@@ -161,30 +141,26 @@ void adaptation_monitor::on_snapshot_removed(double now, std::uint64_t model) {
 }
 
 std::uint64_t adaptation_monitor::alert_count(alert_kind k) const noexcept {
-  return alert_counters_[static_cast<std::size_t>(k)].value();
+  return alerts_fired_[slot(k)].value();
 }
 
 std::uint64_t adaptation_monitor::total_alerts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : alert_counters_) total += c.value();
-  return total;
+  return alerts_fired_[0].value() + alerts_fired_[1].value();
 }
 
 void adaptation_monitor::register_metrics(metrics::registry& reg,
                                           const std::string& prefix) {
   reg.register_counter(prefix + ".checks", checks_);
-  for (std::size_t k = 0; k < alert_kind_count; ++k) {
-    reg.register_counter(
-        prefix + ".alerts." +
-            std::string{to_string(static_cast<alert_kind>(k))},
-        alert_counters_[k]);
+  for (const alert_kind k :
+       {alert_kind::adaptation_stuck, alert_kind::stale_snapshot}) {
+    reg.register_counter(prefix + ".alerts." + std::string{to_string(k)},
+                         alerts_fired_[slot(k)]);
   }
   reg.register_series(prefix + ".fidelity.min_loss", fid_min_);
   reg.register_series(prefix + ".fidelity.mean_loss", fid_mean_);
   reg.register_series(prefix + ".fidelity.max_loss", fid_max_);
   reg.register_series(prefix + ".stability_spread", spread_);
   reg.register_series(prefix + ".snapshot_age", staleness_);
-  reg.register_series(prefix + ".cache_occupancy", occupancy_);
 }
 
 void adaptation_monitor::register_trace(trace::collector& col,

@@ -1,21 +1,22 @@
 // Adaptation health monitor (observability over §3.3/§3.4).
 //
 // The sync evaluator decides *whether* to push a snapshot; this component
-// records *why* — per-check fidelity drift, stability-metric spread,
-// snapshot staleness and flow-cache pressure — and evaluates a small set of
-// declarative watchdog rules against that state:
+// records *why* — per-check fidelity drift, stability-metric spread and
+// snapshot staleness — and runs two alert rules over that state, each a
+// metrics::alert_rule (util/alert_rule.hpp, the rule engine the rt
+// watchdog runs too):
 //
 //   adaptation_stuck    drift above the necessity threshold while the
-//                       stability metric refuses to converge, for N
+//                       stability metric refuses to converge, for 5
 //                       consecutive sync checks.  The classic "stuck
 //                       mid-exploration" failure of adaptation loops: the
 //                       kernel keeps serving a model the slow path already
 //                       knows is wrong.
-//   flow_cache_pressure flow-cache occupancy at or above a high-watermark
-//                       fraction of capacity (evictions about to churn).
-//   stale_snapshot      the installed snapshot is older than a configured
-//                       bound while the last verdict still said an update
-//                       is necessary — the datapath is running stale code.
+//   stale_snapshot      the installed snapshot is older than 5 s while the
+//                       last verdict still said an update is necessary —
+//                       the datapath is running stale code.  Watched at
+//                       every sync check and every batch delivery; an
+//                       install re-arms it.
 //
 // Alerts are edge-triggered: a rule fires once when its condition becomes
 // true and re-arms only after the condition clears, so alert counts stay
@@ -40,35 +41,19 @@
 #include <vector>
 
 #include "core/sync_evaluator.hpp"
+#include "util/alert_rule.hpp"
 #include "util/metrics.hpp"
 #include "util/time_series.hpp"
 #include "util/trace.hpp"
 
 namespace lf::core {
 
-struct monitor_config {
-  bool enabled = false;
-  /// Consecutive sync checks with (necessary && !converged) before the
-  /// adaptation_stuck alert fires.
-  std::size_t stuck_checks = 5;
-  /// Flow-cache occupancy fraction (size / capacity) that raises
-  /// flow_cache_pressure.
-  double cache_high_watermark = 0.85;
-  /// Snapshot age (seconds since install) that, combined with a drifting
-  /// last verdict, raises stale_snapshot.
-  double stale_snapshot_age = 5.0;
-
-  /// Environment default: LF_MONITOR (nonzero enables).
-  static monitor_config from_env();
-};
-
+/// The codes are the trace `alert` event's `a` payload; 1 is retired
+/// (DESIGN.md §9) and stays unused so old traces keep their meaning.
 enum class alert_kind : std::uint8_t {
   adaptation_stuck = 0,
-  flow_cache_pressure,
-  stale_snapshot,
+  stale_snapshot = 2,
 };
-
-inline constexpr std::size_t alert_kind_count = 3;
 
 std::string_view to_string(alert_kind k) noexcept;
 
@@ -76,8 +61,8 @@ std::string_view to_string(alert_kind k) noexcept;
 struct alert_record {
   double t = 0.0;
   alert_kind kind{};
-  /// Rule-specific magnitude: consecutive stuck checks, occupancy fraction,
-  /// or snapshot age in seconds.
+  /// Rule-specific magnitude: consecutive stuck checks, or snapshot age in
+  /// seconds.
   double value = 0.0;
   /// Installed snapshot version when the alert fired.
   std::uint64_t version = 0;
@@ -131,10 +116,6 @@ struct check_observation {
   sync_decision decision{};
   double threshold = 0.0;  ///< alpha * (Omax - Omin) at this check
   double stability_spread = 0.0;
-  std::size_t stability_samples = 0;
-  std::size_t stability_window = 0;
-  std::size_t cache_size = 0;
-  std::size_t cache_capacity = 0;
   std::uint64_t version = 0;  ///< installed snapshot version checked against
 };
 
@@ -157,24 +138,23 @@ struct install_observation {
 
 class adaptation_monitor {
  public:
-  explicit adaptation_monitor(monitor_config config = {});
+  explicit adaptation_monitor(bool enabled = false);
 
   adaptation_monitor(const adaptation_monitor&) = delete;
   adaptation_monitor& operator=(const adaptation_monitor&) = delete;
 
-  bool enabled() const noexcept { return config_.enabled; }
-  const monitor_config& config() const noexcept { return config_; }
+  bool enabled() const noexcept { return enabled_; }
 
   // ---- hooks (called by instrumented components; all read-only) ----
 
-  /// One §3.3 sync verdict: records the fidelity/spread/staleness/occupancy
-  /// time series and evaluates every watchdog rule.
+  /// One §3.3 sync verdict: records the fidelity/spread/staleness time
+  /// series and evaluates both rules.
   void on_sync_check(double now, const check_observation& obs);
 
-  /// One slow-path batch delivery.  Cheap time-based rule pass so staleness
-  /// and cache pressure are still watched when sync checks are rare or the
-  /// adaptation loop is disabled outright.
-  void on_batch(double now, std::size_t cache_size, std::size_t cache_capacity);
+  /// One slow-path batch delivery.  Cheap staleness pass so stale_snapshot
+  /// is still watched when sync checks are rare or the adaptation loop is
+  /// disabled outright.
+  void on_batch(double now);
 
   /// A new snapshot version switched active: opens its ledger record and
   /// closes the demoted predecessor's (retire time + pinned flows).
@@ -201,7 +181,6 @@ class adaptation_monitor {
   const time_series& fidelity_max() const noexcept { return fid_max_; }
   const time_series& stability_spread() const noexcept { return spread_; }
   const time_series& snapshot_age() const noexcept { return staleness_; }
-  const time_series& cache_occupancy() const noexcept { return occupancy_; }
 
   /// Publish "<prefix>.alerts.<kind>" counters plus "<prefix>.checks" and
   /// the recorded series under "<prefix>.fidelity.*" etc.
@@ -213,16 +192,17 @@ class adaptation_monitor {
 
  private:
   void raise(double now, alert_kind kind, double value);
-  void check_time_rules(double now, std::size_t cache_size,
-                        std::size_t cache_capacity);
+  /// stale_snapshot's observation: the installed snapshot's age, or a
+  /// clean one while the last verdict did not drift.
+  void observe_staleness(double now);
+  /// Index of kind `k` in alerts_fired_.
+  static std::size_t slot(alert_kind k) noexcept {
+    return k == alert_kind::stale_snapshot;
+  }
 
-  monitor_config config_;
-
-  // Rule state.
-  std::size_t consecutive_stuck_ = 0;
-  bool stuck_active_ = false;
-  bool pressure_active_ = false;
-  bool stale_active_ = false;
+  bool enabled_;
+  metrics::alert_rule stuck_;  ///< adaptation_stuck: 1 per stuck check
+  metrics::alert_rule stale_;  ///< stale_snapshot: the snapshot's age
   bool last_drifting_ = false;  ///< last verdict said "update necessary"
   double last_install_time_ = -1.0;
   std::uint64_t current_version_ = 0;
@@ -231,7 +211,7 @@ class adaptation_monitor {
   std::vector<alert_record> alerts_;
 
   metrics::counter checks_;
-  metrics::counter alert_counters_[alert_kind_count];
+  metrics::counter alerts_fired_[2];
   double last_threshold_ = 0.0;
 
   time_series fid_min_{"fidelity_min_loss"};
@@ -239,7 +219,6 @@ class adaptation_monitor {
   time_series fid_max_{"fidelity_max_loss"};
   time_series spread_{"stability_spread"};
   time_series staleness_{"snapshot_age"};
-  time_series occupancy_{"cache_occupancy"};
 
   trace::ring trace_{"health"};
 };

@@ -31,10 +31,7 @@ double userspace_service::training_cost(std::size_t samples) const noexcept {
 
 void userspace_service::on_batch(std::vector<train_sample> batch) {
   batches_.inc();
-  if (monitor_) {
-    const rt::sharded_flow_cache::totals c = core_.engine().cache().stats();
-    monitor_->on_batch(sim_.now(), c.size, c.capacity);
-  }
+  if (monitor_) monitor_->on_batch(sim_.now());
   if (!config_.adaptation_enabled || batch.empty()) return;
   // Slow-path tuning competes for the shared CPU as user_train work; the
   // actual model math runs when the simulated work completes.
@@ -88,12 +85,6 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
           obs.threshold = config_.sync.alpha *
                           (config_.sync.output_max - config_.sync.output_min);
           obs.stability_spread = evaluator_.stability_spread();
-          obs.stability_samples = evaluator_.stability_samples();
-          obs.stability_window = config_.sync.stability_window;
-          const rt::sharded_flow_cache::totals c =
-              core_.engine().cache().stats();
-          obs.cache_size = c.size;
-          obs.cache_capacity = c.capacity;
           obs.version = version_;
           monitor_->on_sync_check(sim_.now(), obs);
         }

@@ -1,8 +1,8 @@
 #include "rt/anomaly_watchdog.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "util/bench_report.hpp"
@@ -10,20 +10,27 @@
 namespace lf::rt {
 namespace {
 
-/// EWMA smoothing of every rule's baseline, for both the mean and the MAD.
-constexpr double k_ewma_alpha = 0.25;
-/// Weight of the MAD in the high-side envelopes.
-constexpr double k_mad_slack = 8.0;
+using metrics::breach_side;
+using metrics::rule_baseline;
+using metrics::rule_spec;
+
+/// Windows a rule's baseline must absorb before it may breach.  During
+/// warmup every window (spike or not) feeds the baseline and nothing
+/// fires — a cold start must not alert on its own ramp.
+constexpr std::size_t k_warmup = 5;
+/// Consecutive breaching windows required to fire (the k in k-of-M).
+/// 3 is deliberate: on a loaded single-CPU host, two back-to-back
+/// scheduler-stall p999 spikes show up in genuinely clean runs.
+constexpr std::size_t k_fire_after = 3;
 /// Windows with fewer routes than this are skipped outright (no baseline
 /// update, no breach evaluation): idle phases and the short tail window
 /// after workers join carry no signal, only noise.
 constexpr std::uint64_t k_min_window_routes = 64;
 
-// Per-rule envelopes over the rule's EWMA baseline.  High-side rules breach
-// above
-//   max(mean * factor, mean + k_mad_slack * mad) + abs_min
-// (the MAD term keeps a noisy-but-legitimate series from alerting on its
-// own jitter); low-side rules breach below mean * frac.
+// Envelopes over each rule's baseline (the k_rules table below).  The MAD
+// term of the high-side envelopes keeps a noisy-but-legitimate series from
+// alerting on its own jitter.
+constexpr double k_mad_slack = 8.0;
 constexpr double k_p999_spike_factor = 4.0;
 constexpr double k_p999_spike_min_ns = 250.0;
 constexpr double k_rps_collapse_frac = 0.25;
@@ -59,6 +66,56 @@ constexpr double k_retired_leak_min = 64.0;
 /// teach the EWMA that the storm is normal) nor reset the breach count (the
 /// k-of-M run survives isolated dips).
 constexpr std::size_t k_retired_leak_rearm = 3;
+/// A low-side rule's threshold while its baseline says it does not apply.
+constexpr double k_never = -std::numeric_limits<double>::infinity();
+
+constexpr rule_spec window_rule(breach_side side,
+                                double (*threshold)(const rule_baseline&),
+                                std::size_t rearm_after = 1) {
+  return {side, threshold, k_warmup, k_fire_after, rearm_after};
+}
+
+/// The six rules, in anomaly_kind order.
+constexpr rule_spec k_rules[anomaly_kind_count] = {
+    // p999_spike
+    window_rule(breach_side::above, [](const rule_baseline& b) {
+      return std::max(b.mean * k_p999_spike_factor,
+                      b.mean + k_mad_slack * b.mad) +
+             k_p999_spike_min_ns;
+    }),
+    // rps_collapse: a baseline without traffic has nothing to collapse.
+    window_rule(breach_side::below, [](const rule_baseline& b) {
+      return b.mean > 0.0 ? b.mean * k_rps_collapse_frac : k_never;
+    }),
+    // l1_collapse
+    window_rule(breach_side::below, [](const rule_baseline& b) {
+      return b.mean >= k_l1_min_baseline ? b.mean * k_l1_collapse_frac
+                                         : k_never;
+    }),
+    // locks_spike
+    window_rule(breach_side::above, [](const rule_baseline& b) {
+      return std::max({b.mean * k_locks_spike_factor,
+                       b.mean + k_mad_slack * b.mad, k_locks_spike_min});
+    }),
+    // shadow_drift
+    window_rule(breach_side::above, [](const rule_baseline& b) {
+      return std::max({b.mean * k_shadow_drift_factor,
+                       b.mean + k_mad_slack * b.mad, k_shadow_drift_min});
+    }),
+    // retired_leak.  No MAD term, deliberately.  Mid-storm the live count
+    // whipsaws (reclaim wins a window, drops it 3x, loses the next) — if
+    // one such dip lands inside the envelope it folds, and a MAD fed a
+    // deviation that large inflates the envelope above the storm plateau
+    // itself, turning every later storm window "clean".  The live count is
+    // low-jitter in steady state, so the pure-factor envelope loses nothing
+    // the MAD term was protecting.
+    window_rule(
+        breach_side::above,
+        [](const rule_baseline& b) {
+          return b.mean * k_retired_leak_factor + k_retired_leak_min;
+        },
+        k_retired_leak_rearm),
+};
 
 }  // namespace
 
@@ -76,103 +133,18 @@ std::string_view to_string(anomaly_kind k) noexcept {
 
 anomaly_watchdog::anomaly_watchdog(watchdog_config cfg,
                                    datapath_engine* engine)
-    : cfg_{std::move(cfg)}, engine_{engine} {}
-
-std::size_t anomaly_watchdog::rearm_windows(anomaly_kind k) const noexcept {
-  return k == anomaly_kind::retired_leak ? k_retired_leak_rearm : 1;
-}
-
-double anomaly_watchdog::envelope(anomaly_kind k,
-                                  const baseline_stats& b) const {
-  switch (k) {
-    case anomaly_kind::p999_spike:
-      return std::max(b.mean * k_p999_spike_factor,
-                      b.mean + k_mad_slack * b.mad) +
-             k_p999_spike_min_ns;
-    case anomaly_kind::rps_collapse:
-      return b.mean * k_rps_collapse_frac;
-    case anomaly_kind::l1_collapse:
-      return b.mean * k_l1_collapse_frac;
-    case anomaly_kind::locks_spike:
-      return std::max({b.mean * k_locks_spike_factor,
-                       b.mean + k_mad_slack * b.mad,
-                       k_locks_spike_min});
-    case anomaly_kind::shadow_drift:
-      return std::max({b.mean * k_shadow_drift_factor,
-                       b.mean + k_mad_slack * b.mad,
-                       k_shadow_drift_min});
-    case anomaly_kind::retired_leak:
-      // No MAD term, deliberately.  Mid-storm the live count whipsaws
-      // (reclaim wins a window, drops it 3x, loses the next) — if one such
-      // dip lands inside the envelope it folds, and a MAD fed a deviation
-      // that large inflates the envelope above the storm plateau itself,
-      // turning every later storm window "clean".  The live count is
-      // low-jitter in steady state, so the pure-factor envelope loses
-      // nothing the MAD term was protecting.
-      return b.mean * k_retired_leak_factor + k_retired_leak_min;
-  }
-  return 0.0;
-}
-
-void anomaly_watchdog::evaluate(anomaly_kind k, const stats_window& w,
-                                double v) {
-  rule_state& r = rules_[static_cast<std::size_t>(k)];
-  const bool warm = r.base.samples >= cfg_.warmup_windows;
-  bool breach = false;
-  double thr = 0.0;
-  if (warm) {
-    thr = envelope(k, r.base);
-    switch (k) {
-      case anomaly_kind::rps_collapse:
-        breach = r.base.mean > 0.0 && v < thr;
-        break;
-      case anomaly_kind::l1_collapse:
-        breach = r.base.mean >= k_l1_min_baseline && v < thr;
-        break;
-      default:
-        breach = v > thr;
-    }
-  }
-  if (!breach) {
-    // Clean (or warmup) window.  While a breach run is open the window is
-    // only provisionally clean: until rearm_windows(k) consecutive clean
-    // windows close the run, it is a suspicious period — the value is not
-    // folded (it may be a storm-level "dip" that would teach the baseline
-    // the anomaly is normal) and the breach count survives.
-    if (r.breach_run > 0 && r.clean_run + 1 < rearm_windows(k)) {
-      ++r.clean_run;
-      return;
-    }
-    // Genuinely clean: fold into the baseline and re-arm.
-    if (r.base.samples == 0) {
-      r.base.mean = v;
-      r.base.mad = 0.0;
-    } else {
-      const double dev = std::abs(v - r.base.mean);
-      r.base.mean += k_ewma_alpha * (v - r.base.mean);
-      r.base.mad += k_ewma_alpha * (dev - r.base.mad);
-    }
-    ++r.base.samples;
-    r.breach_run = 0;
-    r.clean_run = 0;
-    r.latched = false;
-    return;
-  }
-  // Breaching window: never folded into the baseline.
-  r.clean_run = 0;
-  if (r.breach_run == 0) r.first_breach_t = w.t_s;
-  ++r.breach_run;
-  if (r.breach_run >= cfg_.breach_windows && !r.latched) {
-    r.latched = true;  // edge trigger: one incident per excursion
-    fire(k, w, v, thr, r);
+    : cfg_{std::move(cfg)}, engine_{engine} {
+  for (std::size_t k = 0; k < anomaly_kind_count; ++k) {
+    rules_[k] = metrics::alert_rule{k_rules[k]};
   }
 }
 
 void anomaly_watchdog::observe(const stats_window& w,
                                double max_shadow_divergence) {
-  if (!cfg_.enabled) return;
   std::lock_guard<std::mutex> g{mu_};
-  ++windows_seen_;
+  const auto judge = [&](anomaly_kind k, double v) {
+    if (rules_[static_cast<std::size_t>(k)].observe(w.t_s, v)) fire(k, w, v);
+  };
 
   // retired_leak is a control-plane rule, watched on every window (an idle
   // datapath can still leak versions).  The watched series is the *live*
@@ -182,20 +154,19 @@ void anomaly_watchdog::observe(const stats_window& w,
   // individual windows mid-storm) but holds it an order of magnitude above
   // the steady churn baseline, which the EWMA tracks through slow creep
   // without alerting.
-  evaluate(anomaly_kind::retired_leak, w,
-           static_cast<double>(w.versions_live));
+  judge(anomaly_kind::retired_leak, static_cast<double>(w.versions_live));
 
   // Traffic rules only see windows with enough routes to mean anything:
   // idle phases and the short tail window after the workers join would
   // otherwise read as throughput collapses.
   if (w.routes < k_min_window_routes) return;
 
-  if (w.samples != 0) evaluate(anomaly_kind::p999_spike, w, w.p999_ns);
-  evaluate(anomaly_kind::rps_collapse, w, w.routes_per_sec);
-  evaluate(anomaly_kind::l1_collapse, w, w.l1_hit_rate);
-  evaluate(anomaly_kind::locks_spike, w, w.locks_per_route);
+  if (w.samples != 0) judge(anomaly_kind::p999_spike, w.p999_ns);
+  judge(anomaly_kind::rps_collapse, w.routes_per_sec);
+  judge(anomaly_kind::l1_collapse, w.l1_hit_rate);
+  judge(anomaly_kind::locks_spike, w.locks_per_route);
   if (max_shadow_divergence > 0.0) {
-    evaluate(anomaly_kind::shadow_drift, w, max_shadow_divergence);
+    judge(anomaly_kind::shadow_drift, max_shadow_divergence);
   }
 }
 
@@ -210,17 +181,17 @@ bool anomaly_watchdog::classifiable(anomaly_kind k) noexcept {
 }
 
 void anomaly_watchdog::fire(anomaly_kind k, const stats_window& w,
-                            double observed, double threshold,
-                            rule_state& r) {
+                            double observed) {
+  const metrics::alert_rule& rule = rules_[static_cast<std::size_t>(k)];
   incident_record inc;
   inc.seq = incidents_.size() + 1;
   inc.t_s = w.t_s;
   inc.kind = k;
   inc.observed = observed;
-  inc.baseline = r.base.mean;
-  inc.threshold = threshold;
-  inc.breach_windows = r.breach_run;
-  inc.first_breach_t_s = r.first_breach_t;
+  inc.baseline = rule.baseline().mean;
+  inc.threshold = rule.threshold();
+  inc.breach_run = rule.breach_run();
+  inc.first_breach_t_s = rule.first_breach_t();
   inc.window = w;
   if (engine_ != nullptr) {
     const datapath_engine::live_counters c = engine_->counters_now();
@@ -272,7 +243,7 @@ void anomaly_watchdog::fire(anomaly_kind k, const stats_window& w,
                "baseline=%.4g threshold=%.4g (%zu windows)%s%s\n",
                static_cast<unsigned long long>(inc.seq),
                std::string{to_string(k)}.c_str(), inc.t_s, inc.observed,
-               inc.baseline, inc.threshold, inc.breach_windows,
+               inc.baseline, inc.threshold, inc.breach_run,
                inc.dump_path.empty() ? "" : " dump=",
                inc.dump_path.c_str());
   incidents_.push_back(std::move(inc));
@@ -304,14 +275,9 @@ std::uint64_t anomaly_watchdog::rollbacks_issued() const {
   return rollbacks_issued_.value();
 }
 
-baseline_stats anomaly_watchdog::baseline(anomaly_kind k) const {
+metrics::rule_baseline anomaly_watchdog::baseline(anomaly_kind k) const {
   std::lock_guard<std::mutex> g{mu_};
-  return rules_[static_cast<std::size_t>(k)].base;
-}
-
-std::size_t anomaly_watchdog::windows_seen() const {
-  std::lock_guard<std::mutex> g{mu_};
-  return windows_seen_;
+  return rules_[static_cast<std::size_t>(k)].baseline();
 }
 
 std::uint64_t anomaly_watchdog::dumps() const noexcept {
@@ -376,7 +342,7 @@ std::string anomaly_watchdog::write_incidents_locked() const {
        << "\",\"observed\":" << json_number(inc.observed) << ",\"baseline\":"
        << json_number(inc.baseline) << ",\"threshold\":"
        << json_number(inc.threshold) << ",\"breach_windows\":"
-       << inc.breach_windows << ",\"first_breach_t_s\":"
+       << inc.breach_run << ",\"first_breach_t_s\":"
        << json_number(inc.first_breach_t_s) << ",\"dump\":\""
        << json_escape(inc.dump_path) << "\",\"versions_live\":"
        << inc.versions_live << ",\"versions_retired\":"
@@ -437,7 +403,7 @@ report::table_data anomaly_watchdog::incidents_table() const {
     }
     t.rows.push_back({num4(inc.t_s), std::move(rule), num4(inc.observed),
                       num4(inc.baseline), num4(inc.threshold),
-                      std::to_string(inc.breach_windows),
+                      std::to_string(inc.breach_run),
                       inc.dump_path.empty() ? "(suppressed)"
                                             : inc.dump_path});
     t.row_classes.push_back("incident");

@@ -8,22 +8,15 @@
 // admit, a retired-version leak — and they are invisible in end-of-run
 // aggregates.  The watchdog rides the windows the stats sampler already
 // folds (no new hot-path instrumentation: workers pay nothing they did not
-// already pay for telemetry) and keeps one rolling baseline per watched
-// series:
-//
-//   baseline: EWMA mean + EWMA mean-absolute-deviation (MAD), warmup-gated.
-//     mean' = mean + alpha * (v - mean)
-//     mad'  = mad  + alpha * (|v - mean| - mad)
-//   Breaching windows are NOT folded into the baseline (an anomaly must not
-//   teach the detector that anomalous is normal); recovery windows are.
-//
-//   trigger: edge-triggered k-of-M — a rule fires only after
-//   `breach_windows` consecutive breaching windows, fires once, and re-arms
-//   when a window comes back inside the envelope (the adaptation_monitor's
-//   alert semantics, applied to the rt plane).  retired_leak alone needs
-//   several consecutive clean windows to re-arm (k_retired_leak_rearm):
-//   reclamation wins isolated windows mid-storm, and those dips must not
-//   reset the count or fold into the baseline.
+// already pay for telemetry) and runs one metrics::alert_rule per watched
+// series (util/alert_rule.hpp: EWMA mean + MAD baseline, warmup-gated,
+// edge-triggered k-of-M, the rule engine the simulated stack's adaptation
+// monitor runs too).  The six rules are one spec table in
+// anomaly_watchdog.cpp: every rule warms up over 5 windows and fires on 3
+// consecutive breaching windows; retired_leak alone needs several
+// consecutive clean windows to re-arm, because reclamation wins isolated
+// windows mid-storm and those dips must not reset the count or fold into
+// the baseline.
 //
 // On fire the watchdog emits a typed `anomaly` event into the flight
 // recorder's control ring, triggers a rate-limited black-box dump
@@ -44,6 +37,7 @@
 
 #include "rt/engine.hpp"
 #include "rt/stats_sampler.hpp"
+#include "util/alert_rule.hpp"
 #include "util/metrics.hpp"
 #include "util/run_report.hpp"
 
@@ -70,15 +64,6 @@ inline constexpr std::size_t anomaly_kind_count = 6;
 std::string_view to_string(anomaly_kind k) noexcept;
 
 struct watchdog_config {
-  bool enabled = true;
-  /// Windows a rule's baseline must absorb before it may breach.  During
-  /// warmup every window (spike or not) feeds the baseline and nothing
-  /// fires — a cold start must not alert on its own ramp.
-  std::size_t warmup_windows = 5;
-  /// Consecutive breaching windows required to fire (the M in k-of-M).
-  /// 3 is deliberate: on a loaded single-CPU host, two back-to-back
-  /// scheduler-stall p999 spikes show up in genuinely clean runs.
-  std::size_t breach_windows = 3;
   /// INCIDENT_<label>.json basename; "" disables the incident file.
   std::string incident_label;
   /// Rollback policy: when a firing rule is classified
@@ -89,13 +74,6 @@ struct watchdog_config {
   bool auto_rollback = false;
 };
 
-/// One rule's rolling baseline (exposed for tests and the incident record).
-struct baseline_stats {
-  double mean = 0.0;
-  double mad = 0.0;
-  std::size_t samples = 0;  ///< windows folded in
-};
-
 /// One fired anomaly.
 struct incident_record {
   std::uint64_t seq = 0;  ///< 1-based, monotonic per watchdog
@@ -104,7 +82,7 @@ struct incident_record {
   double observed = 0.0;
   double baseline = 0.0;   ///< baseline mean at trigger time
   double threshold = 0.0;  ///< envelope edge the observation crossed
-  std::size_t breach_windows = 0;  ///< consecutive breaches at trigger
+  std::size_t breach_run = 0;  ///< consecutive breaches at trigger
   double first_breach_t_s = 0.0;
   stats_window window{};   ///< the window that completed the k-of-M run
   std::string dump_path;   ///< BLACKBOX_anomaly_<n>.json ("" if suppressed)
@@ -136,9 +114,6 @@ class anomaly_watchdog {
   anomaly_watchdog(const anomaly_watchdog&) = delete;
   anomaly_watchdog& operator=(const anomaly_watchdog&) = delete;
 
-  bool enabled() const noexcept { return cfg_.enabled; }
-  const watchdog_config& config() const noexcept { return cfg_; }
-
   /// Evaluate one folded window (called by stats_sampler::tick on the
   /// sampler thread; any single thread in tests).  `max_shadow_divergence`
   /// is the worst per-model mean divergence with evidence this window
@@ -152,8 +127,7 @@ class anomaly_watchdog {
   /// actually executed (auto_rollback on, engine rollback succeeded).
   std::uint64_t post_switch_incidents() const;
   std::uint64_t rollbacks_issued() const;
-  baseline_stats baseline(anomaly_kind k) const;
-  std::size_t windows_seen() const;
+  metrics::rule_baseline baseline(anomaly_kind k) const;
 
   /// Anomaly dumps written / suppressed by the engine's recorder (0 each
   /// without an engine or recorder).
@@ -177,35 +151,18 @@ class anomaly_watchdog {
   std::vector<report::marker> incident_markers() const;
 
  private:
-  struct rule_state {
-    baseline_stats base;
-    std::size_t breach_run = 0;  ///< breaching windows in the open run
-    std::size_t clean_run = 0;   ///< consecutive clean windows since a breach
-    bool latched = false;        ///< fired and not yet re-armed
-    double first_breach_t = 0.0;
-  };
-
-  /// One rule evaluation: warmup/baseline fold on clean windows, breach-run
-  /// bookkeeping and (maybe) fire on breaching ones.  high = breach above
-  /// the envelope, else below.  Caller holds mu_.
-  void evaluate(anomaly_kind k, const stats_window& w, double v);
-  void fire(anomaly_kind k, const stats_window& w, double observed,
-            double threshold, rule_state& r);
+  /// Record the incident rule `k` just fired on.  Caller holds mu_.
+  void fire(anomaly_kind k, const stats_window& w, double observed);
   /// True for the rules the post-switch classifier correlates with an open
   /// probation hold (datapath symptoms a bad candidate produces).
   static bool classifiable(anomaly_kind k) noexcept;
-  double envelope(anomaly_kind k, const baseline_stats& b) const;
-  /// Clean windows needed to close a breach run: retired_leak_rearm for
-  /// that rule, 1 (re-arm on any clean window) for every other.
-  std::size_t rearm_windows(anomaly_kind k) const noexcept;
   std::string write_incidents_locked() const;
 
   watchdog_config cfg_;
   datapath_engine* engine_;
 
   mutable std::mutex mu_;
-  std::size_t windows_seen_ = 0;
-  rule_state rules_[anomaly_kind_count];
+  metrics::alert_rule rules_[anomaly_kind_count];
   std::vector<incident_record> incidents_;
   metrics::counter incidents_total_;
   metrics::counter per_kind_[anomaly_kind_count];

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace lf::sim {
@@ -21,6 +20,12 @@ class simulation {
 
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
   void schedule(sim_time delay, std::function<void()> fn);
+
+  /// Run `fn` `first_delay` seconds from now, then every `period` seconds.
+  /// The pending run owns `fn`, and each run schedules the next after `fn`
+  /// returns, so what `fn` schedules for that instant runs first.
+  void schedule_every(sim_time first_delay, sim_time period,
+                      std::function<void()> fn);
 
   /// Run events until the queue drains or the clock would pass `t_end`;
   /// the clock is left at min(t_end, last event time).
@@ -45,10 +50,12 @@ class simulation {
     }
   };
 
+  void run_due(sim_time t_end);  ///< run events with t <= t_end
+
   sim_time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<event, std::vector<event>, later> queue_;
+  std::vector<event> queue_;  ///< heap: earliest (t, seq) in front
 };
 
 }  // namespace lf::sim

@@ -241,9 +241,7 @@ TEST(InferenceRouter, SwitchLockHeldNanoseconds) {
 
 TEST(CoreEngine, RemovedTimeIsLastPinnedFlowsFin) {
   core_rig rig;
-  monitor_config mc;
-  mc.enabled = true;
-  adaptation_monitor mon{mc};
+  adaptation_monitor mon{true};
   rig.core.register_monitor(mon);
   install_observation v1;
   v1.version = 1;

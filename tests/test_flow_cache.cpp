@@ -93,7 +93,12 @@ TEST(FlowCache, OccupancyGaugeSurvivesRehash) {
 TEST(FlowCache, GrowsPastInitialCapacityWithoutLosingEntries) {
   cache_rig c{16};
   const std::size_t cap0 = c.capacity();
-  for (netsim::flow_id_t f = 0; f < 1000; ++f) c.insert(f, 0.0);
+  for (netsim::flow_id_t f = 0; f < 1000; ++f) {
+    c.insert(f, 0.0);
+    // The insert path rehashes before live entries pass 3/4 of the slots,
+    // so occupancy never reaches a higher watermark.
+    ASSERT_LE(c.size() * 4, c.capacity() * 3) << "flow " << f;
+  }
   EXPECT_EQ(c.size(), 1000u);
   EXPECT_GT(c.capacity(), cap0);
   EXPECT_GT(c.rehashes(), 0u);
@@ -108,10 +113,14 @@ TEST(FlowCache, TombstonesAreReclaimedByChurn) {
   // without bound: tombstones get reused or scrubbed by the periodic rehash.
   cache_rig c{64};
   netsim::flow_id_t next = 0;
-  for (; next < 32; ++next) c.insert(next, 0.0);
+  for (; next < 32; ++next) {
+    c.insert(next, 0.0);
+    ASSERT_LE(c.size() * 4, c.capacity() * 3);
+  }
   for (int i = 0; i < 100000; ++i) {
     ASSERT_TRUE(c.cache.erase(next - 32, c.handle));
     c.insert(next, 0.0);
+    ASSERT_LE(c.size() * 4, c.capacity() * 3);
     ++next;
   }
   EXPECT_EQ(c.size(), 32u);

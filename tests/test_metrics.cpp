@@ -1,12 +1,15 @@
-// Telemetry registry semantics (util/metrics) and the shared BENCH_*.json
-// reporter (util/bench_report).
+// Telemetry registry semantics (util/metrics), the shared alert rule
+// (util/alert_rule) and the shared BENCH_*.json reporter
+// (util/bench_report).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "util/alert_rule.hpp"
 #include "util/bench_report.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/metrics.hpp"
@@ -182,6 +185,104 @@ TEST(Metrics, UnregisterRemovesBinding) {
   EXPECT_FALSE(reg.contains("c"));
   reg.unregister("never-there");  // no-op
   EXPECT_EQ(reg.size(), 0u);
+}
+
+// -------------------------------------------------------------- alert rule --
+
+namespace {
+
+using metrics::alert_rule;
+using metrics::breach_side;
+using metrics::rule_baseline;
+using metrics::rule_spec;
+
+constexpr rule_spec k_fixed_k3{
+    breach_side::above, [](const rule_baseline&) { return 0.5; }, 0, 3, 1};
+
+}  // namespace
+
+TEST(AlertRule, FiresOnTheKthConsecutiveBreachOncePerExcursion) {
+  alert_rule r{k_fixed_k3};
+  EXPECT_FALSE(r.observe(1.0, 1.0));
+  EXPECT_FALSE(r.observe(2.0, 1.0));
+  EXPECT_FALSE(r.observe(3.0, 0.0));  // clean: the run resets
+  EXPECT_EQ(r.breach_run(), 0u);
+  EXPECT_FALSE(r.observe(4.0, 1.0));
+  EXPECT_FALSE(r.observe(5.0, 1.0));
+  EXPECT_TRUE(r.observe(6.0, 1.0));
+  EXPECT_EQ(r.breach_run(), 3u);
+  EXPECT_DOUBLE_EQ(r.first_breach_t(), 4.0);
+  EXPECT_DOUBLE_EQ(r.threshold(), 0.5);
+  EXPECT_FALSE(r.observe(7.0, 1.0));  // latched for the excursion
+  EXPECT_EQ(r.breach_run(), 4u);
+  EXPECT_FALSE(r.observe(8.0, 0.0));  // re-arms
+  EXPECT_FALSE(r.observe(9.0, 1.0));
+  EXPECT_FALSE(r.observe(10.0, 1.0));
+  EXPECT_TRUE(r.observe(11.0, 1.0));
+}
+
+TEST(AlertRule, WarmupFoldsEveryObservationIntoTheEwmaBaseline) {
+  constexpr rule_spec spec{
+      breach_side::above,
+      [](const rule_baseline& b) { return b.mean * 2.0; }, 3, 1, 1};
+  alert_rule r{spec};
+  EXPECT_FALSE(r.observe(1.0, 100.0));
+  EXPECT_FALSE(r.observe(2.0, 1000.0));  // would breach once warm
+  EXPECT_FALSE(r.observe(3.0, 100.0));
+  // mean 100 -> 325 -> 268.75; mad 0 -> 225 -> 225 (alpha 0.25).
+  EXPECT_EQ(r.baseline().samples, 3u);
+  EXPECT_DOUBLE_EQ(r.baseline().mean, 268.75);
+  EXPECT_DOUBLE_EQ(r.baseline().mad, 225.0);
+  EXPECT_TRUE(r.observe(4.0, 1000.0));  // warm: 1000 > 2 * 268.75
+  EXPECT_DOUBLE_EQ(r.threshold(), 537.5);
+  EXPECT_EQ(r.baseline().samples, 3u);  // the breach did not fold
+}
+
+TEST(AlertRule, ProvisionallyCleanObservationsNeitherFoldNorResetTheRun) {
+  constexpr rule_spec spec{
+      breach_side::above,
+      [](const rule_baseline& b) { return b.mean + 10.0; }, 1, 2, 3};
+  alert_rule r{spec};
+  EXPECT_FALSE(r.observe(0.0, 5.0));   // warmup: mean 5
+  EXPECT_FALSE(r.observe(1.0, 50.0));  // breach 1
+  EXPECT_FALSE(r.observe(2.0, 6.0));   // provisionally clean
+  EXPECT_EQ(r.breach_run(), 1u);
+  EXPECT_TRUE(r.observe(3.0, 50.0));  // breach 2 completes the same run
+  EXPECT_DOUBLE_EQ(r.first_breach_t(), 1.0);
+  EXPECT_EQ(r.baseline().samples, 1u);
+  EXPECT_FALSE(r.observe(4.0, 6.0));
+  EXPECT_FALSE(r.observe(5.0, 6.0));
+  EXPECT_EQ(r.baseline().samples, 1u);  // two clean: still provisional
+  EXPECT_FALSE(r.observe(6.0, 6.0));    // the third closes the run, folds
+  EXPECT_EQ(r.baseline().samples, 2u);
+  EXPECT_EQ(r.breach_run(), 0u);
+  EXPECT_FALSE(r.observe(7.0, 50.0));
+  EXPECT_TRUE(r.observe(8.0, 50.0));  // re-armed: a fresh incident
+}
+
+TEST(AlertRule, BelowSideAndExplicitRearm) {
+  // Breach under half the baseline, only once the baseline is >= 0.2.
+  constexpr rule_spec spec{
+      breach_side::below,
+      [](const rule_baseline& b) {
+        return b.mean >= 0.2 ? b.mean * 0.5
+                             : -std::numeric_limits<double>::infinity();
+      },
+      1, 1, 1};
+  alert_rule idle{spec};
+  EXPECT_FALSE(idle.observe(0.0, 0.1));
+  EXPECT_FALSE(idle.observe(1.0, 0.0));  // baseline too low to apply
+
+  alert_rule r{spec};
+  EXPECT_FALSE(r.observe(0.0, 0.8));
+  EXPECT_FALSE(r.observe(1.0, 0.5));  // above 0.4: clean
+  EXPECT_TRUE(r.observe(2.0, 0.1));
+  EXPECT_FALSE(r.observe(3.0, 0.1));  // latched
+  const std::size_t folded = r.baseline().samples;
+  r.rearm();  // explicit re-arm: unlatches, folds nothing
+  EXPECT_EQ(r.baseline().samples, folded);
+  EXPECT_EQ(r.breach_run(), 0u);
+  EXPECT_TRUE(r.observe(4.0, 0.1));
 }
 
 // ------------------------------------------------------------ bench report --

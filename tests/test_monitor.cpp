@@ -1,5 +1,5 @@
-// Adaptation health monitor: edge-triggered watchdog rules (stuck /
-// cache-pressure / staleness), the snapshot lifecycle ledger close-out,
+// Adaptation health monitor: its two edge-triggered alert rules (stuck,
+// staleness), the snapshot lifecycle ledger close-out,
 // metrics and trace attachment, a service-level induced-stuck scenario, and
 // an end-to-end flight-report run whose HTML row/marker counts must
 // reconcile with the run's telemetry.
@@ -38,12 +38,6 @@ std::size_t count_occurrences(const std::string& hay, const std::string& pat) {
   return n;
 }
 
-monitor_config enabled_config() {
-  monitor_config c;
-  c.enabled = true;
-  return c;
-}
-
 check_observation stuck_check(std::uint64_t version = 1) {
   check_observation obs;
   obs.decision.necessary = true;
@@ -58,7 +52,7 @@ TEST(AdaptationMonitor, DisabledMonitorIgnoresEveryHook) {
   adaptation_monitor mon{};  // enabled defaults to false
   EXPECT_FALSE(mon.enabled());
   for (int i = 0; i < 10; ++i) mon.on_sync_check(1.0 * i, stuck_check());
-  mon.on_batch(11.0, 100, 100);
+  mon.on_batch(11.0);
   install_observation inst;
   inst.version = 1;
   inst.model = 7;
@@ -71,67 +65,43 @@ TEST(AdaptationMonitor, DisabledMonitorIgnoresEveryHook) {
 }
 
 TEST(AdaptationMonitor, StuckAlertFiresOnceAtThresholdAndRearms) {
-  monitor_config cfg = enabled_config();
-  cfg.stuck_checks = 3;
-  adaptation_monitor mon{cfg};
+  adaptation_monitor mon{true};  // fires on the 5th consecutive stuck check
 
-  // Two stuck checks: below the threshold, nothing fires.
-  mon.on_sync_check(0.1, stuck_check());
-  mon.on_sync_check(0.2, stuck_check());
+  // Four stuck checks: below the threshold, nothing fires.
+  for (int i = 1; i <= 4; ++i) mon.on_sync_check(0.1 * i, stuck_check());
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 0u);
 
-  // Third consecutive stuck check crosses the threshold — exactly one
+  // The fifth consecutive stuck check crosses the threshold — exactly one
   // alert, with the consecutive-check count as its value.
-  mon.on_sync_check(0.3, stuck_check());
+  mon.on_sync_check(0.5, stuck_check());
   ASSERT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 1u);
-  EXPECT_DOUBLE_EQ(mon.alerts().back().value, 3.0);
+  EXPECT_DOUBLE_EQ(mon.alerts().back().value, 5.0);
   EXPECT_EQ(mon.alerts().back().kind, alert_kind::adaptation_stuck);
-  EXPECT_DOUBLE_EQ(mon.alerts().back().t, 0.3);
+  EXPECT_DOUBLE_EQ(mon.alerts().back().t, 0.5);
 
   // Staying stuck does not re-fire (edge-triggered, not level-triggered).
-  mon.on_sync_check(0.4, stuck_check());
-  mon.on_sync_check(0.5, stuck_check());
+  mon.on_sync_check(0.6, stuck_check());
+  mon.on_sync_check(0.7, stuck_check());
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 1u);
 
   // A healthy check clears the condition and re-arms the rule...
   check_observation healthy;
   healthy.decision.necessary = false;
   healthy.decision.converged = true;
-  mon.on_sync_check(0.6, healthy);
+  mon.on_sync_check(0.8, healthy);
   // ...so a fresh run of stuck checks needs the full N again.
-  mon.on_sync_check(0.7, stuck_check());
-  mon.on_sync_check(0.8, stuck_check());
+  for (int i = 1; i <= 4; ++i) {
+    mon.on_sync_check(0.8 + 0.1 * i, stuck_check());
+  }
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 1u);
-  mon.on_sync_check(0.9, stuck_check());
+  mon.on_sync_check(1.3, stuck_check());
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 2u);
-  EXPECT_EQ(mon.checks(), 9u);
+  EXPECT_EQ(mon.checks(), 13u);
   EXPECT_EQ(mon.total_alerts(), 2u);
 }
 
-TEST(AdaptationMonitor, CachePressureEdgeTriggeredAtHighWatermark) {
-  monitor_config cfg = enabled_config();
-  cfg.cache_high_watermark = 0.85;
-  adaptation_monitor mon{cfg};
-
-  mon.on_batch(1.0, 84, 100);  // just under the watermark
-  EXPECT_EQ(mon.alert_count(alert_kind::flow_cache_pressure), 0u);
-  mon.on_batch(2.0, 85, 100);  // exactly at the watermark: >= fires
-  ASSERT_EQ(mon.alert_count(alert_kind::flow_cache_pressure), 1u);
-  EXPECT_DOUBLE_EQ(mon.alerts().back().value, 0.85);
-  mon.on_batch(3.0, 99, 100);  // still above: no re-fire
-  EXPECT_EQ(mon.alert_count(alert_kind::flow_cache_pressure), 1u);
-  mon.on_batch(4.0, 40, 100);  // drained: rule re-arms
-  mon.on_batch(5.0, 90, 100);  // second distinct incident
-  EXPECT_EQ(mon.alert_count(alert_kind::flow_cache_pressure), 2u);
-  // Zero capacity (cache not built yet) must never divide or fire.
-  mon.on_batch(6.0, 0, 0);
-  EXPECT_EQ(mon.alert_count(alert_kind::flow_cache_pressure), 2u);
-}
-
 TEST(AdaptationMonitor, StaleSnapshotNeedsBothAgeAndDrift) {
-  monitor_config cfg = enabled_config();
-  cfg.stale_snapshot_age = 5.0;
-  adaptation_monitor mon{cfg};
+  adaptation_monitor mon{true};  // stale past 5 s of age
 
   // No install yet: age is undefined, the rule stays silent no matter what.
   mon.on_sync_check(100.0, stuck_check());
@@ -148,7 +118,7 @@ TEST(AdaptationMonitor, StaleSnapshotNeedsBothAgeAndDrift) {
   content.decision.necessary = false;
   content.decision.converged = true;
   content.version = 2;
-  mon.on_batch(110.0, 0, 0);
+  mon.on_batch(110.0);
   EXPECT_EQ(mon.alert_count(alert_kind::stale_snapshot), 0u);
 
   // A drifting verdict while past the age bound raises it (the install at
@@ -170,7 +140,7 @@ TEST(AdaptationMonitor, StaleSnapshotNeedsBothAgeAndDrift) {
 }
 
 TEST(AdaptationMonitor, LedgerClosesRetiredRecordsAndTracksDrain) {
-  adaptation_monitor mon{enabled_config()};
+  adaptation_monitor mon{true};
 
   install_observation v1;
   v1.version = 1;
@@ -212,33 +182,29 @@ TEST(AdaptationMonitor, LedgerClosesRetiredRecordsAndTracksDrain) {
 }
 
 TEST(AdaptationMonitor, MetricsAndTraceMirrorAlerts) {
-  monitor_config cfg = enabled_config();
-  cfg.stuck_checks = 2;
-  adaptation_monitor mon{cfg};
+  adaptation_monitor mon{true};
   metrics::registry reg;
   mon.register_metrics(reg, "health");
   trace::collector col{trace::collector_config{true, 64}};
   mon.register_trace(col, "health");
 
-  mon.on_sync_check(0.1, stuck_check());
-  mon.on_sync_check(0.2, stuck_check());
-  mon.on_batch(0.3, 90, 100);  // default watermark 0.85
+  install_observation inst;
+  inst.version = 1;
+  inst.model = 3;
+  mon.on_snapshot_install(0.0, inst);
+  for (int i = 1; i <= 5; ++i) mon.on_sync_check(0.1 * i, stuck_check());
+  mon.on_batch(6.0);  // still drifting, snapshot 6 s old
 
   const auto* checks = reg.find_counter("health.checks");
   const auto* stuck = reg.find_counter("health.alerts.adaptation_stuck");
-  const auto* pressure =
-      reg.find_counter("health.alerts.flow_cache_pressure");
   const auto* stale = reg.find_counter("health.alerts.stale_snapshot");
   ASSERT_NE(checks, nullptr);
   ASSERT_NE(stuck, nullptr);
-  ASSERT_NE(pressure, nullptr);
   ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(checks->value(), 2u);
+  EXPECT_EQ(checks->value(), 5u);
   EXPECT_EQ(stuck->value(), 1u);
-  EXPECT_EQ(pressure->value(), 1u);
-  EXPECT_EQ(stale->value(), 0u);
-  EXPECT_EQ(stuck->value() + pressure->value() + stale->value(),
-            mon.total_alerts());
+  EXPECT_EQ(stale->value(), 1u);
+  EXPECT_EQ(stuck->value() + stale->value(), mon.total_alerts());
 
   // Every raise() also emitted a typed trace instant: a = alert kind,
   // b = value in 1e-9 units.
@@ -248,12 +214,10 @@ TEST(AdaptationMonitor, MetricsAndTraceMirrorAlerts) {
     if (m.e.type == trace::event_type::alert) alert_events.push_back(m.e);
   }
   ASSERT_EQ(alert_events.size(), 2u);
-  EXPECT_EQ(alert_events[0].a,
-            static_cast<std::uint64_t>(alert_kind::adaptation_stuck));
-  EXPECT_EQ(alert_events[0].b, 2u * 1000000000u);  // 2 consecutive checks
-  EXPECT_EQ(alert_events[1].a,
-            static_cast<std::uint64_t>(alert_kind::flow_cache_pressure));
-  EXPECT_EQ(alert_events[1].b, 900000000u);  // occupancy 0.9
+  EXPECT_EQ(alert_events[0].a, 0u);  // adaptation_stuck
+  EXPECT_EQ(alert_events[0].b, 5000000000u);  // 5 consecutive checks
+  EXPECT_EQ(alert_events[1].a, 2u);  // stale_snapshot
+  EXPECT_EQ(alert_events[1].b, 6000000000u);  // 6 s old
 }
 
 // ----------------------------------------------- service-level scenarios --
@@ -324,9 +288,7 @@ TEST(MonitorService, InducedStuckAdaptationRaisesAlert) {
   // monitor must flag that the loop is stuck doing so.
   service_rig rig;
   rig.adapter.drift_per_batch = 0.2;
-  monitor_config mcfg = enabled_config();
-  mcfg.stuck_checks = 3;
-  adaptation_monitor mon{mcfg};
+  adaptation_monitor mon{true};
   rig.core.register_monitor(mon);
 
   auto svc = rig.make();
@@ -352,7 +314,7 @@ TEST(MonitorService, InducedStuckAdaptationRaisesAlert) {
 TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
   service_rig rig;
   rig.adapter.drift_per_batch = 0.2;  // steady drift, stable metric
-  adaptation_monitor mon{enabled_config()};
+  adaptation_monitor mon{true};
   rig.core.register_monitor(mon);
 
   auto svc = rig.make();
@@ -400,9 +362,9 @@ TEST(MonitorIntegration, MonitorAttachDoesNotPerturbFixedSeedRun) {
   cfg.pretrain_iterations = 60;
   cfg.net.bottleneck_bps = 200e6;
   cfg.seed = 4242;
-  cfg.monitor = core::monitor_config{};  // disabled
+  cfg.monitor = false;
   const auto off = apps::run_cc_single_flow(cfg);
-  cfg.monitor->enabled = true;
+  cfg.monitor = true;
   const auto on = apps::run_cc_single_flow(cfg);
 
   // The monitor is strictly read-only: bit-for-bit identical outcomes.
@@ -490,8 +452,8 @@ TEST(MonitorIntegration, ReportDisabledLeavesNoArtifacts) {
   cfg.duration = 0.5;
   cfg.warmup = 0.1;
   cfg.seed = 3;
-  cfg.monitor = core::monitor_config{};   // disabled
-  cfg.report = apps::report_options{};    // disabled
+  cfg.monitor = false;
+  cfg.report = apps::report_options{};  // disabled
   const auto result = apps::run_cc_single_flow(cfg);
   EXPECT_TRUE(result.report_path.empty());
   EXPECT_TRUE(result.lifecycle.empty());

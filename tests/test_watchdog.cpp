@@ -64,12 +64,10 @@ rt::stats_window mk_window(double t, std::uint64_t routes = 1000,
   return w;
 }
 
-rt::watchdog_config wd_config() {
-  rt::watchdog_config c;
-  c.warmup_windows = 3;
-  c.breach_windows = 2;
-  return c;
-}
+/// The watchdog's spec table: every rule folds 5 warmup windows and fires
+/// on the 3rd consecutive breaching window.
+constexpr int k_warmup = 5;
+constexpr int k_fire = 3;
 
 /// Scoped LF_BENCH_OUT pointing at a fresh temp dir.
 struct bench_dir {
@@ -112,21 +110,8 @@ void expect_balanced_json(const std::string& json) {
 
 // ------------------------------------------------------------ baselines --
 
-TEST(RtWatchdog, DisabledWatchdogObservesNothing) {
-  rt::watchdog_config cfg = wd_config();
-  cfg.enabled = false;
-  rt::anomaly_watchdog wd{cfg};
-  for (int i = 0; i < 10; ++i) {
-    wd.observe(mk_window(0.1 * (i + 1), 1000, 1e9));  // egregious p999
-  }
-  EXPECT_EQ(wd.windows_seen(), 0u);
-  EXPECT_EQ(wd.incident_count(), 0u);
-}
-
 TEST(RtWatchdog, WarmupAbsorbsSpikesWithoutFiring) {
-  rt::watchdog_config cfg = wd_config();
-  cfg.warmup_windows = 5;
-  rt::anomaly_watchdog wd{cfg};
+  rt::anomaly_watchdog wd{{}};
   // Spikes inside the warmup window feed the baseline instead of alerting:
   // a cold start must not page anyone on its own ramp.
   wd.observe(mk_window(0.1));
@@ -139,9 +124,10 @@ TEST(RtWatchdog, WarmupAbsorbsSpikesWithoutFiring) {
 }
 
 TEST(RtWatchdog, BaselineConvergesOnSteadySeries) {
-  rt::anomaly_watchdog wd{wd_config()};
+  rt::anomaly_watchdog wd{{}};
   for (int i = 0; i < 40; ++i) wd.observe(mk_window(0.1 * (i + 1)));
-  const rt::baseline_stats p999 = wd.baseline(rt::anomaly_kind::p999_spike);
+  const metrics::rule_baseline p999 =
+      wd.baseline(rt::anomaly_kind::p999_spike);
   EXPECT_NEAR(p999.mean, 1000.0, 1e-6);
   EXPECT_NEAR(p999.mad, 0.0, 1e-6);
   EXPECT_EQ(p999.samples, 40u);
@@ -150,17 +136,20 @@ TEST(RtWatchdog, BaselineConvergesOnSteadySeries) {
 }
 
 TEST(RtWatchdog, EdgeTriggeredKOfMFiresOncePerExcursionAndRearms) {
-  rt::anomaly_watchdog wd{wd_config()};  // warmup 3, M = 2
+  rt::anomaly_watchdog wd{{}};  // warmup 5, k = 3
   double t = 0.0;
   const auto clean = [&] { wd.observe(mk_window(t += 0.1)); };
   const auto spike = [&] { wd.observe(mk_window(t += 0.1, 1000, 1e6)); };
 
-  for (int i = 0; i < 4; ++i) clean();
-  spike();  // one breaching window is not an incident (k-of-M)
+  for (int i = 0; i < k_warmup; ++i) clean();
+  spike();
+  spike();  // two breaching windows are not an incident (k-of-M)
   EXPECT_EQ(wd.incident_count(), 0u);
   clean();  // excursion over: breach run resets
   spike();
-  spike();  // second consecutive breach completes the run
+  spike();
+  EXPECT_EQ(wd.incident_count(), 0u);
+  spike();  // third consecutive breach completes the run
   EXPECT_EQ(wd.incident_count(), 1u);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::p999_spike), 1u);
   spike();  // still latched: the same excursion must not re-fire
@@ -171,17 +160,18 @@ TEST(RtWatchdog, EdgeTriggeredKOfMFiresOncePerExcursionAndRearms) {
   EXPECT_EQ(incs[0].seq, 1u);
   EXPECT_EQ(incs[0].kind, rt::anomaly_kind::p999_spike);
   EXPECT_NEAR(incs[0].observed, 1e6, 1e-6);
-  EXPECT_EQ(incs[0].breach_windows, 2u);
+  EXPECT_EQ(incs[0].breach_run, 3u);
   EXPECT_GT(incs[0].observed, incs[0].threshold);
   // Breaching windows are never folded into the baseline — an anomaly must
   // not teach the detector that anomalous is normal.
   EXPECT_NEAR(incs[0].baseline, 1000.0, 1.0);
   EXPECT_NEAR(wd.baseline(rt::anomaly_kind::p999_spike).mean, 1000.0, 1.0);
   // first_breach_t_s marks the start of the firing excursion, not the
-  // isolated spike before it.
-  EXPECT_NEAR(incs[0].first_breach_t_s, incs[0].t_s - 0.1, 1e-9);
+  // isolated spikes before it.
+  EXPECT_NEAR(incs[0].first_breach_t_s, incs[0].t_s - 0.2, 1e-9);
 
   clean();  // recovery re-arms the rule...
+  spike();
   spike();
   spike();  // ...so a fresh excursion is a fresh incident
   EXPECT_EQ(wd.incident_count(), 2u);
@@ -189,20 +179,21 @@ TEST(RtWatchdog, EdgeTriggeredKOfMFiresOncePerExcursionAndRearms) {
 }
 
 TEST(RtWatchdog, ThroughputAndL1CollapseFireBelowTheEnvelope) {
-  rt::anomaly_watchdog wd{wd_config()};
+  rt::anomaly_watchdog wd{{}};
   double t = 0.0;
-  for (int i = 0; i < 5; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
   // Collapse both series at once: rps to 10% of baseline (frac 0.25),
   // L1 hit rate 0.9 -> 0.1 (frac 0.5).  p999 stays clean.
-  wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e5, 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e5, 0.1));
+  for (int i = 0; i < k_fire; ++i) {
+    wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e5, 0.1));
+  }
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::rps_collapse), 1u);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::l1_collapse), 1u);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::p999_spike), 0u);
 }
 
 TEST(RtWatchdog, L1RuleIgnoresAnL1ThatNeverAbsorbedTraffic) {
-  rt::anomaly_watchdog wd{wd_config()};  // L1 baseline floor 0.2
+  rt::anomaly_watchdog wd{{}};  // L1 baseline floor 0.2
   double t = 0.0;
   for (int i = 0; i < 5; ++i) {
     wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.05));
@@ -214,19 +205,20 @@ TEST(RtWatchdog, L1RuleIgnoresAnL1ThatNeverAbsorbedTraffic) {
 }
 
 TEST(RtWatchdog, LocksSpikeAndShadowDriftRideTheSameMachinery) {
-  rt::anomaly_watchdog wd{wd_config()};
+  rt::anomaly_watchdog wd{{}};
   double t = 0.0;
-  for (int i = 0; i < 5; ++i) wd.observe(mk_window(t += 0.1), 1e-4);
-  wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.9, 0.5), 0.05);
-  wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.9, 0.5), 0.05);
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1), 1e-4);
+  for (int i = 0; i < k_fire; ++i) {
+    wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.9, 0.5), 0.05);
+  }
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::locks_spike), 1u);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::shadow_drift), 1u);
 }
 
 TEST(RtWatchdog, LowTrafficWindowsAreSkippedOutright) {
-  rt::anomaly_watchdog wd{wd_config()};  // windows under 64 routes skip
+  rt::anomaly_watchdog wd{{}};  // windows under 64 routes skip
   double t = 0.0;
-  for (int i = 0; i < 5; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
   const std::size_t warm = wd.baseline(rt::anomaly_kind::p999_spike).samples;
   // Egregious numbers in near-idle windows: no breach, no baseline fold —
   // the tail window after workers join carries noise, not signal.
@@ -238,7 +230,7 @@ TEST(RtWatchdog, LowTrafficWindowsAreSkippedOutright) {
 }
 
 TEST(RtWatchdog, RetiredLeakWatchesTheLiveLevelNotTheSlope) {
-  rt::anomaly_watchdog wd{wd_config()};  // factor 4, absolute floor 64
+  rt::anomaly_watchdog wd{{}};  // factor 4, absolute floor 64
   double t = 0.0;
   const auto at_live = [&](std::uint64_t live) {
     wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.9, 0.01, live));
@@ -256,8 +248,9 @@ TEST(RtWatchdog, RetiredLeakWatchesTheLiveLevelNotTheSlope) {
   // baseline re-arms.
   for (int i = 0; i < 12; ++i) at_live(50);
   at_live(1000);
+  at_live(1000);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::retired_leak), 0u);
-  at_live(1000);  // M = 2 consecutive breaches
+  at_live(1000);  // k = 3 consecutive breaches
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::retired_leak), 1u);
   const rt::incident_record inc = wd.incidents().back();
   EXPECT_EQ(inc.kind, rt::anomaly_kind::retired_leak);
@@ -282,16 +275,13 @@ TEST(RtWatchdog, RetiredLeakWatchesTheLiveLevelNotTheSlope) {
   at_live(50);
   at_live(50);
   at_live(50);
-  at_live(1000);
-  at_live(1000);
+  for (int i = 0; i < k_fire; ++i) at_live(1000);
   EXPECT_EQ(wd.incident_count(rt::anomaly_kind::retired_leak), 2u);
 }
 
 TEST(RtWatchdog, CleanRunLeavesNoIncidentFile) {
   bench_dir out{"lf_watchdog_clean"};
-  rt::watchdog_config cfg = wd_config();
-  cfg.incident_label = "unitclean";
-  rt::anomaly_watchdog wd{cfg};
+  rt::anomaly_watchdog wd{{.incident_label = "unitclean"}};
   double t = 0.0;
   for (int i = 0; i < 20; ++i) wd.observe(mk_window(t += 0.1));
   EXPECT_EQ(wd.incident_count(), 0u);
@@ -319,13 +309,10 @@ TEST(RtIncidentCapture, FiringDumpsCorrelatedLifecycleAndRouteEvidence) {
   ASSERT_TRUE(e.switch_active());
   for (int i = 0; i < 32; ++i) e.route(w, 42 + i, i * 0.01, {}, {});
 
-  rt::watchdog_config wcfg = wd_config();
-  wcfg.incident_label = "unit";
-  rt::anomaly_watchdog wd{wcfg, &e};
+  rt::anomaly_watchdog wd{{.incident_label = "unit"}, &e};
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 2e6));
   ASSERT_EQ(wd.incident_count(), 1u);
 
   const rt::incident_record inc = wd.incidents()[0];
@@ -375,11 +362,10 @@ TEST(RtIncidentCapture, FiringDumpsCorrelatedLifecycleAndRouteEvidence) {
 
 TEST(RtIncidentCapture, FiresWithoutEngineOrRecorderJustWithoutEvidence) {
   // Pure-baseline mode (no engine): incidents still ledger, no dump.
-  rt::anomaly_watchdog wd{wd_config()};
+  rt::anomaly_watchdog wd{{}};
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 1e6));
-  wd.observe(mk_window(t += 0.1, 1000, 1e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 1e6));
   ASSERT_EQ(wd.incident_count(), 1u);
   EXPECT_TRUE(wd.incidents()[0].dump_path.empty());
   EXPECT_EQ(wd.dumps(), 0u);
@@ -391,11 +377,12 @@ TEST(RtIncidentCapture, FiresWithoutEngineOrRecorderJustWithoutEvidence) {
   rt::datapath_engine e{cfg};
   e.install(wd_snapshot(1));
   ASSERT_TRUE(e.switch_active());
-  rt::anomaly_watchdog wd2{wd_config(), &e};
+  rt::anomaly_watchdog wd2{{}, &e};
   t = 0.0;
-  for (int i = 0; i < 4; ++i) wd2.observe(mk_window(t += 0.1));
-  wd2.observe(mk_window(t += 0.1, 1000, 1e6));
-  wd2.observe(mk_window(t += 0.1, 1000, 1e6));
+  for (int i = 0; i < k_warmup; ++i) wd2.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) {
+    wd2.observe(mk_window(t += 0.1, 1000, 1e6));
+  }
   ASSERT_EQ(wd2.incident_count(), 1u);
   EXPECT_TRUE(wd2.incidents()[0].dump_path.empty());
   EXPECT_EQ(wd2.incidents()[0].versions_live, 1u);
@@ -489,14 +476,11 @@ TEST(RtRollbackPolicy, IncidentInsideProbationClassifiesAndRollsBack) {
   ASSERT_TRUE(e.switch_active());  // opens the hold: gen 1 re-promotable
   ASSERT_TRUE(e.probation(core::k_default_model).open);
 
-  rt::watchdog_config wcfg = wd_config();
-  wcfg.incident_label = "rbunit";
-  wcfg.auto_rollback = true;
-  rt::anomaly_watchdog wd{wcfg, &e};
+  rt::anomaly_watchdog wd{{.incident_label = "rbunit", .auto_rollback = true},
+                          &e};
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 2e6));
   ASSERT_EQ(wd.incident_count(), 1u);
 
   // The p999 spike inside the probation window names the promoted gen as
@@ -523,8 +507,7 @@ TEST(RtRollbackPolicy, IncidentInsideProbationClassifiesAndRollsBack) {
   // A second excursion after re-arm finds no hold: incident, but no class
   // and no second rollback — the policy acts at most once per switch.
   wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 2e6));
   ASSERT_EQ(wd.incident_count(), 2u);
   EXPECT_FALSE(wd.incidents()[1].post_switch);
   EXPECT_EQ(e.rollbacks(), 1u);
@@ -543,13 +526,10 @@ TEST(RtRollbackPolicy, ExpiredHoldIsNotClassified) {
   EXPECT_EQ(e.probation_tick(), 0u);
   EXPECT_EQ(e.probation_tick(), 1u);
 
-  rt::watchdog_config wcfg = wd_config();
-  wcfg.auto_rollback = true;
-  rt::anomaly_watchdog wd{wcfg, &e};
+  rt::anomaly_watchdog wd{{.incident_label = {}, .auto_rollback = true}, &e};
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 2e6));
   ASSERT_EQ(wd.incident_count(), 1u);
   EXPECT_FALSE(wd.incidents()[0].post_switch);
   EXPECT_EQ(e.rollbacks(), 0u);
@@ -567,17 +547,15 @@ TEST(RtRollbackPolicy, ControlPlaneRulesNeverNameASuspect) {
   ASSERT_TRUE(e.switch_active());
   ASSERT_TRUE(e.probation(core::k_default_model).open);
 
-  rt::watchdog_config wcfg = wd_config();
-  wcfg.auto_rollback = true;
-  rt::anomaly_watchdog wd{wcfg, &e};
+  rt::anomaly_watchdog wd{{.incident_label = {}, .auto_rollback = true}, &e};
   double t = 0.0;
   const auto at_live = [&](std::uint64_t live) {
     wd.observe(mk_window(t += 0.1, 1000, 1000.0, 1e6, 0.9, 0.01, live));
   };
   for (int i = 0; i < 6; ++i) at_live(50);
-  at_live(1000);
-  at_live(1000);  // retired_leak fires — a reclamation symptom, not the
-                  // candidate's: the open hold must stay untouched
+  // retired_leak fires — a reclamation symptom, not the candidate's: the
+  // open hold must stay untouched.
+  for (int i = 0; i < k_fire; ++i) at_live(1000);
   ASSERT_EQ(wd.incident_count(rt::anomaly_kind::retired_leak), 1u);
   EXPECT_FALSE(wd.incidents()[0].post_switch);
   EXPECT_EQ(e.rollbacks(), 0u);
@@ -594,12 +572,10 @@ TEST(RtRollbackPolicy, ClassifierWithoutAutoRollbackOnlyAnnotates) {
   e.install(wd_snapshot(2, 11));
   ASSERT_TRUE(e.switch_active());
 
-  rt::watchdog_config wcfg = wd_config();  // auto_rollback stays false
-  rt::anomaly_watchdog wd{wcfg, &e};
+  rt::anomaly_watchdog wd{{}, &e};  // auto_rollback stays false
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
-  wd.observe(mk_window(t += 0.1, 1000, 2e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 2e6));
   ASSERT_EQ(wd.incident_count(), 1u);
   EXPECT_TRUE(wd.incidents()[0].post_switch);
   EXPECT_EQ(wd.incidents()[0].suspect_gen, 2u);
@@ -614,7 +590,7 @@ TEST(RtRollbackPolicy, RollbackCountersRegisterOnlyWithProbation) {
   rt::engine_config cfg;
   cfg.max_workers = 1;
   rt::datapath_engine off{cfg};
-  rt::anomaly_watchdog wd_off{wd_config(), &off};
+  rt::anomaly_watchdog wd_off{{}, &off};
   metrics::registry reg_off;
   wd_off.register_metrics(reg_off, "rt.watchdog");
   EXPECT_EQ(reg_off.find_counter("rt.watchdog.post_switch_regressions"),
@@ -623,7 +599,7 @@ TEST(RtRollbackPolicy, RollbackCountersRegisterOnlyWithProbation) {
 
   cfg.probation_windows = 8;
   rt::datapath_engine on{cfg};
-  rt::anomaly_watchdog wd_on{wd_config(), &on};
+  rt::anomaly_watchdog wd_on{{}, &on};
   metrics::registry reg_on;
   wd_on.register_metrics(reg_on, "rt.watchdog");
   EXPECT_NE(reg_on.find_counter("rt.watchdog.post_switch_regressions"),
@@ -735,14 +711,11 @@ TEST(ArtifactWriter, DirectoryTargetFailsCleanlyForEveryWriter) {
   // The watchdog also publishes on every fire; swallow that attempt's
   // incident line and diagnostic, then check the explicit write.
   fs::create_directories(out.dir / "INCIDENT_dir.json");
-  auto wcfg = wd_config();
-  wcfg.incident_label = "dir";
-  rt::anomaly_watchdog wd{wcfg};
+  rt::anomaly_watchdog wd{{.incident_label = "dir"}};
   ::testing::internal::CaptureStderr();
   double t = 0.0;
-  for (int i = 0; i < 4; ++i) wd.observe(mk_window(t += 0.1));
-  wd.observe(mk_window(t += 0.1, 1000, 1e6));
-  wd.observe(mk_window(t += 0.1, 1000, 1e6));
+  for (int i = 0; i < k_warmup; ++i) wd.observe(mk_window(t += 0.1));
+  for (int i = 0; i < k_fire; ++i) wd.observe(mk_window(t += 0.1, 1000, 1e6));
   ::testing::internal::GetCapturedStderr();
   ASSERT_EQ(wd.incident_count(), 1u);
   expect_clean_failure(out.dir / "INCIDENT_dir.json",
