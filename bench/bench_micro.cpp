@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the snapshot pipeline itself:
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
-// inference, plus the engine's one-shard flow cache and snapshot generation
-// (quantize + translate) with its freeze/load/quantize/emit stages.  These
-// back the Fig. 15 latency story with real wall-clock numbers on this
-// machine.
+// inference, plus the engine's one-shard flow cache, a default engine's
+// set-up and L2 route, and snapshot generation (quantize + translate) with
+// its freeze/load/quantize/emit stages.  These back the Fig. 15 latency
+// story with real wall-clock numbers on this machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
@@ -24,6 +24,7 @@
 #include "quant/quantizer.hpp"
 #include "rl/link_env.hpp"
 #include "rt/anomaly_watchdog.hpp"
+#include "rt/engine.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/sharded_flow_cache.hpp"
 #include "util/bench_report.hpp"
@@ -229,7 +230,7 @@ BENCHMARK(bm_quantized_infer_batch_into_lb_mlp)
 
 struct one_shard_cache {
   explicit one_shard_cache(std::size_t capacity)
-      : cache{1, capacity, epochs} {
+      : cache{1, capacity, 30.0, epochs} {
     handle.install_standby(codegen::generate_snapshot(ffnn(), "f", 1));
     handle.switch_active();
   }
@@ -238,7 +239,7 @@ struct one_shard_cache {
   /// Insert `flow` pinned to the active version (the miss path's pin
   /// transfer); `sweep` buckets of the idle sweep ride along.
   void insert(netsim::flow_id_t flow, std::size_t sweep) {
-    cache.insert(flow, handle.pin_active(), 0.0, 30.0, sweep, handle);
+    cache.insert(flow, handle.pin_active(), 0.0, sweep, handle);
   }
 
   rt::epoch_domain epochs{1};
@@ -293,6 +294,40 @@ void bm_flow_cache_step_evict(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_flow_cache_step_evict);
+
+// The benches above build one-shard caches at an explicit capacity.  These
+// two build the engine as its callers do, from a default engine_config
+// (next_pow2(2 x 64 workers) = 128 shards), so the cache's default
+// footprint shows.
+
+void bm_engine_setup_default(benchmark::State& state) {
+  // A default engine plus one registered worker; each iteration also tears
+  // the engine down.
+  for (auto _ : state) {
+    rt::datapath_engine e;
+    benchmark::DoNotOptimize(&e.register_worker());
+  }
+}
+BENCHMARK(bm_engine_setup_default);
+
+void bm_engine_route_l2_default(benchmark::State& state) {
+  // Route without inference on a default engine with the L1 off and 8192
+  // live flows (flow_churn's count), so every route is an L2 probe hit.
+  rt::engine_config cfg;
+  cfg.l1_slots = 0;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  e.install(codegen::generate_snapshot(ffnn(), "f", 1));
+  e.switch_active();
+  constexpr netsim::flow_id_t k_flows = 8192;
+  for (netsim::flow_id_t f = 0; f < k_flows; ++f) e.route(w, f, 0.0, {}, {});
+  netsim::flow_id_t f = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.route(w, f, 1.0, {}, {}));
+    f = (f + 1) & (k_flows - 1);
+  }
+}
+BENCHMARK(bm_engine_route_l2_default);
 
 void bm_compiled_infer_aurora(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(aurora(), "a", 1);

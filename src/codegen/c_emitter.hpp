@@ -1,6 +1,6 @@
 // Emits the kernel-module C source for a quantized snapshot (§3.1,
 // Listings 1 and 2): layer by layer, each layer's computation function
-// apart from its parameter arrays, all appended directly to one string.
+// apart from its parameter arrays, all written in order into one buffer.
 // Decisions the program has already made are read from it, not recomputed:
 // the fast variant where a layer is saturation-free, each table's
 // interpolation tier, and one values array per distinct table.

@@ -3,11 +3,6 @@
 namespace lf::rt {
 namespace {
 
-/// L1 hits between forced L2 refreshes of a flow's last-used stamp.  At any
-/// plausible route rate this bounds stamp staleness far below any sane idle
-/// timeout while keeping ~98% of hits entirely worker-local.
-constexpr std::uint64_t k_l1_refresh_mask = 63;
-
 /// Flow-cache buckets the incremental idle sweep visits on every miss.
 constexpr std::size_t k_evict_slots_per_route = 2;
 
@@ -35,7 +30,7 @@ std::size_t datapath_engine::resolved_shards(
 datapath_engine::datapath_engine(engine_config cfg)
     : cfg_{cfg},
       epochs_{cfg.max_workers == 0 ? 1 : cfg.max_workers},
-      cache_{resolved_shards(cfg), cfg.shard_capacity, epochs_} {
+      cache_{resolved_shards(cfg), cfg.idle_timeout, epochs_} {
   // Reflect the resolved policy back into config() so callers (and the
   // bench report) see the shard count actually in effect.
   cfg_.shards = cache_.shard_count();
@@ -220,11 +215,11 @@ snapshot_version* datapath_engine::resolve_flow(worker_handle& w,
   if (!w.l1_.empty()) {
     worker_handle::l1_entry& e = w.l1_slot(key);
     if (e.epoch == se && e.key == key &&
-        (++w.l1_tick_ & k_l1_refresh_mask) != 0) {
+        now - e.l2_at < cache_.refresh_interval()) {
       // L1 hit: the unchanged switch epoch proves the binding is current
-      // and the pointer dereferenceable (snapshot_handle.hpp).  Every 64th
-      // hit falls through to the L2 probe purely to refresh the entry's
-      // idle stamp.
+      // and the pointer dereferenceable (snapshot_handle.hpp).  An entry
+      // that last reached the L2 a refresh interval ago falls through to
+      // the L2 probe, which keeps the flow's idle stamp moving.
       hit = true;
       w.l1_hits_.inc();
       return e.ver;
@@ -239,14 +234,13 @@ snapshot_version* datapath_engine::resolve_flow(worker_handle& w,
     w.misses_.inc();
     v = h.pin_active();
     if (v == nullptr) return nullptr;  // nothing deployed yet for this model
-    v = cache_.insert(key, v, now, cfg_.idle_timeout,
-                      k_evict_slots_per_route, h);
+    v = cache_.insert(key, v, now, k_evict_slots_per_route, h);
   }
   if (!w.l1_.empty()) {
     // Stamp with the epoch loaded *before* the probe: if a flip or
     // retirement raced this resolve, the entry is born stale and the next
     // route re-validates against the shard instead of trusting it.
-    w.l1_slot(key) = worker_handle::l1_entry{key, v, se};
+    w.l1_slot(key) = worker_handle::l1_entry{key, v, se, now};
   }
   return v;
 }
@@ -408,7 +402,7 @@ snapshot_version* datapath_engine::resolve(worker_handle& w,
 }
 
 std::size_t datapath_engine::expire_idle(double now) {
-  return cache_.expire_idle(now, cfg_.idle_timeout, handles_[0]);
+  return cache_.expire_idle(now, handles_[0]);
 }
 
 std::uint64_t datapath_engine::installs() const noexcept {

@@ -27,9 +27,11 @@
 //         spinlock is touched only by insert/erase/evict/rehash.
 //   miss  pin_active() + insert (pin transfer), under the shard lock.
 //
-// Every ~64th L1 hit is demoted to an L2 probe so the entry's last-used
-// stamp keeps moving and the idle sweep never evicts a hot flow whose
-// traffic the L1 absorbed.
+// An L1 entry records when its flow last reached the L2, and a hit on an
+// entry older than the cache's refresh_interval() (idle_timeout / 64) falls
+// through to the L2 probe, which keeps the entry's last-used stamp moving:
+// the idle sweep never evicts a flow whose traffic the L1 absorbed, however
+// many or few packets it sends.
 //
 // Shadow scoring (scalar route path only): with a nonzero
 // engine_config::shadow.sample_rate, routes on the deterministic sampled
@@ -93,9 +95,8 @@ struct engine_config {
   /// shard count scales with the deployment instead of being a fixed 8.
   /// Explicit values are rounded up to a power of two.
   std::size_t shards = 0;
-  std::size_t shard_capacity = 1024;  ///< initial slots per shard
-  double idle_timeout = 30.0;         ///< seconds before idle eviction
-  std::size_t max_workers = 64;       ///< epoch reader slots preallocated
+  double idle_timeout = 30.0;    ///< seconds before idle eviction
+  std::size_t max_workers = 64;  ///< epoch reader slots preallocated
   /// Per-worker L1 route-cache slots (rounded up to a power of two);
   /// 0 disables the L1 so benches can measure the L2 path in isolation.
   std::size_t l1_slots = 64;
@@ -167,12 +168,15 @@ class alignas(128) worker_handle {
 
   /// One L1 binding: serve composite `key` from `ver` for as long as the
   /// global switch epoch still equals `epoch` (0 = never valid; epochs
-  /// start at 1).  The key's top bits carry the model, so the slot hash and
-  /// the tag match both model and flow with no extra field.
+  /// start at 1) and `l2_at`, when the flow last reached the L2, is less
+  /// than the cache's refresh interval ago.  The key's top bits carry the
+  /// model, so the slot hash and the tag match both model and flow with no
+  /// extra field.
   struct l1_entry {
     netsim::flow_id_t key = 0;
     snapshot_version* ver = nullptr;
     std::uint64_t epoch = 0;
+    double l2_at = 0.0;
   };
 
   l1_entry& l1_slot(netsim::flow_id_t key) noexcept {
@@ -185,7 +189,6 @@ class alignas(128) worker_handle {
   quant::inference_scratch scratch_;
   std::vector<l1_entry> l1_;  ///< direct-mapped; sized by engine_config
   unsigned l1_shift_ = 63;
-  std::uint64_t l1_tick_ = 0;  ///< forces periodic L2 stamp refresh
   std::vector<snapshot_version*> batch_vers_;  ///< route_batch scratch
   std::vector<fp::s64> shadow_out_;  ///< standby-output staging (no alloc/route)
   metrics::latency_histogram lat_;   ///< route latency (telemetry.latency)

@@ -29,12 +29,34 @@ inline double stamp_seconds(std::uint64_t bits) noexcept {
 /// even 2 attempts almost always suffice; the fallback only bounds the tail.
 constexpr int k_read_attempts = 8;
 
+/// Slots a shard starts with.  A shard rehashes before live entries plus
+/// tombstones pass 3/4 of its slots (`over_load`), doubling when over half
+/// of them are live, as the kernel's rhashtable grows: starting small costs
+/// a few early rehashes and spares every engine a large, cold table.  Not
+/// smaller: with 16, `rt_harness stress`, whose 4 workers share each shard,
+/// lost ~9% of its routes/s to the denser tables.
+constexpr std::size_t k_initial_slots = 64;
+
+constexpr bool over_load(std::size_t used, std::size_t capacity) noexcept {
+  return used * 4 > capacity * 3;
+}
+
+/// A last-used stamp is refreshed once it is idle_timeout / 64 old.
+constexpr double k_refresh_fraction = 1.0 / 64.0;
+
 }  // namespace
+
+sharded_flow_cache::sharded_flow_cache(std::size_t shards, double idle_timeout,
+                                       epoch_domain& epochs)
+    : sharded_flow_cache{shards, k_initial_slots, idle_timeout, epochs} {}
 
 sharded_flow_cache::sharded_flow_cache(std::size_t shards,
                                        std::size_t shard_capacity,
+                                       double idle_timeout,
                                        epoch_domain& epochs)
-    : epochs_{epochs} {
+    : epochs_{epochs},
+      refresh_{idle_timeout * k_refresh_fraction},
+      evict_after_{idle_timeout + 2 * refresh_} {
   const std::size_t n = round_up_pow2(shards == 0 ? 1 : shards);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -101,10 +123,11 @@ snapshot_version* sharded_flow_cache::lookup(netsim::flow_id_t flow,
       // the duplicate.)
       return nullptr;
     }
-    // Hit: touch the timestamp so the idle sweep sees the flow as hot.  A
-    // plain release-free store — the stamp is advisory, read only by the
-    // sweep's eviction heuristic.
-    found->stamp.store(stamp_bits(now), std::memory_order_relaxed);
+    // Hit: keep the stamp within refresh_ of the flow's traffic so the
+    // idle sweep sees the flow as hot.  Writing it only once it is that old
+    // keeps hits on neighbouring slots from bouncing one cache line between
+    // workers.  Relaxed: the stamp is advisory, read only by the sweeps.
+    touch(*found, now);
     return v;
   }
   // Persistent seq conflicts (eviction storm on this shard): take the lock
@@ -114,10 +137,22 @@ snapshot_version* sharded_flow_cache::lookup(netsim::flow_id_t flow,
   table& t = *sh.tbl.load(std::memory_order_relaxed);
   slot* reusable = nullptr;
   if (slot* s = probe_for_write(t, flow, &reusable)) {
-    s->stamp.store(stamp_bits(now), std::memory_order_relaxed);
+    touch(*s, now);
     return s->ver.load(std::memory_order_relaxed);
   }
   return nullptr;
+}
+
+void sharded_flow_cache::touch(slot& s, double now) noexcept {
+  const double last = stamp_seconds(s.stamp.load(std::memory_order_relaxed));
+  if (now - last >= refresh_) {
+    s.stamp.store(stamp_bits(now), std::memory_order_relaxed);
+  }
+}
+
+bool sharded_flow_cache::idle(const slot& s, double now) const noexcept {
+  return now - stamp_seconds(s.stamp.load(std::memory_order_relaxed)) >
+         evict_after_;
 }
 
 sharded_flow_cache::slot* sharded_flow_cache::probe_for_write(
@@ -141,7 +176,6 @@ sharded_flow_cache::slot* sharded_flow_cache::probe_for_write(
 
 snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
                                              snapshot_version* ver, double now,
-                                             double idle_timeout,
                                              std::size_t evict_slots,
                                              snapshot_handle& handle) {
   shard& sh = *shards_[shard_of(flow)];
@@ -152,9 +186,7 @@ snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
     // The incremental idle sweep rides the miss path now that lookups are
     // lock-free: churn (misses/FINs/inserts) is what creates idle entries,
     // so it is also what pays for draining them.
-    if (evict_slots > 0) {
-      step_evict(sh, now, idle_timeout, evict_slots, handle);
-    }
+    if (evict_slots > 0) step_evict(sh, now, evict_slots, handle);
     table* t = sh.tbl.load(std::memory_order_relaxed);
     slot* reusable = nullptr;
     if (slot* s = probe_for_write(*t, flow, &reusable)) {
@@ -165,9 +197,9 @@ snapshot_version* sharded_flow_cache::insert(netsim::flow_id_t flow,
     } else {
       const std::size_t cap = t->mask + 1;
       const std::size_t occ = sh.occupied.load(std::memory_order_relaxed);
-      if ((occ + sh.tombstones + 1) * 4 > cap * 3) {
-        // Grow on genuine pressure, scrub in place when tombstones alone
-        // crossed the load factor.
+      if (over_load(occ + sh.tombstones + 1, cap)) {
+        // Grow on genuine pressure; when tombstones alone crossed the load
+        // factor, scrub them into a fresh table of the same size.
         rehash(sh, occ + 1 > cap / 2 ? cap * 2 : cap);
         rehashed = true;
         t = sh.tbl.load(std::memory_order_relaxed);
@@ -258,7 +290,6 @@ void sharded_flow_cache::rehash(shard& sh, std::size_t new_capacity) {
 }
 
 std::size_t sharded_flow_cache::step_evict(shard& sh, double now,
-                                           double idle_timeout,
                                            std::size_t slots,
                                            snapshot_handle& handle) {
   table& t = *sh.tbl.load(std::memory_order_relaxed);
@@ -267,9 +298,7 @@ std::size_t sharded_flow_cache::step_evict(shard& sh, double now,
     slot& s = t.slots[sh.sweep_cursor];
     sh.sweep_cursor = (sh.sweep_cursor + 1) & t.mask;
     if (s.state.load(std::memory_order_relaxed) != k_occupied) continue;
-    const double last =
-        stamp_seconds(s.stamp.load(std::memory_order_relaxed));
-    if (now - last > idle_timeout) {
+    if (idle(s, now)) {
       evict_slot(sh, s, handle);
       ++evicted;
     }
@@ -289,7 +318,7 @@ bool sharded_flow_cache::erase(netsim::flow_id_t flow,
   return true;
 }
 
-std::size_t sharded_flow_cache::expire_idle(double now, double idle_timeout,
+std::size_t sharded_flow_cache::expire_idle(double now,
                                             snapshot_handle& handle) {
   std::size_t evicted = 0;
   for (auto& shp : shards_) {
@@ -299,9 +328,7 @@ std::size_t sharded_flow_cache::expire_idle(double now, double idle_timeout,
     for (std::size_t i = 0; i <= t.mask; ++i) {
       slot& s = t.slots[i];
       if (s.state.load(std::memory_order_relaxed) != k_occupied) continue;
-      const double last =
-          stamp_seconds(s.stamp.load(std::memory_order_relaxed));
-      if (now - last > idle_timeout) {
+      if (idle(s, now)) {
         evict_slot(sh, s, handle);
         ++evicted;
       }

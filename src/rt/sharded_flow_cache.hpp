@@ -41,6 +41,16 @@
 // which is sound because idle entries are created by churn, and churn means
 // misses, FINs and inserts — exactly the operations that drive the sweep.
 //
+// Shards start small (64 slots) and double at 3/4 load, so an engine faults
+// in only the table its flows fill.  A dense table puts several flows on one
+// cache line, so a hit does not write the last-used stamp on every call: it
+// refreshes it only once it is refresh_interval() = idle_timeout / 64 old.
+// A stamp therefore lags its flow's last packet by less than that interval,
+// and the engine's L1 (which reaches the L2 once per interval) adds at most
+// one more; the sweeps evict only entries idle for longer than idle_timeout
+// plus both lags, so a flow whose packets arrive less than idle_timeout
+// apart is never evicted.
+//
 // Callers must be inside an epoch_domain::guard on the engine's domain for
 // lookup() and insert(): the guard is what keeps a just-erased version and
 // a just-retired slot array dereferenceable until the call returns.
@@ -70,11 +80,17 @@ constexpr std::size_t round_up_pow2(std::size_t v) noexcept {
 
 class sharded_flow_cache {
  public:
-  /// `shards` is rounded up to a power of two; each shard starts with
-  /// `shard_capacity` slots (also rounded up).  Old slot arrays are retired
-  /// through `epochs`, which must outlive the cache.
-  explicit sharded_flow_cache(std::size_t shards, std::size_t shard_capacity,
-                              epoch_domain& epochs);
+  /// `shards` is rounded up to a power of two; each shard starts with 64
+  /// slots and grows at 3/4 load.  Entries idle for longer than
+  /// `idle_timeout` seconds (plus the stamps' lag, see the file comment) are
+  /// evicted by the sweeps.  Old slot arrays are retired through `epochs`,
+  /// which must outlive the cache.
+  sharded_flow_cache(std::size_t shards, double idle_timeout,
+                     epoch_domain& epochs);
+  /// As above, with each shard starting at `shard_capacity` slots (rounded
+  /// up to a power of two, at least 4): lets tests pin a table's geometry.
+  sharded_flow_cache(std::size_t shards, std::size_t shard_capacity,
+                     double idle_timeout, epoch_domain& epochs);
 
   sharded_flow_cache(const sharded_flow_cache&) = delete;
   sharded_flow_cache& operator=(const sharded_flow_cache&) = delete;
@@ -83,38 +99,40 @@ class sharded_flow_cache {
   /// directly; arrays retired earlier drain through the epoch domain).
   ~sharded_flow_cache();
 
-  /// Hit path: seqlock-validated lock-free probe.  Touches the entry's
-  /// last-used stamp on a hit and returns the pinned version (nullptr on
-  /// miss).  MUST be called inside an epoch guard.  Takes the shard lock
-  /// only after repeated seq-validation failures (counted).
+  /// Hit path: seqlock-validated lock-free probe.  Returns the pinned
+  /// version (nullptr on miss) and, on a hit, moves the entry's last-used
+  /// stamp to `now` if it is at least refresh_interval() old.  MUST be
+  /// called inside an epoch guard.  Takes the shard lock only after
+  /// repeated seq-validation failures (counted).
   snapshot_version* lookup(netsim::flow_id_t flow, double now) noexcept;
 
   /// Miss path: insert `flow` pinned to `ver` (the caller already holds the
   /// pin being transferred into the entry).  Runs the shard's incremental
-  /// idle sweep (`evict_slots` buckets against `idle_timeout`) under the
-  /// same lock acquisition.  If another thread inserted the flow
-  /// concurrently, the resident entry wins: the transferred pin is released
-  /// and the resident version returned so the caller serves the flow
-  /// consistently.  After a rehash it runs the epoch domain's try_reclaim()
-  /// once the shard lock is released, so the slot arrays earlier rehashes
-  /// retired are freed even if nobody calls maintain().  MUST be called
-  /// inside an epoch guard.
+  /// idle sweep (`evict_slots` buckets) under the same lock acquisition.  If
+  /// another thread inserted the flow concurrently, the resident entry wins:
+  /// the transferred pin is released and the resident version returned so
+  /// the caller serves the flow consistently.  After a rehash it runs the
+  /// epoch domain's try_reclaim() once the shard lock is released, so the
+  /// slot arrays earlier rehashes retired are freed even if nobody calls
+  /// maintain().  MUST be called inside an epoch guard.
   snapshot_version* insert(netsim::flow_id_t flow, snapshot_version* ver,
-                           double now, double idle_timeout,
-                           std::size_t evict_slots, snapshot_handle& handle);
+                           double now, std::size_t evict_slots,
+                           snapshot_handle& handle);
 
   /// FIN: drop the flow's entry and release its pin.  False if absent.
   bool erase(netsim::flow_id_t flow, snapshot_handle& handle);
 
   /// Full idle expiry over every shard (maintenance path).
-  std::size_t expire_idle(double now, double idle_timeout,
-                          snapshot_handle& handle);
+  std::size_t expire_idle(double now, snapshot_handle& handle);
 
   /// Drop everything (teardown), releasing all pins.
   std::size_t clear(snapshot_handle& handle);
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t shard_of(netsim::flow_id_t flow) const noexcept;
+  /// How old a last-used stamp gets before a hit refreshes it:
+  /// idle_timeout / 64.  The engine's L1 reaches the L2 at this interval.
+  double refresh_interval() const noexcept { return refresh_; }
 
   struct totals {
     std::size_t size = 0;
@@ -213,10 +231,17 @@ class sharded_flow_cache {
   void rehash(shard& sh, std::size_t new_capacity);
 
   /// Incremental idle sweep (under the shard lock).
-  std::size_t step_evict(shard& sh, double now, double idle_timeout,
-                         std::size_t slots, snapshot_handle& handle);
+  std::size_t step_evict(shard& sh, double now, std::size_t slots,
+                         snapshot_handle& handle);
+
+  /// Move `s`'s stamp to `now` if it is at least refresh_ old.
+  void touch(slot& s, double now) noexcept;
+  /// True when `s` was last used longer than evict_after_ before `now`.
+  bool idle(const slot& s, double now) const noexcept;
 
   epoch_domain& epochs_;
+  double refresh_;      ///< idle_timeout / 64 (see refresh_interval())
+  double evict_after_;  ///< idle_timeout + 2 * refresh_
   std::vector<std::unique_ptr<shard>> shards_;
   std::size_t shard_shift_ = 0;  ///< top bits of the mixed hash pick the shard
 };

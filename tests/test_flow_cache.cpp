@@ -28,7 +28,8 @@ codegen::snapshot tiny_snapshot(const std::string& name,
 /// One shard, one reader inside its epoch guard for the rig's lifetime, and
 /// one active version that every entry pins.
 struct cache_rig {
-  explicit cache_rig(std::size_t capacity) : cache{1, capacity, epochs} {
+  explicit cache_rig(std::size_t capacity, double timeout = 30.0)
+      : cache{1, capacity, timeout, epochs} {
     handle.install_standby(tiny_snapshot("ffnn", 1));
     handle.switch_active();
     v = handle.pin_active();
@@ -37,12 +38,10 @@ struct cache_rig {
   ~cache_rig() { cache.clear(handle); }
 
   /// Insert `flow` last used at `now`, transferring a fresh pin; `sweep`
-  /// buckets of the idle sweep (against `timeout`) ride along.
+  /// buckets of the idle sweep ride along.
   rt::snapshot_version* insert(netsim::flow_id_t flow, double now,
-                               std::size_t sweep = 0,
-                               double timeout = 30.0) {
-    return cache.insert(flow, handle.pin_active(), now, timeout, sweep,
-                        handle);
+                               std::size_t sweep = 0) {
+    return cache.insert(flow, handle.pin_active(), now, sweep, handle);
   }
   bool find(netsim::flow_id_t flow) {
     return cache.lookup(flow, 0.0) != nullptr;
@@ -152,7 +151,7 @@ TEST(FlowCache, ExpireIdleSweepsEverything) {
   for (netsim::flow_id_t f = 0; f < 20; ++f) {
     c.insert(f, f < 10 ? 0.0 : 50.0);  // half old, half fresh
   }
-  EXPECT_EQ(c.cache.expire_idle(60.0, 30.0, c.handle), 10u);
+  EXPECT_EQ(c.cache.expire_idle(60.0, c.handle), 10u);
   EXPECT_EQ(c.size(), 10u);
   EXPECT_EQ(c.v->pins.load(), 11u);  // each eviction released its pin
   for (netsim::flow_id_t f = 0; f < 10; ++f) EXPECT_FALSE(c.find(f));
@@ -177,6 +176,26 @@ TEST(FlowCache, StepEvictSparesFreshEntries) {
   for (int i = 0; i < 200; ++i) c.insert(9999, 100.0, 4);
   EXPECT_EQ(c.evictions(), 0u);
   EXPECT_EQ(c.size(), 17u);
+}
+
+TEST(FlowCache, HitRefreshesStampOnlyOnceItIsARefreshIntervalOld) {
+  // idle_timeout 64 s: a stamp refreshes once it is 1 s old, and the sweeps
+  // evict entries idle for longer than 64 s plus twice that (66 s).
+  cache_rig c{16, 64.0};
+  ASSERT_DOUBLE_EQ(c.cache.refresh_interval(), 1.0);
+  c.insert(1, 0.0);
+  c.insert(2, 0.0);
+  // Flow 1's hit comes 0.5 s after its stamp, which stays at 0; flow 2's
+  // comes 1.5 s after, which moves its stamp to 1.5.
+  EXPECT_EQ(c.cache.lookup(1, 0.5), c.v);
+  EXPECT_EQ(c.cache.lookup(2, 1.5), c.v);
+  // At 66.25 s flow 1 is 66.25 s idle and goes; flow 2 is 64.75 s idle and
+  // stays until 67.75 s.
+  EXPECT_EQ(c.cache.expire_idle(66.25, c.handle), 1u);
+  EXPECT_FALSE(c.find(1));
+  EXPECT_TRUE(c.find(2));
+  EXPECT_EQ(c.cache.expire_idle(67.75, c.handle), 1u);
+  EXPECT_EQ(c.size(), 0u);
 }
 
 TEST(FlowCache, ClearReleasesEveryEntry) {
@@ -209,7 +228,7 @@ TEST(FlowCache, ScrubMidSweepDoesNotRestartTheSweep) {
   // sweep cursor where it was: sending it back to slot 0 would re-visit the
   // head of the table forever under recurring scrubs and never evict stale
   // entries parked in the tail.
-  cache_rig c{16};
+  cache_rig c{16, 1000.0};
   ASSERT_EQ(c.capacity(), 16u);
 
   // A stale victim in the tail (home bucket 14) and two fillers in the head
@@ -224,11 +243,12 @@ TEST(FlowCache, ScrubMidSweepDoesNotRestartTheSweep) {
 
   // Advance the sweep cursor halfway through the table without evicting
   // anything (victim is only 500s old against a 1000s timeout).
-  c.insert(keep0, 500.0, 8, 1000.0);
+  c.insert(keep0, 500.0, 8);
   EXPECT_EQ(c.evictions(), 0u);
 
   // Park tombstones in the other buckets (insert into an empty bucket,
-  // erase) until an insert crosses the load factor and scrubs in place.
+  // erase) until an insert crosses the load factor and scrubs the table at
+  // its size.
   for (std::size_t b = 2; b <= 15 && c.rehashes() == 0; ++b) {
     if (b == 14) continue;  // the victim's bucket
     const auto tmp = flow_for_bucket(b, victim + 1);
@@ -243,7 +263,7 @@ TEST(FlowCache, ScrubMidSweepDoesNotRestartTheSweep) {
   // include the victim.  A cursor reset to 0 would sweep slots 0..7 again
   // and evict nothing.
   const std::uint64_t before = c.evictions();
-  c.insert(keep1, 2000.0, 8, 1000.0);
+  c.insert(keep1, 2000.0, 8);
   EXPECT_EQ(c.evictions() - before, 1u);
   EXPECT_FALSE(c.find(victim));
   // The fillers survive.
@@ -254,19 +274,19 @@ TEST(FlowCache, ScrubMidSweepDoesNotRestartTheSweep) {
 TEST(FlowCache, GrowthMidSweepPreservesSweepProgress) {
   // The growth rehash doubles capacity; the scaled cursor keeps relative
   // position, so sweep work to cover the table stays bounded by its size.
-  cache_rig c{16};
+  cache_rig c{16, 1000.0};
   ASSERT_EQ(c.capacity(), 16u);
   // Advance the cursor to slot 8 of 16.
   const auto first = flow_for_bucket(0);
   c.insert(first, 0.0);
-  c.insert(first, 1.0, 8, 1000.0);
+  c.insert(first, 1.0, 8);
   // Trigger growth to 32 slots.
   for (netsim::flow_id_t f = 1000; f < 1012; ++f) c.insert(f, 1.0);
   ASSERT_EQ(c.capacity(), 32u);
   // Two 16-slot steps cover the new table once: every entry is stale by
   // t=5000, and only the probe flow inserted by the steps remains.
-  c.insert(9999, 5000.0, 16, 1000.0);
-  c.insert(9999, 5000.0, 16, 1000.0);
+  c.insert(9999, 5000.0, 16);
+  c.insert(9999, 5000.0, 16);
   EXPECT_EQ(c.evictions(), 13u);
   EXPECT_EQ(c.size(), 1u);
 }

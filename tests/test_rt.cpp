@@ -423,8 +423,9 @@ TEST(SnapshotProbation, CloseProbationDrainsHoldForShutdown) {
 
 TEST(ShardedFlowCache, ShardCountRoundsToPowerOfTwoAndCoversFlows) {
   rt::epoch_domain d{1};
-  rt::sharded_flow_cache c{5, 16, d};
+  rt::sharded_flow_cache c{5, 30.0, d};
   EXPECT_EQ(c.shard_count(), 8u);
+  EXPECT_EQ(c.stats().capacity, 8u * 64u);  // every shard starts at 64 slots
   for (netsim::flow_id_t f = 0; f < 10000; ++f) {
     ASSERT_LT(c.shard_of(f), c.shard_count());
   }
@@ -432,7 +433,7 @@ TEST(ShardedFlowCache, ShardCountRoundsToPowerOfTwoAndCoversFlows) {
 
 TEST(ShardedFlowCache, InsertTransfersPinAndLostRaceReleasesIt) {
   handle_rig rig;
-  rt::sharded_flow_cache c{4, 64, rig.epochs};
+  rt::sharded_flow_cache c{4, 64, 30.0, rig.epochs};
   rig.h.install_standby(rt_snapshot(1));
   rig.h.switch_active();
 
@@ -441,7 +442,7 @@ TEST(ShardedFlowCache, InsertTransfersPinAndLostRaceReleasesIt) {
   ASSERT_NE(v1, nullptr);
   const auto pins_before = v1->pins.load();
   // The miss path: the caller's pin transfers into the entry.
-  EXPECT_EQ(c.insert(5, v1, 0.0, 30.0, 0, rig.h), v1);
+  EXPECT_EQ(c.insert(5, v1, 0.0, 0, rig.h), v1);
   EXPECT_EQ(v1->pins.load(), pins_before);  // transferred, not duplicated
   EXPECT_EQ(c.lookup(5, 0.1), v1);
 
@@ -453,7 +454,7 @@ TEST(ShardedFlowCache, InsertTransfersPinAndLostRaceReleasesIt) {
   ASSERT_NE(v2, nullptr);
   EXPECT_EQ(v2->gen, 2u);
   const auto v2_pins_before = v2->pins.load();
-  rt::snapshot_version* resident = c.insert(5, v2, 0.2, 30.0, 0, rig.h);
+  rt::snapshot_version* resident = c.insert(5, v2, 0.2, 0, rig.h);
   EXPECT_EQ(resident, v1);
   EXPECT_EQ(resident->gen, 1u);
   // The losing pin was released inside insert(); only v2's ownership pin
@@ -465,7 +466,7 @@ TEST(ShardedFlowCache, InsertTransfersPinAndLostRaceReleasesIt) {
 
 TEST(ShardedFlowCache, FinAndIdleExpiryReleaseEachPinExactlyOnce) {
   handle_rig rig;
-  rt::sharded_flow_cache c{4, 64, rig.epochs};
+  rt::sharded_flow_cache c{4, 64, 30.0, rig.epochs};
   rig.h.install_standby(rt_snapshot(1));
   rig.h.switch_active();
 
@@ -474,7 +475,7 @@ TEST(ShardedFlowCache, FinAndIdleExpiryReleaseEachPinExactlyOnce) {
     for (netsim::flow_id_t f = 0; f < 8; ++f) {
       rt::snapshot_version* v = rig.h.pin_active();
       ASSERT_NE(v, nullptr);
-      EXPECT_EQ(c.insert(f, v, 0.0, 30.0, 0, rig.h), v);
+      EXPECT_EQ(c.insert(f, v, 0.0, 0, rig.h), v);
     }
   }
   EXPECT_EQ(c.stats().size, 8u);
@@ -487,8 +488,8 @@ TEST(ShardedFlowCache, FinAndIdleExpiryReleaseEachPinExactlyOnce) {
   EXPECT_EQ(c.stats().size, 7u);
 
   // Idle expiry drains the rest; a second sweep is a no-op.
-  EXPECT_EQ(c.expire_idle(100.0, 1.0, rig.h), 7u);
-  EXPECT_EQ(c.expire_idle(100.0, 1.0, rig.h), 0u);
+  EXPECT_EQ(c.expire_idle(100.0, rig.h), 7u);
+  EXPECT_EQ(c.expire_idle(100.0, rig.h), 0u);
   EXPECT_EQ(c.stats().size, 0u);
 
   // Every pin accounted for: demote the version and it retires cleanly.
@@ -501,13 +502,14 @@ TEST(ShardedFlowCache, FinAndIdleExpiryReleaseEachPinExactlyOnce) {
 
 TEST(ShardedFlowCache, InsertSweepEvictsIdleNeighborsAndReleasesPins) {
   handle_rig rig;
-  rt::sharded_flow_cache c{1, 64, rig.epochs};  // one shard: sweep sees all
+  // One shard: the sweep sees every entry.
+  rt::sharded_flow_cache c{1, 64, 30.0, rig.epochs};
   rig.h.install_standby(rt_snapshot(1));
   rig.h.switch_active();
   {
     rt::epoch_domain::guard g{rig.epochs, rig.slot};
     for (netsim::flow_id_t f = 0; f < 16; ++f) {
-      c.insert(f, rig.h.pin_active(), 0.0, 30.0, 0, rig.h);
+      c.insert(f, rig.h.pin_active(), 0.0, 0, rig.h);
     }
   }
   // Lookups are lock-free and never evict; the incremental sweep rides the
@@ -515,7 +517,7 @@ TEST(ShardedFlowCache, InsertSweepEvictsIdleNeighborsAndReleasesPins) {
   // timeout: their sweeps alone must drain the 16 stale entries.
   for (int i = 0; i < 200; ++i) {
     rt::epoch_domain::guard g{rig.epochs, rig.slot};
-    c.insert(1000 + i, rig.h.pin_active(), 100.0 + i, 30.0, 4, rig.h);
+    c.insert(1000 + i, rig.h.pin_active(), 100.0 + i, 4, rig.h);
     c.erase(1000 + i, rig.h);
   }
   EXPECT_EQ(c.stats().size, 0u);
@@ -537,7 +539,7 @@ TEST(ShardedFlowCache, LockFreeLookupSurvivesConcurrentChurn) {
   // it cannot flake on load; TSan tier-1 runs it.
   handle_rig rig;
   const std::size_t reader_slot = rig.epochs.register_reader();
-  rt::sharded_flow_cache c{2, 16, rig.epochs};  // small: forces rehashes
+  rt::sharded_flow_cache c{2, 16, 30.0, rig.epochs};  // small: rehashes
   rig.h.install_standby(rt_snapshot(1));
   rig.h.switch_active();
 
@@ -555,10 +557,10 @@ TEST(ShardedFlowCache, LockFreeLookupSurvivesConcurrentChurn) {
   for (int round = 0; round < 400; ++round) {
     rt::epoch_domain::guard g{rig.epochs, rig.slot};
     for (netsim::flow_id_t f = 0; f < 64; ++f) {
-      c.insert(f, rig.h.pin_active(), round * 1.0, 30.0, 1, rig.h);
+      c.insert(f, rig.h.pin_active(), round * 1.0, 1, rig.h);
     }
     if (round % 3 == 0) {
-      c.expire_idle(round + 100.0, 1.0, rig.h);  // tombstone storm
+      c.expire_idle(round + 100.0, rig.h);  // tombstone storm
     } else {
       for (netsim::flow_id_t f = 0; f < 64; f += 2) c.erase(f, rig.h);
     }
@@ -576,7 +578,6 @@ TEST(ShardedFlowCache, LockFreeLookupSurvivesConcurrentChurn) {
 TEST(RtEngine, RoutePinsFlowsAcrossSwitchUntilFin) {
   rt::engine_config cfg;
   cfg.shards = 4;
-  cfg.shard_capacity = 64;
   cfg.max_workers = 2;
   rt::datapath_engine e{cfg};
   rt::worker_handle& w = e.register_worker();
@@ -661,25 +662,157 @@ TEST(RtEngine, SwitchWithoutStandbyIsNoopAndIdleExpiryDrains) {
 }
 
 TEST(RtEngine, ChurnWithoutMaintainKeepsRetiredArraysBounded) {
-  // Every FIN leaves a tombstone, so a small shard under route/FIN churn
-  // scrubs its slot array every few inserts and retires the old one.
+  // Every FIN leaves a tombstone, so a shard under route/FIN churn scrubs
+  // its slot array every few dozen inserts and retires the old one.
   // Nothing here calls maintain(): the insert path has to free them.
   rt::engine_config cfg;
   cfg.shards = 1;
-  cfg.shard_capacity = 16;
   cfg.max_workers = 1;
   rt::datapath_engine e{cfg};
   rt::worker_handle& w = e.register_worker();
   e.install(rt_snapshot(1));
   e.switch_active();
   std::size_t fins = 0;
-  for (netsim::flow_id_t f = 1; f <= 4096; ++f) {
+  for (netsim::flow_id_t f = 1; f <= 16384; ++f) {
     e.route(w, f, 0.0, {}, {});
     fins += e.flow_finished(w, f) ? 1 : 0;
   }
-  EXPECT_EQ(fins, 4096u);
+  EXPECT_EQ(fins, 16384u);
   EXPECT_GT(e.cache().stats().rehashes, 100u);
   EXPECT_LE(e.epochs().retired_pending(), 1u);
+}
+
+TEST(RtEngine, DefaultCacheStartsSmallAndGrowsWithoutLosingBindings) {
+  rt::engine_config cfg;
+  rt::datapath_engine e{cfg};
+  // 64 slots per shard before the first route, not a pre-sized table.
+  EXPECT_EQ(e.cache().stats().capacity,
+            rt::datapath_engine::resolved_shards(cfg) * 64);
+  rt::worker_handle& w = e.register_worker();
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  constexpr netsim::flow_id_t k_flows = 8192;
+  for (netsim::flow_id_t f = 1; f <= k_flows; ++f) {
+    ASSERT_FALSE(e.route(w, f, 0.0, {}, {}).hit) << "flow " << f;
+  }
+  EXPECT_EQ(e.cached_flows(), k_flows);
+  EXPECT_GT(e.cache().stats().rehashes, 0u);
+  // After a switch, a binding lost by a rehash would re-pin gen 2.
+  e.install(rt_snapshot(2));
+  e.switch_active();
+  for (netsim::flow_id_t f = 1; f <= k_flows; ++f) {
+    const auto r = e.route(w, f, 0.1, {}, {});
+    ASSERT_TRUE(r.hit) << "flow " << f;
+    ASSERT_EQ(r.gen, 1u) << "flow " << f;
+  }
+}
+
+TEST(RtEngine, L1ServedFlowKeepsItsBindingThroughIdleSweeps) {
+  // One shard, a 1 s idle timeout: flow 7 sends a packet every 0.5 s while
+  // 8 short flows miss and FIN at every step, so the insert-path sweep laps
+  // the shard again and again.  The L1 serves flow 7, and its L2 stamp must
+  // still move: a refresh every 64th L1 hit left it ~32 s stale, the sweep
+  // evicted the live flow, and after the switch at t = 46.5 s its next
+  // packet pinned gen 2 without a FIN.
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.idle_timeout = 1.0;
+  cfg.max_workers = 1;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  EXPECT_EQ(e.route(w, 7, 0.0, {}, {}).gen, 1u);
+  netsim::flow_id_t churn = 1000;
+  for (int step = 1; step <= 200; ++step) {
+    const double now = 0.5 * step;
+    for (int k = 0; k < 8; ++k, ++churn) {
+      e.route(w, churn, now, {}, {});
+      e.flow_finished(w, churn);
+    }
+    const auto r = e.route(w, 7, now, {}, {});
+    ASSERT_TRUE(r.hit) << "t = " << now;
+    ASSERT_EQ(r.gen, 1u) << "t = " << now;
+    if (step == 93) {  // t = 46.5 s
+      e.install(rt_snapshot(2));
+      e.switch_active();
+    }
+  }
+}
+
+TEST(RtEngine, FlowsUnderIdleTimeoutApartAreNeverEvicted) {
+  // Flow 7 sends a packet every 0.9 x idle_timeout.  Flow 8 sends bursts
+  // the L1 serves (packets idle_timeout / 100 apart for half a timeout),
+  // with 0.9 x idle_timeout of silence after each.  Short flows miss and
+  // FIN at every tick and expire_idle runs each tick, so both sweeps see
+  // every slot.  Neither flow may lose its gen-1 binding across the switch;
+  // once both fall silent, 2 x idle_timeout later both are gone.
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.idle_timeout = 1.0;
+  cfg.max_workers = 1;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  netsim::flow_id_t churn = 1000;
+  const auto sweep = [&](double now) {
+    for (int k = 0; k < 4; ++k, ++churn) {
+      e.route(w, churn, now, {}, {});
+      e.flow_finished(w, churn);
+    }
+    e.expire_idle(now);
+  };
+  const auto live = [&](netsim::flow_id_t flow, double now) {
+    const auto r = e.route(w, flow, now, {}, {});
+    EXPECT_EQ(r.gen, 1u) << "flow " << flow << ", t = " << now;
+    return r.hit;
+  };
+  // Ticks of idle_timeout / 100: flow 7 every 90 ticks, flow 8 on ticks
+  // 0..50 of every 140, so 90 silent ticks follow each burst.
+  constexpr int k_ticks = 4000;
+  std::size_t misses = 0;
+  for (int tick = 0; tick <= k_ticks; ++tick) {
+    const double now = tick * 0.01;
+    sweep(now);
+    if (tick % 90 == 0 && !live(7, now)) ++misses;
+    if (tick % 140 <= 50 && !live(8, now)) ++misses;
+    if (tick == k_ticks / 2) {
+      e.install(rt_snapshot(2));
+      e.switch_active();
+    }
+  }
+  EXPECT_EQ(misses, 2u);  // each flow's first packet
+  const double silent_from = k_ticks * 0.01;
+  for (int tick = 1; tick <= 200; ++tick) sweep(silent_from + tick * 0.01);
+  EXPECT_EQ(e.cached_flows(), 0u);
+  EXPECT_EQ(e.route(w, 7, silent_from + 2.0, {}, {}).gen, 2u);
+}
+
+TEST(RtEngine, StampLagOfBothCacheLevelsStaysInsideEvictionMargin) {
+  // idle_timeout 64 s: stamps refresh once 1 s old, and the sweeps evict
+  // entries idle for over 66 s.  The longest lag: worker A's miss stamps
+  // flow 7 at 0 s; worker B's L2 hit at 0.9 s leaves the stamp (under 1 s
+  // old) and fills B's L1, which serves the packet at 1.89 s without
+  // reaching the L2.  The next packet, 63.9 s later, is 65.79 s after the
+  // stamp, and the flow must still be there.
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.idle_timeout = 64.0;
+  cfg.max_workers = 2;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& wa = e.register_worker();
+  rt::worker_handle& wb = e.register_worker();
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  EXPECT_FALSE(e.route(wa, 7, 0.0, {}, {}).hit);
+  EXPECT_TRUE(e.route(wb, 7, 0.9, {}, {}).hit);
+  EXPECT_TRUE(e.route(wb, 7, 1.89, {}, {}).hit);
+  EXPECT_EQ(wb.l1_hits(), 1u);
+  const double next = 1.89 + 63.9;
+  EXPECT_EQ(e.expire_idle(next), 0u);
+  EXPECT_TRUE(e.route(wb, 7, next, {}, {}).hit);
+  EXPECT_EQ(e.expire_idle(next + 128.0), 1u);  // idle 2 x idle_timeout
 }
 
 TEST(RtEngineConfig, ShardsDeriveFromWorkerBudget) {
@@ -912,7 +1045,6 @@ TEST(RtEngine, BatchedRouteSpansGenerationsAndRoutesWithoutInfer) {
 TEST(RtEngine, TwoThreadInterleavingSmoke) {
   rt::engine_config cfg;
   cfg.shards = 4;
-  cfg.shard_capacity = 256;
   cfg.idle_timeout = 0.5;
   cfg.max_workers = 2;
   rt::datapath_engine e{cfg};
