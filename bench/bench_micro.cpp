@@ -187,6 +187,50 @@ void bm_quantized_infer_into_aurora_pool(benchmark::State& state) {
 }
 BENCHMARK(bm_quantized_infer_into_aurora_pool);
 
+/// Aurora versions cc_adapt keeps live at once (perfbench's
+/// rt.versions_live_max), each pinned by some flow.
+constexpr std::size_t k_live_versions = 120;
+
+/// _aurora_pool spread over k_live_versions programs: each iteration runs
+/// the pool's next row on a seeded pick among Aurora programs whose weights
+/// differ by small seeded noise, as routes of flows pinned to different
+/// versions of one adapting model do.  The difference to _aurora_pool is
+/// the cost of reading parameters from 120 arenas instead of one.
+void bm_quantized_infer_into_aurora_versions(benchmark::State& state) {
+  static const std::vector<quant::quantized_mlp> programs = [] {
+    rng g{0x9003};
+    std::vector<quant::quantized_mlp> v;
+    v.reserve(k_live_versions);
+    for (std::size_t i = 0; i < k_live_versions; ++i) {
+      nn::mlp net = aurora();
+      for (std::size_t l = 0; l < net.layer_count(); ++l) {
+        for (double& w : net.layer(l).weights()) w += g.uniform(-0.01, 0.01);
+      }
+      v.push_back(quant::quantize(net));
+    }
+    return v;
+  }();
+  const std::vector<fp::s64> pool = link_env_pool();
+  rng g{0x9004};
+  std::vector<std::size_t> pick(k_pool_rows);
+  for (auto& p : pick) {
+    p = static_cast<std::size_t>(
+        g.uniform_int(0, static_cast<std::int64_t>(k_live_versions) - 1));
+  }
+  const std::size_t in = programs.front().input_size();
+  std::vector<fp::s64> out(programs.front().output_size());
+  quant::inference_scratch scratch;
+  scratch.reserve(programs.front());
+  std::size_t r = 0;
+  for (auto _ : state) {
+    programs[pick[r]].infer_into({pool.data() + r * in, in}, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    r = (r + 1) & (k_pool_rows - 1);
+  }
+}
+BENCHMARK(bm_quantized_infer_into_aurora_versions);
+
 void bm_quantized_infer_into_lb_mlp(benchmark::State& state) {
   static const auto snap = codegen::generate_snapshot(lb_mlp(), "l", 1);
   infer_into_pool(state, snap.program, input_pool(snap.input_size()));
@@ -679,6 +723,11 @@ void write_fastpath_json(const std::map<std::string, double>& cpu_ns) {
                     "bm_quantized_infer_into_aurora"));
   rep.summary("speedup.infer_into_vs_infer_ffnn",
               ratio("bm_quantized_infer_ffnn", "bm_quantized_infer_into_ffnn"));
+  // The price of 120 live versions over one: > 1 when their arenas do not
+  // all stay in cache.
+  rep.summary("quant.versions_vs_one_aurora",
+              ratio("bm_quantized_infer_into_aurora_versions",
+                    "bm_quantized_infer_into_aurora_pool"));
   // ~1.0 when the disabled tracer is free; >1 would flag a hot-path tax.
   rep.summary("trace.disabled_overhead_ratio",
               ratio("bm_traced_infer_into_disabled",

@@ -205,7 +205,7 @@ void check_model_name(const std::string& name) {
 // table object; each layer keeps its own lut_N_eval and domain constants.
 void emit_lut(source_writer& out, const quant::quantized_mlp& program,
               std::size_t index) {
-  const quant::lookup_table& lut = *program.layer(index).lut;
+  const quant::lookup_table& lut = *program.layer_lut(index);
   const std::size_t source = program.layer_lut_source(index);
   // bits32 tables take the 64-bit chain too; only the lanes tell them apart.
   const bool small = program.layer_lut_tier(index) != quant::lut_tier::bits128;
@@ -251,30 +251,31 @@ void emit_lut(source_writer& out, const quant::quantized_mlp& program,
           "}\n");
 }
 
-// Parameter arrays, output-major.  Every element is parenthesized so
-// negative literals stay syntactically safe wherever they are substituted.
-void emit_fc_params(source_writer& out, const quant::qdense_layer& layer,
+// Parameter arrays, output-major, read from the program's input-major
+// arena.  Every element is parenthesized so negative literals stay
+// syntactically safe wherever they are substituted.
+void emit_fc_params(source_writer& out, const quant::quantized_mlp& program,
                     std::size_t index) {
+  const std::size_t n_in = program.layer_input_size(index);
+  const std::size_t n_out = program.layer_output_size(index);
   // Each element with its parentheses and separator, each row's braces,
   // and the two declarations.
-  out.reserve((layer.weights.size() + layer.biases.size()) *
-                  (k_int_chars + 5) +
-              layer.output_size * 8 + 5 * k_int_chars + 96);
-  out.put("static const s64 fc_", index, "_w[", layer.output_size, "][",
-          layer.input_size, "] = {\n");
-  for (std::size_t i = 0; i < layer.output_size; ++i) {
+  out.reserve((n_in + 1) * n_out * (k_int_chars + 5) + n_out * 8 +
+              5 * k_int_chars + 96);
+  out.put("static const s64 fc_", index, "_w[", n_out, "][", n_in,
+          "] = {\n");
+  for (std::size_t i = 0; i < n_out; ++i) {
     out.put("\t{ ");
-    for (std::size_t j = 0; j < layer.input_size; ++j) {
+    for (std::size_t j = 0; j < n_in; ++j) {
       if (j != 0) out.put(", ");
-      out.put('(', s64_literal{layer.weights[i * layer.input_size + j]}, ')');
+      out.put('(', s64_literal{program.weight(index, i, j)}, ')');
     }
     out.put(" },\n");
   }
-  out.put("};\nstatic const s64 fc_", index, "_b[", layer.output_size,
-          "] = {\n");
-  for (std::size_t i = 0; i < layer.biases.size(); ++i) {
+  out.put("};\nstatic const s64 fc_", index, "_b[", n_out, "] = {\n");
+  for (std::size_t i = 0; i < n_out; ++i) {
     if (i != 0) out.put(",\n");
-    out.put("\t(", s64_literal{layer.biases[i]}, ')');
+    out.put("\t(", s64_literal{program.bias(index, i)}, ')');
   }
   out.put("\n};\n");
 }
@@ -283,30 +284,33 @@ void emit_fc_params(source_writer& out, const quant::qdense_layer& layer,
 // correct saturating loop, or — when the snapshot-build-time accumulator
 // bound proves saturation impossible — the plain +/* fast loop.  `restrict`
 // lets the compiler keep inputs in registers across the MAC loop.
-void emit_fc_comp(source_writer& out, const quant::qdense_layer& layer,
+void emit_fc_comp(source_writer& out, const quant::quantized_mlp& program,
                   std::size_t index, bool fast) {
+  const nn::activation act = program.layer_activation(index);
   out.put("static void fc_", index, "_comp", fast ? "_fast" : "",
           "(const s64 *restrict input, s64 *restrict output)\n"
           "{\n"
           "\tint i, j;\n"
           "\n"
-          "\tfor (i = 0; i < ", layer.output_size, "; i++) {\n"
+          "\tfor (i = 0; i < ", program.layer_output_size(index),
+          "; i++) {\n"
           "\t\tconst s64 *restrict row = fc_", index, "_w[i];\n"
           "\t\ts64 acc = fc_", index, "_b[i];\n"
           "\n"
-          "\t\tfor (j = 0; j < ", layer.input_size, "; j++)\n"
+          "\t\tfor (j = 0; j < ", program.layer_input_size(index),
+          "; j++)\n"
           "\t\t\tacc ",
           fast ? "+= row[j] * input[j]"
                : "= lf_sat_add(acc, lf_sat_mul(row[j], input[j]))",
           ";\n"
           "\t\toutput[i] = ");
-  if (layer.act == nn::activation::relu) {
+  if (act == nn::activation::relu) {
     out.put("lf_relu(");
-  } else if (layer.lut) {
+  } else if (program.layer_lut(index) != nullptr) {
     out.put("lut_", index, "_eval(");
   }
-  out.put("lf_div_round(acc, ", layer.weight_scale, ')',
-          layer.act == nn::activation::linear ? "" : ")",
+  out.put("lf_div_round(acc, ", program.layer_weight_scale(index), ')',
+          act == nn::activation::linear ? "" : ")",
           ";\n"
           "\t}\n"
           "}\n");
@@ -322,7 +326,7 @@ std::string emit_c_source(const quant::quantized_mlp& program,
   bool any_relu = false;
   for (std::size_t i = 0; i < layers; ++i) {
     any_wide_lut |= program.layer_lut_tier(i) == quant::lut_tier::bits128;
-    any_relu |= program.layer(i).act == nn::activation::relu;
+    any_relu |= program.layer_activation(i) == nn::activation::relu;
   }
   // Only the helpers some layer calls, so the module builds warning-free.
   source_writer out{k_prelude.size() + k_mul_div.size() + k_sat.size() +
@@ -339,22 +343,21 @@ std::string emit_c_source(const quant::quantized_mlp& program,
   bool any_fast = false;
   std::size_t max_width = program.input_size();
   for (std::size_t i = 0; i < layers; ++i) {
-    const auto& layer = program.layer(i);
-    max_width = std::max(max_width, layer.output_size);
-    if (layer.lut) {
+    max_width = std::max(max_width, program.layer_output_size(i));
+    if (program.layer_lut(i) != nullptr) {
       emit_lut(out, program, i);
       out.put('\n');
     }
-    emit_fc_params(out, layer, i);
+    emit_fc_params(out, program, i);
     out.put('\n');
     // The saturating variant is always emitted (it is the bit-for-bit
     // fallback); layers whose accumulator bound proves saturation impossible
     // additionally get the plain-arithmetic fast variant.
-    emit_fc_comp(out, layer, i, /*fast=*/false);
+    emit_fc_comp(out, program, i, /*fast=*/false);
     out.put('\n');
     if (program.layer_saturation_free(i)) {
       any_fast = true;
-      emit_fc_comp(out, layer, i, /*fast=*/true);
+      emit_fc_comp(out, program, i, /*fast=*/true);
       out.put('\n');
     }
   }
@@ -418,8 +421,9 @@ std::string emit_c_source(const quant::quantized_mlp& program,
       "module_exit(lf_snapshot_exit);\n"
       "MODULE_LICENSE(\"GPL\");\n"
       "#endif /* __KERNEL__ */\n");
-  // The snapshot keeps this text for its lifetime: hand it over at its
-  // exact size.
+  // The text is compiled or written out once; an installed version drops
+  // it (rt::snapshot_handle::install_standby).  Hand it over at its exact
+  // size.
   return out.take();
 }
 

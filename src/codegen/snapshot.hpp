@@ -2,7 +2,10 @@
 // model: the integer program (executable form), the generated C source (the
 // artifact the paper compiles into a .ko), and identifying metadata.  It is
 // named "snapshot" because, once generated, it is never tuned again — only
-// replaced wholesale by the NN snapshot update path (§3.4).
+// replaced wholesale by the NN snapshot update path (§3.4).  Installing it
+// (rt::snapshot_handle::install_standby) keeps the program and drops the
+// C text, as the kernel keeps the inserted module, not its source: compile
+// or write the text before installing.
 #pragma once
 
 #include <memory>

@@ -102,8 +102,9 @@ class liteflow_core {
   /// TCP FIN: drop the flow's cache entry and its pin.
   void flow_finished(netsim::flow_id_t flow);
 
-  /// The active version's snapshot, nullptr if none.  Valid until the next
-  /// switch_active().
+  /// The active version's snapshot (program, name and version; its
+  /// c_source is empty once installed), nullptr if none.  Valid until the
+  /// next switch_active().
   const codegen::snapshot* active_snapshot();
 
   /// io_scale (the quantizer's C) of the active snapshot, 0 if none.

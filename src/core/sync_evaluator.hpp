@@ -50,9 +50,6 @@ class sync_evaluator {
   /// the metric oscillates tightly around zero.
   double stability_spread() const;
 
-  /// Stability samples currently held (<= config().stability_window).
-  std::size_t stability_samples() const noexcept { return history_.size(); }
-
   /// Full decision for a candidate update.
   sync_decision evaluate(const nn::mlp& tuned,
                          const quant::quantized_mlp& installed,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -339,11 +340,11 @@ void inference_scratch::reserve(const quantized_mlp& program) {
 
 quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
                              std::vector<qdense_layer> layers)
-    : input_size_{input_size}, io_scale_{io_scale}, layers_{std::move(layers)} {
-  if (layers_.empty()) throw std::invalid_argument{"quantized_mlp: no layers"};
+    : input_size_{input_size}, io_scale_{io_scale} {
+  if (layers.empty()) throw std::invalid_argument{"quantized_mlp: no layers"};
   if (io_scale <= 0) throw std::invalid_argument{"quantized_mlp: bad scale"};
   std::size_t in = input_size_;
-  for (const auto& layer : layers_) {
+  for (const auto& layer : layers) {
     if (layer.input_size != in) {
       throw std::invalid_argument{"quantized_mlp: layer size chain broken"};
     }
@@ -362,17 +363,19 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
     }
     in = layer.output_size;
   }
-  build_arena();
+  build_arena(layers);
 }
 
-void quantized_mlp::build_arena() {
+void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
+  static_assert(std::is_trivially_copyable_v<layer_desc>);
   const auto padded = [](std::size_t n) { return (n + 3) & ~std::size_t{3}; };
   std::size_t total = 0;
-  for (const auto& l : layers_) {
+  for (const auto& l : layers) {
     total += (l.input_size + 1) * padded(l.output_size);
   }
   arena_.reserve(total);
-  descs_.reserve(layers_.size());
+  descs_.reserve(layers.size());
+  luts_.reserve(layers.size());
   max_width_ = input_size_;
 
   // Fast-path contract: the no-saturation proof assumes |input| <= bound.
@@ -383,8 +386,7 @@ void quantized_mlp::build_arena() {
 
   constexpr __int128 lim = fp::s64_max;
   __int128 in_bound = fastpath_input_bound_;
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const auto& l = layers_[li];
+  for (const qdense_layer& l : layers) {
     layer_desc d;
     d.input_size = l.input_size;
     d.output_size = l.output_size;
@@ -400,8 +402,8 @@ void quantized_mlp::build_arena() {
     }
     // Input-major weights, each input's row padded to whole 4-lane groups
     // (zero weights and biases in the padding lanes): the int32 kernel
-    // loads w[j][o..o+3] directly, and the scalar loops walk neuron i's
-    // column w[j*stride + i] in the same j order as infer().
+    // loads w[j][o..o+3] directly, and the scalar loops and infer() walk
+    // neuron i's column w[j*stride + i] in j order.
     d.stride = padded(l.output_size);
     d.weights_off = arena_.size();
     arena_.resize(arena_.size() + l.input_size * d.stride, 0);
@@ -475,6 +477,7 @@ void quantized_mlp::build_arena() {
 
     max_width_ = std::max(max_width_, l.output_size);
     descs_.push_back(d);
+    luts_.push_back(l.lut);
   }
   // Activation rows hold whole 4-lane groups: the int32 kernel stores them.
   max_width_ = padded(max_width_);
@@ -483,16 +486,35 @@ void quantized_mlp::build_arena() {
   });
 }
 
+qdense_layer quantized_mlp::layer(std::size_t i) const {
+  const layer_desc& d = descs_.at(i);
+  qdense_layer l;
+  l.input_size = d.input_size;
+  l.output_size = d.output_size;
+  l.weights.reserve(d.input_size * d.output_size);
+  for (std::size_t o = 0; o < d.output_size; ++o) {
+    for (std::size_t j = 0; j < d.input_size; ++j) {
+      l.weights.push_back(weight(i, o, j));
+    }
+  }
+  const s64* b = arena_.data() + d.biases_off;
+  l.biases.assign(b, b + d.output_size);
+  l.weight_scale = d.weight_scale;
+  l.act = d.act;
+  l.lut = luts_[i];
+  return l;
+}
+
 std::size_t quantized_mlp::layer_lut_source(std::size_t i) const {
-  const auto& lut = layers_.at(i).lut;
-  if (!lut) return i;
+  const lookup_table* lut = layer_lut(i);
+  if (lut == nullptr) return i;
   // Shared tables (Aurora's three tanh layers) compare by address; equal
   // values in distinct objects count as one table too.
   std::size_t p = 0;
   for (; p < i; ++p) {
-    const auto& other = layers_[p].lut;
-    if (other && (other == lut ||
-                  std::ranges::equal(other->values(), lut->values()))) {
+    const lookup_table* other = luts_[p].get();
+    if (other != nullptr &&
+        (other == lut || std::ranges::equal(other->values(), lut->values()))) {
       break;
     }
   }
@@ -500,7 +522,7 @@ std::size_t quantized_mlp::layer_lut_source(std::size_t i) const {
 }
 
 std::size_t quantized_mlp::output_size() const noexcept {
-  return layers_.back().output_size;
+  return descs_.back().output_size;
 }
 
 std::vector<s64> quantized_mlp::infer(std::span<const s64> input_q) const {
@@ -509,18 +531,20 @@ std::vector<s64> quantized_mlp::infer(std::span<const s64> input_q) const {
   }
   std::vector<s64> cur(input_q.begin(), input_q.end());
   std::vector<s64> next;
-  for (const auto& layer : layers_) {
-    next.assign(layer.output_size, 0);
-    for (std::size_t i = 0; i < layer.output_size; ++i) {
+  for (std::size_t li = 0; li < descs_.size(); ++li) {
+    const layer_desc& d = descs_[li];
+    const s64* w = arena_.data() + d.weights_off;
+    const s64* b = arena_.data() + d.biases_off;
+    next.assign(d.output_size, 0);
+    for (std::size_t i = 0; i < d.output_size; ++i) {
       // MAC at scale weight_scale * io_scale; biases are pre-scaled to match.
-      s64 acc = layer.biases[i];
-      const s64* row = &layer.weights[i * layer.input_size];
-      for (std::size_t j = 0; j < layer.input_size; ++j) {
-        acc = fp::sat_add(acc, fp::sat_mul(row[j], cur[j]));
+      s64 acc = b[i];
+      for (std::size_t j = 0; j < d.input_size; ++j) {
+        acc = fp::sat_add(acc, fp::sat_mul(w[j * d.stride + i], cur[j]));
       }
       // Requantize back to io_scale before the activation.
-      const s64 pre = fp::div_round(acc, layer.weight_scale);
-      switch (layer.act) {
+      const s64 pre = fp::div_round(acc, d.weight_scale);
+      switch (d.act) {
         case nn::activation::linear:
           next[i] = pre;
           break;
@@ -529,7 +553,7 @@ std::vector<s64> quantized_mlp::infer(std::span<const s64> input_q) const {
           break;
         case nn::activation::tanh_act:
         case nn::activation::sigmoid:
-          next[i] = layer.lut->eval(pre);
+          next[i] = luts_[li]->eval(pre);
           break;
       }
     }
@@ -808,18 +832,18 @@ std::vector<double> quantized_mlp::infer_float(
 
 std::size_t quantized_mlp::mac_count() const noexcept {
   std::size_t n = 0;
-  for (const auto& layer : layers_) n += layer.input_size * layer.output_size;
+  for (const layer_desc& d : descs_) n += d.input_size * d.output_size;
   return n;
 }
 
 std::size_t quantized_mlp::parameter_bytes() const noexcept {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const auto& layer = layers_[i];
-    n += (layer.weights.size() + layer.biases.size()) * sizeof(s64);
+  for (std::size_t i = 0; i < descs_.size(); ++i) {
+    const layer_desc& d = descs_[i];
+    n += (d.input_size + 1) * d.output_size * sizeof(s64);
     // A table shared with an earlier layer is stored once.
-    if (layer.lut && layer_lut_source(i) == i) {
-      n += layer.lut->values().size() * sizeof(s64);
+    if (luts_[i] && layer_lut_source(i) == i) {
+      n += luts_[i]->values().size() * sizeof(s64);
     }
   }
   return n;

@@ -2,10 +2,11 @@
 //
 // A quantized_mlp is what the paper installs into the kernel as a generated
 // module: weights, biases and activation lookup tables baked into integer
-// arrays, evaluated with 64-bit integer arithmetic only.  Its tables are the
-// process's shared ones (lookup_table::for_activation), so a program and
-// its copies hold references, not copies, of them.  src/codegen emits
-// this same program as C source text; this class is the executable form the
+// arrays, evaluated with 64-bit integer arithmetic only.  Its weights and
+// biases live once, in one arena; its tables are the process's shared ones
+// (lookup_table::for_activation), so a program and its copies hold
+// references, not copies, of them.  src/codegen emits this same program as C
+// source text, reading the arena; this class is the executable form the
 // simulated kernel runs (and the oracle the generated code is golden-tested
 // against).
 #pragma once
@@ -52,7 +53,8 @@ class inference_scratch {
   std::vector<s64> buf_;
 };
 
-/// One quantized fully-connected layer followed by its activation.
+/// One quantized fully-connected layer followed by its activation: what a
+/// program is built from, and what quantized_mlp::layer() rebuilds.
 struct qdense_layer {
   std::size_t input_size = 0;
   std::size_t output_size = 0;
@@ -71,8 +73,41 @@ class quantized_mlp {
 
   std::size_t input_size() const noexcept { return input_size_; }
   std::size_t output_size() const noexcept;
-  std::size_t layer_count() const noexcept { return layers_.size(); }
-  const qdense_layer& layer(std::size_t i) const { return layers_.at(i); }
+  std::size_t layer_count() const noexcept { return descs_.size(); }
+
+  /// Layer i rebuilt by value from the arena, field for field the
+  /// qdense_layer it was built from (weights output-major again).  It
+  /// allocates; the emitter and the inference paths read the accessors
+  /// below instead.
+  qdense_layer layer(std::size_t i) const;
+
+  std::size_t layer_input_size(std::size_t i) const {
+    return descs_.at(i).input_size;
+  }
+  std::size_t layer_output_size(std::size_t i) const {
+    return descs_.at(i).output_size;
+  }
+  s64 layer_weight_scale(std::size_t i) const {
+    return descs_.at(i).weight_scale;
+  }
+  nn::activation layer_activation(std::size_t i) const {
+    return descs_.at(i).act;
+  }
+  /// Layer i's shared table; nullptr for relu/linear layers.
+  const lookup_table* layer_lut(std::size_t i) const {
+    return luts_.at(i).get();
+  }
+
+  /// Layer `layer`'s weight from input `in` to output `out`, read from the
+  /// arena (`out` < layer_output_size, `in` < layer_input_size).
+  s64 weight(std::size_t layer, std::size_t out, std::size_t in) const {
+    const layer_desc& d = descs_.at(layer);
+    return arena_[d.weights_off + in * d.stride + out];
+  }
+  /// Layer `layer`'s bias of output `out` (< layer_output_size).
+  s64 bias(std::size_t layer, std::size_t out) const {
+    return arena_[descs_.at(layer).biases_off + out];
+  }
 
   /// Fixed-point scale of inputs and outputs: q ~= value * io_scale.
   /// This is the paper's scaling factor C ("1000x scaling").
@@ -80,9 +115,10 @@ class quantized_mlp {
 
   /// Integer reference inference (this is the exact arithmetic the kernel
   /// snapshot performs; no floating point anywhere on this path).  Kept as
-  /// the allocating legacy path: it walks the per-layer vectors with fully
-  /// saturating arithmetic and is the oracle `infer_into` is property-tested
-  /// against bit-for-bit.
+  /// the allocating legacy path: it walks the arena neuron by neuron, in the
+  /// emitted C's order, with fully saturating arithmetic and the tables'
+  /// own lookup_table::eval, and is the oracle `infer_into` is
+  /// property-tested against bit-for-bit.
   std::vector<s64> infer(std::span<const s64> input_q) const;
 
   /// Zero-allocation fast path: same outputs as infer(), bit-for-bit, but
@@ -157,8 +193,8 @@ class quantized_mlp {
   friend class inference_scratch;
 
   /// Flat per-layer view into the parameter arena and the layer's table,
-  /// plus everything the inner loops need, so the hot path never chases
-  /// the qdense_layer vectors.
+  /// plus everything the inner loops need.  Trivially copyable: run_layer
+  /// copies it on every call.
   struct layer_desc {
     std::size_t input_size = 0;
     std::size_t output_size = 0;
@@ -170,7 +206,7 @@ class quantized_mlp {
     s64 half = 0;     ///< weight_scale / 2, the round-to-nearest bias
     nn::activation act = nn::activation::linear;
     // LUT parameters (valid iff act is tanh/sigmoid), copied from the table,
-    // which layers_ keeps alive:
+    // which luts_ keeps alive:
     const s64* lut = nullptr;  ///< lookup_table::guarded_values()
     s64 lut_entries = 0;
     s64 lut_lo_q = 0;
@@ -185,7 +221,7 @@ class quantized_mlp {
     bool simd = false;
   };
 
-  void build_arena();
+  void build_arena(const std::vector<qdense_layer>& layers);
 
   /// Runs one layer on the kernel its proofs allow for this call.
   void run(const layer_desc& d, bool in_bounds, const s64* in,
@@ -213,11 +249,12 @@ class quantized_mlp {
 
   std::size_t input_size_;
   s64 io_scale_;
-  std::vector<qdense_layer> layers_;
-  // Fast-path state, derived from layers_ at construction:
-  /// weights | biases, per layer (the tables stay in their shared objects)
+  /// weights | biases, per layer: the program's only copy of its
+  /// parameters (the tables stay in their shared objects)
   std::vector<s64> arena_;
   std::vector<layer_desc> descs_;
+  /// Layer i's table, or nullptr; keeps alive what descs_[i].lut points at.
+  std::vector<std::shared_ptr<const lookup_table>> luts_;
   s64 fastpath_input_bound_ = 0;
   /// Widest activation vector, rounded up to whole 4-lane groups: the
   /// length of each scratch row.

@@ -199,7 +199,12 @@ worker_handle& datapath_engine::register_worker() {
     w.l1_.resize(cfg_.l1_slots);
     unsigned bits = 0;
     while ((std::size_t{1} << bits) < cfg_.l1_slots) ++bits;
-    w.l1_shift_ = 64 - bits;
+    if (bits == 0) {
+      w.l1_mul_ = 0;
+      w.l1_shift_ = 63;
+    } else {
+      w.l1_shift_ = 64 - bits;
+    }
   }
   if (recorder_ != nullptr && w.slot_ < recorder_->worker_rings()) {
     w.bb_ = &recorder_->worker(w.slot_);

@@ -182,13 +182,16 @@ class alignas(128) worker_handle {
   l1_entry& l1_slot(netsim::flow_id_t key) noexcept {
     // Fibonacci top-bits: one multiply, decorrelated from both the shard
     // index (splitmix top bits) and the in-shard bucket (splitmix low bits).
-    return l1_[(key * 0x9e3779b97f4a7c15ULL) >> l1_shift_];
+    return l1_[(key * l1_mul_) >> l1_shift_];
   }
 
   std::size_t slot_ = 0;
   quant::inference_scratch scratch_;
   std::vector<l1_entry> l1_;  ///< direct-mapped; sized by engine_config
-  unsigned l1_shift_ = 63;
+  /// The Fibonacci multiplier, or 0 for a one-slot L1: there every key
+  /// hashes to slot 0, and l1_shift_ stays below 64.
+  std::uint64_t l1_mul_ = 0x9e3779b97f4a7c15ULL;
+  unsigned l1_shift_ = 63;  ///< 64 - log2(slots), 63 for one slot
   std::vector<snapshot_version*> batch_vers_;  ///< route_batch scratch
   std::vector<fp::s64> shadow_out_;  ///< standby-output staging (no alloc/route)
   metrics::latency_histogram lat_;   ///< route latency (telemetry.latency)

@@ -31,6 +31,9 @@ snapshot_handle::~snapshot_handle() {
 }
 
 std::uint64_t snapshot_handle::install_standby(codegen::snapshot snap) {
+  // A live version may stay pinned for as long as its flows last, and ~100
+  // can be live at once: keep each one's program, not its C text.
+  std::string{}.swap(snap.c_source);  // frees the text, not just empties it
   auto* v = new snapshot_version{next_gen_++, std::move(snap)};
   rec_.live.fetch_add(1, std::memory_order_acq_rel);
   if (standby_ != nullptr) {

@@ -96,7 +96,10 @@ struct snapshot_version {
       : gen{g}, snap{std::move(s)} {}
 
   std::uint64_t gen;              ///< monotonic install generation
-  codegen::snapshot snap;         ///< the integer program (const after build)
+  /// The integer program, name and version (const after build).  c_source
+  /// is empty: the datapath runs the program, never its C text, so
+  /// install_standby drops the text before it publishes the version.
+  codegen::snapshot snap;
   std::atomic<std::uint64_t> pins{1};  ///< starts with the ownership pin
   std::atomic<bool> demoted{false};
   std::atomic<bool> retire_pushed{false};
@@ -144,9 +147,10 @@ class snapshot_handle {
 
   // ------------------------------------------------------------- writer --
 
-  /// Install `snap` as the standby snapshot.  Lock-free with respect to the
-  /// read path (readers never inspect the standby slot).  Replacing an
-  /// unswitched standby retires the old one.  Returns the new generation.
+  /// Install `snap` as the standby snapshot, without its C text (see
+  /// snapshot_version::snap).  Lock-free with respect to the read path
+  /// (readers never inspect the standby slot).  Replacing an unswitched
+  /// standby retires the old one.  Returns the new generation.
   std::uint64_t install_standby(codegen::snapshot snap);
 
   /// Flip active/standby: one pointer exchange under the flip spinlock

@@ -179,16 +179,24 @@ class u32_divider {
   int shift_ = 31;
 };
 
-/// Quantize a double to s64, saturating at the representable range instead of
-/// hitting the UB of llround on out-of-range values.  NaN maps to 0.
-inline s64 sat_quantize(double v) noexcept {
+/// Quantize a double to s64, rounding to nearest with ties away from zero
+/// as llround does, but saturating at the representable range instead of
+/// hitting llround's UB on out-of-range values.  NaN maps to 0.
+constexpr s64 sat_quantize(double v) noexcept {
   // 2^63 is exactly representable as a double; every double below it rounds
   // to an in-range s64 (the nearest doubles are >= 1024 apart up there).
   constexpr double hi = 9223372036854775808.0;  // 2^63
   if (v != v) return 0;
   if (v >= hi) return s64_max;
   if (v < -hi) return s64_min;
-  return static_cast<s64>(__builtin_llround(v));
+  // Rounded inline, where llround is a libm call.  The cast truncates toward
+  // zero, and v - trunc(v) is exact: below 2^52 it is v's fraction, and from
+  // 2^52 up every double is an integer and the remainder is 0.  So a
+  // remainder of at least one half moves i one step away from zero, which
+  // cannot overflow.
+  const auto i = static_cast<s64>(v);
+  const double rem = v - static_cast<double>(i);
+  return i + (rem >= 0.5) - (rem <= -0.5);
 }
 
 }  // namespace lf::fp

@@ -21,6 +21,12 @@ using quant::quantized_mlp;
 constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
 constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
 
+/// The input width and layers a random_qmlp is built from.
+struct qmlp_layers {
+  std::size_t input_size = 0;
+  std::vector<qdense_layer> layers;
+};
+
 /// Build a random quantized MLP directly (not via the quantizer) so the
 /// property tests also cover shapes/scales the quantizer never produces:
 /// non-power-of-two weight scales, huge weights that defeat the
@@ -30,8 +36,10 @@ constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
 /// limits or one step past them, and some linear/relu hidden layers get
 /// biases that put their outputs near +-2^31, where the next layer's
 /// per-call operand scan flips between the int32 and the scalar kernel.
-inline quantized_mlp random_qmlp(rng& g, bool extreme,
-                                 bool edges = false) {
+/// random_qmlp_layers returns the layers themselves; random_qmlp builds
+/// the program from them, so both make the same draws from `g`.
+inline qmlp_layers random_qmlp_layers(rng& g, bool extreme,
+                                      bool edges = false) {
   const auto width = [&] {
     return static_cast<std::size_t>(g.bernoulli(0.5) ? g.uniform_int(1, 9)
                                                      : g.uniform_int(10, 44));
@@ -111,7 +119,12 @@ inline quantized_mlp random_qmlp(rng& g, bool extreme,
     in = l.output_size;
     layers.push_back(std::move(l));
   }
-  return quantized_mlp{input_size, 1000, std::move(layers)};
+  return {input_size, std::move(layers)};
+}
+
+inline quantized_mlp random_qmlp(rng& g, bool extreme, bool edges = false) {
+  qmlp_layers spec = random_qmlp_layers(g, extreme, edges);
+  return quantized_mlp{spec.input_size, 1000, std::move(spec.layers)};
 }
 
 }  // namespace lf::test

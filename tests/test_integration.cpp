@@ -187,12 +187,16 @@ TEST(Pipeline, GeneratedSourceOfLiveSnapshotCompilesAndMatches) {
   core::liteflow_core core{s, cpu, costs};
   rng g{8};
   const auto net = nn::make_lb_mlp_net(g, 2);
-  core.register_model(codegen::generate_snapshot(net, "lb", 1));
+  // An installed version keeps its program, not its C text: compile the
+  // text of the snapshot generated here, then register that snapshot.
+  auto snap = codegen::generate_snapshot(net, "lb", 1);
+  const auto compiled = codegen::compiled_snapshot::compile(snap.c_source);
+  core.register_model(std::move(snap));
   core.switch_active();
 
-  const auto* snap = core.active_snapshot();
-  ASSERT_NE(snap, nullptr);
-  const auto compiled = codegen::compiled_snapshot::compile(snap->c_source);
+  const auto* live = core.active_snapshot();
+  ASSERT_NE(live, nullptr);
+  EXPECT_TRUE(live->c_source.empty());
   std::vector<fp::s64> x(net.input_size());
   rng xs{9};
   for (auto& v : x) v = xs.uniform_int(-1000, 1000);

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,6 +23,25 @@
 #include "quant/quantizer.hpp"
 #include "random_qmlp.hpp"
 #include "util/rng.hpp"
+
+// This thread's operator new calls and bytes, counted so a test can check
+// what copying a program allocates.
+namespace {
+thread_local std::size_t t_news = 0;
+thread_local std::size_t t_new_bytes = 0;
+}  // namespace
+
+// Out of line, or GCC sees free() called on what new-expressions returned.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++t_news;
+  t_new_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -885,6 +906,93 @@ TEST(QuantizedMlp, MacCountAndBytes) {
   // the three layers share.
   EXPECT_EQ(q.parameter_bytes(), (1488u + 49u + 1024u) * 8);
   EXPECT_EQ(q.parameter_bytes(), 20488u);
+}
+
+/// Field-for-field equality of two layers; the table by address.
+void expect_same_layer(const qdense_layer& got, const qdense_layer& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.input_size, want.input_size) << where;
+  EXPECT_EQ(got.output_size, want.output_size) << where;
+  EXPECT_EQ(got.weights, want.weights) << where;
+  EXPECT_EQ(got.biases, want.biases) << where;
+  EXPECT_EQ(got.weight_scale, want.weight_scale) << where;
+  EXPECT_EQ(got.act, want.act) << where;
+  EXPECT_EQ(got.lut, want.lut) << where;
+}
+
+TEST(QuantizedMlp, LayerRebuildsWhatTheProgramWasBuiltFrom) {
+  // A program keeps its parameters only in its input-major arena, and
+  // infer() reads that arena too, so this is what checks the layout on its
+  // own: layer(i) must give back the output-major layer i was built from.
+  rng g{0x1a7e};
+  for (int trial = 0; trial < 90; ++trial) {
+    const qmlp_layers spec =
+        random_qmlp_layers(g, trial % 3 == 1, trial % 3 == 2);
+    const quantized_mlp q{spec.input_size, 1000, spec.layers};
+    ASSERT_EQ(q.layer_count(), spec.layers.size());
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      const std::string where =
+          "trial " + std::to_string(trial) + " layer " + std::to_string(i);
+      expect_same_layer(q.layer(i), spec.layers[i], where);
+    }
+  }
+  // The paper nets, against the layers quantize() builds from the float
+  // weights at each layer's own scale.
+  for (int which = 0; which < 4; ++which) {
+    const nn::mlp net = which == 0   ? nn::make_aurora_net(g)
+                        : which == 1 ? nn::make_mocc_net(g)
+                        : which == 2 ? nn::make_ffnn_flow_size_net(g)
+                                     : nn::make_lb_mlp_net(g);
+    const quantized_mlp q = quantize(net);
+    ASSERT_EQ(q.layer_count(), net.layer_count());
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      const auto& fl = net.layer(i);
+      qdense_layer want;
+      want.input_size = fl.input_size();
+      want.output_size = fl.output_size();
+      want.weight_scale = q.layer_weight_scale(i);
+      const auto ws = static_cast<double>(want.weight_scale);
+      for (const double w : fl.weights()) {
+        want.weights.push_back(fp::sat_quantize(w * ws));
+      }
+      for (const double b : fl.biases()) {
+        want.biases.push_back(fp::sat_quantize(b * ws * 1000.0));
+      }
+      want.act = fl.act();
+      if (q.layer_lut(i) != nullptr) {
+        want.lut = lookup_table::for_activation(fl.act(), 1024, 1000);
+      }
+      expect_same_layer(q.layer(i), want,
+                        "net " + std::to_string(which) + " layer " +
+                            std::to_string(i));
+    }
+  }
+}
+
+TEST(QuantizedMlp, CopyAllocatesOnlyItsArenaDescsAndTableRefs) {
+  // An installed version's program is copied into the engine, and ~120 of
+  // them stay live under cc_adapt: a copy carries the parameters once (the
+  // padded input-major arena), the per-layer descriptors and the table
+  // references, and nothing else.
+  rng g{0xc0b1};
+  const quantized_mlp q = quantize(nn::make_aurora_net(g));
+  std::size_t arena = 0;
+  for (std::size_t i = 0; i < q.layer_count(); ++i) {
+    const std::size_t stride = (q.layer_output_size(i) + 3) & ~std::size_t{3};
+    arena += (q.layer_input_size(i) + 1) * stride * sizeof(fp::s64);
+  }
+  EXPECT_EQ(arena, 1588u * 8);  // 31 * 32 + 33 * 16 + 17 * 4 words
+  const std::size_t news = t_news;
+  const std::size_t bytes = t_new_bytes;
+  const quantized_mlp copy = q;
+  const std::size_t copy_news = t_news - news;
+  const std::size_t copy_bytes = t_new_bytes - bytes;
+  EXPECT_EQ(copy_news, 3u);  // arena, descriptors, table references
+  EXPECT_GE(copy_bytes, arena);
+  // Descriptors and table references: a few hundred bytes for 3 layers.
+  EXPECT_LE(copy_bytes, arena + 256 * q.layer_count());
+  const std::vector<fp::s64> x(q.input_size(), 250);
+  EXPECT_EQ(copy.infer(x), q.infer(x));
 }
 
 // --------------------------------------------------------------- quantizer --

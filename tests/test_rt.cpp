@@ -110,6 +110,28 @@ TEST(SnapshotHandle, InstallSwitchActivates) {
   EXPECT_EQ(rig.h.peek_gen(), 1u);
 }
 
+TEST(SnapshotHandle, InstalledVersionHoldsTheProgramNotTheCSource) {
+  // The datapath runs the program; the C text is what a module is built
+  // from, and ~120 pinned versions would each hold 28 KB of it under
+  // cc_adapt.
+  handle_rig rig;
+  codegen::snapshot snap = rt_snapshot(1);
+  ASSERT_FALSE(snap.c_source.empty());
+  const quant::quantized_mlp program = snap.program;
+  rig.h.install_standby(std::move(snap));
+  rig.h.switch_active();
+  rt::epoch_domain::guard g{rig.epochs, rig.slot};
+  rt::snapshot_version* v = rig.h.pin_active();
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->snap.c_source.empty());
+  EXPECT_EQ(v->snap.c_source.capacity(), std::string{}.capacity());
+  EXPECT_EQ(v->snap.name, "rt-ffnn");
+  EXPECT_EQ(v->snap.version, 1u);
+  const std::vector<fp::s64> x(program.input_size(), 300);
+  EXPECT_EQ(v->snap.program.infer(x), program.infer(x));
+  rig.h.unpin(v);
+}
+
 TEST(SnapshotHandle, SwitchWithoutStandbyIsCountedNoop) {
   handle_rig rig;
   EXPECT_FALSE(rig.h.switch_active());
@@ -857,6 +879,44 @@ TEST(RtEngine, L1DisabledFallsBackToShardPath) {
   EXPECT_TRUE(e.route(w, 7, 0.1, {}, {}).hit);
   EXPECT_EQ(w.l1_hits(), 0u);
   EXPECT_EQ(w.cache_hits(), 1u);
+}
+
+TEST(RtEngine, OneSlotL1KeepsEveryFlowOnItsGenerationAcrossSwitch) {
+  // One L1 slot takes zero hash bits: every flow shares slot 0, and the
+  // index must not come from shifting the 64-bit hash by 64.
+  rt::engine_config cfg;
+  cfg.max_workers = 2;
+  cfg.l1_slots = 1;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  EXPECT_EQ(w.l1_capacity(), 1u);
+  constexpr netsim::flow_id_t flows = 64;
+  e.install(rt_snapshot(1));
+  e.switch_active();
+  for (netsim::flow_id_t f = 1; f <= flows; ++f) {
+    EXPECT_EQ(e.route(w, f, 0.0, {}, {}).gen, 1u) << f;
+  }
+  e.install(rt_snapshot(2));
+  e.switch_active();
+  // Old flows keep gen 1 and new flows bind gen 2, interleaved so that
+  // each route evicts the other flow from the one slot; the second route
+  // of a flow in a row is an L1 hit.
+  for (netsim::flow_id_t f = 1; f <= flows; ++f) {
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(e.route(w, f, 0.1, {}, {}).gen, 1u) << f;
+      EXPECT_EQ(e.route(w, flows + f, 0.1, {}, {}).gen, 2u) << f;
+    }
+    EXPECT_EQ(e.route(w, flows + f, 0.1, {}, {}).gen, 2u) << f;
+  }
+  EXPECT_EQ(w.l1_hits(), flows);
+  // Each FIN re-pins its flow to gen 2; the last drains gen 1.
+  for (netsim::flow_id_t f = 1; f <= flows; ++f) {
+    EXPECT_TRUE(e.flow_finished(w, f));
+    EXPECT_EQ(e.route(w, f, 0.2, {}, {}).gen, 2u) << f;
+  }
+  e.maintain();
+  EXPECT_EQ(e.versions_retired(), 1u);
+  EXPECT_EQ(e.versions_live(), 1u);
 }
 
 // ------------------------------------------- L1 invalidation (scripted) --

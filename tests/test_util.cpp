@@ -1,7 +1,10 @@
 // Unit tests for src/util: RNG, statistics, fixed point, time series, table.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/fixed_point.hpp"
@@ -365,6 +368,89 @@ TEST(FixedPoint, SatQuantizeClampsInsteadOfUb) {
   EXPECT_EQ(sat_quantize(std::numeric_limits<double>::infinity()), s64_max);
   EXPECT_EQ(sat_quantize(-std::numeric_limits<double>::infinity()), s64_min);
   EXPECT_EQ(sat_quantize(std::numeric_limits<double>::quiet_NaN()), 0);
+}
+
+TEST(FixedPoint, SatQuantizeRoundsAsLlroundEverywhere) {
+  // sat_quantize rounds inline instead of calling llround; inside s64's
+  // range it must agree with std::llround on every double, and outside it
+  // saturate.
+  using namespace fp;
+  const auto expected = [](double v) -> s64 {
+    if (std::isnan(v)) return 0;
+    if (v >= 0x1p63) return s64_max;
+    if (v < -0x1p63) return s64_min;
+    return std::llround(v);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edges[] = {
+      0.0, 0.5, 1.5, 2.5, 1e6 + 0.5, 0x1p51 + 0.5, 0x1p52 - 0.5,
+      0x1p52 - 1.5, 0.49999999999999994, std::nextafter(0.5, 1.0),
+      std::nextafter(1.5, 0.0), 0x1p52 + 0.5, 0x1p52 - 0.5, 0x1p52,
+      std::nextafter(0x1p52, 0.0), std::nextafter(0x1p52, inf), 0x1p53,
+      std::nextafter(0x1p53, 0.0), 0x1p53 + 2.0, 0x1p63,
+      std::nextafter(0x1p63, 0.0), std::nextafter(0x1p63, inf),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      inf};
+  for (const double e : edges) {
+    for (const double v : {e, -e}) {
+      EXPECT_EQ(sat_quantize(v), expected(v)) << std::hexfloat << v;
+    }
+  }
+  EXPECT_EQ(sat_quantize(0.49999999999999994), 0);
+  EXPECT_EQ(sat_quantize(-0.49999999999999994), 0);
+  EXPECT_EQ(sat_quantize(-0x1p63), s64_min);
+
+  // 10^7 finite doubles of four kinds: any bit pattern; any sign and
+  // exponent below 2^63; an integer below 2^53 plus a half, one ulp either
+  // side of it, or a random fraction; and uniform values in +-10^6.
+  rng g{0x11d};
+  std::size_t mismatches = 0;
+  for (int n = 0; n < 10'000'000; ++n) {
+    const std::uint64_t r = g.next_u64();
+    double v = 0.0;
+    switch (n % 4) {
+      case 0:
+        v = std::bit_cast<double>(r);
+        if (!std::isfinite(v)) continue;
+        break;
+      case 1: {
+        // Biased exponent 0..1085: |v| below 2^63, subnormals included.
+        const std::uint64_t exp = (r >> 52) % 1086;
+        v = std::bit_cast<double>((r & 0x800fffffffffffffULL) | (exp << 52));
+        break;
+      }
+      case 2: {
+        // An integer k, |k| <= 2^53, at a random magnitude.
+        const auto k = static_cast<double>(static_cast<std::int64_t>(r) >>
+                                           (10 + g.next_u64() % 54));
+        const double half = k + (k < 0 ? -0.5 : 0.5);
+        switch (g.next_u64() % 4) {
+          case 0:
+            v = half;
+            break;
+          case 1:
+            v = std::nextafter(half, 0.0);
+            break;
+          case 2:
+            v = std::nextafter(half, k < 0 ? -inf : inf);
+            break;
+          default:
+            v = k + g.uniform(-1.0, 1.0);
+            break;
+        }
+        break;
+      }
+      default:
+        v = g.uniform(-1e6, 1e6);
+        break;
+    }
+    if (sat_quantize(v) != expected(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << " -> " << sat_quantize(v)
+                    << ", llround " << expected(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ------------------------------------------------------------ time series --
