@@ -58,8 +58,10 @@ int main() {
   for (std::size_t i = 0; i < 8; ++i) {
     xq[i] = static_cast<fp::s64>(x[i] * static_cast<double>(core.active_io_scale()));
   }
-  const auto yq = core.query_model_sync(/*flow=*/1, xq);
-  simu.run();
+  std::vector<fp::s64> yq;
+  core.query_model(/*flow=*/1, xq,
+                   [&yq](std::vector<fp::s64> out) { yq = std::move(out); });
+  simu.run();  // the simulated kernel CPU serves the query
   const double y_kernel = static_cast<double>(yq.at(0)) /
                           static_cast<double>(core.active_io_scale());
   const double y_user = model.forward(x)[0];

@@ -239,10 +239,8 @@ run_result run_experiment(experiment& exp) {
               std::string{to_string(static_cast<trace::event_type>(i))},
           static_cast<double>(counts[i]));
     }
-    if (cfg.trace.write_file) {
-      out.trace_path = trace::write_trace(
-          tracer, cfg.trace.label.empty() ? cfg.name : cfg.trace.label);
-    }
+    out.trace_path = trace::write_trace(
+        tracer, cfg.trace.label.empty() ? cfg.name : cfg.trace.label);
   }
 
   if (monitor.enabled()) {
@@ -254,7 +252,7 @@ run_result run_experiment(experiment& exp) {
     out.telemetry.emplace(name, value);
   }
 
-  if (cfg.report.enabled && cfg.report.write_file) {
+  if (cfg.report.enabled) {
     const report::flight_report fr =
         build_flight_report(cfg, out, monitor, span_stats, tracer.enabled());
     out.report_path = report::write_flight_report(

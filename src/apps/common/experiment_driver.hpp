@@ -103,17 +103,15 @@ class fct_recorder {
 /// Datapath tracing knobs for one run.  Off by default; the environment
 /// (LF_TRACE=1, LF_TRACE_RING=<events>) enables it for any driver-routed
 /// binary without code changes, and experiment configs can override
-/// programmatically.
+/// programmatically.  A traced run feeds the derived span stats into the
+/// metrics registry and writes the Perfetto file at its end.
 struct trace_options {
   trace::collector_config collector{};  ///< enabled flag + ring capacity
   /// TRACE_<label>.json file label; empty uses driver_config::name.
   std::string label;
-  /// Write the Perfetto file at the end of the run (the derived span stats
-  /// always feed the metrics registry when tracing is enabled).
-  bool write_file = true;
 
   static trace_options from_env() {
-    return trace_options{trace::config_from_env(), {}, true};
+    return trace_options{trace::config_from_env(), {}};
   }
 };
 
@@ -124,7 +122,6 @@ struct report_options {
   bool enabled = false;
   /// REPORT_<label>.html file label; empty uses driver_config::name.
   std::string label;
-  bool write_file = true;
 
   /// Environment default: LF_REPORT (nonzero enables).
   static report_options from_env();

@@ -17,7 +17,7 @@ batch_collector::batch_collector(sim::simulation& sim,
 }
 
 void batch_collector::collect(train_sample sample) {
-  if (buffer_.size() >= config_.max_samples) {
+  if (buffer_.size() >= k_max_pending_samples) {
     // Kernel buffer full: drop the oldest (ring semantics).
     buffer_.erase(buffer_.begin());
     dropped_.inc();
@@ -29,25 +29,14 @@ void batch_collector::collect(train_sample sample) {
 void batch_collector::start() {
   if (running_) return;
   running_ = true;
-  ++epoch_;
-  sim_.schedule(config_.interval, [this, e = epoch_]() {
-    if (running_ && e == epoch_) deliver();
-  });
-}
-
-void batch_collector::set_interval(double interval) {
-  if (!(interval > 0.0)) {
-    throw std::invalid_argument{
-        "batch_collector: interval T must be a positive number of seconds"};
-  }
-  config_.interval = interval;
+  sim_.schedule(config_.interval, [this] { deliver(); });
 }
 
 void batch_collector::deliver() {
   if (!buffer_.empty()) {
     auto batch = std::move(buffer_);
     buffer_.clear();
-    const std::size_t bytes = batch.size() * config_.bytes_per_sample;
+    const std::size_t bytes = batch.size() * k_bytes_per_sample;
     batches_.inc();
     samples_.inc(batch.size());
     bytes_.inc(bytes);
@@ -58,9 +47,7 @@ void batch_collector::deliver() {
           if (consumer_) consumer_(std::move(batch));
         });
   }
-  sim_.schedule(config_.interval, [this, e = epoch_]() {
-    if (running_ && e == epoch_) deliver();
-  });
+  sim_.schedule(config_.interval, [this] { deliver(); });
 }
 
 void batch_collector::register_metrics(metrics::registry& reg,

@@ -27,10 +27,13 @@ struct train_sample {
   double collected_at = 0.0;
 };
 
+/// Kernel buffer cap: past this many pending samples the oldest drops.
+inline constexpr std::size_t k_max_pending_samples = 4096;
+/// Serialized size estimate of one sample on the netlink channel.
+inline constexpr std::size_t k_bytes_per_sample = 64;
+
 struct batch_collector_config {
   double interval = 0.100;        ///< T, the batch data delivery interval
-  std::size_t max_samples = 4096; ///< kernel buffer cap (drop-oldest beyond)
-  std::size_t bytes_per_sample = 64;  ///< serialized size estimate
 };
 
 class batch_collector {
@@ -45,12 +48,8 @@ class batch_collector {
   using consumer = std::function<void(std::vector<train_sample>)>;
   void set_consumer(consumer fn) { consumer_ = std::move(fn); }
 
-  /// Begin periodic delivery.
+  /// Begin periodic delivery (idempotent).
   void start();
-  void stop() noexcept { running_ = false; }
-
-  void set_interval(double interval);
-  double interval() const noexcept { return config_.interval; }
 
   std::uint64_t batches_delivered() const noexcept { return batches_.value(); }
   std::uint64_t samples_delivered() const noexcept { return samples_.value(); }
@@ -81,7 +80,6 @@ class batch_collector {
   metrics::counter dropped_;
   metrics::counter bytes_;
   trace::ring trace_{"collector"};
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace lf::core

@@ -160,25 +160,6 @@ void liteflow_core::query_model(netsim::flow_id_t flow,
   settle();
 }
 
-std::vector<fp::s64> liteflow_core::query_model_sync(
-    netsim::flow_id_t flow, std::span<const fp::s64> input) {
-  queries_.inc();
-  rt::snapshot_version* v = pin(flow);
-  std::vector<fp::s64> out;
-  if (v != nullptr && input.size() == v->snap.input_size()) {
-    cpu_.submit(kernelsim::task_category::datapath, query_cost(v->snap));
-    // Synchronous path: begin/end collapse to a zero-duration span (the CPU
-    // charge above is fire-and-forget).
-    trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, v->gen);
-    out.resize(v->snap.output_size());
-    v->snap.program.infer_into(input, out, scratch_);
-    trace_.emit(sim_.now(), trace::event_type::inference_end, flow, v->gen);
-  }
-  if (v != nullptr) unpin(v);
-  settle();
-  return out;
-}
-
 std::uint64_t liteflow_core::route(netsim::flow_id_t flow) {
   rt::snapshot_version* v = pin(flow);
   const std::uint64_t gen = v != nullptr ? v->gen : 0;

@@ -88,12 +88,6 @@ class liteflow_core {
   void query_model(netsim::flow_id_t flow, std::vector<fp::s64> input,
                    std::function<void(std::vector<fp::s64>)> done);
 
-  /// Synchronous variant: performs the same routing and accounting but
-  /// returns immediately (used by modules that already run in CPU-gated
-  /// context and by tests).  CPU cost is still charged (fire-and-forget).
-  std::vector<fp::s64> query_model_sync(netsim::flow_id_t flow,
-                                        std::span<const fp::s64> input);
-
   /// The generation that serves `flow`, resolved as lf_query_model resolves
   /// it (a flow-cache miss pins the flow) but without inference; 0 if
   /// nothing is active.

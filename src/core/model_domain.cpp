@@ -7,6 +7,9 @@
 namespace lf::core {
 namespace {
 
+/// Salt of the shadow sampler's hash.
+constexpr std::uint64_t k_shadow_seed = 0x5eedc0de5eedc0deULL;
+
 constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -20,7 +23,8 @@ bool shadow_scorer::sampled(const shadow_config& cfg, model_key m,
                             netsim::flow_id_t flow) noexcept {
   if (cfg.sample_rate <= 0.0) return false;
   if (cfg.sample_rate >= 1.0) return true;
-  const std::uint64_t h = splitmix64(cfg.seed ^ composite_flow_key(m, flow));
+  const std::uint64_t h =
+      splitmix64(k_shadow_seed ^ composite_flow_key(m, flow));
   // Top 53 bits → uniform double in [0, 1); strict < keeps rate exact at
   // the boundary values tested above.
   const double u =
@@ -44,9 +48,9 @@ shadow_verdict shadow_scorer::check(const shadow_config& cfg) const noexcept {
   v.samples = samples_;
   v.mean_divergence = mean_divergence();
   v.max_divergence = max_;
-  if (!cfg.gate_enabled || !cfg.active()) return v;  // admit by default
-  v.admit = samples_ >= cfg.min_samples &&
-            v.mean_divergence <= cfg.divergence_threshold;
+  if (!cfg.active()) return v;  // admit by default
+  v.admit = samples_ >= k_gate_min_samples &&
+            v.mean_divergence <= k_gate_divergence_threshold;
   return v;
 }
 

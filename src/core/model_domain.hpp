@@ -45,6 +45,11 @@ inline constexpr unsigned k_flow_key_bits = 48;
 inline constexpr netsim::flow_id_t k_flow_key_mask =
     (netsim::flow_id_t{1} << k_flow_key_bits) - 1;
 
+/// Model keys that fit the composite key's top bits: 0..2^16-1.  Key 2^16
+/// would fold onto model 0's flows, so an engine refuses more models.
+inline constexpr std::size_t k_max_models = std::size_t{1}
+                                            << (64 - k_flow_key_bits);
+
 /// Fold (model, flow) into the single 64-bit key the flow caches probe on.
 /// Exact (collision-free) under the bit-budget above, and the identity for
 /// model 0 — which is what keeps single-model hashing, shard selection and
@@ -55,24 +60,23 @@ constexpr netsim::flow_id_t composite_flow_key(model_key m,
          (static_cast<netsim::flow_id_t>(m) << k_flow_key_bits);
 }
 
-/// Shadow scoring knobs.  Rate 0 (the default) disables shadowing entirely:
-/// no sampling hash, no standby inference, no gate — the zero-overhead
-/// contract the regression tests pin down.
+/// The switch gate's bar (DESIGN §11): a candidate is admitted with at
+/// least k_gate_min_samples shadow samples whose mean per-route divergence
+/// (io_scale-normalized) is at most k_gate_divergence_threshold.  An
+/// unmeasured standby is treated as unproven, not as clean.
+inline constexpr double k_gate_divergence_threshold = 0.05;
+inline constexpr std::size_t k_gate_min_samples = 32;
+
+/// Shadow scoring.  Rate 0 (the default) disables shadowing entirely: no
+/// sampling hash, no standby inference, no gate — the zero-overhead
+/// contract the regression tests pin down.  Any rate above 0 also gates
+/// try_switch.
 struct shadow_config {
   /// Fraction of *flows* (not packets) shadow-scored, deterministically
-  /// selected by hashing (seed, model, flow).  Sampling whole flows keeps
-  /// the sampled route set identical across runs with the same flow plan.
+  /// selected by hashing (model, flow) with a fixed seed.  Sampling whole
+  /// flows keeps the sampled route set identical across runs with the same
+  /// flow plan.
   double sample_rate = 0.0;
-  std::uint64_t seed = 0x5eedc0de5eedc0deULL;
-  /// Mean per-route output divergence (io_scale-normalized) above which the
-  /// standby is considered unfaithful and the switch is blocked.
-  double divergence_threshold = 0.05;
-  /// Shadow samples required before a gated switch may be admitted — an
-  /// unmeasured standby is treated as unproven, not as clean.
-  std::size_t min_samples = 32;
-  /// When false the scorer still accumulates (observability) but
-  /// try_switch is never blocked.
-  bool gate_enabled = true;
 
   bool active() const noexcept { return sample_rate > 0.0; }
 };
@@ -90,9 +94,9 @@ struct shadow_verdict {
 /// rt engine uses a per-model spinlock).
 class shadow_scorer {
  public:
-  /// Deterministic flow sampler: a pure splitmix64 hash of
-  /// (seed, composite key) against the rate.  No state, no clock — the same
-  /// (seed, model, flow) always lands on the same side, which is what makes
+  /// Deterministic flow sampler: a pure splitmix64 hash of the composite
+  /// key (under a fixed seed) against the rate.  No state, no clock — the
+  /// same (model, flow) always lands on the same side, which is what makes
   /// the sampled route set reproducible run-over-run.
   static bool sampled(const shadow_config& cfg, model_key m,
                       netsim::flow_id_t flow) noexcept;

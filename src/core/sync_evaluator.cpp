@@ -7,9 +7,6 @@
 namespace lf::core {
 
 sync_evaluator::sync_evaluator(sync_config config) : config_{config} {
-  if (config_.stability_window < 2) {
-    throw std::invalid_argument{"sync_evaluator: window must be >= 2"};
-  }
   if (config_.output_max <= config_.output_min) {
     throw std::invalid_argument{"sync_evaluator: Omax must exceed Omin"};
   }
@@ -17,7 +14,7 @@ sync_evaluator::sync_evaluator(sync_config config) : config_{config} {
 
 void sync_evaluator::record_stability(double value) {
   history_.push_back(value);
-  while (history_.size() > config_.stability_window) history_.pop_front();
+  while (history_.size() > k_stability_window) history_.pop_front();
 }
 
 double sync_evaluator::stability_spread() const {
@@ -33,8 +30,8 @@ double sync_evaluator::stability_spread() const {
 }
 
 bool sync_evaluator::converged() const {
-  if (history_.size() < config_.stability_window) return false;
-  return stability_spread() < config_.stability_threshold;
+  if (history_.size() < k_stability_window) return false;
+  return stability_spread() < k_stability_threshold;
 }
 
 sync_decision sync_evaluator::evaluate(
@@ -48,7 +45,5 @@ sync_decision sync_evaluator::evaluate(
                               config_.output_min, config_.output_max);
   return decision;
 }
-
-void sync_evaluator::reset_stability() { history_.clear(); }
 
 }  // namespace lf::core

@@ -18,12 +18,15 @@
 
 namespace lf::core {
 
+/// Convergence: the last k_stability_window stability samples must spread
+/// (relatively) less than k_stability_threshold.
+inline constexpr double k_stability_threshold = 0.25;
+inline constexpr std::size_t k_stability_window = 10;
+
 struct sync_config {
   double alpha = 0.05;               ///< necessity threshold factor
   double output_min = -1.0;          ///< Omin of the NN
   double output_max = 1.0;           ///< Omax of the NN
-  double stability_threshold = 0.25; ///< relative spread for convergence
-  std::size_t stability_window = 10; ///< metric samples considered
 };
 
 struct sync_decision {
@@ -45,7 +48,7 @@ class sync_evaluator {
 
   /// Relative spread (max - min) / max(|max|, |min|, eps) of the recorded
   /// stability samples; 0 with fewer than two samples.  converged() is
-  /// "window full && spread below the stability threshold".  Normalizing by
+  /// "window full && spread below k_stability_threshold".  Normalizing by
   /// the extreme magnitude (not |mean|) keeps convergence declarable when
   /// the metric oscillates tightly around zero.
   double stability_spread() const;
@@ -54,12 +57,6 @@ class sync_evaluator {
   sync_decision evaluate(const nn::mlp& tuned,
                          const quant::quantized_mlp& installed,
                          std::span<const std::vector<double>> batch_inputs) const;
-
-  /// Clear stability history (e.g. after an environment change restarts
-  /// exploration).
-  void reset_stability();
-
-  const sync_config& config() const noexcept { return config_; }
 
  private:
   sync_config config_;

@@ -15,8 +15,8 @@ void userspace_service::start() {
   // Initial deployment: freeze the (pre-trained) model and install v1.
   const auto frozen = user_.freeze_model();
   const auto model = nn::load_mlp_from_string(frozen);
-  install_snapshot(codegen::generate_snapshot(model, config_.quantizer,
-                                              config_.model_name, ++version_));
+  install_snapshot(
+      codegen::generate_snapshot(model, config_.model_name, ++version_));
   collector_.set_consumer(
       [this](std::vector<train_sample> batch) { on_batch(std::move(batch)); });
   collector_.start();
@@ -55,7 +55,7 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
   // L(x) over every x in the delivered batch; we cap for cost).
   std::vector<std::vector<double>> inputs;
   for (const auto& sample : batch) {
-    if (inputs.size() >= config_.fidelity_samples) break;
+    if (inputs.size() >= k_fidelity_samples) break;
     if (sample.features.size() == tuned.input_size()) {
       inputs.push_back(sample.features);
     }
@@ -97,8 +97,8 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
           return;
         }
         // Full §3.1 pipeline on the tuned model.
-        install_snapshot(codegen::generate_snapshot(
-            tuned, config_.quantizer, config_.model_name, ++version_));
+        install_snapshot(codegen::generate_snapshot(tuned, config_.model_name,
+                                                    ++version_));
       });
 }
 

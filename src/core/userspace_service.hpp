@@ -19,7 +19,6 @@
 #include "core/liteflow_core.hpp"
 #include "core/sync_evaluator.hpp"
 #include "nn/serialize.hpp"
-#include "quant/quantizer.hpp"
 
 namespace lf::core {
 
@@ -47,12 +46,13 @@ class adaptation_interface {
   virtual std::size_t parameter_count() const = 0;
 };
 
+/// A sync check evaluates fidelity on at most this many batch samples.
+inline constexpr std::size_t k_fidelity_samples = 32;
+
+/// Snapshots are generated with the default quant::quantizer_config.
 struct service_config {
   std::string model_name = "model";
-  quant::quantizer_config quantizer{};
   sync_config sync{};
-  /// Evaluate fidelity on at most this many batch samples.
-  std::size_t fidelity_samples = 32;
   /// Allow disabling adaptation entirely (the paper's N-O-A ablations).
   bool adaptation_enabled = true;
 };
@@ -80,7 +80,6 @@ class userspace_service {
   }
   std::uint64_t current_version() const noexcept { return version_; }
   const sync_decision& last_decision() const noexcept { return last_decision_; }
-  sync_evaluator& evaluator() noexcept { return evaluator_; }
   const service_config& config() const noexcept { return config_; }
 
   /// Publish slow-path accounting (batches, snapshot updates, sync-evaluator

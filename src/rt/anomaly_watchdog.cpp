@@ -220,8 +220,9 @@ void anomaly_watchdog::fire(anomaly_kind k, const stats_window& w,
         inc.suspect_gen = st.promoted_gen;
         post_switch_.inc();
         // The rollback policy: detect -> act, still on the sampler thread.
-        if (cfg_.auto_rollback &&
-            engine_->try_rollback(static_cast<core::model_key>(m))) {
+        // A hold opens only on an engine with probation_windows != 0, so
+        // probation is what arms the policy.
+        if (engine_->try_rollback(static_cast<core::model_key>(m))) {
           inc.rollback_gen = st.held_gen;
           rollbacks_issued_.inc();
         }

@@ -66,12 +66,6 @@ std::string_view to_string(anomaly_kind k) noexcept;
 struct watchdog_config {
   /// INCIDENT_<label>.json basename; "" disables the incident file.
   std::string incident_label;
-  /// Rollback policy: when a firing rule is classified
-  /// `post_switch_regression` (see incident_record), invoke
-  /// engine::try_rollback on the offending model from the sampler thread.
-  /// Off by default — the watchdog stays a pure observer unless the
-  /// deployment opted into probation holds.
-  bool auto_rollback = false;
 };
 
 /// One fired anomaly.
@@ -100,8 +94,8 @@ struct incident_record {
   std::uint64_t suspect_model = 0;  ///< model whose probation hold was open
   std::uint64_t suspect_gen = 0;    ///< gen the suspect switch installed
   std::uint64_t rollback_gen = 0;   ///< previous gen re-promoted by the
-                                    ///< rollback policy (0: policy off or
-                                    ///< the rollback lost a race)
+                                    ///< rollback policy (0: the rollback
+                                    ///< lost a race)
 };
 
 class anomaly_watchdog {
@@ -124,7 +118,7 @@ class anomaly_watchdog {
   std::uint64_t incident_count() const;
   std::uint64_t incident_count(anomaly_kind k) const;
   /// Incidents classified post_switch_regression / rollbacks the policy
-  /// actually executed (auto_rollback on, engine rollback succeeded).
+  /// actually executed (the engine's rollback succeeded).
   std::uint64_t post_switch_incidents() const;
   std::uint64_t rollbacks_issued() const;
   metrics::rule_baseline baseline(anomaly_kind k) const;

@@ -1,10 +1,26 @@
 #include "rt/engine.hpp"
 
+#include <stdexcept>
+
 namespace lf::rt {
 namespace {
 
 /// Flow-cache buckets the incremental idle sweep visits on every miss.
 constexpr std::size_t k_evict_slots_per_route = 2;
+
+/// A worker records one route summary in 2^k_blackbox_route_shift.
+constexpr std::uint64_t k_bb_route_mask =
+    (std::uint64_t{1} << k_blackbox_route_shift) - 1;
+
+/// `cfg`, once it is known to fit the composite key: a model key at or past
+/// k_max_models would share model 0's flow-cache entries.
+const engine_config& checked(const engine_config& cfg) {
+  if (cfg.models > core::k_max_models) {
+    throw std::invalid_argument{
+        "datapath_engine: more models than the composite key can tell apart"};
+  }
+  return cfg;
+}
 
 }  // namespace
 
@@ -28,7 +44,7 @@ std::size_t datapath_engine::resolved_shards(
 }
 
 datapath_engine::datapath_engine(engine_config cfg)
-    : cfg_{cfg},
+    : cfg_{checked(cfg)},
       epochs_{cfg.max_workers == 0 ? 1 : cfg.max_workers},
       cache_{resolved_shards(cfg), cfg.idle_timeout, epochs_} {
   // Reflect the resolved policy back into config() so callers (and the
@@ -43,7 +59,6 @@ datapath_engine::datapath_engine(engine_config cfg)
   if (cfg_.telemetry.blackbox_events != 0) {
     recorder_ = std::make_unique<flight_recorder>(
         cfg_.telemetry, cfg_.max_workers == 0 ? 1 : cfg_.max_workers);
-    bb_route_mask_ = recorder_->route_sample_mask();
     // Single-threaded here (before any worker exists), which satisfies the
     // version_reclaim contract of setting the recorder before concurrency.
     reclaim_.recorder = &recorder_->control();
@@ -119,8 +134,7 @@ switch_outcome datapath_engine::try_switch(core::model_key model) {
   }
   // Jurisdiction: gate only a replacement.  The bootstrap switch (no
   // incumbent) must ship regardless — there is nothing to diverge from.
-  const bool gated = cfg_.shadow.active() && cfg_.shadow.gate_enabled &&
-                     h.has_active();
+  const bool gated = cfg_.shadow.active() && h.has_active();
   if (recorder_ != nullptr && gated) {
     emit_now(
         recorder_->control(), trace::event_type::gate_verdict,
@@ -309,8 +323,8 @@ route_result datapath_engine::route(worker_handle& w, core::model_key model,
         prog.infer_into(input, out, w.scratch_);
         w.infers_.inc();
         r.served = true;
-        // Deterministic sampled slice: same (seed, model, flow) => same
-        // decision on every run and every worker.
+        // Deterministic sampled slice: same (model, flow) => same decision
+        // on every run and every worker.
         if (cfg_.shadow.active() &&
             core::shadow_scorer::sampled(cfg_.shadow, model, flow)) {
           shadow_score(w, model, v, input, out);
@@ -319,7 +333,7 @@ route_result datapath_engine::route(worker_handle& w, core::model_key model,
     }
   }
   if (timed) w.lat_.record(metrics::wall_ns() - t0);
-  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) [[unlikely]] {
+  if (w.bb_ != nullptr && (w.bb_tick_++ & k_bb_route_mask) == 0) [[unlikely]] {
     emit_now(*w.bb_, trace::event_type::route_summary, key, r.gen);
   }
   return r;
@@ -377,7 +391,7 @@ std::size_t datapath_engine::route_batch(
     i = j;
   }
   if (timed) w.lat_.record((metrics::wall_ns() - t0) / n, n);
-  if (w.bb_ != nullptr && (w.bb_tick_++ & bb_route_mask_) == 0) [[unlikely]] {
+  if (w.bb_ != nullptr && (w.bb_tick_++ & k_bb_route_mask) == 0) [[unlikely]] {
     emit_now(*w.bb_, trace::event_type::batch_flush, n, served);
   }
   return served;

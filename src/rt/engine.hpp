@@ -100,8 +100,9 @@ struct engine_config {
   /// Per-worker L1 route-cache slots (rounded up to a power of two);
   /// 0 disables the L1 so benches can measure the L2 path in isolation.
   std::size_t l1_slots = 64;
-  /// Logical models served by this engine (clamped to >= 1; must fit the
-  /// composite-key model bits).  Model keys are 0..models-1.
+  /// Logical models served by this engine (clamped to >= 1; at most
+  /// core::k_max_models, the composite key's model bits).  Model keys are
+  /// 0..models-1.
   std::size_t models = 1;
   /// Probation / gate-aware rollback: hold the outgoing version for this
   /// many stats-sampler windows after every switch (instead of demoting it
@@ -109,7 +110,7 @@ struct engine_config {
   /// the historical demote-at-flip behavior, with byte-identical clean-run
   /// artifacts.
   std::size_t probation_windows = 0;
-  /// Shadow scoring / switch gating knobs (rate 0 = off, zero overhead).
+  /// Shadow scoring and switch gating (rate 0 = off, zero overhead).
   core::shadow_config shadow{};
   /// Latency histograms + flight recorder (off by default).
   telemetry_config telemetry{};
@@ -210,6 +211,8 @@ class alignas(128) worker_handle {
 
 class datapath_engine {
  public:
+  /// Throws std::invalid_argument, before it allocates anything, when
+  /// `cfg.models` exceeds core::k_max_models.
   explicit datapath_engine(engine_config cfg = {});
 
   datapath_engine(const datapath_engine&) = delete;
@@ -491,7 +494,6 @@ class datapath_engine {
   std::deque<model_shadow> shadows_;     // one per model
   sharded_flow_cache cache_;
   std::uint64_t lat_mask_ = 0;       ///< (1 << latency_sample_shift) - 1
-  std::uint64_t bb_route_mask_ = 0;  ///< (1 << blackbox_route_shift) - 1
   mutable std::mutex workers_mu_;
   std::deque<worker_handle> workers_;  // deque: stable references
   metrics::atomic_counter gate_blocks_;  ///< written by the writer thread only

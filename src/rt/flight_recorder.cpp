@@ -9,7 +9,6 @@ flight_recorder::flight_recorder(const telemetry_config& cfg,
     : min_dump_interval_ns_{cfg.blackbox_dump_interval_ns},
       max_dumps_{cfg.blackbox_max_dumps} {
   if (cfg.blackbox_events == 0) return;
-  route_mask_ = (std::uint64_t{1} << cfg.blackbox_route_shift) - 1;
   control_.set_domain(trace::time_domain::wall_ns);
   control_.enable(cfg.blackbox_events);
   for (std::size_t i = 0; i < max_workers; ++i) {

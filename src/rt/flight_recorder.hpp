@@ -31,6 +31,11 @@
 
 namespace lf::rt {
 
+/// Route summaries are sampled 1-in-2^k_blackbox_route_shift per worker;
+/// lifecycle events (switches, verdicts, zombie pushes, reclaims,
+/// violations) always record.
+inline constexpr unsigned k_blackbox_route_shift = 6;
+
 /// Live-telemetry knobs of a datapath_engine (engine_config::telemetry).
 /// Everything defaults OFF: the route path then pays one predictable branch
 /// for the histogram and one null check for the recorder (bench_micro pins
@@ -43,9 +48,6 @@ struct telemetry_config {
   unsigned latency_sample_shift = 0;
   /// Per-ring flight-recorder capacity in events; 0 disables the recorder.
   std::size_t blackbox_events = 0;
-  /// Route summaries are sampled 1-in-2^shift per worker; lifecycle events
-  /// (switches, verdicts, zombie pushes, reclaims, violations) always record.
-  unsigned blackbox_route_shift = 6;
   /// flight_recorder::try_dump rate limit (anomaly capture): minimum
   /// spacing between dumps and a lifetime cap.  0 = unlimited.
   std::uint64_t blackbox_dump_interval_ns = 0;
@@ -66,7 +68,6 @@ class flight_recorder {
   flight_recorder(const telemetry_config& cfg, std::size_t max_workers);
 
   bool enabled() const noexcept { return control_.enabled(); }
-  std::uint64_t route_sample_mask() const noexcept { return route_mask_; }
 
   trace::ring& control() noexcept { return control_; }
   trace::ring& worker(std::size_t i) noexcept { return workers_[i]; }
@@ -97,7 +98,6 @@ class flight_recorder {
  private:
   trace::ring control_{"rt.control"};
   std::deque<trace::ring> workers_;  ///< deque: rings are not movable
-  std::uint64_t route_mask_ = 0;
   std::uint64_t min_dump_interval_ns_ = 0;
   std::uint64_t max_dumps_ = 0;
   std::mutex dump_mu_;  ///< serializes the try_dump admission decision

@@ -19,12 +19,12 @@ snapshot_handle::~snapshot_handle() {
   }
   shadow_.store(nullptr, std::memory_order_release);
   if (standby_ != nullptr) {
-    release_ownership(std::exchange(standby_, nullptr));
+    unpin(std::exchange(standby_, nullptr));
   }
   if (snapshot_version* v = active_.exchange(nullptr,
                                              std::memory_order_acq_rel)) {
     v->demoted.store(true, std::memory_order_seq_cst);
-    release_ownership(v);
+    unpin(v);
   }
   maintain();
   epochs_.synchronize();
@@ -44,7 +44,7 @@ std::uint64_t snapshot_handle::install_standby(codegen::snapshot snap) {
     shadow_.store(v, std::memory_order_release);
     snapshot_version* old = std::exchange(standby_, nullptr);
     old->demoted.store(true, std::memory_order_seq_cst);
-    release_ownership(old);
+    unpin(old);
   } else {
     shadow_.store(v, std::memory_order_release);
   }
@@ -97,7 +97,7 @@ bool snapshot_handle::switch_active() {
       // demoted before the ownership-pin drop is what makes their check
       // conclusive (see pin_active).
       outgoing->demoted.store(true, std::memory_order_seq_cst);
-      release_ownership(outgoing);
+      unpin(outgoing);
     }
   }
   return true;
@@ -128,7 +128,7 @@ bool snapshot_handle::rollback() {
   rec_.switch_epoch.fetch_add(1, std::memory_order_seq_cst);
   if (regressed != nullptr) {
     regressed->demoted.store(true, std::memory_order_seq_cst);
-    release_ownership(regressed);
+    unpin(regressed);
   }
   return true;
 }
@@ -165,7 +165,7 @@ void snapshot_handle::retire_held_locked() noexcept {
   held_promoted_gen_ = 0;
   held_age_ = 0;
   v->demoted.store(true, std::memory_order_seq_cst);
-  release_ownership(v);
+  unpin(v);
   probation_retires_.inc();
 }
 
@@ -200,10 +200,6 @@ void snapshot_handle::unpin(snapshot_version* v) noexcept {
   if (!v->retire_pushed.exchange(true, std::memory_order_seq_cst)) {
     push_zombie(v);
   }
-}
-
-void snapshot_handle::release_ownership(snapshot_version* v) noexcept {
-  unpin(v);
 }
 
 void snapshot_handle::push_zombie(snapshot_version* v) noexcept {

@@ -272,7 +272,6 @@ class snapshot_handle {
   void register_metrics(metrics::registry& reg, const std::string& prefix);
 
  private:
-  void release_ownership(snapshot_version* v) noexcept;
   void push_zombie(snapshot_version* v) noexcept;
   /// Demote + release the held version and clear the hold.  Caller holds
   /// probation_mu_ and held_ is non-null.

@@ -32,7 +32,7 @@ stats_sampler::stats_sampler(datapath_engine& engine, stats_sampler_config cfg)
 stats_sampler::~stats_sampler() { stop(); }
 
 void stats_sampler::start() {
-  if (!enabled() || started_) return;
+  if (started_) return;
   started_ = true;
   stopping_ = false;
   final_folded_ = false;
@@ -63,7 +63,7 @@ void stats_sampler::stop() {
 
 void stats_sampler::run() {
   const auto interval =
-      std::chrono::duration<double, std::milli>{cfg_.interval_ms};
+      std::chrono::duration<double, std::milli>{k_stats_interval_ms};
   std::unique_lock<std::mutex> lk{wake_mu_};
   while (!stopping_) {
     if (wake_cv_.wait_for(lk, interval, [this] { return stopping_; })) break;

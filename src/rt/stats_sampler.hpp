@@ -35,9 +35,10 @@
 
 namespace lf::rt {
 
+/// Window length: the sampler folds one window every 100 ms.
+inline constexpr double k_stats_interval_ms = 100.0;
+
 struct stats_sampler_config {
-  /// Window length.  <= 0 disables the sampler entirely (start() no-ops).
-  double interval_ms = 100.0;
   /// Prometheus-style text dump rewritten every tick ("" = no file).
   /// Published atomically (temp file + rename) so a concurrent scraper
   /// never reads a torn exposition.
@@ -69,10 +70,9 @@ class stats_sampler {
   stats_sampler& operator=(const stats_sampler&) = delete;
   ~stats_sampler();  ///< stop()s if still running
 
-  bool enabled() const noexcept { return cfg_.interval_ms > 0.0; }
   const stats_sampler_config& config() const noexcept { return cfg_; }
 
-  /// Spawn the background thread (idempotent; no-op when disabled).
+  /// Spawn the background thread (idempotent).
   void start();
 
   /// Stop the thread, fold one final window, and write the final text dump.

@@ -20,7 +20,7 @@
 //    through shadow-scored switching while the workers route all K:
 //      A  bootstrap: install v1; try_switch flips (no incumbent to score)
 //      B  drift: install a net from another seed; once the sampled slice
-//         holds min_samples of evidence, try_switch must be gate-blocked
+//         holds k_gate_min_samples of evidence, try_switch must be blocked
 //      C  retrain: reinstall the first seed's net; try_switch admits it
 //    Every ruling becomes a row of the flight report's gates table.
 //
@@ -555,12 +555,11 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
                            const heavy_nets& heavy, clock_point t0,
                            rt::snapshot_handle::probation_status& bad,
                            verdict& v) {
-  const core::shadow_config& sh = engine.config().shadow;
   script_outcome out;
   // Bounded: on timeout the stage's expectation fails loudly instead.
   const auto wait_evidence = [&](core::model_key m) {
     const double deadline = now_seconds(t0) + 10.0;
-    while (engine.shadow_evidence(m).samples < sh.min_samples &&
+    while (engine.shadow_evidence(m).samples < core::k_gate_min_samples &&
            now_seconds(t0) < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -600,7 +599,7 @@ script_outcome gate_script(rt::datapath_engine& engine, const profile& p,
     record_gate(m, 2, b);
     const bool blocked = b.status == rt::switch_outcome::result::gate_blocked;
     v.expect(blocked, "model %u: drifted candidate was not gate-blocked", m);
-    v.expect(b.verdict.mean_divergence > sh.divergence_threshold,
+    v.expect(b.verdict.mean_divergence > core::k_gate_divergence_threshold,
              "model %u: drifted candidate divergence did not exceed the "
              "threshold",
              m);
@@ -690,10 +689,9 @@ int main(int argc, char** argv) {
       p.scripted ? p.workers : std::max(p.workers, std::ranges::max(k_sweep));
   cfg.max_workers = widest + 1;
   if (!p.scripted) {
-    cfg.idle_timeout = 0.05;  // aggressive: force idle-expiry races
-    // The storm flips unconditionally; shadow scoring runs for its races,
-    // and the gate would only starve the storm.
-    cfg.shadow.gate_enabled = false;
+    // Aggressive: force idle-expiry races.  The storm flips through the
+    // ungated switch_active, so shadow scoring runs only for its races.
+    cfg.idle_timeout = 0.05;
   }
   // Telemetry is the same in every phase, so the speedup ratios compare
   // runs with identical per-route overhead.
@@ -787,9 +785,7 @@ int main(int argc, char** argv) {
   engine.register_metrics(reg, "rt");
   const std::vector<rt::worker_handle*> handles =
       register_workers(engine, p.workers, &reg);
-  rt::anomaly_watchdog watchdog{{.incident_label = label,
-                                 .auto_rollback = p.probation_windows != 0},
-                                &engine};
+  rt::anomaly_watchdog watchdog{{.incident_label = label}, &engine};
   rt::stats_sampler sampler{
       engine,
       {.text_out = bench::output_dir() + "/STATS_" + label + ".prom"}};
@@ -879,7 +875,7 @@ int main(int argc, char** argv) {
   rep.config("l1_slots", static_cast<double>(engine.config().l1_slots));
   rep.config("blackbox_events",
              static_cast<double>(cfg.telemetry.blackbox_events));
-  rep.config("stats_interval_ms", sampler.config().interval_ms);
+  rep.config("stats_interval_ms", rt::k_stats_interval_ms);
   rep.config("host_cpus", static_cast<double>(host_cpus));
   rep.config("duration_seconds", st.elapsed);
   put("routes_per_sec", st.rps);
@@ -907,9 +903,8 @@ int main(int argc, char** argv) {
       rep.add_point("scaling_locks_per_route", x, pt.locks_per_route);
     }
   } else {
-    const core::shadow_config& sh = engine.config().shadow;
-    rep.config("divergence_threshold", sh.divergence_threshold);
-    rep.config("min_samples", static_cast<double>(sh.min_samples));
+    rep.config("divergence_threshold", core::k_gate_divergence_threshold);
+    rep.config("min_samples", static_cast<double>(core::k_gate_min_samples));
     put("gate_blocks", static_cast<double>(script.blocked));
     put("admitted_after_block",
         static_cast<double>(script.admitted_after_block));

@@ -42,6 +42,18 @@ struct core_rig {
     s.schedule_at(t, std::move(fn));
     s.run();
   }
+  /// lf_query_model, with the simulation run until the CPU served it.
+  std::vector<fp::s64> query(netsim::flow_id_t flow, std::vector<fp::s64> x) {
+    std::vector<fp::s64> out;
+    bool served = false;
+    core.query_model(flow, std::move(x), [&](std::vector<fp::s64> y) {
+      out = std::move(y);
+      served = true;
+    });
+    s.run();
+    EXPECT_TRUE(served);
+    return out;
+  }
 };
 
 // ------------------------------------------------------- manager (§4.2) --
@@ -141,7 +153,7 @@ TEST(InferenceRouter, DoubleSwitchRoundTripRestoresActive) {
   rig.core.switch_active();
   EXPECT_EQ(rig.core.active_snapshot()->version, 1u);
   const std::vector<fp::s64> x(v1.input_size(), 300);
-  EXPECT_EQ(rig.core.query_model_sync(9, x), v1.program.infer(x));
+  EXPECT_EQ(rig.query(9, x), v1.program.infer(x));
   EXPECT_EQ(rig.core.engine().switches(), 3u);
   EXPECT_EQ(rig.core.engine().switch_noops(), 0u);
   EXPECT_EQ(rig.loaded(), 1u);  // no flow pinned a demoted version
@@ -332,8 +344,7 @@ TEST(LiteflowCore, QueryWrongInputSizeReturnsEmpty) {
   core_rig rig;
   rig.core.register_model(tiny_snapshot("ffnn", 1));
   rig.core.switch_active();
-  const fp::s64 bad[] = {1, 2};
-  EXPECT_TRUE(rig.core.query_model_sync(1, bad).empty());
+  EXPECT_TRUE(rig.query(1, {1, 2}).empty());
 }
 
 TEST(LiteflowCore, RegisterIoValidatesShapes) {
@@ -420,12 +431,23 @@ TEST(BatchCollector, BufferCapDropsOldest) {
   kernelsim::cpu_model cpu{s};
   kernelsim::crossspace_channel netlink{s, cpu, costs,
                                         kernelsim::channel_kind::netlink};
-  batch_collector_config cfg;
-  cfg.max_samples = 10;
-  batch_collector bc{s, netlink, cfg};
-  for (int i = 0; i < 25; ++i) bc.collect({{static_cast<double>(i)}, {}, 0.0});
-  EXPECT_EQ(bc.pending(), 10u);
+  batch_collector bc{s, netlink, {}};
+  std::vector<train_sample> delivered;
+  bc.set_consumer(
+      [&](std::vector<train_sample> batch) { delivered = std::move(batch); });
+  const std::size_t n = k_max_pending_samples + 15;
+  for (std::size_t i = 0; i < n; ++i) {
+    bc.collect({{static_cast<double>(i)}, {}, 0.0});
+  }
+  EXPECT_EQ(bc.pending(), k_max_pending_samples);
   EXPECT_EQ(bc.samples_dropped(), 15u);
+  bc.start();
+  s.run_until(1.0);
+  // The 15 oldest went; the batch starts at the 16th sample.
+  ASSERT_EQ(delivered.size(), k_max_pending_samples);
+  EXPECT_EQ(delivered.front().features[0], 15.0);
+  EXPECT_EQ(delivered.back().features[0], static_cast<double>(n - 1));
+  EXPECT_EQ(bc.bytes_delivered(), k_max_pending_samples * k_bytes_per_sample);
 }
 
 TEST(BatchCollector, RejectsBadInterval) {
@@ -437,37 +459,40 @@ TEST(BatchCollector, RejectsBadInterval) {
   batch_collector_config cfg;
   cfg.interval = 0.0;
   EXPECT_THROW(batch_collector(s, netlink, cfg), std::invalid_argument);
-}
-
-TEST(BatchCollector, SetIntervalRejectsNonPositive) {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  kernelsim::crossspace_channel netlink{s, cpu, costs,
-                                        kernelsim::channel_kind::netlink};
-  batch_collector bc{s, netlink, {}};
-  EXPECT_THROW(bc.set_interval(0.0), std::invalid_argument);
-  EXPECT_THROW(bc.set_interval(-0.1), std::invalid_argument);
+  cfg.interval = -0.1;
+  EXPECT_THROW(batch_collector(s, netlink, cfg), std::invalid_argument);
   // NaN fails any comparison, so a naive `interval <= 0` check lets it
   // through and the delivery loop reschedules itself at t = NaN forever.
-  EXPECT_THROW(bc.set_interval(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  EXPECT_NO_THROW(bc.set_interval(0.25));
+  cfg.interval = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(batch_collector(s, netlink, cfg), std::invalid_argument);
+  cfg.interval = 0.25;
+  EXPECT_NO_THROW(batch_collector(s, netlink, cfg));
 }
 
 // ---------------------------------------------------------- sync evaluator --
 
+/// Record `n` copies of `v`.
+void record_n(sync_evaluator& ev, std::size_t n, double v) {
+  for (std::size_t i = 0; i < n; ++i) ev.record_stability(v);
+}
+
 TEST(SyncEvaluator, ConvergenceNeedsFullStableWindow) {
-  sync_config cfg;
-  cfg.stability_window = 4;
-  cfg.stability_threshold = 0.2;
-  sync_evaluator ev{cfg};
+  static_assert(k_stability_window == 10 && k_stability_threshold == 0.25);
+  sync_evaluator ev{{}};
   EXPECT_FALSE(ev.converged());
-  for (const double v : {10.0, 1.0, 5.0, 8.0}) ev.record_stability(v);
+  for (const double v : {10.0, 1.0, 5.0, 8.0, 2.0, 9.0, 3.0, 7.0, 4.0, 6.0}) {
+    ev.record_stability(v);
+  }
   EXPECT_FALSE(ev.converged());  // wild swings
-  for (const double v : {7.0, 7.1, 7.05, 6.95}) ev.record_stability(v);
+  // Ten samples spread (7.1 - 6.95) / 7.1 = 2%: the swings slid out.
+  for (const double v :
+       {7.0, 7.1, 7.05, 6.95, 7.0, 7.1, 7.05, 6.95, 7.0, 7.05}) {
+    ev.record_stability(v);
+  }
   EXPECT_TRUE(ev.converged());
-  ev.reset_stability();
+  // One sample at 9.5 brings the spread to (9.5 - 6.95) / 9.5 = 27%.
+  ev.record_stability(9.5);
+  EXPECT_GT(ev.stability_spread(), k_stability_threshold);
   EXPECT_FALSE(ev.converged());
 }
 
@@ -475,10 +500,8 @@ TEST(SyncEvaluator, FullDecisionCombinesBothAxes) {
   rng g{7};
   auto net = nn::make_aurora_net(g);
   const auto installed = quant::quantize(net);
-  sync_config cfg;
-  cfg.stability_window = 2;
-  sync_evaluator ev{cfg};
-  ev.record_stability(1.0);
+  sync_evaluator ev{{}};
+  record_n(ev, k_stability_window - 1, 1.0);
   ev.record_stability(1.01);
   std::vector<std::vector<double>> batch{std::vector<double>(30, 0.1)};
 
@@ -499,38 +522,33 @@ TEST(SyncEvaluator, FullDecisionCombinesBothAxes) {
 
 TEST(SyncEvaluator, RejectsBadConfig) {
   sync_config bad;
-  bad.stability_window = 1;
+  bad.output_min = 1.0;
+  bad.output_max = 0.0;
   EXPECT_THROW(sync_evaluator{bad}, std::invalid_argument);
-  sync_config bad2;
-  bad2.output_min = 1.0;
-  bad2.output_max = 0.0;
-  EXPECT_THROW(sync_evaluator{bad2}, std::invalid_argument);
+  bad.output_max = 1.0;  // Omax == Omin: no output range to scale alpha by
+  EXPECT_THROW(sync_evaluator{bad}, std::invalid_argument);
 }
 
 TEST(SyncEvaluator, PartialWindowExposesSpreadButNeverConverges) {
-  sync_config cfg;
-  cfg.stability_window = 4;
-  cfg.stability_threshold = 0.2;
-  sync_evaluator ev{cfg};
+  sync_evaluator ev{{}};
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 0.0);  // no samples
 
   ev.record_stability(5.0);
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 0.0);  // one sample: no spread yet
 
-  ev.record_stability(5.0);
+  record_n(ev, k_stability_window - 2, 5.0);
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 0.0);  // identical values
-  // Dead-flat metric, but only half the window — correctness demands the
-  // full window before declaring convergence.
+  // Dead-flat metric, but one sample short of the window — correctness
+  // demands the full window before declaring convergence.
   EXPECT_FALSE(ev.converged());
 
-  ev.record_stability(5.0);
   ev.record_stability(10.0);
   // (10 - 5) / max(|10|, |5|) = 0.5, above the threshold.
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 5.0 / 10.0);
   EXPECT_FALSE(ev.converged());
 
-  // The window slides: four flat samples push the spike out.
-  for (int i = 0; i < 4; ++i) ev.record_stability(10.0);
+  // The window slides: a window of flat samples pushes the spike out.
+  record_n(ev, k_stability_window, 10.0);
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 0.0);
   EXPECT_TRUE(ev.converged());
 }
@@ -541,24 +559,26 @@ TEST(SyncEvaluator, ZeroMeanRewardSeriesDoesNotBlowUpSpread) {
   // mean-normalized spread divided ~0.02 by ~1e-9 — a spread in the
   // millions that could never converge.  Normalizing by the window's
   // extreme magnitude keeps the spread bounded (<= 2) and scale-free.
-  sync_config cfg;
-  cfg.stability_window = 4;
-  cfg.stability_threshold = 0.2;
-  sync_evaluator ev{cfg};
-  for (const double v : {0.01, -0.01, 0.01, -0.01}) ev.record_stability(v);
+  sync_evaluator ev{{}};
+  const auto record_wiggle = [&ev](double level) {
+    for (std::size_t i = 0; i < k_stability_window; ++i) {
+      ev.record_stability(level + (i % 2 == 0 ? 0.01 : -0.01));
+    }
+  };
+  record_wiggle(0.0);
   // (0.01 - (-0.01)) / max(|0.01|, |-0.01|) = 2: the hard upper bound for
   // a sign-straddling window, not a runaway ratio.
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 2.0);
   EXPECT_FALSE(ev.converged());  // still genuinely unstable in relative terms
 
   // An all-zero window is perfectly stable, not a division blowup.
-  for (int i = 0; i < 4; ++i) ev.record_stability(0.0);
+  record_n(ev, k_stability_window, 0.0);
   EXPECT_DOUBLE_EQ(ev.stability_spread(), 0.0);
   EXPECT_TRUE(ev.converged());
 
   // Tight oscillation around a nonzero level stays proportional: the same
   // +-0.01 wiggle on a 1.0 baseline is a 2% spread and converges.
-  for (const double v : {1.01, 0.99, 1.01, 0.99}) ev.record_stability(v);
+  record_wiggle(1.0);
   EXPECT_NEAR(ev.stability_spread(), 0.02 / 1.01, 1e-12);
   EXPECT_TRUE(ev.converged());
 }
@@ -632,7 +652,6 @@ struct service_rig {
     cfg.model_name = "stub";
     cfg.sync.output_min = 0.0;
     cfg.sync.output_max = 1.0;
-    cfg.sync.stability_window = 2;
     return std::make_unique<userspace_service>(s, cpu, costs, netlink, core,
                                                collector, adapter, cfg);
   }
@@ -642,7 +661,19 @@ struct service_rig {
       collector.collect({std::vector<double>(8, 0.1), {0.5}, 0.0});
     }
   }
+
+  /// `rounds` batch intervals of 8 samples each; the evaluator sees one
+  /// stability sample per batch.
+  void feed_rounds(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      feed_samples(8);
+      s.run_until(0.1 * (round + 1) + 0.05);
+    }
+  }
 };
+
+/// Batches until the stability window first fills, plus two.
+constexpr int k_rounds_past_window = static_cast<int>(k_stability_window) + 2;
 
 TEST(UserspaceService, StartInstallsInitialSnapshot) {
   service_rig rig;
@@ -671,10 +702,7 @@ TEST(UserspaceService, NoUpdateWhileModelUnchanged) {
   service_rig rig;
   auto svc = rig.make();
   svc->start();
-  for (int round = 0; round < 5; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
+  rig.feed_rounds(k_rounds_past_window);
   EXPECT_EQ(svc->snapshot_updates(), 0u);
   EXPECT_GT(svc->skipped_not_necessary(), 0u);
   EXPECT_EQ(svc->current_version(), 1u);
@@ -685,10 +713,7 @@ TEST(UserspaceService, UpdatesAfterDriftAndConvergence) {
   rig.adapter.drift_per_batch = 0.2;  // model moves away from snapshot
   auto svc = rig.make();
   svc->start();
-  for (int round = 0; round < 6; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
+  rig.feed_rounds(k_rounds_past_window);
   EXPECT_GE(svc->snapshot_updates(), 1u);
   EXPECT_GT(svc->current_version(), 1u);
   // The router's active snapshot got replaced.
@@ -701,8 +726,7 @@ TEST(UserspaceService, UnstableMetricBlocksUpdate) {
   rig.adapter.drift_per_batch = 0.2;
   auto svc = rig.make();
   svc->start();
-  int round = 0;
-  for (; round < 6; ++round) {
+  for (int round = 0; round < k_rounds_past_window; ++round) {
     // Oscillate the stability metric: exploration has not converged.
     rig.adapter.stability = (round % 2 == 0) ? 1.0 : 10.0;
     rig.feed_samples(8);
@@ -718,10 +742,7 @@ TEST(UserspaceService, AdaptationDisabledDoesNothing) {
   rig.adapter.drift_per_batch = 0.5;
   auto svc = rig.make();
   svc->start();
-  for (int round = 0; round < 4; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
+  rig.feed_rounds(4);
   EXPECT_EQ(rig.adapter.adapt_calls, 0);
   EXPECT_EQ(svc->snapshot_updates(), 0u);
   EXPECT_EQ(svc->current_version(), 1u);

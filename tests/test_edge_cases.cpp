@@ -1,14 +1,12 @@
 // Edge-case tests across modules: degenerate model shapes, sigmoid LUT
 // code generation, extreme-value serialization, channel ordering under
-// congestion, spinlock FIFO semantics, and collector/service corner cases.
+// congestion and spinlock FIFO semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
-#include "core/batch_collector.hpp"
-#include "core/userspace_service.hpp"
 #include "kernelsim/channel.hpp"
 #include "kernelsim/spinlock.hpp"
 #include "nn/serialize.hpp"
@@ -128,40 +126,6 @@ TEST(EdgeCases, SpinlockSerializesBurstArrivals) {
   EXPECT_DOUBLE_EQ(lock.acquire(1e-6), 1e-6);
   EXPECT_NEAR(lock.acquire(1e-6), 2e-6, 1e-12);
   EXPECT_EQ(lock.contended_acquisitions(), 2u);
-}
-
-// ------------------------------------------------- collector corner cases --
-
-TEST(EdgeCases, CollectorStopHaltsDelivery) {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  kernelsim::crossspace_channel ch{s, cpu, costs,
-                                   kernelsim::channel_kind::netlink};
-  core::batch_collector bc{s, ch, {}};
-  int batches = 0;
-  bc.set_consumer([&](std::vector<core::train_sample>) { ++batches; });
-  bc.start();
-  bc.collect({{1.0}, {}, 0.0});
-  s.run_until(0.15);
-  EXPECT_EQ(batches, 1);
-  bc.stop();
-  bc.collect({{2.0}, {}, 0.0});
-  s.run_until(0.5);
-  EXPECT_EQ(batches, 1);  // no delivery after stop
-  EXPECT_EQ(bc.pending(), 1u);
-}
-
-TEST(EdgeCases, CollectorIntervalChangeTakesEffect) {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  kernelsim::crossspace_channel ch{s, cpu, costs,
-                                   kernelsim::channel_kind::netlink};
-  core::batch_collector bc{s, ch, {}};
-  bc.set_interval(0.5);
-  EXPECT_DOUBLE_EQ(bc.interval(), 0.5);
-  EXPECT_THROW(bc.set_interval(0.0), std::invalid_argument);
 }
 
 TEST(EdgeCases, NegativeWeightsRenderParenthesized) {

@@ -4,6 +4,10 @@
 // generated-code path exercised through the live core module.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "apps/cc/cc_experiment.hpp"
 #include "apps/common/liteflow_stack.hpp"
 #include "apps/lb/lb_experiment.hpp"
@@ -17,6 +21,19 @@ namespace {
 
 using namespace lf;
 using namespace lf::apps;
+
+/// lf_query_model on `core`, with the simulation run until the simulated
+/// CPU served it (at most 1 s of simulated time).  The result lives on the
+/// heap: an unserved query's callback may still run after this returns.
+std::vector<fp::s64> query(sim::simulation& s, core::liteflow_core& core,
+                           netsim::flow_id_t flow, std::vector<fp::s64> x) {
+  auto out = std::make_shared<std::optional<std::vector<fp::s64>>>();
+  core.query_model(flow, std::move(x),
+                   [out](std::vector<fp::s64> y) { *out = std::move(y); });
+  for (int i = 0; i < 1000 && !*out; ++i) s.run_until(s.now() + 1e-3);
+  EXPECT_TRUE(out->has_value());
+  return out->value_or(std::vector<fp::s64>{});
+}
 
 // ------------------------------------------------------ deployment labels --
 
@@ -146,21 +163,22 @@ TEST(Pipeline, EndToEndAdaptationUpdatesSnapshotAndChangesOutputs) {
   opts.batch_interval = 0.05;
   opts.sync.output_min = 0.0;
   opts.sync.output_max = 1.0;
-  opts.sync.stability_window = 3;
   liteflow_stack stack{h, adapter, opts};
   stack.start();
   s.run_until(0.01);
 
   const fp::s64 scale = stack.core().active_io_scale();
   std::vector<fp::s64> probe(8, scale / 2);  // x = 0.5 everywhere
-  const auto before = stack.core().query_model_sync(1, probe);
+  const auto before = query(s, stack.core(), 1, probe);
   ASSERT_EQ(before.size(), 1u);
   EXPECT_NEAR(static_cast<double>(before[0]) / static_cast<double>(scale), 0.2,
               0.05);
 
   // Feed batches whose labels moved to ~0.8: the slow path retrains and the
-  // service must find the update both converged and necessary.
-  for (int round = 0; round < 8; ++round) {
+  // service must find the update both converged and necessary, which takes
+  // a full stability window of batches.
+  for (int round = 0; round < 2 * static_cast<int>(core::k_stability_window);
+       ++round) {
     for (int i = 0; i < 16; ++i) {
       core::train_sample sample;
       sample.features.assign(8, 0.5);
@@ -170,7 +188,7 @@ TEST(Pipeline, EndToEndAdaptationUpdatesSnapshotAndChangesOutputs) {
     s.run_until(s.now() + 0.06);
   }
   EXPECT_GE(stack.service().snapshot_updates(), 1u);
-  const auto after = stack.core().query_model_sync(2, probe);
+  const auto after = query(s, stack.core(), 2, probe);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_NEAR(static_cast<double>(after[0]) / static_cast<double>(scale), 0.8,
               0.1);
@@ -200,8 +218,7 @@ TEST(Pipeline, GeneratedSourceOfLiveSnapshotCompilesAndMatches) {
   std::vector<fp::s64> x(net.input_size());
   rng xs{9};
   for (auto& v : x) v = xs.uniform_int(-1000, 1000);
-  EXPECT_EQ(compiled.infer(x, net.output_size()),
-            core.query_model_sync(1, x));
+  EXPECT_EQ(compiled.infer(x, net.output_size()), query(s, core, 1, x));
 }
 
 // --------------------------------------------------------- cc overhead e2e --

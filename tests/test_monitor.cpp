@@ -269,7 +269,6 @@ struct service_rig {
     cfg.model_name = "stub";
     cfg.sync.output_min = 0.0;
     cfg.sync.output_max = 1.0;
-    cfg.sync.stability_window = 2;
     return std::make_unique<userspace_service>(s, cpu, costs, netlink, core,
                                                collector, adapter, cfg);
   }
@@ -313,14 +312,18 @@ TEST(MonitorService, InducedStuckAdaptationRaisesAlert) {
 
 TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
   service_rig rig;
-  rig.adapter.drift_per_batch = 0.2;  // steady drift, stable metric
   adaptation_monitor mon{true};
   rig.core.register_monitor(mon);
 
   auto svc = rig.make();
   svc->register_monitor(mon);
   svc->start();
-  for (int round = 0; round < 6; ++round) {
+  // A stable metric throughout; the model starts drifting once the
+  // stability window is full, so no check ever finds it drifted but
+  // unconverged.
+  const int still = static_cast<int>(k_stability_window);
+  for (int round = 0; round < still + 6; ++round) {
+    rig.adapter.drift_per_batch = round < still ? 0.0 : 0.2;
     rig.feed_samples(8);
     rig.s.run_until(0.1 * (round + 1) + 0.05);
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/model_domain.hpp"
@@ -40,6 +41,17 @@ TEST(ModelDomain, CompositeKeySeparatesModels) {
   EXPECT_EQ(k2 >> k_flow_key_bits, 2u);
 }
 
+TEST(ModelDomain, ModelKeysPastTheKeyBitsAliasModelZero) {
+  // What the engine's model bound prevents: key k_max_models wraps out of
+  // the top 16 bits and lands on model 0's entry for the same flow.
+  const netsim::flow_id_t f = 12345;
+  EXPECT_EQ(k_max_models, std::size_t{1} << 16);
+  EXPECT_EQ(composite_flow_key(static_cast<model_key>(k_max_models), f),
+            composite_flow_key(k_default_model, f));
+  EXPECT_NE(composite_flow_key(static_cast<model_key>(k_max_models - 1), f),
+            composite_flow_key(k_default_model, f));
+}
+
 // ----------------------------------------------------------- ShadowScorer --
 
 TEST(ShadowScorer, SamplingIsDeterministicAndSeeded) {
@@ -55,14 +67,6 @@ TEST(ShadowScorer, SamplingIsDeterministicAndSeeded) {
   // And roughly the configured fraction of flows.
   EXPECT_GT(first.size(), 4096 * 0.18);
   EXPECT_LT(first.size(), 4096 * 0.32);
-  // A different seed picks a different slice.
-  shadow_config other = cfg;
-  other.seed ^= 0x1234;
-  std::set<netsim::flow_id_t> reseeded;
-  for (netsim::flow_id_t f = 0; f < 4096; ++f) {
-    if (shadow_scorer::sampled(other, 1, f)) reseeded.insert(f);
-  }
-  EXPECT_NE(first, reseeded);
   // Models are part of the hash: the same flow lands differently per model.
   std::set<netsim::flow_id_t> model2;
   for (netsim::flow_id_t f = 0; f < 4096; ++f) {
@@ -82,31 +86,30 @@ TEST(ShadowScorer, RateEndpoints) {
 TEST(ShadowScorer, GateRequiresEvidenceAndFidelity) {
   shadow_config cfg;
   cfg.sample_rate = 0.5;
-  cfg.min_samples = 4;
-  cfg.divergence_threshold = 0.05;
   shadow_scorer sc;
   sc.bind(7);
   // Unmeasured standby is unproven, not clean.
   EXPECT_FALSE(sc.check(cfg).admit);
-  sc.record(0.01, 7);
-  sc.record(0.02, 7);
-  sc.record(0.01, 7);
-  EXPECT_FALSE(sc.check(cfg).admit);  // 3 < min_samples
+  // Clean evidence alternating 0.01 / 0.02, one sample short of the bar.
+  for (std::size_t i = 1; i < k_gate_min_samples; ++i) {
+    sc.record(i % 2 == 1 ? 0.01 : 0.02, 7);
+  }
+  EXPECT_FALSE(sc.check(cfg).admit);
   sc.record(0.02, 7);
   const shadow_verdict good = sc.check(cfg);
   EXPECT_TRUE(good.admit);
-  EXPECT_EQ(good.samples, 4u);
+  EXPECT_EQ(good.samples, k_gate_min_samples);
   EXPECT_NEAR(good.mean_divergence, 0.015, 1e-12);
   EXPECT_NEAR(good.max_divergence, 0.02, 1e-12);
-  // One divergent burst pushes the mean over the threshold.
-  sc.record(1.0, 7);
-  EXPECT_FALSE(sc.check(cfg).admit);
-  // Gate disabled: the evidence is still reported but never blocks.
-  cfg.gate_enabled = false;
-  EXPECT_TRUE(sc.check(cfg).admit);
+  // One divergent burst pushes the mean over the threshold: (32 x 0.015 +
+  // 2) / 33 = 0.075.
+  sc.record(2.0, 7);
+  const shadow_verdict burst = sc.check(cfg);
+  EXPECT_GT(burst.mean_divergence, k_gate_divergence_threshold);
+  EXPECT_FALSE(burst.admit);
   // Shadowing off entirely: always admit (plain switch semantics).
-  cfg.gate_enabled = true;
   cfg.sample_rate = 0.0;
+  EXPECT_TRUE(sc.check(cfg).admit);
   EXPECT_TRUE(shadow_scorer{}.check(cfg).admit);
   sc.reset();
   EXPECT_EQ(sc.samples(), 0u);
@@ -152,6 +155,13 @@ TEST(RtMultiModel, ModelsShareEpochDomainButFlipIndependently) {
   EXPECT_GT(engine.snapshots(2).switch_epoch(), se);
   EXPECT_EQ(engine.snapshots(0).switch_epoch(),
             engine.snapshots(2).switch_epoch());
+}
+
+TEST(RtMultiModel, EngineRefusesMoreModelsThanTheKeyHolds) {
+  rt::engine_config cfg;
+  cfg.max_workers = 1;
+  cfg.models = k_max_models + 1;
+  EXPECT_THROW(rt::datapath_engine{cfg}, std::invalid_argument);
 }
 
 TEST(RtMultiModel, SameFlowIdBindsPerModel) {
@@ -254,7 +264,6 @@ TEST(RtShadow, TrySwitchGateBlocksDriftThenAdmitsRetrain) {
   rt::engine_config cfg;
   cfg.max_workers = 1;
   cfg.shadow.sample_rate = 1.0;
-  cfg.shadow.min_samples = 16;
   rt::datapath_engine engine{cfg};
   rt::worker_handle& w = engine.register_worker();
   std::vector<fp::s64> input(8), out(1);
@@ -276,17 +285,17 @@ TEST(RtShadow, TrySwitchGateBlocksDriftThenAdmitsRetrain) {
 
   // Drifted candidate: measured live, blocked; the incumbent keeps serving.
   engine.install(0, rt_snapshot(777, 2));
-  pump(32);
+  pump(2 * k_gate_min_samples);
   rt::switch_outcome blocked = engine.try_switch(0);
   EXPECT_EQ(blocked.status, rt::switch_outcome::result::gate_blocked);
-  EXPECT_GT(blocked.verdict.mean_divergence,
-            engine.config().shadow.divergence_threshold);
+  EXPECT_GE(blocked.verdict.samples, k_gate_min_samples);
+  EXPECT_GT(blocked.verdict.mean_divergence, k_gate_divergence_threshold);
   EXPECT_EQ(engine.gate_blocks(), 1u);
   EXPECT_EQ(engine.switches(), 1u);  // no flip happened
 
   // Retrained candidate (same weights as the active): admitted.
   engine.install(0, rt_snapshot(1, 3));
-  pump(32);
+  pump(2 * k_gate_min_samples);
   rt::switch_outcome admitted = engine.try_switch(0);
   EXPECT_TRUE(admitted.flipped());
   EXPECT_DOUBLE_EQ(admitted.verdict.max_divergence, 0.0);
@@ -303,7 +312,6 @@ TEST(RtShadow, UnprovenStandbyIsBlockedUntilMeasured) {
   cfg.models = 2;
   cfg.max_workers = 1;
   cfg.shadow.sample_rate = 1.0;
-  cfg.shadow.min_samples = 8;
   rt::datapath_engine engine{cfg};
   rt::worker_handle& w = engine.register_worker();
   engine.install(1, rt_snapshot(5, 1));
@@ -315,15 +323,15 @@ TEST(RtShadow, UnprovenStandbyIsBlockedUntilMeasured) {
   EXPECT_EQ(unproven.status, rt::switch_outcome::result::gate_blocked);
   EXPECT_EQ(unproven.verdict.samples, 0u);
   std::vector<fp::s64> input(8, 100), out(1);
-  for (netsim::flow_id_t f = 1; f < cfg.shadow.min_samples; ++f) {
+  for (netsim::flow_id_t f = 1; f < k_gate_min_samples; ++f) {
     engine.route(w, 1, f, 0.0, input, out);
   }
   EXPECT_EQ(engine.try_switch(1).status,
             rt::switch_outcome::result::gate_blocked);  // one sample short
-  engine.route(w, 1, cfg.shadow.min_samples, 0.0, input, out);
+  engine.route(w, 1, k_gate_min_samples, 0.0, input, out);
   const rt::switch_outcome measured = engine.try_switch(1);
   EXPECT_TRUE(measured.flipped());
-  EXPECT_EQ(measured.verdict.samples, cfg.shadow.min_samples);
+  EXPECT_EQ(measured.verdict.samples, k_gate_min_samples);
   EXPECT_FALSE(engine.has_active(0));  // model 0 never took part
 }
 

@@ -1255,11 +1255,12 @@ TEST(RtFlightRecorder, ViolationDumpIsParseableAndKeepsTheFlowsLastEvents) {
   rt::engine_config cfg;
   cfg.max_workers = 2;
   cfg.telemetry.blackbox_events = 64;
-  cfg.telemetry.blackbox_route_shift = 0;  // record every route summary
   rt::datapath_engine e{cfg};
   rt::worker_handle& w = e.register_worker();
   e.install(rt_snapshot(1));
   EXPECT_TRUE(e.switch_active());
+  // Route summaries are sampled 1 in 2^k_blackbox_route_shift per worker,
+  // starting with the worker's first route.
   for (int i = 0; i < 8; ++i) e.route(w, 42, i * 0.01, {}, {});
   e.record_violation(w, 42, /*expected_gen=*/1, /*observed_gen=*/3);
 
@@ -1364,11 +1365,7 @@ TEST(RtTelemetry, SamplerTicksFoldWindowsAndRenderPrometheusText) {
   e.install(rt_snapshot(1));
   e.switch_active();
 
-  rt::stats_sampler_config scfg;
-  scfg.interval_ms = 0.0;  // no thread: tick manually from the test
-  rt::stats_sampler s{e, scfg};
-  EXPECT_FALSE(s.enabled());
-  s.start();  // no-op when disabled
+  rt::stats_sampler s{e, {}};  // not started: the test ticks by hand
 
   for (netsim::flow_id_t f = 0; f < 32; ++f) e.route(w, f, 0.0, {}, {});
   s.tick();
