@@ -3,14 +3,15 @@
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
 // inference, plus the engine's one-shard flow cache, a default engine's
 // set-up and L2 route, and snapshot generation (quantize + translate) with
-// its freeze/load/quantize/emit stages.  These back the Fig. 15 latency
-// story with real wall-clock numbers on this machine.
+// its freeze/load/quantize/emit stages and a tanh table build.  These back
+// the Fig. 15 latency story with real wall-clock numbers on this machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
 // EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -436,6 +437,19 @@ void bm_quantize_aurora(benchmark::State& state) {
 }
 BENCHMARK(bm_quantize_aurora);
 
+// What a first quantize pays for Aurora's table, which it then shares: the
+// default tanh table (1,024 entries, io_scale 1000) with its dense form.
+// Built directly, so the interned copy other benches hold is not returned.
+void bm_lookup_table_build_tanh(benchmark::State& state) {
+  const quant::quantizer_config cfg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(quant::lookup_table{
+        [](double x) { return std::tanh(x); }, -8.0, 8.0, cfg.lut_entries,
+        cfg.io_scale});
+  }
+}
+BENCHMARK(bm_lookup_table_build_tanh);
+
 void bm_emit_c_source_aurora(benchmark::State& state) {
   const auto program = quant::quantize(aurora());
   const codegen::emit_options options{"a", 1};
@@ -505,6 +519,7 @@ core::check_observation bench_check_observation() {
   obs.decision.fidelity.max_loss = 0.09;
   obs.threshold = 0.1;
   obs.stability_spread = 0.4;
+  obs.window_full = true;
   obs.version = 3;
   return obs;
 }

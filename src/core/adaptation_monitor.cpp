@@ -74,11 +74,15 @@ void adaptation_monitor::on_sync_check(double now,
   // adaptation_stuck: the model has drifted past the necessity threshold
   // but the stability metric will not converge — N consecutive checks of
   // "necessary && !converged" means the loop is stuck mid-exploration and
-  // the kernel keeps serving a snapshot the slow path knows is wrong.
-  const bool stuck = obs.decision.necessary && !obs.decision.converged;
-  if (stuck_.observe(now, stuck ? 1.0 : 0.0)) {
-    raise(now, alert_kind::adaptation_stuck,
-          static_cast<double>(stuck_.breach_run()));
+  // the kernel keeps serving a snapshot the slow path knows is wrong.  A
+  // check made before the stability window filled could not have converged,
+  // so it does not count.
+  if (obs.window_full) {
+    const bool stuck = obs.decision.necessary && !obs.decision.converged;
+    if (stuck_.observe(now, stuck ? 1.0 : 0.0)) {
+      raise(now, alert_kind::adaptation_stuck,
+            static_cast<double>(stuck_.breach_run()));
+    }
   }
 
   observe_staleness(now);

@@ -116,6 +116,9 @@ struct check_observation {
   sync_decision decision{};
   double threshold = 0.0;  ///< alpha * (Omax - Omin) at this check
   double stability_spread = 0.0;
+  /// The evaluator holds a full stability window, so the verdict could have
+  /// been "converged" (sync_evaluator::window_full).
+  bool window_full = false;
   std::uint64_t version = 0;  ///< installed snapshot version checked against
 };
 

@@ -30,8 +30,7 @@ double sync_evaluator::stability_spread() const {
 }
 
 bool sync_evaluator::converged() const {
-  if (history_.size() < k_stability_window) return false;
-  return stability_spread() < k_stability_threshold;
+  return window_full() && stability_spread() < k_stability_threshold;
 }
 
 sync_decision sync_evaluator::evaluate(

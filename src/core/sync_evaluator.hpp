@@ -43,6 +43,11 @@ class sync_evaluator {
   /// Feed the user metric (NN Evaluation Interface, stability value).
   void record_stability(double value);
 
+  /// The last k_stability_window stability samples are recorded.
+  bool window_full() const noexcept {
+    return history_.size() >= k_stability_window;
+  }
+
   /// Correctness check only.
   bool converged() const;
 

@@ -85,6 +85,7 @@ void userspace_service::maybe_update(std::span<const train_sample> batch) {
           obs.threshold = config_.sync.alpha *
                           (config_.sync.output_max - config_.sync.output_min);
           obs.stability_spread = evaluator_.stability_spread();
+          obs.window_full = evaluator_.window_full();
           obs.version = version_;
           monitor_->on_sync_check(sim_.now(), obs);
         }

@@ -9,12 +9,11 @@
 namespace lf::quant {
 namespace {
 
-/// What the tier proofs and the output bound need of a table's values,
+/// What the tier proof and the output bound need of a table's values,
 /// gathered in one pass.
 struct table_stats {
   __int128 max_abs = 0;   ///< max |v[i]|: the layer's output bound
   __int128 max_pair = 0;  ///< max |v[i+1]| + |v[i]|: bounds bits64's deltas
-  __int128 max_dy = 0;    ///< max |v[i+1] - v[i]|: bounds bits32's deltas
 };
 
 table_stats scan_table(std::span<const s64> values) {
@@ -22,39 +21,49 @@ table_stats scan_table(std::span<const s64> values) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     t.max_abs = std::max(t.max_abs, fp::abs128(values[i]));
     if (i == 0) continue;
-    const __int128 dy = static_cast<__int128>(values[i]) - values[i - 1];
     t.max_pair = std::max(t.max_pair,
                           fp::abs128(values[i]) + fp::abs128(values[i - 1]));
-    t.max_dy = std::max(t.max_dy, dy < 0 ? -dy : dy);
   }
   return t;
 }
 
 /// The narrowest tier whose proof holds for a table of `n` entries over a
-/// domain `span` wide; a bits32 table's lane divider is stored in `div32`.
-lut_tier table_tier(const table_stats& t, s64 n, s64 span,
-                    fp::u32_divider& div32) {
-  // bits32: the lanes' numerators, (x - lo)*(n-1) and |y1 - y0|*rem +
-  // span/2, stay below 2^32 with int32 factors and an exact magic.  span 0
-  // never interpolates, but clamping would fold x > lo onto x = lo.
-  constexpr __int128 i32_max = INT32_MAX;
-  if (span >= 1 && span <= i32_max && n - 1 <= i32_max &&
-      t.max_dy <= i32_max) {
-    const __int128 bound = std::max(static_cast<__int128>(span) * (n - 1),
-                                    t.max_dy * (span - 1) + span / 2);
-    if (const auto div = fp::u32_divider::for_bound(
-            static_cast<std::uint64_t>(span),
-            static_cast<std::uint64_t>(bound))) {
-      div32 = *div;
-      return lut_tier::bits32;
-    }
-  }
-  // bits64: lut_eval_small's intermediates fit s64 for any input.
+/// domain `span` wide.
+lut_tier table_tier(const table_stats& t, s64 n, s64 span) {
+  // bits64: the C's 64-bit chain, (x - lo)*(n-1) and (y1 - y0)*rem, fits s64
+  // for any input.
   constexpr __int128 lim = fp::s64_max;
   return static_cast<__int128>(n - 1) * span <= lim &&
                  t.max_pair * (span - 1) <= lim
              ? lut_tier::bits64
              : lut_tier::bits128;
+}
+
+/// eval(lo + i) for every i in [0, span] of a table with values `v`, in one
+/// pass: x = lo + i sits at i*(n-1) = idx*span + rem, which advances by n-1
+/// per step, so an entry costs one 64-bit rounding division where eval
+/// divides in 128 bits.  Exact when 1 <= span < 2^16 and every |v| fits
+/// int32, so |dy*rem| < 2^48.
+std::vector<std::int32_t> tabulate(std::span<const s64> v, s64 span) {
+  const auto n1 = static_cast<s64>(v.size()) - 1;
+  const s64 idx_step = n1 / span;
+  const s64 rem_step = n1 % span;
+  std::vector<std::int32_t> dense(static_cast<std::size_t>(span) + 1);
+  std::size_t idx = 0;
+  s64 rem = 0;
+  for (std::size_t i = 0; i + 1 < dense.size(); ++i) {
+    const s64 dy = v[idx + 1] - v[idx];
+    dense[i] =
+        static_cast<std::int32_t>(v[idx] + fp::div_round(dy * rem, span));
+    idx += static_cast<std::size_t>(idx_step);
+    rem += rem_step;
+    if (rem >= span) {
+      rem -= span;
+      ++idx;
+    }
+  }
+  dense.back() = static_cast<std::int32_t>(v.back());
+  return dense;
 }
 
 lookup_table build_activation(nn::activation act, std::size_t entries,
@@ -96,18 +105,21 @@ lookup_table::lookup_table(const std::function<double(double)>& f, double lo,
   lo_q_ = static_cast<s64>(std::llround(lo * static_cast<double>(scale)));
   const s64 hi_q = static_cast<s64>(std::llround(hi * static_cast<double>(scale)));
   step_num_ = hi_q - lo_q_;
-  values_.reserve(entries + 1);
+  values_.reserve(entries);
   for (std::size_t i = 0; i < entries; ++i) {
     const double x = lo + (hi - lo) * static_cast<double>(i) /
                               static_cast<double>(entries - 1);
     values_.push_back(
         static_cast<s64>(std::llround(f(x) * static_cast<double>(scale))));
   }
-  values_.push_back(values_.back());  // the lanes' y1 at idx = n - 1
-  const table_stats stats = scan_table(values());
-  tier_ = table_tier(stats, static_cast<s64>(entries), step_num_, div32_);
+  const table_stats stats = scan_table(values_);
+  tier_ = table_tier(stats, static_cast<s64>(entries), step_num_);
   max_abs_ = static_cast<std::uint64_t>(stats.max_abs);
-  div_ = fp::u64_divider{static_cast<std::uint64_t>(step_num_)};
+  // span 0 never interpolates, but its dense form would fold x > lo onto
+  // x = lo.
+  if (step_num_ >= 1 && step_num_ < (s64{1} << 16) && max_abs_ <= INT32_MAX) {
+    dense_ = tabulate(values_, step_num_);
+  }
 }
 
 std::shared_ptr<const lookup_table> lookup_table::for_activation(
@@ -132,7 +144,7 @@ std::shared_ptr<const lookup_table> lookup_table::for_activation(
 s64 lookup_table::eval(s64 x_q) const noexcept {
   const auto n = static_cast<s64>(size());
   if (x_q <= lo_q_) return values_.front();
-  if (x_q >= lo_q_ + step_num_) return values_.back();  // == the guard
+  if (x_q >= lo_q_ + step_num_) return values_.back();
   // Position within the table in units of 1/(n-1) of the domain:
   // pos = (x_q - lo_q) * (n-1) / step_num, with remainder for interpolation.
   const s64 off = x_q - lo_q_;

@@ -4,13 +4,16 @@
 // layers with a lookup table because (unlike a Taylor expansion) the table
 // keeps a uniform precision over its whole domain and evaluates in constant
 // time.  We store pre-scaled integer outputs and interpolate linearly between
-// entries using only 64-bit integer arithmetic, so the generated C code and
-// this in-memory engine agree exactly.
+// entries in integer arithmetic only (eval), which is the arithmetic the
+// generated C code performs.  A table whose domain holds at most 2^16
+// integers and whose values fit int32 also carries its dense form, eval at
+// every integer of the domain, which the interpreter's fast paths read with
+// one clamp and one load instead of interpolating.
 //
 // A table is immutable once built.  The activation tables are interned: a
 // process holds one per (activation, entries, scale), shared by every
-// program that uses it, and each table carries the interpolation proofs the
-// programs' fast paths need, made once when it is built.
+// program that uses it, and each table carries its dense form and the C's
+// interpolation proof, made once when it is built.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +29,9 @@ namespace lf::quant {
 
 using fp::s64;
 
-/// The integer width a table's interpolation provably fits.  The scalar
-/// path and the C emitter run bits32 tables on the 64-bit chain.
+/// The integer width the emitted C's interpolation provably fits.
 enum class lut_tier : std::uint8_t {
   none,     ///< a relu or linear layer: no table
-  bits32,   ///< both numerators fit u32 under an exact 32-bit magic, so the
-            ///< AVX2 lanes interpolate (all of the quantizer's tables)
   bits64,   ///< every intermediate fits s64
   bits128,  ///< needs a 128-bit product and quotient
 };
@@ -63,29 +63,24 @@ class lookup_table {
   double max_abs_error(const std::function<double(double)>& f,
                        std::size_t probes = 4096) const;
 
-  std::size_t size() const noexcept { return values_.size() - 1; }
+  std::size_t size() const noexcept { return values_.size(); }
   s64 scale() const noexcept { return scale_; }
   s64 domain_low_q() const noexcept { return lo_q_; }
   s64 domain_span_q() const noexcept { return step_num_; }
   double domain_low() const noexcept { return lo_; }
   double domain_high() const noexcept { return hi_; }
   /// The size() entries.
-  std::span<const s64> values() const noexcept {
-    return {values_.data(), size()};
-  }
-  /// values() and then a guard entry equal to the last, in one allocation:
-  /// the AVX2 lanes gather y1 = values[idx + 1] at idx = size() - 1.
-  std::span<const s64> guarded_values() const noexcept { return values_; }
+  std::span<const s64> values() const noexcept { return values_; }
+  /// eval(domain_low_q() + i) for every i in [0, domain_span_q()], so
+  /// eval(x) is dense()[clamp(x, lo, lo + span) - lo]; empty unless the
+  /// domain holds 2 to 2^16 integers and max_abs() fits int32.
+  std::span<const std::int32_t> dense() const noexcept { return dense_; }
 
-  // The interpolation proofs, made at construction:
-  /// The narrowest tier whose proof holds for every input.
+  /// The narrowest tier of the C's interpolation that is exact for every
+  /// input.
   lut_tier tier() const noexcept { return tier_; }
   /// max |value|: every output of the table is within it.
   std::uint64_t max_abs() const noexcept { return max_abs_; }
-  /// Divides by domain_span_q() on the 64-bit chain.
-  const fp::u64_divider& divider() const noexcept { return div_; }
-  /// The same in the lanes; exact for bits32's numerators only.
-  const fp::u32_divider& lane_divider() const noexcept { return div32_; }
 
  private:
   double lo_;
@@ -93,11 +88,10 @@ class lookup_table {
   s64 scale_;
   s64 lo_q_;       // lo * scale
   s64 step_num_;   // (hi-lo)*scale, numerator of the step between entries
-  std::vector<s64> values_;  // the entries, then the guard
+  std::vector<s64> values_;
+  std::vector<std::int32_t> dense_;
   lut_tier tier_ = lut_tier::bits128;
   std::uint64_t max_abs_ = 0;
-  fp::u64_divider div_;
-  fp::u32_divider div32_;
 };
 
 }  // namespace lf::quant

@@ -13,53 +13,6 @@
 namespace lf::quant {
 namespace {
 
-/// LUT evaluation from a layer_desc's copy of the table's parameters.  Must
-/// match lookup_table::eval bit-for-bit — infer_into routes through this so
-/// the hot path reads only the arena and the table's values.
-/// Out of line: no quantizer table needs this tier, and inlined into the
-/// neuron loop it would crowd the 64-bit tier's values out of registers.
-[[gnu::noinline]] s64 lut_eval_arena(const s64* values, s64 n, s64 lo_q,
-                                     s64 step_num, s64 x) noexcept {
-  if (x <= lo_q) return values[0];
-  if (x >= lo_q + step_num) return values[n - 1];
-  const __int128 scaled = static_cast<__int128>(x - lo_q) * (n - 1);
-  const auto idx = static_cast<s64>(scaled / step_num);
-  if (idx >= n - 1) return values[n - 1];
-  const auto rem = static_cast<s64>(scaled % step_num);
-  const s64 y0 = values[idx];
-  const s64 y1 = values[idx + 1];
-  return y0 + fp::mul_div(y1 - y0, rem, step_num);
-}
-
-/// 64-bit-only LUT evaluation, valid when build_arena proved both
-/// (n-1)*step_num and max|y1-y0|*(step_num-1) fit in s64 (the bits64 and
-/// bits32 tiers; the lanes evaluate the latter on their own): then every
-/// intermediate equals the 128-bit version's exactly (div_round and mul_div
-/// share the round-to-nearest-ties-away rule), just without the __int128
-/// division — which is a libgcc call on x86-64 and dominates tanh layers.
-/// Both divisions by step_num go through `div`, a multiply-high divider
-/// exact for every u64 numerator, so no hardware divide remains.
-inline s64 lut_eval_small(const s64* values, s64 n, s64 lo_q, s64 step_num,
-                          const fp::u64_divider& div, s64 x) noexcept {
-  using u64 = std::uint64_t;
-  if (x <= lo_q) return values[0];
-  if (x >= lo_q + step_num) return values[n - 1];
-  const s64 scaled = (x - lo_q) * (n - 1);  // in (0, (n-1)*step_num)
-  const auto idx = static_cast<s64>(div.divide(static_cast<u64>(scaled)));
-  if (idx >= n - 1) return values[n - 1];
-  const s64 rem = scaled - idx * step_num;
-  const s64 y0 = values[idx];
-  const s64 num = (values[idx + 1] - y0) * rem;
-  // div_round(num, step_num) on the magnitude: for m >= 0, rounding half
-  // away from zero is floor((m + step_num/2) / step_num).  |num| < 2^63 by
-  // the fit proof, so the biased numerator stays below 2^64.
-  const s64 sign = num >> 63;  // 0 or -1
-  const auto mag = static_cast<u64>((num ^ sign) - sign);
-  const auto q = static_cast<s64>(
-      div.divide(mag + static_cast<u64>(step_num / 2)));
-  return y0 + ((q ^ sign) - sign);
-}
-
 constexpr bool fits_i32(s64 v) noexcept {
   return v >= INT32_MIN && v <= INT32_MAX;
 }
@@ -83,55 +36,31 @@ constexpr std::size_t k_lanes = 8;
 constexpr std::size_t k_lanes_min = 4;
 
 #if defined(__x86_64__)
-/// A bits32 table as the lanes read it.
+/// A table's dense form as the lanes read it.
 struct lane_table {
-  const s64* values = nullptr;  ///< lookup_table::guarded_values()
+  const std::int32_t* values = nullptr;  ///< lookup_table::dense()
   s64 lo_q = 0;
   s64 span = 0;
-  s64 n_minus_1 = 0;
-  fp::u32_divider div;  ///< exact for both numerators, see table_tier
 };
 
-/// lookup_table::eval on four lanes of a bits32 table, as lut_eval_small
-/// computes it.  x is clamped into [lo, lo + span] first, after which the
-/// ends need no branch: x = lo gives idx 0 and rem 0, and x = lo + span
-/// gives idx n-1 and rem 0, where y1 is the guard entry and weighs nothing.
-/// The guard ends the table's own allocation, so that gather stays in it.
-/// Every factor fits 32 bits (unsigned for _mm256_mul_epu32, signed for
-/// _mm256_mul_epi32) and both numerators stay within the magic's bound.
+/// lookup_table::eval on four lanes, read from the dense form: x is clamped
+/// into [lo, lo + span] first, so each gathered index x - lo lies in
+/// [0, span], inside the dense() allocation.
 __attribute__((target("avx2"))) inline __m256i lane_lookup(
     __m256i x, const lane_table& t) noexcept {
   const __m256i lo = _mm256_set1_epi64x(t.lo_q);
   const __m256i hi = _mm256_set1_epi64x(t.lo_q + t.span);
-  const __m256i span = _mm256_set1_epi64x(t.span);
-  const __m256i magic = _mm256_set1_epi64x(t.div.magic());
-  const __m128i shift = _mm_cvtsi32_si128(t.div.shift());
   x = _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
   x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
-  const __m256i scaled = _mm256_mul_epu32(
-      _mm256_sub_epi64(x, lo), _mm256_set1_epi64x(t.n_minus_1));
-  const __m256i idx = _mm256_srl_epi64(_mm256_mul_epu32(scaled, magic), shift);
-  const __m256i rem = _mm256_sub_epi64(scaled, _mm256_mul_epu32(idx, span));
-  const auto* values = reinterpret_cast<const long long*>(t.values);
-  const __m256i y0 = _mm256_i64gather_epi64(values, idx, 8);
-  const __m256i y1 = _mm256_i64gather_epi64(values + 1, idx, 8);
-  // div_round((y1 - y0) * rem, span) on the magnitude, sign restored.
-  const __m256i num = _mm256_mul_epi32(_mm256_sub_epi64(y1, y0), rem);
-  const __m256i sign = _mm256_cmpgt_epi64(_mm256_setzero_si256(), num);
-  const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(num, sign), sign);
-  const __m256i q = _mm256_srl_epi64(
-      _mm256_mul_epu32(_mm256_add_epi64(mag, _mm256_set1_epi64x(t.span / 2)),
-                       magic),
-      shift);
-  return _mm256_add_epi64(y0,
-                          _mm256_sub_epi64(_mm256_xor_si256(q, sign), sign));
+  return _mm256_cvtepi32_epi64(_mm256_i64gather_epi32(
+      reinterpret_cast<const int*>(t.values), _mm256_sub_epi64(x, lo), 4));
 }
 
 /// The scalar epilogue on four accumulators: requantize (round half away
 /// on the magnitude, restore the sign; |acc| + half < 2^63 by the
 /// no-saturation proof, so the logical shift by `shift` >= 0 is exact),
 /// then activate (tanh_act stands for both LUT activations and reads
-/// `lut`).
+/// `lut`, which relu and linear layers leave empty).
 template <nn::activation Act>
 __attribute__((target("avx2"))) inline __m256i lane_epilogue(
     __m256i acc, __m256i half, __m128i shift, const lane_table& lut) noexcept {
@@ -162,7 +91,7 @@ __attribute__((target("avx2"))) inline __m256i lane_epilogue(
 /// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
 /// any summation order.  Each group then runs lane_epilogue and is stored
 /// whole to `out`.  Padding lanes have zero weights and bias; a LUT layer's
-/// still look up the table, which the clamp keeps in bounds.
+/// still read the table, which the clamp keeps in bounds.
 template <nn::activation Act, int G>
 __attribute__((target("avx2"))) void mac_i32_groups(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
@@ -219,7 +148,7 @@ __attribute__((target("avx2"))) void mac_i32_block(
   }
 }
 
-/// A layer of `m` outputs (shift >= 0; a bits32 table for tanh_act) on the
+/// A layer of `m` outputs (shift >= 0; a dense table for tanh_act) on the
 /// int32 kernel: each block's 4-lane groups land straight in `out`, which
 /// must hold `m` rounded up to whole groups.
 template <nn::activation Act>
@@ -240,7 +169,8 @@ __attribute__((target("avx2"))) void mac_i32_layer(
 /// weight is broadcast to both vectors, and the product is exact as in
 /// mac_i32_groups.  Returns the lanes whose stored value left int32 (all
 /// ones), for the next layer's operand check; relu outputs are never
-/// negative, so only their upper bound is compared.
+/// negative, so only their upper bound is compared, and table outputs are
+/// dense() values, which fit int32.
 template <nn::activation Act, int G>
 __attribute__((target("avx2"))) __m256i mac_samples_groups(
     const s64* w, std::size_t stride, const s64* b, const s64* x,
@@ -271,8 +201,10 @@ __attribute__((target("avx2"))) __m256i mac_samples_groups(
       const __m256i r = lane_epilogue<Act>(a[g][v], half, shift, lut);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + g * k_lanes + 4 * v),
                           r);
-      bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(r, i32_max));
-      if constexpr (Act != nn::activation::relu) {
+      if constexpr (Act != nn::activation::tanh_act) {
+        bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(r, i32_max));
+      }
+      if constexpr (Act == nn::activation::linear) {
         bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(i32_min, r));
       }
     }
@@ -280,7 +212,7 @@ __attribute__((target("avx2"))) __m256i mac_samples_groups(
   return bad;
 }
 
-/// A layer of `m` outputs (shift >= 0; a bits32 table for tanh_act) on the
+/// A layer of `m` outputs (shift >= 0; a dense table for tanh_act) on the
 /// sample lanes: rows x[j*8 + s] for j < n in, y[i*8 + s] for i < m out.
 /// False when a stored value left int32.
 template <nn::activation Act>
@@ -416,15 +348,11 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
     d.biases_off = arena_.size();
     arena_.insert(arena_.end(), l.biases.begin(), l.biases.end());
     arena_.resize(d.biases_off + d.stride, 0);
-    // The table's values and proofs are its own, made once per table.
-    if (l.lut) {
-      d.lut = l.lut->guarded_values().data();
-      d.lut_entries = static_cast<s64>(l.lut->size());
+    // The table's dense form is its own, made once per table.
+    if (l.lut && !l.lut->dense().empty()) {
+      d.lut = l.lut->dense().data();
       d.lut_lo_q = l.lut->domain_low_q();
-      d.lut_step_num = l.lut->domain_span_q();
-      d.tier = l.lut->tier();
-      d.lut_div = l.lut->divider();
-      d.lut_div32 = l.lut->lane_divider();
+      d.lut_span = l.lut->domain_span_q();
     }
 
     // Worst-case accumulator: |bias_i| + sum_j |w_ij| * in_bound.  If the
@@ -459,10 +387,10 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
       d.operands = in_bound <= INT32_MAX ? operand_proof::proven
                                          : operand_proof::per_call;
     }
-    // The lanes requantize with the shift and interpolate bits32 tables;
-    // any other scale or table (the quantizer emits neither) runs scalar.
+    // The lanes requantize with the shift and read dense tables; any other
+    // scale or table (the default quantizer emits neither) runs scalar.
     d.simd = d.operands != operand_proof::none && simd_dispatch() &&
-             d.shift >= 0 && (!l.lut || d.tier == lut_tier::bits32);
+             d.shift >= 0 && (!l.lut || d.lut != nullptr);
 
     // Propagate this layer's output bound as the next layer's input bound.
     if (l.lut) {
@@ -582,17 +510,14 @@ inline __attribute__((always_inline)) s64 quantized_mlp::requantize(
 
 template <nn::activation Act>
 inline __attribute__((always_inline)) s64 quantized_mlp::activate(
-    const layer_desc& d, const s64* lut, s64 pre) noexcept {
+    const layer_desc& d, s64 pre) noexcept {
   if constexpr (Act == nn::activation::linear) {
     return pre;
   } else if constexpr (Act == nn::activation::relu) {
     return pre > 0 ? pre : 0;
   } else {
-    return d.tier != lut_tier::bits128
-               ? lut_eval_small(lut, d.lut_entries, d.lut_lo_q,
-                                d.lut_step_num, d.lut_div, pre)
-               : lut_eval_arena(lut, d.lut_entries, d.lut_lo_q,
-                                d.lut_step_num, pre);
+    return d.lut[std::clamp(pre, d.lut_lo_q, d.lut_lo_q + d.lut_span) -
+                 d.lut_lo_q];
   }
 }
 
@@ -602,7 +527,6 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
   const layer_desc d = desc;  // a local copy: stores to out cannot alias it
   const s64* __restrict w = arena_.data() + d.weights_off;
   const s64* __restrict b = arena_.data() + d.biases_off;
-  const s64* lut = d.lut;
   const std::size_t n = d.input_size;
   const std::size_t s = d.stride;
   for (std::size_t i = 0; i < d.output_size; ++i) {
@@ -628,13 +552,14 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
       acc = b[i] + ((a0 + a1) + (a2 + a3));
       for (; j < n; ++j) acc += col[j * s] * in[j];
     }
-    out[i] = activate<Act>(d, lut, requantize<Saturating>(d, acc));
+    out[i] = activate<Act>(d, requantize<Saturating>(d, acc));
   }
 }
 
-void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
+void quantized_mlp::run(std::size_t li, bool in_bounds, const s64* in,
                         s64* out) const {
   using nn::activation;
+  const layer_desc& d = descs_[li];
   const bool fast = in_bounds && d.saturation_free;
 #if defined(__x86_64__)
   if (fast && d.simd &&
@@ -642,23 +567,20 @@ void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
        all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
     const s64* w = arena_.data() + d.weights_off;
     const s64* b = arena_.data() + d.biases_off;
-    const lane_table lut{d.lut, d.lut_lo_q, d.lut_step_num,
-                         d.lut_entries - 1, d.lut_div32};
     switch (d.act) {
       case activation::linear:
         return mac_i32_layer<activation::linear>(w, d.stride, b, in,
                                                  d.input_size, d.output_size,
-                                                 d.shift, d.half, lut, out);
+                                                 d.shift, d.half, {}, out);
       case activation::relu:
         return mac_i32_layer<activation::relu>(w, d.stride, b, in,
                                                d.input_size, d.output_size,
-                                               d.shift, d.half, lut, out);
+                                               d.shift, d.half, {}, out);
       case activation::tanh_act:
       case activation::sigmoid:
-        return mac_i32_layer<activation::tanh_act>(w, d.stride, b, in,
-                                                   d.input_size,
-                                                   d.output_size, d.shift,
-                                                   d.half, lut, out);
+        return mac_i32_layer<activation::tanh_act>(
+            w, d.stride, b, in, d.input_size, d.output_size, d.shift, d.half,
+            {d.lut, d.lut_lo_q, d.lut_span}, out);
     }
   }
 #endif
@@ -673,6 +595,17 @@ void quantized_mlp::run(const layer_desc& d, bool in_bounds, const s64* in,
                   : run_layer<true, activation::relu>(d, in, out);
     case activation::tanh_act:
     case activation::sigmoid:
+      if (d.lut == nullptr) {
+        // No dense form: the pre-activations, then the table's own eval,
+        // as infer() reads it.
+        fast ? run_layer<false, activation::linear>(d, in, out)
+             : run_layer<true, activation::linear>(d, in, out);
+        const lookup_table& table = *luts_[li];
+        for (std::size_t i = 0; i < d.output_size; ++i) {
+          out[i] = table.eval(out[i]);
+        }
+        return;
+      }
       return fast ? run_layer<false, activation::tanh_act>(d, in, out)
                   : run_layer<true, activation::tanh_act>(d, in, out);
   }
@@ -707,7 +640,7 @@ void quantized_mlp::infer_unchecked(const s64* in, s64* out,
   const s64* cur = in;
   for (std::size_t li = 0; li < descs_.size(); ++li) {
     s64* const dst = li % 2 == 0 ? half_a : half_b;
-    run(descs_[li], in_bounds, cur, dst);
+    run(li, in_bounds, cur, dst);
     cur = dst;
   }
   std::copy_n(cur, output_size(), out);
@@ -737,24 +670,22 @@ bool quantized_mlp::run_block(const s64* in, std::size_t real, s64* out,
   for (const layer_desc& d : descs_) {
     const s64* w = arena_.data() + d.weights_off;
     const s64* b = arena_.data() + d.biases_off;
-    const lane_table lut{d.lut, d.lut_lo_q, d.lut_step_num,
-                         d.lut_entries - 1, d.lut_div32};
     switch (d.act) {
       case activation::linear:
         ok = mac_samples_layer<activation::linear>(
             w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
-            lut, y);
+            {}, y);
         break;
       case activation::relu:
         ok = mac_samples_layer<activation::relu>(
             w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
-            lut, y);
+            {}, y);
         break;
       case activation::tanh_act:
       case activation::sigmoid:
         ok = mac_samples_layer<activation::tanh_act>(
             w, d.stride, b, x, d.input_size, d.output_size, d.shift, d.half,
-            lut, y);
+            {d.lut, d.lut_lo_q, d.lut_span}, y);
         break;
     }
     // A row outside int32 breaks the next layer's operand precondition;

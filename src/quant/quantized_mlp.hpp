@@ -8,7 +8,9 @@
 // references, not copies, of them.  src/codegen emits this same program as C
 // source text, reading the arena; this class is the executable form the
 // simulated kernel runs (and the oracle the generated code is golden-tested
-// against).
+// against).  infer() interpolates in each table as the C does; the fast
+// paths read the table's dense form, which holds the same values at every
+// integer input.
 #pragma once
 
 #include <cstdint>
@@ -126,10 +128,11 @@ class quantized_mlp {
   /// (no heap traffic once warm), and — for layers whose precomputed
   /// accumulator bound proves saturation can never trigger — runs a plain
   /// +/* MAC loop with the activation dispatch hoisted out of the loop.
-  /// Where the operands also fit int32 (layer_operand_proof) and the CPU
-  /// has AVX2, that loop runs four output lanes per instruction, and the
-  /// layer requantizes and activates in those lanes too (tanh/sigmoid when
-  /// the table is on lut_tier::bits32).
+  /// tanh/sigmoid read the table's dense form (lookup_table::dense()), or
+  /// run lookup_table::eval when it has none.  Where the operands also fit
+  /// int32 (layer_operand_proof) and the CPU has AVX2, that loop runs four
+  /// output lanes per instruction, and the layer requantizes and activates
+  /// in those lanes too (tanh/sigmoid when the table has a dense form).
   /// `out.size()` must equal output_size().
   void infer_into(std::span<const s64> input_q, std::span<s64> out,
                   inference_scratch& scratch) const;
@@ -159,9 +162,11 @@ class quantized_mlp {
     return descs_.at(i).saturation_free;
   }
 
-  /// Which interpolation tier layer i's table takes (lut_tier::none for
-  /// relu/linear layers); infer_into and the C emitter both follow it.
-  lut_tier layer_lut_tier(std::size_t i) const { return descs_.at(i).tier; }
+  /// Which interpolation tier the emitted C takes for layer i's table
+  /// (lut_tier::none for relu/linear layers).
+  lut_tier layer_lut_tier(std::size_t i) const {
+    return luts_.at(i) ? luts_[i]->tier() : lut_tier::none;
+  }
 
   /// The first layer whose table holds the same values as layer i's: the
   /// one copy parameter_bytes() counts and the C emitter writes.  i itself
@@ -205,27 +210,23 @@ class quantized_mlp {
     int shift = -1;   ///< log2(weight_scale) if it is a power of two, else -1
     s64 half = 0;     ///< weight_scale / 2, the round-to-nearest bias
     nn::activation act = nn::activation::linear;
-    // LUT parameters (valid iff act is tanh/sigmoid), copied from the table,
-    // which luts_ keeps alive:
-    const s64* lut = nullptr;  ///< lookup_table::guarded_values()
-    s64 lut_entries = 0;
+    /// The table's dense form, which luts_ keeps alive; null for relu/linear
+    /// layers and for tables without one.  tanh/sigmoid output i is
+    /// lut[clamp(pre, lut_lo_q, lut_lo_q + lut_span) - lut_lo_q].
+    const std::int32_t* lut = nullptr;
     s64 lut_lo_q = 0;
-    s64 lut_step_num = 0;
-    fp::u64_divider lut_div;    ///< divides by lut_step_num (scalar path)
-    fp::u32_divider lut_div32;  ///< the same in the lanes (bits32 tier)
-    lut_tier tier = lut_tier::none;  ///< none for relu/linear layers
+    s64 lut_span = 0;
     bool saturation_free = false;
     operand_proof operands = operand_proof::none;
     /// operands != none, this process has AVX2, the weight scale is a power
-    /// of two, and the layer has no table or a bits32 one
+    /// of two, and the layer has no table or a dense one
     bool simd = false;
   };
 
   void build_arena(const std::vector<qdense_layer>& layers);
 
-  /// Runs one layer on the kernel its proofs allow for this call.
-  void run(const layer_desc& d, bool in_bounds, const s64* in,
-           s64* out) const;
+  /// Runs layer `li` on the kernel its proofs allow for this call.
+  void run(std::size_t li, bool in_bounds, const s64* in, s64* out) const;
 
   /// infer_into without its checks: `in` holds input_size() values, `out`
   /// output_size(), and `buf` at least 2 * max_width_.
@@ -245,7 +246,7 @@ class quantized_mlp {
   template <bool Saturating>
   static s64 requantize(const layer_desc& d, s64 acc) noexcept;
   template <nn::activation Act>
-  static s64 activate(const layer_desc& d, const s64* lut, s64 pre) noexcept;
+  static s64 activate(const layer_desc& d, s64 pre) noexcept;
 
   std::size_t input_size_;
   s64 io_scale_;

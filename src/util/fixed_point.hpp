@@ -6,10 +6,8 @@
 // all agree bit-for-bit.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 namespace lf::fp {
 
@@ -94,90 +92,6 @@ constexpr s64 mul_div(s64 a, s64 b, s64 den) noexcept {
 constexpr __int128 abs128(s64 v) noexcept {
   return v < 0 ? -static_cast<__int128>(v) : static_cast<__int128>(v);
 }
-
-/// Unsigned division by a divisor fixed ahead of time, done with a multiply-
-/// high and shifts instead of a hardware divide (Granlund & Montgomery 1994,
-/// in libdivide's u64 form).  Exact for every u64 numerator and every divisor
-/// >= 1; powers of two reduce to a shift.
-class u64_divider {
- public:
-  constexpr u64_divider() noexcept = default;  ///< divides by 1
-
-  explicit constexpr u64_divider(std::uint64_t d) noexcept {
-    const int log2_d = d == 0 ? 0 : std::bit_width(d) - 1;
-    shift_ = log2_d;
-    if ((d & (d - 1)) == 0) return;  // 2^k (or 0, which callers never pass)
-    // m = floor(2^(64+log2_d) / d); d is not a power of two, so m < 2^64.
-    using u128 = unsigned __int128;
-    const u128 num = u128{1} << (64 + log2_d);
-    auto m = static_cast<std::uint64_t>(num / d);
-    const auto rem = static_cast<std::uint64_t>(num % d);
-    // magic = m + 1 overshoots 2^(64+log2_d)/d by e/d, e = d - rem.  While
-    // e < 2^log2_d that error never carries into the quotient of a 64-bit
-    // numerator.  Otherwise take one more bit: the 65-bit magic
-    // floor(2^(65+log2_d)/d) + 1 = 2m + [2*rem >= d] + 1, stored without its
-    // top bit, which the add step in divide() supplies.
-    if (d - rem >= (std::uint64_t{1} << log2_d)) {
-      m += m;
-      const u128 twice_rem = u128{rem} * 2;
-      if (twice_rem >= d) ++m;
-      add_ = true;
-    }
-    magic_ = m + 1;
-  }
-
-  constexpr std::uint64_t divide(std::uint64_t n) const noexcept {
-    if (magic_ == 0) return n >> shift_;
-    const auto hi = static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(magic_) * n) >> 64);
-    if (!add_) return hi >> shift_;
-    return (((n - hi) >> 1) + hi) >> shift_;
-  }
-
- private:
-  std::uint64_t magic_ = 0;  ///< 0 means "power of two: shift only"
-  int shift_ = 0;
-  bool add_ = false;
-};
-
-/// Unsigned division by a fixed divisor d in [1, 2^31) in the form SIMD
-/// lanes evaluate: floor(n / d) == (n * magic) >> shift with n and magic
-/// below 2^32, so one 32x32->64 multiply (_mm256_mul_epu32) forms the
-/// product.  A 32-bit magic is not exact for every u32 numerator, so
-/// `for_bound` proves it for the numerators a caller can produce.
-class u32_divider {
- public:
-  constexpr u32_divider() noexcept = default;  ///< divides by 1
-
-  /// The divider for d when its magic is exact for every n in [0, bound];
-  /// nullopt when d is outside [1, 2^31), bound >= 2^32 or the proof fails.
-  static constexpr std::optional<u32_divider> for_bound(
-      std::uint64_t d, std::uint64_t bound) noexcept {
-    if (d == 0 || d > INT32_MAX || bound > UINT32_MAX) return std::nullopt;
-    // shift = 31 + ceil(log2 d) keeps magic = ceil(2^shift / d) below 2^32.
-    const int shift = 31 + std::bit_width(d - 1);
-    const std::uint64_t pow = std::uint64_t{1} << shift;
-    const std::uint64_t magic = (pow - 1) / d + 1;
-    // magic*d = 2^shift + e with 0 <= e < d, so n*magic/2^shift exceeds n/d
-    // by n*e/(d*2^shift), which stays below the 1/d gap to the next integer
-    // while n*e < 2^shift.  (bound*e < 2^32 * 2^31 cannot wrap.)
-    if (bound * (magic * d - pow) >= pow) return std::nullopt;
-    u32_divider div;
-    div.magic_ = static_cast<std::uint32_t>(magic);
-    div.shift_ = shift;
-    return div;
-  }
-
-  constexpr std::uint64_t divide(std::uint64_t n) const noexcept {
-    return (n * magic_) >> shift_;
-  }
-  constexpr std::uint32_t magic() const noexcept { return magic_; }
-  constexpr int shift() const noexcept { return shift_; }
-
- private:
-  std::uint32_t magic_ = std::uint32_t{1} << 31;
-  int shift_ = 31;
-};
 
 /// Quantize a double to s64, rounding to nearest with ties away from zero
 /// as llround does, but saturating at the representable range instead of

@@ -314,11 +314,11 @@ TEST(CompiledGolden, WideLutTierMatchesInterpreterBitForBit) {
   }
 }
 
-TEST(CompiledGolden, LaneTierTableWithHugeValuesMatchesInterpreter) {
-  // Values near 2^62 fail the 64-bit tier's |v[i+1]| + |v[i]| bound, but
-  // only their deltas are interpolated: the table is bits32, and its
-  // lut_0_eval takes the 64-bit chain, whose products stay small.  Every x
-  // across the domain and past both ends, and inputs far outside it.
+TEST(CompiledGolden, HugeValueTableMatchesInterpreter) {
+  // Values near 2^62 fail the 64-bit tier's |v[i+1]| + |v[i]| bound, so
+  // lut_0_eval takes the 128-bit chain (lf_mul_div), and exceed int32, so
+  // the interpreter's fast paths run eval.  Every x across the domain and
+  // past both ends, and inputs far outside it.
   if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
   quant::qdense_layer l;
   l.input_size = 1;
@@ -330,9 +330,10 @@ TEST(CompiledGolden, LaneTierTableWithHugeValuesMatchesInterpreter) {
   l.lut = std::make_shared<const quant::lookup_table>(
       [](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0, 8.0, 17, 1);
   const quant::quantized_mlp q{1, 1, {std::move(l)}};
-  ASSERT_EQ(q.layer_lut_tier(0), quant::lut_tier::bits32);
+  ASSERT_EQ(q.layer_lut_tier(0), quant::lut_tier::bits128);
+  ASSERT_TRUE(q.layer_lut(0)->dense().empty());
   const std::string src = emit_c_source(q, {});
-  EXPECT_EQ(src.find("lf_mul_div"), std::string::npos);
+  EXPECT_NE(src.find("lf_mul_div"), std::string::npos);
   const auto compiled = compiled_snapshot::compile(src);
   std::vector<fp::s64> xs;
   for (fp::s64 x = -12; x <= 12; ++x) xs.push_back(x);

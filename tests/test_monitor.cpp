@@ -42,6 +42,7 @@ check_observation stuck_check(std::uint64_t version = 1) {
   check_observation obs;
   obs.decision.necessary = true;
   obs.decision.converged = false;
+  obs.window_full = true;
   obs.version = version;
   return obs;
 }
@@ -88,6 +89,7 @@ TEST(AdaptationMonitor, StuckAlertFiresOnceAtThresholdAndRearms) {
   check_observation healthy;
   healthy.decision.necessary = false;
   healthy.decision.converged = true;
+  healthy.window_full = true;
   mon.on_sync_check(0.8, healthy);
   // ...so a fresh run of stuck checks needs the full N again.
   for (int i = 1; i <= 4; ++i) {
@@ -98,6 +100,21 @@ TEST(AdaptationMonitor, StuckAlertFiresOnceAtThresholdAndRearms) {
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 2u);
   EXPECT_EQ(mon.checks(), 13u);
   EXPECT_EQ(mon.total_alerts(), 2u);
+}
+
+TEST(AdaptationMonitor, StuckChecksCountOnceTheStabilityWindowIsFull) {
+  adaptation_monitor mon{true};
+  // Checks made while the evaluator's window was filling could not have
+  // converged: however many, they neither fire nor start the run.
+  check_observation filling = stuck_check();
+  filling.window_full = false;
+  for (int i = 1; i <= 9; ++i) mon.on_sync_check(0.1 * i, filling);
+  for (int i = 10; i <= 13; ++i) mon.on_sync_check(0.1 * i, stuck_check());
+  EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 0u);
+  mon.on_sync_check(1.4, stuck_check());
+  ASSERT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 1u);
+  EXPECT_DOUBLE_EQ(mon.alerts().back().value, 5.0);
+  EXPECT_EQ(mon.checks(), 14u);
 }
 
 TEST(AdaptationMonitor, StaleSnapshotNeedsBothAgeAndDrift) {
@@ -293,7 +310,10 @@ TEST(MonitorService, InducedStuckAdaptationRaisesAlert) {
   auto svc = rig.make();
   svc->register_monitor(mon);
   svc->start();
-  for (int round = 0; round < 8; ++round) {
+  // One stability sample per batch: the window fills at round 10, and the
+  // rule needs 5 stuck checks from there.
+  const int rounds = static_cast<int>(k_stability_window) + 6;
+  for (int round = 0; round < rounds; ++round) {
     rig.adapter.stability = (round % 2 == 0) ? 1.0 : 10.0;
     rig.feed_samples(8);
     rig.s.run_until(0.1 * (round + 1) + 0.05);
@@ -301,29 +321,34 @@ TEST(MonitorService, InducedStuckAdaptationRaisesAlert) {
 
   EXPECT_EQ(svc->snapshot_updates(), 0u);  // evaluator held the line
   EXPECT_GE(mon.alert_count(alert_kind::adaptation_stuck), 1u);
+  // Not before the window was full: counting the checks made while it
+  // filled would fire at the 5th, at 0.5 s.
+  ASSERT_FALSE(mon.alerts().empty());
+  EXPECT_GT(mon.alerts().front().t, 0.1 * k_stability_window);
   // Only the v1 bootstrap ever shipped, and it is still active.
   ASSERT_EQ(mon.ledger().size(), 1u);
   EXPECT_TRUE(mon.ledger()[0].initial);
   EXPECT_LT(mon.ledger()[0].retire_time, 0.0);
-  EXPECT_EQ(mon.checks(), 8u);
+  EXPECT_EQ(mon.checks(), static_cast<std::uint64_t>(rounds));
   // The per-check series recorded one point per verdict.
-  EXPECT_EQ(mon.stability_spread().points().size(), 8u);
+  EXPECT_EQ(mon.stability_spread().points().size(),
+            static_cast<std::size_t>(rounds));
 }
 
 TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
   service_rig rig;
+  rig.adapter.drift_per_batch = 0.2;  // steady drift, stable metric
   adaptation_monitor mon{true};
   rig.core.register_monitor(mon);
 
   auto svc = rig.make();
   svc->register_monitor(mon);
   svc->start();
-  // A stable metric throughout; the model starts drifting once the
-  // stability window is full, so no check ever finds it drifted but
-  // unconverged.
-  const int still = static_cast<int>(k_stability_window);
-  for (int round = 0; round < still + 6; ++round) {
-    rig.adapter.drift_per_batch = round < still ? 0.0 : 0.2;
+  // The model drifts from the first batch, so every check until the
+  // stability window fills finds it drifted but unconverged; the rule
+  // counts none of them.
+  for (int round = 0; round < static_cast<int>(k_stability_window) + 6;
+       ++round) {
     rig.feed_samples(8);
     rig.s.run_until(0.1 * (round + 1) + 0.05);
   }

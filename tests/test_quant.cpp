@@ -68,6 +68,24 @@ TEST(Lut, SigmoidMidpoint) {
   EXPECT_NEAR(lut->eval_float(12.5), 1.0, 1e-3);
 }
 
+TEST(Lut, DenseFormMatchesEvalOnQuantizerTables) {
+  // The quantizer's tanh and sigmoid tables at io_scale 1000: the dense
+  // form holds eval at every integer of the domain.
+  for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
+    for (const std::size_t entries : {128, 1024}) {
+      const auto lut = lookup_table::for_activation(act, entries, 1000);
+      const auto dense = lut->dense();
+      ASSERT_EQ(dense.size(),
+                static_cast<std::size_t>(lut->domain_span_q()) + 1);
+      for (std::size_t i = 0; i < dense.size(); ++i) {
+        ASSERT_EQ(dense[i],
+                  lut->eval(lut->domain_low_q() + static_cast<fp::s64>(i)))
+            << nn::to_string(act) << " " << entries << " i " << i;
+      }
+    }
+  }
+}
+
 TEST(Lut, RejectsUnsupportedActivation) {
   EXPECT_THROW(lookup_table::for_activation(nn::activation::relu, 64, 1000),
                std::invalid_argument);
@@ -173,16 +191,15 @@ TEST(QuantizedMlpFastPath, InferIntoMatchesInferBitForBit) {
 
 /// True when infer_batch_into's blocks of q run on the sample lanes on this
 /// CPU: every layer saturation-free, with int32 weights, a power-of-two
-/// weight scale and no table or a bits32 one.
+/// weight scale and no table or one with a dense form.
 bool takes_sample_lanes(const quantized_mlp& q) {
   if (!quantized_mlp::simd_dispatch()) return false;
   for (std::size_t i = 0; i < q.layer_count(); ++i) {
     const fp::s64 ws = q.layer(i).weight_scale;
-    const lut_tier tier = q.layer_lut_tier(i);
+    const lookup_table* lut = q.layer_lut(i);
     if (!q.layer_saturation_free(i) ||
         q.layer_operand_proof(i) == operand_proof::none ||
-        (ws & (ws - 1)) != 0 ||
-        (tier != lut_tier::none && tier != lut_tier::bits32)) {
+        (ws & (ws - 1)) != 0 || (lut != nullptr && lut->dense().empty())) {
       return false;
     }
   }
@@ -534,18 +551,18 @@ std::optional<fp::s64> first_table_mismatch(const quantized_mlp& q,
 }
 
 TEST(QuantizedMlpFastPath, LutLayerMatchesTableAcrossWholeDomain) {
-  // The quantizer's default tanh and sigmoid tables at io_scale 1000 (the
-  // lanes' bits32 tier) and 300000 (bits64: (n-1)*span > 2^32): every x_q
-  // from just below the domain to just above it, through a one-layer
-  // program's infer_into and infer_batch_into (the sample lanes for the
-  // bits32 tables), against the table's own 128-bit eval.
+  // The quantizer's default tanh and sigmoid tables at io_scale 1000 (with a
+  // dense form) and 300000 (none: over 2^16 domain integers, so the fast
+  // paths run eval): every x_q from just below the domain to just above it,
+  // through a one-layer program's infer_into and infer_batch_into (the
+  // sample lanes for the dense tables), against the table's own eval.
   const std::size_t entries = quantizer_config{}.lut_entries;
   for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
     for (const fp::s64 scale : {fp::s64{1000}, fp::s64{300000}}) {
       const auto lut = lookup_table::for_activation(act, entries, scale);
       const quantized_mlp one = lut_program(lut, act);
-      EXPECT_EQ(one.layer_lut_tier(0),
-                scale == 1000 ? lut_tier::bits32 : lut_tier::bits64);
+      EXPECT_EQ(one.layer_lut_tier(0), lut_tier::bits64);
+      EXPECT_EQ(lut->dense().empty(), scale != 1000);
       const auto bad =
           first_table_mismatch(one, *lut, lut->domain_low_q() - 2,
                                lut->domain_low_q() + lut->domain_span_q() + 2);
@@ -563,7 +580,7 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
   // through infer_into and infer_batch_into.
   rng g{0x1a7};
   std::size_t checked = 0;
-  std::size_t tiers[4] = {};
+  std::size_t dense = 0;
   for (int t = 0; t < 60; ++t) {
     const fp::s64 scale = t < 4 ? 1 : g.uniform_int(1, 4000);
     const double lo = t < 4 ? -512.0 * (t + 1) : g.uniform(-5.0, -0.01);
@@ -575,7 +592,7 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
                            lo, hi, entries, scale};
     const quantized_mlp one =
         lut_program(std::make_shared<const lookup_table>(lut));
-    ++tiers[static_cast<int>(one.layer_lut_tier(0))];
+    dense += lut.dense().empty() ? 0 : 1;
     const fp::s64 first = lut.domain_low_q() - 2;
     const fp::s64 last = lut.domain_low_q() + lut.domain_span_q() + 2;
     const auto bad = first_table_mismatch(one, lut, first, last);
@@ -583,36 +600,40 @@ TEST(QuantizedMlpFastPath, RandomLutTablesMatchEval) {
     checked += static_cast<std::size_t>(last - first + 1);
   }
   EXPECT_GT(checked, 100000u);
-  // Tables whose numerators fit 32 bits interpolate in the lanes, the
-  // larger amplitudes on the scalar 64-bit chain.
-  EXPECT_GT(tiers[static_cast<int>(lut_tier::bits32)], 0u);
-  EXPECT_GT(tiers[static_cast<int>(lut_tier::bits64)], 0u);
+  // Tables whose values fit int32 are read from their dense form, the
+  // larger amplitudes through eval.
+  EXPECT_GT(dense, 0u);
+  EXPECT_LT(dense, 60u);
 }
 
 TEST(QuantizedMlp, QuantizerTablesTakeLaneTier) {
-  // Every table the repository builds interpolates in the lanes: tanh and
-  // sigmoid, 128 or 1024 entries, io_scale 1 to 10^4.
+  // The lanes read every table the default quantizer builds, through its
+  // dense form: tanh and sigmoid, 128 or 1024 entries, io_scale 1 to 1000.
+  // At 10^4 the domains hold over 2^16 integers, and those layers run eval.
+  // The C interpolates all of them on the 64-bit chain.
   for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
     for (const std::size_t entries : {128, 1024}) {
       for (const fp::s64 scale : {1, 10, 100, 1000, 10000}) {
-        const auto q = lut_program(
-            lookup_table::for_activation(act, entries, scale), act);
-        EXPECT_EQ(q.layer_lut_tier(0), lut_tier::bits32)
+        const auto lut = lookup_table::for_activation(act, entries, scale);
+        const auto q = lut_program(lut, act);
+        EXPECT_EQ(q.layer_lut_tier(0), lut_tier::bits64)
+            << nn::to_string(act) << " " << entries << " " << scale;
+        EXPECT_EQ(lut->dense().empty(), scale == 10000)
             << nn::to_string(act) << " " << entries << " " << scale;
       }
     }
   }
 }
 
-TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
-  // Tables whose lane numerator bound sits exactly at 2^32 - 1 (bits32) or
-  // 2^32 (bits64), through either numerator, (x - lo)*(n-1) or
-  // |dy|*(span-1) + span/2, one with span 2^31 (bits64) and one whose
-  // values exceed the 64-bit tier's proof (bits32).  Five outputs
-  // see x..x+4, so lanes 0-3 and a second group's lane 0 all look up.
-  // At the top of each domain the lanes' y1 gathers the guard entry that
-  // ends the table's own allocation.  ASan does not instrument gathers, so
-  // the guard's place is asserted here.
+TEST(QuantizedMlpFastPath, DenseFormEdgesMatchEval) {
+  // Tables at the edges of the dense form: a domain of 2^16 integers (dense)
+  // and of 2^16 + 1 (none), and max |value| INT32_MAX (dense) and
+  // INT32_MAX + 1, as INT32_MIN or above INT32_MAX (none).  Five outputs see
+  // x..x+4, so lanes 0-3 and a second group's lane 0 all read the table.
+  // Every x from 6 below the domain to 6 above it, and inputs far outside,
+  // through infer_into, infer_batch_into and infer() against eval.  ASan
+  // does not instrument gathers, so the lanes' index, clamp(x) - lo, is
+  // checked against the dense() allocation here.
   const fp::s64 i31 = fp::s64{1} << 31;
   const auto wave = [](double x) { return 30000.0 * std::sin(x / 5000.0); };
   // Two entries at scale 1: y_lo at x = lo, y_hi at x = hi.
@@ -621,52 +642,39 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
         [=](double x) { return y_lo + (y_hi - y_lo) * (x - lo) / (hi - lo); },
         lo, hi, 2, 1};
   };
-  struct boundary {
+  struct edge {
     lookup_table lut;
-    lut_tier tier;
+    bool dense;
   };
-  const boundary tables[] = {
-      // span * (n - 1) = 65537 * 65535 = 2^32 - 1, and 65536 * 65536.
-      {lookup_table{wave, 0.0, 65537.0, 65536, 1}, lut_tier::bits32},
-      {lookup_table{wave, 0.0, 65536.0, 65537, 1}, lut_tier::bits64},
-      // |dy| * (span - 1) + span / 2 = (2^31 - 1) * 2 + 1 = 2^32 - 1 (a
-      // falling ramp: negative products), and 613566756 * 7 + 4 = 2^32.
-      {ramp(0.0, 3.0, static_cast<double>(i31 - 1), 0.0), lut_tier::bits32},
-      {ramp(-4.0, 4.0, 0.0, 613566756.0), lut_tier::bits64},
-      {ramp(0.0, static_cast<double>(i31), -7.0, 9.0), lut_tier::bits64},
-      // Values near 2^62 fail the 64-bit tier's |v[i+1]| + |v[i]| bound,
-      // but only their deltas (<= 15360) are interpolated.
-      {lookup_table{[](double x) { return 0x1p62 - 1024.0 * x * x; }, -8.0,
-                    8.0, 17, 1},
-       lut_tier::bits32},
+  const edge tables[] = {
+      {lookup_table{wave, 0.0, 65535.0, 1024, 1}, true},
+      {lookup_table{wave, 0.0, 65536.0, 1024, 1}, false},
+      {ramp(-300.0, 700.0, static_cast<double>(-(i31 - 1)),
+            static_cast<double>(i31 - 1)),
+       true},
+      {ramp(-300.0, 700.0, static_cast<double>(i31 - 1),
+            static_cast<double>(-i31)),
+       false},
+      {ramp(0.0, 9.0, 5.0, static_cast<double>(i31)), false},
   };
   constexpr std::size_t outputs = 5;
-  constexpr std::size_t k = 61;  // batches that straddle the 32-row chunks
+  constexpr std::size_t k = 61;  // batches that straddle the 8-sample blocks
   for (std::size_t t = 0; t < std::size(tables); ++t) {
     const quantized_mlp q =
         lut_program(std::make_shared<const lookup_table>(tables[t].lut),
                     nn::activation::tanh_act, outputs);
-    const lookup_table& lut = *q.layer(0).lut;
-    ASSERT_EQ(q.layer_lut_tier(0), tables[t].tier) << "table " << t;
-    const auto guarded = lut.guarded_values();
-    ASSERT_EQ(guarded.data(), lut.values().data()) << "table " << t;
-    ASSERT_EQ(guarded.size(), lut.size() + 1) << "table " << t;
-    ASSERT_EQ(guarded.back(), lut.values().back()) << "table " << t;
-    // Every x of the domain and 6 past each end; the 2^31-wide domain is
-    // walked at a prime stride between whole stretches at both ends.
-    const fp::s64 lo = lut.domain_low_q() - 6 - fp::s64{outputs};
-    const fp::s64 hi = lut.domain_low_q() + lut.domain_span_q() + 6;
+    const lookup_table& lut = *q.layer_lut(0);
+    const fp::s64 lo = lut.domain_low_q();
+    const fp::s64 span = lut.domain_span_q();
+    ASSERT_EQ(lut.dense().empty(), !tables[t].dense) << "table " << t;
     std::vector<fp::s64> xs;
-    const auto walk = [&](fp::s64 from, fp::s64 to, fp::s64 step) {
-      for (fp::s64 x = from; x <= to; x += step) xs.push_back(x);
-    };
-    if (lut.domain_span_q() < i31) {
-      walk(lo, hi, 1);
-    } else {
-      walk(lo, lo + 4095, 1);
-      walk(lo + 4096, hi - 4097, 32749);
-      walk(hi - 4096, hi, 1);
+    for (fp::s64 x = lo - 6 - fp::s64{outputs}; x <= lo + span + 6; ++x) {
+      xs.push_back(x);
     }
+    const fp::s64 bound = q.fastpath_input_bound();
+    xs.insert(xs.end(), {-bound, bound - 4, fp::s64{INT32_MIN},
+                         fp::s64{INT32_MAX} - 4, fp::s64_min / 2,
+                         fp::s64_max / 2});
     inference_scratch scratch;
     std::vector<fp::s64> out(outputs);
     std::vector<fp::s64> batch(k * outputs);
@@ -677,38 +685,21 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
       for (std::size_t r = 0; r < rows; ++r) {
         const fp::s64 x = xs[base + r];
         q.infer_into({&x, 1}, out, scratch);
+        const auto oracle = q.infer({&x, 1});
         for (std::size_t i = 0; i < outputs; ++i) {
-          const fp::s64 expect = lut.eval(x + static_cast<fp::s64>(i));
-          ASSERT_EQ(out[i], expect) << "table " << t << " x " << x << " +" << i;
+          const fp::s64 pre = x + static_cast<fp::s64>(i);
+          const fp::s64 expect = lut.eval(pre);
+          if (tables[t].dense) {
+            const fp::s64 idx = std::clamp(pre, lo, lo + span) - lo;
+            ASSERT_LT(static_cast<std::size_t>(idx), lut.dense().size());
+            ASSERT_EQ(lut.dense()[static_cast<std::size_t>(idx)], expect)
+                << "table " << t << " x " << pre;
+          }
+          ASSERT_EQ(oracle[i], expect) << "table " << t << " x " << pre;
+          ASSERT_EQ(out[i], expect) << "table " << t << " x " << pre;
           ASSERT_EQ(batch[r * outputs + i], expect)
-              << "table " << t << " x " << x << " +" << i;
+              << "table " << t << " x " << pre;
         }
-      }
-    }
-  }
-
-  // The lanes' divider against `/` over each numerator the quantizer's
-  // io_scale-1000 tables can produce.
-  for (const auto act : {nn::activation::tanh_act, nn::activation::sigmoid}) {
-    for (const std::size_t entries : {128, 1024}) {
-      const auto lut = lookup_table::for_activation(act, entries, 1000);
-      const auto v = lut->values();
-      const auto span = static_cast<std::uint64_t>(lut->domain_span_q());
-      std::uint64_t max_dy = 0;
-      for (std::size_t i = 1; i < v.size(); ++i) {
-        max_dy = std::max(
-            max_dy, static_cast<std::uint64_t>(std::abs(v[i] - v[i - 1])));
-      }
-      const std::uint64_t bound =
-          std::max(span * (entries - 1), max_dy * (span - 1) + span / 2);
-      const auto div = fp::u32_divider::for_bound(span, bound);
-      ASSERT_TRUE(div.has_value()) << nn::to_string(act) << " " << entries;
-      // The divider the table proved once is this one.
-      ASSERT_EQ(lut->lane_divider().magic(), div->magic());
-      ASSERT_EQ(lut->lane_divider().shift(), div->shift());
-      for (std::uint64_t n = 0; n <= bound; ++n) {
-        ASSERT_EQ(div->divide(n), n / span)
-            << nn::to_string(act) << " " << entries << " n " << n;
       }
     }
   }
@@ -717,8 +708,8 @@ TEST(QuantizedMlpFastPath, LaneTierBoundaryIsExact) {
 TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
   // Layers 0 and 2 hold equal tanh tables, layer 2's a separate copy, so
   // they count as one table by value, not by address; the sigmoid table,
-  // the scale-10^6 tanh table (too wide for the lanes) and the scale-2^30
-  // tanh table (too wide for 64-bit interpolation) are their own.
+  // the scale-10^6 tanh table and the scale-2^30 tanh table (too wide for
+  // 64-bit interpolation) are their own.
   const auto lut = [](nn::activation act, std::size_t entries, fp::s64 scale) {
     return lookup_table::for_activation(act, entries, scale);
   };
@@ -740,8 +731,8 @@ TEST(QuantizedMlp, ReportsLutTierAndSharedTableSource) {
     layers.push_back(std::move(l));
   }
   const quantized_mlp q{2, 1000, std::move(layers)};
-  const lut_tier tiers[] = {lut_tier::bits32, lut_tier::none,
-                            lut_tier::bits32, lut_tier::bits32,
+  const lut_tier tiers[] = {lut_tier::bits64, lut_tier::none,
+                            lut_tier::bits64, lut_tier::bits64,
                             lut_tier::bits64, lut_tier::bits128};
   const std::size_t sources[] = {0, 1, 0, 3, 4, 5};
   for (std::size_t i = 0; i < q.layer_count(); ++i) {

@@ -319,42 +319,6 @@ TEST(FixedPoint, DivRoundAgreesWithMulDivEverywhere) {
   }
 }
 
-TEST(FixedPoint, U64DividerMatchesHardwareDivision) {
-  // Divisors: every edge of the three schemes (shift, 64-bit magic, 65-bit
-  // magic with the add step), the LUT steps the quantizer's tables use,
-  // and random values of every bit width.  Numerators: the edges around
-  // multiples of d and the top of the range, plus random u64 of every
-  // width.  Quotient and remainder (n - q*d) must equal / and %.
-  using u64 = std::uint64_t;
-  constexpr u64 top = ~u64{0};
-  std::vector<u64> divisors = {1,         2,         3,         5,
-                               6,         7,         10,        641,
-                               16000,     24000,     160000,    240000,
-                               u64{1} << 31, (u64{1} << 32) + 1,
-                               u64{1} << 63, (u64{1} << 63) + 1,
-                               top - 1,   top};
-  rng g{0xd17};
-  for (int i = 0; i < 2000; ++i) {
-    const u64 d = g.next_u64() >> g.uniform_int(0, 63);
-    divisors.push_back(d == 0 ? 1 : d);
-  }
-  std::size_t checked = 0;
-  for (const u64 d : divisors) {
-    const fp::u64_divider div{d};
-    std::vector<u64> nums = {0,    1,       d - 1,         d,
-                             d + 1, 2 * d - 1, 2 * d,      top,
-                             top - 1, top / d * d, top / d * d - 1};
-    for (int k = 0; k < 64; ++k) nums.push_back(g.next_u64() >> (k % 64));
-    for (const u64 n : nums) {
-      const u64 q = div.divide(n);
-      ASSERT_EQ(q, n / d) << n << " / " << d;
-      ASSERT_EQ(n - q * d, n % d) << n << " % " << d;
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, divisors.size() * 75);
-}
-
 TEST(FixedPoint, SatQuantizeClampsInsteadOfUb) {
   using namespace fp;
   EXPECT_EQ(sat_quantize(0.0), 0);
