@@ -84,7 +84,7 @@ decision_tree_snapshot decision_tree_snapshot::distill(
       double mean = 0.0;
       for (const auto i : item.indices) mean += data.outputs[o][i];
       mean /= static_cast<double>(item.indices.size());
-      n.leaf_value_q[o] = static_cast<s64>(std::llround(mean * scale));
+      n.leaf_value_q[o] = fp::sat_quantize(mean * scale);
     }
   };
 
@@ -149,7 +149,7 @@ decision_tree_snapshot decision_tree_snapshot::distill(
     tree.nodes_.emplace_back();
     auto& n = tree.nodes_[static_cast<std::size_t>(item.node_index)];
     n.feature = static_cast<int>(best_feature);
-    n.threshold_q = static_cast<s64>(std::llround(best_threshold * scale));
+    n.threshold_q = fp::sat_quantize(best_threshold * scale);
     n.left = left_index;
     n.right = right_index;
     stack.push_back({std::move(best_left), item.depth + 1, left_index});
@@ -177,7 +177,9 @@ std::vector<double> decision_tree_snapshot::infer_float(
   std::vector<s64> q(input.size());
   const auto scale = static_cast<double>(io_scale_);
   for (std::size_t i = 0; i < input.size(); ++i) {
-    q[i] = static_cast<s64>(std::llround(input[i] * scale));
+    // Saturating, so +inf takes every `>` branch and -inf every `<=` one
+    // (llround gave INT64_MIN for both); NaN reads as 0.
+    q[i] = fp::sat_quantize(input[i] * scale);
   }
   const auto out_q = infer(q);
   std::vector<double> out(out_q.size());

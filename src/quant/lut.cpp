@@ -102,15 +102,20 @@ lookup_table::lookup_table(const std::function<double(double)>& f, double lo,
   if (entries < 2) throw std::invalid_argument{"lut needs >= 2 entries"};
   if (hi <= lo) throw std::invalid_argument{"lut needs hi > lo"};
   if (scale <= 0) throw std::invalid_argument{"lut scale must be positive"};
-  lo_q_ = static_cast<s64>(std::llround(lo * static_cast<double>(scale)));
-  const s64 hi_q = static_cast<s64>(std::llround(hi * static_cast<double>(scale)));
+  // sat_quantize rounds as llround does in range, and saturates (NaN to 0)
+  // where llround gives INT64_MIN.
+  const auto s = static_cast<double>(scale);
+  lo_q_ = fp::sat_quantize(lo * s);
+  const s64 hi_q = fp::sat_quantize(hi * s);
+  if (static_cast<__int128>(hi_q) - lo_q_ > fp::s64_max) {
+    throw std::invalid_argument{"lut domain too wide for s64"};
+  }
   step_num_ = hi_q - lo_q_;
   values_.reserve(entries);
   for (std::size_t i = 0; i < entries; ++i) {
     const double x = lo + (hi - lo) * static_cast<double>(i) /
                               static_cast<double>(entries - 1);
-    values_.push_back(
-        static_cast<s64>(std::llround(f(x) * static_cast<double>(scale))));
+    values_.push_back(fp::sat_quantize(f(x) * s));
   }
   const table_stats stats = scan_table(values_);
   tier_ = table_tier(stats, static_cast<s64>(entries), step_num_);
@@ -158,8 +163,8 @@ s64 lookup_table::eval(s64 x_q) const noexcept {
 }
 
 double lookup_table::eval_float(double x) const noexcept {
-  const auto x_q =
-      static_cast<s64>(std::llround(x * static_cast<double>(scale_)));
+  // +-inf and out-of-range x clamp to the end entries, NaN reads eval(0).
+  const s64 x_q = fp::sat_quantize(x * static_cast<double>(scale_));
   return static_cast<double>(eval(x_q)) / static_cast<double>(scale_);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 
@@ -85,109 +86,124 @@ __attribute__((target("avx2"))) inline __m256i lane_epilogue(
   }
 }
 
-/// acc[0..4G) = b[0..4G) + sum_j w[j*stride + 0..4G) * x[j], four 64-bit
-/// lanes per group.  _mm256_mul_epi32 multiplies the sign-extended low 32
-/// bits of each lane, which is the exact product when both operands fit
-/// int32; the no-saturation proof makes the wrapping 64-bit adds exact in
-/// any summation order.  Each group then runs lane_epilogue and is stored
-/// whole to `out`.  Padding lanes have zero weights and bias; a LUT layer's
-/// still read the table, which the clamp keeps in bounds.
-template <nn::activation Act, int G>
-__attribute__((target("avx2"))) void mac_i32_groups(
-    const s64* w, std::size_t stride, const s64* b, const s64* x,
+/// acc[0..4Q) = bias[0..4Q) + sum_j w_j(0..4Q) * x[j], four 64-bit lanes
+/// per quad of outputs, the biases loaded from their words at `b`.  Row j starts at w + j*stride, in 8-output groups laid
+/// out o0 o4 o1 o5 o2 o6 o3 o7 (quantized_mlp::row_slot): a 256-bit load at
+/// a group's dword 0 holds outputs 0-3 in its lanes' low dwords, and one at
+/// dword 1 outputs 4-7.  _mm256_mul_epi32 multiplies the sign-extended low
+/// 32 bits of each lane, which is the exact product when the input fits
+/// int32, so the high dwords are never read; the no-saturation proof makes
+/// the wrapping 64-bit adds exact in any summation order.  The dword-1 load
+/// of a row's last group reads one dword past it: the next row's first, or
+/// after the last row the layer's first bias, so it stays in the arena.
+/// Each quad then runs lane_epilogue and is stored whole to `out`.  Padding
+/// lanes have zero weights and bias; a LUT layer's still read the table,
+/// which the clamp keeps in bounds.
+template <nn::activation Act, int Q>
+__attribute__((target("avx2"))) void mac_i32_quads(
+    const std::int32_t* w, std::size_t stride, const std::int32_t* b,
+    const s64* x,
     std::size_t n, int shift, s64 half, const lane_table& table,
     s64* out) noexcept {
   const lane_table lut = table;  // a local copy: stores to out cannot alias it
-  // Fully unrolled over the groups so the accumulators live in registers.
-  __m256i a[G];
+  // Fully unrolled over the quads so the accumulators live in registers.
+  __m256i a[Q];
 #pragma GCC unroll 4
-  for (int g = 0; g < G; ++g) {
-    a[g] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 4 * g));
+  for (int q = 0; q < Q; ++q) {
+    a[q] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 8 * q));
   }
   for (std::size_t j = 0; j < n; ++j) {
     const __m256i xj = _mm256_set1_epi64x(x[j]);
-    const s64* row = w + j * stride;
+    const std::int32_t* row = w + j * stride;
 #pragma GCC unroll 4
-    for (int g = 0; g < G; ++g) {
-      const __m256i wj =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4 * g));
-      a[g] = _mm256_add_epi64(a[g], _mm256_mul_epi32(wj, xj));
+    for (int q = 0; q < Q; ++q) {
+      const __m256i wj = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(row + 8 * (q / 2) + q % 2));
+      a[q] = _mm256_add_epi64(a[q], _mm256_mul_epi32(wj, xj));
     }
   }
   const __m256i h = _mm256_set1_epi64x(half);
   const __m128i count = _mm_cvtsi32_si128(shift);
 #pragma GCC unroll 4
-  for (int g = 0; g < G; ++g) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * g),
-                        lane_epilogue<Act>(a[g], h, count, lut));
+  for (int q = 0; q < Q; ++q) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * q),
+                        lane_epilogue<Act>(a[q], h, count, lut));
   }
 }
 
-/// Up to 16 outputs (`groups` of 4 lanes) per call, so the accumulators stay
-/// in registers and each broadcast input is reused across the groups.
+/// Up to 16 outputs (`quads` of 4 lanes) per call, so the accumulators stay
+/// in registers and each broadcast input is reused across the quads.
 constexpr std::size_t k_block = 16;
 
 template <nn::activation Act>
 __attribute__((target("avx2"))) void mac_i32_block(
-    const s64* w, std::size_t stride, const s64* b, const s64* x,
-    std::size_t n, std::size_t groups, int shift, s64 half,
+    const std::int32_t* w, std::size_t stride, const std::int32_t* b,
+    const s64* x,
+    std::size_t n, std::size_t quads, int shift, s64 half,
     const lane_table& lut, s64* out) noexcept {
-  switch (groups) {
+  switch (quads) {
     case 4:
-      mac_i32_groups<Act, 4>(w, stride, b, x, n, shift, half, lut, out);
+      mac_i32_quads<Act, 4>(w, stride, b, x, n, shift, half, lut, out);
       break;
     case 3:
-      mac_i32_groups<Act, 3>(w, stride, b, x, n, shift, half, lut, out);
+      mac_i32_quads<Act, 3>(w, stride, b, x, n, shift, half, lut, out);
       break;
     case 2:
-      mac_i32_groups<Act, 2>(w, stride, b, x, n, shift, half, lut, out);
+      mac_i32_quads<Act, 2>(w, stride, b, x, n, shift, half, lut, out);
       break;
     default:
-      mac_i32_groups<Act, 1>(w, stride, b, x, n, shift, half, lut, out);
+      mac_i32_quads<Act, 1>(w, stride, b, x, n, shift, half, lut, out);
       break;
   }
 }
 
 /// A layer of `m` outputs (shift >= 0; a dense table for tanh_act) on the
-/// int32 kernel: each block's 4-lane groups land straight in `out`, which
-/// must hold `m` rounded up to whole groups.
+/// int32 kernel: each block's quads land straight in `out`, which must hold
+/// `m` rounded up to whole quads.  A block starts at a group boundary, so
+/// its rows start at dword `o` too.
 template <nn::activation Act>
 __attribute__((target("avx2"))) void mac_i32_layer(
-    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    const std::int32_t* w, std::size_t stride, const std::int32_t* b,
+    const s64* x,
     std::size_t n, std::size_t m, int shift, s64 half, const lane_table& lut,
     s64* out) noexcept {
   for (std::size_t o = 0; o < m; o += k_block) {
-    const std::size_t groups = (std::min(k_block, m - o) + 3) / 4;
-    mac_i32_block<Act>(w + o, stride, b + o, x, n, groups, shift, half, lut,
-                       out + o);
+    const std::size_t quads = (std::min(k_block, m - o) + 3) / 4;
+    mac_i32_block<Act>(w + o, stride, b + 2 * o, x, n, quads, shift, half,
+                       lut, out + o);
   }
 }
 
-/// G consecutive outputs of a layer (w, b and y start at the first) for the
+/// G outputs of one quad of a layer (b and y start at the first; w at its
+/// weight in row 0, the others two dwords apart by the interleave) for the
 /// 8 samples of a block, whose rows hold one value per sample:
-/// y[g*8 + s] = epilogue(b[g] + sum_j w[j*stride + g] * x[j*8 + s]).  Each
+/// y[g*8 + s] = epilogue(bias g + sum_j w[j*stride + 2g] * x[j*8 + s]).  Each
 /// weight is broadcast to both vectors, and the product is exact as in
-/// mac_i32_groups.  Returns the lanes whose stored value left int32 (all
+/// mac_i32_quads.  Returns the lanes whose stored value left int32 (all
 /// ones), for the next layer's operand check; relu outputs are never
 /// negative, so only their upper bound is compared, and table outputs are
 /// dense() values, which fit int32.
 template <nn::activation Act, int G>
 __attribute__((target("avx2"))) __m256i mac_samples_groups(
-    const s64* w, std::size_t stride, const s64* b, const s64* x,
+    const std::int32_t* w, std::size_t stride, const std::int32_t* b,
+    const s64* x,
     std::size_t n, __m256i half, __m128i shift, const lane_table& table,
     s64* y) noexcept {
   const lane_table lut = table;  // a local copy: stores to y cannot alias it
   __m256i a[G][2];
 #pragma GCC unroll 4
-  for (int g = 0; g < G; ++g) a[g][0] = a[g][1] = _mm256_set1_epi64x(b[g]);
+  for (int g = 0; g < G; ++g) {
+    a[g][0] = a[g][1] = _mm256_broadcastq_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + 2 * g)));
+  }
   for (std::size_t j = 0; j < n; ++j) {
     const auto* xj = reinterpret_cast<const __m256i*>(x + j * k_lanes);
     const __m256i x0 = _mm256_loadu_si256(xj);
     const __m256i x1 = _mm256_loadu_si256(xj + 1);
-    const s64* row = w + j * stride;
+    const std::int32_t* row = w + j * stride;
 #pragma GCC unroll 4
     for (int g = 0; g < G; ++g) {
-      const __m256i wj = _mm256_set1_epi64x(row[g]);
+      const __m256i wj = _mm256_set1_epi32(row[2 * g]);
       a[g][0] = _mm256_add_epi64(a[g][0], _mm256_mul_epi32(wj, x0));
       a[g][1] = _mm256_add_epi64(a[g][1], _mm256_mul_epi32(wj, x1));
     }
@@ -217,15 +233,17 @@ __attribute__((target("avx2"))) __m256i mac_samples_groups(
 /// False when a stored value left int32.
 template <nn::activation Act>
 __attribute__((target("avx2"))) bool mac_samples_layer(
-    const s64* w, std::size_t stride, const s64* b, const s64* x,
-    std::size_t n, std::size_t m, int shift, s64 half, const lane_table& lut,
-    s64* y) noexcept {
+    const std::int32_t* w, std::size_t stride, const std::int32_t* b,
+    const s64* x, std::size_t n, std::size_t m, int shift, s64 half,
+    const lane_table& lut, s64* y) noexcept {
   const __m256i h = _mm256_set1_epi64x(half);
   const __m128i count = _mm_cvtsi32_si128(shift);
   __m256i bad = _mm256_setzero_si256();
   for (std::size_t o = 0; o < m; o += 4) {
-    const s64* wo = w + o;
-    const s64* bo = b + o;
+    // Output o's slot in a row: its group's first dword, plus 1 for the
+    // group's second quad.
+    const std::int32_t* wo = w + (o & ~std::size_t{7}) + ((o >> 2) & 1);
+    const std::int32_t* bo = b + 2 * o;
     s64* yo = y + o * k_lanes;
     __m256i r;
     switch (std::min<std::size_t>(4, m - o)) {
@@ -287,6 +305,10 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
     if (layer.weight_scale <= 0) {
       throw std::invalid_argument{"quantized_mlp: bad weight scale"};
     }
+    // The arena stores int32 weights, the int32 kernel's operand width.
+    if (!std::all_of(layer.weights.begin(), layer.weights.end(), fits_i32)) {
+      throw std::invalid_argument{"quantized_mlp: weight outside int32"};
+    }
     const bool needs_lut = layer.act == nn::activation::tanh_act ||
                            layer.act == nn::activation::sigmoid;
     if (needs_lut != (layer.lut != nullptr)) {
@@ -300,12 +322,18 @@ quantized_mlp::quantized_mlp(std::size_t input_size, s64 io_scale,
 
 void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
   static_assert(std::is_trivially_copyable_v<layer_desc>);
-  const auto padded = [](std::size_t n) { return (n + 3) & ~std::size_t{3}; };
+  const auto padded = [](std::size_t n, std::size_t to) {
+    return (n + to - 1) / to * to;
+  };
+  // Per layer, input-major rows of whole 8-output groups, then the biases
+  // in whole 4-lane groups, two words each.  Zero-filled, which is what the
+  // padding lanes hold.
   std::size_t total = 0;
   for (const auto& l : layers) {
-    total += (l.input_size + 1) * padded(l.output_size);
+    total += l.input_size * padded(l.output_size, 8) +
+             2 * padded(l.output_size, 4);
   }
-  arena_.reserve(total);
+  arena_.resize(total);
   descs_.reserve(layers.size());
   luts_.reserve(layers.size());
   max_width_ = input_size_;
@@ -318,6 +346,7 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
 
   constexpr __int128 lim = fp::s64_max;
   __int128 in_bound = fastpath_input_bound_;
+  std::size_t off = 0;
   for (const qdense_layer& l : layers) {
     layer_desc d;
     d.input_size = l.input_size;
@@ -332,22 +361,23 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
           std::countr_zero(static_cast<std::uint64_t>(l.weight_scale));
       d.half = l.weight_scale >> 1;
     }
-    // Input-major weights, each input's row padded to whole 4-lane groups
-    // (zero weights and biases in the padding lanes): the int32 kernel
-    // loads w[j][o..o+3] directly, and the scalar loops and infer() walk
-    // neuron i's column w[j*stride + i] in j order.
-    d.stride = padded(l.output_size);
-    d.weights_off = arena_.size();
-    arena_.resize(arena_.size() + l.input_size * d.stride, 0);
+    // Input-major weights: the int32 kernel loads each input's row a
+    // group at a time, and the scalar loops and infer() walk neuron i's
+    // column w[j*stride + row_slot(i)] in j order.
+    d.stride = padded(l.output_size, 8);
+    d.weights_off = off;
+    off += l.input_size * d.stride;
+    d.biases_off = off;
+    off += 2 * padded(l.output_size, 4);
+    std::int32_t* w = arena_.data() + d.weights_off;
     for (std::size_t i = 0; i < l.output_size; ++i) {
       for (std::size_t j = 0; j < l.input_size; ++j) {
-        arena_[d.weights_off + j * d.stride + i] =
-            l.weights[i * l.input_size + j];
+        w[j * d.stride + row_slot(i)] =
+            static_cast<std::int32_t>(l.weights[i * l.input_size + j]);
       }
     }
-    d.biases_off = arena_.size();
-    arena_.insert(arena_.end(), l.biases.begin(), l.biases.end());
-    arena_.resize(d.biases_off + d.stride, 0);
+    std::memcpy(arena_.data() + d.biases_off, l.biases.data(),
+                l.biases.size() * sizeof(s64));
     // The table's dense form is its own, made once per table.
     if (l.lut && !l.lut->dense().empty()) {
       d.lut = l.lut->dense().data();
@@ -379,11 +409,10 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
     }
     d.saturation_free = sat_free;
 
-    // int32 operands: every weight always, the inputs statically when the
-    // propagated bound proves it and otherwise by a per-call scan.
-    const bool weights_i32 =
-        std::all_of(l.weights.begin(), l.weights.end(), fits_i32);
-    if (sat_free && weights_i32) {
+    // int32 operands: the weights by the constructor's contract, the
+    // inputs statically when the propagated bound proves it and otherwise
+    // by a per-call scan.
+    if (sat_free) {
       d.operands = in_bound <= INT32_MAX ? operand_proof::proven
                                          : operand_proof::per_call;
     }
@@ -408,10 +437,9 @@ void quantized_mlp::build_arena(const std::vector<qdense_layer>& layers) {
     luts_.push_back(l.lut);
   }
   // Activation rows hold whole 4-lane groups: the int32 kernel stores them.
-  max_width_ = padded(max_width_);
-  sample_lanes_ = std::all_of(descs_.begin(), descs_.end(), [](const auto& d) {
-    return d.saturation_free && d.simd;
-  });
+  max_width_ = padded(max_width_, 4);
+  sample_lanes_ = std::all_of(descs_.begin(), descs_.end(),
+                              [](const auto& d) { return d.simd; });
 }
 
 qdense_layer quantized_mlp::layer(std::size_t i) const {
@@ -425,8 +453,8 @@ qdense_layer quantized_mlp::layer(std::size_t i) const {
       l.weights.push_back(weight(i, o, j));
     }
   }
-  const s64* b = arena_.data() + d.biases_off;
-  l.biases.assign(b, b + d.output_size);
+  l.biases.resize(d.output_size);
+  std::memcpy(l.biases.data(), biases_of(d), d.output_size * sizeof(s64));
   l.weight_scale = d.weight_scale;
   l.act = d.act;
   l.lut = luts_[i];
@@ -461,14 +489,15 @@ std::vector<s64> quantized_mlp::infer(std::span<const s64> input_q) const {
   std::vector<s64> next;
   for (std::size_t li = 0; li < descs_.size(); ++li) {
     const layer_desc& d = descs_[li];
-    const s64* w = arena_.data() + d.weights_off;
-    const s64* b = arena_.data() + d.biases_off;
+    const std::int32_t* w = weights_of(d);
+    const std::int32_t* b = biases_of(d);
     next.assign(d.output_size, 0);
     for (std::size_t i = 0; i < d.output_size; ++i) {
       // MAC at scale weight_scale * io_scale; biases are pre-scaled to match.
-      s64 acc = b[i];
+      s64 acc = bias_at(b, i);
+      const std::size_t slot = row_slot(i);
       for (std::size_t j = 0; j < d.input_size; ++j) {
-        acc = fp::sat_add(acc, fp::sat_mul(w[j * d.stride + i], cur[j]));
+        acc = fp::sat_add(acc, fp::sat_mul(w[j * d.stride + slot], cur[j]));
       }
       // Requantize back to io_scale before the activation.
       const s64 pre = fp::div_round(acc, d.weight_scale);
@@ -525,15 +554,16 @@ template <bool Saturating, nn::activation Act>
 void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
                               s64* out) const {
   const layer_desc d = desc;  // a local copy: stores to out cannot alias it
-  const s64* __restrict w = arena_.data() + d.weights_off;
-  const s64* __restrict b = arena_.data() + d.biases_off;
+  const std::int32_t* __restrict w = weights_of(d);
+  const std::int32_t* __restrict b = biases_of(d);
   const std::size_t n = d.input_size;
   const std::size_t s = d.stride;
   for (std::size_t i = 0; i < d.output_size; ++i) {
-    const s64* __restrict col = w + i;  // neuron i's weight j is col[j * s]
+    // neuron i's weight j is col[j * s]
+    const std::int32_t* __restrict col = w + row_slot(i);
     s64 acc;
     if constexpr (Saturating) {
-      acc = b[i];
+      acc = bias_at(b, i);
       for (std::size_t j = 0; j < n; ++j) {
         acc = fp::sat_add(acc, fp::sat_mul(col[j * s], in[j]));
       }
@@ -549,7 +579,7 @@ void quantized_mlp::run_layer(const layer_desc& desc, const s64* in,
         a2 += col[(j + 2) * s] * in[j + 2];
         a3 += col[(j + 3) * s] * in[j + 3];
       }
-      acc = b[i] + ((a0 + a1) + (a2 + a3));
+      acc = bias_at(b, i) + ((a0 + a1) + (a2 + a3));
       for (; j < n; ++j) acc += col[j * s] * in[j];
     }
     out[i] = activate<Act>(d, requantize<Saturating>(d, acc));
@@ -565,8 +595,8 @@ void quantized_mlp::run(std::size_t li, bool in_bounds, const s64* in,
   if (fast && d.simd &&
       (d.operands == operand_proof::proven ||
        all_in_range(in, d.input_size, INT32_MIN, INT32_MAX))) {
-    const s64* w = arena_.data() + d.weights_off;
-    const s64* b = arena_.data() + d.biases_off;
+    const std::int32_t* w = weights_of(d);
+    const std::int32_t* b = biases_of(d);
     switch (d.act) {
       case activation::linear:
         return mac_i32_layer<activation::linear>(w, d.stride, b, in,
@@ -668,8 +698,8 @@ bool quantized_mlp::run_block(const s64* in, std::size_t real, s64* out,
   }
   if (!ok) return false;
   for (const layer_desc& d : descs_) {
-    const s64* w = arena_.data() + d.weights_off;
-    const s64* b = arena_.data() + d.biases_off;
+    const std::int32_t* w = weights_of(d);
+    const std::int32_t* b = biases_of(d);
     switch (d.act) {
       case activation::linear:
         ok = mac_samples_layer<activation::linear>(

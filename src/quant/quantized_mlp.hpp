@@ -2,10 +2,10 @@
 //
 // A quantized_mlp is what the paper installs into the kernel as a generated
 // module: weights, biases and activation lookup tables baked into integer
-// arrays, evaluated with 64-bit integer arithmetic only.  Its weights and
-// biases live once, in one arena; its tables are the process's shared ones
-// (lookup_table::for_activation), so a program and its copies hold
-// references, not copies, of them.  src/codegen emits this same program as C
+// arrays, evaluated with 64-bit integer arithmetic only.  Its weights (int32)
+// and biases (s64) live once, in one arena; its tables are the process's
+// shared ones (lookup_table::for_activation), so a program and its copies
+// hold references, not copies, of them.  src/codegen emits this same program as C
 // source text, reading the arena; this class is the executable form the
 // simulated kernel runs (and the oracle the generated code is golden-tested
 // against).  infer() interpolates in each table as the C does; the fast
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -28,15 +29,15 @@ using fp::s64;
 
 class quantized_mlp;
 
-/// What proves that a layer's MAC operands, its weights and its input
-/// vector, all fit int32: the precondition of the int32-operand (AVX2)
-/// kernel.  Only saturation-free layers qualify.
+/// What proves that a layer's input vector fits int32, as its weights
+/// always do: the precondition of the int32-operand (AVX2) kernel.  Only
+/// saturation-free layers qualify.
 enum class operand_proof : std::uint8_t {
-  none,      ///< always scalar: a weight exceeds int32 or the MAC may saturate
-  per_call,  ///< weights fit; infer_into scans the layer's input vector on
-             ///< each call, and infer_batch_into's sample lanes check each
-             ///< row as it is stored (the caller's as they are transposed)
-  proven,    ///< weights fit and the propagated input bound is below 2^31
+  none,      ///< always scalar: the MAC may saturate
+  per_call,  ///< infer_into scans the layer's input vector on each call, and
+             ///< infer_batch_into's sample lanes check each row as it is
+             ///< stored (the caller's as they are transposed)
+  proven,    ///< the propagated input bound is below 2^31
 };
 
 /// Caller-owned scratch for the zero-allocation fast path.  Holds the two
@@ -60,7 +61,8 @@ class inference_scratch {
 struct qdense_layer {
   std::size_t input_size = 0;
   std::size_t output_size = 0;
-  std::vector<s64> weights;  ///< output-major, scale = weight_scale
+  /// output-major, scale = weight_scale; each must fit int32
+  std::vector<s64> weights;
   std::vector<s64> biases;   ///< scale = weight_scale * io_scale
   s64 weight_scale = 1;      ///< divisor applied after the MAC to requantize
   nn::activation act = nn::activation::linear;
@@ -70,6 +72,9 @@ struct qdense_layer {
 
 class quantized_mlp {
  public:
+  /// Throws std::invalid_argument unless the layers chain from input_size,
+  /// every weight fits int32, every weight scale is positive and exactly
+  /// the tanh/sigmoid layers carry a table.
   quantized_mlp(std::size_t input_size, s64 io_scale,
                 std::vector<qdense_layer> layers);
 
@@ -101,14 +106,15 @@ class quantized_mlp {
   }
 
   /// Layer `layer`'s weight from input `in` to output `out`, read from the
-  /// arena (`out` < layer_output_size, `in` < layer_input_size).
+  /// arena's int32 rows (`out` < layer_output_size, `in` <
+  /// layer_input_size); it always fits int32.
   s64 weight(std::size_t layer, std::size_t out, std::size_t in) const {
     const layer_desc& d = descs_.at(layer);
-    return arena_[d.weights_off + in * d.stride + out];
+    return weights_of(d)[in * d.stride + row_slot(out)];
   }
   /// Layer `layer`'s bias of output `out` (< layer_output_size).
   s64 bias(std::size_t layer, std::size_t out) const {
-    return arena_[descs_.at(layer).biases_off + out];
+    return bias_at(biases_of(descs_.at(layer)), out);
   }
 
   /// Fixed-point scale of inputs and outputs: q ~= value * io_scale.
@@ -203,9 +209,12 @@ class quantized_mlp {
   struct layer_desc {
     std::size_t input_size = 0;
     std::size_t output_size = 0;
-    std::size_t stride = 0;       ///< output_size rounded up to 4 lanes
-    std::size_t weights_off = 0;  ///< arena offset, input-major: j*stride + i
-    std::size_t biases_off = 0;   ///< arena offset, `stride` zero-padded
+    std::size_t stride = 0;  ///< int32s per input row: output_size rounded
+                             ///< up to whole 8-output groups
+    std::size_t weights_off = 0;  ///< arena offset of the rows, input-major:
+                                  ///< weight (i, j) at j*stride + row_slot(i)
+    std::size_t biases_off = 0;   ///< arena offset of the s64 biases, two
+                                  ///< words each, padded to 4-lane groups
     s64 weight_scale = 1;
     int shift = -1;   ///< log2(weight_scale) if it is a power of two, else -1
     s64 half = 0;     ///< weight_scale / 2, the round-to-nearest bias
@@ -218,10 +227,32 @@ class quantized_mlp {
     s64 lut_span = 0;
     bool saturation_free = false;
     operand_proof operands = operand_proof::none;
-    /// operands != none, this process has AVX2, the weight scale is a power
-    /// of two, and the layer has no table or a dense one
+    /// operands != none (so saturation-free), this process has AVX2, the
+    /// weight scale is a power of two, and the layer has no table or a
+    /// dense one
     bool simd = false;
   };
+
+  /// Where output i's weight sits in an input's row: each group of 8
+  /// outputs is laid out o0 o4 o1 o5 o2 o6 o3 o7, so the low dwords of a
+  /// 256-bit load at a group's dword 0 are outputs 0-3, and at dword 1
+  /// outputs 4-7.
+  static constexpr std::size_t row_slot(std::size_t i) noexcept {
+    return (i & ~std::size_t{7}) | ((i & 3) << 1) | ((i >> 2) & 1);
+  }
+  const std::int32_t* weights_of(const layer_desc& d) const noexcept {
+    return arena_.data() + d.weights_off;
+  }
+  const std::int32_t* biases_of(const layer_desc& d) const noexcept {
+    return arena_.data() + d.biases_off;
+  }
+  /// Bias i of a layer whose biases start at `b`: its two words, copied
+  /// (one 64-bit load), since the arena holds int32 objects.
+  static s64 bias_at(const std::int32_t* b, std::size_t i) noexcept {
+    s64 v;
+    std::memcpy(&v, b + 2 * i, sizeof v);
+    return v;
+  }
 
   void build_arena(const std::vector<qdense_layer>& layers);
 
@@ -250,9 +281,11 @@ class quantized_mlp {
 
   std::size_t input_size_;
   s64 io_scale_;
-  /// weights | biases, per layer: the program's only copy of its
-  /// parameters (the tables stay in their shared objects)
-  std::vector<s64> arena_;
+  /// int32 weights | s64 biases, per layer: the program's only copy of its
+  /// parameters (the tables stay in their shared objects).  A bias takes
+  /// two words, written and read with memcpy; every region is a whole
+  /// number of 32 bytes.
+  std::vector<std::int32_t> arena_;
   std::vector<layer_desc> descs_;
   /// Layer i's table, or nullptr; keeps alive what descs_[i].lut points at.
   std::vector<std::shared_ptr<const lookup_table>> luts_;
@@ -260,8 +293,8 @@ class quantized_mlp {
   /// Widest activation vector, rounded up to whole 4-lane groups: the
   /// length of each scratch row.
   std::size_t max_width_ = 0;
-  /// Every layer is saturation-free and simd, so infer_batch_into's blocks
-  /// may take the sample lanes.
+  /// Every layer is simd, so infer_batch_into's blocks may take the sample
+  /// lanes.
   bool sample_lanes_ = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace lf::quant {
@@ -17,8 +18,10 @@ s64 choose_weight_scale(std::span<const double> weights) {
   double w_max = 0.0;
   for (const double w : weights) w_max = std::max(w_max, std::abs(w));
   if (w_max == 0.0) return k_max_weight_scale;
-  // Keep |w_q| below 2^31 so that (w_q * x_q) stays far from s64 overflow
-  // even after summing thousands of terms.
+  // Keep |w_q| below 2^31: a program stores its weights as int32 (its
+  // constructor refuses any other), and (w_q * x_q) stays far from s64
+  // overflow even after summing thousands of terms.  Only weights of 2^31
+  // and more, which no scale fits, reach quantize()'s clamp.
   s64 scale = 1;
   while (scale < k_max_weight_scale &&
          w_max * static_cast<double>(scale * 2) < 2147483647.0) {
@@ -46,10 +49,11 @@ quantized_mlp quantize(const nn::mlp& model, const quantizer_config& config) {
     const auto w_scale = static_cast<double>(ql.weight_scale);
     // sat_quantize, not llround: NaN becomes 0 and out-of-range values
     // saturate, where llround returns an arbitrary (on x86-64, negative)
-    // value for them.
+    // value for them.  Weights saturate into int32, biases into s64.
     ql.weights.reserve(fl.weights().size());
     for (const double w : fl.weights()) {
-      ql.weights.push_back(fp::sat_quantize(w * w_scale));
+      ql.weights.push_back(std::clamp<s64>(fp::sat_quantize(w * w_scale),
+                                           INT32_MIN, INT32_MAX));
     }
     ql.biases.reserve(fl.biases().size());
     for (const double b : fl.biases()) {

@@ -29,12 +29,13 @@ struct qmlp_layers {
 
 /// Build a random quantized MLP directly (not via the quantizer) so the
 /// property tests also cover shapes/scales the quantizer never produces:
-/// non-power-of-two weight scales, huge weights that defeat the
-/// no-saturation proof, every activation kind.  Widths reach 44, so the
-/// int32 kernel runs several 16-output blocks, partial 4-lane groups and
-/// padding lanes.  With `edges`, some layers carry weights at the int32
-/// limits or one step past them, and some linear/relu hidden layers get
-/// biases that put their outputs near +-2^31, where the next layer's
+/// non-power-of-two weight scales, weights up to the int32 limits with
+/// biases up to 2^61, which defeat the no-saturation proof, every
+/// activation kind.  Widths reach 44, so the int32 kernel runs several
+/// 16-output blocks, partial 8-output groups and padding lanes.  With
+/// `edges`, some layers carry weights at the int32 limits (one step past
+/// is a weight the constructor refuses), and some linear/relu hidden layers
+/// get biases that put their outputs near +-2^31, where the next layer's
 /// per-call operand scan flips between the int32 and the scalar kernel.
 /// random_qmlp_layers returns the layers themselves; random_qmlp builds
 /// the program from them, so both make the same draws from `g`.
@@ -55,26 +56,25 @@ inline qmlp_layers random_qmlp_layers(rng& g, bool extreme,
     l.weight_scale = g.bernoulli(0.7)
                          ? fp::s64{1} << g.uniform_int(0, 12)  // pow2 (typical)
                          : g.uniform_int(1, 5000);             // odd scales
-    const fp::s64 wmax = extreme && g.bernoulli(0.3)
-                             ? fp::s64_max / 4  // forces the saturating path
-                             : l.weight_scale * 4;
+    // Huge layers force the saturating path: at the input bound
+    // 1000 * 2^20, a weight near 2^31 takes ~2^61 of the accumulator.
+    const bool huge = extreme && g.bernoulli(0.3);
+    const fp::s64 wmax = huge ? i32_max : l.weight_scale * 4;
+    const fp::s64 bmax = huge ? fp::s64_max / 4 : l.weight_scale * 4;
     for (std::size_t i = 0; i < l.input_size * l.output_size; ++i) {
       l.weights.push_back(g.uniform_int(-wmax, wmax));
     }
     for (std::size_t i = 0; i < l.output_size; ++i) {
-      l.biases.push_back(g.uniform_int(-wmax, wmax));
+      l.biases.push_back(g.uniform_int(-bmax, bmax));
     }
     if (edges && g.bernoulli(0.5)) {
-      // 1-3 weights at the int32 limits; in half of these layers, one of
-      // them one step past (which rules the int32 kernel out).
-      const bool past = g.bernoulli(0.5);
+      // 1-3 weights at the int32 limits.
       const fp::s64 at[] = {i32_min, i32_max};
-      const fp::s64 beyond[] = {i32_min - 1, i32_max + 1};
       for (int k = 0, planted = static_cast<int>(g.uniform_int(1, 3));
            k < planted; ++k) {
         const auto idx = static_cast<std::size_t>(g.uniform_int(
             0, static_cast<fp::s64>(l.weights.size()) - 1));
-        l.weights[idx] = (past && k == 0 ? beyond : at)[g.uniform_int(0, 1)];
+        l.weights[idx] = at[g.uniform_int(0, 1)];
       }
     }
     switch (g.uniform_int(0, 3)) {

@@ -157,8 +157,9 @@ TEST(CEmitter, ArraysMatchTemplateReferenceOnPaperNets) {
   }
 }
 
-// Negative weights, weights at the int32 edge and parameters at the s64
-// edges, with a lookup table on the first layer.
+// Negative weights, weights at the int32 edges (a program's weights fit
+// int32) and biases at the s64 edges, with a lookup table on the first
+// layer.
 quant::quantized_mlp edge_value_program() {
   constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
   constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
@@ -166,7 +167,7 @@ quant::quantized_mlp edge_value_program() {
   l0.input_size = 3;
   l0.output_size = 3;
   l0.weight_scale = 1 << 20;
-  l0.weights = {-1, i32_max, i32_min, -i32_max, 0, -7, i32_max + 1, 1, -2};
+  l0.weights = {-1, i32_max, i32_min, -i32_max, 0, -7, i32_min + 1, 1, -2};
   l0.biases = {fp::s64_max, fp::s64_min, -1};
   l0.act = nn::activation::tanh_act;
   l0.lut = quant::lookup_table::for_activation(nn::activation::tanh_act, 37,
@@ -175,7 +176,7 @@ quant::quantized_mlp edge_value_program() {
   l1.input_size = 3;
   l1.output_size = 1;
   l1.weight_scale = 3;
-  l1.weights = {fp::s64_min, fp::s64_max, i32_min - 1};
+  l1.weights = {i32_min, i32_max, i32_max - 1};
   l1.biases = {fp::s64_min + 1};
   l1.act = nn::activation::linear;
   return quant::quantized_mlp{3, 1000, {std::move(l0), std::move(l1)}};
@@ -237,19 +238,24 @@ INSTANTIATE_TEST_SUITE_P(Nets, CompiledGolden, ::testing::Values(0, 1, 2));
 
 TEST(CompiledGolden, PropertyCorpusMatchesInterpreterBitForBit) {
   // The random_qmlp corpus: odd weight scales, shared and differing
-  // tanh/sigmoid tables, widths 1-44, saturating weights (every third
-  // program) and int32-edge weights and hidden outputs (every third); then
-  // the edge-value program, whose s64_min parameters are spelled
-  // LF_S64_MIN.  The tallies show that the corpus both shares a table
-  // between layers and mixes different tables in one program.
+  // tanh/sigmoid tables, widths 1-44, extreme layers (every third program)
+  // and int32-edge weights and hidden outputs (every third); then the
+  // edge-value program, whose s64_min bias is spelled LF_S64_MIN.  The
+  // tallies show that the corpus both shares a table between layers and
+  // mixes different tables in one program, and that some layers fail the
+  // no-saturation proof, so their C has only the saturating chain.
   if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
   rng g{0xc0de};
   int shared = 0;
   int mixed = 0;
+  int saturating = 0;
   for (int trial = 0; trial <= 30; ++trial) {
     const auto q = trial < 30
                        ? test::random_qmlp(g, trial % 3 == 1, trial % 3 == 2)
                        : edge_value_program();
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      saturating += !q.layer_saturation_free(i);
+    }
     std::vector<std::size_t> sources;
     for (std::size_t i = 0; i < q.layer_count(); ++i) {
       if (!q.layer(i).lut) continue;
@@ -274,6 +280,7 @@ TEST(CompiledGolden, PropertyCorpusMatchesInterpreterBitForBit) {
   }
   EXPECT_GT(shared, 0);
   EXPECT_GT(mixed, 0);
+  EXPECT_GT(saturating, 0);
 }
 
 TEST(CompiledGolden, WideLutTierMatchesInterpreterBitForBit) {
@@ -382,15 +389,20 @@ TEST(CompiledGoldenSaturating, HugeInputsMatchInterpreterBitForBit) {
 }
 
 TEST(CompiledGoldenSaturating, HugeWeightsForceSaturatingChain) {
-  // Directly-built program whose weights defeat the no-saturation proof: the
-  // emitter must fall back to an all-saturating chain that still matches.
+  // Directly-built program whose parameters defeat the no-saturation proof:
+  // int32-limit weights take ~2^61 each of the accumulator at the input
+  // bound 1000 * 2^20, and with a bias of 3/4 of s64_max output 0's worst
+  // case leaves s64.  The emitter must fall back to an all-saturating chain
+  // that still matches.
   if (!compiler_available()) GTEST_SKIP() << "no gcc on PATH";
+  constexpr fp::s64 i32_max = std::numeric_limits<std::int32_t>::max();
+  constexpr fp::s64 i32_min = std::numeric_limits<std::int32_t>::min();
   quant::qdense_layer l;
   l.input_size = 2;
   l.output_size = 2;
   l.weight_scale = 4;
-  l.weights = {fp::s64_max / 2, fp::s64_max / 3, -fp::s64_max / 2, 9};
-  l.biases = {fp::s64_max / 5, -7};
+  l.weights = {i32_max, i32_max - 1, i32_min, 9};
+  l.biases = {fp::s64_max / 4 * 3, -7};
   l.act = nn::activation::relu;
   quant::quantized_mlp program{2, 1000, {std::move(l)}};
   EXPECT_FALSE(program.layer_saturation_free(0));

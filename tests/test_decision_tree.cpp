@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "quant/decision_tree.hpp"
 #include "quant/quantizer.hpp"
@@ -119,6 +120,42 @@ TEST(DecisionTree, InferRejectsWrongInputSize) {
   const auto tree = decision_tree_snapshot::distill(teacher, small_config());
   const fp::s64 bad[] = {1, 2, 3};
   EXPECT_THROW((void)tree.infer(bad), std::invalid_argument);
+}
+
+TEST(DecisionTree, InfiniteFloatInputsTakeTheOuterBranches) {
+  // infer_float saturates: +inf quantizes to s64_max, above every
+  // threshold, so it takes each split's `>` branch, -inf (s64_min) each
+  // `<=` branch, and NaN reads 0.  llround gave INT64_MIN for all three, so
+  // +inf went `<=`.  For some feature the two sides reach different leaves,
+  // which is what tells the branches apart.
+  rng g{13};
+  const auto teacher = nn::make_ffnn_flow_size_net(g);
+  const auto tree = decision_tree_snapshot::distill(teacher, small_config());
+  const auto dequantized = [](const std::vector<fp::s64>& q) {
+    std::vector<double> v;
+    for (const fp::s64 x : q) v.push_back(static_cast<double>(x) / 1000.0);
+    return v;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t split = 0;
+  for (std::size_t f = 0; f < tree.input_size(); ++f) {
+    std::vector<double> x(tree.input_size(), 0.0);
+    std::vector<fp::s64> xq(tree.input_size(), 0);
+    x[f] = inf;
+    xq[f] = fp::s64_max;
+    const auto above = tree.infer(xq);
+    EXPECT_EQ(tree.infer_float(x), dequantized(above)) << "feature " << f;
+    x[f] = -inf;
+    xq[f] = fp::s64_min;
+    const auto below = tree.infer(xq);
+    EXPECT_EQ(tree.infer_float(x), dequantized(below)) << "feature " << f;
+    x[f] = std::nan("");
+    xq[f] = 0;
+    EXPECT_EQ(tree.infer_float(x), dequantized(tree.infer(xq)))
+        << "feature " << f;
+    split += above != below;
+  }
+  EXPECT_GT(split, 0u);
 }
 
 }  // namespace

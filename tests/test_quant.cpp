@@ -96,6 +96,25 @@ TEST(Lut, RejectsDegenerateConfig) {
   EXPECT_THROW(lookup_table(f, 0.0, 1.0, 1, 1000), std::invalid_argument);
   EXPECT_THROW(lookup_table(f, 1.0, 0.0, 16, 1000), std::invalid_argument);
   EXPECT_THROW(lookup_table(f, 0.0, 1.0, 16, 0), std::invalid_argument);
+  // A domain whose quantized span leaves s64.
+  EXPECT_THROW(lookup_table(f, -1e300, 1e300, 16, 1000),
+               std::invalid_argument);
+}
+
+TEST(Lut, EvalFloatSaturatesOutOfRangeInputs) {
+  // llround gave INT64_MIN for +-inf, NaN and |x * scale| >= 2^63, so on
+  // Aurora's tanh table each of these read the bottom entry (-1).  Now they
+  // saturate: the positive ones read the top entry, the negative ones the
+  // bottom entry, and NaN reads eval(0).
+  const auto lut = lookup_table::for_activation(nn::activation::tanh_act,
+                                                1024, 1000);
+  const auto at = [](fp::s64 q) { return static_cast<double>(q) / 1000.0; };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {inf, 1e300, 9.3e15}) {
+    EXPECT_EQ(lut->eval_float(x), at(lut->values().back())) << x;
+    EXPECT_EQ(lut->eval_float(-x), at(lut->values().front())) << -x;
+  }
+  EXPECT_EQ(lut->eval_float(std::nan("")), at(lut->eval(0)));
 }
 
 class LutPrecisionSweep
@@ -168,11 +187,18 @@ TEST(QuantizedMlp, ReluClampsNegativePreactivation) {
 // ------------------------------------------------- fast path (infer_into) --
 
 TEST(QuantizedMlpFastPath, InferIntoMatchesInferBitForBit) {
+  // The tally shows that the extreme half of the corpus has layers the
+  // no-saturation proof fails, which run the saturating chain on every
+  // call.
   rng g{0xfa57};
   inference_scratch scratch;
+  std::size_t saturating = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const bool extreme = trial >= 100;
     const auto q = random_qmlp(g, extreme);
+    for (std::size_t i = 0; i < q.layer_count(); ++i) {
+      saturating += !q.layer_saturation_free(i);
+    }
     for (int rep = 0; rep < 10; ++rep) {
       std::vector<fp::s64> x(q.input_size());
       for (auto& v : x) {
@@ -187,19 +213,19 @@ TEST(QuantizedMlpFastPath, InferIntoMatchesInferBitForBit) {
       ASSERT_EQ(expect, got) << "trial " << trial << " rep " << rep;
     }
   }
+  EXPECT_GT(saturating, 0u);
 }
 
 /// True when infer_batch_into's blocks of q run on the sample lanes on this
-/// CPU: every layer saturation-free, with int32 weights, a power-of-two
-/// weight scale and no table or one with a dense form.
+/// CPU: every layer saturation-free (so with an operand proof), with a
+/// power-of-two weight scale and no table or one with a dense form.
 bool takes_sample_lanes(const quantized_mlp& q) {
   if (!quantized_mlp::simd_dispatch()) return false;
   for (std::size_t i = 0; i < q.layer_count(); ++i) {
-    const fp::s64 ws = q.layer(i).weight_scale;
+    const fp::s64 ws = q.layer_weight_scale(i);
     const lookup_table* lut = q.layer_lut(i);
-    if (!q.layer_saturation_free(i) ||
-        q.layer_operand_proof(i) == operand_proof::none ||
-        (ws & (ws - 1)) != 0 || (lut != nullptr && lut->dense().empty())) {
+    if (!q.layer_saturation_free(i) || (ws & (ws - 1)) != 0 ||
+        (lut != nullptr && lut->dense().empty())) {
       return false;
     }
   }
@@ -422,9 +448,9 @@ TEST(QuantizedMlpFastPath, PaperNetsUseFastModeAndMatch) {
     for (std::size_t i = 0; i < q.layer_count(); ++i) {
       EXPECT_TRUE(q.layer_saturation_free(i)) << "net " << which << " layer "
                                               << i;
-      // The quantizer keeps |w_q| < 2^31, so every layer qualifies for the
-      // int32 kernel; Aurora's inputs (bound 1000 * 2^20) and tanh outputs
-      // (<= 1000) prove its operands statically.
+      // Saturation-free layers qualify for the int32 kernel (every weight
+      // fits int32 by construction); Aurora's inputs (bound 1000 * 2^20)
+      // and tanh outputs (<= 1000) prove its operands statically.
       EXPECT_NE(q.layer_operand_proof(i), operand_proof::none)
           << "net " << which << " layer " << i;
       if (which == 0) {
@@ -446,9 +472,10 @@ TEST(QuantizedMlpFastPath, PaperNetsUseFastModeAndMatch) {
 
 TEST(QuantizedMlpFastPath, Int32OperandEdgesAgreeAcrossKernels) {
   // infer (the saturating oracle), infer_into and infer_batch_into must
-  // agree bit-for-bit on programs whose weights sit at or just past the
-  // int32 limits and whose hidden outputs straddle +-2^31.  Layers without
-  // an operand proof run the same scalar code a CPU without AVX2 runs, so
+  // agree bit-for-bit on programs whose weights sit at the int32 limits and
+  // whose hidden outputs straddle +-2^31; every fourth program also has
+  // extreme layers, which the no-saturation proof fails.  Layers without an
+  // operand proof run the same scalar code a CPU without AVX2 runs, so
   // these trials cover that branch too.  The tallies show that every proof
   // kind occurred and that the per-call scan both passed and failed.
   rng g{0x1e32};
@@ -458,7 +485,7 @@ TEST(QuantizedMlpFastPath, Int32OperandEdgesAgreeAcrossKernels) {
   std::size_t scan_pass = 0;
   std::size_t scan_fail = 0;
   for (int trial = 0; trial < 300; ++trial) {
-    const auto q = random_qmlp(g, false, true);
+    const auto q = random_qmlp(g, trial % 4 == 0, true);
     for (std::size_t i = 0; i < q.layer_count(); ++i) {
       ++proofs[static_cast<int>(q.layer_operand_proof(i))];
     }
@@ -870,6 +897,75 @@ TEST(QuantizedMlpFastPath, FusedStoresStayInsideOutputAndRows) {
   }
 }
 
+TEST(QuantizedMlpFastPath, EachOutputReadsItsOwnWeight) {
+  // Every weight (o, j) and bias o holds its own value, and one-hot inputs
+  // pick one input's row, so output o must be b_o + w_oj * v on every path
+  // and through both accessors.  A permutation of the arena's rows that
+  // infer() and the kernels shared would pass every comparison against
+  // infer(), but not this.  Output widths 1-20 cover every residue of the
+  // 8-output groups and the 16-output blocks; k = 3 runs per sample and
+  // k = 8 one block on the sample lanes.
+  const auto w_of = [](std::size_t o, std::size_t j) {
+    const auto w = static_cast<fp::s64>(1000 * (o + 1) + 10 * (j + 1));
+    return o % 2 == 0 ? w : -w;
+  };
+  const auto b_of = [](std::size_t o) {
+    return static_cast<fp::s64>(7 * (o + 1));
+  };
+  constexpr std::size_t k = 8;
+  inference_scratch scratch;
+  for (const std::size_t n : {1, 3, 8, 13}) {
+    for (std::size_t m = 1; m <= 20; ++m) {
+      const std::string where =
+          "inputs " + std::to_string(n) + " outputs " + std::to_string(m);
+      qdense_layer l;
+      l.input_size = n;
+      l.output_size = m;
+      l.weight_scale = 1;
+      for (std::size_t o = 0; o < m; ++o) {
+        for (std::size_t j = 0; j < n; ++j) l.weights.push_back(w_of(o, j));
+        l.biases.push_back(b_of(o));
+      }
+      l.act = nn::activation::linear;
+      const quantized_mlp q{n, 1000, {l}};
+      ASSERT_EQ(q.layer_operand_proof(0), operand_proof::proven) << where;
+      ASSERT_EQ(takes_sample_lanes(q), quantized_mlp::simd_dispatch());
+      const qdense_layer back = q.layer(0);
+      for (std::size_t o = 0; o < m; ++o) {
+        ASSERT_EQ(q.bias(0, o), b_of(o)) << where << " o " << o;
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(q.weight(0, o, j), w_of(o, j)) << where << " o " << o;
+          ASSERT_EQ(back.weights[o * n + j], w_of(o, j)) << where;
+        }
+      }
+      // Row s puts s + 2 at input s % n.
+      std::vector<fp::s64> x(k * n, 0);
+      std::vector<fp::s64> want(k * m);
+      for (std::size_t s = 0; s < k; ++s) {
+        const auto v = static_cast<fp::s64>(s + 2);
+        x[s * n + s % n] = v;
+        for (std::size_t o = 0; o < m; ++o) {
+          want[s * m + o] = b_of(o) + w_of(o, s % n) * v;
+        }
+      }
+      ASSERT_EQ(infer_rows(q, x, k), want) << where;
+      std::vector<fp::s64> one(m);
+      for (std::size_t s = 0; s < k; ++s) {
+        q.infer_into(std::span<const fp::s64>{x}.subspan(s * n, n), one,
+                     scratch);
+        ASSERT_TRUE(std::equal(one.begin(), one.end(), want.begin() + s * m))
+            << where << " sample " << s;
+      }
+      for (const std::size_t rows : {std::size_t{3}, k}) {
+        const auto got = batch_rows(
+            q, std::span<const fp::s64>{x}.first(rows * n), rows, scratch);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+            << where << " k " << rows;
+      }
+    }
+  }
+}
+
 TEST(QuantizedMlp, InferFloatSaturatesOnHugeInputs) {
   qdense_layer layer;
   layer.input_size = 1;
@@ -963,16 +1059,20 @@ TEST(QuantizedMlp, LayerRebuildsWhatTheProgramWasBuiltFrom) {
 TEST(QuantizedMlp, CopyAllocatesOnlyItsArenaDescsAndTableRefs) {
   // An installed version's program is copied into the engine, and ~120 of
   // them stay live under cc_adapt: a copy carries the parameters once (the
-  // padded input-major arena), the per-layer descriptors and the table
-  // references, and nothing else.
+  // padded input-major arena: int32 weight rows of whole 8-output groups,
+  // then s64 biases in whole 4-lane groups), the per-layer descriptors and
+  // the table references, and nothing else.
   rng g{0xc0b1};
   const quantized_mlp q = quantize(nn::make_aurora_net(g));
   std::size_t arena = 0;
   for (std::size_t i = 0; i < q.layer_count(); ++i) {
-    const std::size_t stride = (q.layer_output_size(i) + 3) & ~std::size_t{3};
-    arena += (q.layer_input_size(i) + 1) * stride * sizeof(fp::s64);
+    const std::size_t m = q.layer_output_size(i);
+    arena += q.layer_input_size(i) * ((m + 7) & ~std::size_t{7}) * 4 +
+             ((m + 3) & ~std::size_t{3}) * 8;
   }
-  EXPECT_EQ(arena, 1588u * 8);  // 31 * 32 + 33 * 16 + 17 * 4 words
+  // 30 * 32 + 32 * 16 + 16 * 8 int32 weights, 32 + 16 + 4 s64 biases:
+  // 6,816 bytes, where s64 weights in rows of 4-lane groups took 12,704.
+  EXPECT_EQ(arena, 1600u * 4 + 52u * 8);
   const std::size_t news = t_news;
   const std::size_t bytes = t_new_bytes;
   const quantized_mlp copy = q;
@@ -980,10 +1080,169 @@ TEST(QuantizedMlp, CopyAllocatesOnlyItsArenaDescsAndTableRefs) {
   const std::size_t copy_bytes = t_new_bytes - bytes;
   EXPECT_EQ(copy_news, 3u);  // arena, descriptors, table references
   EXPECT_GE(copy_bytes, arena);
-  // Descriptors and table references: a few hundred bytes for 3 layers.
+  // Descriptors and table references: a few hundred bytes for 3 layers;
+  // the whole copy within 7.3 KiB (13,064 bytes with s64 weights).
   EXPECT_LE(copy_bytes, arena + 256 * q.layer_count());
+  EXPECT_LE(copy_bytes, 7475u);
   const std::vector<fp::s64> x(q.input_size(), 250);
   EXPECT_EQ(copy.infer(x), q.infer(x));
+}
+
+// ---------------------------------------------------- constructor contract --
+
+/// What the constructor must accept: layers that chain from `input_size`,
+/// each with input_size * output_size weights that fit int32, output_size
+/// biases, a positive weight scale, and a table exactly when its
+/// activation is tanh or sigmoid.
+bool meets_contract(std::size_t input_size,
+                    const std::vector<qdense_layer>& layers) {
+  std::size_t in = input_size;
+  for (const qdense_layer& l : layers) {
+    const bool table_act = l.act == nn::activation::tanh_act ||
+                           l.act == nn::activation::sigmoid;
+    const bool weights_fit =
+        std::all_of(l.weights.begin(), l.weights.end(),
+                    [](fp::s64 w) { return w >= i32_min && w <= i32_max; });
+    if (l.input_size != in ||
+        l.weights.size() != l.input_size * l.output_size ||
+        l.biases.size() != l.output_size || l.weight_scale <= 0 ||
+        table_act != (l.lut != nullptr) || !weights_fit) {
+      return false;
+    }
+    in = l.output_size;
+  }
+  return !layers.empty();
+}
+
+TEST(QuantizedMlpContract, WeightsBeyondInt32AreRefused) {
+  // A program stores its weights as int32: the limits themselves build and
+  // read back, one step past them and the s64 limits are refused.
+  for (const fp::s64 w : {i32_min, i32_max, i32_min - 1, i32_max + 1,
+                          fp::s64_min, fp::s64_max}) {
+    qdense_layer l;
+    l.input_size = 1;
+    l.output_size = 2;
+    l.weights = {3, w};
+    l.biases = {0, 0};
+    l.act = nn::activation::linear;
+    if (w >= i32_min && w <= i32_max) {
+      const quantized_mlp q{1, 1000, {l}};
+      EXPECT_EQ(q.weight(0, 1, 0), w);
+    } else {
+      EXPECT_THROW((quantized_mlp{1, 1000, {l}}), std::invalid_argument) << w;
+    }
+  }
+}
+
+TEST(QuantizedMlpContract, FuzzedLayerSetsThrowOrAgreeAcrossPaths) {
+  // Seeded draws around the constructor's contract: random_qmlp layer sets
+  // with 0-2 mutations each, among weights at and one past +-2^31 (and at
+  // the s64 limits), weight scales that are 0, negative or huge, broken
+  // size chains, wrong weight and bias counts, and tables on the wrong
+  // activation.  A set must be refused with std::invalid_argument exactly
+  // when it breaks the contract; otherwise infer_into, infer_batch_into and
+  // infer must agree on inputs within and beyond the no-saturation bound.
+  enum mutation { weight_edge, scale, chain, weight_count, bias_count, table };
+  constexpr int kinds = 6;
+  rng g{0xc047};
+  std::size_t drawn[kinds] = {};
+  std::size_t refused = 0;
+  std::size_t built = 0;
+  inference_scratch scratch;
+  for (int trial = 0; trial < 600; ++trial) {
+    qmlp_layers spec = random_qmlp_layers(g, trial % 2 == 0, trial % 3 == 0);
+    std::vector<qdense_layer>& layers = spec.layers;
+    const auto any = [&](std::size_t size) {
+      return static_cast<std::size_t>(
+          g.uniform_int(0, static_cast<fp::s64>(size) - 1));
+    };
+    for (auto n = g.uniform_int(0, 2); n > 0; --n) {
+      qdense_layer& l = layers[any(layers.size())];
+      const auto kind = static_cast<mutation>(g.uniform_int(0, kinds - 1));
+      ++drawn[kind];
+      switch (kind) {
+        case weight_edge: {
+          const fp::s64 edge[] = {i32_min - 1, i32_min,     i32_max,
+                                  i32_max + 1, fp::s64_min, fp::s64_max};
+          l.weights[any(l.weights.size())] = edge[any(std::size(edge))];
+          break;
+        }
+        case scale: {
+          const fp::s64 scales[] = {0,           -1,          -4096,
+                                    fp::s64_min, fp::s64_max, fp::s64{1} << 62,
+                                    fp::s64{1} << 40};
+          l.weight_scale = scales[any(std::size(scales))];
+          break;
+        }
+        case chain:
+          // A consistent layer that no longer follows its predecessor.
+          l.input_size += l.input_size > 1 && g.bernoulli(0.5) ? -1 : 1;
+          l.weights.assign(l.input_size * l.output_size, 1);
+          break;
+        case weight_count:
+          if (!l.weights.empty() && g.bernoulli(0.5)) {
+            l.weights.pop_back();
+          } else {
+            l.weights.push_back(1);
+          }
+          break;
+        case bias_count:
+          if (!l.biases.empty() && g.bernoulli(0.5)) {
+            l.biases.pop_back();
+          } else {
+            l.biases.push_back(1);
+          }
+          break;
+        case table:
+          if (l.lut) {
+            if (g.bernoulli(0.5)) {
+              l.lut.reset();
+            } else {
+              l.act = nn::activation::relu;
+            }
+          } else if (g.bernoulli(0.5)) {
+            l.lut = lookup_table::for_activation(nn::activation::tanh_act, 128,
+                                                 1000);
+          } else {
+            l.act = nn::activation::sigmoid;
+          }
+          break;
+      }
+    }
+    const std::string where = "trial " + std::to_string(trial);
+    if (!meets_contract(spec.input_size, layers)) {
+      ++refused;
+      EXPECT_THROW((quantized_mlp{spec.input_size, 1000, layers}),
+                   std::invalid_argument)
+          << where;
+      continue;
+    }
+    ++built;
+    const quantized_mlp q{spec.input_size, 1000, std::move(layers)};
+    const fp::s64 bound = q.fastpath_input_bound();
+    const bool beyond = g.bernoulli(0.5);
+    const auto k = static_cast<std::size_t>(g.uniform_int(1, 20));
+    std::vector<fp::s64> x(k * q.input_size());
+    for (auto& v : x) {
+      v = beyond && g.bernoulli(0.2)
+              ? g.uniform_int(fp::s64_min / 2, fp::s64_max / 2)
+              : g.uniform_int(-bound, bound);
+    }
+    const auto want = infer_rows(q, x, k);
+    ASSERT_EQ(batch_rows(q, x, k, scratch), want) << where;
+    std::vector<fp::s64> one(q.output_size());
+    for (std::size_t s = 0; s < k; ++s) {
+      q.infer_into(std::span<const fp::s64>{x}.subspan(s * q.input_size(),
+                                                       q.input_size()),
+                   one, scratch);
+      ASSERT_TRUE(std::equal(one.begin(), one.end(),
+                             want.begin() + s * q.output_size()))
+          << where << " sample " << s;
+    }
+  }
+  for (int kind = 0; kind < kinds; ++kind) EXPECT_GT(drawn[kind], 0u) << kind;
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(built, 0u);
 }
 
 // --------------------------------------------------------------- quantizer --
@@ -1059,8 +1318,11 @@ TEST(Quantizer, Figure7ShapeCoarseScalesLoseMoreAccuracy) {
 TEST(Quantizer, NonFiniteAndHugeParametersKeepTheirSign) {
   // llround gave INT64_MIN for NaN, +-inf and out-of-range values, so a
   // +1e25 bias quantized negative.  Every parameter now saturates with its
-  // sign (NaN -> 0), and the affected layers, which cannot prove their
-  // operands fit int32, run scalar and still match infer() exactly.
+  // sign (NaN -> 0): weights into int32, biases into s64.  Layer 0's
+  // int32-limit weights still prove saturation-free at the input bound, so
+  // it runs the int32 kernel; layers 1 and 2, whose s64-limit bias and
+  // unbounded inputs the proof fails, run the saturating chain.  All of
+  // them match infer() exactly.
   rng g{0xbad};
   auto net = nn::make_ffnn_flow_size_net(g);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -1090,11 +1352,16 @@ TEST(Quantizer, NonFiniteAndHugeParametersKeepTheirSign) {
     for (std::size_t k = 0; k < ql.biases.size(); ++k) {
       check(fl.biases()[k], ql.biases[k]);
     }
-    EXPECT_EQ(q.layer_operand_proof(li), operand_proof::none) << li;
   }
-  EXPECT_EQ(q.layer(0).weights[1], fp::s64_max);
-  EXPECT_EQ(q.layer(0).weights[2], fp::s64_min);
+  EXPECT_EQ(q.layer_operand_proof(0), operand_proof::proven);
+  EXPECT_EQ(q.layer_operand_proof(1), operand_proof::none);
+  EXPECT_EQ(q.layer_operand_proof(2), operand_proof::none);
+  EXPECT_EQ(q.layer(0).weights[1], i32_max);
+  EXPECT_EQ(q.layer(0).weights[2], i32_min);
+  EXPECT_EQ(q.layer(1).weights[0], i32_max);
+  EXPECT_EQ(q.layer(1).weights[1], i32_min);
   EXPECT_EQ(q.layer(1).biases[0], fp::s64_max);
+  EXPECT_EQ(q.layer(2).weights[0], i32_max);
 
   inference_scratch scratch;
   rng xs{0xbad + 1};
